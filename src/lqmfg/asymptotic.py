@@ -265,17 +265,13 @@ class _ReducedFields:
 
 
 def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
+    """Players 0 and 1 only, Riccati and offsets in one pass; escape of
+    the Riccati prefix comes first, then that of Riccati plus offsets."""
     red = _ReducedFields(sys)
     d = sys.dim
     sq = d * d
 
-    def field_P(t, flat):
-        P0 = flat[:sq].reshape(d, d)
-        P1 = flat[sq:].reshape(d, d)
-        dP0, dP1 = red.dP(P0, P1, red.coupling(P1))
-        return np.concatenate([dP0.ravel(), dP1.ravel()])
-
-    def field_PS(t, flat):
+    def field(t, flat):
         P0 = flat[:sq].reshape(d, d)
         P1 = flat[sq:2 * sq].reshape(d, d)
         S0 = flat[2 * sq:2 * sq + d]
@@ -292,24 +288,15 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
             out[off:off + sq] = ((P + P.T) / 2.0).ravel()
         return out
 
-    term_P = np.concatenate([sys.Q0f_big.ravel(), red.Q1f_big.ravel()])
-    phase1 = integrate_backward(field_P, term_P, grid,
-                                threshold=threshold, symmetrize=sym)
-    if isinstance(phase1, BlowUpReport):
-        return phase1
-
-    term_PS = np.concatenate([term_P, sys.lin0_f, red.lin1_f])
-    phase2 = integrate_backward(field_PS, term_PS, grid,
-                                threshold=threshold, symmetrize=sym)
-    if isinstance(phase2, BlowUpReport):
-        # Riccati paths stayed below the threshold, Riccati plus offsets
-        # crossed it: marginal, still an escape verdict.
-        return phase2
-    assert np.array_equal(phase1.values, phase2.values[:, :2 * sq]), \
-        "offset phase altered the Riccati path"
+    terminal = np.concatenate([sys.Q0f_big.ravel(), red.Q1f_big.ravel(),
+                               sys.lin0_f, red.lin1_f])
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
+                              symmetrize=sym, prefixes=(2 * sq,))
+    if isinstance(path, BlowUpReport):
+        return path
 
     Mn = grid.M + 1
-    vals = phase2.values
+    vals = path.values
     return FiniteNSolution(
         model=sys.model, N=sys.N, grid=grid, mode="symmetric",
         P0_big=MatrixPath(grid, vals[:, :sq].reshape(Mn, d, d)),
@@ -320,7 +307,8 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
 
 
 def _solve_dense(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
-    """All N+1 players integrated literally; validates the reduction."""
+    """All N+1 players integrated literally in one pass, Riccati prefix
+    first in the escape verdict; validates the reduction."""
     N, n, d = sys.N, sys.model.n, sys.dim
     sq = d * d
     Q_big = [sys.Q0_big] + [sys.Q_minor(i) for i in range(1, N + 1)]
@@ -369,11 +357,7 @@ def _solve_dense(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
 
     nP = (N + 1) * sq
 
-    def field_P(t, flat):
-        dP, _ = dP_all(flat.reshape(N + 1, d, d))
-        return dP.ravel()
-
-    def field_PS(t, flat):
+    def field(t, flat):
         P = flat[:nP].reshape(N + 1, d, d)
         S = flat[nP:].reshape(N + 1, d)
         dP, W = dP_all(P)
@@ -385,21 +369,15 @@ def _solve_dense(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
         out[:nP] = ((P + P.transpose(0, 2, 1)) / 2.0).ravel()
         return out
 
-    term_P = np.concatenate([q.ravel() for q in Qf_big])
-    phase1 = integrate_backward(field_P, term_P, grid,
-                                threshold=threshold, symmetrize=sym)
-    if isinstance(phase1, BlowUpReport):
-        return phase1
-    phase2 = integrate_backward(field_PS, np.concatenate([term_P] + lin_f),
-                                grid, threshold=threshold, symmetrize=sym)
-    if isinstance(phase2, BlowUpReport):
-        return phase2
-    assert np.array_equal(phase1.values, phase2.values[:, :nP]), \
-        "offset phase altered the Riccati path"
+    terminal = np.concatenate([q.ravel() for q in Qf_big] + lin_f)
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
+                              symmetrize=sym, prefixes=(nP,))
+    if isinstance(path, BlowUpReport):
+        return path
 
     Mn = grid.M + 1
-    P_all = phase2.values[:, :nP].reshape(Mn, N + 1, d, d)
-    S_all = phase2.values[:, nP:].reshape(Mn, N + 1, d)
+    P_all = path.values[:, :nP].reshape(Mn, N + 1, d, d)
+    S_all = path.values[:, nP:].reshape(Mn, N + 1, d)
 
     # Exchangeability audit: every minor's matrices must be the block
     # permutation of player 1's.
@@ -711,12 +689,17 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
                                  threshold: float = 1e12) -> SolvabilityReport:
     """Solve the finite system across N and test boundedness of the norms.
 
-    Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the escape
-    report. Runs the per-N solves in parallel; compares the bounded-tail
-    heuristic with the nine-block system's solvability verdict.
+    N_list is sorted and de-duplicated first, so the verdict does not
+    depend on the caller's order; an N below 1 raises ValueError before
+    any solve. Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the
+    escape report. Runs the per-N solves in parallel; compares the
+    bounded-tail heuristic (on the three largest N) with the nine-block
+    system's solvability verdict.
     """
     _require_k1(model)
-    N_list = tuple(int(N) for N in N_list)
+    N_list = tuple(sorted({int(N) for N in N_list}))
+    if N_list and N_list[0] < 1:
+        raise ValueError(f"population sizes must be at least 1, got N={N_list[0]}")
 
     def one(N):
         return solve_finite_n(model, N, grid, threshold=threshold)

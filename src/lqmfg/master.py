@@ -102,17 +102,28 @@ class _Blocks:
         self.layout = (self.d0 * self.d0, K * self.d1 * self.d1,
                        self.d0, K * self.d1, 1, K)
 
-    def split(self, flat, upto):
-        """Unpack the first `upto` segments of [Pd0, Pd, sd0, sd, rd0, rd]."""
-        n, K, d0, d1 = self.n, self.K, self.d0, self.d1
+    def split(self, flat):
+        """Unpack the segments [Pd0, Pd, sd0, sd, rd0, rd] of the state."""
+        K, d0, d1 = self.K, self.d0, self.d1
         shapes = [(d0, d0), (K, d1, d1), (d0,), (K, d1), (), (K,)]
         parts = []
         pos = 0
-        for size, shape in zip(self.layout[:upto], shapes[:upto]):
+        for size, shape in zip(self.layout, shapes):
             seg = flat[pos:pos + size]
             parts.append(seg.reshape(shape) if shape else seg[0])
             pos += size
         return parts
+
+    def sym(self, flat):
+        """Symmetrize the kernel segments; offsets and constants pass."""
+        a, b = self.layout[0], self.layout[1]
+        d0, d1, K = self.d0, self.d1, self.K
+        out = flat.copy()
+        P0 = flat[:a].reshape(d0, d0)
+        out[:a] = ((P0 + P0.T) / 2.0).ravel()
+        P = flat[a:a + b].reshape(K, d1, d1)
+        out[a:a + b] = ((P + P.transpose(0, 2, 1)) / 2.0).ravel()
+        return out
 
     def mean_field_rows(self, Pd):
         """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.
@@ -158,8 +169,8 @@ class _Blocks:
         n = self.n
         return (-(sd[:, :n] @ self.M.T)).ravel()
 
-    def derivatives(self, parts, upto):
-        """Forward-time derivatives for the first `upto` segments."""
+    def derivatives(self, parts):
+        """Forward-time derivatives of all six segments."""
         model, lifted = self.model, self.lifted
         n, K = self.n, self.K
         rho = model.rho
@@ -176,9 +187,6 @@ class _Blocks:
             Acals.append(Ak)
             dPd[k] = (rho * Pd[k] - Pd[k] @ Ak - Ak.T @ Pd[k]
                       + Pd[k][:, :n] @ self.M @ Pd[k][:n, :] - lifted.Q_pi)
-        out = [dPd0, dPd]
-        if upto == 2:
-            return out
 
         sd0, sd = parts[2], parts[3]
         mbar = self.mbar_vec(sd)
@@ -192,9 +200,6 @@ class _Blocks:
                       + Pd[k][:, :n] @ (self.M @ sk[:n])
                       + Pd[k][:, n:2 * n] @ (self.M0 @ sd0[:n])
                       - Pd[k][:, 2 * n:] @ mbar + lifted.eta_pi)
-        out += [dsd0, dsd]
-        if upto == 4:
-            return out
 
         rd0, rd = parts[4], parts[5]
         theta0 = (self.eta0_q
@@ -212,80 +217,43 @@ class _Blocks:
                        + np.trace(Pd[k][:n, :n] @ self.DDT)
                        + 2.0 * (sk[2 * n:] @ mbar))
             drd[k] = rho * rd[k] - theta_k
-        return out + [drd0, drd]
-
-
-def _sym_segments(blocks: _Blocks, upto):
-    a, b = blocks.layout[0], blocks.layout[1]
-    d0, d1, K = blocks.d0, blocks.d1, blocks.K
-
-    def sym(flat):
-        out = flat.copy()
-        P0 = flat[:a].reshape(d0, d0)
-        out[:a] = ((P0 + P0.T) / 2.0).ravel()
-        P = flat[a:a + b].reshape(K, d1, d1)
-        out[a:a + b] = ((P + P.transpose(0, 2, 1)) / 2.0).ravel()
-        return out
-
-    return sym
+        return [dPd0, dPd, dsd0, dsd, drd0, drd]
 
 
 def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     """Solve the quadratic-coefficient ODE system, or report finite escape.
 
-    The kernels are advanced first (escape there is the no-quadratic-
-    solution verdict), then kernels plus offsets, then the full stack with
-    the scalar constants; each later phase reproduces the earlier segments
-    bit for bit (asserted), so every tier sees stage-exact coefficients.
+    Kernels, offsets and constants are integrated in one pass. Escape is
+    judged level by level on the nested prefixes of the state: a kernel
+    escape is the no-quadratic-solution verdict; otherwise the report is
+    the one of kernels plus offsets if those cross, else that of the full
+    stack (both marginal escapes, still no solution).
     """
     blocks = _Blocks(model, lift_pi(model))
     K, d0, d1 = blocks.K, blocks.d0, blocks.d1
     lifted = blocks.lifted
 
-    def make_field(upto):
-        def fieldfn(t, flat):
-            parts = blocks.split(flat, upto)
-            derivs = blocks.derivatives(parts, upto)
-            return np.concatenate([np.atleast_1d(d).ravel() for d in derivs])
-        return fieldfn
+    def field(t, flat):
+        derivs = blocks.derivatives(blocks.split(flat))
+        return np.concatenate([np.atleast_1d(d).ravel() for d in derivs])
 
-    term_P = [lifted.Q0f_pi.ravel(),
-              np.broadcast_to(lifted.Qf_pi, (K, d1, d1)).ravel()]
-    term_s = [-lifted.eta0f_pi,
-              np.broadcast_to(-lifted.etaf_pi, (K, d1)).ravel()]
-    term_r = [np.array([model.eta0f @ model.Q0f @ model.eta0f]),
-              np.full(K, model.etaf @ model.Qf @ model.etaf)]
-
-    phase1 = integrate_backward(make_field(2), np.concatenate(term_P), grid,
-                                threshold=threshold,
-                                symmetrize=_sym_segments(blocks, 2))
-    if isinstance(phase1, BlowUpReport):
-        return phase1
-
-    phase2 = integrate_backward(make_field(4), np.concatenate(term_P + term_s),
-                                grid, threshold=threshold,
-                                symmetrize=_sym_segments(blocks, 4))
-    if isinstance(phase2, BlowUpReport):
-        # Kernels stayed below the threshold but the joint state crossed
-        # it once offsets were stacked on: marginal, still an escape.
-        return phase2
-
-    phase3 = integrate_backward(make_field(6),
-                                np.concatenate(term_P + term_s + term_r),
-                                grid, threshold=threshold,
-                                symmetrize=_sym_segments(blocks, 6))
-    if isinstance(phase3, BlowUpReport):
-        return phase3
-
+    terminal = np.concatenate([
+        lifted.Q0f_pi.ravel(),
+        np.broadcast_to(lifted.Qf_pi, (K, d1, d1)).ravel(),
+        -lifted.eta0f_pi,
+        np.broadcast_to(-lifted.etaf_pi, (K, d1)).ravel(),
+        np.array([model.eta0f @ model.Q0f @ model.eta0f]),
+        np.full(K, model.etaf @ model.Qf @ model.etaf),
+    ])
     nP = blocks.layout[0] + blocks.layout[1]
     ns = blocks.layout[2] + blocks.layout[3]
-    assert np.array_equal(phase1.values, phase2.values[:, :nP]), \
-        "offset phase altered the kernel path"
-    assert np.array_equal(phase2.values, phase3.values[:, :nP + ns]), \
-        "constant phase altered the kernel/offset path"
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
+                              symmetrize=blocks.sym, prefixes=(nP, nP + ns))
+    if isinstance(path, BlowUpReport):
+        return path
 
     Mn = grid.M + 1
-    vals = phase3.values
+    vals = path.values
     Pd0_path = vals[:, :blocks.layout[0]].reshape(Mn, d0, d0)
     Pd_path = vals[:, blocks.layout[0]:nP].reshape(Mn, K, d1, d1)
     sd0_path = vals[:, nP:nP + d0]

@@ -8,10 +8,11 @@ field generator (Abar, Gbar, mbar) from the kernel blocks. Offsets
 (s0, s_kappa) satisfy a linear backward system coupled through mbar.
 
 The DAE is solved by substitution: the algebraic variables are eliminated
-into the ODE fields, so each stage evaluation rebuilds Abar/Gbar (phase 1)
-and mbar (phase 2) from the current kernels. Phase 2 advances the stacked
-(P, s) state jointly so the offset system sees stage-exact kernel values;
-its P arithmetic is elementwise identical to phase 1, which is asserted.
+into the ODE fields, so each stage evaluation rebuilds Abar/Gbar from the
+current kernels and mbar from the current offsets. The stacked (P, s)
+state is advanced in one pass, so the offset system sees stage-exact
+kernel values; the kernels never read the offsets, so their escape is
+judged on the kernel prefix of the state alone.
 """
 
 from dataclasses import dataclass
@@ -67,19 +68,10 @@ class _Workspace:
 
     # -- packing ---------------------------------------------------------
 
-    def pack_P(self, P0, P):
-        return np.concatenate([P0.ravel(), P.ravel()])
-
-    def unpack_P(self, flat):
-        a = self.sizes[0]
-        P0 = flat[:a].reshape(self.d0, self.d0)
-        P = flat[a:a + self.sizes[1]].reshape(self.K, self.d1, self.d1)
-        return P0, P
-
-    def pack_Ps(self, P0, P, s0, s):
+    def pack(self, P0, P, s0, s):
         return np.concatenate([P0.ravel(), P.ravel(), s0.ravel(), s.ravel()])
 
-    def unpack_Ps(self, flat):
+    def unpack(self, flat):
         a, b, c, _ = self.sizes
         P0 = flat[:a].reshape(self.d0, self.d0)
         P = flat[a:a + b].reshape(self.K, self.d1, self.d1)
@@ -150,66 +142,46 @@ class _Workspace:
               - P @ Mvec + self.lifted.eta_pi)
         return ds0, ds
 
-    # -- symmetry projections ---------------------------------------------
+    # -- symmetry projection ----------------------------------------------
 
-    def sym_P(self, flat):
-        P0, P = self.unpack_P(flat)
-        return self.pack_P((P0 + P0.T) / 2.0, (P + P.transpose(0, 2, 1)) / 2.0)
-
-    def sym_Ps(self, flat):
-        P0, P, s0, s = self.unpack_Ps(flat)
-        return self.pack_Ps((P0 + P0.T) / 2.0, (P + P.transpose(0, 2, 1)) / 2.0, s0, s)
+    def sym(self, flat):
+        P0, P, s0, s = self.unpack(flat)
+        return self.pack((P0 + P0.T) / 2.0, (P + P.transpose(0, 2, 1)) / 2.0, s0, s)
 
 
 def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     """Solve the consistency DAE; a BlowUpReport means no solution on [0,T].
 
-    Phase 1 integrates the coupled Riccati kernels (escape here is the
-    no-solution verdict). Phase 2 integrates the linear offset system along
-    the exact kernel path. Phase 3 materializes the algebraic variables at
-    every node.
+    The kernels and offsets are integrated in one pass. An escape of the
+    kernels is the no-solution verdict; if only kernels plus offsets cross
+    the threshold, that marginal escape is still a no-solution verdict,
+    reported where the joint norm crossed. The algebraic variables are
+    then materialized at every node.
     """
     ws = _Workspace(model, lift_pi(model))
     K, d0, d1 = ws.K, ws.d0, ws.d1
 
-    def field_P(t, flat):
-        P0, P = ws.unpack_P(flat)
-        dP0, dP, _, _ = ws.dP(P0, P)
-        return ws.pack_P(dP0, dP)
-
-    P_terminal = ws.pack_P(ws.lifted.Q0f_pi,
-                           np.broadcast_to(ws.lifted.Qf_pi, (K, d1, d1)))
-    phase1 = integrate_backward(field_P, P_terminal, grid,
-                                threshold=threshold, symmetrize=ws.sym_P)
-    if isinstance(phase1, BlowUpReport):
-        return phase1
-
-    def field_Ps(t, flat):
-        P0, P, s0, s = ws.unpack_Ps(flat)
+    def field(t, flat):
+        P0, P, s0, s = ws.unpack(flat)
         dP0, dP, A0blk, Acal = ws.dP(P0, P)
         ds0, ds = ws.ds(P0, P, s0, s, A0blk, Acal)
-        return ws.pack_Ps(dP0, dP, ds0, ds)
+        return ws.pack(dP0, dP, ds0, ds)
 
-    Ps_terminal = ws.pack_Ps(ws.lifted.Q0f_pi,
-                             np.broadcast_to(ws.lifted.Qf_pi, (K, d1, d1)),
-                             -ws.lifted.eta0f_pi,
-                             np.broadcast_to(-ws.lifted.etaf_pi, (K, d1)))
-    phase2 = integrate_backward(field_Ps, Ps_terminal, grid,
-                                threshold=threshold, symmetrize=ws.sym_Ps)
-    if isinstance(phase2, BlowUpReport):
-        # Kernels alone stayed below the threshold but kernels plus offsets
-        # crossed it: a marginal escape, still a no-solution verdict.
-        return phase2
-
+    terminal = ws.pack(ws.lifted.Q0f_pi,
+                          np.broadcast_to(ws.lifted.Qf_pi, (K, d1, d1)),
+                          -ws.lifted.eta0f_pi,
+                          np.broadcast_to(-ws.lifted.etaf_pi, (K, d1)))
     nP = ws.sizes[0] + ws.sizes[1]
-    assert np.array_equal(phase1.values, phase2.values[:, :nP]), \
-        "offset phase reproduced a different kernel path"
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
+                              symmetrize=ws.sym, prefixes=(nP,))
+    if isinstance(path, BlowUpReport):
+        return path
 
     Mn = grid.M + 1
-    P0_path = phase2.values[:, :ws.sizes[0]].reshape(Mn, d0, d0)
-    P_path = phase2.values[:, ws.sizes[0]:nP].reshape(Mn, K, d1, d1)
-    s0_path = phase2.values[:, nP:nP + d0]
-    s_path = phase2.values[:, nP + d0:].reshape(Mn, K, d1)
+    P0_path = path.values[:, :ws.sizes[0]].reshape(Mn, d0, d0)
+    P_path = path.values[:, ws.sizes[0]:nP].reshape(Mn, K, d1, d1)
+    s0_path = path.values[:, nP:nP + d0]
+    s_path = path.values[:, nP + d0:].reshape(Mn, K, d1)
 
     n = ws.n
     Abar_path = np.empty((Mn, K * n, K * n))

@@ -16,10 +16,14 @@ BlowUpReport instead of a path. One RK4 step starting below the threshold
 cannot overflow float64 for the polynomial fields used here, so a
 non-finite stage derivative at a sub-threshold state is reported as a
 NonFiniteField bug, not as escape.
+
+A stacked state whose leading segments never depend on the trailing ones
+(Riccati kernels, then offsets, then constants) is marched in one pass
+with nested escape levels; see integrate_backward's `prefixes`.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,10 +87,6 @@ class BlowUpReport:
             raise ValueError("escape norm does not exceed the threshold")
 
 
-def _l1(state: np.ndarray) -> float:
-    return float(np.sum(np.abs(state)))
-
-
 def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
     k1 = field(t, w)
     k2 = field(t + dt / 2.0, w + (dt / 2.0) * k1)
@@ -98,12 +98,27 @@ def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
     return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _hold(w: np.ndarray, active: int) -> np.ndarray:
+    """Copy of the flat state `w` with every entry past `active` zeroed."""
+    out = np.zeros_like(w)
+    out[:active] = w[:active]
+    return out
+
+
+def _held_field(field, active: int):
+    """`field` with every derivative entry past `active` zeroed."""
+    def held(t, w):
+        return _hold(field(t, w), active)
+    return held
+
+
 def integrate_backward(
     field: Callable[[float, np.ndarray], np.ndarray],
     terminal: np.ndarray,
     grid: TimeGrid,
     threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     symmetrize: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    prefixes: Sequence[int] = (),
 ) -> Union[MatrixPath, BlowUpReport]:
     """March the terminal value problem from t = T down to t = 0.
 
@@ -116,36 +131,68 @@ def integrate_backward(
 
     Returns the full MatrixPath, or a BlowUpReport naming the first node at
     which the state's l1 norm exceeded `threshold` or went non-finite.
+
+    `prefixes` are increasing lengths of leading segments of a flat state
+    whose derivatives never read the entries past them: e.g. (nP, nP + ns)
+    for kernels, offsets and constants stacked in that order. Each prefix
+    and the whole state is an escape level, innermost first, and the
+    verdict is the one of marching each level on its own and taking the
+    innermost level that escapes at all:
+    - a crossing of the innermost prefix ends the run with its report;
+    - a crossing of an outer level only (the innermost one crossing, if
+      several do at one node) is remembered; from then on the entries past
+      the next inner prefix are held at zero, in the state and in every
+      stage derivative, and marching goes on at that inner level;
+    - at t = 0 the innermost remembered report is returned.
+    The entries inside the marched level are bitwise those of a run on
+    that level alone. Asymmetry drift is measured against the magnitude of
+    the innermost prefix, so an outer segment cannot dilute it.
     """
     terminal = np.asarray(terminal, dtype=np.float64)
+    levels = tuple(int(p) for p in prefixes) + (terminal.size,)
+    if prefixes and (terminal.ndim != 1 or levels[0] < 1
+                     or any(a >= b for a, b in zip(levels, levels[1:]))):
+        raise ValueError(f"prefixes {tuple(prefixes)} must increase strictly "
+                         f"inside a flat state of size {terminal.size}")
+    inner = levels[0]
     nodes = grid.nodes
     M = grid.M
     h = grid.h
-
     out = np.empty((M + 1,) + terminal.shape, dtype=np.float64)
-    out[M] = terminal
 
-    norm = _l1(terminal)
-    if not np.isfinite(norm) or norm > threshold:
-        return BlowUpReport(escape_node=M, norm_at_escape=norm, threshold=threshold)
-
+    top = len(levels) - 1       # outermost level still marched
+    remembered = None           # report of the innermost outer level crossed
+    step_field = field
     w = terminal
-    for j in range(M, 0, -1):
-        w = _rk4_step(field, nodes[j], w, -h)
-        if symmetrize is not None:
-            proj = symmetrize(w)
-            scale = max(1.0, float(np.max(np.abs(w))))
-            drift = float(np.max(np.abs(w - proj))) / scale
-            if drift > ASYMMETRY_TOL:
-                raise AsymmetryDrift(
-                    f"relative asymmetry {drift:.3e} after step to node {j - 1}"
-                )
-            w = proj
-        norm = _l1(w)
-        if not np.isfinite(norm) or norm > threshold:
-            return BlowUpReport(escape_node=j - 1, norm_at_escape=norm, threshold=threshold)
-        out[j - 1] = w
+    for j in range(M, -1, -1):
+        if j < M:
+            w = _rk4_step(step_field, nodes[j + 1], w, -h)
+            if symmetrize is not None:
+                proj = symmetrize(w)
+                scale = max(1.0, float(np.max(np.abs(w[:inner]))))
+                drift = float(np.max(np.abs(w - proj))) / scale
+                if drift > ASYMMETRY_TOL:
+                    raise AsymmetryDrift(
+                        f"relative asymmetry {drift:.3e} after step to node {j}"
+                    )
+                w = proj
+        a = np.abs(w)
+        for lvl in range(top + 1):
+            # a[:size] is the whole state, whatever its shape
+            norm = float(np.sum(a[:levels[lvl]]))
+            if not np.isfinite(norm) or norm > threshold:
+                report = BlowUpReport(escape_node=j, norm_at_escape=norm,
+                                      threshold=threshold)
+                if lvl == 0:
+                    return report
+                remembered, top = report, lvl - 1
+                w = _hold(w, levels[top])
+                step_field = _held_field(field, levels[top])
+                break
+        out[j] = w
 
+    if remembered is not None:
+        return remembered
     return MatrixPath(grid=grid, values=out)
 
 

@@ -129,6 +129,65 @@ def decoupled_scalar(rho=0.1):
                        eta0=z, eta0f=z, eta=z, etaf=z)
 
 
+
+def growing_offsets():
+    """Small terminal weights, large running weights and targets: kernel,
+    offset and constant norms all grow backward from T, so their suprema
+    sit at t = 0 and threshold crossings fall inside the horizon."""
+    def w(v):
+        return np.array([[v]])
+
+    return build_model(Q0f=w(0.1), Qf=w(0.1), Q0=w(2.0), Q=w(2.0),
+                       eta0=np.array([0.8]), eta=np.array([0.6]),
+                       eta0f=np.array([0.0]), etaf=np.array([0.0]))
+
+
+def node_l1(*paths):
+    """Per-node l1 norm of the states of several paths taken together."""
+    return sum(np.abs(p).reshape(p.shape[0], -1).sum(axis=1) for p in paths)
+
+
+def first_crossing(norms, threshold):
+    """First node, marching backward from T, whose norm exceeds the
+    threshold (None if no node does)."""
+    over = np.flatnonzero(norms > threshold)
+    return int(over[-1]) if over.size else None
+
+
+def check_escape_levels(solve, levels):
+    """Check the escape verdict of `solve(threshold)` against per-node norms
+    of the nested state levels of its solved path (innermost first).
+
+    For every level above the innermost, a threshold between the level
+    below's supremum and this level's supremum must be reported at this
+    level's first crossing. A threshold below the innermost supremum must
+    be reported at the innermost crossing, even though every outer level
+    crossed earlier.
+    """
+    sups = [float(norms.max()) for norms in levels]
+    for lvl in range(1, len(levels)):
+        assert sups[lvl] > 1.1 * sups[lvl - 1]
+        threshold = 0.5 * (sups[lvl - 1] + sups[lvl])
+        node = first_crossing(levels[lvl], threshold)
+        assert 0 < node < len(levels[lvl]) - 1
+        for outer in levels[lvl + 1:]:
+            assert first_crossing(outer, threshold) > node
+        rep = solve(threshold)
+        assert isinstance(rep, BlowUpReport)
+        assert rep.escape_node == node
+        assert math.isclose(rep.norm_at_escape, levels[lvl][node],
+                            rel_tol=1e-12)
+
+    threshold = 0.9 * sups[0]
+    node = first_crossing(levels[0], threshold)
+    for outer in levels[1:]:
+        assert first_crossing(outer, threshold) > node
+    rep = solve(threshold)
+    assert isinstance(rep, BlowUpReport)
+    assert rep.escape_node == node
+    assert math.isclose(rep.norm_at_escape, levels[0][node], rel_tol=1e-12)
+
+
 # -- random suite ------------------------------------------------------------
 
 SUITE_SIZE = 20

@@ -5,10 +5,12 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    assemble_finite_n, check_asymptotic_solvability,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce)
-from lqmfg.asymptotic import BLOCK_KEYS, SCALING_EXPONENTS, thread_count
+from lqmfg.asymptotic import (BLOCK_KEYS, SCALING_EXPONENTS, _solve_dense,
+                               thread_count)
 from lqmfg.ode import BlowUpReport
 
-from helpers import (build_model, decoupled_scalar, riccati_closed_form,
+from helpers import (build_model, check_escape_levels, decoupled_scalar,
+                     growing_offsets, node_l1, riccati_closed_form,
                      scalar_coupled, two_type_scalar, zero_weight)
 
 
@@ -228,3 +230,52 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() == 3
     monkeypatch.delenv("LQMFG_THREADS")
     assert thread_count() >= 1
+
+
+def test_marginal_escape_reduced_mode():
+    model = growing_offsets()
+    grid = TimeGrid(M=100, T=1.0)
+    fin = solve_finite_n(model, 3, grid)
+    kernels = node_l1(fin.P0_big.values, fin.P1_big.values)
+    joint = kernels + node_l1(fin.S0_big.values, fin.S1_big.values)
+    check_escape_levels(
+        lambda thr: solve_finite_n(model, 3, grid, threshold=thr),
+        [kernels, joint])
+
+
+def test_marginal_escape_dense_mode():
+    # Called below solve_finite_n, whose dense mode also requires the
+    # reduced mode (a smaller state) to escape at the same threshold.
+    model = growing_offsets()
+    grid = TimeGrid(M=100, T=1.0)
+    sys = assemble_finite_n(model, 3)
+    fin = _solve_dense(sys, grid, 1e12)
+    players = range(sys.N + 1)
+    kernels = node_l1(*(fin.P_big(i).values for i in players))
+    joint = kernels + node_l1(*(fin.S_big(i).values for i in players))
+    check_escape_levels(lambda thr: _solve_dense(sys, grid, thr),
+                        [kernels, joint])
+
+
+def test_solvability_verdict_ignores_list_order(scalar_model):
+    grid = TimeGrid(M=60, T=1.0)
+    ordered = check_asymptotic_solvability(scalar_model, [4, 8, 16], grid)
+    shuffled = check_asymptotic_solvability(scalar_model, [16, 4, 8, 16, 4],
+                                            grid)
+    assert shuffled.N_list == ordered.N_list == (4, 8, 16)
+    assert shuffled.norms == ordered.norms
+    assert shuffled.summary() == ordered.summary()
+
+
+def test_solvability_rejects_small_n_before_solving(scalar_model,
+                                                    monkeypatch):
+    import lqmfg.asymptotic as asym
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating N")
+
+    monkeypatch.setattr(asym, "solve_finite_n", no_solve)
+    monkeypatch.setattr(asym, "solve_lambda", no_solve)
+    with pytest.raises(ValueError):
+        check_asymptotic_solvability(scalar_model, [8, 0, 4],
+                                     TimeGrid(M=20, T=1.0))

@@ -108,6 +108,13 @@ def test_check_solvability(tmp_path):
     assert "consistent" in (out / "summary.txt").read_text()
 
 
+def test_check_solvability_rejects_small_n(tmp_path, capsys):
+    code = main(["check-solvability", "--model", SCALAR, "--grid", "20",
+                 "--N", "8,0,4", "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "N=0" in capsys.readouterr().err
+
+
 def test_escaping_model_exits_two(tmp_path, blowup_models, capsys):
     path = str(tmp_path / "escape.model")
     write_model_file(path, blowup_models["weight-scale"],

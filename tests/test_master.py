@@ -9,7 +9,8 @@ from lqmfg import (GridMismatch, IndexOutOfRange, TimeGrid, TimeOutOfRange,
                    solve_master, solve_nce)
 from lqmfg.ode import BlowUpReport, MatrixPath
 
-from helpers import decoupled_scalar, zero_weight
+from helpers import (check_escape_levels, decoupled_scalar, growing_offsets,
+                     node_l1, zero_weight)
 
 
 def test_terminal_pins(scalar_master, scalar_model, scalar_grid):
@@ -137,3 +138,14 @@ def test_blowup_matches_nce_verdict(blowup_models, scalar_grid):
         assert isinstance(a, BlowUpReport)
         assert isinstance(b, BlowUpReport)
         assert abs(a.escape_node - b.escape_node) <= 2
+
+
+def test_marginal_escapes_are_reported_per_level():
+    model = growing_offsets()
+    grid = TimeGrid(M=100, T=1.0)
+    sol = solve_master(model, grid)
+    kernels = node_l1(sol.Pd0.values, sol.Pd.values)
+    offsets = kernels + node_l1(sol.sd0.values, sol.sd.values)
+    full = offsets + node_l1(sol.rd0.values, sol.rd.values)
+    check_escape_levels(lambda thr: solve_master(model, grid, threshold=thr),
+                        [kernels, offsets, full])

@@ -5,7 +5,8 @@ from lqmfg import (IndexOutOfRange, TimeGrid, TimeOutOfRange, lift_pi,
                    nce_feedback, propagate_mean_field, solve_nce)
 from lqmfg.ode import BlowUpReport
 
-from helpers import decoupled_scalar, riccati_closed_form, zero_weight
+from helpers import (check_escape_levels, decoupled_scalar, growing_offsets,
+                     node_l1, riccati_closed_form, zero_weight)
 
 
 def test_terminal_pins_stored_exactly(scalar_nce, scalar_model, scalar_grid):
@@ -125,3 +126,13 @@ def test_blowup_model_returns_report(blowup_models, scalar_grid):
     assert isinstance(res, BlowUpReport)
     assert 0 <= res.escape_node <= scalar_grid.M
     assert res.norm_at_escape > res.threshold
+
+
+def test_marginal_escape_is_reported_at_the_joint_crossing():
+    model = growing_offsets()
+    grid = TimeGrid(M=100, T=1.0)
+    sol = solve_nce(model, grid)
+    kernels = node_l1(sol.P0.values, sol.P.values)
+    joint = kernels + node_l1(sol.s0.values, sol.s.values)
+    check_escape_levels(lambda thr: solve_nce(model, grid, threshold=thr),
+                        [kernels, joint])

@@ -7,7 +7,7 @@ from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField, TimeGrid,
                    integrate_backward, integrate_forward)
 from lqmfg.ode import BlowUpReport
 
-from helpers import riccati_closed_form
+from helpers import check_escape_levels, first_crossing, riccati_closed_form
 
 
 def test_zero_field_keeps_terminal():
@@ -152,3 +152,128 @@ def test_forward_matches_closed_form():
     grid = TimeGrid(M=100, T=2.0)
     path = integrate_forward(lambda t, w: -0.5 * w, np.array([3.0]), grid)
     assert path.at(grid.M)[0] == pytest.approx(3.0 * math.exp(-1.0), abs=1e-9)
+
+
+# -- nested escape levels ----------------------------------------------------
+
+def _stacked_field(t, w):
+    """A 2x2 kernel with quadratic growth, driving two offsets, driving a
+    constant; no segment reads the ones after it."""
+    P = w[:4].reshape(2, 2)
+    s = w[4:6]
+    dP = -(P @ P) - 0.3 * np.eye(2)
+    ds = -P @ s - 0.5
+    dr = -(s @ s) - 0.1
+    return np.concatenate([dP.ravel(), ds, [dr]])
+
+
+def _sym_kernel(w):
+    out = w.copy()
+    P = w[:4].reshape(2, 2)
+    out[:4] = ((P + P.T) / 2.0).ravel()
+    return out
+
+
+_STACKED_TERMINAL = np.array([0.5, 0.1, 0.1, 0.4, 0.2, -0.3, 0.05])
+
+
+def _levels(path):
+    a = np.abs(path.values)
+    return [a[:, :p].sum(axis=1) for p in (4, 6, 7)]
+
+
+def test_prefixes_leave_solved_path_unchanged():
+    grid = TimeGrid(M=200, T=1.0)
+    plain = integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
+                               symmetrize=_sym_kernel)
+    nested = integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
+                                symmetrize=_sym_kernel, prefixes=(4, 6))
+    assert isinstance(nested, MatrixPath)
+    assert np.array_equal(plain.values, nested.values)
+
+
+def test_prefixes_report_the_innermost_level_that_escapes():
+    grid = TimeGrid(M=200, T=1.0)
+    path = integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
+                              symmetrize=_sym_kernel)
+
+    def run(threshold, prefixes=(4, 6)):
+        return integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
+                                  threshold=threshold,
+                                  symmetrize=_sym_kernel, prefixes=prefixes)
+
+    kernel, offsets, full = _levels(path)
+    check_escape_levels(run, [kernel, offsets, full])
+    # without prefixes the full state's earlier crossing is reported
+    thr = 0.5 * (kernel.max() + offsets.max())
+    assert run(thr, ()).escape_node == first_crossing(full, thr)
+
+
+def test_terminal_escape_of_outer_level_keeps_marching():
+    grid = TimeGrid(M=50, T=1.0)
+    term = np.array([1.0, 10.0])
+    calls = []
+
+    def field(t, w):
+        calls.append(t)
+        return np.array([-w[0], 0.0])
+
+    rep = integrate_backward(field, term, grid, threshold=5.0, prefixes=(1,))
+    assert isinstance(rep, BlowUpReport)
+    assert rep.escape_node == grid.M
+    assert rep.norm_at_escape == 11.0
+    assert len(calls) == 4 * grid.M
+    # the caller's terminal is not touched by holding the tail at zero
+    assert np.array_equal(term, [1.0, 10.0])
+
+
+def test_offset_segment_does_not_dilute_asymmetry_check():
+    grid = TimeGrid(M=10, T=1.0)
+    term = np.array([1.0, 0.0, 0.0, 1.0, 1e6])
+    skew = np.array([0.0, 1e-6, -1e-6, 0.0, 0.0])
+
+    def sym(w):
+        out = w.copy()
+        P = w[:4].reshape(2, 2)
+        out[:4] = ((P + P.T) / 2.0).ravel()
+        return out
+
+    # measured against the whole state the drift looks like round-off
+    path = integrate_backward(lambda t, w: skew, term, grid, symmetrize=sym)
+    assert isinstance(path, MatrixPath)
+    with pytest.raises(AsymmetryDrift):
+        integrate_backward(lambda t, w: skew, term, grid, symmetrize=sym,
+                           prefixes=(4,))
+
+
+def test_held_offsets_cannot_overflow():
+    # The offset has a pole near t = 0.5 and would overflow soon after;
+    # once it crosses the threshold it is held at zero and the kernel
+    # marches on to t = 0.
+    grid = TimeGrid(M=1000, T=1.0)
+    calls = []
+
+    def field(t, w):
+        calls.append(t)
+        return np.array([-0.1 * w[0], -w[1] * w[1]])
+
+    term = np.array([1.0, 2.0])
+    with pytest.raises(NonFiniteField), np.errstate(over="ignore"):
+        # without the hold, marching past the pole overflows
+        integrate_backward(field, term, grid, threshold=np.inf)
+    calls.clear()
+    rep = integrate_backward(field, term, grid, prefixes=(1,))
+    assert isinstance(rep, BlowUpReport)
+    assert abs(grid.nodes[rep.escape_node] - 0.5) <= 2 * grid.h
+    assert len(calls) == 4 * grid.M
+
+
+def test_prefixes_are_validated():
+    grid = TimeGrid(M=4, T=1.0)
+    term = np.zeros(5)
+    for bad in ((0,), (5,), (3, 3), (3, 2)):
+        with pytest.raises(ValueError):
+            integrate_backward(lambda t, w: w, term, grid, prefixes=bad)
+    with pytest.raises(ValueError):
+        integrate_backward(lambda t, w: w, np.zeros((2, 2)), grid,
+                           prefixes=(2,))
