@@ -10,8 +10,6 @@ matching blocks from the consistency-route solution, and runs the
 structural and boundedness checks tying the three together.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +44,6 @@ SCALING_EXPONENTS = {"1_0": 0, "2_0": 1, "3_0": 2,
 def _require_k1(model: ValidatedModel):
     if model.K != 1:
         raise KNotOne(f"finite-population route needs K=1, got K={model.K}")
-
-
-def thread_count() -> int:
-    """Worker count for per-N solves, from LQMFG_THREADS if set."""
-    raw = os.environ.get("LQMFG_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -692,7 +682,7 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     N_list is sorted and de-duplicated first, so the verdict does not
     depend on the caller's order; an N below 1 raises ValueError before
     any solve. Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the
-    escape report. Runs the per-N solves in parallel; compares the
+    escape report, solving one N after another; compares the
     bounded-tail heuristic (on the three largest N) with the nine-block
     system's solvability verdict.
     """
@@ -701,15 +691,10 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     if N_list and N_list[0] < 1:
         raise ValueError(f"population sizes must be at least 1, got N={N_list[0]}")
 
-    def one(N):
-        return solve_finite_n(model, N, grid, threshold=threshold)
-
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        results = list(pool.map(one, N_list))
-
     norms = []
     escapes = {}
-    for N, res in zip(N_list, results):
+    for N in N_list:
+        res = solve_finite_n(model, N, grid, threshold=threshold)
         if isinstance(res, BlowUpReport):
             norms.append(None)
             escapes[N] = res

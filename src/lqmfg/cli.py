@@ -51,6 +51,14 @@ def _int_list(text: str):
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and non-negative, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="lqmfg",
                 description="Solvers and checks for linear-quadratic mean "
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=int, default=None,
                         help="number of integrator steps (default by horizon)")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", type=float, default=None,
+        sp.add_argument("--tol", type=_tolerance, default=None,
                         help="comparison tolerance override")
         sp.add_argument("--seed", type=_int_list, default=[0],
                         help="comma-separated seed list")
@@ -130,15 +138,8 @@ def _write_path_csv(path: str, mp: MatrixPath, prefix: str):
     _write_lines(path, lines)
 
 
-def _sub_path(mp: MatrixPath, k: int) -> MatrixPath:
-    return MatrixPath(mp.grid, mp.values[:, k])
-
-
 def _psd_minimum(values: np.ndarray) -> float:
-    worst = np.inf
-    for j in range(values.shape[0]):
-        worst = min(worst, float(np.linalg.eigvalsh(values[j]).min()))
-    return worst
+    return float(np.linalg.eigvalsh(values).min())
 
 
 def _blow_lines(grid: TimeGrid, rep: BlowUpReport):
@@ -152,100 +153,91 @@ def _blow_lines(grid: TimeGrid, rep: BlowUpReport):
     ]
 
 
+def _report(out: str, lines, code: int) -> int:
+    """Write summary.txt, echo it to stdout and pass the exit code on."""
+    _write_lines(os.path.join(out, "summary.txt"), lines)
+    print("\n".join(lines))
+    return code
+
+
+def _one_n(args, command: str) -> int:
+    if not args.N or len(args.N) != 1:
+        raise ValueError(f"{command} needs --N with exactly one value")
+    return args.N[0]
+
+
+def _minor_paths(stem: str, K: int, P: MatrixPath, s: MatrixPath):
+    """Per-type minor kernel and offset files: P1, s1, P2, s2, ..."""
+    named = []
+    for k in range(K):
+        named += [(f"{stem}_P{k + 1}.csv", MatrixPath(P.grid, P.values[:, k]),
+                   f"P{k + 1}"),
+                  (f"{stem}_s{k + 1}.csv", MatrixPath(s.grid, s.values[:, k]),
+                   f"s{k + 1}")]
+    return named
+
+
+def _route_lines(res, P0: MatrixPath, P: MatrixPath):
+    """Terminal pins and PSD minima of the nce and master kernels."""
+    pin0 = np.abs(P0.at(res.grid.M) - res.lifted.Q0f_pi).max()
+    pink = np.abs(P.at(res.grid.M) - res.lifted.Qf_pi).max()
+    return [
+        f"terminal pin max deviation (major): {_fmt(pin0)}",
+        f"terminal pin max deviation (minor): {_fmt(pink)}",
+        f"min eigenvalue of P0 path: {_fmt(_psd_minimum(P0.values))}",
+        f"min eigenvalue of minor P paths: {_fmt(_psd_minimum(P.values))}",
+    ]
+
+
+# system -> (solve(model, grid, args), named paths of the solution as
+# (file name, path, column prefix), summary lines after "verdict: solved")
+_SYSTEMS = {
+    "nce": (
+        lambda model, grid, args: nce.solve_nce(model, grid),
+        lambda r: [("nce_P0.csv", r.P0, "P0"), ("nce_s0.csv", r.s0, "s0"),
+                   *_minor_paths("nce", r.model.K, r.P, r.s),
+                   ("nce_Abar.csv", r.Abar, "Abar"),
+                   ("nce_Gbar.csv", r.Gbar, "Gbar"),
+                   ("nce_mbar.csv", r.mbar, "mbar")],
+        lambda r: _route_lines(r, r.P0, r.P)),
+    "master": (
+        lambda model, grid, args: master.solve_master(model, grid),
+        lambda r: [("master_P0.csv", r.Pd0, "P0"),
+                   ("master_s0.csv", r.sd0, "s0"),
+                   ("master_r0.csv", r.rd0, "r0"),
+                   *_minor_paths("master", r.model.K, r.Pd, r.sd),
+                   ("master_r_minor.csv", r.rd, "r")],
+        lambda r: _route_lines(r, r.Pd0, r.Pd)),
+    "lambda": (
+        lambda model, grid, args: asymptotic.solve_lambda(model, grid),
+        lambda r: [(f"lambda_{key}.csv", r.blocks[key], f"L{key}")
+                   for key in asymptotic.BLOCK_KEYS],
+        lambda r: []),
+    "finite-n": (
+        lambda model, grid, args: asymptotic.solve_finite_n(
+            model, _one_n(args, "solve finite-n"), grid, dense=args.dense),
+        lambda r: [("finite_P0.csv", r.P0_big, "P0"),
+                   ("finite_P1.csv", r.P1_big, "P1"),
+                   ("finite_S0.csv", r.S0_big, "S0"),
+                   ("finite_S1.csv", r.S1_big, "S1")],
+        lambda r: [f"N: {r.N}", f"mode: {r.mode}",
+                   f"min eigenvalue of P0 path: "
+                   f"{_fmt(_psd_minimum(r.P0_big.values))}"]),
+}
+
+
 def cmd_solve(args) -> int:
     model = load_model(args.model)
     grid = _make_grid(args, model)
     out = _outdir(args)
     summary = [f"system: {args.system}", f"grid: M={grid.M} T={_fmt(grid.T)}"]
-
-    if args.system == "nce":
-        res = nce.solve_nce(model, grid)
-        if isinstance(res, BlowUpReport):
-            summary += _blow_lines(grid, res)
-            _write_lines(os.path.join(out, "summary.txt"), summary)
-            print("\n".join(summary))
-            return 2
-        _write_path_csv(os.path.join(out, "nce_P0.csv"), res.P0, "P0")
-        _write_path_csv(os.path.join(out, "nce_s0.csv"), res.s0, "s0")
-        for k in range(model.K):
-            _write_path_csv(os.path.join(out, f"nce_P{k + 1}.csv"),
-                            _sub_path(res.P, k), f"P{k + 1}")
-            _write_path_csv(os.path.join(out, f"nce_s{k + 1}.csv"),
-                            _sub_path(res.s, k), f"s{k + 1}")
-        _write_path_csv(os.path.join(out, "nce_Abar.csv"), res.Abar, "Abar")
-        _write_path_csv(os.path.join(out, "nce_Gbar.csv"), res.Gbar, "Gbar")
-        _write_path_csv(os.path.join(out, "nce_mbar.csv"), res.mbar, "mbar")
-        pin0 = float(np.abs(res.P0.at(grid.M) - res.lifted.Q0f_pi).max())
-        pink = float(np.abs(res.P.at(grid.M) - res.lifted.Qf_pi).max())
-        summary += [
-            "verdict: solved",
-            f"terminal pin max deviation (major): {_fmt(pin0)}",
-            f"terminal pin max deviation (minor): {_fmt(pink)}",
-            f"min eigenvalue of P0 path: {_fmt(_psd_minimum(res.P0.values))}",
-            f"min eigenvalue of minor P paths: "
-            f"{_fmt(min(_psd_minimum(res.P.values[:, k]) for k in range(model.K)))}",
-        ]
-    elif args.system == "master":
-        res = master.solve_master(model, grid)
-        if isinstance(res, BlowUpReport):
-            summary += _blow_lines(grid, res)
-            _write_lines(os.path.join(out, "summary.txt"), summary)
-            print("\n".join(summary))
-            return 2
-        _write_path_csv(os.path.join(out, "master_P0.csv"), res.Pd0, "P0")
-        _write_path_csv(os.path.join(out, "master_s0.csv"), res.sd0, "s0")
-        _write_path_csv(os.path.join(out, "master_r0.csv"), res.rd0, "r0")
-        for k in range(model.K):
-            _write_path_csv(os.path.join(out, f"master_P{k + 1}.csv"),
-                            _sub_path(res.Pd, k), f"P{k + 1}")
-            _write_path_csv(os.path.join(out, f"master_s{k + 1}.csv"),
-                            _sub_path(res.sd, k), f"s{k + 1}")
-        _write_path_csv(os.path.join(out, "master_r_minor.csv"), res.rd, "r")
-        pin0 = float(np.abs(res.Pd0.at(grid.M) - res.lifted.Q0f_pi).max())
-        pink = float(np.abs(res.Pd.at(grid.M) - res.lifted.Qf_pi).max())
-        summary += [
-            "verdict: solved",
-            f"terminal pin max deviation (major): {_fmt(pin0)}",
-            f"terminal pin max deviation (minor): {_fmt(pink)}",
-            f"min eigenvalue of P0 path: {_fmt(_psd_minimum(res.Pd0.values))}",
-            f"min eigenvalue of minor P paths: "
-            f"{_fmt(min(_psd_minimum(res.Pd.values[:, k]) for k in range(model.K)))}",
-        ]
-    elif args.system == "lambda":
-        res = asymptotic.solve_lambda(model, grid)
-        if isinstance(res, BlowUpReport):
-            summary += _blow_lines(grid, res)
-            _write_lines(os.path.join(out, "summary.txt"), summary)
-            print("\n".join(summary))
-            return 2
-        for key in asymptotic.BLOCK_KEYS:
-            _write_path_csv(os.path.join(out, f"lambda_{key}.csv"),
-                            res.blocks[key], f"L{key}")
-        summary.append("verdict: solved")
-    else:
-        if not args.N or len(args.N) != 1:
-            raise ValueError("solve finite-n needs --N with exactly one value")
-        N = args.N[0]
-        res = asymptotic.solve_finite_n(model, N, grid, dense=args.dense)
-        if isinstance(res, BlowUpReport):
-            summary += _blow_lines(grid, res)
-            _write_lines(os.path.join(out, "summary.txt"), summary)
-            print("\n".join(summary))
-            return 2
-        _write_path_csv(os.path.join(out, "finite_P0.csv"), res.P0_big, "P0")
-        _write_path_csv(os.path.join(out, "finite_P1.csv"), res.P1_big, "P1")
-        _write_path_csv(os.path.join(out, "finite_S0.csv"), res.S0_big, "S0")
-        _write_path_csv(os.path.join(out, "finite_S1.csv"), res.S1_big, "S1")
-        summary += [
-            "verdict: solved",
-            f"N: {N}",
-            f"mode: {res.mode}",
-            f"min eigenvalue of P0 path: {_fmt(_psd_minimum(res.P0_big.values))}",
-        ]
-
-    _write_lines(os.path.join(out, "summary.txt"), summary)
-    print("\n".join(summary))
-    return 0
+    solve, named_paths, solved_lines = _SYSTEMS[args.system]
+    res = solve(model, grid, args)
+    if isinstance(res, BlowUpReport):
+        return _report(out, summary + _blow_lines(grid, res), 2)
+    for name, path, prefix in named_paths(res):
+        _write_path_csv(os.path.join(out, name), path, prefix)
+    return _report(out, summary + ["verdict: solved"] + solved_lines(res), 0)
 
 
 def _write_diff_csv(path: str, report) -> None:
@@ -261,29 +253,8 @@ def cmd_compare(args) -> int:
     grid = _make_grid(args, model)
     out = _outdir(args)
 
-    if args.pair == "nce-master":
-        tol = args.tol if args.tol is not None else 1e-8
-        a = nce.solve_nce(model, grid)
-        b = master.solve_master(model, grid)
-        blew_a = isinstance(a, BlowUpReport)
-        blew_b = isinstance(b, BlowUpReport)
-        if blew_a or blew_b:
-            print(f"finite escape: nce={blew_a} master={blew_b}")
-            return 2
-        report = master.compare_nce_master(a, b, tol=tol)
-    elif args.pair == "lambda-phi":
-        tol = args.tol if args.tol is not None else 1e-8
-        a = nce.solve_nce(model, grid)
-        b = asymptotic.solve_lambda(model, grid)
-        blew_a = isinstance(a, BlowUpReport)
-        blew_b = isinstance(b, BlowUpReport)
-        if blew_a or blew_b:
-            print(f"finite escape: nce={blew_a} lambda={blew_b}")
-            return 2
-        report = asymptotic.compare_lambda_phi(b, asymptotic.phi_from_nce(a),
-                                               tol=tol)
-    else:
-        N = args.N[0] if args.N else 10
+    if args.pair == "finite-structure":
+        N = _one_n(args, "compare finite-structure")
         fin = asymptotic.solve_finite_n(model, N, grid, dense=args.dense)
         if isinstance(fin, BlowUpReport):
             print("\n".join(_blow_lines(grid, fin)))
@@ -295,21 +266,33 @@ def cmd_compare(args) -> int:
             for j, c in enumerate(report.cluster_counts[name]):
                 lines.append(f"{name},{j},{int(c)}")
         _write_lines(os.path.join(out, "finite_structure.csv"), lines)
-        text = report.summary()
-        _write_lines(os.path.join(out, "summary.txt"), text.splitlines())
-        print(text)
         hi0 = report.counts_everywhere("P0")[1]
         hi1 = report.counts_everywhere("P1")[1]
         ok = hi0 <= 3 and hi1 <= 6
+        code = _report(out, report.summary().splitlines(), 0 if ok else 2)
         print(f"structure bound (<=3 / <=6 clusters): {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 2
+        return code
 
+    tol = args.tol if args.tol is not None else 1e-8
+    a = nce.solve_nce(model, grid)
+    if args.pair == "nce-master":
+        other, b = "master", master.solve_master(model, grid)
+    else:
+        other, b = "lambda", asymptotic.solve_lambda(model, grid)
+    blew_a = isinstance(a, BlowUpReport)
+    blew_b = isinstance(b, BlowUpReport)
+    if blew_a or blew_b:
+        print(f"finite escape: nce={blew_a} {other}={blew_b}")
+        return 2
+    if args.pair == "nce-master":
+        report = master.compare_nce_master(a, b, tol=tol)
+    else:
+        report = asymptotic.compare_lambda_phi(b, asymptotic.phi_from_nce(a),
+                                               tol=tol)
     stem = args.pair.replace("-", "_")
     _write_diff_csv(os.path.join(out, f"compare_{stem}.csv"), report)
-    text = report.summary()
-    _write_lines(os.path.join(out, "summary.txt"), text.splitlines())
-    print(text)
-    return 0 if report.passed else 2
+    return _report(out, report.summary().splitlines(),
+                   0 if report.passed else 2)
 
 
 def cmd_check_solvability(args) -> int:
@@ -325,10 +308,8 @@ def cmd_check_solvability(args) -> int:
         else:
             lines.append(f"{N},{_fmt(norm)},")
     _write_lines(os.path.join(out, "solvability.csv"), lines)
-    text = report.summary()
-    _write_lines(os.path.join(out, "summary.txt"), text.splitlines())
-    print(text)
-    return 0 if report.consistent else 2
+    return _report(out, report.summary().splitlines(),
+                   0 if report.consistent else 2)
 
 
 def _downsample(k: int, total: int) -> np.ndarray:
@@ -345,6 +326,9 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     if not args.N:
         raise ValueError("simulate needs --N")
+    if len(set(args.N)) != len(args.N):
+        raise ValueError("--N lists a population size twice: "
+                         f"{','.join(str(N) for N in args.N)}")
     if args.type_counts is not None and len(args.N) != 1:
         raise ValueError("--type-counts only applies to a single --N")
 
@@ -412,9 +396,7 @@ def cmd_simulate(args) -> int:
         slope = float(np.polyfit(lx, ly, 1)[0])
         summary.append(f"log-log error slope across N: {_fmt(slope)} "
                        f"(consistency predicts about -0.5)")
-    _write_lines(os.path.join(out, "summary.txt"), summary)
-    print("\n".join(summary))
-    return 0
+    return _report(out, summary, 0)
 
 
 def main(argv=None) -> int:

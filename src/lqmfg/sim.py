@@ -171,8 +171,15 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     per player (initial draw first, then the Brownian increments).
     use_empirical makes the feedback read the per-type empirical means
     instead of the reference path (off by default: the limit strategies
-    are decentralized).
+    are decentralized). N < 1 and a non-finite or non-positive dt raise
+    ValueError.
     """
+    if N < 1:
+        raise ValueError(f"population size must be at least 1, got N={N}")
+    if dt is None:
+        dt = model.T / DEFAULT_STEPS
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be finite and positive, got dt={dt}")
     if isinstance(sol, NCESolution):
         controls = _NCEControls(sol)
     elif isinstance(sol, MasterSolution):
@@ -180,8 +187,6 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     else:
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
     grid = sol.grid
-    if dt is None:
-        dt = model.T / DEFAULT_STEPS
 
     ratio = grid.h / dt
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:

@@ -5,8 +5,7 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    assemble_finite_n, check_asymptotic_solvability,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce)
-from lqmfg.asymptotic import (BLOCK_KEYS, SCALING_EXPONENTS, _solve_dense,
-                               thread_count)
+from lqmfg.asymptotic import BLOCK_KEYS, SCALING_EXPONENTS, _solve_dense
 from lqmfg.ode import BlowUpReport
 
 from helpers import (build_model, check_escape_levels, decoupled_scalar,
@@ -223,13 +222,6 @@ def test_solvability_consistent_on_blowup_model(blowup_models, scalar_grid):
 def test_lambda_blowup_reports_escape(blowup_models, scalar_grid):
     res = solve_lambda(blowup_models["weight-scale"], scalar_grid)
     assert isinstance(res, BlowUpReport)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("LQMFG_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.delenv("LQMFG_THREADS")
-    assert thread_count() >= 1
 
 
 def test_marginal_escape_reduced_mode():

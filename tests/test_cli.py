@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from lqmfg import TimeGrid, solve_nce, write_model_file
-from lqmfg.cli import main
+from lqmfg.cli import _psd_minimum, main
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 SCALAR = str(MODELS / "scalar.model")
@@ -44,6 +45,17 @@ def test_solve_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_psd_minimum_matches_per_matrix_loop():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 2, 3, 3))
+    values = a + np.swapaxes(a, -1, -2)
+    loop = min(float(np.linalg.eigvalsh(v).min())
+               for v in values.reshape(-1, 3, 3))
+    assert _psd_minimum(values) == loop
+    assert _psd_minimum(values[:, 1]) == min(
+        float(np.linalg.eigvalsh(v).min()) for v in values[:, 1])
+
+
 def test_missing_model_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.model")
     code = main(["solve", "nce", "--model", missing, "--out",
@@ -52,11 +64,79 @@ def test_missing_model_file(tmp_path, capsys):
     assert "nope.model" in capsys.readouterr().err
 
 
-def test_bad_arguments_exit_one(capsys):
+def test_bad_arguments_exit_one(tmp_path, capsys):
     assert main(["solve", "warp", "--model", SCALAR]) == 1
     assert main(["solve", "nce", "--model", SCALAR, "--grid", "xx"]) == 1
     assert main([]) == 1
-    capsys.readouterr()
+    for tol in ("nan", "-1e-9", "inf"):
+        assert main(["compare", "nce-master", "--model", SCALAR,
+                     f"--tol={tol}", "--out", str(tmp_path)]) == 1
+        assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
+
+SOLVE_FILES = {
+    ("scalar", "master"): ["master_P0", "master_s0", "master_r0", "master_P1",
+                           "master_s1", "master_r_minor"],
+    ("scalar", "lambda"): ["lambda_" + key for key in
+                           ("1_0", "2_0", "3_0", "0", "1", "2", "3", "a", "b")],
+    ("scalar", "finite-n"): ["finite_P0", "finite_P1", "finite_S0",
+                             "finite_S1"],
+    ("twotype", "nce"): ["nce_P0", "nce_s0", "nce_P1", "nce_s1", "nce_P2",
+                         "nce_s2", "nce_Abar", "nce_Gbar", "nce_mbar"],
+    ("twotype", "master"): ["master_P0", "master_s0", "master_r0",
+                            "master_P1", "master_s1", "master_P2",
+                            "master_s2", "master_r_minor"],
+}
+
+
+@pytest.mark.parametrize("model,system", sorted(SOLVE_FILES))
+def test_solve_writes_exact_file_set(tmp_path, capsys, model, system):
+    out = tmp_path / "run"
+    code = main(["solve", system, "--model", str(MODELS / f"{model}.model"),
+                 "--grid", "50", "--N", "4", "--out", str(out)])
+    assert code == 0
+    expected = {name + ".csv" for name in SOLVE_FILES[(model, system)]}
+    assert set(os.listdir(out)) == expected | {"summary.txt"}
+    assert "verdict: solved" in capsys.readouterr().out
+
+
+# summary.txt of an escaping solve at --grid 100: (system, --N) -> lines,
+# with the norm at escape compared to 1e-12
+ESCAPE_SUMMARIES = {
+    ("master", "4"): ["system: master", "grid: M=100 T=1",
+                      "verdict: finite escape", "escape node: 97",
+                      "escape time: 0.96999999999999997",
+                      "norm at escape: 5.6317233063726562e+29",
+                      "threshold: 1000000000000"],
+    ("finite-n", "32"): ["system: finite-n", "grid: M=100 T=1",
+                         "verdict: finite escape", "escape node: 96",
+                         "escape time: 0.95999999999999996",
+                         "norm at escape: 1.0426223412861666e+99",
+                         "threshold: 1000000000000"],
+}
+
+
+@pytest.mark.parametrize("system,N", sorted(ESCAPE_SUMMARIES))
+def test_escape_summary_is_pinned(tmp_path, blowup_models, capsys, system, N):
+    path = str(tmp_path / "escape.model")
+    write_model_file(path, blowup_models["weight-scale"],
+                     header="deviation weights past the critical scale")
+    out = tmp_path / "esc"
+    code = main(["solve", system, "--model", path, "--grid", "100",
+                 "--N", N, "--out", str(out)])
+    assert code == 2
+    assert os.listdir(out) == ["summary.txt"]
+    lines = (out / "summary.txt").read_text().splitlines()
+    expected = ESCAPE_SUMMARIES[(system, N)]
+    assert capsys.readouterr().out.splitlines() == lines
+    assert len(lines) == len(expected)
+    for got, want in zip(lines, expected):
+        if want.startswith("norm at escape: "):
+            assert got.startswith("norm at escape: ")
+            assert math.isclose(float(got.split(": ")[1]),
+                                float(want.split(": ")[1]), rel_tol=1e-12)
+        else:
+            assert got == want
 
 
 def test_compare_nce_master(tmp_path):
@@ -95,6 +175,17 @@ def test_compare_finite_structure(tmp_path, capsys):
     rows = (out / "finite_structure.csv").read_text().strip().splitlines()
     assert rows[0] == "matrix,node,clusters"
     assert len(rows) == 1 + 2 * 61
+
+
+def test_compare_finite_structure_needs_one_n(tmp_path, capsys):
+    for N in ("4,8", None):
+        argv = ["compare", "finite-structure", "--model", SCALAR,
+                "--grid", "20", "--out", str(tmp_path / "fs")]
+        if N is not None:
+            argv += ["--N", N]
+        assert main(argv) == 1
+        assert "exactly one value" in capsys.readouterr().err
+    assert not (tmp_path / "fs" / "summary.txt").exists()
 
 
 def test_check_solvability(tmp_path):
@@ -164,4 +255,19 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert main(["simulate", "--model", SCALAR, "--grid", "50",
                  "--N", "4", "--dt", "0.007",
                  "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
+    assert main(["simulate", "--model", SCALAR, "--grid", "50",
+                 "--N", "0", "--dt", "0.02",
+                 "--out", str(tmp_path)]) == 1
+    assert "population size must be at least 1" in capsys.readouterr().err
+    assert main(["simulate", "--model", SCALAR, "--grid", "50",
+                 "--N", "4", "--dt", "0",
+                 "--out", str(tmp_path)]) == 1
+    assert "time step must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "summary.txt").exists()
+
+
+def test_simulate_rejects_duplicate_n(tmp_path, capsys):
+    assert main(["simulate", "--model", SCALAR, "--grid", "50",
+                 "--N", "2,2", "--dt", "0.02", "--out", str(tmp_path)]) == 1
+    assert "population size twice" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

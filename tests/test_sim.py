@@ -109,6 +109,15 @@ def test_grid_mismatch_rejected(scalar_model, scalar_nce):
         simulate(scalar_model, 4, scalar_nce, dt=0.0008)
 
 
+def test_population_and_step_validated(scalar_model, scalar_nce):
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="population size"):
+            simulate(scalar_model, N, scalar_nce, dt=0.0025)
+    for dt in (0.0, -0.0025, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time step"):
+            simulate(scalar_model, 4, scalar_nce, dt=dt)
+
+
 def test_type_counts_validated(scalar_model, scalar_nce):
     with pytest.raises(ValueError):
         simulate(scalar_model, 4, scalar_nce, type_counts=[3])
