@@ -217,14 +217,14 @@ class _ReducedFields:
         assumed.
         """
         n, N, d = self.n, self.N, self.d
-        base = self.sys.M @ P1[n:2 * n, :]
+        base = (self.sys.M @ P1[n:2 * n, :]).reshape(n, N + 1, n)
         W = np.zeros((d, d))
-        W[n:2 * n, :] = base
-        for j in range(2, N + 1):
-            row = base.copy()
-            row[:, n:2 * n] = base[:, j * n:(j + 1) * n]
-            row[:, j * n:(j + 1) * n] = base[:, n:2 * n]
-            W[j * n:(j + 1) * n, :] = row
+        # (row block j - 1, row in block, column block, column in block)
+        rows = W[n:].reshape(N, n, N + 1, n)
+        rows[:] = base
+        rows[:, :, 1] = base[:, 1:].transpose(1, 0, 2)
+        j = np.arange(1, N + 1)
+        rows[j - 1, :, j] = base[:, 1]
         return W
 
     def dP(self, P0, P1, W):
@@ -546,26 +546,35 @@ def compare_lambda_phi(lam: LambdaSolution, phi: PhiSolution,
     return DiffReport(diffs=diffs, tol=tol)
 
 
-def _tile_view(mat: np.ndarray, n: int) -> np.ndarray:
-    """(B, B, n, n) tile array of a (Bn, Bn) matrix."""
-    B = mat.shape[0] // n
-    return mat.reshape(B, n, B, n).transpose(0, 2, 1, 3)
+def _cluster_counts(tiles: np.ndarray, tol: float) -> np.ndarray:
+    """Per-node count of greedy tile clusters, a tile identified with its
+    transpose; `tiles` is (nodes, tiles per node, n, n).
 
-
-def _cluster_count(tiles: np.ndarray, tol: float) -> int:
-    """Greedy clustering of tiles, identifying a tile with its transpose."""
-    flat = tiles.reshape(-1, tiles.shape[-2], tiles.shape[-1])
-    reps = []
-    for t in flat:
-        matched = False
-        for r in reps:
-            if (np.abs(t - r).sum() <= tol
-                    or np.abs(t.T - r).sum() <= tol):
-                matched = True
-                break
-        if not matched:
-            reps.append(t)
-    return len(reps)
+    A tile-by-tile greedy scan makes a tile a representative iff no
+    earlier representative lies within `tol` (l1) of it or of its
+    transpose. Each round here takes, at every node, the first unmatched
+    tile as the next representative and drops every tile it matches, so
+    the same tiles become representatives, one per round. Distances are
+    summed over the row-major flattened tile, as the scan sums them, so
+    they are bitwise the scan's.
+    """
+    nodes, per_node, n = tiles.shape[:3]
+    flat = tiles.reshape(nodes * per_node, n, n)
+    counts = np.zeros(nodes, dtype=np.int64)
+    live = np.arange(nodes * per_node)
+    while live.size:
+        node = live // per_node
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        counts[node[first]] += 1
+        reps = np.repeat(flat[live[first]], np.diff(first, append=live.size),
+                         axis=0)
+        cand = flat[live]
+        near = ((np.abs(cand - reps).reshape(-1, n * n).sum(axis=1) <= tol)
+                | (np.abs(cand.transpose(0, 2, 1) - reps)
+                   .reshape(-1, n * n).sum(axis=1) <= tol))
+        near[first] = True
+        live = live[~near]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -612,16 +621,24 @@ def _rep_positions(N: int) -> dict:
 
 def extract_block_structure(fin: FiniteNSolution,
                             tol: float = TILE_TOL) -> StructureReport:
-    """Cluster the n-by-n tiles of P0(t), P1(t) and pull scaled limits."""
+    """Cluster the n-by-n tiles of P0(t), P1(t) and pull scaled limits.
+
+    At every node the (N+1)^2 tiles, taken in row-major block order, are
+    clustered greedily: a tile joins the first representative within
+    `tol` (l1) of it or of its transpose, else it becomes one. All nodes
+    of a path are clustered together, one round per cluster. Exchangeable
+    matrices give at most 3 clusters in P0 and 6 in P1; the per-node
+    counts are kept as a diagnostic.
+    """
     n = fin.model.n
     N = fin.N
     Mn = fin.grid.M + 1
+    B = N + 1
     counts = {}
     for name, path in (("P0", fin.P0_big), ("P1", fin.P1_big)):
-        c = np.empty(Mn, dtype=np.int64)
-        for j in range(Mn):
-            c[j] = _cluster_count(_tile_view(path.at(j), n), tol)
-        counts[name] = c
+        tiles = (path.values.reshape(Mn, B, n, B, n).transpose(0, 1, 3, 2, 4)
+                 .reshape(Mn, B * B, n, n))
+        counts[name] = _cluster_counts(tiles, tol)
 
     tiles = {}
     scaled = {}

@@ -9,6 +9,7 @@ non-finite simulation).
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -116,8 +117,10 @@ def _outdir(args) -> str:
 
 
 def _write_lines(path: str, lines):
+    """Write each line with a trailing newline, streaming an iterable."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _entry_names(prefix: str, shape: tuple):
@@ -130,12 +133,14 @@ def _entry_names(prefix: str, shape: tuple):
 
 def _write_path_csv(path: str, mp: MatrixPath, prefix: str):
     """Wide CSV: node time plus every entry of the state, row-major."""
-    names = _entry_names(prefix, mp.state_shape)
-    lines = [",".join(["t"] + names)]
+    header = ",".join(["t"] + _entry_names(prefix, mp.state_shape))
     flat = mp.values.reshape(mp.values.shape[0], -1)
-    for t, row in zip(mp.grid.nodes, flat):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    _write_lines(path, lines)
+    # "%.17g" writes the bytes of _fmt; rows are formatted as they are
+    # written, so the whole table never sits in memory as text
+    row = ",".join(["%.17g"] * (flat.shape[1] + 1))
+    rows = (row % (t, *values.tolist())
+            for t, values in zip(mp.grid.nodes.tolist(), flat))
+    _write_lines(path, itertools.chain([header], rows))
 
 
 def _psd_minimum(values: np.ndarray) -> float:
@@ -257,8 +262,7 @@ def cmd_compare(args) -> int:
         N = _one_n(args, "compare finite-structure")
         fin = asymptotic.solve_finite_n(model, N, grid, dense=args.dense)
         if isinstance(fin, BlowUpReport):
-            print("\n".join(_blow_lines(grid, fin)))
-            return 2
+            return _report(out, _blow_lines(grid, fin), 2)
         tol = args.tol if args.tol is not None else asymptotic.TILE_TOL
         report = asymptotic.extract_block_structure(fin, tol=tol)
         lines = ["matrix,node,clusters"]
@@ -282,8 +286,8 @@ def cmd_compare(args) -> int:
     blew_a = isinstance(a, BlowUpReport)
     blew_b = isinstance(b, BlowUpReport)
     if blew_a or blew_b:
-        print(f"finite escape: nce={blew_a} {other}={blew_b}")
-        return 2
+        return _report(out, [f"finite escape: nce={blew_a} {other}={blew_b}"],
+                       2)
     if args.pair == "nce-master":
         report = master.compare_nce_master(a, b, tol=tol)
     else:
@@ -337,8 +341,7 @@ def cmd_simulate(args) -> int:
     else:
         sol = nce.solve_nce(model, grid)
     if isinstance(sol, BlowUpReport):
-        print("\n".join(_blow_lines(grid, sol)))
-        return 2
+        return _report(out, _blow_lines(grid, sol), 2)
 
     sup_by_N = []
     cost_lines = ["N,player,mean,std_error,samples"]

@@ -188,6 +188,46 @@ def check_escape_levels(solve, levels):
     assert math.isclose(rep.norm_at_escape, levels[0][node], rel_tol=1e-12)
 
 
+# -- reference loops for vectorized library code ----------------------------
+
+def tile_view(mat, n):
+    """(B*B, n, n) tiles of a (Bn, Bn) matrix, row-major block order."""
+    B = mat.shape[0] // n
+    return mat.reshape(B, n, B, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
+
+
+def greedy_cluster_count(tiles, tol):
+    """Scan the tiles in order; a tile joins the first representative
+    within tol (l1) of it or of its transpose, else it becomes one."""
+    reps = []
+    for t in tiles:
+        matched = False
+        for r in reps:
+            if (np.abs(t - r).sum() <= tol
+                    or np.abs(t.T - r).sum() <= tol):
+                matched = True
+                break
+        if not matched:
+            reps.append(t)
+    return len(reps)
+
+
+def coupling_loop(sys, P1):
+    """Coupling matrix of the reduced finite-N fields, one minor's row
+    block at a time: row block 1 of P1 times the input gain, with column
+    blocks 1 and j exchanged for minor j."""
+    n, N, d = sys.model.n, sys.N, sys.dim
+    base = sys.M @ P1[n:2 * n, :]
+    W = np.zeros((d, d))
+    W[n:2 * n, :] = base
+    for j in range(2, N + 1):
+        row = base.copy()
+        row[:, n:2 * n] = base[:, j * n:(j + 1) * n]
+        row[:, j * n:(j + 1) * n] = base[:, n:2 * n]
+        W[j * n:(j + 1) * n, :] = row
+    return W
+
+
 # -- random suite ------------------------------------------------------------
 
 SUITE_SIZE = 20

@@ -5,12 +5,14 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    assemble_finite_n, check_asymptotic_solvability,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce)
-from lqmfg.asymptotic import BLOCK_KEYS, SCALING_EXPONENTS, _solve_dense
+from lqmfg.asymptotic import (BLOCK_KEYS, SCALING_EXPONENTS, TILE_TOL,
+                              _cluster_counts, _ReducedFields, _solve_dense)
 from lqmfg.ode import BlowUpReport
 
-from helpers import (build_model, check_escape_levels, decoupled_scalar,
-                     growing_offsets, node_l1, riccati_closed_form,
-                     scalar_coupled, two_type_scalar, zero_weight)
+from helpers import (build_model, check_escape_levels, coupling_loop,
+                     decoupled_scalar, greedy_cluster_count, growing_offsets,
+                     node_l1, riccati_closed_form, scalar_coupled, tile_view,
+                     two_dim_coupled, two_type_scalar, zero_weight)
 
 
 def test_minor_selector_row_for_two_players():
@@ -146,6 +148,75 @@ def test_cluster_counts_degenerate_model():
     rep = extract_block_structure(fin)
     assert rep.counts_everywhere("P0") == (1, 1)
     assert rep.counts_everywhere("P1") == (1, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cluster_counts_match_greedy_scan_on_random_tiles(n):
+    # tiles near three prototypes, each exact, within 1e-10 or within 1e-6
+    # of one, about a third of them replaced by their exact transposes
+    rng = np.random.default_rng(40 + n)
+    protos = rng.standard_normal((3, n, n))
+    tiles = protos[rng.integers(0, 3, size=(6, 30))]
+    scale = rng.choice([0.0, 1e-10, 1e-6], size=(6, 30, 1, 1))
+    tiles = tiles + scale * rng.standard_normal(tiles.shape)
+    flip = rng.random((6, 30)) < 0.3
+    tiles[flip] = tiles[flip].transpose(0, 2, 1)
+    for tol in (0.0, 1e-12, TILE_TOL, 1e-4, 10.0):
+        want = [greedy_cluster_count(t, tol) for t in tiles]
+        assert _cluster_counts(tiles, tol).tolist() == want
+
+
+def _edge_pairs(rng, n):
+    """Tile pairs (a, b) with the l1 distance the greedy scan computes
+    between b and a, directly or through b's transpose."""
+    a = rng.standard_normal((n, n))
+    b = a + 1e-8 * rng.random((n, n))
+    pairs = [(a, b, np.abs(b - a).sum())]
+    if n > 1:
+        bt = a.T + 1e-8 * rng.random((n, n))
+        pairs.append((a, bt, np.abs(bt.T - a).sum()))
+    if n == 3:
+        # summed pairwise, not left to right: 1e16 + 8 ones is not 1e16
+        c = np.ones((3, 3))
+        c[0, 1] = 1e16
+        pairs.append((np.zeros((3, 3)), c, np.abs(c).sum()))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cluster_counts_at_the_tolerance_edge(n):
+    rng = np.random.default_rng(7 + n)
+    for a, b, dist in _edge_pairs(rng, n):
+        tiles = np.stack([a, b])
+        for tol, want in ((np.nextafter(dist, 0.0), 2), (dist, 1),
+                          (np.nextafter(dist, np.inf), 1)):
+            assert greedy_cluster_count(tiles, tol) == want
+            assert _cluster_counts(tiles[None], tol).tolist() == [want]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+@pytest.mark.parametrize("make", [scalar_coupled, two_dim_coupled])
+def test_cluster_counts_match_greedy_scan_on_solved_paths(make, N):
+    fin = solve_finite_n(make(), N, TimeGrid(M=30, T=1.0))
+    n = fin.model.n
+    for tol in (TILE_TOL, 0.0):
+        rep = extract_block_structure(fin, tol=tol)
+        for name, path in (("P0", fin.P0_big), ("P1", fin.P1_big)):
+            want = [greedy_cluster_count(tile_view(P, n), tol)
+                    for P in path.values]
+            assert rep.cluster_counts[name].tolist() == want
+        if tol == 0.0 and N >= 3:
+            # round-off splits exchangeable tiles: the structure check fails
+            assert rep.counts_everywhere("P1")[1] > 6
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 33])
+@pytest.mark.parametrize("make", [scalar_coupled, two_dim_coupled])
+def test_coupling_matches_row_block_loop(make, N):
+    sys = assemble_finite_n(make(), N)
+    P1 = np.random.default_rng(N).standard_normal((sys.dim, sys.dim))
+    assert np.array_equal(_ReducedFields(sys).coupling(P1),
+                          coupling_loop(sys, P1))
 
 
 def test_lambda_terminal_pins(scalar_model):

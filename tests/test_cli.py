@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from lqmfg import TimeGrid, solve_nce, write_model_file
-from lqmfg.cli import _psd_minimum, main
+from lqmfg.cli import (_entry_names, _fmt, _psd_minimum, _write_path_csv,
+                       main)
+from lqmfg.ode import MatrixPath
+
+from helpers import build_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 SCALAR = str(MODELS / "scalar.model")
@@ -43,6 +47,31 @@ def test_solve_reruns_are_byte_identical(tmp_path):
         outs.append(out)
     for fname in os.listdir(outs[0]):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _joined_csv(mp, prefix):
+    """The path CSV built as one string, entry by entry with _fmt."""
+    lines = [",".join(["t"] + _entry_names(prefix, mp.state_shape))]
+    flat = mp.values.reshape(mp.values.shape[0], -1)
+    for t, row in zip(mp.grid.nodes, flat):
+        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_path_csv_bytes_match_entrywise_format(tmp_path):
+    grid = TimeGrid(M=11, T=0.7)
+    special = np.array([-0.0, 5e-324, 1e16, 1.0 / 3.0, 1e300, -1e300,
+                        1e-300, -1e-300, 0.1, -2.5e-17, 123456789.0, 1.0])
+    rng = np.random.default_rng(5)
+    for shape, prefix in (((2, 3), "P0"), ((4,), "S1"), ((), "r")):
+        size = (12,) + shape
+        vals = (rng.standard_normal(size)
+                * 10.0 ** rng.integers(-20, 20, size=size)).reshape(12, -1)
+        vals[:, 0] = special
+        mp = MatrixPath(grid, vals.reshape(size))
+        path = tmp_path / f"{prefix}.csv"
+        _write_path_csv(str(path), mp, prefix)
+        assert path.read_bytes() == _joined_csv(mp, prefix)
 
 
 def test_psd_minimum_matches_per_matrix_loop():
@@ -127,8 +156,11 @@ def test_escape_summary_is_pinned(tmp_path, blowup_models, capsys, system, N):
     assert code == 2
     assert os.listdir(out) == ["summary.txt"]
     lines = (out / "summary.txt").read_text().splitlines()
-    expected = ESCAPE_SUMMARIES[(system, N)]
     assert capsys.readouterr().out.splitlines() == lines
+    _check_escape_lines(lines, ESCAPE_SUMMARIES[(system, N)])
+
+
+def _check_escape_lines(lines, expected):
     assert len(lines) == len(expected)
     for got, want in zip(lines, expected):
         if want.startswith("norm at escape: "):
@@ -137,6 +169,46 @@ def test_escape_summary_is_pinned(tmp_path, blowup_models, capsys, system, N):
                                 float(want.split(": ")[1]), rel_tol=1e-12)
         else:
             assert got == want
+
+
+# first summary line of an escaping compare or simulate run on the
+# Gamma2 = 3 model at --grid 50
+ESCAPE_BRANCHES = {
+    ("compare", "nce-master"): "finite escape: nce=True master=True",
+    ("compare", "lambda-phi"): "finite escape: nce=True lambda=True",
+    ("simulate", "--feedback=nce"): "verdict: finite escape",
+    ("simulate", "--feedback=master"): "verdict: finite escape",
+}
+
+
+@pytest.mark.parametrize("command,arg", sorted(ESCAPE_BRANCHES))
+def test_escape_branches_write_summary(tmp_path, capsys, command, arg):
+    path = str(tmp_path / "gamma3.model")
+    write_model_file(path, build_model(Gamma2=[[3.0]], Gamma2f=[[3.0]]))
+    out = tmp_path / "esc"
+    code = main([command, arg, "--model", path, "--grid", "50", "--N", "8",
+                 "--out", str(out)])
+    assert code == 2
+    assert os.listdir(out) == ["summary.txt"]
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == lines
+    assert lines[0] == ESCAPE_BRANCHES[(command, arg)]
+
+
+def test_finite_structure_escape_writes_summary(tmp_path, blowup_models,
+                                                capsys):
+    # the finite system does not escape on the Gamma2 = 3 model (N <= 64),
+    # so this branch runs on the weight-scale blow-up model
+    path = str(tmp_path / "escape.model")
+    write_model_file(path, blowup_models["weight-scale"])
+    out = tmp_path / "esc"
+    code = main(["compare", "finite-structure", "--model", path,
+                 "--grid", "100", "--N", "32", "--out", str(out)])
+    assert code == 2
+    assert os.listdir(out) == ["summary.txt"]
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == lines
+    _check_escape_lines(lines, ESCAPE_SUMMARIES[("finite-n", "32")][2:])
 
 
 def test_compare_nce_master(tmp_path):
