@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import AsymmetryDrift, NonFiniteField
+from .errors import AsymmetryDrift, NonFiniteField, TimeOutOfRange
 from .model import TimeGrid
 
 DEFAULT_BLOWUP_THRESHOLD = 1e12
@@ -35,6 +35,10 @@ DEFAULT_BLOWUP_THRESHOLD = 1e12
 # field; measured relative to the state's magnitude so that legitimate
 # near-escape growth (entries ~1e11) is still classified as blow-up.
 ASYMMETRY_TOL = 1e-8
+# Relative slack of a time beyond [0, T] that still counts as on the
+# horizon: a step dt accepted as dividing the grid spacing up to this
+# relative error puts the last of its nodes within it of T.
+TIME_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,22 @@ class MatrixPath:
     def at(self, j: int) -> np.ndarray:
         return self.values[j]
 
-    def interp(self, t: float) -> np.ndarray:
-        """Linear interpolation between the bracketing nodes."""
-        h = self.grid.h
-        pos = t / h
-        j = int(np.floor(pos))
-        j = min(max(j, 0), self.grid.M - 1)
-        w = pos - j
+    def interp(self, t) -> np.ndarray:
+        """Linear interpolation between the bracketing nodes.
+
+        t is a time or a 1-D array of times; an array gives the states
+        stacked along a new leading axis, each entry computed exactly as
+        for the single time. Times outside [0, T] (beyond TIME_SLACK * T)
+        raise TimeOutOfRange.
+        """
+        T = self.grid.T
+        t = np.asarray(t, dtype=np.float64)
+        outside = ~((t >= -TIME_SLACK * T) & (t <= T + TIME_SLACK * T))
+        if outside.any():
+            raise TimeOutOfRange(f"t={float(t[outside][0])} outside [0, {T}]")
+        pos = t / self.grid.h
+        j = np.clip(np.floor(pos).astype(np.intp), 0, self.grid.M - 1)
+        w = (pos - j).reshape(t.shape + (1,) * len(self.state_shape))
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
 
 

@@ -10,6 +10,14 @@ a noise-free population reproduces it to rounding accuracy.
 Noise streams are counter-based and keyed by (seed, player id): adding
 players never perturbs the increments of existing ones, which is what
 makes the across-N convergence measurements clean.
+
+The step loop runs in chunks of CHUNK_STEPS steps. At the start of a
+chunk the feedback gains and reference-path coefficients are
+interpolated at all of its step times at once, and each player's
+Brownian increments for the chunk are drawn from that player's stream,
+in the same order as one draw of the whole horizon: paths do not depend
+on the chunk length. Memory is O(N S (n + n1)) for the stored paths plus
+O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers.
 """
 
 import math
@@ -21,13 +29,20 @@ from .errors import EmptyBatch, EmptyType, GridMismatch, NonFiniteState
 from .master import MasterSolution
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
+from .ode import TIME_SLACK
 
 DEFAULT_STEPS = 4000
+# Steps marched per chunk of the simulation loop; the chunk buffers hold
+# N * CHUNK_STEPS * (n + n1 + n2) floats.
+CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One realization of all N+1 states, controls, and the reference path."""
+    """One realization of all N+1 states, controls, and the reference path.
+
+    Minor players are listed type by type: `types` is non-decreasing.
+    """
 
     model: ValidatedModel
     grid: TimeGrid
@@ -42,6 +57,8 @@ class Trajectory:
     U: np.ndarray
 
     def __post_init__(self):
+        if np.any(np.diff(self.types) < 0):
+            raise ValueError("minor players are not listed type by type")
         for name in ("X0", "X", "Zbar", "U0", "U"):
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
@@ -107,57 +124,40 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-class _NCEControls:
-    """Control gains and reference-path coefficients from the NCE solution."""
+def _nce_gains(sol: NCESolution, times: np.ndarray):
+    """Feedback gains and reference-path coefficients of an NCE solution,
+    stacked along a leading axis over `times`.
 
-    def __init__(self, sol: NCESolution):
-        self.sol = sol
-        model, lifted = sol.model, sol.lifted
-        self.R0invB0 = np.linalg.solve(model.R0, lifted.B0_lift.T)
-        self.RinvB = np.linalg.solve(model.R, lifted.B_lift.T)
-        self.n = model.n
-        self.mean_field = (sol.Abar, sol.Gbar, sol.mbar)
-
-    def major(self, t: float):
-        n = self.n
-        G = self.R0invB0 @ self.sol.P0.interp(t)
-        g = self.R0invB0 @ self.sol.s0.interp(t)
-        return G[:, :n], G[:, n:], g
-
-    def minor(self, t: float):
-        n = self.n
-        P = self.sol.P.interp(t)
-        s = self.sol.s.interp(t)
-        G = np.array([self.RinvB @ P[k] for k in range(P.shape[0])])
-        g = s @ self.RinvB.T
-        return G[:, :, :n], G[:, :, n:2 * n], G[:, :, 2 * n:], g
+    Returns (G0, g0, G, g, mean_field): the major control is
+    -(G0 @ (x0, z) + g0), a type-k minor's is -(G[:, k] @ (x, x0, z) + g[:, k]),
+    and mean_field = (Abar, Gbar, mbar) drive the reference path.
+    """
+    model, lifted = sol.model, sol.lifted
+    R0invB0 = np.linalg.solve(model.R0, lifted.B0_lift.T)
+    RinvB = np.linalg.solve(model.R, lifted.B_lift.T)
+    G0 = R0invB0 @ sol.P0.interp(times)
+    # offsets as stacked columns: one matrix-vector product per time, the
+    # same BLAS call (and rounding) as for a single time
+    g0 = (R0invB0 @ sol.s0.interp(times)[:, :, None])[:, :, 0]
+    G = RinvB @ sol.P.interp(times)
+    g = sol.s.interp(times) @ RinvB.T
+    return G0, g0, G, g, (sol.Abar.interp(times), sol.Gbar.interp(times),
+                          sol.mbar.interp(times))
 
 
-class _MasterControls:
-    """Same interface, reading the quadratic-solution coefficients."""
-
-    def __init__(self, sol: MasterSolution):
-        self.sol = sol
-        model = sol.model
-        self.R0invB0 = np.linalg.solve(model.R0, model.B0.T)
-        self.RinvB = np.linalg.solve(model.R, model.B.T)
-        self.n = model.n
-        self.mean_field = (sol.Abar_dag, sol.Gbar_dag, sol.mbar_dag)
-
-    def major(self, t: float):
-        n = self.n
-        P0 = self.sol.Pd0.interp(t)
-        s0 = self.sol.sd0.interp(t)
-        G = self.R0invB0 @ P0[:n, :]
-        return G[:, :n], G[:, n:], self.R0invB0 @ s0[:n]
-
-    def minor(self, t: float):
-        n = self.n
-        P = self.sol.Pd.interp(t)
-        s = self.sol.sd.interp(t)
-        G = np.array([self.RinvB @ P[k][:n, :] for k in range(P.shape[0])])
-        g = s[:, :n] @ self.RinvB.T
-        return G[:, :, :n], G[:, :, n:2 * n], G[:, :, 2 * n:], g
+def _master_gains(sol: MasterSolution, times: np.ndarray):
+    """Same as _nce_gains, read from the quadratic-solution coefficients."""
+    model = sol.model
+    n = model.n
+    R0invB0 = np.linalg.solve(model.R0, model.B0.T)
+    RinvB = np.linalg.solve(model.R, model.B.T)
+    G0 = R0invB0 @ sol.Pd0.interp(times)[:, :n, :]
+    g0 = (R0invB0 @ sol.sd0.interp(times)[:, :n, None])[:, :, 0]
+    G = RinvB @ sol.Pd.interp(times)[:, :, :n, :]
+    g = sol.sd.interp(times)[:, :, :n] @ RinvB.T
+    return G0, g0, G, g, (sol.Abar_dag.interp(times),
+                          sol.Gbar_dag.interp(times),
+                          sol.mbar_dag.interp(times))
 
 
 def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
@@ -172,7 +172,13 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     use_empirical makes the feedback read the per-type empirical means
     instead of the reference path (off by default: the limit strategies
     are decentralized). N < 1 and a non-finite or non-positive dt raise
-    ValueError.
+    ValueError; a state that stops being finite raises NonFiniteState
+    naming the step.
+
+    Noise is drawn per chunk of CHUNK_STEPS steps from the same streams,
+    so paths do not depend on the chunk length. Memory is O(N S (n + n1))
+    for the stored paths plus O(N CHUNK_STEPS (n + n1 + n2)) for the
+    chunk's noise and path buffers.
     """
     if N < 1:
         raise ValueError(f"population size must be at least 1, got N={N}")
@@ -181,15 +187,15 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be finite and positive, got dt={dt}")
     if isinstance(sol, NCESolution):
-        controls = _NCEControls(sol)
+        gains = _nce_gains
     elif isinstance(sol, MasterSolution):
-        controls = _MasterControls(sol)
+        gains = _master_gains
     else:
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
     grid = sol.grid
 
     ratio = grid.h / dt
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+    if abs(ratio - round(ratio)) > TIME_SLACK * max(1.0, ratio) or round(ratio) < 1:
         raise GridMismatch(f"dt={dt} does not divide the grid spacing {grid.h}")
     S = grid.M * int(round(ratio))
 
@@ -206,17 +212,13 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     rng0 = _player_rng(seed, 0)
     L0 = _cov_factor(model.x0_cov)
     x0 = model.x0_mean + L0 @ rng0.standard_normal(n)
-    dW0 = sqdt * rng0.standard_normal((S, n2))
 
     Li = _cov_factor(model.xi_cov)
     Xcur = np.empty((N, n))
-    dW = np.empty((N, S, n2))
-    for i in range(N):
-        rng = _player_rng(seed, i + 1)
+    rngs = [_player_rng(seed, i + 1) for i in range(N)]
+    for i, rng in enumerate(rngs):
         Xcur[i] = model.alpha0 + Li @ rng.standard_normal(n)
-        dW[i] = sqdt * rng.standard_normal((S, n2))
 
-    Abar, Gbar, mbar = controls.mean_field
     zbar = np.tile(model.alpha0, K)
 
     A_by_type = model.A[types - 1]               # (N, n, n)
@@ -232,49 +234,64 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     Z_path = np.empty((S + 1, n * K))
     U0_path = np.empty((S + 1, model.n1))
     U_path = np.empty((N, S + 1, model.n1))
+    rows = min(CHUNK_STEPS, S + 1)
+    noise = np.empty((rows, N, n2))
+    X_chunk = np.empty((rows, N, n))
+    U_chunk = np.empty((rows, N, model.n1))
 
     x0cur = x0
     D0, D = model.D0, model.D
-    for s in range(S + 1):
-        t = float(times[s])
-        X0_path[s] = x0cur
-        X_path[:, s] = Xcur
-        Z_path[s] = zbar
+    for c0 in range(0, S + 1, CHUNK_STEPS):
+        G0, g0, G, g, (Abar, Gbar, mbar) = gains(sol, times[c0:c0 + CHUNK_STEPS])
+        Gx0, Gz = G0[:, :, :n], G0[:, :, n:]
+        Hown, Hx0, Hz = G[..., :n], G[..., n:2 * n], G[..., 2 * n:]
+        increments = min(c0 + CHUNK_STEPS, S) - c0
+        dW0 = sqdt * rng0.standard_normal((increments, n2))
+        dW = noise[:increments]
+        for i, rng in enumerate(rngs):
+            dW[:, i] = sqdt * rng.standard_normal((increments, n2))
 
-        if use_empirical:
-            zfeed = np.concatenate(
-                [Xcur[sl].mean(axis=0) if sl.stop > sl.start else zbar[k * n:(k + 1) * n]
-                 for k, sl in enumerate(type_slices)])
-        else:
-            zfeed = zbar
+        nodes = G0.shape[0]
+        for j in range(nodes):
+            s = c0 + j
+            X0_path[s] = x0cur
+            X_chunk[j] = Xcur
+            Z_path[s] = zbar
 
-        Gx0, Gz, g0 = controls.major(t)
-        u0 = -(Gx0 @ x0cur + Gz @ zfeed + g0)
-        Hown, Hx0, Hz, h = controls.minor(t)
-        U = np.empty((N, model.n1))
-        for k, sl in enumerate(type_slices):
-            if sl.stop == sl.start:
-                continue
-            fixed = Hx0[k] @ x0cur + Hz[k] @ zfeed + h[k]
-            U[sl] = -(Xcur[sl] @ Hown[k].T + fixed)
-        U0_path[s] = u0
-        U_path[:, s] = U
+            if use_empirical:
+                zfeed = np.concatenate(
+                    [Xcur[sl].mean(axis=0) if sl.stop > sl.start else zbar[k * n:(k + 1) * n]
+                     for k, sl in enumerate(type_slices)])
+            else:
+                zfeed = zbar
 
-        if s == S:
-            break
+            u0 = -(Gx0[j] @ x0cur + Gz[j] @ zfeed + g0[j])
+            U = U_chunk[j]
+            for k, sl in enumerate(type_slices):
+                if sl.stop == sl.start:
+                    continue
+                fixed = Hx0[j, k] @ x0cur + Hz[j, k] @ zfeed + g[j, k]
+                U[sl] = -(Xcur[sl] @ Hown[j, k].T + fixed)
+            U0_path[s] = u0
 
-        xbarN = Xcur.mean(axis=0)
-        drift0 = model.A0 @ x0cur + model.B0 @ u0 + model.F0 @ xbarN
-        driftX = (np.einsum("nij,nj->ni", A_by_type, Xcur)
-                  + U @ model.B.T + model.F @ xbarN + model.G @ x0cur)
-        zdrift = Abar.interp(t) @ zbar + Gbar.interp(t) @ x0cur + mbar.interp(t)
+            if s == S:
+                break
 
-        x0cur = x0cur + dt * drift0 + D0 @ dW0[s]
-        Xcur = Xcur + dt * driftX + dW[:, s] @ D.T
-        zbar = zbar + dt * zdrift
-        if not (np.all(np.isfinite(x0cur)) and np.all(np.isfinite(Xcur))
-                and np.all(np.isfinite(zbar))):
-            raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
+            xbarN = Xcur.mean(axis=0)
+            drift0 = model.A0 @ x0cur + model.B0 @ u0 + model.F0 @ xbarN
+            driftX = (np.einsum("nij,nj->ni", A_by_type, Xcur)
+                      + U @ model.B.T + model.F @ xbarN + model.G @ x0cur)
+            zdrift = Abar[j] @ zbar + Gbar[j] @ x0cur + mbar[j]
+
+            x0cur = x0cur + dt * drift0 + D0 @ dW0[j]
+            Xcur = Xcur + dt * driftX + dW[j] @ D.T
+            zbar = zbar + dt * zdrift
+            if not (np.isfinite(x0cur).all() and np.isfinite(Xcur).all()
+                    and np.isfinite(zbar).all()):
+                t = float(times[s])
+                raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
+        X_path[:, c0:c0 + nodes] = X_chunk[:nodes].transpose(1, 0, 2)
+        U_path[:, c0:c0 + nodes] = U_chunk[:nodes].transpose(1, 0, 2)
 
     return Trajectory(model=model, grid=grid, dt=dt, seed=seed, types=types,
                       times=times, X0=X0_path, X=X_path, Zbar=Z_path,
@@ -292,7 +309,9 @@ def empirical_mean_error(traj: Trajectory) -> MeanFieldError:
         members = traj.type_members(k)
         if members.size == 0:
             raise EmptyType(f"no players of type {k} in the trajectory")
-        mean_path = traj.X[members].mean(axis=0)          # (S+1, n)
+        # a type's players are consecutive rows: a slice reads them
+        # without copying their paths
+        mean_path = traj.X[members[0]:members[-1] + 1].mean(axis=0)  # (S+1, n)
         ref = traj.Zbar[:, (k - 1) * n:k * n]
         errors[k - 1] = np.linalg.norm(mean_path - ref, axis=1)
     return MeanFieldError(per_type=errors, times=traj.times)

@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 
-from lqmfg import ModelParams, TimeGrid, validate_model, solve_nce
+from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
+                   NonFiniteState, TimeGrid, validate_model, solve_nce)
 from lqmfg.ode import BlowUpReport
+from lqmfg.sim import (DEFAULT_STEPS, _cov_factor, _player_rng,
+                       default_type_counts)
 
 
 def riccati_closed_form(a, b, r, q, qf, rho, T):
@@ -104,14 +107,16 @@ def two_type_scalar():
                        A=np.array([[[-0.4]], [[-0.2]]]))
 
 
-def zero_weight():
+def zero_weight(**overrides):
     """All cost weights and offsets zero: kernels and offsets vanish."""
     z1 = np.array([[0.0]])
     z = np.array([0.0])
-    return build_model(Q0=z1, Q0f=z1, Q=z1, Qf=z1,
-                       Gamma0=z1, Gamma0f=z1, Gamma1=z1, Gamma1f=z1,
-                       Gamma2=z1, Gamma2f=z1,
-                       eta0=z, eta0f=z, eta=z, etaf=z)
+    fields = dict(Q0=z1, Q0f=z1, Q=z1, Qf=z1,
+                  Gamma0=z1, Gamma0f=z1, Gamma1=z1, Gamma1f=z1,
+                  Gamma2=z1, Gamma2f=z1,
+                  eta0=z, eta0f=z, eta=z, etaf=z)
+    fields.update(overrides)
+    return build_model(**fields)
 
 
 def decoupled_scalar(rho=0.1):
@@ -228,6 +233,172 @@ def coupling_loop(sys, P1):
     return W
 
 
+def _interp_at(path, t):
+    """The per-step scalar interpolation the reference loop used."""
+    h = path.grid.h
+    pos = t / h
+    j = int(np.floor(pos))
+    j = min(max(j, 0), path.grid.M - 1)
+    w = pos - j
+    return (1.0 - w) * path.values[j] + w * path.values[j + 1]
+
+
+class _NCEControlsRef:
+    """Per-time gains of an NCE solution, as the reference loop read them."""
+
+    def __init__(self, sol):
+        self.sol = sol
+        model, lifted = sol.model, sol.lifted
+        self.R0invB0 = np.linalg.solve(model.R0, lifted.B0_lift.T)
+        self.RinvB = np.linalg.solve(model.R, lifted.B_lift.T)
+        self.n = model.n
+        self.mean_field = (sol.Abar, sol.Gbar, sol.mbar)
+
+    def major(self, t):
+        n = self.n
+        G = self.R0invB0 @ _interp_at(self.sol.P0, t)
+        g = self.R0invB0 @ _interp_at(self.sol.s0, t)
+        return G[:, :n], G[:, n:], g
+
+    def minor(self, t):
+        n = self.n
+        P = _interp_at(self.sol.P, t)
+        s = _interp_at(self.sol.s, t)
+        G = np.array([self.RinvB @ P[k] for k in range(P.shape[0])])
+        g = s @ self.RinvB.T
+        return G[:, :, :n], G[:, :, n:2 * n], G[:, :, 2 * n:], g
+
+
+class _MasterControlsRef:
+    """Per-time gains of a master solution, as the reference loop read them."""
+
+    def __init__(self, sol):
+        self.sol = sol
+        model = sol.model
+        self.R0invB0 = np.linalg.solve(model.R0, model.B0.T)
+        self.RinvB = np.linalg.solve(model.R, model.B.T)
+        self.n = model.n
+        self.mean_field = (sol.Abar_dag, sol.Gbar_dag, sol.mbar_dag)
+
+    def major(self, t):
+        n = self.n
+        P0 = _interp_at(self.sol.Pd0, t)
+        s0 = _interp_at(self.sol.sd0, t)
+        G = self.R0invB0 @ P0[:n, :]
+        return G[:, :n], G[:, n:], self.R0invB0 @ s0[:n]
+
+    def minor(self, t):
+        n = self.n
+        P = _interp_at(self.sol.Pd, t)
+        s = _interp_at(self.sol.sd, t)
+        G = np.array([self.RinvB @ P[k][:n, :] for k in range(P.shape[0])])
+        g = s[:, :n] @ self.RinvB.T
+        return G[:, :, :n], G[:, :, n:2 * n], G[:, :, 2 * n:], g
+
+
+def simulate_reference(model, N, sol, dt=None, seed=0, type_counts=None,
+                       use_empirical=False):
+    """The step-by-step closed loop: all noise drawn up front, gains
+    interpolated at every step. Returns (X0, X, Zbar, U0, U)."""
+    if dt is None:
+        dt = model.T / DEFAULT_STEPS
+    if isinstance(sol, NCESolution):
+        controls = _NCEControlsRef(sol)
+    elif isinstance(sol, MasterSolution):
+        controls = _MasterControlsRef(sol)
+    else:
+        raise TypeError(f"unsupported solution type {type(sol).__name__}")
+    grid = sol.grid
+    ratio = grid.h / dt
+    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+        raise GridMismatch(f"dt={dt} does not divide the grid spacing {grid.h}")
+    S = grid.M * int(round(ratio))
+
+    if type_counts is None:
+        type_counts = default_type_counts(model, N)
+    type_counts = np.asarray(type_counts, dtype=np.int64)
+    types = np.repeat(np.arange(1, model.K + 1), type_counts)
+
+    n, n2, K = model.n, model.n2, model.K
+    sqdt = math.sqrt(dt)
+
+    rng0 = _player_rng(seed, 0)
+    L0 = _cov_factor(model.x0_cov)
+    x0 = model.x0_mean + L0 @ rng0.standard_normal(n)
+    dW0 = sqdt * rng0.standard_normal((S, n2))
+
+    Li = _cov_factor(model.xi_cov)
+    Xcur = np.empty((N, n))
+    dW = np.empty((N, S, n2))
+    for i in range(N):
+        rng = _player_rng(seed, i + 1)
+        Xcur[i] = model.alpha0 + Li @ rng.standard_normal(n)
+        dW[i] = sqdt * rng.standard_normal((S, n2))
+
+    Abar, Gbar, mbar = controls.mean_field
+    zbar = np.tile(model.alpha0, K)
+
+    A_by_type = model.A[types - 1]
+    type_slices = []
+    start = 0
+    for c in type_counts:
+        type_slices.append(slice(start, start + int(c)))
+        start += int(c)
+
+    times = np.arange(S + 1) * dt
+    X0_path = np.empty((S + 1, n))
+    X_path = np.empty((N, S + 1, n))
+    Z_path = np.empty((S + 1, n * K))
+    U0_path = np.empty((S + 1, model.n1))
+    U_path = np.empty((N, S + 1, model.n1))
+
+    x0cur = x0
+    D0, D = model.D0, model.D
+    for s in range(S + 1):
+        t = float(times[s])
+        X0_path[s] = x0cur
+        X_path[:, s] = Xcur
+        Z_path[s] = zbar
+
+        if use_empirical:
+            zfeed = np.concatenate(
+                [Xcur[sl].mean(axis=0) if sl.stop > sl.start else zbar[k * n:(k + 1) * n]
+                 for k, sl in enumerate(type_slices)])
+        else:
+            zfeed = zbar
+
+        Gx0, Gz, g0 = controls.major(t)
+        u0 = -(Gx0 @ x0cur + Gz @ zfeed + g0)
+        Hown, Hx0, Hz, h = controls.minor(t)
+        U = np.empty((N, model.n1))
+        for k, sl in enumerate(type_slices):
+            if sl.stop == sl.start:
+                continue
+            fixed = Hx0[k] @ x0cur + Hz[k] @ zfeed + h[k]
+            U[sl] = -(Xcur[sl] @ Hown[k].T + fixed)
+        U0_path[s] = u0
+        U_path[:, s] = U
+
+        if s == S:
+            break
+
+        xbarN = Xcur.mean(axis=0)
+        drift0 = model.A0 @ x0cur + model.B0 @ u0 + model.F0 @ xbarN
+        driftX = (np.einsum("nij,nj->ni", A_by_type, Xcur)
+                  + U @ model.B.T + model.F @ xbarN + model.G @ x0cur)
+        zdrift = (_interp_at(Abar, t) @ zbar + _interp_at(Gbar, t) @ x0cur
+                  + _interp_at(mbar, t))
+
+        x0cur = x0cur + dt * drift0 + D0 @ dW0[s]
+        Xcur = Xcur + dt * driftX + dW[:, s] @ D.T
+        zbar = zbar + dt * zdrift
+        if not (np.all(np.isfinite(x0cur)) and np.all(np.isfinite(Xcur))
+                and np.all(np.isfinite(zbar))):
+            raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
+
+    return X0_path, X_path, Z_path, U0_path, U_path
+
+
 # -- random suite ------------------------------------------------------------
 
 SUITE_SIZE = 20
@@ -280,6 +451,13 @@ def suite_model(idx):
         seed += 10007
 
 
+def random_n3k3():
+    """Random stable model with n = 3, K = 3 and n1 = n2 = 2."""
+    model = validate_model(_random_params(np.random.default_rng(1001), 3))
+    assert (model.n, model.n1, model.n2, model.K) == (3, 2, 2, 3)
+    return model
+
+
 def suite_k1_indices():
     return [i for i in range(SUITE_SIZE) if i % 3 == 0]
 
@@ -323,3 +501,4 @@ def bisect_blowup(family, grid, iters=20, margin=1.1):
         else:
             lo = mid
     return fn(margin * hi)
+

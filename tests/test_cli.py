@@ -10,7 +10,7 @@ from lqmfg.cli import (_entry_names, _fmt, _psd_minimum, _write_path_csv,
                        main)
 from lqmfg.ode import MatrixPath
 
-from helpers import build_model
+from helpers import build_model, zero_weight
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 SCALAR = str(MODELS / "scalar.model")
@@ -336,6 +336,18 @@ def test_simulate_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     assert "time step must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_exploding_state_exits_two(tmp_path, capsys):
+    # dt A = -25 at the default dt = T/4000: the Euler recursion explodes
+    path = str(tmp_path / "stiff.model")
+    write_model_file(path, zero_weight(A=np.array([[[-1e5]]])))
+    code = main(["simulate", "--model", path, "--grid", "50", "--N", "4",
+                 "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert ("error: state exploded at step 221 (t=0.05525)"
+            in capsys.readouterr().err)
 
 
 def test_simulate_rejects_duplicate_n(tmp_path, capsys):

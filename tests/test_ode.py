@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField, TimeGrid,
-                   integrate_backward, integrate_forward)
-from lqmfg.ode import BlowUpReport
+                   TimeOutOfRange, integrate_backward, integrate_forward)
+from lqmfg.ode import TIME_SLACK, BlowUpReport
 
 from helpers import check_escape_levels, first_crossing, riccati_closed_form
 
@@ -134,6 +134,42 @@ def test_matrix_path_interp_is_linear():
     assert path.interp(0.0)[0] == 0.0
     assert path.interp(1.0)[0] == 4.0
     assert path.interp(0.375)[0] == pytest.approx(1.5)
+
+
+def test_matrix_path_interp_of_times_stacks_single_times():
+    grid = TimeGrid(M=7, T=1.3)
+    vals = np.random.default_rng(0).standard_normal((8, 2, 3))
+    path = MatrixPath(grid, vals)
+    times = np.concatenate([grid.nodes, np.random.default_rng(1).uniform(0.0, 1.3, 50)])
+    batch = path.interp(times)
+    assert batch.shape == (times.size, 2, 3)
+    for t, got in zip(times, batch):
+        assert np.array_equal(got, path.interp(float(t)))
+    # the single-time formula: weights on the bracketing nodes
+    for t in times:
+        pos = t / grid.h
+        j = min(int(np.floor(pos)), grid.M - 1)
+        w = pos - j
+        assert np.array_equal(path.interp(float(t)), (1.0 - w) * vals[j] + w * vals[j + 1])
+
+
+def test_matrix_path_interp_rejects_times_off_the_horizon():
+    grid = TimeGrid(M=4, T=2.0)
+    path = MatrixPath(grid, np.arange(5.0).reshape(5, 1))
+    h = grid.h
+    for t in (-h, 2.0 + h, -3 * TIME_SLACK * 2.0, 2.0 + 3 * TIME_SLACK * 2.0,
+              float("nan"), float("inf")):
+        with pytest.raises(TimeOutOfRange):
+            path.interp(t)
+        with pytest.raises(TimeOutOfRange):
+            path.interp(np.array([0.0, 1.0, t]))
+    assert path.interp(0.0)[0] == 0.0
+    assert path.interp(2.0)[0] == 4.0
+    assert np.array_equal(path.interp(np.array([0.0, 2.0]))[:, 0], [0.0, 4.0])
+    # up to the slack the end segments extend linearly
+    path.interp(np.array([-TIME_SLACK * 2.0, 2.0 + TIME_SLACK * 2.0]))
+    assert path.interp(2.0 * (1.0 + 0.5 * TIME_SLACK))[0] == pytest.approx(4.0, abs=1e-8)
+    assert path.interp(-0.5 * TIME_SLACK * 2.0)[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_matrix_path_rejects_wrong_node_count():

@@ -1,12 +1,34 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lqmfg import (EmptyBatch, EmptyType, GridMismatch, TimeGrid,
-                   default_type_counts, empirical_mean_error, evaluate_cost,
-                   simulate, solve_master, solve_nce)
+from lqmfg import (EmptyBatch, EmptyType, GridMismatch, NonFiniteState,
+                   TimeGrid, default_type_counts, empirical_mean_error,
+                   evaluate_cost, simulate, solve_master, solve_nce)
+from lqmfg.sim import CHUNK_STEPS
 
-from helpers import (build_model, decoupled_scalar, riccati_closed_form,
-                     two_type_scalar, zero_weight)
+from helpers import (build_model, decoupled_scalar, random_n3k3,
+                     riccati_closed_form, simulate_reference, two_type_scalar,
+                     zero_weight)
+
+PATHS = ("X0", "X", "Zbar", "U0", "U")
+MODELS = {"scalar": build_model, "twotype": two_type_scalar,
+          "n3k3": random_n3k3}
+SOLVERS = {"nce": solve_nce, "master": solve_master}
+
+
+def steps_grid(S):
+    """Unit-horizon grid whose spacing is a whole number of 1/S steps."""
+    return TimeGrid(M=max(d for d in range(1, 41) if S % d == 0), T=1.0)
+
+
+def check_against_reference(model, N, sol, **kwargs):
+    traj = simulate(model, N, sol, **kwargs)
+    for name, want in zip(PATHS, simulate_reference(model, N, sol, **kwargs)):
+        assert np.array_equal(getattr(traj, name), want), name
+    return traj
 
 
 def frozen_model():
@@ -143,6 +165,19 @@ def test_two_type_population_assignment():
     assert err.per_type.shape == (2, traj.steps + 1)
 
 
+def test_error_per_type_is_distance_of_member_mean():
+    model = two_type_scalar()
+    sol = solve_nce(model, TimeGrid(M=50, T=1.0))
+    traj = simulate(model, 9, sol, dt=0.005, seed=6)
+    err = empirical_mean_error(traj)
+    for k in (1, 2):
+        mean_path = traj.X[traj.type_members(k)].mean(axis=0)
+        want = np.linalg.norm(mean_path - traj.Zbar[:, k - 1:k], axis=1)
+        assert np.array_equal(err.per_type[k - 1], want)
+    with pytest.raises(ValueError, match="type by type"):
+        dataclasses.replace(traj, types=traj.types[::-1])
+
+
 def test_empty_type_rejected():
     model = two_type_scalar()
     grid = TimeGrid(M=50, T=1.0)
@@ -205,3 +240,80 @@ def test_realized_cost_matches_value_function():
     assert est0.mean == pytest.approx(want_major, abs=3e-3)
     assert est1.mean == pytest.approx(want_minor, abs=3e-3)
     assert est0.std_error == 0.0
+
+
+@pytest.mark.parametrize("feedback", sorted(SOLVERS))
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_chunked_loop_matches_reference_loop(name, feedback):
+    model = MODELS[name]()
+    S = 2 * CHUNK_STEPS + CHUNK_STEPS // 2 + 1
+    sol = SOLVERS[feedback](model, steps_grid(S))
+    traj = check_against_reference(model, 7, sol, dt=1.0 / S, seed=3)
+    assert traj.steps == S
+
+
+@pytest.mark.parametrize("S", [CHUNK_STEPS // 3, CHUNK_STEPS - 1, CHUNK_STEPS,
+                               CHUNK_STEPS + 1, 2 * CHUNK_STEPS,
+                               2 * CHUNK_STEPS + CHUNK_STEPS // 2])
+def test_chunk_boundaries_match_reference_loop(S):
+    model = two_type_scalar()
+    sol = solve_master(model, steps_grid(S))
+    traj = check_against_reference(model, 5, sol, dt=1.0 / S, seed=8)
+    assert traj.steps == S
+
+
+@pytest.mark.parametrize("feedback", sorted(SOLVERS))
+@pytest.mark.parametrize("N,kwargs", [
+    (6, dict(use_empirical=True)),
+    (4, dict(type_counts=[4, 0])),
+    (4, dict(type_counts=[0, 4], use_empirical=True)),
+    (1, dict()),
+    (1, dict(use_empirical=True)),
+])
+def test_population_variants_match_reference_loop(feedback, N, kwargs):
+    model = two_type_scalar()
+    sol = SOLVERS[feedback](model, TimeGrid(M=50, T=1.0))
+    check_against_reference(model, N, sol, dt=0.002, seed=11, **kwargs)
+
+
+def test_step_a_third_of_the_spacing_matches_reference_loop(scalar_model):
+    # at M = 83 the last of the 3M steps of h / 3 ends past T by rounding
+    grid = TimeGrid(M=83, T=1.0)
+    sol = solve_nce(scalar_model, grid)
+    traj = check_against_reference(scalar_model, 3, sol, dt=grid.h / 3.0,
+                                   seed=2)
+    assert traj.steps == 249
+    assert traj.times[-1] > grid.T
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("feedback", sorted(SOLVERS))
+@pytest.mark.parametrize("A", [-1e5, -2e4])
+def test_unstable_euler_step_raises_like_reference_loop(A, feedback):
+    # |1 + dt A| > 1: the Euler recursion explodes, in the first chunk for
+    # A = -1e5 and past it for A = -2e4; zero weights keep the solve trivial
+    model = zero_weight(A=np.array([[[A]]]))
+    sol = SOLVERS[feedback](model, TimeGrid(M=50, T=1.0))
+    with pytest.raises(NonFiniteState) as want:
+        simulate_reference(model, 5, sol, dt=1.0 / 4000, seed=0)
+    with pytest.raises(NonFiniteState) as got:
+        simulate(model, 5, sol, dt=1.0 / 4000, seed=0)
+    assert str(got.value) == str(want.value)
+    step = int(str(got.value).split()[4])
+    assert (step > CHUNK_STEPS) == (A == -2e4)
+
+
+def test_simulation_memory_is_paths_plus_chunk_buffers():
+    # the paths of N = 1000 players over S = 4000 steps take 64 MB; the
+    # whole noise drawn up front would add another 32 MB
+    model = build_model()
+    sol = solve_nce(model, TimeGrid(M=50, T=1.0))
+    tracemalloc.start()
+    try:
+        traj = simulate(model, 1000, sol, dt=1.0 / 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(getattr(traj, name).nbytes for name in PATHS + ("times",))
+    assert stored >= 2 * 1000 * 4001 * 8
+    assert peak < stored + 16 * 2 ** 20
