@@ -434,6 +434,67 @@ class LambdaSolution:
     M: np.ndarray
 
 
+def _lambda_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
+    """The nine-block limit field d(L)/dt of a K = 1 model, L flat."""
+    n = model.n
+    A = model.A[0]
+    A0, F0, F, G = model.A0, model.F0, model.F, model.G
+    Q0, Q = model.Q0, model.Q
+    G0, G1, G2 = model.Gamma0, model.Gamma1, model.Gamma2
+    rho = model.rho
+    # Model-only products are taken once here and subproducts that recur
+    # within a stage once per stage. Each keeps the association of the
+    # written-out equations (G1' Q G1 is (G1' Q) G1, L1_0 M0 L1_0 is
+    # (L1_0 M0) L1_0), so every block is the same floats as with the
+    # products inline.
+    G1TQ = G1.T @ Q
+    G0TQ0G0 = G0.T @ Q0 @ G0
+    G1TQG1 = G1TQ @ G1
+    G2TQG2 = G2.T @ Q @ G2
+    G1TQG2 = G1TQ @ G2
+    Q0G0 = Q0 @ G0
+    QG2 = Q @ G2
+
+    def fieldfn(t, flat):
+        L = flat.reshape(9, n, n)
+        L1_0, L2_0, L3_0, L0, L1, L2, L3, La, Lb = L
+        rL = rho * L
+        L1M0 = L1_0 @ M0
+        L1M0A = L1M0 - A0.T                      # recurring major closed loop
+        LaM = La @ M
+        L1M = L1 @ M
+        L2TM0 = L2_0.T @ M0
+        # shared closed-loop combinations
+        mean_cl = M @ (L1 + L2) - A - F          # drives every *-mean block
+        cross = LaM - G.T                        # recurring major/minor mix
+        d = np.empty_like(L)
+        d[0] = (rL[0] + L1M0 @ L1_0 - (L1_0 @ A0 + A0.T @ L1_0)
+                + L2_0 @ (M @ La.T - G) + cross @ L2_0.T - Q0)
+        d[1] = (rL[1] + L1M0A @ L2_0 + L2_0 @ mean_cl
+                - L1_0 @ F0 + cross @ L3_0 + Q0G0)
+        d[2] = (rL[2] + L2TM0 @ L2_0 - L2_0.T @ F0 - F0.T @ L2_0
+                + L3_0 @ mean_cl + mean_cl.T @ L3_0 - G0TQ0G0)
+        d[3] = (rL[3] + LaM @ La.T - Lb @ G - G.T @ Lb.T
+                + L0 @ (M0 @ L1_0 - A0) + L1M0A @ L0
+                - La @ (G - M @ Lb.T) - (G.T - Lb @ M) @ La.T
+                - G1TQG1)
+        d[4] = rL[4] + L1M @ L1 - L1 @ A - A.T @ L1 - Q
+        d[5] = (rL[5] + La.T @ (M0 @ L2_0 - F0) - L1 @ F
+                + (L1M - A.T) @ L2 + L2 @ mean_cl + QG2)
+        d[6] = (rL[6] + Lb.T @ M0 @ L2_0 + L2TM0 @ Lb
+                + L2.T @ M @ L2 - Lb.T @ F0 - F0.T @ Lb
+                - L2.T @ F - F.T @ L2
+                + L3 @ mean_cl + mean_cl.T @ L3 - G2TQG2)
+        d[7] = (rL[7] + L1M0A @ La + La @ (M @ L1 - A)
+                - G.T @ L1 + cross @ L2.T + G1TQ)
+        d[8] = (rL[8] + L0 @ M0 @ L2_0 + cross @ (L2 + L3)
+                - L0 @ F0 - La @ F + Lb @ mean_cl
+                + L1M0A @ Lb - G1TQG2)
+        return d.ravel()
+
+    return fieldfn
+
+
 def solve_lambda(model: ValidatedModel, grid: TimeGrid,
                  threshold: float = 1e12):
     """Integrate the nine coupled n-by-n limit ODEs backward from T.
@@ -443,50 +504,15 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     """
     _require_k1(model)
     n = model.n
-    A = model.A[0]
-    A0, F0, F, G = model.A0, model.F0, model.F, model.G
-    Q0, Q = model.Q0, model.Q
-    G0, G1, G2 = model.Gamma0, model.Gamma1, model.Gamma2
     M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
     M = model.B @ np.linalg.solve(model.R, model.B.T)
-    rho = model.rho
-
-    def fieldfn(t, flat):
-        L = flat.reshape(9, n, n)
-        L1_0, L2_0, L3_0, L0, L1, L2, L3, La, Lb = L
-        # shared closed-loop combinations
-        mean_cl = M @ (L1 + L2) - A - F          # drives every *-mean block
-        cross = La @ M - G.T                     # recurring major/minor mix
-        d = np.empty_like(L)
-        d[0] = (rho * L1_0 + L1_0 @ M0 @ L1_0 - (L1_0 @ A0 + A0.T @ L1_0)
-                + L2_0 @ (M @ La.T - G) + cross @ L2_0.T - Q0)
-        d[1] = (rho * L2_0 + (L1_0 @ M0 - A0.T) @ L2_0 + L2_0 @ mean_cl
-                - L1_0 @ F0 + cross @ L3_0 + Q0 @ G0)
-        d[2] = (rho * L3_0 + L2_0.T @ M0 @ L2_0 - L2_0.T @ F0 - F0.T @ L2_0
-                + L3_0 @ mean_cl + mean_cl.T @ L3_0 - G0.T @ Q0 @ G0)
-        d[3] = (rho * L0 + La @ M @ La.T - Lb @ G - G.T @ Lb.T
-                + L0 @ (M0 @ L1_0 - A0) + (L1_0 @ M0 - A0.T) @ L0
-                - La @ (G - M @ Lb.T) - (G.T - Lb @ M) @ La.T
-                - G1.T @ Q @ G1)
-        d[4] = rho * L1 + L1 @ M @ L1 - L1 @ A - A.T @ L1 - Q
-        d[5] = (rho * L2 + La.T @ (M0 @ L2_0 - F0) - L1 @ F
-                + (L1 @ M - A.T) @ L2 + L2 @ mean_cl + Q @ G2)
-        d[6] = (rho * L3 + Lb.T @ M0 @ L2_0 + L2_0.T @ M0 @ Lb
-                + L2.T @ M @ L2 - Lb.T @ F0 - F0.T @ Lb
-                - L2.T @ F - F.T @ L2
-                + L3 @ mean_cl + mean_cl.T @ L3 - G2.T @ Q @ G2)
-        d[7] = (rho * La + (L1_0 @ M0 - A0.T) @ La + La @ (M @ L1 - A)
-                - G.T @ L1 + cross @ L2.T + G1.T @ Q)
-        d[8] = (rho * Lb + L0 @ M0 @ L2_0 + cross @ (L2 + L3)
-                - L0 @ F0 - La @ F + Lb @ mean_cl
-                + (L1_0 @ M0 - A0.T) @ Lb - G1.T @ Q @ G2)
-        return d.ravel()
-
+    fieldfn = _lambda_field(model, M0, M)
     sym_idx = [i for i, k in enumerate(BLOCK_KEYS) if k in _SYMMETRIC_KEYS]
 
     def sym(flat):
         L = flat.reshape(9, n, n).copy()
-        L[sym_idx] = (L[sym_idx] + L[sym_idx].transpose(0, 2, 1)) / 2.0
+        S = L[sym_idx]
+        L[sym_idx] = (S + S.transpose(0, 2, 1)) / 2.0
         return L.ravel()
 
     Q0f, Qf = model.Q0f, model.Qf

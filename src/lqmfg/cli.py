@@ -335,6 +335,15 @@ def cmd_simulate(args) -> int:
                          f"{','.join(str(N) for N in args.N)}")
     if args.type_counts is not None and len(args.N) != 1:
         raise ValueError("--type-counts only applies to a single --N")
+    # the per-type empirical-mean error needs players of every type
+    # (N < 1 is refused by sim.simulate itself)
+    for N in args.N:
+        counts = (sim.default_type_counts(model, N) if args.type_counts is None
+                  else args.type_counts)
+        empty = [k + 1 for k, c in enumerate(counts) if c == 0]
+        if N >= 1 and empty:
+            raise EmptyType(f"no players of type {empty[0]} at N={N} "
+                            f"(type counts {','.join(str(int(c)) for c in counts)})")
 
     if args.feedback == "master":
         sol = master.solve_master(model, grid)

@@ -13,6 +13,9 @@ with the shared integrator, and evaluates the pointwise residual of the
 original equations as a correctness certificate. The residual's time
 derivative comes from finite differences of the solved paths, never from
 the ODE right-hand side, so coefficient corruption is actually detectable.
+
+The per-type blocks are evaluated stacked over the K types, from drift
+block templates whose constant parts are built once per solve.
 """
 
 from dataclasses import dataclass
@@ -94,25 +97,35 @@ class _Blocks:
         self.d1 = n * (K + 2)
         self.M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
         self.M = model.B @ np.linalg.solve(model.R, model.B.T)
-        self.selectors = [block_selector(l, K, n) for l in range(1, K + 1)]
+        self.selectors = np.stack([block_selector(l, K, n) for l in range(1, K + 1)])
         self.D0D0T = model.D0 @ model.D0.T
         self.DDT = model.D @ model.D.T
         self.eta0_q = float(model.eta0 @ model.Q0 @ model.eta0)
         self.eta_q = float(model.eta @ model.Q @ model.eta)
         self.layout = (self.d0 * self.d0, K * self.d1 * self.d1,
                        self.d0, K * self.d1, 1, K)
+        self.bounds = np.cumsum((0,) + self.layout).tolist()
+        # Drift blocks with their model-only parts filled in; each stage
+        # copies them and writes the kernel-dependent blocks.
+        self.top = np.zeros((self.d0, self.d0))
+        self.top[:n, :n] = model.A0
+        self.top[:n, n:] = lifted.F0_pi
+        self.minor = np.zeros((K, self.d1, self.d1))
+        self.minor[:, :n, :n] = model.A
+        self.minor[:, :n, n:2 * n] = model.G
+        self.minor[:, :n, 2 * n:] = lifted.F_pi
 
     def split(self, flat):
-        """Unpack the segments [Pd0, Pd, sd0, sd, rd0, rd] of the state."""
+        """Views of the segments [Pd0, Pd, sd0, sd, rd0, rd] of the state
+        (rd0 as a length-1 vector)."""
         K, d0, d1 = self.K, self.d0, self.d1
-        shapes = [(d0, d0), (K, d1, d1), (d0,), (K, d1), (), (K,)]
-        parts = []
-        pos = 0
-        for size, shape in zip(self.layout, shapes):
-            seg = flat[pos:pos + size]
-            parts.append(seg.reshape(shape) if shape else seg[0])
-            pos += size
-        return parts
+        b = self.bounds
+        return (flat[b[0]:b[1]].reshape(d0, d0),
+                flat[b[1]:b[2]].reshape(K, d1, d1),
+                flat[b[2]:b[3]],
+                flat[b[3]:b[4]].reshape(K, d1),
+                flat[b[4]:b[5]],
+                flat[b[5]:b[6]])
 
     def sym(self, flat):
         """Symmetrize the kernel segments; offsets and constants pass."""
@@ -128,96 +141,78 @@ class _Blocks:
     def mean_field_rows(self, Pd):
         """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.
 
-        Own-dynamics terms sit in the type's own block column (the
-        'selector at l' reading; the alternative fixed-last-block reading
-        is incompatible with the consistency route for K >= 2).
+        Pd is (..., K, d1, d1); the K row blocks are stacked into
+        (..., nK, nK) and (..., nK, n). Own-dynamics terms sit in the
+        type's own block column (the 'selector at l' reading; the
+        alternative fixed-last-block reading is incompatible with the
+        consistency route for K >= 2).
         """
         n, K = self.n, self.K
-        rows_A = []
-        rows_G = []
-        for l in range(K):
-            Pl = Pd[l]
-            P11 = Pl[:n, :n]
-            P12 = Pl[:n, n:2 * n]
-            P13 = Pl[:n, 2 * n:]
-            rows_A.append((self.model.A[l] - self.M @ P11) @ self.selectors[l]
-                          + self.lifted.F_pi - self.M @ P13)
-            rows_G.append(self.model.G - self.M @ P12)
-        return np.vstack(rows_A), np.vstack(rows_G)
-
-    def top_block(self, Abar_dag, Gbar_dag):
-        n = self.n
-        return np.block([[self.model.A0, self.lifted.F0_pi],
-                         [Gbar_dag, Abar_dag]])
-
-    def minor_block(self, kappa, Pd0, Abar_dag, Gbar_dag):
-        n, d1 = self.n, self.d1
-        P011 = Pd0[:n, :n]
-        P012 = Pd0[:n, n:]
-        Ak = np.zeros((d1, d1))
-        Ak[:n, :n] = self.model.A[kappa]
-        Ak[:n, n:2 * n] = self.model.G
-        Ak[:n, 2 * n:] = self.lifted.F_pi
-        Ak[n:2 * n, n:2 * n] = self.model.A0 - self.M0 @ P011
-        Ak[n:2 * n, 2 * n:] = self.lifted.F0_pi - self.M0 @ P012
-        Ak[2 * n:, n:2 * n] = Gbar_dag
-        Ak[2 * n:, 2 * n:] = Abar_dag
-        return Ak
+        M = self.M
+        lead = Pd.shape[:-3]
+        Abar = ((self.model.A - M @ Pd[..., :n, :n]) @ self.selectors
+                + self.lifted.F_pi - M @ Pd[..., :n, 2 * n:])
+        Gbar = self.model.G - M @ Pd[..., :n, n:2 * n]
+        return (Abar.reshape(lead + (K * n, K * n)),
+                Gbar.reshape(lead + (K * n, n)))
 
     def mbar_vec(self, sd):
-        """mbar_dag block l = -M sd_l,1, flattened to length nK."""
+        """mbar_dag block l = -M sd_l,1 for sd of shape (..., K, d1),
+        flattened to (..., nK)."""
         n = self.n
-        return (-(sd[:, :n] @ self.M.T)).ravel()
+        return (-(sd[..., :n] @ self.M.T)).reshape(sd.shape[:-2] + (self.K * n,))
 
-    def derivatives(self, parts):
-        """Forward-time derivatives of all six segments."""
+    def field(self, t, flat):
+        """d(state)/dt of the flat state, written into one new flat array."""
         model, lifted = self.model, self.lifted
-        n, K = self.n, self.K
+        n = self.n
         rho = model.rho
+        M, M0 = self.M, self.M0
+        Pd0, Pd, sd0, sd, rd0, rd = self.split(flat)
+        out = np.empty_like(flat)
+        dPd0, dPd, dsd0, dsd, drd0, drd = self.split(out)
 
-        Pd0, Pd = parts[0], parts[1]
         Abar_dag, Gbar_dag = self.mean_field_rows(Pd)
-        A0blk = self.top_block(Abar_dag, Gbar_dag)
-        dPd0 = (rho * Pd0 - Pd0 @ A0blk - A0blk.T @ Pd0
-                + Pd0[:, :n] @ self.M0 @ Pd0[:n, :] - lifted.Q0_pi)
-        dPd = np.empty_like(Pd)
-        Acals = []
-        for k in range(K):
-            Ak = self.minor_block(k, Pd0, Abar_dag, Gbar_dag)
-            Acals.append(Ak)
-            dPd[k] = (rho * Pd[k] - Pd[k] @ Ak - Ak.T @ Pd[k]
-                      + Pd[k][:, :n] @ self.M @ Pd[k][:n, :] - lifted.Q_pi)
+        A0blk = self.top.copy()
+        A0blk[n:, :n] = Gbar_dag
+        A0blk[n:, n:] = Abar_dag
+        dPd0[...] = (rho * Pd0 - Pd0 @ A0blk - A0blk.T @ Pd0
+                     + Pd0[:, :n] @ M0 @ Pd0[:n, :] - lifted.Q0_pi)
+        Acal = self.minor.copy()
+        Acal[:, n:2 * n, n:2 * n] = model.A0 - M0 @ Pd0[:n, :n]
+        Acal[:, n:2 * n, 2 * n:] = lifted.F0_pi - M0 @ Pd0[:n, n:]
+        Acal[:, 2 * n:, n:] = A0blk[n:]              # [Gbar_dag | Abar_dag]
+        AcalT = Acal.transpose(0, 2, 1)
+        dPd[...] = (rho * Pd - Pd @ Acal - AcalT @ Pd
+                    + Pd[:, :, :n] @ M @ Pd[:, :n, :] - lifted.Q_pi)
 
-        sd0, sd = parts[2], parts[3]
         mbar = self.mbar_vec(sd)
-        dsd0 = (rho * sd0 - A0blk.T @ sd0
-                + Pd0[:, :n] @ (self.M0 @ sd0[:n])
-                - Pd0[:, n:] @ mbar + lifted.eta0_pi)
-        dsd = np.empty_like(sd)
-        for k in range(K):
-            sk = sd[k]
-            dsd[k] = (rho * sk - Acals[k].T @ sk
-                      + Pd[k][:, :n] @ (self.M @ sk[:n])
-                      + Pd[k][:, n:2 * n] @ (self.M0 @ sd0[:n])
-                      - Pd[k][:, 2 * n:] @ mbar + lifted.eta_pi)
+        m0s = M0 @ sd0[:n]
+        dsd0[...] = (rho * sd0 - A0blk.T @ sd0 + Pd0[:, :n] @ m0s
+                     - Pd0[:, n:] @ mbar + lifted.eta0_pi)
+        # Per-type vectors enter as (d, 1) columns and (1, d) rows, so each
+        # type's stacked product is the same BLAS call as its own
+        # matrix-vector product or dot.
+        col = sd[:, :, None]
+        row = sd[:, None, :]
+        dsd[...] = (rho * sd - (AcalT @ col)[:, :, 0]
+                    + (Pd[:, :, :n] @ (M @ col[:, :n]))[:, :, 0]
+                    + Pd[:, :, n:2 * n] @ m0s
+                    - Pd[:, :, 2 * n:] @ mbar + lifted.eta_pi)
 
-        rd0, rd = parts[4], parts[5]
         theta0 = (self.eta0_q
-                  - sd0[:n] @ self.M0 @ sd0[:n]
+                  - sd0[:n] @ M0 @ sd0[:n]
                   + np.trace(Pd0[:n, :n] @ self.D0D0T)
                   + 2.0 * (sd0[n:] @ mbar))
-        drd0 = rho * rd0 - theta0
-        drd = np.empty(K)
-        for k in range(K):
-            sk = sd[k]
-            theta_k = (self.eta_q
-                       - sk[:n] @ self.M @ sk[:n]
-                       - 2.0 * (sk[n:2 * n] @ (self.M0 @ sd0[:n]))
-                       + np.trace(Pd[k][n:2 * n, n:2 * n] @ self.D0D0T)
-                       + np.trace(Pd[k][:n, :n] @ self.DDT)
-                       + 2.0 * (sk[2 * n:] @ mbar))
-            drd[k] = rho * rd[k] - theta_k
-        return [dPd0, dPd, dsd0, dsd, drd0, drd]
+        drd0[0] = rho * rd0[0] - theta0
+        theta = (self.eta_q
+                 - (row[:, :, :n] @ M @ col[:, :n])[:, 0, 0]
+                 - 2.0 * (row[:, :, n:2 * n] @ m0s[:, None])[:, 0, 0]
+                 + np.trace(Pd[:, n:2 * n, n:2 * n] @ self.D0D0T, axis1=1, axis2=2)
+                 + np.trace(Pd[:, :n, :n] @ self.DDT, axis1=1, axis2=2)
+                 + 2.0 * (row[:, :, 2 * n:] @ mbar[:, None])[:, 0, 0])
+        drd[...] = rho * rd - theta
+        return out
 
 
 def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
@@ -233,10 +228,6 @@ def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12)
     K, d0, d1 = blocks.K, blocks.d0, blocks.d1
     lifted = blocks.lifted
 
-    def field(t, flat):
-        derivs = blocks.derivatives(blocks.split(flat))
-        return np.concatenate([np.atleast_1d(d).ravel() for d in derivs])
-
     terminal = np.concatenate([
         lifted.Q0f_pi.ravel(),
         np.broadcast_to(lifted.Qf_pi, (K, d1, d1)).ravel(),
@@ -247,7 +238,7 @@ def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12)
     ])
     nP = blocks.layout[0] + blocks.layout[1]
     ns = blocks.layout[2] + blocks.layout[3]
-    path = integrate_backward(field, terminal, grid, threshold=threshold,
+    path = integrate_backward(blocks.field, terminal, grid, threshold=threshold,
                               symmetrize=blocks.sym, prefixes=(nP, nP + ns))
     if isinstance(path, BlowUpReport):
         return path
@@ -261,13 +252,8 @@ def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12)
     rd0_path = vals[:, nP + ns]
     rd_path = vals[:, nP + ns + 1:]
 
-    n = blocks.n
-    Abar_path = np.empty((Mn, K * n, K * n))
-    Gbar_path = np.empty((Mn, K * n, n))
-    mbar_path = np.empty((Mn, K * n))
-    for j in range(Mn):
-        Abar_path[j], Gbar_path[j] = blocks.mean_field_rows(Pd_path[j])
-        mbar_path[j] = blocks.mbar_vec(sd_path[j])
+    Abar_path, Gbar_path = blocks.mean_field_rows(Pd_path)
+    mbar_path = blocks.mbar_vec(sd_path)
 
     return MasterSolution(
         model=model, lifted=lifted, grid=grid,

@@ -9,10 +9,13 @@ field generator (Abar, Gbar, mbar) from the kernel blocks. Offsets
 
 The DAE is solved by substitution: the algebraic variables are eliminated
 into the ODE fields, so each stage evaluation rebuilds Abar/Gbar from the
-current kernels and mbar from the current offsets. The stacked (P, s)
-state is advanced in one pass, so the offset system sees stage-exact
-kernel values; the kernels never read the offsets, so their escape is
-judged on the kernel prefix of the state alone.
+current kernels and mbar from the current offsets. The per-type blocks
+are evaluated stacked over the K types, and the closed-loop drift
+matrices are filled into templates whose constant parts are built once
+per solve. The stacked (P, s) state is advanced in one pass, so the
+offset system sees stage-exact kernel values; the kernels never read the
+offsets, so their escape is judged on the kernel prefix of the state
+alone.
 """
 
 from dataclasses import dataclass
@@ -47,7 +50,8 @@ class NCESolution:
 
 
 class _Workspace:
-    """Precomputed constants and packing layout for one solve."""
+    """Precomputed constants, drift templates and packing layout for one
+    solve."""
 
     def __init__(self, model: ValidatedModel, lifted: PiLifted):
         self.model = model
@@ -65,6 +69,19 @@ class _Workspace:
         self.BRB = model.B @ np.linalg.solve(model.R, model.B.T)
 
         self.sizes = (self.d0 * self.d0, K * self.d1 * self.d1, self.d0, K * self.d1)
+        # Drift matrices with their model-only blocks filled in; each
+        # stage copies them and writes the kernel-dependent blocks.
+        self.top = np.zeros((self.d0, self.d0))
+        self.top[:n, :n] = model.A0
+        self.top[:n, n:] = lifted.F0_pi
+        self.minor = np.zeros((K, self.d1, self.d1))
+        self.minor[:, :n, :n] = model.A
+        self.minor[:, :n, n:2 * n] = model.G
+        self.minor[:, :n, 2 * n:] = lifted.F_pi
+        # flat positions of type k's own block column in row block k of
+        # a (K, n, nK) stack, in (k, i, j) order
+        k, i, j = np.ogrid[:K, :n, :n]
+        self.own = (k * (n * K * n + n) + i * (K * n) + j).ravel()
 
     # -- packing ---------------------------------------------------------
 
@@ -82,33 +99,27 @@ class _Workspace:
     # -- assembly --------------------------------------------------------
 
     def consistency_blocks(self, P):
-        """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks."""
+        """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks;
+        P is (..., K, d1, d1) and the results carry its leading axes."""
         n, K = self.n, self.K
-        P11 = P[:, :n, :n]
-        P12 = P[:, :n, n:2 * n]
-        P13 = P[:, :n, 2 * n:]
-        Abar = np.empty((K * n, K * n))
-        Gbar = np.empty((K * n, n))
-        for k in range(K):
-            row = self.lifted.F_pi - self.BRB @ P13[k]
-            row[:, k * n:(k + 1) * n] += self.model.A[k] - self.BRB @ P11[k]
-            Abar[k * n:(k + 1) * n, :] = row
-            Gbar[k * n:(k + 1) * n, :] = self.model.G - self.BRB @ P12[k]
-        return Abar, Gbar
+        BRB = self.BRB
+        lead = P.shape[:-3]
+        Abar = self.lifted.F_pi - BRB @ P[..., :n, 2 * n:]   # (..., K, n, nK)
+        # type k's own dynamics sit in block column k of its row block
+        Abar.reshape(lead + (-1,))[..., self.own] += (
+            self.model.A - BRB @ P[..., :n, :n]).reshape(lead + (-1,))
+        Gbar = self.model.G - BRB @ P[..., :n, n:2 * n]
+        return (Abar.reshape(lead + (K * n, K * n)),
+                Gbar.reshape(lead + (K * n, n)))
 
     def drift_blocks(self, P0, P):
         """The closed-loop drift matrices entering both Riccati tiers."""
-        n, K, d0, d1 = self.n, self.K, self.d0, self.d1
+        n = self.n
         Abar, Gbar = self.consistency_blocks(P)
-        A0blk = np.empty((d0, d0))
-        A0blk[:n, :n] = self.model.A0
-        A0blk[:n, n:] = self.lifted.F0_pi
+        A0blk = self.top.copy()
         A0blk[n:, :n] = Gbar
         A0blk[n:, n:] = Abar
-        Acal = np.zeros((K, d1, d1))
-        Acal[:, :n, :n] = self.model.A
-        Acal[:, :n, n:2 * n] = self.model.G
-        Acal[:, :n, 2 * n:] = self.lifted.F_pi
+        Acal = self.minor.copy()
         Acal[:, n:, n:] = A0blk - self.K0mat @ P0
         return A0blk, Acal
 
@@ -131,16 +142,31 @@ class _Workspace:
     def ds(self, P0, P, s0, s, A0blk, Acal):
         """Forward-time derivatives of the offset vectors."""
         rho = self.model.rho
+        n = self.n
         mbar = self.mbar_from_s(s)
-        M0vec = np.concatenate([np.zeros(self.n), mbar.ravel()])
-        ds0 = (rho * s0 - A0blk.T @ s0 + P0 @ (self.K0mat @ s0)
+        K0s = self.K0mat @ s0
+        M0vec = np.zeros(self.d0)
+        M0vec[n:] = mbar.ravel()
+        ds0 = (rho * s0 - A0blk.T @ s0 + P0 @ K0s
                - P0 @ M0vec + self.lifted.eta0_pi)
-        Mvec = np.concatenate([np.zeros(self.n), M0vec - self.K0mat @ s0])
+        Mvec = np.zeros(self.d1)
+        Mvec[n:] = M0vec - K0s
         ds = (rho * s
               - np.einsum("kji,kj->ki", Acal, s)
               + np.einsum("kij,kj->ki", P, s @ self.Kmat)
               - P @ Mvec + self.lifted.eta_pi)
         return ds0, ds
+
+    def field(self, t, flat):
+        """d(state)/dt of the flat (P0, P, s0, s) state, written into one
+        new flat array."""
+        P0, P, s0, s = self.unpack(flat)
+        dP0, dP, A0blk, Acal = self.dP(P0, P)
+        ds0, ds = self.ds(P0, P, s0, s, A0blk, Acal)
+        out = np.empty_like(flat)
+        for segment, value in zip(self.unpack(out), (dP0, dP, ds0, ds)):
+            segment[...] = value
+        return out
 
     # -- symmetry projection ----------------------------------------------
 
@@ -161,18 +187,12 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     ws = _Workspace(model, lift_pi(model))
     K, d0, d1 = ws.K, ws.d0, ws.d1
 
-    def field(t, flat):
-        P0, P, s0, s = ws.unpack(flat)
-        dP0, dP, A0blk, Acal = ws.dP(P0, P)
-        ds0, ds = ws.ds(P0, P, s0, s, A0blk, Acal)
-        return ws.pack(dP0, dP, ds0, ds)
-
     terminal = ws.pack(ws.lifted.Q0f_pi,
                           np.broadcast_to(ws.lifted.Qf_pi, (K, d1, d1)),
                           -ws.lifted.eta0f_pi,
                           np.broadcast_to(-ws.lifted.etaf_pi, (K, d1)))
     nP = ws.sizes[0] + ws.sizes[1]
-    path = integrate_backward(field, terminal, grid, threshold=threshold,
+    path = integrate_backward(ws.field, terminal, grid, threshold=threshold,
                               symmetrize=ws.sym, prefixes=(nP,))
     if isinstance(path, BlowUpReport):
         return path
@@ -184,10 +204,7 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     s_path = path.values[:, nP + d0:].reshape(Mn, K, d1)
 
     n = ws.n
-    Abar_path = np.empty((Mn, K * n, K * n))
-    Gbar_path = np.empty((Mn, K * n, n))
-    for j in range(Mn):
-        Abar_path[j], Gbar_path[j] = ws.consistency_blocks(P_path[j])
+    Abar_path, Gbar_path = ws.consistency_blocks(P_path)
     mbar_path = np.empty((Mn, K * n))
     for j in range(Mn):
         mbar_path[j] = ws.mbar_from_s(s_path[j]).ravel()

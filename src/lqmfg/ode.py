@@ -105,10 +105,15 @@ def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
     k2 = field(t + dt / 2.0, w + (dt / 2.0) * k1)
     k3 = field(t + dt / 2.0, w + (dt / 2.0) * k2)
     k4 = field(t + dt, w + dt * k3)
-    if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))
-            and np.all(np.isfinite(k3)) and np.all(np.isfinite(k4))):
+    # Every stage enters the step with a nonzero weight, so a non-finite
+    # stage always makes the step non-finite: one check on the step
+    # suffices, and the stages are looked at only when it fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(step).all() and not all(
+            np.isfinite(k).all() for k in (k1, k2, k3, k4)):
         raise NonFiniteField(f"field returned non-finite derivative near t={t!r}")
-    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return step
 
 
 def _hold(w: np.ndarray, active: int) -> np.ndarray:
@@ -182,8 +187,8 @@ def integrate_backward(
             w = _rk4_step(step_field, nodes[j + 1], w, -h)
             if symmetrize is not None:
                 proj = symmetrize(w)
-                scale = max(1.0, float(np.max(np.abs(w[:inner]))))
-                drift = float(np.max(np.abs(w - proj))) / scale
+                scale = max(1.0, float(np.abs(w[:inner]).max()))
+                drift = float(np.abs(w - proj).max()) / scale
                 if drift > ASYMMETRY_TOL:
                     raise AsymmetryDrift(
                         f"relative asymmetry {drift:.3e} after step to node {j}"
@@ -192,7 +197,7 @@ def integrate_backward(
         a = np.abs(w)
         for lvl in range(top + 1):
             # a[:size] is the whole state, whatever its shape
-            norm = float(np.sum(a[:levels[lvl]]))
+            norm = float(a[:levels[lvl]].sum())
             if not np.isfinite(norm) or norm > threshold:
                 report = BlowUpReport(escape_node=j, norm_at_escape=norm,
                                       threshold=threshold)

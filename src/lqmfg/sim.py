@@ -160,6 +160,65 @@ def _master_gains(sol: MasterSolution, times: np.ndarray):
                           sol.mbar_dag.interp(times))
 
 
+def _march_chunk(model, coefficients, dW0, dW, state, buffers, c0, S, dt,
+                 times, type_slices, A_by_type, use_empirical):
+    """Euler-Maruyama steps over the nodes of one chunk starting at step c0.
+
+    Records each node's state and controls in `buffers` (major, reference
+    and major-control paths, then the chunk's minor state and control
+    buffers) and returns the state (x0, X, zbar) after the chunk. Kept
+    apart from `simulate` so that the hot loop is a short function:
+    tracemalloc's per-allocation line lookup grows with the offset into
+    the function.
+    """
+    G0, g0, G, g, (Abar, Gbar, mbar) = coefficients
+    X0_path, Z_path, U0_path, X_chunk, U_chunk = buffers
+    x0cur, Xcur, zbar = state
+    n = model.n
+    Gx0, Gz = G0[:, :, :n], G0[:, :, n:]
+    Hown, Hx0, Hz = G[..., :n], G[..., n:2 * n], G[..., 2 * n:]
+    D0, D = model.D0, model.D
+    for j in range(G0.shape[0]):
+        s = c0 + j
+        X0_path[s] = x0cur
+        X_chunk[j] = Xcur
+        Z_path[s] = zbar
+
+        if use_empirical:
+            zfeed = np.concatenate(
+                [Xcur[sl].mean(axis=0) if sl.stop > sl.start else zbar[k * n:(k + 1) * n]
+                 for k, sl in enumerate(type_slices)])
+        else:
+            zfeed = zbar
+
+        u0 = -(Gx0[j] @ x0cur + Gz[j] @ zfeed + g0[j])
+        U = U_chunk[j]
+        for k, sl in enumerate(type_slices):
+            if sl.stop == sl.start:
+                continue
+            fixed = Hx0[j, k] @ x0cur + Hz[j, k] @ zfeed + g[j, k]
+            U[sl] = -(Xcur[sl] @ Hown[j, k].T + fixed)
+        U0_path[s] = u0
+
+        if s == S:
+            break
+
+        xbarN = Xcur.mean(axis=0)
+        drift0 = model.A0 @ x0cur + model.B0 @ u0 + model.F0 @ xbarN
+        driftX = (np.einsum("nij,nj->ni", A_by_type, Xcur)
+                  + U @ model.B.T + model.F @ xbarN + model.G @ x0cur)
+        zdrift = Abar[j] @ zbar + Gbar[j] @ x0cur + mbar[j]
+
+        x0cur = x0cur + dt * drift0 + D0 @ dW0[j]
+        Xcur = Xcur + dt * driftX + dW[j] @ D.T
+        zbar = zbar + dt * zdrift
+        if not (np.isfinite(x0cur).all() and np.isfinite(Xcur).all()
+                and np.isfinite(zbar).all()):
+            t = float(times[s])
+            raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
+    return x0cur, Xcur, zbar
+
+
 def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
              seed: int = 0, type_counts=None,
              use_empirical: bool = False) -> Trajectory:
@@ -239,57 +298,19 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     X_chunk = np.empty((rows, N, n))
     U_chunk = np.empty((rows, N, model.n1))
 
-    x0cur = x0
-    D0, D = model.D0, model.D
+    state = (x0, Xcur, zbar)
     for c0 in range(0, S + 1, CHUNK_STEPS):
-        G0, g0, G, g, (Abar, Gbar, mbar) = gains(sol, times[c0:c0 + CHUNK_STEPS])
-        Gx0, Gz = G0[:, :, :n], G0[:, :, n:]
-        Hown, Hx0, Hz = G[..., :n], G[..., n:2 * n], G[..., 2 * n:]
+        coefficients = gains(sol, times[c0:c0 + CHUNK_STEPS])
         increments = min(c0 + CHUNK_STEPS, S) - c0
         dW0 = sqdt * rng0.standard_normal((increments, n2))
         dW = noise[:increments]
         for i, rng in enumerate(rngs):
             dW[:, i] = sqdt * rng.standard_normal((increments, n2))
-
-        nodes = G0.shape[0]
-        for j in range(nodes):
-            s = c0 + j
-            X0_path[s] = x0cur
-            X_chunk[j] = Xcur
-            Z_path[s] = zbar
-
-            if use_empirical:
-                zfeed = np.concatenate(
-                    [Xcur[sl].mean(axis=0) if sl.stop > sl.start else zbar[k * n:(k + 1) * n]
-                     for k, sl in enumerate(type_slices)])
-            else:
-                zfeed = zbar
-
-            u0 = -(Gx0[j] @ x0cur + Gz[j] @ zfeed + g0[j])
-            U = U_chunk[j]
-            for k, sl in enumerate(type_slices):
-                if sl.stop == sl.start:
-                    continue
-                fixed = Hx0[j, k] @ x0cur + Hz[j, k] @ zfeed + g[j, k]
-                U[sl] = -(Xcur[sl] @ Hown[j, k].T + fixed)
-            U0_path[s] = u0
-
-            if s == S:
-                break
-
-            xbarN = Xcur.mean(axis=0)
-            drift0 = model.A0 @ x0cur + model.B0 @ u0 + model.F0 @ xbarN
-            driftX = (np.einsum("nij,nj->ni", A_by_type, Xcur)
-                      + U @ model.B.T + model.F @ xbarN + model.G @ x0cur)
-            zdrift = Abar[j] @ zbar + Gbar[j] @ x0cur + mbar[j]
-
-            x0cur = x0cur + dt * drift0 + D0 @ dW0[j]
-            Xcur = Xcur + dt * driftX + dW[j] @ D.T
-            zbar = zbar + dt * zdrift
-            if not (np.isfinite(x0cur).all() and np.isfinite(Xcur).all()
-                    and np.isfinite(zbar).all()):
-                t = float(times[s])
-                raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
+        nodes = min(CHUNK_STEPS, S + 1 - c0)
+        state = _march_chunk(model, coefficients, dW0, dW, state,
+                             (X0_path, Z_path, U0_path, X_chunk, U_chunk),
+                             c0, S, dt, times, type_slices, A_by_type,
+                             use_empirical)
         X_path[:, c0:c0 + nodes] = X_chunk[:nodes].transpose(1, 0, 2)
         U_path[:, c0:c0 + nodes] = U_chunk[:nodes].transpose(1, 0, 2)
 

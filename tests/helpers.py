@@ -10,8 +10,10 @@ import math
 import numpy as np
 
 from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
-                   NonFiniteState, TimeGrid, validate_model, solve_nce)
-from lqmfg.ode import BlowUpReport
+                   NonFiniteField, NonFiniteState, TimeGrid, validate_model,
+                   solve_nce)
+from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
+from lqmfg.ode import BlowUpReport, integrate_backward
 from lqmfg.sim import (DEFAULT_STEPS, _cov_factor, _player_rng,
                        default_type_counts)
 
@@ -502,3 +504,390 @@ def bisect_blowup(family, grid, iters=20, margin=1.1):
             lo = mid
     return fn(margin * hi)
 
+
+
+# -- reference integrator step -----------------------------------------------
+
+def rk4_step_ref(field, t, w, dt):
+    """The RK4 step with a finiteness check on each of the four stages
+    before they are combined."""
+    k1 = field(t, w)
+    k2 = field(t + dt / 2.0, w + (dt / 2.0) * k1)
+    k3 = field(t + dt / 2.0, w + (dt / 2.0) * k2)
+    k4 = field(t + dt, w + dt * k3)
+    if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))
+            and np.all(np.isfinite(k3)) and np.all(np.isfinite(k4))):
+        raise NonFiniteField(f"field returned non-finite derivative near t={t!r}")
+    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# -- reference route fields --------------------------------------------------
+#
+# The nce, master and lambda ODE fields as they were written per type and
+# per block (np.block, one loop iteration per type, every product spelled
+# out in the field). The library evaluates them stacked over K with
+# hoisted constants; the tests compare both bitwise.
+
+class NCEWorkspaceRef:
+    """Precomputed constants and packing layout for one solve."""
+
+    def __init__(self, model: ValidatedModel, lifted: PiLifted):
+        self.model = model
+        self.lifted = lifted
+        n, K = model.n, model.K
+        self.n = n
+        self.K = K
+        self.d0 = n * (K + 1)
+        self.d1 = n * (K + 2)
+
+        # Control-weighted input squares on the stacked spaces.
+        self.K0mat = lifted.B0_lift @ np.linalg.solve(model.R0, lifted.B0_lift.T)
+        self.Kmat = lifted.B_lift @ np.linalg.solve(model.R, lifted.B_lift.T)
+        # Small-space pieces for the algebraic constraints.
+        self.BRB = model.B @ np.linalg.solve(model.R, model.B.T)
+
+        self.sizes = (self.d0 * self.d0, K * self.d1 * self.d1, self.d0, K * self.d1)
+
+    # -- packing ---------------------------------------------------------
+
+    def pack(self, P0, P, s0, s):
+        return np.concatenate([P0.ravel(), P.ravel(), s0.ravel(), s.ravel()])
+
+    def unpack(self, flat):
+        a, b, c, _ = self.sizes
+        P0 = flat[:a].reshape(self.d0, self.d0)
+        P = flat[a:a + b].reshape(self.K, self.d1, self.d1)
+        s0 = flat[a + b:a + b + c]
+        s = flat[a + b + c:].reshape(self.K, self.d1)
+        return P0, P, s0, s
+
+    # -- assembly --------------------------------------------------------
+
+    def consistency_blocks(self, P):
+        """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks."""
+        n, K = self.n, self.K
+        P11 = P[:, :n, :n]
+        P12 = P[:, :n, n:2 * n]
+        P13 = P[:, :n, 2 * n:]
+        Abar = np.empty((K * n, K * n))
+        Gbar = np.empty((K * n, n))
+        for k in range(K):
+            row = self.lifted.F_pi - self.BRB @ P13[k]
+            row[:, k * n:(k + 1) * n] += self.model.A[k] - self.BRB @ P11[k]
+            Abar[k * n:(k + 1) * n, :] = row
+            Gbar[k * n:(k + 1) * n, :] = self.model.G - self.BRB @ P12[k]
+        return Abar, Gbar
+
+    def drift_blocks(self, P0, P):
+        """The closed-loop drift matrices entering both Riccati tiers."""
+        n, K, d0, d1 = self.n, self.K, self.d0, self.d1
+        Abar, Gbar = self.consistency_blocks(P)
+        A0blk = np.empty((d0, d0))
+        A0blk[:n, :n] = self.model.A0
+        A0blk[:n, n:] = self.lifted.F0_pi
+        A0blk[n:, :n] = Gbar
+        A0blk[n:, n:] = Abar
+        Acal = np.zeros((K, d1, d1))
+        Acal[:, :n, :n] = self.model.A
+        Acal[:, :n, n:2 * n] = self.model.G
+        Acal[:, :n, 2 * n:] = self.lifted.F_pi
+        Acal[:, n:, n:] = A0blk - self.K0mat @ P0
+        return A0blk, Acal
+
+    def dP(self, P0, P):
+        """Forward-time derivatives of the stacked Riccati kernels."""
+        rho = self.model.rho
+        A0blk, Acal = self.drift_blocks(P0, P)
+        dP0 = (rho * P0 - P0 @ A0blk - A0blk.T @ P0
+               + P0 @ self.K0mat @ P0 - self.lifted.Q0_pi)
+        dP = (rho * P - P @ Acal - Acal.transpose(0, 2, 1) @ P
+              + P @ self.Kmat @ P - self.lifted.Q_pi)
+        return dP0, dP, A0blk, Acal
+
+    def mbar_from_s(self, s):
+        """Constraint: mbar block kappa = -B R^{-1} B_lift^T s_kappa."""
+        # B_lift^T s_kappa only sees the leading n entries of s_kappa
+        w = np.linalg.solve(self.model.R, (s @ self.lifted.B_lift).T).T
+        return -(w @ self.model.B.T)
+
+    def ds(self, P0, P, s0, s, A0blk, Acal):
+        """Forward-time derivatives of the offset vectors."""
+        rho = self.model.rho
+        mbar = self.mbar_from_s(s)
+        M0vec = np.concatenate([np.zeros(self.n), mbar.ravel()])
+        ds0 = (rho * s0 - A0blk.T @ s0 + P0 @ (self.K0mat @ s0)
+               - P0 @ M0vec + self.lifted.eta0_pi)
+        Mvec = np.concatenate([np.zeros(self.n), M0vec - self.K0mat @ s0])
+        ds = (rho * s
+              - np.einsum("kji,kj->ki", Acal, s)
+              + np.einsum("kij,kj->ki", P, s @ self.Kmat)
+              - P @ Mvec + self.lifted.eta_pi)
+        return ds0, ds
+
+    # -- symmetry projection ----------------------------------------------
+
+    def sym(self, flat):
+        P0, P, s0, s = self.unpack(flat)
+        return self.pack((P0 + P0.T) / 2.0, (P + P.transpose(0, 2, 1)) / 2.0, s0, s)
+
+
+def nce_field_ref(model):
+    """The per-type consistency-route field of `model`."""
+    ws = NCEWorkspaceRef(model, lift_pi(model))
+
+    def field(t, flat):
+        P0, P, s0, s = ws.unpack(flat)
+        dP0, dP, A0blk, Acal = ws.dP(P0, P)
+        ds0, ds = ws.ds(P0, P, s0, s, A0blk, Acal)
+        return ws.pack(dP0, dP, ds0, ds)
+
+    return field
+
+
+class MasterBlocksRef:
+    """Assembly helpers for the quadratic-solution ODE fields."""
+
+    def __init__(self, model: ValidatedModel, lifted: PiLifted):
+        self.model = model
+        self.lifted = lifted
+        n, K = model.n, model.K
+        self.n = n
+        self.K = K
+        self.d0 = n * (K + 1)
+        self.d1 = n * (K + 2)
+        self.M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
+        self.M = model.B @ np.linalg.solve(model.R, model.B.T)
+        self.selectors = [block_selector(l, K, n) for l in range(1, K + 1)]
+        self.D0D0T = model.D0 @ model.D0.T
+        self.DDT = model.D @ model.D.T
+        self.eta0_q = float(model.eta0 @ model.Q0 @ model.eta0)
+        self.eta_q = float(model.eta @ model.Q @ model.eta)
+        self.layout = (self.d0 * self.d0, K * self.d1 * self.d1,
+                       self.d0, K * self.d1, 1, K)
+
+    def split(self, flat):
+        """Unpack the segments [Pd0, Pd, sd0, sd, rd0, rd] of the state."""
+        K, d0, d1 = self.K, self.d0, self.d1
+        shapes = [(d0, d0), (K, d1, d1), (d0,), (K, d1), (), (K,)]
+        parts = []
+        pos = 0
+        for size, shape in zip(self.layout, shapes):
+            seg = flat[pos:pos + size]
+            parts.append(seg.reshape(shape) if shape else seg[0])
+            pos += size
+        return parts
+
+    def sym(self, flat):
+        """Symmetrize the kernel segments; offsets and constants pass."""
+        a, b = self.layout[0], self.layout[1]
+        d0, d1, K = self.d0, self.d1, self.K
+        out = flat.copy()
+        P0 = flat[:a].reshape(d0, d0)
+        out[:a] = ((P0 + P0.T) / 2.0).ravel()
+        P = flat[a:a + b].reshape(K, d1, d1)
+        out[a:a + b] = ((P + P.transpose(0, 2, 1)) / 2.0).ravel()
+        return out
+
+    def mean_field_rows(self, Pd):
+        """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.
+
+        Own-dynamics terms sit in the type's own block column (the
+        'selector at l' reading; the alternative fixed-last-block reading
+        is incompatible with the consistency route for K >= 2).
+        """
+        n, K = self.n, self.K
+        rows_A = []
+        rows_G = []
+        for l in range(K):
+            Pl = Pd[l]
+            P11 = Pl[:n, :n]
+            P12 = Pl[:n, n:2 * n]
+            P13 = Pl[:n, 2 * n:]
+            rows_A.append((self.model.A[l] - self.M @ P11) @ self.selectors[l]
+                          + self.lifted.F_pi - self.M @ P13)
+            rows_G.append(self.model.G - self.M @ P12)
+        return np.vstack(rows_A), np.vstack(rows_G)
+
+    def top_block(self, Abar_dag, Gbar_dag):
+        n = self.n
+        return np.block([[self.model.A0, self.lifted.F0_pi],
+                         [Gbar_dag, Abar_dag]])
+
+    def minor_block(self, kappa, Pd0, Abar_dag, Gbar_dag):
+        n, d1 = self.n, self.d1
+        P011 = Pd0[:n, :n]
+        P012 = Pd0[:n, n:]
+        Ak = np.zeros((d1, d1))
+        Ak[:n, :n] = self.model.A[kappa]
+        Ak[:n, n:2 * n] = self.model.G
+        Ak[:n, 2 * n:] = self.lifted.F_pi
+        Ak[n:2 * n, n:2 * n] = self.model.A0 - self.M0 @ P011
+        Ak[n:2 * n, 2 * n:] = self.lifted.F0_pi - self.M0 @ P012
+        Ak[2 * n:, n:2 * n] = Gbar_dag
+        Ak[2 * n:, 2 * n:] = Abar_dag
+        return Ak
+
+    def mbar_vec(self, sd):
+        """mbar_dag block l = -M sd_l,1, flattened to length nK."""
+        n = self.n
+        return (-(sd[:, :n] @ self.M.T)).ravel()
+
+    def derivatives(self, parts):
+        """Forward-time derivatives of all six segments."""
+        model, lifted = self.model, self.lifted
+        n, K = self.n, self.K
+        rho = model.rho
+
+        Pd0, Pd = parts[0], parts[1]
+        Abar_dag, Gbar_dag = self.mean_field_rows(Pd)
+        A0blk = self.top_block(Abar_dag, Gbar_dag)
+        dPd0 = (rho * Pd0 - Pd0 @ A0blk - A0blk.T @ Pd0
+                + Pd0[:, :n] @ self.M0 @ Pd0[:n, :] - lifted.Q0_pi)
+        dPd = np.empty_like(Pd)
+        Acals = []
+        for k in range(K):
+            Ak = self.minor_block(k, Pd0, Abar_dag, Gbar_dag)
+            Acals.append(Ak)
+            dPd[k] = (rho * Pd[k] - Pd[k] @ Ak - Ak.T @ Pd[k]
+                      + Pd[k][:, :n] @ self.M @ Pd[k][:n, :] - lifted.Q_pi)
+
+        sd0, sd = parts[2], parts[3]
+        mbar = self.mbar_vec(sd)
+        dsd0 = (rho * sd0 - A0blk.T @ sd0
+                + Pd0[:, :n] @ (self.M0 @ sd0[:n])
+                - Pd0[:, n:] @ mbar + lifted.eta0_pi)
+        dsd = np.empty_like(sd)
+        for k in range(K):
+            sk = sd[k]
+            dsd[k] = (rho * sk - Acals[k].T @ sk
+                      + Pd[k][:, :n] @ (self.M @ sk[:n])
+                      + Pd[k][:, n:2 * n] @ (self.M0 @ sd0[:n])
+                      - Pd[k][:, 2 * n:] @ mbar + lifted.eta_pi)
+
+        rd0, rd = parts[4], parts[5]
+        theta0 = (self.eta0_q
+                  - sd0[:n] @ self.M0 @ sd0[:n]
+                  + np.trace(Pd0[:n, :n] @ self.D0D0T)
+                  + 2.0 * (sd0[n:] @ mbar))
+        drd0 = rho * rd0 - theta0
+        drd = np.empty(K)
+        for k in range(K):
+            sk = sd[k]
+            theta_k = (self.eta_q
+                       - sk[:n] @ self.M @ sk[:n]
+                       - 2.0 * (sk[n:2 * n] @ (self.M0 @ sd0[:n]))
+                       + np.trace(Pd[k][n:2 * n, n:2 * n] @ self.D0D0T)
+                       + np.trace(Pd[k][:n, :n] @ self.DDT)
+                       + 2.0 * (sk[2 * n:] @ mbar))
+            drd[k] = rho * rd[k] - theta_k
+        return [dPd0, dPd, dsd0, dsd, drd0, drd]
+
+
+def master_field_ref(model):
+    """The per-type value-function-route field of `model`."""
+    blocks = MasterBlocksRef(model, lift_pi(model))
+
+    def field(t, flat):
+        derivs = blocks.derivatives(blocks.split(flat))
+        return np.concatenate([np.atleast_1d(d).ravel() for d in derivs])
+
+    return field
+
+
+def lambda_field_ref(model):
+    """The nine-block limit field of a K = 1 `model`, every product inline."""
+    n = model.n
+    A = model.A[0]
+    A0, F0, F, G = model.A0, model.F0, model.F, model.G
+    Q0, Q = model.Q0, model.Q
+    G0, G1, G2 = model.Gamma0, model.Gamma1, model.Gamma2
+    M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
+    M = model.B @ np.linalg.solve(model.R, model.B.T)
+    rho = model.rho
+
+    def fieldfn(t, flat):
+        L = flat.reshape(9, n, n)
+        L1_0, L2_0, L3_0, L0, L1, L2, L3, La, Lb = L
+        # shared closed-loop combinations
+        mean_cl = M @ (L1 + L2) - A - F          # drives every *-mean block
+        cross = La @ M - G.T                     # recurring major/minor mix
+        d = np.empty_like(L)
+        d[0] = (rho * L1_0 + L1_0 @ M0 @ L1_0 - (L1_0 @ A0 + A0.T @ L1_0)
+                + L2_0 @ (M @ La.T - G) + cross @ L2_0.T - Q0)
+        d[1] = (rho * L2_0 + (L1_0 @ M0 - A0.T) @ L2_0 + L2_0 @ mean_cl
+                - L1_0 @ F0 + cross @ L3_0 + Q0 @ G0)
+        d[2] = (rho * L3_0 + L2_0.T @ M0 @ L2_0 - L2_0.T @ F0 - F0.T @ L2_0
+                + L3_0 @ mean_cl + mean_cl.T @ L3_0 - G0.T @ Q0 @ G0)
+        d[3] = (rho * L0 + La @ M @ La.T - Lb @ G - G.T @ Lb.T
+                + L0 @ (M0 @ L1_0 - A0) + (L1_0 @ M0 - A0.T) @ L0
+                - La @ (G - M @ Lb.T) - (G.T - Lb @ M) @ La.T
+                - G1.T @ Q @ G1)
+        d[4] = rho * L1 + L1 @ M @ L1 - L1 @ A - A.T @ L1 - Q
+        d[5] = (rho * L2 + La.T @ (M0 @ L2_0 - F0) - L1 @ F
+                + (L1 @ M - A.T) @ L2 + L2 @ mean_cl + Q @ G2)
+        d[6] = (rho * L3 + Lb.T @ M0 @ L2_0 + L2_0.T @ M0 @ Lb
+                + L2.T @ M @ L2 - Lb.T @ F0 - F0.T @ Lb
+                - L2.T @ F - F.T @ L2
+                + L3 @ mean_cl + mean_cl.T @ L3 - G2.T @ Q @ G2)
+        d[7] = (rho * La + (L1_0 @ M0 - A0.T) @ La + La @ (M @ L1 - A)
+                - G.T @ L1 + cross @ L2.T + G1.T @ Q)
+        d[8] = (rho * Lb + L0 @ M0 @ L2_0 + cross @ (L2 + L3)
+                - L0 @ F0 - La @ F + Lb @ mean_cl
+                + (L1_0 @ M0 - A0.T) @ Lb - G1.T @ Q @ G2)
+        return d.ravel()
+
+    return fieldfn
+
+
+def reference_solve(route, model, grid):
+    """March `route`'s reference field from its terminal state with the
+    route's own symmetrization and escape levels.
+
+    Returns (flat path or BlowUpReport, reference workspace): the
+    workspace rebuilds the derived mean-field paths node by node.
+    """
+    lifted = lift_pi(model)
+    K = model.K
+    if route == "nce":
+        ws = NCEWorkspaceRef(model, lifted)
+        d1 = ws.d1
+        terminal = ws.pack(lifted.Q0f_pi,
+                           np.broadcast_to(lifted.Qf_pi, (K, d1, d1)),
+                           -lifted.eta0f_pi,
+                           np.broadcast_to(-lifted.etaf_pi, (K, d1)))
+        nP = ws.sizes[0] + ws.sizes[1]
+        return integrate_backward(nce_field_ref(model), terminal, grid,
+                                  symmetrize=ws.sym, prefixes=(nP,)), ws
+    if route == "master":
+        ws = MasterBlocksRef(model, lifted)
+        d1 = ws.d1
+        terminal = np.concatenate([
+            lifted.Q0f_pi.ravel(),
+            np.broadcast_to(lifted.Qf_pi, (K, d1, d1)).ravel(),
+            -lifted.eta0f_pi,
+            np.broadcast_to(-lifted.etaf_pi, (K, d1)).ravel(),
+            np.array([model.eta0f @ model.Q0f @ model.eta0f]),
+            np.full(K, model.etaf @ model.Qf @ model.etaf),
+        ])
+        nP = ws.layout[0] + ws.layout[1]
+        ns = ws.layout[2] + ws.layout[3]
+        return integrate_backward(master_field_ref(model), terminal, grid,
+                                  symmetrize=ws.sym,
+                                  prefixes=(nP, nP + ns)), ws
+    n = model.n
+    sym_idx = [0, 2, 3, 4, 6]          # blocks 1_0, 3_0, 0, 1, 3
+
+    def sym(flat):
+        L = flat.reshape(9, n, n).copy()
+        L[sym_idx] = (L[sym_idx] + L[sym_idx].transpose(0, 2, 1)) / 2.0
+        return L.ravel()
+
+    Q0f, Qf = model.Q0f, model.Qf
+    G0f, G1f, G2f = model.Gamma0f, model.Gamma1f, model.Gamma2f
+    terminal = np.stack([
+        Q0f, -Q0f @ G0f, G0f.T @ Q0f @ G0f,
+        G1f.T @ Qf @ G1f, Qf, -Qf @ G2f, G2f.T @ Qf @ G2f,
+        -G1f.T @ Qf, G1f.T @ Qf @ G2f,
+    ])
+    return integrate_backward(lambda_field_ref(model), terminal.ravel(), grid,
+                              symmetrize=sym), None

@@ -10,7 +10,7 @@ from lqmfg.cli import (_entry_names, _fmt, _psd_minimum, _write_path_csv,
                        main)
 from lqmfg.ode import MatrixPath
 
-from helpers import build_model, zero_weight
+from helpers import build_model, random_n3k3, zero_weight
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 SCALAR = str(MODELS / "scalar.model")
@@ -355,3 +355,28 @@ def test_simulate_rejects_duplicate_n(tmp_path, capsys):
                  "--N", "2,2", "--dt", "0.02", "--out", str(tmp_path)]) == 1
     assert "population size twice" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_simulate_rejects_empty_types_before_solving(tmp_path, capsys,
+                                                     monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr("lqmfg.sim.simulate", refuse)
+    monkeypatch.setattr("lqmfg.nce.solve_nce", refuse)
+    out = tmp_path / "given"
+    assert main(["simulate", "--model", str(MODELS / "twotype.model"),
+                 "--N", "6", "--type-counts", "6,0",
+                 "--out", str(out)]) == 1
+    assert ("error: no players of type 2 at N=6 (type counts 6,0)"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
+
+    # default counts of a three-type model leave a type empty at N = 2
+    path = str(tmp_path / "n3k3.model")
+    write_model_file(path, random_n3k3())
+    out = tmp_path / "default"
+    assert main(["simulate", "--model", path, "--N", "2",
+                 "--out", str(out)]) == 1
+    assert "no players of type" in capsys.readouterr().err
+    assert os.listdir(out) == []

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField, TimeGrid,
-                   TimeOutOfRange, integrate_backward, integrate_forward)
+                   TimeOutOfRange, integrate_backward, integrate_forward, ode)
 from lqmfg.ode import TIME_SLACK, BlowUpReport
 
-from helpers import check_escape_levels, first_crossing, riccati_closed_form
+from helpers import (check_escape_levels, first_crossing, riccati_closed_form,
+                     rk4_step_ref)
 
 
 def test_zero_field_keeps_terminal():
@@ -99,6 +101,88 @@ def test_non_finite_field_raises():
     with pytest.raises(NonFiniteField):
         integrate_backward(lambda t, w: np.full_like(w, np.nan),
                            np.array([1.0]), grid)
+
+
+def _staged_field(bad):
+    """A field that returns bad[c] at its c-th call (0-based) and a
+    constant finite derivative otherwise, whatever the state."""
+    calls = []
+
+    def field(t, w):
+        value = bad.get(len(calls), 0.25)
+        calls.append(t)
+        out = np.full_like(w, 0.25)
+        out[1] = value
+        return out
+    return field
+
+
+def _with_reference_step(monkeypatch, run):
+    """run() once with the step that checks each stage, once as is."""
+    with monkeypatch.context() as m:
+        m.setattr(ode, "_rk4_step", rk4_step_ref)
+        want = run()
+    return want, run()
+
+
+# call c (counted from 0) is stage k(c % 4 + 1) of step c // 4 + 1
+@pytest.mark.parametrize("bad", [
+    {5: np.nan},                     # NaN in k2 only
+    {6: np.nan},                     # NaN in k3 only
+    {7: np.nan},                     # NaN in k4 only
+    {4: np.inf, 5: -np.inf / 2.0},   # k1 + 2 k2 = inf - inf is NaN
+    {4: -np.inf, 7: np.inf},         # k1 + k4 = -inf + inf is NaN
+    {0: np.inf},                     # inf in k1 at the terminal state
+    {9: -np.inf},                    # -inf in k2 of the third step
+], ids=["k2-nan", "k3-nan", "k4-nan", "k1+k2-inf", "k1+k4-inf", "k1-inf",
+        "k2-neg-inf"])
+def test_non_finite_stage_raises_as_with_a_check_per_stage(monkeypatch, bad):
+    grid = TimeGrid(M=8, T=1.0)
+    term = np.array([0.5, -0.25, 1.0])
+
+    def run():
+        with pytest.raises(NonFiniteField) as exc:
+            integrate_backward(_staged_field(bad), term, grid)
+        return str(exc.value)
+
+    with warnings.catch_warnings():
+        # the single check may combine non-finite stages; that must not
+        # warn where the check per stage raised before combining
+        warnings.simplefilter("error")
+        want, got = _with_reference_step(monkeypatch, run)
+    assert got == want
+    step = min(bad) // 4
+    assert got == ("field returned non-finite derivative near "
+                   f"t={grid.nodes[grid.M - step]!r}")
+
+
+def test_growth_past_the_threshold_reports_the_same_node(monkeypatch):
+    grid = TimeGrid(M=100, T=1.0)
+    term = np.array([1.0, -2.0])
+
+    def run():
+        return integrate_backward(lambda t, w: -30.0 * w, term, grid)
+
+    want, got = _with_reference_step(monkeypatch, run)
+    assert isinstance(got, BlowUpReport)
+    assert got == want
+    assert 0 < got.escape_node < grid.M
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_combination_of_finite_stages_is_escape(monkeypatch):
+    # every stage is finite, their weighted sum is not: no field fault, the
+    # state itself escapes at the next node
+    grid = TimeGrid(M=8, T=1.0)
+
+    def run():
+        return integrate_backward(lambda t, w: np.full_like(w, 1e308),
+                                  np.array([1.0]), grid)
+
+    want, got = _with_reference_step(monkeypatch, run)
+    assert got == want
+    assert got.escape_node == grid.M - 1
+    assert got.norm_at_escape == np.inf
 
 
 def test_asymmetric_field_with_projection_raises_drift():
