@@ -16,7 +16,7 @@ from .errors import (AsymmetryDrift, BadPi, BlowUp, DimensionMismatch,
                      EmptyBatch, EmptyType, GridMismatch, IndexOutOfRange,
                      KNotOne, LQMFGError, ModelFileError, NonFiniteField,
                      NonFiniteState, NotPD, NotPSD, NTooLargeForMemory,
-                     PermutationMismatch, SeedStreamExhausted, TimeOutOfRange)
+                     PermutationMismatch, TimeOutOfRange)
 from .master import (DiffReport, MasterSolution, ResidualSample,
                      compare_nce_master, master_feedback, master_residual,
                      residual_sample, solve_master)
@@ -38,7 +38,7 @@ __all__ = [
     "MeanFieldError", "ModelFileError", "ModelParams", "NCESolution",
     "NTooLargeForMemory", "NonFiniteField", "NonFiniteState", "NotPD",
     "NotPSD", "PermutationMismatch", "PhiSolution", "PiLifted",
-    "ResidualSample", "SeedStreamExhausted", "SolvabilityReport",
+    "ResidualSample", "SolvabilityReport",
     "StructureReport", "TimeGrid", "TimeOutOfRange", "Trajectory",
     "ValidatedModel", "assemble_finite_n", "block_selector",
     "check_asymptotic_solvability", "compare_lambda_phi",

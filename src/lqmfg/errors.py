@@ -72,7 +72,8 @@ class KNotOne(LQMFGError):
 
 
 class NTooLargeForMemory(LQMFGError):
-    """The dense finite-N assembly would exceed the configured size cap."""
+    """A finite-N assembly or a simulation would exceed its size cap or
+    memory budget; the message states the figure."""
 
 
 class PermutationMismatch(LQMFGError):
@@ -85,10 +86,6 @@ class EmptyType(LQMFGError):
 
 class EmptyBatch(LQMFGError):
     """A batch statistic was requested over zero trajectories."""
-
-
-class SeedStreamExhausted(LQMFGError):
-    """The per-player noise stream ran out (practically unreachable)."""
 
 
 class NonFiniteState(LQMFGError):

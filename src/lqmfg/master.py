@@ -389,9 +389,26 @@ def residual_sample(model, sol, t, x0, zk, zbar, kappa) -> ResidualSample:
                           zbar=np.asarray(zbar), kappa=kappa, residual=value)
 
 
+def master_gains(sol: MasterSolution, times: np.ndarray):
+    """Same as `nce.nce_gains`, read from the quadratic-solution
+    coefficients: the gains act on (x0, z) and (zk, x0, z)."""
+    model = sol.model
+    n = model.n
+    R0invB0 = np.linalg.solve(model.R0, model.B0.T)
+    RinvB = np.linalg.solve(model.R, model.B.T)
+    G0 = R0invB0 @ sol.Pd0.interp(times)[:, :n, :]
+    g0 = (R0invB0 @ sol.sd0.interp(times)[:, :n, None])[:, :, 0]
+    G = RinvB @ sol.Pd.interp(times)[:, :, :n, :]
+    g = sol.sd.interp(times)[:, :, :n] @ RinvB.T
+    return G0, g0, G, g, (sol.Abar_dag.interp(times),
+                          sol.Gbar_dag.interp(times),
+                          sol.mbar_dag.interp(times))
+
+
 def master_feedback(sol: MasterSolution, model: ValidatedModel, t: float,
                     x0, zk, zbar, kappa: int):
-    """Feedback controls read off the value-function gradients."""
+    """Feedback controls read off the value-function gradients, with the
+    gains of `master_gains` at t."""
     if not (0.0 <= t <= model.T):
         raise TimeOutOfRange(f"t={t} outside [0, {model.T}]")
     if not (1 <= kappa <= model.K):
@@ -399,17 +416,10 @@ def master_feedback(sol: MasterSolution, model: ValidatedModel, t: float,
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     zk = np.asarray(zk, dtype=np.float64).reshape(-1)
     zbar = np.asarray(zbar, dtype=np.float64).reshape(-1)
-    n = model.n
 
-    P0 = sol.Pd0.interp(t)
-    s0 = sol.sd0.interp(t)
-    u0 = -np.linalg.solve(model.R0,
-                          model.B0.T @ (P0[:n, :n] @ x0 + P0[:n, n:] @ zbar + s0[:n]))
-    Pk = sol.Pd.interp(t)[kappa - 1]
-    sk = sol.sd.interp(t)[kappa - 1]
-    uk = -np.linalg.solve(model.R,
-                          model.B.T @ (Pk[:n, :n] @ zk + Pk[:n, n:2 * n] @ x0
-                                       + Pk[:n, 2 * n:] @ zbar + sk[:n]))
+    G0, g0, G, g, _ = master_gains(sol, np.array([t]))
+    u0 = -(G0[0] @ np.concatenate([x0, zbar]) + g0[0])
+    uk = -(G[0, kappa - 1] @ np.concatenate([zk, x0, zbar]) + g[0, kappa - 1])
     return u0, uk
 
 

@@ -226,13 +226,34 @@ def _check_time(model: ValidatedModel, t: float) -> None:
         raise TimeOutOfRange(f"t={t} outside [0, {model.T}]")
 
 
+def nce_gains(sol: NCESolution, times: np.ndarray):
+    """Feedback gains and reference-path coefficients of an NCE solution,
+    stacked along a leading axis over `times`.
+
+    Returns (G0, g0, G, g, mean_field): the major control is
+    -(G0 @ (x0, z) + g0), a type-k minor's is -(G[:, k] @ (x, x0, z) + g[:, k]),
+    and mean_field = (Abar, Gbar, mbar) drive the reference path.
+    """
+    model, lifted = sol.model, sol.lifted
+    R0invB0 = np.linalg.solve(model.R0, lifted.B0_lift.T)
+    RinvB = np.linalg.solve(model.R, lifted.B_lift.T)
+    G0 = R0invB0 @ sol.P0.interp(times)
+    # offsets as stacked columns: one matrix-vector product per time, the
+    # same BLAS call (and rounding) as for a single time
+    g0 = (R0invB0 @ sol.s0.interp(times)[:, :, None])[:, :, 0]
+    G = RinvB @ sol.P.interp(times)
+    g = sol.s.interp(times) @ RinvB.T
+    return G0, g0, G, g, (sol.Abar.interp(times), sol.Gbar.interp(times),
+                          sol.mbar.interp(times))
+
+
 def nce_feedback(sol: NCESolution, model: ValidatedModel, t: float,
                  x0: np.ndarray, xi: np.ndarray, zbar: np.ndarray, kappa: int):
     """Equilibrium feedback controls (u0, ui) at time t.
 
     The major player's control reads the stacked state (x0, zbar); a
-    type-kappa minor player's control reads (xi, x0, zbar). Paths are
-    interpolated linearly between grid nodes.
+    type-kappa minor player's control reads (xi, x0, zbar). The gains are
+    those of `nce_gains` at t, interpolated linearly between grid nodes.
     """
     _check_time(model, t)
     if not (1 <= kappa <= model.K):
@@ -241,14 +262,9 @@ def nce_feedback(sol: NCESolution, model: ValidatedModel, t: float,
     xi = np.asarray(xi, dtype=np.float64).reshape(-1)
     zbar = np.asarray(zbar, dtype=np.float64).reshape(-1)
 
-    lifted = sol.lifted
-    xi0 = np.concatenate([x0, zbar])
-    u0 = -np.linalg.solve(model.R0,
-                          lifted.B0_lift.T @ (sol.P0.interp(t) @ xi0 + sol.s0.interp(t)))
-    xik = np.concatenate([xi, x0, zbar])
-    Pk = sol.P.interp(t)[kappa - 1]
-    sk = sol.s.interp(t)[kappa - 1]
-    ui = -np.linalg.solve(model.R, lifted.B_lift.T @ (Pk @ xik + sk))
+    G0, g0, G, g, _ = nce_gains(sol, np.array([t]))
+    u0 = -(G0[0] @ np.concatenate([x0, zbar]) + g0[0])
+    ui = -(G[0, kappa - 1] @ np.concatenate([xi, x0, zbar]) + g[0, kappa - 1])
     return u0, ui
 
 

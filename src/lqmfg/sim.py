@@ -16,8 +16,14 @@ chunk the feedback gains and reference-path coefficients are
 interpolated at all of its step times at once, and each player's
 Brownian increments for the chunk are drawn from that player's stream,
 in the same order as one draw of the whole horizon: paths do not depend
-on the chunk length. Memory is O(N S (n + n1)) for the stored paths plus
-O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers.
+on the chunk length. The increments are transformed by the noise
+matrices for the whole chunk in one product each, and the states are
+checked for finiteness once per chunk. Every float operation of a step
+is the one a step-by-step loop would do, so paths are bit for bit those
+of such a loop. Memory is O(N S (n + n1)) for the stored paths plus
+O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers; a run whose
+estimate (simulation_bytes) exceeds MEMORY_BUDGET is refused before
+anything is allocated.
 """
 
 import math
@@ -25,16 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, EmptyType, GridMismatch, NonFiniteState
-from .master import MasterSolution
+from .errors import (EmptyBatch, EmptyType, GridMismatch, NonFiniteState,
+                     NTooLargeForMemory)
+from .master import MasterSolution, master_gains
 from .model import TimeGrid, ValidatedModel
-from .nce import NCESolution
+from .nce import NCESolution, nce_gains
 from .ode import TIME_SLACK
 
 DEFAULT_STEPS = 4000
 # Steps marched per chunk of the simulation loop; the chunk buffers hold
 # N * CHUNK_STEPS * (n + n1 + n2) floats.
 CHUNK_STEPS = 256
+# Bytes one simulation may allocate (simulation_bytes), and the measured
+# size of one player's noise stream.
+MEMORY_BUDGET = 4 * 2 ** 30
+STREAM_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -124,99 +135,132 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _nce_gains(sol: NCESolution, times: np.ndarray):
-    """Feedback gains and reference-path coefficients of an NCE solution,
-    stacked along a leading axis over `times`.
+def simulation_bytes(model: ValidatedModel, N: int, S: int) -> int:
+    """Bytes `simulate` allocates for N minors over S steps: the stored
+    paths, the chunk buffers and the per-player noise streams."""
+    n, n1, n2 = model.n, model.n1, model.n2
+    steps = min(CHUNK_STEPS, S)
+    paths = (S + 1) * (1 + 2 * n + n * model.K + n1 + N * (n + n1))
+    chunk = N * (steps * n2 + (steps + 1) * n + min(CHUNK_STEPS, S + 1) * n1)
+    return 8 * (paths + chunk) + N * STREAM_BYTES
 
-    Returns (G0, g0, G, g, mean_field): the major control is
-    -(G0 @ (x0, z) + g0), a type-k minor's is -(G[:, k] @ (x, x0, z) + g[:, k]),
-    and mean_field = (Abar, Gbar, mbar) drive the reference path.
+
+def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
+                     dt: float = None):
+    """Check a simulation's size and step before anything is allocated;
+    return (dt, S), the step (model.T / DEFAULT_STEPS when None) and the
+    number of steps over the grid.
+
+    N < 1 and a non-finite or non-positive dt raise ValueError, a dt that
+    does not divide the grid spacing raises GridMismatch, and a run whose
+    simulation_bytes exceed MEMORY_BUDGET raises NTooLargeForMemory.
     """
-    model, lifted = sol.model, sol.lifted
-    R0invB0 = np.linalg.solve(model.R0, lifted.B0_lift.T)
-    RinvB = np.linalg.solve(model.R, lifted.B_lift.T)
-    G0 = R0invB0 @ sol.P0.interp(times)
-    # offsets as stacked columns: one matrix-vector product per time, the
-    # same BLAS call (and rounding) as for a single time
-    g0 = (R0invB0 @ sol.s0.interp(times)[:, :, None])[:, :, 0]
-    G = RinvB @ sol.P.interp(times)
-    g = sol.s.interp(times) @ RinvB.T
-    return G0, g0, G, g, (sol.Abar.interp(times), sol.Gbar.interp(times),
-                          sol.mbar.interp(times))
+    if N < 1:
+        raise ValueError(f"population size must be at least 1, got N={N}")
+    if dt is None:
+        dt = model.T / DEFAULT_STEPS
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be finite and positive, got dt={dt}")
+    ratio = grid.h / dt
+    if abs(ratio - round(ratio)) > TIME_SLACK * max(1.0, ratio) or round(ratio) < 1:
+        raise GridMismatch(f"dt={dt} does not divide the grid spacing {grid.h}")
+    S = grid.M * int(round(ratio))
+    need = simulation_bytes(model, N, S)
+    if need > MEMORY_BUDGET:
+        raise NTooLargeForMemory(
+            f"simulating N={N} players over {S} steps needs {need} bytes, "
+            f"over the budget of {MEMORY_BUDGET} bytes")
+    return dt, S
 
 
-def _master_gains(sol: MasterSolution, times: np.ndarray):
-    """Same as _nce_gains, read from the quadratic-solution coefficients."""
-    model = sol.model
-    n = model.n
-    R0invB0 = np.linalg.solve(model.R0, model.B0.T)
-    RinvB = np.linalg.solve(model.R, model.B.T)
-    G0 = R0invB0 @ sol.Pd0.interp(times)[:, :n, :]
-    g0 = (R0invB0 @ sol.sd0.interp(times)[:, :n, None])[:, :, 0]
-    G = RinvB @ sol.Pd.interp(times)[:, :, :n, :]
-    g = sol.sd.interp(times)[:, :, :n] @ RinvB.T
-    return G0, g0, G, g, (sol.Abar_dag.interp(times),
-                          sol.Gbar_dag.interp(times),
-                          sol.mbar_dag.interp(times))
+def _product(a, b, out=None):
+    """a @ b for a 2-d b. When b has one row (an inner dimension of 1)
+    the product has no sum and is taken as a broadcast multiply, without
+    a BLAS call. numpy's matmul adds that single product to +0.0, so the
+    two differ only where it gives +0.0 for -0.0; both callers add the
+    result to an einsum or matmul sum, which is never -0.0, so their sums
+    agree bit for bit."""
+    if b.shape[0] == 1:
+        return np.multiply(a, b[0], out=out)
+    return np.matmul(a, b, out=out)
 
 
-def _march_chunk(model, coefficients, dW0, dW, state, buffers, c0, S, dt,
-                 times, type_slices, A_by_type, use_empirical):
+def _march_chunk(model, coefficients, drift, buffers, c0, S, dt, times,
+                 type_slices, A_by_type, use_empirical):
     """Euler-Maruyama steps over the nodes of one chunk starting at step c0.
 
-    Records each node's state and controls in `buffers` (major, reference
-    and major-control paths, then the chunk's minor state and control
-    buffers) and returns the state (x0, X, zbar) after the chunk. Kept
-    apart from `simulate` so that the hot loop is a short function:
-    tracemalloc's per-allocation line lookup grows with the offset into
-    the function.
+    The state at node c0 is in X0_path[c0], Z_path[c0] and X_chunk[0],
+    and the later nodes' slots of X0_path and X_chunk hold their step's
+    noise increment. The loop records each node's controls and adds the
+    rest of the step into the next node's slots; `drift` is an (N, n)
+    scratch array. States are checked once, after the loop: the first
+    non-finite node raises NonFiniteState naming its step (a non-finite
+    state stays non-finite, so that is the step a per-step check would
+    name). Kept apart from `simulate` so that the hot loop is a short
+    function: tracemalloc's per-allocation line lookup grows with the
+    offset into the function.
     """
     G0, g0, G, g, (Abar, Gbar, mbar) = coefficients
     X0_path, Z_path, U0_path, X_chunk, U_chunk = buffers
-    x0cur, Xcur, zbar = state
-    n = model.n
+    n, N = model.n, X_chunk.shape[1]
     Gx0, Gz = G0[:, :, :n], G0[:, :, n:]
-    Hown, Hx0, Hz = G[..., :n], G[..., n:2 * n], G[..., 2 * n:]
-    D0, D = model.D0, model.D
-    for j in range(G0.shape[0]):
-        s = c0 + j
-        X0_path[s] = x0cur
-        X_chunk[j] = Xcur
-        Z_path[s] = zbar
+    HownT = np.swapaxes(G[..., :n], -1, -2)
+    Hx0, Hz = G[..., n:2 * n], G[..., 2 * n:]
+    A0, B0, F0 = model.A0, model.B0, model.F0
+    F, Gx, BT = model.F, model.G, model.B.T
+    steps = min(G0.shape[0], S - c0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(G0.shape[0]):
+            s = c0 + j
+            x0cur, Xcur, zbar = X0_path[s], X_chunk[j], Z_path[s]
+            if use_empirical:
+                zfeed = np.concatenate(
+                    [np.add.reduce(Xcur[sl], 0) / (sl.stop - sl.start)
+                     if sl.stop > sl.start else zbar[k * n:(k + 1) * n]
+                     for k, sl in enumerate(type_slices)])
+            else:
+                zfeed = zbar
 
-        if use_empirical:
-            zfeed = np.concatenate(
-                [Xcur[sl].mean(axis=0) if sl.stop > sl.start else zbar[k * n:(k + 1) * n]
-                 for k, sl in enumerate(type_slices)])
-        else:
-            zfeed = zbar
+            u0 = np.negative(Gx0[j] @ x0cur + Gz[j] @ zfeed + g0[j],
+                             out=U0_path[s])
+            # stacked over the types: each type's product is the same
+            # BLAS call as alone
+            fixed = Hx0[j] @ x0cur + Hz[j] @ zfeed + g[j]
+            U = U_chunk[j]
+            for k, sl in enumerate(type_slices):
+                if sl.stop == sl.start:
+                    continue
+                Uk = _product(Xcur[sl], HownT[j, k], out=U[sl])
+                Uk += fixed[k]
+                np.negative(Uk, out=Uk)
 
-        u0 = -(Gx0[j] @ x0cur + Gz[j] @ zfeed + g0[j])
-        U = U_chunk[j]
-        for k, sl in enumerate(type_slices):
-            if sl.stop == sl.start:
-                continue
-            fixed = Hx0[j, k] @ x0cur + Hz[j, k] @ zfeed + g[j, k]
-            U[sl] = -(Xcur[sl] @ Hown[j, k].T + fixed)
-        U0_path[s] = u0
+            if s == S:
+                break
 
-        if s == S:
-            break
+            xbarN = np.add.reduce(Xcur, 0) / N
+            drift0 = A0 @ x0cur + B0 @ u0 + F0 @ xbarN
+            np.einsum("nij,nj->ni", A_by_type, Xcur, out=drift)
+            drift += _product(U, BT)
+            drift += F @ xbarN
+            drift += Gx @ x0cur
+            zdrift = Abar[j] @ zbar + Gbar[j] @ x0cur + mbar[j]
 
-        xbarN = Xcur.mean(axis=0)
-        drift0 = model.A0 @ x0cur + model.B0 @ u0 + model.F0 @ xbarN
-        driftX = (np.einsum("nij,nj->ni", A_by_type, Xcur)
-                  + U @ model.B.T + model.F @ xbarN + model.G @ x0cur)
-        zdrift = Abar[j] @ zbar + Gbar[j] @ x0cur + mbar[j]
+            # the next slots hold the noise: noise + (x + dt * drift) is
+            # the per-step (x + dt * drift) + noise, bit for bit
+            x0next, Xnext = X0_path[s + 1], X_chunk[j + 1]
+            x0next += x0cur + dt * drift0
+            drift *= dt
+            drift += Xcur
+            Xnext += drift
+            np.add(zbar, dt * zdrift, out=Z_path[s + 1])
 
-        x0cur = x0cur + dt * drift0 + D0 @ dW0[j]
-        Xcur = Xcur + dt * driftX + dW[j] @ D.T
-        zbar = zbar + dt * zdrift
-        if not (np.isfinite(x0cur).all() and np.isfinite(Xcur).all()
-                and np.isfinite(zbar).all()):
-            t = float(times[s])
-            raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
-    return x0cur, Xcur, zbar
+        finite = (np.isfinite(X0_path[c0 + 1:c0 + steps + 1]).all(axis=1)
+                  & np.isfinite(X_chunk[1:steps + 1]).all(axis=(1, 2))
+                  & np.isfinite(Z_path[c0 + 1:c0 + steps + 1]).all(axis=1))
+    if not finite.all():
+        s = c0 + int(np.argmin(finite))
+        t = float(times[s])
+        raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
 
 
 def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
@@ -230,33 +274,25 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     per player (initial draw first, then the Brownian increments).
     use_empirical makes the feedback read the per-type empirical means
     instead of the reference path (off by default: the limit strategies
-    are decentralized). N < 1 and a non-finite or non-positive dt raise
-    ValueError; a state that stops being finite raises NonFiniteState
-    naming the step.
+    are decentralized). N and dt are checked by simulation_steps before
+    anything is allocated; a state that stops being finite raises
+    NonFiniteState naming the first non-finite step (states are checked
+    once per chunk).
 
     Noise is drawn per chunk of CHUNK_STEPS steps from the same streams,
     so paths do not depend on the chunk length. Memory is O(N S (n + n1))
     for the stored paths plus O(N CHUNK_STEPS (n + n1 + n2)) for the
-    chunk's noise and path buffers.
+    chunk's noise and path buffers, and must stay within MEMORY_BUDGET
+    bytes (simulation_bytes).
     """
-    if N < 1:
-        raise ValueError(f"population size must be at least 1, got N={N}")
-    if dt is None:
-        dt = model.T / DEFAULT_STEPS
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"time step must be finite and positive, got dt={dt}")
     if isinstance(sol, NCESolution):
-        gains = _nce_gains
+        gains = nce_gains
     elif isinstance(sol, MasterSolution):
-        gains = _master_gains
+        gains = master_gains
     else:
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
     grid = sol.grid
-
-    ratio = grid.h / dt
-    if abs(ratio - round(ratio)) > TIME_SLACK * max(1.0, ratio) or round(ratio) < 1:
-        raise GridMismatch(f"dt={dt} does not divide the grid spacing {grid.h}")
-    S = grid.M * int(round(ratio))
+    dt, S = simulation_steps(model, grid, N, dt)
 
     if type_counts is None:
         type_counts = default_type_counts(model, N)
@@ -267,18 +303,27 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
 
     n, n2, K = model.n, model.n2, model.K
     sqdt = math.sqrt(dt)
+    steps = min(CHUNK_STEPS, S)
+    times = np.arange(S + 1) * dt
+    X0_path = np.empty((S + 1, n))
+    X_path = np.empty((N, S + 1, n))
+    Z_path = np.empty((S + 1, n * K))
+    U0_path = np.empty((S + 1, model.n1))
+    U_path = np.empty((N, S + 1, model.n1))
+    noise = np.empty((steps, N, n2))
+    X_chunk = np.empty((steps + 1, N, n))
+    U_chunk = np.empty((min(CHUNK_STEPS, S + 1), N, model.n1))
 
     rng0 = _player_rng(seed, 0)
     L0 = _cov_factor(model.x0_cov)
-    x0 = model.x0_mean + L0 @ rng0.standard_normal(n)
+    X0_path[0] = model.x0_mean + L0 @ rng0.standard_normal(n)
 
     Li = _cov_factor(model.xi_cov)
-    Xcur = np.empty((N, n))
     rngs = [_player_rng(seed, i + 1) for i in range(N)]
     for i, rng in enumerate(rngs):
-        Xcur[i] = model.alpha0 + Li @ rng.standard_normal(n)
+        X_chunk[0, i] = model.alpha0 + Li @ rng.standard_normal(n)
 
-    zbar = np.tile(model.alpha0, K)
+    Z_path[0] = np.tile(model.alpha0, K)
 
     A_by_type = model.A[types - 1]               # (N, n, n)
     type_slices = []
@@ -287,32 +332,27 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         type_slices.append(slice(start, start + int(c)))
         start += int(c)
 
-    times = np.arange(S + 1) * dt
-    X0_path = np.empty((S + 1, n))
-    X_path = np.empty((N, S + 1, n))
-    Z_path = np.empty((S + 1, n * K))
-    U0_path = np.empty((S + 1, model.n1))
-    U_path = np.empty((N, S + 1, model.n1))
-    rows = min(CHUNK_STEPS, S + 1)
-    noise = np.empty((rows, N, n2))
-    X_chunk = np.empty((rows, N, n))
-    U_chunk = np.empty((rows, N, model.n1))
-
-    state = (x0, Xcur, zbar)
+    drift = np.empty((N, n))
+    D0, DT = model.D0, model.D.T
     for c0 in range(0, S + 1, CHUNK_STEPS):
         coefficients = gains(sol, times[c0:c0 + CHUNK_STEPS])
         increments = min(c0 + CHUNK_STEPS, S) - c0
         dW0 = sqdt * rng0.standard_normal((increments, n2))
         dW = noise[:increments]
         for i, rng in enumerate(rngs):
-            dW[:, i] = sqdt * rng.standard_normal((increments, n2))
+            dW[:, i] = rng.standard_normal((increments, n2))
+        dW *= sqdt
+        # each step's increments, transformed by the same per-step
+        # products as one call: D0 @ dW0[j] and dW[j] @ D.T
+        X0_path[c0 + 1:c0 + increments + 1] = (D0 @ dW0[:, :, None])[:, :, 0]
+        np.matmul(dW, DT, out=X_chunk[1:increments + 1])
         nodes = min(CHUNK_STEPS, S + 1 - c0)
-        state = _march_chunk(model, coefficients, dW0, dW, state,
-                             (X0_path, Z_path, U0_path, X_chunk, U_chunk),
-                             c0, S, dt, times, type_slices, A_by_type,
-                             use_empirical)
+        _march_chunk(model, coefficients, drift,
+                     (X0_path, Z_path, U0_path, X_chunk, U_chunk),
+                     c0, S, dt, times, type_slices, A_by_type, use_empirical)
         X_path[:, c0:c0 + nodes] = X_chunk[:nodes].transpose(1, 0, 2)
         U_path[:, c0:c0 + nodes] = U_chunk[:nodes].transpose(1, 0, 2)
+        X_chunk[0] = X_chunk[increments]
 
     return Trajectory(model=model, grid=grid, dt=dt, seed=seed, types=types,
                       times=times, X0=X0_path, X=X_path, Zbar=Z_path,

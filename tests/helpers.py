@@ -407,10 +407,15 @@ SUITE_SIZE = 20
 SUITE_M = 2000
 
 
-def _random_params(rng, K):
-    n = int(rng.integers(1, 4))
-    n1 = int(rng.integers(1, 3))
-    n2 = int(rng.integers(1, 3))
+def _random_params(rng, K, dims=None):
+    """Random coefficients (magnitudes <= 0.5) with K types; (n, n1, n2)
+    are drawn first unless `dims` gives them."""
+    if dims is None:
+        n = int(rng.integers(1, 4))
+        n1 = int(rng.integers(1, 3))
+        n2 = int(rng.integers(1, 3))
+    else:
+        n, n1, n2 = dims
 
     def u(*shape):
         return rng.uniform(-0.5, 0.5, size=shape)

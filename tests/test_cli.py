@@ -380,3 +380,29 @@ def test_simulate_rejects_empty_types_before_solving(tmp_path, capsys,
                  "--out", str(out)]) == 1
     assert "no players of type" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("feedback", ["nce", "master"])
+def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
+                                                      monkeypatch, feedback):
+    def refuse(*args, **kwargs):
+        raise AssertionError("feedback solved")
+
+    monkeypatch.setattr("lqmfg.nce.solve_nce", refuse)
+    monkeypatch.setattr("lqmfg.master.solve_master", refuse)
+    cases = [
+        (["--N", "0"], "population size must be at least 1, got N=0"),
+        (["--N", "4,0"], "population size must be at least 1, got N=0"),
+        (["--N", "4", "--dt", "0"], "time step must be finite and positive"),
+        (["--N", "4", "--dt", "0.0003"],
+         "dt=0.0003 does not divide the grid spacing 0.0005"),
+        # 10^6 players over 4000 steps would store 64 GB of paths
+        (["--N", "1000000"], "simulating N=1000000 players over 4000 steps "
+                             "needs"),
+    ]
+    for i, (argv, message) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert main(["simulate", "--model", SCALAR, "--feedback", feedback,
+                     *argv, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert os.listdir(out) == []

@@ -1,17 +1,22 @@
 import dataclasses
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from lqmfg import (EmptyBatch, EmptyType, GridMismatch, NonFiniteState,
-                   TimeGrid, default_type_counts, empirical_mean_error,
-                   evaluate_cost, simulate, solve_master, solve_nce)
-from lqmfg.sim import CHUNK_STEPS
+from lqmfg import (BlowUpReport, EmptyBatch, EmptyType, GridMismatch,
+                   NonFiniteState, NTooLargeForMemory, TimeGrid,
+                   default_type_counts, empirical_mean_error, evaluate_cost,
+                   sim, simulate, solve_master, solve_nce, validate_model)
+from lqmfg.sim import (CHUNK_STEPS, MEMORY_BUDGET, simulation_bytes,
+                       simulation_steps)
 
-from helpers import (build_model, decoupled_scalar, random_n3k3,
-                     riccati_closed_form, simulate_reference, two_type_scalar,
-                     zero_weight)
+from helpers import (_random_params, build_model, decoupled_scalar,
+                     random_n3k3, riccati_closed_form, simulate_reference,
+                     two_type_scalar, zero_weight)
 
 PATHS = ("X0", "X", "Zbar", "U0", "U")
 MODELS = {"scalar": build_model, "twotype": two_type_scalar,
@@ -317,3 +322,155 @@ def test_simulation_memory_is_paths_plus_chunk_buffers():
     stored = sum(getattr(traj, name).nbytes for name in PATHS + ("times",))
     assert stored >= 2 * 1000 * 4001 * 8
     assert peak < stored + 16 * 2 ** 20
+
+
+def test_simulation_size_is_checked_before_allocating(monkeypatch):
+    model = two_type_scalar()
+    grid = TimeGrid(M=50, T=1.0)
+    sol = solve_nce(model, grid)
+    # the estimate covers what a run stores
+    traj = simulate(model, 9, sol, dt=1.0 / 300)
+    stored = sum(getattr(traj, name).nbytes for name in PATHS + ("times",))
+    assert stored < simulation_bytes(model, 9, 300) < stored + 2 ** 20
+    # 10^6 players over 4000 steps store 64 GB: computed, never allocated
+    need = simulation_bytes(model, 10 ** 6, 4000)
+    assert need > 10 ** 6 * 4001 * 2 * 8
+    with pytest.raises(NTooLargeForMemory, match=f"needs {need} bytes"):
+        simulation_steps(model, grid, 10 ** 6, 1.0 / 4000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stream created")
+
+    monkeypatch.setattr(sim, "_player_rng", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NTooLargeForMemory, match="over the budget"):
+            simulate(model, 10 ** 6, sol, dt=1.0 / 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # far above the 64 MB of paths the tests and the benchmark run
+    assert simulation_bytes(model, 1000, 4000) * 50 < MEMORY_BUDGET
+
+
+# -- property tests: the chunk loop against the per-step reference loop -----
+
+SIM_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+# (grid, dt) choices: S just below, at and above one and two chunks, and
+# steps of a third of the grid spacing
+STEP_CHOICES = ([("steps", S) for m in (1, 2)
+                 for S in (m * CHUNK_STEPS - 1, m * CHUNK_STEPS,
+                           m * CHUNK_STEPS + 1)]
+                + [("third", 85), ("third", 86)])
+DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+CASES = dict(dims=DIMS, K=st.integers(1, 3),
+             model_seed=st.integers(0, 2 ** 32 - 1),
+             counts=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+             steps=st.sampled_from(STEP_CHOICES), use_empirical=st.booleans(),
+             feedback=st.sampled_from(sorted(SOLVERS)),
+             seed=st.integers(0, 2 ** 16))
+
+
+def zero_weights(n):
+    z = np.zeros((n, n))
+    return dict(Q0=z, Q0f=z, Q=z, Qf=z, Gamma0=z, Gamma0f=z, Gamma1=z,
+                Gamma1f=z, Gamma2=z, Gamma2f=z, eta0=np.zeros(n),
+                eta0f=np.zeros(n), eta=np.zeros(n), etaf=np.zeros(n))
+
+
+def grid_and_step(steps):
+    kind, size = steps
+    if kind == "steps":
+        return steps_grid(size), 1.0 / size
+    grid = TimeGrid(M=size, T=1.0)
+    return grid, grid.h / 3.0
+
+
+def run_both(model, counts, steps, feedback, **kwargs):
+    """(simulate's outcome, the reference's outcome, their warnings): an
+    outcome is the path tuple or the NonFiniteState message."""
+    grid, dt = grid_and_step(steps)
+    sol = SOLVERS[feedback](model, grid)
+    assume(not isinstance(sol, BlowUpReport))
+    N = sum(counts)
+    outcomes, caught = [], []
+    for run in (simulate, simulate_reference):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                got = run(model, N, sol, dt=dt, type_counts=counts, **kwargs)
+            except NonFiniteState as exc:
+                got = str(exc)
+        if run is simulate and not isinstance(got, str):
+            got = tuple(getattr(got, name) for name in PATHS)
+        outcomes.append(got)
+        caught.append({(w.category, str(w.message)) for w in seen})
+    return outcomes, caught
+
+
+def assert_same_outcome(got, want):
+    """The same NonFiniteState message, or the same path bytes."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for name, a, b in zip(PATHS, got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+
+@SIM_SETTINGS
+@given(zero_weight_costs=st.booleans(), **CASES)
+def test_simulate_is_bitwise_the_reference_loop(dims, K, model_seed, counts,
+                                                steps, use_empirical,
+                                                feedback, seed,
+                                                zero_weight_costs):
+    # zero weights give zero gains, so zero products of both signs meet
+    counts = counts[:K]
+    assume(sum(counts) >= 1)
+    params = _random_params(np.random.default_rng(model_seed), K, dims)
+    if zero_weight_costs:
+        params = dataclasses.replace(params, **zero_weights(dims[0]))
+    (got, want), _ = run_both(validate_model(params), counts, steps, feedback,
+                              seed=seed, use_empirical=use_empirical)
+    assert not isinstance(want, str), want
+    assert_same_outcome(got, want)
+
+
+@SIM_SETTINGS
+@given(A=st.sampled_from([-1e5, -2e4, -3e3]),
+       unstable=st.sampled_from(["major", "every type", "last type",
+                                 "deviations"]),
+       chunk=st.sampled_from([CHUNK_STEPS, 1, 3]), **CASES)
+def test_exploding_simulation_is_the_reference_loop(dims, K, model_seed,
+                                                    counts, steps,
+                                                    use_empirical, feedback,
+                                                    seed, A, unstable, chunk):
+    # |1 + dt A| > 1: the Euler recursion explodes inside the first chunk,
+    # past it or (A = -3e3 on short runs) not at all; zero weights keep the
+    # solve trivial. An unstable major explodes before the minors, an
+    # unstable empty last type only in the reference path, and with
+    # F = -A - 0.5 I the minors' deviations from their mean explode before
+    # the mean and the reference path. Short chunks put a chunk's last
+    # node on the blow-up. The chunk loop marches on past the blow-up and
+    # must not warn where the per-step loop would not.
+    counts = counts[:K]
+    assume(sum(counts) >= 1)
+    n = dims[0]
+    params = _random_params(np.random.default_rng(model_seed), K, dims)
+    if unstable == "major":
+        params = dataclasses.replace(params, A0=A * np.eye(n))
+    elif unstable == "deviations":
+        params = dataclasses.replace(params, F=-(A + 0.5) * np.eye(n),
+                                     A=np.tile(A * np.eye(n), (K, 1, 1)))
+    else:
+        Ak = params.A.copy()
+        Ak[0 if unstable == "every type" else K - 1:] = A * np.eye(n)
+        params = dataclasses.replace(params, A=Ak)
+    params = dataclasses.replace(params, **zero_weights(n))
+    with mock.patch.object(sim, "CHUNK_STEPS", chunk):
+        (got, want), (got_warned, want_warned) = run_both(
+            validate_model(params), counts, steps, feedback, seed=seed,
+            use_empirical=use_empirical)
+    assert_same_outcome(got, want)
+    assert got_warned <= want_warned
