@@ -19,9 +19,10 @@ from .errors import (GridMismatch, KNotOne, NTooLargeForMemory,
 from .master import DiffReport
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
-from .ode import BlowUpReport, MatrixPath, integrate_backward
+from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
 
-# Dense mode materializes (N+1) matrices of side (N+1)n; refuse beyond this.
+# Both modes step matrices of side (N+1)n (dense mode N+1 of them); refuse
+# beyond this.
 DENSE_DIM_CAP = 2000
 # Dense-vs-reduced and exchangeability disagreements beyond this are bugs.
 EXCHANGE_TOL = 1e-8
@@ -93,16 +94,15 @@ class FiniteNSystem:
         return -self.K_minor(i, final=True).T @ (self.model.Qf @ self.model.etaf)
 
 
-def assemble_finite_n(model: ValidatedModel, N: int,
-                      dim_cap: int = DENSE_DIM_CAP) -> FiniteNSystem:
+def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
     """Stack the N+1 individual dynamics and costs into one state space."""
     _require_k1(model)
     if N < 1:
         raise ValueError(f"need at least one minor player, got N={N}")
     n = model.n
     d = (N + 1) * n
-    if d > dim_cap:
-        raise NTooLargeForMemory(f"(N+1)n = {d} exceeds cap {dim_cap}")
+    if d > DENSE_DIM_CAP:
+        raise NTooLargeForMemory(f"(N+1)n = {d} exceeds cap {DENSE_DIM_CAP}")
     A = model.A[0]
 
     Ahat = np.zeros((d, d))
@@ -178,24 +178,6 @@ class FiniteNSolution:
         idx = _swap_block_index(self.N, self.model.n, i)
         return MatrixPath(self.grid, self.S1_big.values[:, idx])
 
-    def feedback(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        """Nash control of player i at full state X."""
-        m = self.model
-        n = m.n
-        if i == 0:
-            P = self.P0_big.interp(t)
-            S = self.S0_big.interp(t)
-            return -np.linalg.solve(m.R0, m.B0.T @ ((P @ X + S)[:n]))
-        P = self.P1_big.interp(t)
-        S = self.S1_big.interp(t)
-        if i > 1:
-            idx = _swap_block_index(self.N, n, i)
-            P = P[idx][:, idx]
-            S = S[idx]
-        blk = slice(i * n, (i + 1) * n)
-        return -np.linalg.solve(m.R, m.B.T @ ((P @ X + S)[blk]))
-
-
 class _ReducedFields:
     """Symmetry-reduced fields: only players 0 and 1 are carried."""
 
@@ -259,40 +241,29 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
     the Riccati prefix comes first, then that of Riccati plus offsets."""
     red = _ReducedFields(sys)
     d = sys.dim
-    sq = d * d
+    layout = StateLayout([(d, d), (d, d), (d,), (d,)],
+                         symmetric=(True, True, False, False), levels=(2,))
 
     def field(t, flat):
-        P0 = flat[:sq].reshape(d, d)
-        P1 = flat[sq:2 * sq].reshape(d, d)
-        S0 = flat[2 * sq:2 * sq + d]
-        S1 = flat[2 * sq + d:]
+        P0, P1, S0, S1 = layout.split(flat)
         W = red.coupling(P1)
         dP0, dP1 = red.dP(P0, P1, W)
         dS0, dS1 = red.dS(P0, P1, W, S0, S1)
-        return np.concatenate([dP0.ravel(), dP1.ravel(), dS0, dS1])
+        return layout.pack(dP0, dP1, dS0, dS1)
 
-    def sym(flat):
-        out = flat.copy()
-        for off in (0, sq):
-            P = flat[off:off + sq].reshape(d, d)
-            out[off:off + sq] = ((P + P.T) / 2.0).ravel()
-        return out
-
-    terminal = np.concatenate([sys.Q0f_big.ravel(), red.Q1f_big.ravel(),
-                               sys.lin0_f, red.lin1_f])
+    terminal = layout.pack(sys.Q0f_big, red.Q1f_big, sys.lin0_f, red.lin1_f)
     path = integrate_backward(field, terminal, grid, threshold=threshold,
-                              symmetrize=sym, prefixes=(2 * sq,))
+                              symmetrize=layout.sym, prefixes=layout.prefixes)
     if isinstance(path, BlowUpReport):
         return path
 
-    Mn = grid.M + 1
-    vals = path.values
+    P0, P1, S0, S1 = layout.split(path.values)
     return FiniteNSolution(
         model=sys.model, N=sys.N, grid=grid, mode="symmetric",
-        P0_big=MatrixPath(grid, vals[:, :sq].reshape(Mn, d, d)),
-        P1_big=MatrixPath(grid, vals[:, sq:2 * sq].reshape(Mn, d, d)),
-        S0_big=MatrixPath(grid, vals[:, 2 * sq:2 * sq + d].copy()),
-        S1_big=MatrixPath(grid, vals[:, 2 * sq + d:].copy()),
+        P0_big=MatrixPath(grid, P0),
+        P1_big=MatrixPath(grid, P1),
+        S0_big=MatrixPath(grid, S0.copy()),
+        S1_big=MatrixPath(grid, S1.copy()),
     )
 
 
@@ -300,7 +271,6 @@ def _solve_dense(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
     """All N+1 players integrated literally in one pass, Riccati prefix
     first in the escape verdict; validates the reduction."""
     N, n, d = sys.N, sys.model.n, sys.dim
-    sq = d * d
     Q_big = [sys.Q0_big] + [sys.Q_minor(i) for i in range(1, N + 1)]
     Qf_big = [sys.Q0f_big] + [sys.Q_minor(i, final=True) for i in range(1, N + 1)]
     lin = [sys.lin0] + [sys.lin_minor(i) for i in range(1, N + 1)]
@@ -345,29 +315,21 @@ def _solve_dense(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
                      + W.T @ S[i] + P[i] @ vS + lin[i])
         return dS
 
-    nP = (N + 1) * sq
+    layout = StateLayout([(N + 1, d, d), (N + 1, d)],
+                         symmetric=(True, False), levels=(1,))
 
     def field(t, flat):
-        P = flat[:nP].reshape(N + 1, d, d)
-        S = flat[nP:].reshape(N + 1, d)
+        P, S = layout.split(flat)
         dP, W = dP_all(P)
-        return np.concatenate([dP.ravel(), dS_all(P, W, S).ravel()])
+        return layout.pack(dP, dS_all(P, W, S))
 
-    def sym(flat):
-        out = flat.copy()
-        P = flat[:nP].reshape(N + 1, d, d)
-        out[:nP] = ((P + P.transpose(0, 2, 1)) / 2.0).ravel()
-        return out
-
-    terminal = np.concatenate([q.ravel() for q in Qf_big] + lin_f)
+    terminal = layout.pack(np.stack(Qf_big), np.stack(lin_f))
     path = integrate_backward(field, terminal, grid, threshold=threshold,
-                              symmetrize=sym, prefixes=(nP,))
+                              symmetrize=layout.sym, prefixes=layout.prefixes)
     if isinstance(path, BlowUpReport):
         return path
 
-    Mn = grid.M + 1
-    P_all = path.values[:, :nP].reshape(Mn, N + 1, d, d)
-    S_all = path.values[:, nP:].reshape(Mn, N + 1, d)
+    P_all, S_all = layout.split(path.values)
 
     # Exchangeability audit: every minor's matrices must be the block
     # permutation of player 1's.
@@ -391,8 +353,7 @@ def _solve_dense(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
 
 
 def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
-                   dense: bool = False, threshold: float = 1e12,
-                   dim_cap: int = DENSE_DIM_CAP):
+                   dense: bool = False, threshold: float = 1e12):
     """Solve the N+1-player Riccati/offset system.
 
     The default integrates only the two representative players via
@@ -400,7 +361,7 @@ def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
     permutation structure, and cross-checks the reduced mode against it
     (PermutationMismatch beyond 1e-8 signals an implementation bug).
     """
-    sys = assemble_finite_n(model, N, dim_cap=dim_cap)
+    sys = assemble_finite_n(model, N)
     if not dense:
         return _solve_reduced(sys, grid, threshold)
 
@@ -506,29 +467,23 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     n = model.n
     M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
     M = model.B @ np.linalg.solve(model.R, model.B.T)
-    fieldfn = _lambda_field(model, M0, M)
-    sym_idx = [i for i, k in enumerate(BLOCK_KEYS) if k in _SYMMETRIC_KEYS]
-
-    def sym(flat):
-        L = flat.reshape(9, n, n).copy()
-        S = L[sym_idx]
-        L[sym_idx] = (S + S.transpose(0, 2, 1)) / 2.0
-        return L.ravel()
+    layout = StateLayout([(n, n)] * len(BLOCK_KEYS),
+                         symmetric=[k in _SYMMETRIC_KEYS for k in BLOCK_KEYS])
 
     Q0f, Qf = model.Q0f, model.Qf
     G0f, G1f, G2f = model.Gamma0f, model.Gamma1f, model.Gamma2f
-    terminal = np.stack([
+    terminal = layout.pack(
         Q0f, -Q0f @ G0f, G0f.T @ Q0f @ G0f,
         G1f.T @ Qf @ G1f, Qf, -Qf @ G2f, G2f.T @ Qf @ G2f,
         -G1f.T @ Qf, G1f.T @ Qf @ G2f,
-    ])
-    path = integrate_backward(fieldfn, terminal.ravel(), grid,
-                              threshold=threshold, symmetrize=sym)
+    )
+    path = integrate_backward(_lambda_field(model, M0, M), terminal, grid,
+                              threshold=threshold, symmetrize=layout.sym,
+                              prefixes=layout.prefixes)
     if isinstance(path, BlowUpReport):
         return path
-    vals = path.values.reshape(grid.M + 1, 9, n, n)
-    blocks = {key: MatrixPath(grid, vals[:, i].copy())
-              for i, key in enumerate(BLOCK_KEYS)}
+    blocks = {key: MatrixPath(grid, L.copy())
+              for key, L in zip(BLOCK_KEYS, layout.split(path.values))}
     return LambdaSolution(model=model, grid=grid, blocks=blocks, M0=M0, M=M)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GridMismatch, IndexOutOfRange, TimeOutOfRange
 from .model import PiLifted, TimeGrid, ValidatedModel, block_selector, lift_pi
 from .nce import NCESolution
-from .ode import BlowUpReport, MatrixPath, integrate_backward
+from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,12 @@ class _Blocks:
         self.DDT = model.D @ model.D.T
         self.eta0_q = float(model.eta0 @ model.Q0 @ model.eta0)
         self.eta_q = float(model.eta @ model.Q @ model.eta)
-        self.layout = (self.d0 * self.d0, K * self.d1 * self.d1,
-                       self.d0, K * self.d1, 1, K)
-        self.bounds = np.cumsum((0,) + self.layout).tolist()
+        # (Pd0, Pd, sd0, sd, rd0, rd), rd0 as a length-1 vector; kernels,
+        # then kernels plus offsets, are the inner escape levels
+        self.layout = StateLayout(
+            [(self.d0, self.d0), (K, self.d1, self.d1), (self.d0,), (K, self.d1),
+             (1,), (K,)],
+            symmetric=(True, True, False, False, False, False), levels=(2, 4))
         # Drift blocks with their model-only parts filled in; each stage
         # copies them and writes the kernel-dependent blocks.
         self.top = np.zeros((self.d0, self.d0))
@@ -114,29 +117,6 @@ class _Blocks:
         self.minor[:, :n, :n] = model.A
         self.minor[:, :n, n:2 * n] = model.G
         self.minor[:, :n, 2 * n:] = lifted.F_pi
-
-    def split(self, flat):
-        """Views of the segments [Pd0, Pd, sd0, sd, rd0, rd] of the state
-        (rd0 as a length-1 vector)."""
-        K, d0, d1 = self.K, self.d0, self.d1
-        b = self.bounds
-        return (flat[b[0]:b[1]].reshape(d0, d0),
-                flat[b[1]:b[2]].reshape(K, d1, d1),
-                flat[b[2]:b[3]],
-                flat[b[3]:b[4]].reshape(K, d1),
-                flat[b[4]:b[5]],
-                flat[b[5]:b[6]])
-
-    def sym(self, flat):
-        """Symmetrize the kernel segments; offsets and constants pass."""
-        a, b = self.layout[0], self.layout[1]
-        d0, d1, K = self.d0, self.d1, self.K
-        out = flat.copy()
-        P0 = flat[:a].reshape(d0, d0)
-        out[:a] = ((P0 + P0.T) / 2.0).ravel()
-        P = flat[a:a + b].reshape(K, d1, d1)
-        out[a:a + b] = ((P + P.transpose(0, 2, 1)) / 2.0).ravel()
-        return out
 
     def mean_field_rows(self, Pd):
         """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.
@@ -168,9 +148,9 @@ class _Blocks:
         n = self.n
         rho = model.rho
         M, M0 = self.M, self.M0
-        Pd0, Pd, sd0, sd, rd0, rd = self.split(flat)
+        Pd0, Pd, sd0, sd, rd0, rd = self.layout.split(flat)
         out = np.empty_like(flat)
-        dPd0, dPd, dsd0, dsd, drd0, drd = self.split(out)
+        dPd0, dPd, dsd0, dsd, drd0, drd = self.layout.split(out)
 
         Abar_dag, Gbar_dag = self.mean_field_rows(Pd)
         A0blk = self.top.copy()
@@ -225,33 +205,24 @@ def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12)
     stack (both marginal escapes, still no solution).
     """
     blocks = _Blocks(model, lift_pi(model))
-    K, d0, d1 = blocks.K, blocks.d0, blocks.d1
+    K, d1, layout = blocks.K, blocks.d1, blocks.layout
     lifted = blocks.lifted
 
-    terminal = np.concatenate([
-        lifted.Q0f_pi.ravel(),
-        np.broadcast_to(lifted.Qf_pi, (K, d1, d1)).ravel(),
+    terminal = layout.pack(
+        lifted.Q0f_pi,
+        np.broadcast_to(lifted.Qf_pi, (K, d1, d1)),
         -lifted.eta0f_pi,
-        np.broadcast_to(-lifted.etaf_pi, (K, d1)).ravel(),
-        np.array([model.eta0f @ model.Q0f @ model.eta0f]),
+        np.broadcast_to(-lifted.etaf_pi, (K, d1)),
+        model.eta0f @ model.Q0f @ model.eta0f,
         np.full(K, model.etaf @ model.Qf @ model.etaf),
-    ])
-    nP = blocks.layout[0] + blocks.layout[1]
-    ns = blocks.layout[2] + blocks.layout[3]
+    )
     path = integrate_backward(blocks.field, terminal, grid, threshold=threshold,
-                              symmetrize=blocks.sym, prefixes=(nP, nP + ns))
+                              symmetrize=layout.sym, prefixes=layout.prefixes)
     if isinstance(path, BlowUpReport):
         return path
 
-    Mn = grid.M + 1
-    vals = path.values
-    Pd0_path = vals[:, :blocks.layout[0]].reshape(Mn, d0, d0)
-    Pd_path = vals[:, blocks.layout[0]:nP].reshape(Mn, K, d1, d1)
-    sd0_path = vals[:, nP:nP + d0]
-    sd_path = vals[:, nP + d0:nP + ns].reshape(Mn, K, d1)
-    rd0_path = vals[:, nP + ns]
-    rd_path = vals[:, nP + ns + 1:]
-
+    Pd0_path, Pd_path, sd0_path, sd_path, rd0_path, rd_path = layout.split(
+        path.values)
     Abar_path, Gbar_path = blocks.mean_field_rows(Pd_path)
     mbar_path = blocks.mbar_vec(sd_path)
 
@@ -261,7 +232,7 @@ def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12)
         Pd=MatrixPath(grid, Pd_path),
         sd0=MatrixPath(grid, sd0_path),
         sd=MatrixPath(grid, sd_path),
-        rd0=MatrixPath(grid, rd0_path.copy()),
+        rd0=MatrixPath(grid, rd0_path[:, 0].copy()),
         rd=MatrixPath(grid, rd_path.copy()),
         Abar_dag=MatrixPath(grid, Abar_path),
         Gbar_dag=MatrixPath(grid, Gbar_path),

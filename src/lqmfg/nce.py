@@ -12,10 +12,9 @@ into the ODE fields, so each stage evaluation rebuilds Abar/Gbar from the
 current kernels and mbar from the current offsets. The per-type blocks
 are evaluated stacked over the K types, and the closed-loop drift
 matrices are filled into templates whose constant parts are built once
-per solve. The stacked (P, s) state is advanced in one pass, so the
+per solve. Kernels and offsets are advanced together in one pass, so the
 offset system sees stage-exact kernel values; the kernels never read the
-offsets, so their escape is judged on the kernel prefix of the state
-alone.
+offsets, so their escape is judged on the kernels alone.
 """
 
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ import numpy as np
 
 from .errors import GridMismatch, IndexOutOfRange, TimeOutOfRange
 from .model import PiLifted, TimeGrid, ValidatedModel, lift_pi
-from .ode import BlowUpReport, MatrixPath, integrate_backward, integrate_forward
+from .ode import (BlowUpReport, MatrixPath, StateLayout, integrate_backward,
+                  integrate_forward)
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class NCESolution:
 
 
 class _Workspace:
-    """Precomputed constants, drift templates and packing layout for one
+    """Precomputed constants, drift templates and state layout for one
     solve."""
 
     def __init__(self, model: ValidatedModel, lifted: PiLifted):
@@ -68,7 +68,10 @@ class _Workspace:
         # Small-space pieces for the algebraic constraints.
         self.BRB = model.B @ np.linalg.solve(model.R, model.B.T)
 
-        self.sizes = (self.d0 * self.d0, K * self.d1 * self.d1, self.d0, K * self.d1)
+        # (P0, P, s0, s); the kernels are the inner escape level
+        self.layout = StateLayout(
+            [(self.d0, self.d0), (K, self.d1, self.d1), (self.d0,), (K, self.d1)],
+            symmetric=(True, True, False, False), levels=(2,))
         # Drift matrices with their model-only blocks filled in; each
         # stage copies them and writes the kernel-dependent blocks.
         self.top = np.zeros((self.d0, self.d0))
@@ -82,21 +85,6 @@ class _Workspace:
         # a (K, n, nK) stack, in (k, i, j) order
         k, i, j = np.ogrid[:K, :n, :n]
         self.own = (k * (n * K * n + n) + i * (K * n) + j).ravel()
-
-    # -- packing ---------------------------------------------------------
-
-    def pack(self, P0, P, s0, s):
-        return np.concatenate([P0.ravel(), P.ravel(), s0.ravel(), s.ravel()])
-
-    def unpack(self, flat):
-        a, b, c, _ = self.sizes
-        P0 = flat[:a].reshape(self.d0, self.d0)
-        P = flat[a:a + b].reshape(self.K, self.d1, self.d1)
-        s0 = flat[a + b:a + b + c]
-        s = flat[a + b + c:].reshape(self.K, self.d1)
-        return P0, P, s0, s
-
-    # -- assembly --------------------------------------------------------
 
     def consistency_blocks(self, P):
         """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks;
@@ -160,19 +148,13 @@ class _Workspace:
     def field(self, t, flat):
         """d(state)/dt of the flat (P0, P, s0, s) state, written into one
         new flat array."""
-        P0, P, s0, s = self.unpack(flat)
+        P0, P, s0, s = self.layout.split(flat)
         dP0, dP, A0blk, Acal = self.dP(P0, P)
         ds0, ds = self.ds(P0, P, s0, s, A0blk, Acal)
         out = np.empty_like(flat)
-        for segment, value in zip(self.unpack(out), (dP0, dP, ds0, ds)):
+        for segment, value in zip(self.layout.split(out), (dP0, dP, ds0, ds)):
             segment[...] = value
         return out
-
-    # -- symmetry projection ----------------------------------------------
-
-    def sym(self, flat):
-        P0, P, s0, s = self.unpack(flat)
-        return self.pack((P0 + P0.T) / 2.0, (P + P.transpose(0, 2, 1)) / 2.0, s0, s)
 
 
 def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
@@ -185,24 +167,19 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     then materialized at every node.
     """
     ws = _Workspace(model, lift_pi(model))
-    K, d0, d1 = ws.K, ws.d0, ws.d1
+    K, d1, layout = ws.K, ws.d1, ws.layout
 
-    terminal = ws.pack(ws.lifted.Q0f_pi,
-                          np.broadcast_to(ws.lifted.Qf_pi, (K, d1, d1)),
-                          -ws.lifted.eta0f_pi,
-                          np.broadcast_to(-ws.lifted.etaf_pi, (K, d1)))
-    nP = ws.sizes[0] + ws.sizes[1]
+    terminal = layout.pack(ws.lifted.Q0f_pi,
+                           np.broadcast_to(ws.lifted.Qf_pi, (K, d1, d1)),
+                           -ws.lifted.eta0f_pi,
+                           np.broadcast_to(-ws.lifted.etaf_pi, (K, d1)))
     path = integrate_backward(ws.field, terminal, grid, threshold=threshold,
-                              symmetrize=ws.sym, prefixes=(nP,))
+                              symmetrize=layout.sym, prefixes=layout.prefixes)
     if isinstance(path, BlowUpReport):
         return path
 
+    P0_path, P_path, s0_path, s_path = layout.split(path.values)
     Mn = grid.M + 1
-    P0_path = path.values[:, :ws.sizes[0]].reshape(Mn, d0, d0)
-    P_path = path.values[:, ws.sizes[0]:nP].reshape(Mn, K, d1, d1)
-    s0_path = path.values[:, nP:nP + d0]
-    s_path = path.values[:, nP + d0:].reshape(Mn, K, d1)
-
     n = ws.n
     Abar_path, Gbar_path = ws.consistency_blocks(P_path)
     mbar_path = np.empty((Mn, K * n))

@@ -19,9 +19,15 @@ NonFiniteField bug, not as escape.
 
 A stacked state whose leading segments never depend on the trailing ones
 (Riccati kernels, then offsets, then constants) is marched in one pass
-with nested escape levels; see integrate_backward's `prefixes`.
+with nested escape levels; see integrate_backward's `prefixes`. Each
+system declares its flat state once, as a StateLayout: the ordered
+segment shapes, which segments are symmetric kernels, and the segment
+counts that close each escape level. The layout packs the terminal state,
+splits a state (or a whole solved path) into segment views, projects the
+kernels onto symmetric matrices and names the escape prefixes.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -100,6 +106,59 @@ class BlowUpReport:
             raise ValueError("escape norm does not exceed the threshold")
 
 
+class StateLayout:
+    """Ordered segments of a flat stacked state.
+
+    `shapes` gives each segment's shape, `symmetric` flags the segments
+    whose trailing two axes hold symmetric kernels, and `levels` the
+    increasing segment counts that close each inner escape level (the
+    whole state is the outermost one).
+    """
+
+    def __init__(self, shapes, symmetric, levels=()):
+        shapes = [tuple(s) for s in shapes]
+        bounds = [0]
+        for shape in shapes:
+            bounds.append(bounds[-1] + math.prod(shape))
+        self._segments = [(slice(lo, hi), shape)
+                          for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+        # adjacent symmetric segments of one kernel size are projected as
+        # one stack of kernels: one numpy call per run, not per segment
+        self._kernels = []
+        for (seg, shape), flag in zip(self._segments, symmetric):
+            if not flag:
+                continue
+            stack = (-1,) + shape[-2:]
+            if (self._kernels and self._kernels[-1][1] == stack
+                    and self._kernels[-1][0].stop == seg.start):
+                seg = slice(self._kernels.pop()[0].start, seg.stop)
+            self._kernels.append((seg, stack))
+        self.size = bounds[-1]
+        self.prefixes = tuple(bounds[k] for k in levels)
+
+    def pack(self, *parts) -> np.ndarray:
+        """The flat state holding `parts`, one per segment, in order."""
+        flat = np.concatenate(parts, axis=None)
+        if flat.size != self.size:
+            raise ValueError(f"parts hold {flat.size} entries, layout {self.size}")
+        return flat
+
+    def split(self, a: np.ndarray) -> list:
+        """Views of each segment of `a`, whose last axis is the flat state;
+        leading axes (path nodes, say) are kept."""
+        lead = a.shape[:-1]
+        return [a[..., seg].reshape(lead + shape)
+                for seg, shape in self._segments]
+
+    def sym(self, flat: np.ndarray) -> np.ndarray:
+        """Copy of `flat` with (P + P^T) / 2 on every symmetric segment."""
+        out = flat.copy()
+        for seg, stack in self._kernels:
+            P = flat[seg].reshape(stack)
+            out[seg] = ((P + P.swapaxes(1, 2)) / 2.0).ravel()
+        return out
+
+
 def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
     k1 = field(t, w)
     k2 = field(t + dt / 2.0, w + (dt / 2.0) * k1)
@@ -112,7 +171,8 @@ def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
         step = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(step).all() and not all(
             np.isfinite(k).all() for k in (k1, k2, k3, k4)):
-        raise NonFiniteField(f"field returned non-finite derivative near t={t!r}")
+        raise NonFiniteField(
+            f"field returned non-finite derivative near t={float(t)}")
     return step
 
 

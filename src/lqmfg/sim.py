@@ -72,7 +72,10 @@ class Trajectory:
             raise ValueError("minor players are not listed type by type")
         for name in ("X0", "X", "Zbar", "U0", "U"):
             arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)):
+            # one player's path at a time: a boolean copy of a whole
+            # (N, S+1, n) path would set the simulation's memory peak
+            players = arr.reshape((-1,) + arr.shape[-2:])
+            if not all(np.isfinite(path).all() for path in players):
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
 

@@ -12,8 +12,10 @@ import numpy as np
 from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
                    NonFiniteField, NonFiniteState, TimeGrid, validate_model,
                    solve_nce)
+from lqmfg.asymptotic import _ReducedFields, assemble_finite_n
 from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
-from lqmfg.ode import BlowUpReport, integrate_backward
+from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport,
+                       integrate_backward)
 from lqmfg.sim import (DEFAULT_STEPS, _cov_factor, _player_rng,
                        default_type_counts)
 
@@ -522,7 +524,8 @@ def rk4_step_ref(field, t, w, dt):
     k4 = field(t + dt, w + dt * k3)
     if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))
             and np.all(np.isfinite(k3)) and np.all(np.isfinite(k4))):
-        raise NonFiniteField(f"field returned non-finite derivative near t={t!r}")
+        raise NonFiniteField(
+            f"field returned non-finite derivative near t={float(t)}")
     return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -844,9 +847,52 @@ def lambda_field_ref(model):
     return fieldfn
 
 
-def reference_solve(route, model, grid):
+def lambda_sym_ref(n):
+    """The nine-block system's symmetrization: blocks 1_0, 3_0, 0, 1, 3."""
+    sym_idx = [0, 2, 3, 4, 6]
+
+    def sym(flat):
+        L = flat.reshape(9, n, n).copy()
+        L[sym_idx] = (L[sym_idx] + L[sym_idx].transpose(0, 2, 1)) / 2.0
+        return L.ravel()
+
+    return sym
+
+
+def finite_sym_ref(d):
+    """The reduced finite-N symmetrization: kernels P0 and P1 of side d,
+    then the offsets S0 and S1."""
+    sq = d * d
+
+    def sym(flat):
+        out = flat.copy()
+        for off in (0, sq):
+            P = flat[off:off + sq].reshape(d, d)
+            out[off:off + sq] = ((P + P.T) / 2.0).ravel()
+        return out
+
+    return sym
+
+
+def dense_sym_ref(N, d):
+    """The dense finite-N symmetrization: N+1 kernels of side d, then N+1
+    offsets."""
+    nP = (N + 1) * d * d
+
+    def sym(flat):
+        out = flat.copy()
+        P = flat[:nP].reshape(N + 1, d, d)
+        out[:nP] = ((P + P.transpose(0, 2, 1)) / 2.0).ravel()
+        return out
+
+    return sym
+
+
+def reference_solve(route, model, grid, N=None,
+                    threshold=DEFAULT_BLOWUP_THRESHOLD):
     """March `route`'s reference field from its terminal state with the
-    route's own symmetrization and escape levels.
+    route's own symmetrization and escape levels; "finite-n" marches the
+    reduced N+1-player system.
 
     Returns (flat path or BlowUpReport, reference workspace): the
     workspace rebuilds the derived mean-field paths node by node.
@@ -862,7 +908,8 @@ def reference_solve(route, model, grid):
                            np.broadcast_to(-lifted.etaf_pi, (K, d1)))
         nP = ws.sizes[0] + ws.sizes[1]
         return integrate_backward(nce_field_ref(model), terminal, grid,
-                                  symmetrize=ws.sym, prefixes=(nP,)), ws
+                                  threshold=threshold, symmetrize=ws.sym,
+                                  prefixes=(nP,)), ws
     if route == "master":
         ws = MasterBlocksRef(model, lifted)
         d1 = ws.d1
@@ -877,16 +924,29 @@ def reference_solve(route, model, grid):
         nP = ws.layout[0] + ws.layout[1]
         ns = ws.layout[2] + ws.layout[3]
         return integrate_backward(master_field_ref(model), terminal, grid,
-                                  symmetrize=ws.sym,
+                                  threshold=threshold, symmetrize=ws.sym,
                                   prefixes=(nP, nP + ns)), ws
-    n = model.n
-    sym_idx = [0, 2, 3, 4, 6]          # blocks 1_0, 3_0, 0, 1, 3
+    if route == "finite-n":
+        red = _ReducedFields(assemble_finite_n(model, N))
+        sys = red.sys
+        d = sys.dim
+        sq = d * d
 
-    def sym(flat):
-        L = flat.reshape(9, n, n).copy()
-        L[sym_idx] = (L[sym_idx] + L[sym_idx].transpose(0, 2, 1)) / 2.0
-        return L.ravel()
+        def field(t, flat):
+            P0 = flat[:sq].reshape(d, d)
+            P1 = flat[sq:2 * sq].reshape(d, d)
+            S0 = flat[2 * sq:2 * sq + d]
+            S1 = flat[2 * sq + d:]
+            W = red.coupling(P1)
+            dP0, dP1 = red.dP(P0, P1, W)
+            dS0, dS1 = red.dS(P0, P1, W, S0, S1)
+            return np.concatenate([dP0.ravel(), dP1.ravel(), dS0, dS1])
 
+        terminal = np.concatenate([sys.Q0f_big.ravel(), red.Q1f_big.ravel(),
+                                   sys.lin0_f, red.lin1_f])
+        return integrate_backward(field, terminal, grid, threshold=threshold,
+                                  symmetrize=finite_sym_ref(d),
+                                  prefixes=(2 * sq,)), None
     Q0f, Qf = model.Q0f, model.Qf
     G0f, G1f, G2f = model.Gamma0f, model.Gamma1f, model.Gamma2f
     terminal = np.stack([
@@ -895,4 +955,5 @@ def reference_solve(route, model, grid):
         -G1f.T @ Qf, G1f.T @ Qf @ G2f,
     ])
     return integrate_backward(lambda_field_ref(model), terminal.ravel(), grid,
-                              symmetrize=sym), None
+                              threshold=threshold,
+                              symmetrize=lambda_sym_ref(model.n)), None

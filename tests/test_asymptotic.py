@@ -5,8 +5,9 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    assemble_finite_n, check_asymptotic_solvability,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce)
-from lqmfg.asymptotic import (BLOCK_KEYS, SCALING_EXPONENTS, TILE_TOL,
-                              _cluster_counts, _ReducedFields, _solve_dense)
+from lqmfg.asymptotic import (BLOCK_KEYS, DENSE_DIM_CAP, SCALING_EXPONENTS,
+                              TILE_TOL, _cluster_counts, _ReducedFields,
+                              _solve_dense)
 from lqmfg.ode import BlowUpReport
 
 from helpers import (build_model, check_escape_levels, coupling_loop,
@@ -63,7 +64,8 @@ def test_assembly_guards():
     with pytest.raises(ValueError):
         assemble_finite_n(scalar_coupled(), 0)
     with pytest.raises(NTooLargeForMemory):
-        assemble_finite_n(scalar_coupled(), 10, dim_cap=5)
+        # (N+1)n = 2001: refused before anything is allocated
+        assemble_finite_n(scalar_coupled(), DENSE_DIM_CAP)
 
 
 def test_zero_weight_solution_is_zero():
@@ -117,19 +119,6 @@ def test_exchangeability_of_dense_solution(scalar_model):
         assert np.abs(fin.P_big(i).values - want).max() < 1e-10
         assert np.abs(fin.S_big(i).values
                       - fin.S1_big.values[:, perm]).max() < 1e-10
-
-
-def test_feedback_respects_player_exchange(scalar_model):
-    grid = TimeGrid(M=60, T=1.0)
-    fin = solve_finite_n(scalar_model, 4, grid)
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=5)
-    Xsw = X.copy()
-    Xsw[[1, 3]] = Xsw[[3, 1]]
-    u3 = fin.feedback(3, 0.37, X)
-    u1 = fin.feedback(1, 0.37, Xsw)
-    assert np.allclose(u3, u1, atol=1e-12)
-    assert fin.feedback(0, 0.37, X).shape == (scalar_model.n1,)
 
 
 def test_cluster_counts_on_coupled_model(scalar_model):

@@ -1,19 +1,22 @@
 """The route fields, evaluated stacked over types with hoisted constants,
 are bitwise the per-type reference fields kept in helpers, and so are the
-solves built on them."""
+solves built on them and the symmetrization of each solve's state."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lqmfg import (TimeGrid, lift_pi, solve_lambda, solve_master, solve_nce,
-                   validate_model)
+from lqmfg import (TimeGrid, assemble_finite_n, lift_pi, solve_finite_n,
+                   solve_lambda, solve_master, solve_nce, validate_model)
 from lqmfg import asymptotic, master, nce
 from lqmfg.ode import BlowUpReport
 
-from helpers import (_random_params, build_model, lambda_field_ref,
-                     master_field_ref, nce_field_ref, random_n3k3,
-                     reference_solve, two_type_scalar)
+from helpers import (MasterBlocksRef, NCEWorkspaceRef, _random_params,
+                     build_model, dense_sym_ref, finite_sym_ref,
+                     growing_offsets, lambda_field_ref, lambda_sym_ref,
+                     master_field_ref, nce_field_ref, node_l1, random_n3k3,
+                     reference_solve, scalar_coupled, two_dim_coupled,
+                     two_type_scalar)
 
 FIELD_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -150,3 +153,123 @@ def test_solves_are_bitwise_the_reference_marches(name):
         else:
             blocks = [sol.blocks[key] for key in asymptotic.BLOCK_KEYS]
             assert np.array_equal(_flat(*blocks), ref.values)
+
+
+FINITE_MODELS = {"scalar": scalar_coupled, "twodim": two_dim_coupled,
+                 "offsets": growing_offsets}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_MODELS))
+def test_finite_n_solves_are_bitwise_the_reference_march(name):
+    """The reduced mode at N = 4, and the dense mode at N = 1 (where its
+    products are the reduced ones; at larger N it sums the exchanged
+    players in another order), are bitwise the reference march, and so
+    are their escape reports at the kernel and the offset level."""
+    model = FINITE_MODELS[name]()
+    grid = TimeGrid(M=100, T=1.0)
+    for N, modes in ((4, (False,)), (1, (False, True))):
+        ref, _ = reference_solve("finite-n", model, grid, N=N)
+        for dense in modes:
+            sol = solve_finite_n(model, N, grid, dense=dense)
+            assert np.array_equal(
+                _flat(sol.P0_big, sol.P1_big, sol.S0_big, sol.S1_big),
+                ref.values)
+
+        sq = assemble_finite_n(model, N).dim ** 2
+        kernels = node_l1(ref.values[:, :2 * sq])
+        joint = node_l1(ref.values)
+        for threshold in (0.9 * kernels.max(),
+                          0.5 * (kernels.max() + joint.max())):
+            want, _ = reference_solve("finite-n", model, grid, N=N,
+                                      threshold=threshold)
+            assert isinstance(want, BlowUpReport)
+            for dense in modes:
+                assert solve_finite_n(model, N, grid, dense=dense,
+                                      threshold=threshold) == want
+
+
+def solve_sym(route, model, N):
+    """The `symmetrize` that `route`'s solve hands to integrate_backward,
+    captured without marching."""
+    seen = []
+
+    def capture(field, terminal, grid, threshold, symmetrize, prefixes=()):
+        seen.append(symmetrize)
+        return BlowUpReport(escape_node=0, norm_at_escape=np.inf,
+                            threshold=threshold)
+
+    grid = TimeGrid(M=4, T=1.0)
+    module = {"nce": nce, "master": master}.get(route, asymptotic)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_backward", capture)
+        if route == "nce":
+            solve_nce(model, grid)
+        elif route == "master":
+            solve_master(model, grid)
+        elif route == "lambda":
+            solve_lambda(model, grid)
+        elif route == "finite-n":
+            solve_finite_n(model, N, grid)
+        else:
+            asymptotic._solve_dense(assemble_finite_n(model, N), grid, 1e12)
+    return seen[-1]
+
+
+def reference_sym(route, model, N):
+    if route == "nce":
+        return NCEWorkspaceRef(model, lift_pi(model)).sym
+    if route == "master":
+        return MasterBlocksRef(model, lift_pi(model)).sym
+    if route == "lambda":
+        return lambda_sym_ref(model.n)
+    d = (N + 1) * model.n
+    return finite_sym_ref(d) if route == "finite-n" else dense_sym_ref(N, d)
+
+
+def state_size(route, model, N):
+    K, n = model.K, model.n
+    d0, d1, d = n * (K + 1), n * (K + 2), (N + 1) * n
+    return {"nce": d0 * d0 + K * d1 * d1 + d0 + K * d1,
+            "master": d0 * d0 + K * d1 * d1 + d0 + K * d1 + 1 + K,
+            "lambda": 9 * n * n,
+            "finite-n": 2 * d * d + 2 * d,
+            "dense": (N + 1) * (d * d + d)}[route]
+
+
+def canonical_nan(a):
+    return np.where(np.isnan(a), np.nan, a)
+
+
+@pytest.mark.parametrize("route",
+                         ["nce", "master", "lambda", "finite-n", "dense"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(K=st.integers(1, 3), n=st.integers(1, 3), N=st.integers(1, 4),
+       model_seed=st.integers(0, 10 ** 6),
+       state_seed=st.integers(0, 2 ** 32 - 1),
+       special=st.sampled_from([0.0, 0.05, 0.5]),
+       nan_signs=st.sampled_from([(np.nan,), (np.nan, -np.nan)]))
+def test_layout_sym_is_bytewise_the_reference_sym(route, K, n, N, model_seed,
+                                                  state_seed, special,
+                                                  nan_signs):
+    """Also on states with inf and NaN entries: a NaN outside the kernels
+    stays in the projection, so the drift against it is NaN and never
+    raises AsymmetryDrift.
+
+    The sum of two NaNs of opposite sign is either of them, depending on
+    which numpy inner loop runs (the reference itself gives one sign for a
+    block alone and the other inside a stack of blocks). States holding
+    NaNs of both signs are therefore compared up to the sign of the NaNs;
+    every other entry is compared byte for byte."""
+    if route not in ("nce", "master"):
+        K = 1
+    model = random_model(K, n, model_seed)
+    rng = np.random.default_rng(state_seed)
+    w = rng.standard_normal(state_size(route, model, N))
+    hit = rng.random(w.size) < special
+    w[hit] = rng.choice([np.inf, -np.inf, *nan_signs], hit.sum())
+    with np.errstate(invalid="ignore"):            # inf + -inf
+        got = solve_sym(route, model, N)(w)
+        want = reference_sym(route, model, N)(w)
+    if len(nan_signs) > 1:
+        got, want = canonical_nan(got), canonical_nan(want)
+    assert got.tobytes() == want.tobytes()

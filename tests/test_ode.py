@@ -153,7 +153,7 @@ def test_non_finite_stage_raises_as_with_a_check_per_stage(monkeypatch, bad):
     assert got == want
     step = min(bad) // 4
     assert got == ("field returned non-finite derivative near "
-                   f"t={grid.nodes[grid.M - step]!r}")
+                   f"t={float(grid.nodes[grid.M - step])}")
 
 
 def test_growth_past_the_threshold_reports_the_same_node(monkeypatch):
@@ -397,3 +397,24 @@ def test_prefixes_are_validated():
     with pytest.raises(ValueError):
         integrate_backward(lambda t, w: w, np.zeros((2, 2)), grid,
                            prefixes=(2,))
+
+
+def test_state_layout_packs_splits_and_symmetrizes():
+    layout = ode.StateLayout([(2, 2), (3,), (1,)],
+                             symmetric=(True, False, False), levels=(1, 2))
+    assert layout.prefixes == (4, 7)
+    P = np.array([[1.0, 2.0], [4.0, 3.0]])
+    flat = layout.pack(P, [5.0, 6.0, 7.0], 8.0)
+    assert np.array_equal(flat, [1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 7.0, 8.0])
+    parts = layout.split(flat)
+    assert np.array_equal(parts[0], P)
+    assert all(np.shares_memory(part, flat) for part in parts)
+    # a path splits into segment paths over its leading node axis
+    Ps, s, r = layout.split(np.stack([flat, 2.0 * flat]))
+    assert (Ps.shape, s.shape, r.shape) == ((2, 2, 2), (2, 3), (2, 1))
+    assert np.array_equal(Ps[1], 2.0 * P)
+    assert np.array_equal(layout.sym(flat),
+                          [1.0, 3.0, 3.0, 3.0, 5.0, 6.0, 7.0, 8.0])
+    assert flat[1] == 2.0
+    with pytest.raises(ValueError):
+        layout.pack(P, [5.0, 6.0], 8.0)

@@ -71,6 +71,16 @@ def test_simulation_is_deterministic(scalar_model, scalar_nce):
     assert not np.array_equal(a.X, c.X)
 
 
+@pytest.mark.parametrize("name", ["X", "U"])
+def test_trajectory_rejects_a_non_finite_player_path(scalar_model, scalar_nce,
+                                                     name):
+    traj = simulate(scalar_model, 8, scalar_nce, seed=5)
+    bad = getattr(traj, name).copy()
+    bad[5, 17, 0] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite"):
+        dataclasses.replace(traj, **{name: bad})
+
+
 def test_brownian_variance_oracle():
     # Drift-free decoupled minors: X_i(T) = alpha0 + D W_i(T), so the
     # cross-sectional variance estimates D^2 T.
