@@ -94,15 +94,21 @@ class FiniteNSystem:
         return -self.K_minor(i, final=True).T @ (self.model.Qf @ self.model.etaf)
 
 
+def _capped_dim(N: int, n: int) -> int:
+    """(N+1)n, or NTooLargeForMemory above DENSE_DIM_CAP."""
+    d = (N + 1) * n
+    if d > DENSE_DIM_CAP:
+        raise NTooLargeForMemory(f"(N+1)n = {d} exceeds cap {DENSE_DIM_CAP}")
+    return d
+
+
 def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
     """Stack the N+1 individual dynamics and costs into one state space."""
     _require_k1(model)
     if N < 1:
         raise ValueError(f"need at least one minor player, got N={N}")
     n = model.n
-    d = (N + 1) * n
-    if d > DENSE_DIM_CAP:
-        raise NTooLargeForMemory(f"(N+1)n = {d} exceeds cap {DENSE_DIM_CAP}")
+    d = _capped_dim(N, n)
     A = model.A[0]
 
     Ahat = np.zeros((d, d))
@@ -191,15 +197,16 @@ class _ReducedFields:
         self.lin1 = sys.lin_minor(1)
         self.lin1_f = sys.lin_minor_f(1)
 
-    def coupling(self, P1: np.ndarray) -> np.ndarray:
-        """Sum over minors of (own-input gain) x (own Riccati matrix).
+    def coupling(self, MP1: np.ndarray) -> np.ndarray:
+        """Sum over minors of (own-input gain) x (own Riccati matrix),
+        from MP1 = M @ (row block 1 of P1).
 
         Row-block j of minor j's matrix is row-block 1 of P1 with column
         blocks 1 and j exchanged; nothing beyond exchangeability is
         assumed.
         """
         n, N, d = self.n, self.N, self.d
-        base = (self.sys.M @ P1[n:2 * n, :]).reshape(n, N + 1, n)
+        base = MP1.reshape(n, N + 1, n)
         W = np.zeros((d, d))
         # (row block j - 1, row in block, column block, column in block)
         rows = W[n:].reshape(N, n, N + 1, n)
@@ -209,31 +216,36 @@ class _ReducedFields:
         rows[j - 1, :, j] = base[:, 1]
         return W
 
-    def dP(self, P0, P1, W):
-        sys, n = self.sys, self.n
+    def derivatives(self, P0, P1, S0, S1):
+        """dP0, dP1, dS0, dS1; each subproduct shared by two terms is
+        taken once, in the association order of both."""
+        sys, n, N = self.sys, self.n, self.N
+        MP1 = sys.M @ P1[n:2 * n, :]
+        M0P0 = sys.M0 @ P0[:n, :]
+        M0S0 = sys.M0 @ S0[:n]
+        own = sys.M @ S1[n:2 * n]
+        W = self.coupling(MP1)
+
         Ar2 = sys.Ahat_rho2
         dP0 = (-(P0 @ Ar2 + Ar2.T @ P0)
-               + P0[:, :n] @ (sys.M0 @ P0[:n, :])
+               + P0[:, :n] @ M0P0
                + P0 @ W + W.T @ P0 - sys.Q0_big)
         dP1 = (-(P1 @ Ar2 + Ar2.T @ P1)
-               - P1[:, n:2 * n] @ (sys.M @ P1[n:2 * n, :])
-               + P1[:, :n] @ (sys.M0 @ P0[:n, :])
+               - P1[:, n:2 * n] @ MP1
+               + P1[:, :n] @ M0P0
                + P0[:, :n] @ (sys.M0 @ P1[:n, :])
                + P1 @ W + W.T @ P1 - self.Q1_big)
-        return dP0, dP1
 
-    def dS(self, P0, P1, W, S0, S1):
-        sys, n, N = self.sys, self.n, self.N
         ArT = sys.Ahat_rho.T
-        own = sys.M @ S1[n:2 * n]
-        vS = np.concatenate([np.zeros(n), np.tile(own, N)])
-        dS0 = (-ArT @ S0 + P0[:, :n] @ (sys.M0 @ S0[:n])
+        vS = np.zeros(self.d)
+        vS[n:].reshape(N, n)[:] = own
+        dS0 = (-ArT @ S0 + P0[:, :n] @ M0S0
                + W.T @ S0 + P0 @ vS + sys.lin0)
         dS1 = (-ArT @ S1 + P0[:, :n] @ (sys.M0 @ S1[:n])
-               + P1[:, :n] @ (sys.M0 @ S0[:n])
-               - P1[:, n:2 * n] @ (sys.M @ S1[n:2 * n])
+               + P1[:, :n] @ M0S0
+               - P1[:, n:2 * n] @ own
                + W.T @ S1 + P1 @ vS + self.lin1)
-        return dS0, dS1
+        return dP0, dP1, dS0, dS1
 
 
 def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
@@ -245,11 +257,7 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
                          symmetric=(True, True, False, False), levels=(2,))
 
     def field(t, flat):
-        P0, P1, S0, S1 = layout.split(flat)
-        W = red.coupling(P1)
-        dP0, dP1 = red.dP(P0, P1, W)
-        dS0, dS1 = red.dS(P0, P1, W, S0, S1)
-        return layout.pack(dP0, dP1, dS0, dS1)
+        return layout.pack(*red.derivatives(*layout.split(flat)))
 
     terminal = layout.pack(sys.Q0f_big, red.Q1f_big, sys.lin0_f, red.lin1_f)
     path = integrate_backward(field, terminal, grid, threshold=threshold,
@@ -678,8 +686,9 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     """Solve the finite system across N and test boundedness of the norms.
 
     N_list is sorted and de-duplicated first, so the verdict does not
-    depend on the caller's order; an N below 1 raises ValueError before
-    any solve. Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the
+    depend on the caller's order; an N below 1 raises ValueError, and a
+    largest N above the dimension cap NTooLargeForMemory, before any
+    solve. Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the
     escape report, solving one N after another; compares the
     bounded-tail heuristic (on the three largest N) with the nine-block
     system's solvability verdict.
@@ -688,6 +697,8 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     N_list = tuple(sorted({int(N) for N in N_list}))
     if N_list and N_list[0] < 1:
         raise ValueError(f"population sizes must be at least 1, got N={N_list[0]}")
+    if N_list:
+        _capped_dim(N_list[-1], model.n)
 
     norms = []
     escapes = {}

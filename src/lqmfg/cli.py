@@ -3,13 +3,15 @@
 Subcommands: solve {nce|master|lambda|finite-n}, compare {nce-master|
 lambda-phi|finite-structure}, check-solvability, simulate. Artifacts are
 CSV files (17 significant digits, round-trip exact) plus a plain-text
-summary per run. Exit codes: 0 success/PASS, 1 usage or configuration
+summary per run. Every all-float table goes through _write_table, which
+formats each distinct value once per block of rows with the bytes of
+formatting every entry alone; the mixed tables are formatted entry by
+entry with _fmt. Exit codes: 0 success/PASS, 1 usage or configuration
 error, 2 mathematical failure (finite escape, equivalence FAIL,
 non-finite simulation).
 """
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -31,6 +33,13 @@ _USAGE_ERRORS = (ModelFileError, DimensionMismatch, NotPSD, NotPD, BadPi,
                  TimeOutOfRange, EmptyType, EmptyBatch, ValueError, OSError)
 _MATH_ERRORS = (BlowUp, NonFiniteState, NonFiniteField, AsymmetryDrift,
                 PermutationMismatch)
+
+
+# cells per block of _write_table: a block holds _BLOCK_CELLS // width rows
+# (at least one), so the text held in memory depends on neither the row
+# count nor the width, and narrow tables do not pay one np.unique per few
+# rows
+_BLOCK_CELLS = 8192
 
 
 def _fmt(x) -> str:
@@ -131,16 +140,34 @@ def _entry_names(prefix: str, shape: tuple):
     return [f"{prefix}_{i}_{j}" for i in range(shape[0]) for j in range(shape[1])]
 
 
+def _write_table(path: str, names, t: np.ndarray, flat: np.ndarray):
+    """Float CSV: one column of `t`, then the columns of `flat`.
+
+    The columns are stacked a block of rows at a time; each distinct bit
+    pattern of a block (so -0.0 apart from +0.0, every NaN payload apart)
+    is formatted once with "%.17g", the bytes of _fmt, and the cells index
+    those strings: equal bits give equal text.
+    """
+    step = max(1, _BLOCK_CELLS // (flat.shape[1] + 1))
+
+    def lines():
+        yield ",".join(names)
+        for start in range(0, t.shape[0], step):
+            rows = np.column_stack([t[start:start + step],
+                                    flat[start:start + step]])
+            bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                            dtype=object)
+            for row in text[inverse.reshape(rows.shape)].tolist():
+                yield ",".join(row)
+
+    _write_lines(path, lines())
+
+
 def _write_path_csv(path: str, mp: MatrixPath, prefix: str):
     """Wide CSV: node time plus every entry of the state, row-major."""
-    header = ",".join(["t"] + _entry_names(prefix, mp.state_shape))
-    flat = mp.values.reshape(mp.values.shape[0], -1)
-    # "%.17g" writes the bytes of _fmt; rows are formatted as they are
-    # written, so the whole table never sits in memory as text
-    row = ",".join(["%.17g"] * (flat.shape[1] + 1))
-    rows = (row % (t, *values.tolist())
-            for t, values in zip(mp.grid.nodes.tolist(), flat))
-    _write_lines(path, itertools.chain([header], rows))
+    _write_table(path, ["t"] + _entry_names(prefix, mp.state_shape),
+                 mp.grid.nodes, mp.values.reshape(mp.values.shape[0], -1))
 
 
 def _psd_minimum(values: np.ndarray) -> float:
@@ -373,23 +400,17 @@ def cmd_simulate(args) -> int:
                      + _entry_names("U0", (model.n1,)))
             for i in range(show):
                 names += _entry_names(f"X{i + 1}", (model.n,))
-            lines = [",".join(names)]
-            for s in idx:
-                row = ([traj.times[s]] + list(traj.X0[s]) + list(traj.Zbar[s])
-                       + list(traj.U0[s]))
-                for i in range(show):
-                    row += list(traj.X[i, s])
-                lines.append(",".join(_fmt(v) for v in row))
-            _write_lines(os.path.join(out, f"sim_traj_N{N}_seed{seed}.csv"),
-                         lines)
+            players = traj.X[:show, idx].transpose(1, 0, 2).reshape(idx.size, -1)
+            _write_table(os.path.join(out, f"sim_traj_N{N}_seed{seed}.csv"),
+                         names, traj.times[idx],
+                         np.hstack([traj.X0[idx], traj.Zbar[idx], traj.U0[idx],
+                                    players]))
 
-            lines = ["t,type,error"]
-            for k in range(model.K):
-                for s in idx:
-                    lines.append(f"{_fmt(err.times[s])},{k + 1},"
-                                 f"{_fmt(err.per_type[k, s])}")
-            _write_lines(os.path.join(out, f"sim_error_N{N}_seed{seed}.csv"),
-                         lines)
+            # the type column as floats: "%.17g" prints 2.0 as "2"
+            types = np.repeat(np.arange(1.0, model.K + 1.0), idx.size)
+            _write_table(os.path.join(out, f"sim_error_N{N}_seed{seed}.csv"),
+                         ["t", "type", "error"], np.tile(err.times[idx], model.K),
+                         np.column_stack([types, err.per_type[:, idx].ravel()]))
 
         for player in (0, 1):
             est = sim.evaluate_cost(model, batch, player)

@@ -12,7 +12,8 @@ import numpy as np
 from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
                    NonFiniteField, NonFiniteState, TimeGrid, validate_model,
                    solve_nce)
-from lqmfg.asymptotic import _ReducedFields, assemble_finite_n
+from lqmfg.asymptotic import assemble_finite_n
+from lqmfg.master import _Blocks, _fd_derivative
 from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
 from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport,
                        integrate_backward)
@@ -791,6 +792,83 @@ class MasterBlocksRef:
         return [dPd0, dPd, dsd0, dsd, drd0, drd]
 
 
+def master_residual_ref(model, sol, sample):
+    """master.master_residual as it was with the whole _Blocks built per
+    sample: the oracle of its bitwise result."""
+    t, x0, zk, zbar, kappa = sample
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    zk = np.asarray(zk, dtype=np.float64).reshape(-1)
+    zbar = np.asarray(zbar, dtype=np.float64).reshape(-1)
+
+    grid = sol.grid
+    h = grid.h
+    j = int(round(t / h))
+    j = min(max(j, 1), grid.M - 1)
+    n = model.n
+    rho = model.rho
+    blocks = _Blocks(model, sol.lifted)
+
+    Abar = sol.Abar_dag.at(j)
+    Gbar = sol.Gbar_dag.at(j)
+    mbar = sol.mbar_dag.at(j)
+    xi0 = np.concatenate([x0, zbar])
+
+    if kappa == 0:
+        P = sol.Pd0.at(j)
+        s = sol.sd0.at(j)
+        r = float(sol.rd0.at(j))
+        dP = _fd_derivative(sol.Pd0.values, h, j)
+        ds = _fd_derivative(sol.sd0.values, h, j)
+        dr = float(_fd_derivative(sol.rd0.values, h, j))
+
+        V = xi0 @ P @ xi0 + 2.0 * (s @ xi0) + r
+        dV = xi0 @ dP @ xi0 + 2.0 * (ds @ xi0) + dr
+
+        grad_x0 = P[:n, :] @ xi0 + s[:n]           # half of d V/d x0
+        drift0 = model.A0 @ x0 + sol.lifted.F0_pi @ zbar
+        chi_1 = 2.0 * grad_x0 @ drift0
+        chi_2 = grad_x0 @ blocks.M0 @ grad_x0
+        dev = x0 - sol.lifted.Gamma0_pi @ zbar - model.eta0
+        chi_3 = dev @ model.Q0 @ dev
+        chi_4 = float(np.trace(P[:n, :n] @ blocks.D0D0T))
+        mean_drift = Gbar @ x0 + Abar @ zbar + mbar
+        chi_56 = 2.0 * (P[n:, :] @ xi0 + s[n:]) @ mean_drift
+        chi = chi_1 - chi_2 + chi_3 + chi_4 + chi_56
+    else:
+        P = sol.Pd.at(j)[kappa - 1]
+        s = sol.sd.at(j)[kappa - 1]
+        r = float(sol.rd.at(j)[kappa - 1])
+        dP = _fd_derivative(sol.Pd.values, h, j)[kappa - 1]
+        ds = _fd_derivative(sol.sd.values, h, j)[kappa - 1]
+        dr = float(_fd_derivative(sol.rd.values, h, j)[kappa - 1])
+
+        xik = np.concatenate([zk, x0, zbar])
+        V = xik @ P @ xik + 2.0 * (s @ xik) + r
+        dV = xik @ dP @ xik + 2.0 * (ds @ xik) + dr
+
+        P0 = sol.Pd0.at(j)
+        s0 = sol.sd0.at(j)
+        grad_row2 = P[n:2 * n, :] @ xik + s[n:2 * n]
+        closed0 = ((model.A0 - blocks.M0 @ P0[:n, :n]) @ x0
+                   + (sol.lifted.F0_pi - blocks.M0 @ P0[:n, n:]) @ zbar
+                   - blocks.M0 @ s0[:n])
+        chi_12 = 2.0 * grad_row2 @ closed0
+        chi_37 = float(np.trace(P[n:2 * n, n:2 * n] @ blocks.D0D0T)
+                       + np.trace(P[:n, :n] @ blocks.DDT))
+        grad_zk = P[:n, :] @ xik + s[:n]
+        drift_k = model.A[kappa - 1] @ zk + model.G @ x0 + sol.lifted.F_pi @ zbar
+        chi_4 = 2.0 * grad_zk @ drift_k
+        chi_5 = grad_zk @ blocks.M @ grad_zk
+        dev = zk - model.Gamma1 @ x0 - sol.lifted.Gamma2_pi @ zbar - model.eta
+        chi_6 = dev @ model.Q @ dev
+        mean_drift = Gbar @ x0 + Abar @ zbar + mbar
+        chi_89 = 2.0 * (P[2 * n:, :] @ xik + s[2 * n:]) @ mean_drift
+        chi = chi_12 + chi_37 + chi_4 - chi_5 + chi_6 + chi_89
+
+    lhs = rho * V - dV
+    return float((lhs - chi) / (1.0 + abs(V)))
+
+
 def master_field_ref(model):
     """The per-type value-function-route field of `model`."""
     blocks = MasterBlocksRef(model, lift_pi(model))
@@ -857,6 +935,65 @@ def lambda_sym_ref(n):
         return L.ravel()
 
     return sym
+
+
+class ReducedFieldsRef:
+    """The symmetry-reduced finite-N fields, one product per term (players
+    0 and 1 only): the oracle of asymptotic._ReducedFields."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.n = sys.model.n
+        self.N = sys.N
+        self.d = sys.dim
+        self.Q1_big = sys.Q_minor(1)
+        self.Q1f_big = sys.Q_minor(1, final=True)
+        self.lin1 = sys.lin_minor(1)
+        self.lin1_f = sys.lin_minor_f(1)
+
+    def coupling(self, P1: np.ndarray) -> np.ndarray:
+        """Sum over minors of (own-input gain) x (own Riccati matrix).
+
+        Row-block j of minor j's matrix is row-block 1 of P1 with column
+        blocks 1 and j exchanged; nothing beyond exchangeability is
+        assumed.
+        """
+        n, N, d = self.n, self.N, self.d
+        base = (self.sys.M @ P1[n:2 * n, :]).reshape(n, N + 1, n)
+        W = np.zeros((d, d))
+        # (row block j - 1, row in block, column block, column in block)
+        rows = W[n:].reshape(N, n, N + 1, n)
+        rows[:] = base
+        rows[:, :, 1] = base[:, 1:].transpose(1, 0, 2)
+        j = np.arange(1, N + 1)
+        rows[j - 1, :, j] = base[:, 1]
+        return W
+
+    def dP(self, P0, P1, W):
+        sys, n = self.sys, self.n
+        Ar2 = sys.Ahat_rho2
+        dP0 = (-(P0 @ Ar2 + Ar2.T @ P0)
+               + P0[:, :n] @ (sys.M0 @ P0[:n, :])
+               + P0 @ W + W.T @ P0 - sys.Q0_big)
+        dP1 = (-(P1 @ Ar2 + Ar2.T @ P1)
+               - P1[:, n:2 * n] @ (sys.M @ P1[n:2 * n, :])
+               + P1[:, :n] @ (sys.M0 @ P0[:n, :])
+               + P0[:, :n] @ (sys.M0 @ P1[:n, :])
+               + P1 @ W + W.T @ P1 - self.Q1_big)
+        return dP0, dP1
+
+    def dS(self, P0, P1, W, S0, S1):
+        sys, n, N = self.sys, self.n, self.N
+        ArT = sys.Ahat_rho.T
+        own = sys.M @ S1[n:2 * n]
+        vS = np.concatenate([np.zeros(n), np.tile(own, N)])
+        dS0 = (-ArT @ S0 + P0[:, :n] @ (sys.M0 @ S0[:n])
+               + W.T @ S0 + P0 @ vS + sys.lin0)
+        dS1 = (-ArT @ S1 + P0[:, :n] @ (sys.M0 @ S1[:n])
+               + P1[:, :n] @ (sys.M0 @ S0[:n])
+               - P1[:, n:2 * n] @ (sys.M @ S1[n:2 * n])
+               + W.T @ S1 + P1 @ vS + self.lin1)
+        return dS0, dS1
 
 
 def finite_sym_ref(d):
@@ -927,7 +1064,7 @@ def reference_solve(route, model, grid, N=None,
                                   threshold=threshold, symmetrize=ws.sym,
                                   prefixes=(nP, nP + ns)), ws
     if route == "finite-n":
-        red = _ReducedFields(assemble_finite_n(model, N))
+        red = ReducedFieldsRef(assemble_finite_n(model, N))
         sys = red.sys
         d = sys.dim
         sq = d * d

@@ -204,7 +204,8 @@ def test_cluster_counts_match_greedy_scan_on_solved_paths(make, N):
 def test_coupling_matches_row_block_loop(make, N):
     sys = assemble_finite_n(make(), N)
     P1 = np.random.default_rng(N).standard_normal((sys.dim, sys.dim))
-    assert np.array_equal(_ReducedFields(sys).coupling(P1),
+    n = sys.model.n
+    assert np.array_equal(_ReducedFields(sys).coupling(sys.M @ P1[n:2 * n, :]),
                           coupling_loop(sys, P1))
 
 

@@ -1,13 +1,18 @@
 import math
 import os
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lqmfg import TimeGrid, solve_nce, write_model_file
-from lqmfg.cli import (_entry_names, _fmt, _psd_minimum, _write_path_csv,
-                       main)
+from lqmfg import (TimeGrid, empirical_mean_error, load_model, simulate,
+                   solve_master, solve_nce, write_model_file)
+from lqmfg import cli
+from lqmfg.cli import (_BLOCK_CELLS, _downsample, _entry_names, _fmt,
+                       _psd_minimum, _write_path_csv, _write_table, main)
 from lqmfg.ode import MatrixPath
 
 from helpers import build_model, random_n3k3, zero_weight
@@ -49,13 +54,19 @@ def test_solve_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def _joined_table(names, t, flat):
+    """A float CSV built as one string, entry by entry with _fmt."""
+    lines = [",".join(names)]
+    for ti, row in zip(t, flat):
+        lines.append(",".join([_fmt(ti)] + [_fmt(v) for v in row]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def _joined_csv(mp, prefix):
     """The path CSV built as one string, entry by entry with _fmt."""
-    lines = [",".join(["t"] + _entry_names(prefix, mp.state_shape))]
-    flat = mp.values.reshape(mp.values.shape[0], -1)
-    for t, row in zip(mp.grid.nodes, flat):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _joined_table(["t"] + _entry_names(prefix, mp.state_shape),
+                         mp.grid.nodes,
+                         mp.values.reshape(mp.values.shape[0], -1))
 
 
 def test_path_csv_bytes_match_entrywise_format(tmp_path):
@@ -72,6 +83,68 @@ def test_path_csv_bytes_match_entrywise_format(tmp_path):
         path = tmp_path / f"{prefix}.csv"
         _write_path_csv(str(path), mp, prefix)
         assert path.read_bytes() == _joined_csv(mp, prefix)
+
+
+def _bits(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64).tolist()
+
+
+# values where formatting once per distinct bit pattern could go wrong:
+# both zeros, subnormals, huge values, infinities and NaNs of either sign
+# and with payloads, and a few ordinary doubles to repeat
+TRICKY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+          1e300, -1e300, math.inf, -math.inf, 1.0, 2.0, 0.1, 1.0 / 3.0,
+          *_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0xFFF00000000ABCDE, 0x7FFFFFFFFFFFFFFF)]
+def _check_table(path, shape, table):
+    """_write_table and, for a finite table of two rows or more, the path
+    writer give the bytes of the entrywise format."""
+    names = ["t"] + _entry_names("P", shape)
+    _write_table(str(path), names, table[:, 0], table[:, 1:])
+    assert path.read_bytes() == _joined_table(names, table[:, 0], table[:, 1:])
+
+    rows = table.shape[0]
+    if rows > 1:
+        grid = TimeGrid(M=rows - 1, T=1.0)
+        values = np.where(np.isfinite(table[:, 1:]), table[:, 1:], -0.0)
+        values[:, 0] = grid.nodes[::-1]         # times equal to entries
+        mp = MatrixPath(grid, values.reshape((rows,) + shape))
+        _write_path_csv(str(path), mp, "P")
+        assert path.read_bytes() == _joined_csv(mp, "P")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.sampled_from([(), (1,), (5,), (1, 1), (2, 3), (3, 3)]),
+       cells=st.sampled_from([1, 6, 24, 64]),
+       offset=st.sampled_from([None, -1, 0, 1]), data=st.data())
+def test_table_bytes_match_entrywise_format(tmp_path, shape, cells, offset,
+                                            data):
+    # small blocks, so that 1 row, a block less or more one row and several
+    # blocks (101 rows = M + 1 at M = 100) all stay cheap
+    width = int(np.prod(shape)) + 1
+    step = max(1, cells // width)
+    rows = 1 if offset is None else max(1, step + offset)
+    rows = data.draw(st.sampled_from([rows, 101]))
+    cell = st.one_of(st.sampled_from(TRICKY), st.floats(width=64))
+    table = data.draw(arrays(np.float64, (rows, width), elements=cell))
+    # +0.0 and -0.0 in one row and block, the time equal to an entry, and
+    # the first row repeated in the last (another block once rows > step)
+    table[0, 0], table[0, -1] = 0.0, -0.0
+    table[-1, 0] = table[0, -1]
+    table[-1, 1:] = table[0, 1:]
+    with mock.patch.object(cli, "_BLOCK_CELLS", cells):
+        _check_table(tmp_path / "table.csv", shape, table)
+
+
+@pytest.mark.parametrize("shape", [(), (33, 33)])
+def test_table_bytes_at_full_blocks(tmp_path, shape):
+    width = int(np.prod(shape)) + 1
+    rows = _BLOCK_CELLS // width + 1
+    rng = np.random.default_rng(width)
+    table = rng.choice(np.array(TRICKY[:8] + [0.25, -3.5]), (rows, width))
+    table[:, 0] = rng.standard_normal(rows)
+    _check_table(tmp_path / "table.csv", shape, table)
 
 
 def test_psd_minimum_matches_per_matrix_loop():
@@ -271,6 +344,20 @@ def test_check_solvability(tmp_path):
     assert "consistent" in (out / "summary.txt").read_text()
 
 
+def test_check_solvability_caps_dimension_before_solving(tmp_path, capsys,
+                                                        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite system solved")
+
+    monkeypatch.setattr("lqmfg.asymptotic.solve_finite_n", refuse)
+    out = tmp_path / "cap"
+    code = main(["check-solvability", "--model", SCALAR, "--grid", "20",
+                 "--N", "8,2000", "--out", str(out)])
+    assert code == 1
+    assert "error: (N+1)n = 2001 exceeds cap 2000" in capsys.readouterr().err
+    assert not (out / "solvability.csv").exists()
+
+
 def test_check_solvability_rejects_small_n(tmp_path, capsys):
     code = main(["check-solvability", "--model", SCALAR, "--grid", "20",
                  "--N", "8,0,4", "--out", str(tmp_path / "bad")])
@@ -316,6 +403,50 @@ def test_simulate_outputs(tmp_path):
     costs = (out / "sim_costs.csv").read_text().strip().splitlines()
     assert costs[0] == "N,player,mean,std_error,samples"
     assert len(costs) == 3
+
+
+def _sim_csvs_entrywise(model, sol, N, seed, use_empirical):
+    """sim_traj and sim_error bytes as written row by row with _fmt."""
+    traj = simulate(model, N, sol, seed=seed, use_empirical=use_empirical)
+    err = empirical_mean_error(traj)
+    idx = _downsample(200, traj.times.shape[0])
+    show = min(N, 3)
+    names = (["t"] + _entry_names("X0", (model.n,))
+             + _entry_names("Zbar", (model.n * model.K,))
+             + _entry_names("U0", (model.n1,)))
+    for i in range(show):
+        names += _entry_names(f"X{i + 1}", (model.n,))
+    traj_lines = [",".join(names)]
+    for s in idx:
+        row = ([traj.times[s]] + list(traj.X0[s]) + list(traj.Zbar[s])
+               + list(traj.U0[s]))
+        for i in range(show):
+            row += list(traj.X[i, s])
+        traj_lines.append(",".join(_fmt(v) for v in row))
+    error_lines = ["t,type,error"]
+    for k in range(model.K):
+        for s in idx:
+            error_lines.append(f"{_fmt(err.times[s])},{k + 1},"
+                               f"{_fmt(err.per_type[k, s])}")
+    return [("\n".join(lines) + "\n").encode("utf-8")
+            for lines in (traj_lines, error_lines)]
+
+
+@pytest.mark.parametrize("feedback,empirical", [("nce", False),
+                                                ("master", True)])
+def test_simulate_csv_bytes_match_entrywise_format(tmp_path, feedback,
+                                                   empirical):
+    path = str(MODELS / "twotype.model")
+    out = tmp_path / "sim"
+    argv = ["simulate", "--model", path, "--grid", "50", "--N", "5",
+            "--seed", "4", "--feedback", feedback, "--out", str(out)]
+    assert main(argv + (["--use-empirical"] if empirical else [])) == 0
+    model = load_model(path)
+    grid = TimeGrid(M=50, T=model.T)
+    sol = (solve_master if feedback == "master" else solve_nce)(model, grid)
+    want = _sim_csvs_entrywise(model, sol, 5, 4, empirical)
+    assert (out / "sim_traj_N5_seed4.csv").read_bytes() == want[0]
+    assert (out / "sim_error_N5_seed4.csv").read_bytes() == want[1]
 
 
 def test_simulate_usage_errors(tmp_path, capsys):

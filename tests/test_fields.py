@@ -11,12 +11,12 @@ from lqmfg import (TimeGrid, assemble_finite_n, lift_pi, solve_finite_n,
 from lqmfg import asymptotic, master, nce
 from lqmfg.ode import BlowUpReport
 
-from helpers import (MasterBlocksRef, NCEWorkspaceRef, _random_params,
-                     build_model, dense_sym_ref, finite_sym_ref,
-                     growing_offsets, lambda_field_ref, lambda_sym_ref,
-                     master_field_ref, nce_field_ref, node_l1, random_n3k3,
-                     reference_solve, scalar_coupled, two_dim_coupled,
-                     two_type_scalar)
+from helpers import (MasterBlocksRef, NCEWorkspaceRef, ReducedFieldsRef,
+                     _random_params, build_model, dense_sym_ref,
+                     finite_sym_ref, growing_offsets, lambda_field_ref,
+                     lambda_sym_ref, master_field_ref, nce_field_ref, node_l1,
+                     random_n3k3, reference_solve, scalar_coupled,
+                     two_dim_coupled, two_type_scalar)
 
 FIELD_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -97,6 +97,25 @@ def test_lambda_field_is_bitwise_the_inline_field(n, model_seed, state_seed,
     field, ref, kernels, tail = route_field("lambda", model)
     w = random_state(state_seed, kernels, tail, zeros, scale)
     assert field(t, w).tobytes() == ref(t, w).tobytes()
+
+
+@FIELD_SETTINGS
+@given(n=st.integers(1, 3), N=st.sampled_from([1, 2, 3, 8, 32]),
+       model_seed=st.integers(0, 10 ** 6), **STATES)
+def test_finite_field_is_bitwise_the_reference_field(n, N, model_seed,
+                                                     state_seed, zeros, scale,
+                                                     t):
+    sys = assemble_finite_n(random_model(1, n, model_seed), N)
+    d = sys.dim
+    w = random_state(state_seed, [(2, d, d)], 2 * d, zeros, scale)
+    P0, P1 = w[:2 * d * d].reshape(2, d, d)
+    S0, S1 = w[2 * d * d:].reshape(2, d)
+    got = asymptotic._ReducedFields(sys).derivatives(P0, P1, S0, S1)
+    ref = ReducedFieldsRef(sys)
+    W = ref.coupling(P1)
+    want = ref.dP(P0, P1, W) + ref.dS(P0, P1, W, S0, S1)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def _flat(*paths):

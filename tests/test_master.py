@@ -10,7 +10,8 @@ from lqmfg import (GridMismatch, IndexOutOfRange, TimeGrid, TimeOutOfRange,
 from lqmfg.ode import BlowUpReport, MatrixPath
 
 from helpers import (check_escape_levels, decoupled_scalar, growing_offsets,
-                     node_l1, zero_weight)
+                     master_residual_ref, node_l1, random_n3k3, scalar_coupled,
+                     two_type_scalar, zero_weight)
 
 
 def test_terminal_pins(scalar_master, scalar_model, scalar_grid):
@@ -72,6 +73,21 @@ def test_residual_detects_corrupted_kernel(scalar_model, scalar_master):
     corrupted = dataclasses.replace(
         scalar_master, Pd0=MatrixPath(scalar_master.grid, bad))
     assert worst(corrupted) >= 100.0 * max(clean, 1e-12)
+
+
+@pytest.mark.parametrize("make", [scalar_coupled, two_type_scalar,
+                                  random_n3k3])
+def test_residual_is_bitwise_the_whole_blocks_residual(make):
+    model = make()
+    sol = solve_master(model, TimeGrid(M=100, T=1.0))
+    rng = np.random.default_rng(11)
+    n, K = model.n, model.K
+    for t in (0.003, 0.25, 0.5, 0.777, 0.999):
+        for kappa in range(K + 1):
+            sample = (t, rng.normal(size=n), rng.normal(size=n),
+                      rng.normal(size=n * K), kappa)
+            assert (master_residual(model, sol, sample)
+                    == master_residual_ref(model, sol, sample))
 
 
 def test_residual_argument_validation(scalar_model, scalar_master):
