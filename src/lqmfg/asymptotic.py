@@ -10,6 +10,7 @@ matching blocks from the consistency-route solution, and runs the
 structural and boundedness checks tying the three together.
 """
 
+import ast
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,63 +404,201 @@ class LambdaSolution:
     M: np.ndarray
 
 
+# d(L)/dt of the nine-block system, one equation per block in BLOCK_KEYS
+# order. Python's grammar fixes the association: @ before + and -, each
+# to the left (L1_0 @ M0 @ L1_0 is (L1_0 @ M0) @ L1_0); X.T is X's
+# transpose and the names below stand for their subtrees.
+_LAMBDA_NAMES = {
+    "mean_cl": "M @ (L1 + L2) - A - F",     # drives every *-mean block
+    "cross": "La @ M - G.T",                # recurring major/minor mix
+}
+_LAMBDA_EQUATIONS = (
+    "rho * L1_0 + L1_0 @ M0 @ L1_0 - (L1_0 @ A0 + A0.T @ L1_0)"
+    " + L2_0 @ (M @ La.T - G) + cross @ L2_0.T - Q0",
+    "rho * L2_0 + (L1_0 @ M0 - A0.T) @ L2_0 + L2_0 @ mean_cl"
+    " - L1_0 @ F0 + cross @ L3_0 + Q0 @ G0",
+    "rho * L3_0 + L2_0.T @ M0 @ L2_0 - L2_0.T @ F0 - F0.T @ L2_0"
+    " + L3_0 @ mean_cl + mean_cl.T @ L3_0 - G0.T @ Q0 @ G0",
+    "rho * L0 + La @ M @ La.T - Lb @ G - G.T @ Lb.T"
+    " + L0 @ (M0 @ L1_0 - A0) + (L1_0 @ M0 - A0.T) @ L0"
+    " - La @ (G - M @ Lb.T) - (G.T - Lb @ M) @ La.T - G1.T @ Q @ G1",
+    "rho * L1 + L1 @ M @ L1 - L1 @ A - A.T @ L1 - Q",
+    "rho * L2 + La.T @ (M0 @ L2_0 - F0) - L1 @ F"
+    " + (L1 @ M - A.T) @ L2 + L2 @ mean_cl + Q @ G2",
+    "rho * L3 + Lb.T @ M0 @ L2_0 + L2_0.T @ M0 @ Lb"
+    " + L2.T @ M @ L2 - Lb.T @ F0 - F0.T @ Lb - L2.T @ F - F.T @ L2"
+    " + L3 @ mean_cl + mean_cl.T @ L3 - G2.T @ Q @ G2",
+    "rho * La + (L1_0 @ M0 - A0.T) @ La + La @ (M @ L1 - A)"
+    " - G.T @ L1 + cross @ L2.T + G1.T @ Q",
+    "rho * Lb + L0 @ M0 @ L2_0 + cross @ (L2 + L3)"
+    " - L0 @ F0 - La @ F + Lb @ mean_cl"
+    " + (L1_0 @ M0 - A0.T) @ Lb - G1.T @ Q @ G2",
+)
+_LAMBDA_OPS = {ast.Mult: np.multiply, ast.MatMult: np.matmul,
+               ast.Add: np.add, ast.Sub: np.subtract}
+# The op of each stage's gather group, in order: every intermediate joins
+# the first group of its op after those of its operands (+ and - share
+# groups, see _lambda_field).
+_LAMBDA_GROUPS = (np.multiply, np.add, np.matmul, np.add, np.add, np.matmul)
+
+
 def _lambda_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
-    """The nine-block limit field d(L)/dt of a K = 1 model, L flat."""
+    """The nine-block limit field d(L)/dt of a K = 1 model, L flat:
+
+        d1_0 = rho L1_0 + L1_0 M0 L1_0 - (L1_0 A0 + A0' L1_0)
+               + L2_0 (M La' - G) + cross L2_0' - Q0
+        d2_0 = rho L2_0 + (L1_0 M0 - A0') L2_0 + L2_0 mean_cl - L1_0 F0
+               + cross L3_0 + Q0 G0
+        d3_0 = rho L3_0 + L2_0' M0 L2_0 - L2_0' F0 - F0' L2_0
+               + L3_0 mean_cl + mean_cl' L3_0 - G0' Q0 G0
+        d0   = rho L0 + La M La' - Lb G - G' Lb' + L0 (M0 L1_0 - A0)
+               + (L1_0 M0 - A0') L0 - La (G - M Lb') - (G' - Lb M) La'
+               - G1' Q G1
+        d1   = rho L1 + L1 M L1 - L1 A - A' L1 - Q
+        d2   = rho L2 + La' (M0 L2_0 - F0) - L1 F + (L1 M - A') L2
+               + L2 mean_cl + Q G2
+        d3   = rho L3 + Lb' M0 L2_0 + L2_0' M0 Lb + L2' M L2 - Lb' F0
+               - F0' Lb - L2' F - F' L2 + L3 mean_cl + mean_cl' L3
+               - G2' Q G2
+        da   = rho La + (L1_0 M0 - A0') La + La (M L1 - A) - G' L1
+               + cross L2' + G1' Q
+        db   = rho Lb + L0 M0 L2_0 + cross (L2 + L3) - L0 F0 - La F
+               + Lb mean_cl + (L1_0 M0 - A0') Lb - G1' Q G2
+
+    with mean_cl = M (L1 + L2) - A - F and cross = La M - G', associated
+    to the left and summed left to right as written (_LAMBDA_EQUATIONS).
+
+    The equations are compiled once per solve. Every operand and result
+    is an n-by-n slot of one flat pool: the state, the model constants
+    (products of constants alone, G1' Q G1 say, taken here once with
+    numpy as written), a rho slot, a -0.0 pad, then one slot per
+    distinct intermediate (a subexpression met twice is one slot). The
+    intermediates form _LAMBDA_GROUPS; a group is one element-index
+    gather per operand (transposes are index patterns) and one stacked
+    ufunc call with out= into the group's slots. The terms of the nine
+    blocks, padded to a common count, form one signed gather table. A
+    stage writes the state into the pool, runs the groups, gathers the
+    terms into a (terms, 9, n, n) stack, multiplies it by the +-1.0
+    signs and returns np.add.reduce over the first axis: a fresh array
+    that never aliases the pool. The floats are the written equations'
+    (tests/helpers.lambda_field_ref) bit for bit, because:
+    - a stacked (k, n, n) @ (k, n, n) gives each slice's own product,
+      also where a slice is a gathered transpose;
+    - x - y is x + (-1.0 * y), so one group or table mixes + and -;
+    - adding -0.0 leaves every sum unchanged, -0.0 included, so padded
+      terms change nothing;
+    - np.add.reduce over the leading axis of a C-contiguous stack adds
+      left to right.
+    The pool is the closure's own: the field is not reentrant.
+    """
     n = model.n
-    A = model.A[0]
-    A0, F0, F, G = model.A0, model.F0, model.F, model.G
-    Q0, Q = model.Q0, model.Q
-    G0, G1, G2 = model.Gamma0, model.Gamma1, model.Gamma2
-    rho = model.rho
-    # Model-only products are taken once here and subproducts that recur
-    # within a stage once per stage. Each keeps the association of the
-    # written-out equations (G1' Q G1 is (G1' Q) G1, L1_0 M0 L1_0 is
-    # (L1_0 M0) L1_0), so every block is the same floats as with the
-    # products inline.
-    G1TQ = G1.T @ Q
-    G0TQ0G0 = G0.T @ Q0 @ G0
-    G1TQG1 = G1TQ @ G1
-    G2TQG2 = G2.T @ Q @ G2
-    G1TQG2 = G1TQ @ G2
-    Q0G0 = Q0 @ G0
-    QG2 = Q @ G2
+    names = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
+             "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
+             "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
+             "G2": model.Gamma2, "rho": np.full((n, n), model.rho)}
+    state = ["L" + key for key in BLOCK_KEYS]
+    consts = []      # constant blocks, products of constants included
+    nodes = []       # (op, a, b) of every state-dependent intermediate
+    known = {}       # name or (op, a, b) -> reference
+    # A reference is ((kind, index), transposed); kind "L" is a state
+    # block, "C" a constant, "N" an intermediate.
+
+    def visit(e):
+        if isinstance(e, ast.Attribute) and e.attr == "T":
+            where, t = visit(e.value)
+            return where, not t
+        if isinstance(e, ast.Name):
+            if e.id in state:
+                return ("L", state.index(e.id)), False
+            if e.id not in known:
+                if e.id in _LAMBDA_NAMES:
+                    text = _LAMBDA_NAMES[e.id]
+                    known[e.id] = visit(ast.parse(text, mode="eval").body)
+                else:
+                    consts.append(names[e.id])
+                    known[e.id] = ("C", len(consts) - 1), False
+            return known[e.id]
+        key = (_LAMBDA_OPS[type(e.op)], visit(e.left), visit(e.right))
+        if key not in known:
+            op, (wa, ta), (wb, tb) = key
+            if wa[0] == wb[0] == "C":
+                a, b = consts[wa[1]], consts[wb[1]]
+                consts.append(op(a.T if ta else a, b.T if tb else b))
+                known[key] = ("C", len(consts) - 1), False
+            else:
+                nodes.append(key)
+                known[key] = ("N", len(nodes) - 1), False
+        return known[key]
+
+    blocks = []
+    for text in _LAMBDA_EQUATIONS:
+        e, terms = ast.parse(text, mode="eval").body, []
+        while isinstance(e, ast.BinOp) and type(e.op) in (ast.Add, ast.Sub):
+            terms.append((1.0 if isinstance(e.op, ast.Add) else -1.0,
+                          visit(e.right)))
+            e = e.left
+        blocks.append([(1.0, visit(e))] + terms[::-1])
+
+    consts.append(np.full((n, n), -0.0))
+    pad = ("C", len(consts) - 1), False
+
+    # nodes lists operands before their results; place each in the first
+    # group of its op after its operands' groups
+    group_of = []
+    for op, (wa, _), (wb, _) in nodes:
+        after = max([group_of[w[1]] for w in (wa, wb) if w[0] == "N"],
+                    default=-1)
+        op = np.add if op is np.subtract else op
+        group_of.append(next(g for g in range(after + 1, len(_LAMBDA_GROUPS))
+                             if _LAMBDA_GROUPS[g] is op))
+    order = sorted(range(len(nodes)), key=group_of.__getitem__)
+
+    # pool slots: state, constants (the pad last), intermediates by group
+    first = {"L": 0, "C": len(state), "N": len(state) + len(consts)}
+    slot_of = {i: first["N"] + k for k, i in enumerate(order)}
+    cell = np.arange(n * n).reshape(n, n)
+
+    def index(ref):
+        (kind, i), t = ref
+        slot = slot_of[i] if kind == "N" else first[kind] + i
+        return slot * n * n + (cell.T if t else cell)
+
+    pool = np.empty((first["N"] + len(nodes)) * n * n)
+    slots = pool.reshape(-1, n, n)
+    slots[first["C"]:first["N"]] = consts
+
+    groups = []
+    lo = first["N"]
+    for g, op in enumerate(_LAMBDA_GROUPS):
+        members = [nodes[i] for i in order if group_of[i] == g]
+        signs = np.array([-1.0 if m[0] is np.subtract else 1.0
+                          for m in members]).reshape(-1, 1, 1)
+        groups.append((op, np.array([index(m[1]) for m in members]),
+                       np.array([index(m[2]) for m in members]),
+                       signs if (signs < 0).any() else None,
+                       slots[lo:lo + len(members)]))
+        lo += len(members)
+
+    # term j of every block, padded; built in C order, so that the
+    # gathered (terms, 9, n, n) stack is C-contiguous too
+    depth = max(len(terms) for terms in blocks)
+    padded = [terms + [(1.0, pad)] * (depth - len(terms)) for terms in blocks]
+    term_index = np.array([[index(terms[j][1]) for terms in padded]
+                           for j in range(depth)])
+    term_signs = np.array([[terms[j][0] for terms in padded]
+                           for j in range(depth)]).reshape(depth, -1, 1, 1)
+    size = len(state) * n * n
 
     def fieldfn(t, flat):
-        L = flat.reshape(9, n, n)
-        L1_0, L2_0, L3_0, L0, L1, L2, L3, La, Lb = L
-        rL = rho * L
-        L1M0 = L1_0 @ M0
-        L1M0A = L1M0 - A0.T                      # recurring major closed loop
-        LaM = La @ M
-        L1M = L1 @ M
-        L2TM0 = L2_0.T @ M0
-        # shared closed-loop combinations
-        mean_cl = M @ (L1 + L2) - A - F          # drives every *-mean block
-        cross = LaM - G.T                        # recurring major/minor mix
-        d = np.empty_like(L)
-        d[0] = (rL[0] + L1M0 @ L1_0 - (L1_0 @ A0 + A0.T @ L1_0)
-                + L2_0 @ (M @ La.T - G) + cross @ L2_0.T - Q0)
-        d[1] = (rL[1] + L1M0A @ L2_0 + L2_0 @ mean_cl
-                - L1_0 @ F0 + cross @ L3_0 + Q0G0)
-        d[2] = (rL[2] + L2TM0 @ L2_0 - L2_0.T @ F0 - F0.T @ L2_0
-                + L3_0 @ mean_cl + mean_cl.T @ L3_0 - G0TQ0G0)
-        d[3] = (rL[3] + LaM @ La.T - Lb @ G - G.T @ Lb.T
-                + L0 @ (M0 @ L1_0 - A0) + L1M0A @ L0
-                - La @ (G - M @ Lb.T) - (G.T - Lb @ M) @ La.T
-                - G1TQG1)
-        d[4] = rL[4] + L1M @ L1 - L1 @ A - A.T @ L1 - Q
-        d[5] = (rL[5] + La.T @ (M0 @ L2_0 - F0) - L1 @ F
-                + (L1M - A.T) @ L2 + L2 @ mean_cl + QG2)
-        d[6] = (rL[6] + Lb.T @ M0 @ L2_0 + L2TM0 @ Lb
-                + L2.T @ M @ L2 - Lb.T @ F0 - F0.T @ Lb
-                - L2.T @ F - F.T @ L2
-                + L3 @ mean_cl + mean_cl.T @ L3 - G2TQG2)
-        d[7] = (rL[7] + L1M0A @ La + La @ (M @ L1 - A)
-                - G.T @ L1 + cross @ L2.T + G1TQ)
-        d[8] = (rL[8] + L0 @ M0 @ L2_0 + cross @ (L2 + L3)
-                - L0 @ F0 - La @ F + Lb @ mean_cl
-                + L1M0A @ Lb - G1TQG2)
-        return d.ravel()
+        pool[:size] = flat
+        for op, a, b, signs, out in groups:
+            rhs = pool[b]
+            if signs is not None:
+                rhs *= signs
+            op(pool[a], rhs, out=out)
+        stack = pool[term_index]
+        stack *= term_signs
+        return np.add.reduce(stack, axis=0).ravel()
 
     return fieldfn
 

@@ -75,31 +75,31 @@ def build_parser() -> argparse.ArgumentParser:
                             "field games with a major player.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def shared(sp, need_model=True):
-        sp.add_argument("--model", required=need_model,
+    def shared(sp):
+        sp.add_argument("--model", required=True,
                         help="path to a key=value model file")
         sp.add_argument("--grid", type=int, default=None,
                         help="number of integrator steps (default by horizon)")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", type=_tolerance, default=None,
-                        help="comparison tolerance override")
-        sp.add_argument("--seed", type=_int_list, default=[0],
-                        help="comma-separated seed list")
         sp.add_argument("--N", type=_int_list, default=None,
                         help="comma-separated population sizes")
-        sp.add_argument("--dt", type=float, default=None,
-                        help="simulation step")
+
+    def dense(sp):
         sp.add_argument("--dense", action="store_true",
                         help="force the dense finite-N mode")
 
     sp = sub.add_parser("solve", help="solve one equation system")
     sp.add_argument("system", choices=["nce", "master", "lambda", "finite-n"])
     shared(sp)
+    dense(sp)
 
     sp = sub.add_parser("compare", help="run two routes and diff them")
     sp.add_argument("pair", choices=["nce-master", "lambda-phi",
                                      "finite-structure"])
     shared(sp)
+    dense(sp)
+    sp.add_argument("--tol", type=_tolerance, default=None,
+                    help="comparison tolerance override")
 
     sp = sub.add_parser("check-solvability",
                         help="finite-N boundedness vs the limit-system verdict")
@@ -107,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="closed-loop Monte Carlo runs")
     shared(sp)
+    sp.add_argument("--seed", type=_int_list, default=[0],
+                    help="comma-separated seed list")
+    sp.add_argument("--dt", type=float, default=None,
+                    help="simulation step")
     sp.add_argument("--type-counts", type=_int_list, default=None,
                     help="players per type (single N only)")
     sp.add_argument("--feedback", choices=["nce", "master"], default="nce")
@@ -362,8 +366,10 @@ def cmd_simulate(args) -> int:
                          f"{','.join(str(N) for N in args.N)}")
     if args.type_counts is not None and len(args.N) != 1:
         raise ValueError("--type-counts only applies to a single --N")
-    # size, step and memory first, then the per-type empirical-mean error
-    # needs players of every type: all before the feedback solve
+    # seeds, size, step and memory first, then the per-type empirical-mean
+    # error needs players of every type: all before the feedback solve
+    for seed in args.seed:
+        sim.check_seed(seed)
     for N in args.N:
         sim.simulation_steps(model, grid, N, args.dt)
         counts = (sim.default_type_counts(model, N) if args.type_counts is None

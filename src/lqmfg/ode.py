@@ -33,10 +33,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import AsymmetryDrift, NonFiniteField, TimeOutOfRange
+from .errors import (AsymmetryDrift, NonFiniteField, NTooLargeForMemory,
+                     TimeOutOfRange)
 from .model import TimeGrid
 
 DEFAULT_BLOWUP_THRESHOLD = 1e12
+# Bytes one stored path (or one simulation, see sim.simulation_bytes) may
+# allocate; larger runs are refused before anything is allocated.
+MEMORY_BUDGET = 4 * 2 ** 30
 # Relative asymmetry beyond this after a step signals a mis-assembled
 # field; measured relative to the state's magnitude so that legitimate
 # near-escape growth (entries ~1e11) is still classified as blow-up.
@@ -159,6 +163,18 @@ class StateLayout:
         return out
 
 
+def _path_storage(grid: TimeGrid, shape: tuple) -> np.ndarray:
+    """Uninitialized storage for a state of `shape` on every node of
+    `grid`; NTooLargeForMemory, before any allocation, if its bytes exceed
+    MEMORY_BUDGET."""
+    need = 8 * (grid.M + 1) * math.prod(shape)
+    if need > MEMORY_BUDGET:
+        raise NTooLargeForMemory(
+            f"a path of {grid.M + 1} states of {math.prod(shape)} floats "
+            f"needs {need} bytes, over the budget of {MEMORY_BUDGET} bytes")
+    return np.empty((grid.M + 1,) + shape, dtype=np.float64)
+
+
 def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
     k1 = field(t, w)
     k2 = field(t + dt / 2.0, w + (dt / 2.0) * k1)
@@ -208,7 +224,9 @@ def integrate_backward(
     round-off stays orders of magnitude smaller.
 
     Returns the full MatrixPath, or a BlowUpReport naming the first node at
-    which the state's l1 norm exceeded `threshold` or went non-finite.
+    which the state's l1 norm exceeded `threshold` or went non-finite. A
+    path whose (M+1) * state.size * 8 bytes exceed MEMORY_BUDGET raises
+    NTooLargeForMemory before anything is allocated.
 
     `prefixes` are increasing lengths of leading segments of a flat state
     whose derivatives never read the entries past them: e.g. (nP, nP + ns)
@@ -233,10 +251,10 @@ def integrate_backward(
         raise ValueError(f"prefixes {tuple(prefixes)} must increase strictly "
                          f"inside a flat state of size {terminal.size}")
     inner = levels[0]
+    out = _path_storage(grid, terminal.shape)
     nodes = grid.nodes
     M = grid.M
     h = grid.h
-    out = np.empty((M + 1,) + terminal.shape, dtype=np.float64)
 
     top = len(levels) - 1       # outermost level still marched
     remembered = None           # report of the innermost outer level crossed
@@ -281,8 +299,8 @@ def integrate_forward(
 ) -> MatrixPath:
     """RK4 from t = 0 up to t = T (initial value companion, no escape check)."""
     initial = np.asarray(initial, dtype=np.float64)
+    out = _path_storage(grid, initial.shape)
     nodes = grid.nodes
-    out = np.empty((grid.M + 1,) + initial.shape, dtype=np.float64)
     out[0] = initial
     w = initial
     for j in range(grid.M):

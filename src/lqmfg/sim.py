@@ -36,15 +36,14 @@ from .errors import (EmptyBatch, EmptyType, GridMismatch, NonFiniteState,
 from .master import MasterSolution, master_gains
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution, nce_gains
-from .ode import TIME_SLACK
+from .ode import MEMORY_BUDGET, TIME_SLACK
 
 DEFAULT_STEPS = 4000
 # Steps marched per chunk of the simulation loop; the chunk buffers hold
 # N * CHUNK_STEPS * (n + n1 + n2) floats.
 CHUNK_STEPS = 256
-# Bytes one simulation may allocate (simulation_bytes), and the measured
-# size of one player's noise stream.
-MEMORY_BUDGET = 4 * 2 ** 30
+# The measured size of one player's noise stream; a simulation's bytes
+# (simulation_bytes) are held to ode.MEMORY_BUDGET.
 STREAM_BYTES = 1024
 
 
@@ -126,6 +125,14 @@ def default_type_counts(model: ValidatedModel, N: int) -> np.ndarray:
         order = np.argsort(-(raw - counts))
         counts[order[:short]] += 1
     return counts
+
+
+def check_seed(seed) -> int:
+    """`seed` as an int; ValueError unless it is an integer in [0, 2**64),
+    the range of a Philox key word."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return int(seed)
 
 
 def _player_rng(seed: int, player: int) -> np.random.Generator:
@@ -277,10 +284,10 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     per player (initial draw first, then the Brownian increments).
     use_empirical makes the feedback read the per-type empirical means
     instead of the reference path (off by default: the limit strategies
-    are decentralized). N and dt are checked by simulation_steps before
-    anything is allocated; a state that stops being finite raises
-    NonFiniteState naming the first non-finite step (states are checked
-    once per chunk).
+    are decentralized). The seed (check_seed), N and dt (simulation_steps)
+    are checked before anything is allocated; a state that stops being
+    finite raises NonFiniteState naming the first non-finite step (states
+    are checked once per chunk).
 
     Noise is drawn per chunk of CHUNK_STEPS steps from the same streams,
     so paths do not depend on the chunk length. Memory is O(N S (n + n1))
@@ -295,6 +302,7 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     else:
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
     grid = sol.grid
+    seed = check_seed(seed)
     dt, S = simulation_steps(model, grid, N, dt)
 
     if type_counts is None:

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from unittest import mock
 from pathlib import Path
 
@@ -537,3 +538,79 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
                      *argv, "--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+
+def test_options_belong_to_their_subcommands(tmp_path, capsys, monkeypatch):
+    """Each subcommand takes only the options it reads: --tol on compare,
+    --seed and --dt on simulate, --dense on solve and compare."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr("lqmfg.nce.solve_nce", refuse)
+    monkeypatch.setattr("lqmfg.master.solve_master", refuse)
+    misuse = [
+        ["solve", "nce", "--dt", "5"],
+        ["solve", "nce", "--seed", "3"],
+        ["solve", "nce", "--tol", "1"],
+        ["solve", "nce", "--dt", "5", "--dense", "--seed", "3", "--N", "7",
+         "--tol", "1"],
+        ["compare", "nce-master", "--seed", "3"],
+        ["compare", "lambda-phi", "--dt", "0.1"],
+        ["check-solvability", "--dense"],
+        ["check-solvability", "--tol", "1"],
+        ["simulate", "--N", "4", "--dense"],
+        ["simulate", "--N", "4", "--tol", "0"],
+        ["simulate", "--dense", "--tol", "0"],
+    ]
+    for i, argv in enumerate(misuse):
+        out = tmp_path / str(i)
+        assert main([*argv, "--model", SCALAR, "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    parser = cli.build_parser()
+    for argv in (["solve", "finite-n", "--N", "4", "--dense"],
+                 ["compare", "finite-structure", "--N", "4", "--dense",
+                  "--tol", "1e-8"],
+                 ["check-solvability", "--N", "4,8"],
+                 ["simulate", "--N", "4", "--seed", "1,2", "--dt", "0.01"]):
+        args = parser.parse_args([*argv, "--model", SCALAR, "--grid", "10",
+                                  "--out", str(tmp_path)])
+        assert (args.model, args.grid, args.out) == (SCALAR, 10, str(tmp_path))
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_simulate_rejects_bad_seeds_before_solving(tmp_path, capsys,
+                                                   monkeypatch, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("feedback solved")
+
+    monkeypatch.setattr("lqmfg.nce.solve_nce", refuse)
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", SCALAR, "--N", "4",
+                 "--seed", f"0,{seed}", "--out", str(out)]) == 1
+    assert (f"error: seed must be an integer in [0, 2**64), got {seed}"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^11 + 1 nodes of the nine-block state: 7.2 TB
+    ["solve", "lambda", "--grid", "100000000000"],
+    # (N+1)n = 501: 2001 nodes of 2 * 501^2 + 2 * 501 floats, 8.05 GB
+    ["solve", "finite-n", "--N", "500"],
+])
+def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,
+                                                          argv):
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--model", SCALAR, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert ("bytes, over the budget of 4294967296 bytes"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
+    assert peak < 64 * 2 ** 20

@@ -99,6 +99,44 @@ def test_lambda_field_is_bitwise_the_inline_field(n, model_seed, state_seed,
     assert field(t, w).tobytes() == ref(t, w).tobytes()
 
 
+def lambda_fields(n, model_seed):
+    model = random_model(1, n, model_seed)
+    field, ref, _, _ = route_field("lambda", model)
+    return field, ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), seeds=st.tuples(*[st.integers(0, 10 ** 6)] * 4),
+       zeros=st.sampled_from([0.0, 0.3]))
+def test_lambda_fields_keep_their_results_and_pools_apart(n, seeds, zeros):
+    """The field evaluates through a pool of its own: a result stays as
+    it was after later calls, and two fields of different models called
+    in alternation each give their own model's reference field."""
+    (f, f_ref), (g, g_ref) = (lambda_fields(n, s) for s in seeds[:2])
+    v, w = (random_state(s, [], 9 * n * n, zeros, 1.0) for s in seeds[2:])
+    first = f(0.0, v)
+    kept = first.copy()
+    for state in (w, v, w):
+        assert f(0.0, state).tobytes() == f_ref(0.0, state).tobytes()
+        assert g(0.0, state).tobytes() == g_ref(0.0, state).tobytes()
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, f(0.0, v))
+
+
+@FIELD_SETTINGS
+@given(n=st.integers(1, 3), model_seed=st.integers(0, 10 ** 6),
+       state_seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e11, 1e12), zeros=st.sampled_from([0.0, 0.3]))
+def test_lambda_field_is_bitwise_the_inline_field_near_escape(
+        n, model_seed, state_seed, scale, zeros):
+    """Entries of 1e11 to 1e12, as RK4 stages meet them just below the
+    escape threshold, where products reach 1e24 and more."""
+    field, ref = lambda_fields(n, model_seed)
+    w = random_state(state_seed, [], 9 * n * n, zeros, 1.0)
+    w = w / max(np.abs(w).max(), 1e-300) * scale
+    assert field(0.0, w).tobytes() == ref(0.0, w).tobytes()
+
+
 @FIELD_SETTINGS
 @given(n=st.integers(1, 3), N=st.sampled_from([1, 2, 3, 8, 32]),
        model_seed=st.integers(0, 10 ** 6), **STATES)

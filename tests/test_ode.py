@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField, TimeGrid,
-                   TimeOutOfRange, integrate_backward, integrate_forward, ode)
+from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField,
+                   NTooLargeForMemory, TimeGrid, TimeOutOfRange,
+                   integrate_backward, integrate_forward, ode, sim)
 from lqmfg.ode import TIME_SLACK, BlowUpReport
 
 from helpers import (check_escape_levels, first_crossing, riccati_closed_form,
@@ -418,3 +419,26 @@ def test_state_layout_packs_splits_and_symmetrizes():
     assert flat[1] == 2.0
     with pytest.raises(ValueError):
         layout.pack(P, [5.0, 6.0], 8.0)
+
+
+def test_path_storage_is_sized_before_allocating():
+    """(M+1) * state * 8 bytes above the one MEMORY_BUDGET are refused
+    before the path, the nodes or a field evaluation exist."""
+    assert sim.MEMORY_BUDGET is ode.MEMORY_BUDGET
+    calls = []
+
+    def field(t, w):
+        calls.append(t)
+        return w
+
+    grid = TimeGrid(M=10 ** 11, T=1.0)
+    for march in (integrate_backward, integrate_forward):
+        with pytest.raises(NTooLargeForMemory,
+                           match="a path of 100000000001 states of 9 floats "
+                                 "needs 7200000000072 bytes"):
+            march(field, np.zeros((3, 3)), grid)
+    # 2001 nodes of 268,000 floats: 4,289,072,000 bytes, just inside
+    assert 8 * 2001 * 268_000 <= ode.MEMORY_BUDGET < 8 * 2001 * 268_400
+    with pytest.raises(NTooLargeForMemory):
+        integrate_backward(field, np.zeros(268_400), TimeGrid(M=2000, T=1.0))
+    assert calls == []

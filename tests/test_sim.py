@@ -484,3 +484,19 @@ def test_exploding_simulation_is_the_reference_loop(dims, K, model_seed,
             use_empirical=use_empirical)
     assert_same_outcome(got, want)
     assert got_warned <= want_warned
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, -1, 1.5])
+def test_simulate_rejects_seeds_outside_the_key_range(scalar_model,
+                                                      scalar_nce, monkeypatch,
+                                                      seed):
+    """Seeds are Philox key words: integers in [0, 2**64), checked before
+    any stream or array exists."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("stream created")
+
+    monkeypatch.setattr(sim, "_player_rng", refuse)
+    with pytest.raises(ValueError, match=r"seed must be an integer in "
+                                         r"\[0, 2\*\*64\)"):
+        simulate(scalar_model, 4, scalar_nce, seed=seed)
+    assert sim.check_seed(np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
