@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridMismatch, KNotOne, NTooLargeForMemory,
-                     PermutationMismatch)
+from .errors import GridMismatch, KNotOne, PermutationMismatch
 from .master import DiffReport
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
-from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
+from .ode import (BlowUpReport, MatrixPath, StateLayout, check_budget,
+                  integrate_backward)
 
-# Both modes step matrices of side (N+1)n (dense mode N+1 of them); refuse
-# beyond this.
-DENSE_DIM_CAP = 2000
 # Dense-vs-reduced and exchangeability disagreements beyond this are bugs.
 EXCHANGE_TOL = 1e-8
 # Tiles closer than this (l1, up to transpose) belong to one cluster.
@@ -46,6 +43,12 @@ SCALING_EXPONENTS = {"1_0": 0, "2_0": 1, "3_0": 2,
 def _require_k1(model: ValidatedModel):
     if model.K != 1:
         raise KNotOne(f"finite-population route needs K=1, got K={model.K}")
+
+
+def _require_population(model: ValidatedModel, N: int):
+    _require_k1(model)
+    if N < 1:
+        raise ValueError(f"need at least one minor player, got N={N}")
 
 
 @dataclass(frozen=True)
@@ -95,21 +98,27 @@ class FiniteNSystem:
         return -self.K_minor(i, final=True).T @ (self.model.Qf @ self.model.etaf)
 
 
-def _capped_dim(N: int, n: int) -> int:
-    """(N+1)n, or NTooLargeForMemory above DENSE_DIM_CAP."""
+def _check_path_budget(N: int, n: int, grid: TimeGrid, dense: bool):
+    """Size the stored path of solve_finite_n before anything is
+    assembled: the kernel and offset of side (N+1)n of the two
+    representative players, or of all N+1 in dense mode."""
     d = (N + 1) * n
-    if d > DENSE_DIM_CAP:
-        raise NTooLargeForMemory(f"(N+1)n = {d} exceeds cap {DENSE_DIM_CAP}")
-    return d
+    players, mode = (N + 1, "dense") if dense else (2, "symmetric")
+    check_budget(f"the {mode} path of N={N} minor players on "
+                 f"{grid.M + 1} nodes",
+                 8 * (grid.M + 1) * players * (d * d + d))
 
 
 def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
-    """Stack the N+1 individual dynamics and costs into one state space."""
-    _require_k1(model)
-    if N < 1:
-        raise ValueError(f"need at least one minor player, got N={N}")
+    """Stack the N+1 individual dynamics and costs into one state space;
+    NTooLargeForMemory, before any allocation, if its peak of seven
+    matrices of side (N+1)n (five kept, two temporaries) exceeds the
+    memory budget."""
+    _require_population(model, N)
     n = model.n
-    d = _capped_dim(N, n)
+    d = (N + 1) * n
+    check_budget(f"assembling N={N} minor players ({d}x{d} matrices)",
+                 8 * 7 * d * d)
     A = model.A[0]
 
     Ahat = np.zeros((d, d))
@@ -155,9 +164,9 @@ def _swap_block_index(N: int, n: int, i: int) -> np.ndarray:
 class FiniteNSolution:
     """Representative Riccati/offset paths of the N+1-player game.
 
-    Players 2..N are recovered on demand by the block permutation swapping
-    their slot with player 1's, so only the two representative paths are
-    stored regardless of N.
+    Player i in 2..N holds player 1's paths with state blocks 1 and i
+    exchanged (exchangeability, audited in dense mode), so only the two
+    representative paths are stored regardless of N.
     """
 
     model: ValidatedModel
@@ -169,21 +178,6 @@ class FiniteNSolution:
     S0_big: MatrixPath
     S1_big: MatrixPath
 
-    def P_big(self, i: int) -> MatrixPath:
-        if i == 0:
-            return self.P0_big
-        if i == 1:
-            return self.P1_big
-        idx = _swap_block_index(self.N, self.model.n, i)
-        return MatrixPath(self.grid, self.P1_big.values[:, idx][:, :, idx])
-
-    def S_big(self, i: int) -> MatrixPath:
-        if i == 0:
-            return self.S0_big
-        if i == 1:
-            return self.S1_big
-        idx = _swap_block_index(self.N, self.model.n, i)
-        return MatrixPath(self.grid, self.S1_big.values[:, idx])
 
 class _ReducedFields:
     """Symmetry-reduced fields: only players 0 and 1 are carried."""
@@ -368,8 +362,12 @@ def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
     The default integrates only the two representative players via
     exchangeability. dense=True integrates all N+1 literally, audits the
     permutation structure, and cross-checks the reduced mode against it
-    (PermutationMismatch beyond 1e-8 signals an implementation bug).
+    (PermutationMismatch beyond 1e-8 signals an implementation bug). A
+    stored path above the memory budget raises NTooLargeForMemory before
+    anything is assembled.
     """
+    _require_population(model, N)
+    _check_path_budget(N, model.n, grid, dense)
     sys = assemble_finite_n(model, N)
     if not dense:
         return _solve_reduced(sys, grid, threshold)
@@ -826,18 +824,18 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
 
     N_list is sorted and de-duplicated first, so the verdict does not
     depend on the caller's order; an N below 1 raises ValueError, and a
-    largest N above the dimension cap NTooLargeForMemory, before any
-    solve. Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the
-    escape report, solving one N after another; compares the
-    bounded-tail heuristic (on the three largest N) with the nine-block
-    system's solvability verdict.
+    largest N whose path exceeds the memory budget NTooLargeForMemory,
+    before any solve. Records, per N, sup over nodes of |P0|_l1 +
+    |P1|_l1, or the escape report, solving one N after another; compares
+    the bounded-tail heuristic (on the three largest N) with the
+    nine-block system's solvability verdict.
     """
     _require_k1(model)
     N_list = tuple(sorted({int(N) for N in N_list}))
     if N_list and N_list[0] < 1:
         raise ValueError(f"population sizes must be at least 1, got N={N_list[0]}")
     if N_list:
-        _capped_dim(N_list[-1], model.n)
+        _check_path_budget(N_list[-1], model.n, grid, dense=False)
 
     norms = []
     escapes = {}

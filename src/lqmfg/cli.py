@@ -19,10 +19,10 @@ import sys
 import numpy as np
 
 from . import asymptotic, master, nce, sim
-from .errors import (AsymmetryDrift, BadPi, BlowUp, DimensionMismatch,
-                     EmptyBatch, EmptyType, GridMismatch, IndexOutOfRange,
-                     KNotOne, ModelFileError, NonFiniteField, NonFiniteState,
-                     NotPD, NotPSD, NTooLargeForMemory, PermutationMismatch,
+from .errors import (AsymmetryDrift, BadPi, DimensionMismatch, EmptyBatch,
+                     EmptyType, GridMismatch, IndexOutOfRange, KNotOne,
+                     ModelFileError, NonFiniteField, NonFiniteState, NotPD,
+                     NotPSD, NTooLargeForMemory, PermutationMismatch,
                      TimeOutOfRange)
 from .modelfile import load_model
 from .model import TimeGrid, default_steps
@@ -31,7 +31,7 @@ from .ode import BlowUpReport, MatrixPath
 _USAGE_ERRORS = (ModelFileError, DimensionMismatch, NotPSD, NotPD, BadPi,
                  GridMismatch, KNotOne, NTooLargeForMemory, IndexOutOfRange,
                  TimeOutOfRange, EmptyType, EmptyBatch, ValueError, OSError)
-_MATH_ERRORS = (BlowUp, NonFiniteState, NonFiniteField, AsymmetryDrift,
+_MATH_ERRORS = (NonFiniteState, NonFiniteField, AsymmetryDrift,
                 PermutationMismatch)
 
 

@@ -40,17 +40,6 @@ class IndexOutOfRange(LQMFGError):
     """A block or player index is outside its valid range."""
 
 
-class BlowUp(LQMFGError):
-    """A backward integration escaped in finite time; carries the report."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(
-            f"finite escape at node {report.escape_node} "
-            f"(l1 norm {report.norm_at_escape:.3e} > {report.threshold:.3e})"
-        )
-
-
 class NonFiniteField(LQMFGError):
     """The ODE field returned NaN/Inf at a finite state (an assembly bug)."""
 
@@ -72,8 +61,8 @@ class KNotOne(LQMFGError):
 
 
 class NTooLargeForMemory(LQMFGError):
-    """A finite-N assembly or a simulation would exceed its size cap or
-    memory budget; the message states the figure."""
+    """A stored path, a finite-N assembly or a simulation would exceed the
+    memory budget (ode.MEMORY_BUDGET); the message states the bytes."""
 
 
 class PermutationMismatch(LQMFGError):

@@ -47,22 +47,6 @@ class MasterSolution:
 
 
 @dataclass(frozen=True)
-class ResidualSample:
-    """One pointwise evaluation of an equation residual."""
-
-    t: float
-    x0: np.ndarray
-    zk: np.ndarray
-    zbar: np.ndarray
-    kappa: int
-    residual: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.residual):
-            raise ValueError("residual is not finite")
-
-
-@dataclass(frozen=True)
 class DiffReport:
     """Named max-over-nodes l1 discrepancies with a PASS verdict."""
 
@@ -356,12 +340,6 @@ def master_residual(model: ValidatedModel, sol: MasterSolution, sample) -> float
 
     lhs = rho * V - dV
     return float((lhs - chi) / (1.0 + abs(V)))
-
-
-def residual_sample(model, sol, t, x0, zk, zbar, kappa) -> ResidualSample:
-    value = master_residual(model, sol, (t, x0, zk, zbar, kappa))
-    return ResidualSample(t=t, x0=np.asarray(x0), zk=np.asarray(zk),
-                          zbar=np.asarray(zbar), kappa=kappa, residual=value)
 
 
 def master_gains(sol: MasterSolution, times: np.ndarray):

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, IndexOutOfRange, TimeOutOfRange
+from .errors import IndexOutOfRange, TimeOutOfRange
 from .model import PiLifted, TimeGrid, ValidatedModel, lift_pi
-from .ode import (BlowUpReport, MatrixPath, StateLayout, integrate_backward,
-                  integrate_forward)
+from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
 
 
 @dataclass(frozen=True)
@@ -243,28 +242,3 @@ def nce_feedback(sol: NCESolution, model: ValidatedModel, t: float,
     u0 = -(G0[0] @ np.concatenate([x0, zbar]) + g0[0])
     ui = -(G[0, kappa - 1] @ np.concatenate([xi, x0, zbar]) + g[0, kappa - 1])
     return u0, ui
-
-
-def propagate_mean_field(sol: NCESolution, model: ValidatedModel,
-                         x0_path: np.ndarray, grid: TimeGrid) -> MatrixPath:
-    """Regenerate the mean field from a given major-player path.
-
-    Integrates dZbar = (Abar Zbar + Gbar x0 + mbar) dt forward from the
-    common minor initial mean stacked over types, with the coefficient
-    paths and the supplied x0 path interpolated linearly at RK4 stages.
-    """
-    if not grid.same_as(sol.grid):
-        raise GridMismatch("mean-field grid differs from the solution grid")
-    x0_path = np.asarray(x0_path, dtype=np.float64)
-    if x0_path.shape != (grid.M + 1, model.n):
-        raise GridMismatch(
-            f"x0 path shape {x0_path.shape} does not match grid "
-            f"({grid.M + 1} nodes, n={model.n})"
-        )
-    x0p = MatrixPath(grid, x0_path.copy())
-
-    def field(t, z):
-        return sol.Abar.interp(t) @ z + sol.Gbar.interp(t) @ x0p.interp(t) + sol.mbar.interp(t)
-
-    z_init = np.tile(model.alpha0, model.K)
-    return integrate_forward(field, z_init, grid)

@@ -39,7 +39,8 @@ from .model import TimeGrid
 
 DEFAULT_BLOWUP_THRESHOLD = 1e12
 # Bytes one stored path (or one simulation, see sim.simulation_bytes) may
-# allocate; larger runs are refused before anything is allocated.
+# allocate; larger runs are refused by check_budget before anything is
+# allocated.
 MEMORY_BUDGET = 4 * 2 ** 30
 # Relative asymmetry beyond this after a step signals a mis-assembled
 # field; measured relative to the state's magnitude so that legitimate
@@ -163,15 +164,22 @@ class StateLayout:
         return out
 
 
-def _path_storage(grid: TimeGrid, shape: tuple) -> np.ndarray:
-    """Uninitialized storage for a state of `shape` on every node of
-    `grid`; NTooLargeForMemory, before any allocation, if its bytes exceed
-    MEMORY_BUDGET."""
-    need = 8 * (grid.M + 1) * math.prod(shape)
+def check_budget(what: str, need: int) -> None:
+    """NTooLargeForMemory, naming `what`, if `need` bytes exceed
+    MEMORY_BUDGET; the one size rule of every stored path and
+    simulation, checked before anything is allocated."""
     if need > MEMORY_BUDGET:
         raise NTooLargeForMemory(
-            f"a path of {grid.M + 1} states of {math.prod(shape)} floats "
-            f"needs {need} bytes, over the budget of {MEMORY_BUDGET} bytes")
+            f"{what} needs {need} bytes, over the budget of "
+            f"{MEMORY_BUDGET} bytes")
+
+
+def _path_storage(grid: TimeGrid, shape: tuple) -> np.ndarray:
+    """Uninitialized storage for a state of `shape` on every node of
+    `grid`, sized by check_budget first."""
+    size = math.prod(shape)
+    check_budget(f"a path of {grid.M + 1} states of {size} floats",
+                 8 * (grid.M + 1) * size)
     return np.empty((grid.M + 1,) + shape, dtype=np.float64)
 
 
@@ -289,21 +297,4 @@ def integrate_backward(
 
     if remembered is not None:
         return remembered
-    return MatrixPath(grid=grid, values=out)
-
-
-def integrate_forward(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    initial: np.ndarray,
-    grid: TimeGrid,
-) -> MatrixPath:
-    """RK4 from t = 0 up to t = T (initial value companion, no escape check)."""
-    initial = np.asarray(initial, dtype=np.float64)
-    out = _path_storage(grid, initial.shape)
-    nodes = grid.nodes
-    out[0] = initial
-    w = initial
-    for j in range(grid.M):
-        w = _rk4_step(field, nodes[j], w, grid.h)
-        out[j + 1] = w
     return MatrixPath(grid=grid, values=out)

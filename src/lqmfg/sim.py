@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyBatch, EmptyType, GridMismatch, NonFiniteState,
-                     NTooLargeForMemory)
+from .errors import EmptyBatch, EmptyType, GridMismatch, NonFiniteState
 from .master import MasterSolution, master_gains
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution, nce_gains
-from .ode import MEMORY_BUDGET, TIME_SLACK
+from .ode import MEMORY_BUDGET, TIME_SLACK, check_budget
 
 DEFAULT_STEPS = 4000
 # Steps marched per chunk of the simulation loop; the chunk buffers hold
@@ -175,11 +174,8 @@ def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
     if abs(ratio - round(ratio)) > TIME_SLACK * max(1.0, ratio) or round(ratio) < 1:
         raise GridMismatch(f"dt={dt} does not divide the grid spacing {grid.h}")
     S = grid.M * int(round(ratio))
-    need = simulation_bytes(model, N, S)
-    if need > MEMORY_BUDGET:
-        raise NTooLargeForMemory(
-            f"simulating N={N} players over {S} steps needs {need} bytes, "
-            f"over the budget of {MEMORY_BUDGET} bytes")
+    check_budget(f"simulating N={N} players over {S} steps",
+                 simulation_bytes(model, N, S))
     return dt, S
 
 

@@ -12,10 +12,10 @@ import numpy as np
 from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
                    NonFiniteField, NonFiniteState, TimeGrid, validate_model,
                    solve_nce)
-from lqmfg.asymptotic import assemble_finite_n
+from lqmfg.asymptotic import _swap_block_index, assemble_finite_n
 from lqmfg.master import _Blocks, _fd_derivative
 from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
-from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport,
+from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
                        integrate_backward)
 from lqmfg.sim import (DEFAULT_STEPS, _cov_factor, _player_rng,
                        default_type_counts)
@@ -236,6 +236,19 @@ def coupling_loop(sys, P1):
         row[:, j * n:(j + 1) * n] = base[:, n:2 * n]
         W[j * n:(j + 1) * n, :] = row
     return W
+
+
+def player_paths(fin):
+    """Kernel and offset paths of players 0..N of a finite-N solution;
+    player i >= 2 holds player 1's with state blocks 1 and i exchanged."""
+    P1, S1 = fin.P1_big.values, fin.S1_big.values
+    kernels = [fin.P0_big.values, P1]
+    offsets = [fin.S0_big.values, S1]
+    for i in range(2, fin.N + 1):
+        idx = _swap_block_index(fin.N, fin.model.n, i)
+        kernels.append(P1[:, idx][:, :, idx])
+        offsets.append(S1[:, idx])
+    return kernels, offsets
 
 
 def _interp_at(path, t):
@@ -528,6 +541,32 @@ def rk4_step_ref(field, t, w, dt):
         raise NonFiniteField(
             f"field returned non-finite derivative near t={float(t)}")
     return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate_forward_ref(field, initial, grid):
+    """States on every node of `grid`, marched with RK4 from t = 0 up to
+    T (an initial value problem, no escape check)."""
+    out = np.empty((grid.M + 1,) + np.shape(initial))
+    out[0] = initial
+    for j in range(grid.M):
+        out[j + 1] = rk4_step_ref(field, grid.nodes[j], out[j], grid.h)
+    return out
+
+
+def propagate_mean_field_ref(sol, x0_path):
+    """The mean field regenerated from a major-player path on the nodes of
+    an NCESolution: dZbar = (Abar Zbar + Gbar x0 + mbar) dt forward from
+    the minor initial mean stacked over types, with the coefficient paths
+    and the x0 path interpolated linearly at the RK4 stages."""
+    model = sol.model
+    x0p = MatrixPath(sol.grid, np.array(x0_path, dtype=np.float64))
+
+    def field(t, z):
+        return (sol.Abar.interp(t) @ z + sol.Gbar.interp(t) @ x0p.interp(t)
+                + sol.mbar.interp(t))
+
+    return integrate_forward_ref(field, np.tile(model.alpha0, model.K),
+                                 sol.grid)
 
 
 # -- reference route fields --------------------------------------------------

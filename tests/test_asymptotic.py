@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,15 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    assemble_finite_n, check_asymptotic_solvability,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce)
-from lqmfg.asymptotic import (BLOCK_KEYS, DENSE_DIM_CAP, SCALING_EXPONENTS,
-                              TILE_TOL, _cluster_counts, _ReducedFields,
-                              _solve_dense)
+from lqmfg.asymptotic import (BLOCK_KEYS, SCALING_EXPONENTS, TILE_TOL,
+                              _cluster_counts, _ReducedFields, _solve_dense)
 from lqmfg.ode import BlowUpReport
 
 from helpers import (build_model, check_escape_levels, coupling_loop,
                      decoupled_scalar, greedy_cluster_count, growing_offsets,
-                     node_l1, riccati_closed_form, scalar_coupled, tile_view,
-                     two_dim_coupled, two_type_scalar, zero_weight)
+                     node_l1, player_paths, riccati_closed_form,
+                     scalar_coupled, tile_view, two_dim_coupled,
+                     two_type_scalar, zero_weight)
 
 
 def test_minor_selector_row_for_two_players():
@@ -63,9 +65,17 @@ def test_assembly_guards():
         assemble_finite_n(two_type_scalar(), 4)
     with pytest.raises(ValueError):
         assemble_finite_n(scalar_coupled(), 0)
-    with pytest.raises(NTooLargeForMemory):
-        # (N+1)n = 2001: refused before anything is allocated
-        assemble_finite_n(scalar_coupled(), DENSE_DIM_CAP)
+    # seven 100001 x 100001 matrices at the peak, 560 GB: refused by the
+    # memory budget before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(NTooLargeForMemory,
+                           match="needs 560011200056 bytes, over the budget"):
+            assemble_finite_n(scalar_coupled(), 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_zero_weight_solution_is_zero():
@@ -104,21 +114,6 @@ def test_dense_and_reduced_modes_agree(scalar_model):
                  (dense.S0_big, reduced.S0_big),
                  (dense.S1_big, reduced.S1_big)):
         assert np.abs(a.values - b.values).max() < 1e-12
-
-
-def test_exchangeability_of_dense_solution(scalar_model):
-    grid = TimeGrid(M=60, T=1.0)
-    fin = solve_finite_n(scalar_model, 4, grid, dense=True)
-    n = scalar_model.n
-    for i in (2, 3, 4):
-        perm = np.arange((4 + 1) * n)
-        one = perm[n:2 * n].copy()
-        perm[n:2 * n] = perm[i * n:(i + 1) * n]
-        perm[i * n:(i + 1) * n] = one
-        want = fin.P1_big.values[:, perm][:, :, perm]
-        assert np.abs(fin.P_big(i).values - want).max() < 1e-10
-        assert np.abs(fin.S_big(i).values
-                      - fin.S1_big.values[:, perm]).max() < 1e-10
 
 
 def test_cluster_counts_on_coupled_model(scalar_model):
@@ -302,10 +297,9 @@ def test_marginal_escape_dense_mode():
     model = growing_offsets()
     grid = TimeGrid(M=100, T=1.0)
     sys = assemble_finite_n(model, 3)
-    fin = _solve_dense(sys, grid, 1e12)
-    players = range(sys.N + 1)
-    kernels = node_l1(*(fin.P_big(i).values for i in players))
-    joint = kernels + node_l1(*(fin.S_big(i).values for i in players))
+    P, S = player_paths(_solve_dense(sys, grid, 1e12))
+    kernels = node_l1(*P)
+    joint = kernels + node_l1(*S)
     check_escape_levels(lambda thr: _solve_dense(sys, grid, thr),
                         [kernels, joint])
 

@@ -352,10 +352,13 @@ def test_check_solvability_caps_dimension_before_solving(tmp_path, capsys,
 
     monkeypatch.setattr("lqmfg.asymptotic.solve_finite_n", refuse)
     out = tmp_path / "cap"
-    code = main(["check-solvability", "--model", SCALAR, "--grid", "20",
-                 "--N", "8,2000", "--out", str(out)])
+    # N = 500 at the default 2000 steps: 2001 nodes of 2 * 501^2 + 2 * 501
+    # floats, 8.05 GB
+    code = main(["check-solvability", "--model", SCALAR,
+                 "--N", "8,16,500", "--out", str(out)])
     assert code == 1
-    assert "error: (N+1)n = 2001 exceeds cap 2000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "needs 8052088032 bytes, over the budget" in err
     assert not (out / "solvability.csv").exists()
 
 
@@ -599,6 +602,9 @@ def test_simulate_rejects_bad_seeds_before_solving(tmp_path, capsys,
     ["solve", "lambda", "--grid", "100000000000"],
     # (N+1)n = 501: 2001 nodes of 2 * 501^2 + 2 * 501 floats, 8.05 GB
     ["solve", "finite-n", "--N", "500"],
+    # 201 kernels and offsets of side 201 on 2001 nodes: 131 GB, refused
+    # before the per-minor weights are assembled
+    ["solve", "finite-n", "--N", "200", "--dense"],
 ])
 def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,
                                                           argv):

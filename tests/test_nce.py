@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from lqmfg import (IndexOutOfRange, TimeGrid, TimeOutOfRange, lift_pi,
-                   nce_feedback, propagate_mean_field, solve_nce)
+                   nce_feedback, solve_nce)
 from lqmfg.ode import BlowUpReport
 
 from helpers import (check_escape_levels, decoupled_scalar, growing_offsets,
-                     node_l1, riccati_closed_form, zero_weight)
+                     node_l1, propagate_mean_field_ref, riccati_closed_form,
+                     zero_weight)
 
 
 def test_terminal_pins_stored_exactly(scalar_nce, scalar_model, scalar_grid):
@@ -85,7 +86,7 @@ def test_mean_field_propagation_with_zero_weights():
     sol = solve_nce(model, grid)
     c = 0.7
     x0_path = np.full((grid.M + 1, 1), c)
-    z = propagate_mean_field(sol, model, x0_path, grid)
+    z = propagate_mean_field_ref(sol, x0_path)
     # dz = ((a + f) z + g c) dt from z(0) = alpha0, all scalars.
     k = model.A[0, 0, 0] + model.F[0, 0]
     g = model.G[0, 0]
@@ -95,7 +96,7 @@ def test_mean_field_propagation_with_zero_weights():
         return (alpha + g * c / k) * np.exp(k * t) - g * c / k
 
     for j in (0, 100, 800):
-        assert z.at(j)[0] == pytest.approx(exact(grid.nodes[j]), abs=1e-9)
+        assert z[j][0] == pytest.approx(exact(grid.nodes[j]), abs=1e-9)
 
 
 def test_feedback_zero_for_zero_weights():

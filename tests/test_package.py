@@ -1,0 +1,28 @@
+import lqmfg
+from lqmfg import asymptotic, errors, master, nce, ode
+
+# Library surface deleted because no CLI path or acceptance criterion used
+# it; the size rule it held is ode.MEMORY_BUDGET alone.
+DELETED = {
+    lqmfg: ("BlowUp", "ResidualSample", "integrate_forward",
+            "propagate_mean_field", "residual_sample"),
+    asymptotic: ("DENSE_DIM_CAP", "_capped_dim"),
+    errors: ("BlowUp",),
+    master: ("ResidualSample", "residual_sample"),
+    nce: ("propagate_mean_field",),
+    ode: ("integrate_forward",),
+    asymptotic.FiniteNSolution: ("P_big", "S_big"),
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(lqmfg.__all__)) == len(lqmfg.__all__)
+    missing = [name for name in lqmfg.__all__ if not hasattr(lqmfg, name)]
+    assert missing == []
+
+
+def test_deleted_names_are_gone():
+    assert not set(DELETED[lqmfg]) & set(lqmfg.__all__)
+    left = [(owner.__name__, name) for owner, names in DELETED.items()
+            for name in names if hasattr(owner, name)]
+    assert left == []
