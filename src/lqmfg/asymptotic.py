@@ -10,11 +10,11 @@ matching blocks from the consistency-route solution, and runs the
 structural and boundedness checks tying the three together.
 """
 
-import ast
 from dataclasses import dataclass
 
 import numpy as np
 
+from .equations import compile_field
 from .errors import GridMismatch, KNotOne, PermutationMismatch
 from .master import DiffReport
 from .model import TimeGrid, ValidatedModel
@@ -432,12 +432,6 @@ _LAMBDA_EQUATIONS = (
     " - L0 @ F0 - La @ F + Lb @ mean_cl"
     " + (L1_0 @ M0 - A0.T) @ Lb - G1.T @ Q @ G2",
 )
-_LAMBDA_OPS = {ast.Mult: np.multiply, ast.MatMult: np.matmul,
-               ast.Add: np.add, ast.Sub: np.subtract}
-# The op of each stage's gather group, in order: every intermediate joins
-# the first group of its op after those of its operands (+ and - share
-# groups, see _lambda_field).
-_LAMBDA_GROUPS = (np.multiply, np.add, np.matmul, np.add, np.add, np.matmul)
 
 
 def _lambda_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
@@ -464,141 +458,16 @@ def _lambda_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
                + Lb mean_cl + (L1_0 M0 - A0') Lb - G1' Q G2
 
     with mean_cl = M (L1 + L2) - A - F and cross = La M - G', associated
-    to the left and summed left to right as written (_LAMBDA_EQUATIONS).
-
-    The equations are compiled once per solve. Every operand and result
-    is an n-by-n slot of one flat pool: the state, the model constants
-    (products of constants alone, G1' Q G1 say, taken here once with
-    numpy as written), a rho slot, a -0.0 pad, then one slot per
-    distinct intermediate (a subexpression met twice is one slot). The
-    intermediates form _LAMBDA_GROUPS; a group is one element-index
-    gather per operand (transposes are index patterns) and one stacked
-    ufunc call with out= into the group's slots. The terms of the nine
-    blocks, padded to a common count, form one signed gather table. A
-    stage writes the state into the pool, runs the groups, gathers the
-    terms into a (terms, 9, n, n) stack, multiplies it by the +-1.0
-    signs and returns np.add.reduce over the first axis: a fresh array
-    that never aliases the pool. The floats are the written equations'
-    (tests/helpers.lambda_field_ref) bit for bit, because:
-    - a stacked (k, n, n) @ (k, n, n) gives each slice's own product,
-      also where a slice is a gathered transpose;
-    - x - y is x + (-1.0 * y), so one group or table mixes + and -;
-    - adding -0.0 leaves every sum unchanged, -0.0 included, so padded
-      terms change nothing;
-    - np.add.reduce over the leading axis of a C-contiguous stack adds
-      left to right.
-    The pool is the closure's own: the field is not reentrant.
+    to the left and summed left to right as written (_LAMBDA_EQUATIONS),
+    compiled by `equations.compile_equations`: every slot is n-by-n.
     """
     n = model.n
-    names = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
-             "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
-             "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
-             "G2": model.Gamma2, "rho": np.full((n, n), model.rho)}
-    state = ["L" + key for key in BLOCK_KEYS]
-    consts = []      # constant blocks, products of constants included
-    nodes = []       # (op, a, b) of every state-dependent intermediate
-    known = {}       # name or (op, a, b) -> reference
-    # A reference is ((kind, index), transposed); kind "L" is a state
-    # block, "C" a constant, "N" an intermediate.
-
-    def visit(e):
-        if isinstance(e, ast.Attribute) and e.attr == "T":
-            where, t = visit(e.value)
-            return where, not t
-        if isinstance(e, ast.Name):
-            if e.id in state:
-                return ("L", state.index(e.id)), False
-            if e.id not in known:
-                if e.id in _LAMBDA_NAMES:
-                    text = _LAMBDA_NAMES[e.id]
-                    known[e.id] = visit(ast.parse(text, mode="eval").body)
-                else:
-                    consts.append(names[e.id])
-                    known[e.id] = ("C", len(consts) - 1), False
-            return known[e.id]
-        key = (_LAMBDA_OPS[type(e.op)], visit(e.left), visit(e.right))
-        if key not in known:
-            op, (wa, ta), (wb, tb) = key
-            if wa[0] == wb[0] == "C":
-                a, b = consts[wa[1]], consts[wb[1]]
-                consts.append(op(a.T if ta else a, b.T if tb else b))
-                known[key] = ("C", len(consts) - 1), False
-            else:
-                nodes.append(key)
-                known[key] = ("N", len(nodes) - 1), False
-        return known[key]
-
-    blocks = []
-    for text in _LAMBDA_EQUATIONS:
-        e, terms = ast.parse(text, mode="eval").body, []
-        while isinstance(e, ast.BinOp) and type(e.op) in (ast.Add, ast.Sub):
-            terms.append((1.0 if isinstance(e.op, ast.Add) else -1.0,
-                          visit(e.right)))
-            e = e.left
-        blocks.append([(1.0, visit(e))] + terms[::-1])
-
-    consts.append(np.full((n, n), -0.0))
-    pad = ("C", len(consts) - 1), False
-
-    # nodes lists operands before their results; place each in the first
-    # group of its op after its operands' groups
-    group_of = []
-    for op, (wa, _), (wb, _) in nodes:
-        after = max([group_of[w[1]] for w in (wa, wb) if w[0] == "N"],
-                    default=-1)
-        op = np.add if op is np.subtract else op
-        group_of.append(next(g for g in range(after + 1, len(_LAMBDA_GROUPS))
-                             if _LAMBDA_GROUPS[g] is op))
-    order = sorted(range(len(nodes)), key=group_of.__getitem__)
-
-    # pool slots: state, constants (the pad last), intermediates by group
-    first = {"L": 0, "C": len(state), "N": len(state) + len(consts)}
-    slot_of = {i: first["N"] + k for k, i in enumerate(order)}
-    cell = np.arange(n * n).reshape(n, n)
-
-    def index(ref):
-        (kind, i), t = ref
-        slot = slot_of[i] if kind == "N" else first[kind] + i
-        return slot * n * n + (cell.T if t else cell)
-
-    pool = np.empty((first["N"] + len(nodes)) * n * n)
-    slots = pool.reshape(-1, n, n)
-    slots[first["C"]:first["N"]] = consts
-
-    groups = []
-    lo = first["N"]
-    for g, op in enumerate(_LAMBDA_GROUPS):
-        members = [nodes[i] for i in order if group_of[i] == g]
-        signs = np.array([-1.0 if m[0] is np.subtract else 1.0
-                          for m in members]).reshape(-1, 1, 1)
-        groups.append((op, np.array([index(m[1]) for m in members]),
-                       np.array([index(m[2]) for m in members]),
-                       signs if (signs < 0).any() else None,
-                       slots[lo:lo + len(members)]))
-        lo += len(members)
-
-    # term j of every block, padded; built in C order, so that the
-    # gathered (terms, 9, n, n) stack is C-contiguous too
-    depth = max(len(terms) for terms in blocks)
-    padded = [terms + [(1.0, pad)] * (depth - len(terms)) for terms in blocks]
-    term_index = np.array([[index(terms[j][1]) for terms in padded]
-                           for j in range(depth)])
-    term_signs = np.array([[terms[j][0] for terms in padded]
-                           for j in range(depth)]).reshape(depth, -1, 1, 1)
-    size = len(state) * n * n
-
-    def fieldfn(t, flat):
-        pool[:size] = flat
-        for op, a, b, signs, out in groups:
-            rhs = pool[b]
-            if signs is not None:
-                rhs *= signs
-            op(pool[a], rhs, out=out)
-        stack = pool[term_index]
-        stack *= term_signs
-        return np.add.reduce(stack, axis=0).ravel()
-
-    return fieldfn
+    consts = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
+              "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
+              "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
+              "G2": model.Gamma2, "rho": model.rho}
+    return compile_field(tuple(("L" + key, (n, n)) for key in BLOCK_KEYS),
+                         consts, _LAMBDA_NAMES, _LAMBDA_EQUATIONS)
 
 
 def solve_lambda(model: ValidatedModel, grid: TimeGrid,

@@ -14,14 +14,18 @@ original equations as a correctness certificate. The residual's time
 derivative comes from finite differences of the solved paths, never from
 the ODE right-hand side, so coefficient corruption is actually detectable.
 
-The per-type blocks are evaluated stacked over the K types, from drift
-block templates whose constant parts are built once per solve.
+The field is written as equation text (_MASTER_NAMES, _MASTER_EQUATIONS),
+with the per-type blocks stacked over the K types and the drift blocks
+assembled from blocks, and compiled by `equations.compile_equations`
+into index tables cached per shape; the np.trace terms of the constants'
+equations stay single numpy calls.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .equations import compile_field
 from .errors import GridMismatch, IndexOutOfRange, TimeOutOfRange
 from .model import PiLifted, TimeGrid, ValidatedModel, block_selector, lift_pi
 from .nce import NCESolution
@@ -68,8 +72,46 @@ class DiffReport:
         return "\n".join(lines)
 
 
+# d(Pd0, Pd, sd0, sd, rd0, rd)/dt, one equation per state segment.
+# Vectors are (d, 1) columns, the K types are stacked on a leading axis,
+# and the constants rd0, rd are (1, 1) per type.
+_MASTER_NAMES = {
+    # type l's row blocks of Abar_dag and Gbar_dag, its own dynamics
+    # selected into its own block column
+    "Abar": "((A - M @ Pd[:, :n, :n]) @ sel + F_pi"
+            " - M @ Pd[:, :n, 2 * n:]).reshape(K * n, K * n)",
+    "Gbar": "(G - M @ Pd[:, :n, n:2 * n]).reshape(K * n, n)",
+    "A0blk": "block([[A0, F0_pi], [Gbar, Abar]])",
+    "Acal": "block([[A, G, F_pi],"
+            " [Znn, A0 - M0 @ Pd0[:n, :n], F0_pi - M0 @ Pd0[:n, n:]],"
+            " [ZKn, A0blk[n:, :]]])",
+    # mbar_dag block l = -M sd_l,1
+    "mbar": "(-(sd[:, :n].T.reshape(K, n) @ M.T)).reshape(K * n, 1)",
+    "m0s": "M0 @ sd0[:n]",
+    "theta0": "eta0_q - sd0[:n].T @ M0 @ sd0[:n] + trace(Pd0[:n, :n] @ D0D0T)"
+              " + 2.0 * (sd0[n:].T @ mbar)",
+    "theta": "eta_q - sd[:, :n].T @ M @ sd[:, :n]"
+             " - 2.0 * (sd[:, n:2 * n].T @ m0s)"
+             " + trace(Pd[:, n:2 * n, n:2 * n] @ D0D0T)"
+             " + trace(Pd[:, :n, :n] @ DDT) + 2.0 * (sd[:, 2 * n:].T @ mbar)",
+}
+_MASTER_EQUATIONS = (
+    "rho * Pd0 - Pd0 @ A0blk - A0blk.T @ Pd0"
+    " + Pd0[:, :n] @ M0 @ Pd0[:n, :] - Q0_pi",
+    "rho * Pd - Pd @ Acal - Acal.T @ Pd"
+    " + Pd[:, :, :n] @ M @ Pd[:, :n, :] - Q_pi",
+    "rho * sd0 - A0blk.T @ sd0 + Pd0[:, :n] @ m0s - Pd0[:, n:] @ mbar"
+    " + eta0_pi",
+    "rho * sd - Acal.T @ sd + Pd[:, :, :n] @ (M @ sd[:, :n])"
+    " + Pd[:, :, n:2 * n] @ m0s - Pd[:, :, 2 * n:] @ mbar + eta_pi",
+    "rho * rd0 - theta0",
+    "rho * rd - theta",
+)
+
+
 class _Blocks:
-    """Assembly helpers for the quadratic-solution ODE fields."""
+    """Constants, state layout and compiled field of the
+    quadratic-solution ODEs."""
 
     def __init__(self, model: ValidatedModel, lifted: PiLifted):
         self.model = model
@@ -92,15 +134,24 @@ class _Blocks:
             [(self.d0, self.d0), (K, self.d1, self.d1), (self.d0,), (K, self.d1),
              (1,), (K,)],
             symmetric=(True, True, False, False, False, False), levels=(2, 4))
-        # Drift blocks with their model-only parts filled in; each stage
-        # copies them and writes the kernel-dependent blocks.
-        self.top = np.zeros((self.d0, self.d0))
-        self.top[:n, :n] = model.A0
-        self.top[:n, n:] = lifted.F0_pi
-        self.minor = np.zeros((K, self.d1, self.d1))
-        self.minor[:, :n, :n] = model.A
-        self.minor[:, :n, n:2 * n] = model.G
-        self.minor[:, :n, 2 * n:] = lifted.F_pi
+
+        consts = {
+            "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
+            "G": model.G, "F_pi": lifted.F_pi, "M0": self.M0, "M": self.M,
+            "sel": self.selectors, "D0D0T": self.D0D0T, "DDT": self.DDT,
+            "eta0_q": np.full((1, 1), self.eta0_q),
+            "eta_q": np.full((1, 1), self.eta_q),
+            "Q0_pi": lifted.Q0_pi, "Q_pi": lifted.Q_pi,
+            "eta0_pi": lifted.eta0_pi[:, None], "eta_pi": lifted.eta_pi[:, None],
+            "Znn": np.zeros((n, n)), "ZKn": np.zeros((K * n, n)),
+            "rho": model.rho,
+        }
+        # d(state)/dt of the flat state, as a new flat array
+        self.field = compile_field(
+            (("Pd0", (self.d0, self.d0)), ("Pd", (K, self.d1, self.d1)),
+             ("sd0", (self.d0, 1)), ("sd", (K, self.d1, 1)),
+             ("rd0", (1, 1)), ("rd", (K, 1, 1))),
+            consts, _MASTER_NAMES, _MASTER_EQUATIONS, {"n": n, "K": K})
 
     def mean_field_rows(self, Pd):
         """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.
@@ -125,58 +176,6 @@ class _Blocks:
         flattened to (..., nK)."""
         n = self.n
         return (-(sd[..., :n] @ self.M.T)).reshape(sd.shape[:-2] + (self.K * n,))
-
-    def field(self, t, flat):
-        """d(state)/dt of the flat state, written into one new flat array."""
-        model, lifted = self.model, self.lifted
-        n = self.n
-        rho = model.rho
-        M, M0 = self.M, self.M0
-        Pd0, Pd, sd0, sd, rd0, rd = self.layout.split(flat)
-        out = np.empty_like(flat)
-        dPd0, dPd, dsd0, dsd, drd0, drd = self.layout.split(out)
-
-        Abar_dag, Gbar_dag = self.mean_field_rows(Pd)
-        A0blk = self.top.copy()
-        A0blk[n:, :n] = Gbar_dag
-        A0blk[n:, n:] = Abar_dag
-        dPd0[...] = (rho * Pd0 - Pd0 @ A0blk - A0blk.T @ Pd0
-                     + Pd0[:, :n] @ M0 @ Pd0[:n, :] - lifted.Q0_pi)
-        Acal = self.minor.copy()
-        Acal[:, n:2 * n, n:2 * n] = model.A0 - M0 @ Pd0[:n, :n]
-        Acal[:, n:2 * n, 2 * n:] = lifted.F0_pi - M0 @ Pd0[:n, n:]
-        Acal[:, 2 * n:, n:] = A0blk[n:]              # [Gbar_dag | Abar_dag]
-        AcalT = Acal.transpose(0, 2, 1)
-        dPd[...] = (rho * Pd - Pd @ Acal - AcalT @ Pd
-                    + Pd[:, :, :n] @ M @ Pd[:, :n, :] - lifted.Q_pi)
-
-        mbar = self.mbar_vec(sd)
-        m0s = M0 @ sd0[:n]
-        dsd0[...] = (rho * sd0 - A0blk.T @ sd0 + Pd0[:, :n] @ m0s
-                     - Pd0[:, n:] @ mbar + lifted.eta0_pi)
-        # Per-type vectors enter as (d, 1) columns and (1, d) rows, so each
-        # type's stacked product is the same BLAS call as its own
-        # matrix-vector product or dot.
-        col = sd[:, :, None]
-        row = sd[:, None, :]
-        dsd[...] = (rho * sd - (AcalT @ col)[:, :, 0]
-                    + (Pd[:, :, :n] @ (M @ col[:, :n]))[:, :, 0]
-                    + Pd[:, :, n:2 * n] @ m0s
-                    - Pd[:, :, 2 * n:] @ mbar + lifted.eta_pi)
-
-        theta0 = (self.eta0_q
-                  - sd0[:n] @ M0 @ sd0[:n]
-                  + np.trace(Pd0[:n, :n] @ self.D0D0T)
-                  + 2.0 * (sd0[n:] @ mbar))
-        drd0[0] = rho * rd0[0] - theta0
-        theta = (self.eta_q
-                 - (row[:, :, :n] @ M @ col[:, :n])[:, 0, 0]
-                 - 2.0 * (row[:, :, n:2 * n] @ m0s[:, None])[:, 0, 0]
-                 + np.trace(Pd[:, n:2 * n, n:2 * n] @ self.D0D0T, axis1=1, axis2=2)
-                 + np.trace(Pd[:, :n, :n] @ self.DDT, axis1=1, axis2=2)
-                 + 2.0 * (row[:, :, 2 * n:] @ mbar[:, None])[:, 0, 0])
-        drd[...] = rho * rd - theta
-        return out
 
 
 def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):

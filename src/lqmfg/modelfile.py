@@ -90,16 +90,39 @@ def parse_model_file(path: str) -> ModelParams:
             raise ModelFileError(f"{path}: missing key {key!r}")
         return _literal(path, key, entries.pop(key))
 
+    def integer(key):
+        value = take(key)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not value.is_integer()):
+            raise ModelFileError(
+                f"{path}: {key!r} must be an integer, got {value!r}")
+        return int(value)
+
+    def real(key):
+        value = take(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ModelFileError(
+                f"{path}: {key!r} must be a number, got {value!r}")
+        return float(value)
+
+    def array(key):
+        value = take(key)
+        try:
+            return np.array(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelFileError(
+                f"{path}: {key!r} must be a numeric array: {exc}") from exc
+
     fields = {}
     for key in _INT_KEYS:
-        fields[key] = int(take(key))
+        fields[key] = integer(key)
     for key in _FLOAT_KEYS:
-        fields[key] = float(take(key))
+        fields[key] = real(key)
     K = fields["K"]
-    A_list = [np.array(take(f"A{k}"), dtype=np.float64) for k in range(1, K + 1)]
+    A_list = [array(f"A{k}") for k in range(1, K + 1)]
     fields["A"] = np.stack([np.atleast_2d(a) for a in A_list])
     for key in _ARRAY_KEYS:
-        fields[key] = np.array(take(key), dtype=np.float64)
+        fields[key] = array(key)
     if entries:
         stray = ", ".join(sorted(entries))
         raise ModelFileError(f"{path}: unknown keys: {stray}")

@@ -9,18 +9,24 @@ field generator (Abar, Gbar, mbar) from the kernel blocks. Offsets
 
 The DAE is solved by substitution: the algebraic variables are eliminated
 into the ODE fields, so each stage evaluation rebuilds Abar/Gbar from the
-current kernels and mbar from the current offsets. The per-type blocks
-are evaluated stacked over the K types, and the closed-loop drift
-matrices are filled into templates whose constant parts are built once
-per solve. Kernels and offsets are advanced together in one pass, so the
-offset system sees stage-exact kernel values; the kernels never read the
-offsets, so their escape is judged on the kernels alone.
+current kernels and mbar from the current offsets. The field is written
+as equation text (_NCE_NAMES, _NCE_EQUATIONS), with the per-type blocks
+stacked over the K types and the closed-loop drift matrices assembled
+from blocks, and compiled by `equations.compile_equations` into index
+tables cached per shape; the two einsum offset terms and the
+np.linalg.solve of the mbar constraint stay single numpy calls. The
+text is this route's own: the value-function route and the limit system
+share only the evaluator with it, as they share the integrator. Kernels
+and offsets are advanced together in one pass, so the offset system sees
+stage-exact kernel values; the kernels never read the offsets, so their
+escape is judged on the kernels alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .equations import compile_field
 from .errors import IndexOutOfRange, TimeOutOfRange
 from .model import PiLifted, TimeGrid, ValidatedModel, lift_pi
 from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
@@ -48,8 +54,37 @@ class NCESolution:
     mbar: MatrixPath
 
 
+# d(P0, P, s0, s)/dt, one equation per state segment. Vectors are
+# (d, 1) columns, the K types are stacked on a leading axis, and S is the
+# (K, d1) matrix whose rows are the type offsets.
+_NCE_NAMES = {
+    # the consistency constraints: type k's row blocks of Abar and Gbar,
+    # its own dynamics added in its own block column
+    "Abar": "(F_pi - BRB @ P[:, :n, 2 * n:]"
+            " + diag(A - BRB @ P[:, :n, :n])).reshape(K * n, K * n)",
+    "Gbar": "(G - BRB @ P[:, :n, n:2 * n]).reshape(K * n, n)",
+    # the closed-loop drift matrices of both Riccati tiers
+    "A0blk": "block([[A0, F0_pi], [Gbar, Abar]])",
+    "Acal": "block([[A, G, F_pi], [Z, A0blk - K0mat @ P0]])",
+    "S": "s.reshape(K, d1)",
+    # the constraint mbar block kappa = -B R^{-1} B_lift^T s_kappa
+    "mbar": "-(solve(R, (S @ B_lift).T).T @ B.T)",
+    "K0s": "K0mat @ s0",
+    "M0vec": "block([[Zn], [mbar.reshape(K * n, 1)]])",
+    "Mvec": "block([[Zn], [M0vec - K0s]])",
+}
+_NCE_EQUATIONS = (
+    "rho * P0 - P0 @ A0blk - A0blk.T @ P0 + P0 @ K0mat @ P0 - Q0_pi",
+    "rho * P - P @ Acal - Acal.T @ P + P @ Kmat @ P - Q_pi",
+    "rho * s0 - A0blk.T @ s0 + P0 @ K0s - P0 @ M0vec + eta0_pi",
+    "rho * s - einsum('kji,kj->ki', Acal, S).reshape(K, d1, 1)"
+    " + einsum('kij,kj->ki', P, S @ Kmat).reshape(K, d1, 1)"
+    " - P @ Mvec + eta_pi",
+)
+
+
 class _Workspace:
-    """Precomputed constants, drift templates and state layout for one
+    """Precomputed constants, state layout and compiled field for one
     solve."""
 
     def __init__(self, model: ValidatedModel, lifted: PiLifted):
@@ -71,19 +106,27 @@ class _Workspace:
         self.layout = StateLayout(
             [(self.d0, self.d0), (K, self.d1, self.d1), (self.d0,), (K, self.d1)],
             symmetric=(True, True, False, False), levels=(2,))
-        # Drift matrices with their model-only blocks filled in; each
-        # stage copies them and writes the kernel-dependent blocks.
-        self.top = np.zeros((self.d0, self.d0))
-        self.top[:n, :n] = model.A0
-        self.top[:n, n:] = lifted.F0_pi
-        self.minor = np.zeros((K, self.d1, self.d1))
-        self.minor[:, :n, :n] = model.A
-        self.minor[:, :n, n:2 * n] = model.G
-        self.minor[:, :n, 2 * n:] = lifted.F_pi
         # flat positions of type k's own block column in row block k of
         # a (K, n, nK) stack, in (k, i, j) order
         k, i, j = np.ogrid[:K, :n, :n]
         self.own = (k * (n * K * n + n) + i * (K * n) + j).ravel()
+
+        consts = {
+            "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
+            "G": model.G, "F_pi": lifted.F_pi, "BRB": self.BRB,
+            "K0mat": self.K0mat, "Kmat": self.Kmat,
+            "Q0_pi": lifted.Q0_pi, "Q_pi": lifted.Q_pi,
+            "eta0_pi": lifted.eta0_pi[:, None], "eta_pi": lifted.eta_pi[:, None],
+            "Z": np.zeros((self.d0, n)), "Zn": np.zeros((n, 1)),
+            "R": model.R, "B_lift": lifted.B_lift, "B": model.B,
+            "rho": model.rho,
+        }
+        # d(state)/dt of the flat (P0, P, s0, s) state, as a new flat array
+        self.field = compile_field(
+            (("P0", (self.d0, self.d0)), ("P", (K, self.d1, self.d1)),
+             ("s0", (self.d0, 1)), ("s", (K, self.d1, 1))),
+            consts, _NCE_NAMES, _NCE_EQUATIONS,
+            {"n": n, "K": K, "d1": self.d1})
 
     def consistency_blocks(self, P):
         """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks;
@@ -99,61 +142,14 @@ class _Workspace:
         return (Abar.reshape(lead + (K * n, K * n)),
                 Gbar.reshape(lead + (K * n, n)))
 
-    def drift_blocks(self, P0, P):
-        """The closed-loop drift matrices entering both Riccati tiers."""
-        n = self.n
-        Abar, Gbar = self.consistency_blocks(P)
-        A0blk = self.top.copy()
-        A0blk[n:, :n] = Gbar
-        A0blk[n:, n:] = Abar
-        Acal = self.minor.copy()
-        Acal[:, n:, n:] = A0blk - self.K0mat @ P0
-        return A0blk, Acal
-
-    def dP(self, P0, P):
-        """Forward-time derivatives of the stacked Riccati kernels."""
-        rho = self.model.rho
-        A0blk, Acal = self.drift_blocks(P0, P)
-        dP0 = (rho * P0 - P0 @ A0blk - A0blk.T @ P0
-               + P0 @ self.K0mat @ P0 - self.lifted.Q0_pi)
-        dP = (rho * P - P @ Acal - Acal.transpose(0, 2, 1) @ P
-              + P @ self.Kmat @ P - self.lifted.Q_pi)
-        return dP0, dP, A0blk, Acal
-
     def mbar_from_s(self, s):
-        """Constraint: mbar block kappa = -B R^{-1} B_lift^T s_kappa."""
+        """Constraint: mbar block kappa = -B R^{-1} B_lift^T s_kappa; s is
+        (..., K, d1) and the result (..., K, n) carries its leading axes,
+        each node's rows as the same calls give them for that node alone."""
         # B_lift^T s_kappa only sees the leading n entries of s_kappa
-        w = np.linalg.solve(self.model.R, (s @ self.lifted.B_lift).T).T
-        return -(w @ self.model.B.T)
-
-    def ds(self, P0, P, s0, s, A0blk, Acal):
-        """Forward-time derivatives of the offset vectors."""
-        rho = self.model.rho
-        n = self.n
-        mbar = self.mbar_from_s(s)
-        K0s = self.K0mat @ s0
-        M0vec = np.zeros(self.d0)
-        M0vec[n:] = mbar.ravel()
-        ds0 = (rho * s0 - A0blk.T @ s0 + P0 @ K0s
-               - P0 @ M0vec + self.lifted.eta0_pi)
-        Mvec = np.zeros(self.d1)
-        Mvec[n:] = M0vec - K0s
-        ds = (rho * s
-              - np.einsum("kji,kj->ki", Acal, s)
-              + np.einsum("kij,kj->ki", P, s @ self.Kmat)
-              - P @ Mvec + self.lifted.eta_pi)
-        return ds0, ds
-
-    def field(self, t, flat):
-        """d(state)/dt of the flat (P0, P, s0, s) state, written into one
-        new flat array."""
-        P0, P, s0, s = self.layout.split(flat)
-        dP0, dP, A0blk, Acal = self.dP(P0, P)
-        ds0, ds = self.ds(P0, P, s0, s, A0blk, Acal)
-        out = np.empty_like(flat)
-        for segment, value in zip(self.layout.split(out), (dP0, dP, ds0, ds)):
-            segment[...] = value
-        return out
+        w = np.linalg.solve(self.model.R,
+                            (s @ self.lifted.B_lift).swapaxes(-1, -2))
+        return -(w.swapaxes(-1, -2) @ self.model.B.T)
 
 
 def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
@@ -181,9 +177,7 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     Mn = grid.M + 1
     n = ws.n
     Abar_path, Gbar_path = ws.consistency_blocks(P_path)
-    mbar_path = np.empty((Mn, K * n))
-    for j in range(Mn):
-        mbar_path[j] = ws.mbar_from_s(s_path[j]).ravel()
+    mbar_path = ws.mbar_from_s(s_path).reshape(Mn, K * n)
 
     return NCESolution(
         model=model, lifted=ws.lifted, grid=grid,

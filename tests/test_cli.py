@@ -167,6 +167,25 @@ def test_missing_model_file(tmp_path, capsys):
     assert "nope.model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n", "[1]"), ("T", "[1.0]"), ("A0", "{1: 2}"), ("K", "1e400"),
+    ("n", "1.7"), ("n1", "True"), ("rho", "'0.1'"), ("pi", "[[1.0], [2.0, 3.0]]"),
+])
+def test_wrongly_typed_model_values_exit_one(tmp_path, capsys, key, value):
+    """A value of the wrong type names its key and exits 1 before any
+    solve; a non-integral or bool count is refused, not truncated."""
+    lines = Path(SCALAR).read_text().splitlines()
+    lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
+             for line in lines]
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch("lqmfg.nce.solve_nce", side_effect=AssertionError):
+        code = main(["solve", "nce", "--model", str(path), "--out",
+                     str(tmp_path / "out")])
+    assert code == 1
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_one(tmp_path, capsys):
     assert main(["solve", "warp", "--model", SCALAR]) == 1
     assert main(["solve", "nce", "--model", SCALAR, "--grid", "xx"]) == 1

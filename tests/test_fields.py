@@ -2,6 +2,8 @@
 are bitwise the per-type reference fields kept in helpers, and so are the
 solves built on them and the symmetrization of each solve's state."""
 
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,21 +101,27 @@ def test_lambda_field_is_bitwise_the_inline_field(n, model_seed, state_seed,
     assert field(t, w).tobytes() == ref(t, w).tobytes()
 
 
-def lambda_fields(n, model_seed):
-    model = random_model(1, n, model_seed)
-    field, ref, _, _ = route_field("lambda", model)
-    return field, ref
+def route_fields(route, K, n, model_seed):
+    """(field, reference field, kernel shapes, tail length) of a random
+    model; the lambda route has K = 1."""
+    K = 1 if route == "lambda" else K
+    return route_field(route, random_model(K, n, model_seed))
 
 
+@pytest.mark.parametrize("route", ["lambda", "nce", "master"])
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(1, 3), seeds=st.tuples(*[st.integers(0, 10 ** 6)] * 4),
+@given(K=st.integers(1, 3), n=st.integers(1, 3),
+       seeds=st.tuples(*[st.integers(0, 10 ** 6)] * 4),
        zeros=st.sampled_from([0.0, 0.3]))
-def test_lambda_fields_keep_their_results_and_pools_apart(n, seeds, zeros):
+def test_lambda_fields_keep_their_results_and_pools_apart(route, K, n, seeds,
+                                                          zeros):
     """The field evaluates through a pool of its own: a result stays as
-    it was after later calls, and two fields of different models called
-    in alternation each give their own model's reference field."""
-    (f, f_ref), (g, g_ref) = (lambda_fields(n, s) for s in seeds[:2])
-    v, w = (random_state(s, [], 9 * n * n, zeros, 1.0) for s in seeds[2:])
+    it was after later calls, and two fields of different models (of one
+    shape, so of one compiled table) called in alternation each give
+    their own model's reference field."""
+    (f, f_ref, kernels, tail), (g, g_ref, _, _) = (
+        route_fields(route, K, n, s) for s in seeds[:2])
+    v, w = (random_state(s, kernels, tail, zeros, 1.0) for s in seeds[2:])
     first = f(0.0, v)
     kept = first.copy()
     for state in (w, v, w):
@@ -123,17 +131,43 @@ def test_lambda_fields_keep_their_results_and_pools_apart(n, seeds, zeros):
     assert not np.shares_memory(first, f(0.0, v))
 
 
+@pytest.mark.parametrize("route", ["lambda", "nce", "master"])
 @FIELD_SETTINGS
-@given(n=st.integers(1, 3), model_seed=st.integers(0, 10 ** 6),
+@given(K=st.integers(1, 3), n=st.integers(1, 3),
+       model_seed=st.integers(0, 10 ** 6),
        state_seed=st.integers(0, 2 ** 32 - 1),
        scale=st.floats(1e11, 1e12), zeros=st.sampled_from([0.0, 0.3]))
 def test_lambda_field_is_bitwise_the_inline_field_near_escape(
-        n, model_seed, state_seed, scale, zeros):
+        route, K, n, model_seed, state_seed, scale, zeros):
     """Entries of 1e11 to 1e12, as RK4 stages meet them just below the
     escape threshold, where products reach 1e24 and more."""
-    field, ref = lambda_fields(n, model_seed)
-    w = random_state(state_seed, [], 9 * n * n, zeros, 1.0)
+    field, ref, kernels, tail = route_fields(route, K, n, model_seed)
+    w = random_state(state_seed, kernels, tail, zeros, 1.0)
     w = w / max(np.abs(w).max(), 1e-300) * scale
+    assert field(0.0, w).tobytes() == ref(0.0, w).tobytes()
+
+
+@pytest.mark.parametrize("route", ["lambda", "nce", "master"])
+def test_a_second_solve_of_one_shape_compiles_nothing(route):
+    """The compiled tables are cached per equation text and shapes: after
+    one solve, a solve of another model of the same shape parses no
+    text, and its field is still its own model's reference field."""
+    K = 1 if route == "lambda" else 2
+    first, second = (validate_model(_random_params(
+        np.random.default_rng(seed), K, dims=(2, 2, 1))) for seed in (5, 6))
+    solve = {"lambda": solve_lambda, "nce": solve_nce,
+             "master": solve_master}[route]
+    grid = TimeGrid(M=20, T=1.0)
+    solve(first, grid)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("equation text parsed again")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ast, "parse", no_parse)
+        solve(second, grid)
+        field, ref, kernels, tail = route_field(route, second)
+    w = random_state(7, kernels, tail, 0.0, 1.0)
     assert field(0.0, w).tobytes() == ref(0.0, w).tobytes()
 
 
