@@ -16,7 +16,7 @@ from .errors import (AsymmetryDrift, BadPi, DimensionMismatch, EmptyBatch,
                      EmptyType, GridMismatch, IndexOutOfRange, KNotOne,
                      LQMFGError, ModelFileError, NonFiniteField,
                      NonFiniteState, NotPD, NotPSD, NTooLargeForMemory,
-                     PermutationMismatch, TimeOutOfRange)
+                     TimeOutOfRange)
 from .master import (DiffReport, MasterSolution, compare_nce_master,
                      master_feedback, master_residual, solve_master)
 from .model import (ModelParams, PiLifted, TimeGrid, ValidatedModel,
@@ -35,7 +35,7 @@ __all__ = [
     "LambdaSolution", "MasterSolution", "MatrixPath", "MeanFieldError",
     "ModelFileError", "ModelParams", "NCESolution", "NTooLargeForMemory",
     "NonFiniteField", "NonFiniteState", "NotPD", "NotPSD",
-    "PermutationMismatch", "PhiSolution", "PiLifted", "SolvabilityReport",
+    "PhiSolution", "PiLifted", "SolvabilityReport",
     "StructureReport", "TimeGrid", "TimeOutOfRange", "Trajectory",
     "ValidatedModel", "assemble_finite_n", "block_selector",
     "check_asymptotic_solvability", "compare_lambda_phi",

@@ -4,8 +4,8 @@ For K = 1 the N+1-player game has an exact feedback Nash solution through
 one large coupled Riccati system. Exchangeability of the minor players
 collapses that system to two representative matrices, and as N grows their
 n-by-n tiles converge (after re-scaling) to a closed system of nine small
-ODEs. This module builds and solves the large system (dense and
-symmetry-reduced modes), solves the nine-block system, extracts the
+ODEs. This module builds the large system and solves it reduced to the
+two representative players, solves the nine-block system, extracts the
 matching blocks from the consistency-route solution, and runs the
 structural and boundedness checks tying the three together.
 """
@@ -15,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import compile_field
-from .errors import GridMismatch, KNotOne, PermutationMismatch
+from .errors import GridMismatch, KNotOne
 from .master import DiffReport
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
 from .ode import (BlowUpReport, MatrixPath, StateLayout, check_budget,
                   integrate_backward)
 
-# Dense-vs-reduced and exchangeability disagreements beyond this are bugs.
-EXCHANGE_TOL = 1e-8
 # Tiles closer than this (l1, up to transpose) belong to one cluster.
 TILE_TOL = 1e-8
 
@@ -98,15 +96,13 @@ class FiniteNSystem:
         return -self.K_minor(i, final=True).T @ (self.model.Qf @ self.model.etaf)
 
 
-def _check_path_budget(N: int, n: int, grid: TimeGrid, dense: bool):
+def _check_path_budget(N: int, n: int, grid: TimeGrid):
     """Size the stored path of solve_finite_n before anything is
     assembled: the kernel and offset of side (N+1)n of the two
-    representative players, or of all N+1 in dense mode."""
+    representative players."""
     d = (N + 1) * n
-    players, mode = (N + 1, "dense") if dense else (2, "symmetric")
-    check_budget(f"the {mode} path of N={N} minor players on "
-                 f"{grid.M + 1} nodes",
-                 8 * (grid.M + 1) * players * (d * d + d))
+    check_budget(f"the symmetric path of N={N} minor players on "
+                 f"{grid.M + 1} nodes", 8 * (grid.M + 1) * 2 * (d * d + d))
 
 
 def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
@@ -152,27 +148,19 @@ def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
     )
 
 
-def _swap_block_index(N: int, n: int, i: int) -> np.ndarray:
-    """Index permutation exchanging state blocks of players 1 and i."""
-    idx = np.arange((N + 1) * n)
-    idx[n:2 * n] = np.arange(i * n, (i + 1) * n)
-    idx[i * n:(i + 1) * n] = np.arange(n, 2 * n)
-    return idx
-
-
 @dataclass(frozen=True)
 class FiniteNSolution:
     """Representative Riccati/offset paths of the N+1-player game.
 
     Player i in 2..N holds player 1's paths with state blocks 1 and i
-    exchanged (exchangeability, audited in dense mode), so only the two
-    representative paths are stored regardless of N.
+    exchanged (exchangeability, which the tests audit against a march of
+    all N+1 players), so only the two representative paths are stored
+    regardless of N.
     """
 
     model: ValidatedModel
     N: int
     grid: TimeGrid
-    mode: str
     P0_big: MatrixPath
     P1_big: MatrixPath
     S0_big: MatrixPath
@@ -262,7 +250,7 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
 
     P0, P1, S0, S1 = layout.split(path.values)
     return FiniteNSolution(
-        model=sys.model, N=sys.N, grid=grid, mode="symmetric",
+        model=sys.model, N=sys.N, grid=grid,
         P0_big=MatrixPath(grid, P0),
         P1_big=MatrixPath(grid, P1),
         S0_big=MatrixPath(grid, S0.copy()),
@@ -270,125 +258,16 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
     )
 
 
-def _solve_dense(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
-    """All N+1 players integrated literally in one pass, Riccati prefix
-    first in the escape verdict; validates the reduction."""
-    N, n, d = sys.N, sys.model.n, sys.dim
-    Q_big = [sys.Q0_big] + [sys.Q_minor(i) for i in range(1, N + 1)]
-    Qf_big = [sys.Q0f_big] + [sys.Q_minor(i, final=True) for i in range(1, N + 1)]
-    lin = [sys.lin0] + [sys.lin_minor(i) for i in range(1, N + 1)]
-    lin_f = [sys.lin0_f] + [sys.lin_minor_f(i) for i in range(1, N + 1)]
-    Ar2 = sys.Ahat_rho2
-    ArT = sys.Ahat_rho.T
-
-    def coupling(P):
-        W = np.zeros((d, d))
-        for k in range(1, N + 1):
-            W[k * n:(k + 1) * n, :] = sys.M @ P[k, k * n:(k + 1) * n, :]
-        return W
-
-    def dP_all(P):
-        W = coupling(P)
-        dP = np.empty_like(P)
-        dP[0] = (-(P[0] @ Ar2 + Ar2.T @ P[0])
-                 + P[0][:, :n] @ (sys.M0 @ P[0][:n, :])
-                 + P[0] @ W + W.T @ P[0] - Q_big[0])
-        for i in range(1, N + 1):
-            bi = slice(i * n, (i + 1) * n)
-            dP[i] = (-(P[i] @ Ar2 + Ar2.T @ P[i])
-                     - P[i][:, bi] @ (sys.M @ P[i][bi, :])
-                     + P[i][:, :n] @ (sys.M0 @ P[0][:n, :])
-                     + P[0][:, :n] @ (sys.M0 @ P[i][:n, :])
-                     + P[i] @ W + W.T @ P[i] - Q_big[i])
-        return dP, W
-
-    def dS_all(P, W, S):
-        vS = np.zeros(d)
-        for k in range(1, N + 1):
-            bk = slice(k * n, (k + 1) * n)
-            vS[bk] = sys.M @ S[k, bk]
-        dS = np.empty_like(S)
-        dS[0] = (-ArT @ S[0] + P[0][:, :n] @ (sys.M0 @ S[0][:n])
-                 + W.T @ S[0] + P[0] @ vS + lin[0])
-        for i in range(1, N + 1):
-            bi = slice(i * n, (i + 1) * n)
-            dS[i] = (-ArT @ S[i] + P[0][:, :n] @ (sys.M0 @ S[i][:n])
-                     + P[i][:, :n] @ (sys.M0 @ S[0][:n])
-                     - P[i][:, bi] @ (sys.M @ S[i][bi])
-                     + W.T @ S[i] + P[i] @ vS + lin[i])
-        return dS
-
-    layout = StateLayout([(N + 1, d, d), (N + 1, d)],
-                         symmetric=(True, False), levels=(1,))
-
-    def field(t, flat):
-        P, S = layout.split(flat)
-        dP, W = dP_all(P)
-        return layout.pack(dP, dS_all(P, W, S))
-
-    terminal = layout.pack(np.stack(Qf_big), np.stack(lin_f))
-    path = integrate_backward(field, terminal, grid, threshold=threshold,
-                              symmetrize=layout.sym, prefixes=layout.prefixes)
-    if isinstance(path, BlowUpReport):
-        return path
-
-    P_all, S_all = layout.split(path.values)
-
-    # Exchangeability audit: every minor's matrices must be the block
-    # permutation of player 1's.
-    worst = 0.0
-    for i in range(2, N + 1):
-        idx = _swap_block_index(N, n, i)
-        worst = max(worst,
-                    float(np.max(np.abs(P_all[:, i] - P_all[:, 1][:, idx][:, :, idx]))),
-                    float(np.max(np.abs(S_all[:, i] - S_all[:, 1][:, idx]))))
-    if worst > EXCHANGE_TOL:
-        raise PermutationMismatch(
-            f"minor players differ from permuted player 1 by {worst:.3e}")
-
-    return FiniteNSolution(
-        model=sys.model, N=N, grid=grid, mode="dense",
-        P0_big=MatrixPath(grid, P_all[:, 0].copy()),
-        P1_big=MatrixPath(grid, P_all[:, 1].copy()),
-        S0_big=MatrixPath(grid, S_all[:, 0].copy()),
-        S1_big=MatrixPath(grid, S_all[:, 1].copy()),
-    )
-
-
 def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
-                   dense: bool = False, threshold: float = 1e12):
-    """Solve the N+1-player Riccati/offset system.
-
-    The default integrates only the two representative players via
-    exchangeability. dense=True integrates all N+1 literally, audits the
-    permutation structure, and cross-checks the reduced mode against it
-    (PermutationMismatch beyond 1e-8 signals an implementation bug). A
-    stored path above the memory budget raises NTooLargeForMemory before
-    anything is assembled.
+                   threshold: float = 1e12):
+    """Solve the N+1-player Riccati/offset system, integrating only the
+    two representative players via exchangeability. A stored path above
+    the memory budget raises NTooLargeForMemory before anything is
+    assembled.
     """
     _require_population(model, N)
-    _check_path_budget(N, model.n, grid, dense)
-    sys = assemble_finite_n(model, N)
-    if not dense:
-        return _solve_reduced(sys, grid, threshold)
-
-    result = _solve_dense(sys, grid, threshold)
-    reduced = _solve_reduced(sys, grid, threshold)
-    if isinstance(result, BlowUpReport) or isinstance(reduced, BlowUpReport):
-        if isinstance(result, BlowUpReport) != isinstance(reduced, BlowUpReport):
-            raise PermutationMismatch(
-                "dense and reduced modes disagree about finite escape")
-        return result
-    worst = max(
-        float(np.max(np.abs(result.P0_big.values - reduced.P0_big.values))),
-        float(np.max(np.abs(result.P1_big.values - reduced.P1_big.values))),
-        float(np.max(np.abs(result.S0_big.values - reduced.S0_big.values))),
-        float(np.max(np.abs(result.S1_big.values - reduced.S1_big.values))),
-    )
-    if worst > EXCHANGE_TOL:
-        raise PermutationMismatch(
-            f"dense vs reduced paths differ by {worst:.3e}")
-    return result
+    _check_path_budget(N, model.n, grid)
+    return _solve_reduced(assemble_finite_n(model, N), grid, threshold)
 
 
 @dataclass(frozen=True)
@@ -436,31 +315,9 @@ _LAMBDA_EQUATIONS = (
 
 def _lambda_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
     """The nine-block limit field d(L)/dt of a K = 1 model, L flat:
-
-        d1_0 = rho L1_0 + L1_0 M0 L1_0 - (L1_0 A0 + A0' L1_0)
-               + L2_0 (M La' - G) + cross L2_0' - Q0
-        d2_0 = rho L2_0 + (L1_0 M0 - A0') L2_0 + L2_0 mean_cl - L1_0 F0
-               + cross L3_0 + Q0 G0
-        d3_0 = rho L3_0 + L2_0' M0 L2_0 - L2_0' F0 - F0' L2_0
-               + L3_0 mean_cl + mean_cl' L3_0 - G0' Q0 G0
-        d0   = rho L0 + La M La' - Lb G - G' Lb' + L0 (M0 L1_0 - A0)
-               + (L1_0 M0 - A0') L0 - La (G - M Lb') - (G' - Lb M) La'
-               - G1' Q G1
-        d1   = rho L1 + L1 M L1 - L1 A - A' L1 - Q
-        d2   = rho L2 + La' (M0 L2_0 - F0) - L1 F + (L1 M - A') L2
-               + L2 mean_cl + Q G2
-        d3   = rho L3 + Lb' M0 L2_0 + L2_0' M0 Lb + L2' M L2 - Lb' F0
-               - F0' Lb - L2' F - F' L2 + L3 mean_cl + mean_cl' L3
-               - G2' Q G2
-        da   = rho La + (L1_0 M0 - A0') La + La (M L1 - A) - G' L1
-               + cross L2' + G1' Q
-        db   = rho Lb + L0 M0 L2_0 + cross (L2 + L3) - L0 F0 - La F
-               + Lb mean_cl + (L1_0 M0 - A0') Lb - G1' Q G2
-
-    with mean_cl = M (L1 + L2) - A - F and cross = La M - G', associated
-    to the left and summed left to right as written (_LAMBDA_EQUATIONS),
-    compiled by `equations.compile_equations`: every slot is n-by-n.
-    """
+    _LAMBDA_EQUATIONS, associated to the left and summed left to right as
+    written, compiled by `equations.compile_equations`; every slot is
+    n-by-n."""
     n = model.n
     consts = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
               "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
@@ -704,7 +561,7 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     if N_list and N_list[0] < 1:
         raise ValueError(f"population sizes must be at least 1, got N={N_list[0]}")
     if N_list:
-        _check_path_budget(N_list[-1], model.n, grid, dense=False)
+        _check_path_budget(N_list[-1], model.n, grid)
 
     norms = []
     escapes = {}

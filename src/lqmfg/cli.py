@@ -22,8 +22,7 @@ from . import asymptotic, master, nce, sim
 from .errors import (AsymmetryDrift, BadPi, DimensionMismatch, EmptyBatch,
                      EmptyType, GridMismatch, IndexOutOfRange, KNotOne,
                      ModelFileError, NonFiniteField, NonFiniteState, NotPD,
-                     NotPSD, NTooLargeForMemory, PermutationMismatch,
-                     TimeOutOfRange)
+                     NotPSD, NTooLargeForMemory, TimeOutOfRange)
 from .modelfile import load_model
 from .model import TimeGrid, default_steps
 from .ode import BlowUpReport, MatrixPath
@@ -31,8 +30,7 @@ from .ode import BlowUpReport, MatrixPath
 _USAGE_ERRORS = (ModelFileError, DimensionMismatch, NotPSD, NotPD, BadPi,
                  GridMismatch, KNotOne, NTooLargeForMemory, IndexOutOfRange,
                  TimeOutOfRange, EmptyType, EmptyBatch, ValueError, OSError)
-_MATH_ERRORS = (NonFiniteState, NonFiniteField, AsymmetryDrift,
-                PermutationMismatch)
+_MATH_ERRORS = (NonFiniteState, NonFiniteField, AsymmetryDrift)
 
 
 # cells per block of _write_table: a block holds _BLOCK_CELLS // width rows
@@ -84,20 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=_int_list, default=None,
                         help="comma-separated population sizes")
 
-    def dense(sp):
-        sp.add_argument("--dense", action="store_true",
-                        help="force the dense finite-N mode")
-
     sp = sub.add_parser("solve", help="solve one equation system")
     sp.add_argument("system", choices=["nce", "master", "lambda", "finite-n"])
     shared(sp)
-    dense(sp)
 
     sp = sub.add_parser("compare", help="run two routes and diff them")
     sp.add_argument("pair", choices=["nce-master", "lambda-phi",
                                      "finite-structure"])
     shared(sp)
-    dense(sp)
     sp.add_argument("--tol", type=_tolerance, default=None,
                     help="comparison tolerance override")
 
@@ -251,12 +243,12 @@ _SYSTEMS = {
         lambda r: []),
     "finite-n": (
         lambda model, grid, args: asymptotic.solve_finite_n(
-            model, _one_n(args, "solve finite-n"), grid, dense=args.dense),
+            model, _one_n(args, "solve finite-n"), grid),
         lambda r: [("finite_P0.csv", r.P0_big, "P0"),
                    ("finite_P1.csv", r.P1_big, "P1"),
                    ("finite_S0.csv", r.S0_big, "S0"),
                    ("finite_S1.csv", r.S1_big, "S1")],
-        lambda r: [f"N: {r.N}", f"mode: {r.mode}",
+        lambda r: [f"N: {r.N}", "mode: symmetric",
                    f"min eigenvalue of P0 path: "
                    f"{_fmt(_psd_minimum(r.P0_big.values))}"]),
 }
@@ -291,7 +283,7 @@ def cmd_compare(args) -> int:
 
     if args.pair == "finite-structure":
         N = _one_n(args, "compare finite-structure")
-        fin = asymptotic.solve_finite_n(model, N, grid, dense=args.dense)
+        fin = asymptotic.solve_finite_n(model, N, grid)
         if isinstance(fin, BlowUpReport):
             return _report(out, _blow_lines(grid, fin), 2)
         tol = args.tol if args.tol is not None else asymptotic.TILE_TOL

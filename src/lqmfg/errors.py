@@ -65,10 +65,6 @@ class NTooLargeForMemory(LQMFGError):
     memory budget (ode.MEMORY_BUDGET); the message states the bytes."""
 
 
-class PermutationMismatch(LQMFGError):
-    """Dense and symmetric finite-N solves disagree (internal inconsistency)."""
-
-
 class EmptyType(LQMFGError):
     """A per-type statistic was requested for a type with no players."""
 

@@ -119,8 +119,13 @@ def parse_model_file(path: str) -> ModelParams:
     for key in _FLOAT_KEYS:
         fields[key] = real(key)
     K = fields["K"]
-    A_list = [array(f"A{k}") for k in range(1, K + 1)]
-    fields["A"] = np.stack([np.atleast_2d(a) for a in A_list])
+    A_list = [np.atleast_2d(array(f"A{k}")) for k in range(1, K + 1)]
+    for k, a in enumerate(A_list[1:], start=2):
+        if a.shape != A_list[0].shape:
+            raise ModelFileError(
+                f"{path}: 'A{k}' has shape {a.shape}, but 'A1' has shape "
+                f"{A_list[0].shape}")
+    fields["A"] = np.stack(A_list)
     for key in _ARRAY_KEYS:
         fields[key] = array(key)
     if entries:

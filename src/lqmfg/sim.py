@@ -107,10 +107,6 @@ class MeanFieldError:
     times: np.ndarray
 
     @property
-    def sup_per_type(self) -> np.ndarray:
-        return self.per_type.max(axis=1)
-
-    @property
     def sup(self) -> float:
         return float(self.per_type.max())
 

@@ -12,11 +12,11 @@ import numpy as np
 from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
                    NonFiniteField, NonFiniteState, TimeGrid, validate_model,
                    solve_nce)
-from lqmfg.asymptotic import _swap_block_index, assemble_finite_n
+from lqmfg.asymptotic import assemble_finite_n
 from lqmfg.master import _Blocks, _fd_derivative
 from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
 from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
-                       integrate_backward)
+                       StateLayout, integrate_backward)
 from lqmfg.sim import (DEFAULT_STEPS, _cov_factor, _player_rng,
                        default_type_counts)
 
@@ -238,17 +238,104 @@ def coupling_loop(sys, P1):
     return W
 
 
-def player_paths(fin):
-    """Kernel and offset paths of players 0..N of a finite-N solution;
-    player i >= 2 holds player 1's with state blocks 1 and i exchanged."""
-    P1, S1 = fin.P1_big.values, fin.S1_big.values
-    kernels = [fin.P0_big.values, P1]
-    offsets = [fin.S0_big.values, S1]
-    for i in range(2, fin.N + 1):
-        idx = _swap_block_index(fin.N, fin.model.n, i)
-        kernels.append(P1[:, idx][:, :, idx])
-        offsets.append(S1[:, idx])
-    return kernels, offsets
+def swap_block_index(N, n, i):
+    """Index permutation exchanging state blocks of players 1 and i."""
+    idx = np.arange((N + 1) * n)
+    idx[n:2 * n] = np.arange(i * n, (i + 1) * n)
+    idx[i * n:(i + 1) * n] = np.arange(n, 2 * n)
+    return idx
+
+
+def dense_march(model, N, grid, threshold=DEFAULT_BLOWUP_THRESHOLD):
+    """All N+1 players of the finite-N game marched literally in one pass,
+    Riccati prefix first in the escape verdict: the oracle of the
+    symmetry-reduced `solve_finite_n`, which carries players 0 and 1 only.
+
+    Returns the kernels (nodes, N+1, d, d) and offsets (nodes, N+1, d) of
+    players 0..N, or the BlowUpReport.
+    """
+    sys = assemble_finite_n(model, N)
+    n, d = model.n, sys.dim
+    Q_big = [sys.Q0_big] + [sys.Q_minor(i) for i in range(1, N + 1)]
+    Qf_big = [sys.Q0f_big] + [sys.Q_minor(i, final=True)
+                              for i in range(1, N + 1)]
+    lin = [sys.lin0] + [sys.lin_minor(i) for i in range(1, N + 1)]
+    lin_f = [sys.lin0_f] + [sys.lin_minor_f(i) for i in range(1, N + 1)]
+    Ar2 = sys.Ahat_rho2
+    ArT = sys.Ahat_rho.T
+
+    def coupling(P):
+        W = np.zeros((d, d))
+        for k in range(1, N + 1):
+            W[k * n:(k + 1) * n, :] = sys.M @ P[k, k * n:(k + 1) * n, :]
+        return W
+
+    def dP_all(P):
+        W = coupling(P)
+        dP = np.empty_like(P)
+        dP[0] = (-(P[0] @ Ar2 + Ar2.T @ P[0])
+                 + P[0][:, :n] @ (sys.M0 @ P[0][:n, :])
+                 + P[0] @ W + W.T @ P[0] - Q_big[0])
+        for i in range(1, N + 1):
+            bi = slice(i * n, (i + 1) * n)
+            dP[i] = (-(P[i] @ Ar2 + Ar2.T @ P[i])
+                     - P[i][:, bi] @ (sys.M @ P[i][bi, :])
+                     + P[i][:, :n] @ (sys.M0 @ P[0][:n, :])
+                     + P[0][:, :n] @ (sys.M0 @ P[i][:n, :])
+                     + P[i] @ W + W.T @ P[i] - Q_big[i])
+        return dP, W
+
+    def dS_all(P, W, S):
+        vS = np.zeros(d)
+        for k in range(1, N + 1):
+            bk = slice(k * n, (k + 1) * n)
+            vS[bk] = sys.M @ S[k, bk]
+        dS = np.empty_like(S)
+        dS[0] = (-ArT @ S[0] + P[0][:, :n] @ (sys.M0 @ S[0][:n])
+                 + W.T @ S[0] + P[0] @ vS + lin[0])
+        for i in range(1, N + 1):
+            bi = slice(i * n, (i + 1) * n)
+            dS[i] = (-ArT @ S[i] + P[0][:, :n] @ (sys.M0 @ S[i][:n])
+                     + P[i][:, :n] @ (sys.M0 @ S[0][:n])
+                     - P[i][:, bi] @ (sys.M @ S[i][bi])
+                     + W.T @ S[i] + P[i] @ vS + lin[i])
+        return dS
+
+    layout = StateLayout([(N + 1, d, d), (N + 1, d)],
+                         symmetric=(True, False), levels=(1,))
+
+    def field(t, flat):
+        P, S = layout.split(flat)
+        dP, W = dP_all(P)
+        return layout.pack(dP, dS_all(P, W, S))
+
+    terminal = layout.pack(np.stack(Qf_big), np.stack(lin_f))
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
+                              symmetrize=layout.sym, prefixes=layout.prefixes)
+    if isinstance(path, BlowUpReport):
+        return path
+    return layout.split(path.values)
+
+
+def representatives(P, S):
+    """Players 0 and 1 of a dense march, named as on FiniteNSolution."""
+    return {"P0_big": P[:, 0], "P1_big": P[:, 1],
+            "S0_big": S[:, 0], "S1_big": S[:, 1]}
+
+
+def exchange_gap(P, S):
+    """Largest entry gap, over nodes and minors i in 2..N of a dense march,
+    between minor i's paths and player 1's with state blocks 1 and i
+    exchanged."""
+    N = P.shape[1] - 1
+    n = P.shape[2] // (N + 1)
+    worst = 0.0
+    for i in range(2, N + 1):
+        idx = swap_block_index(N, n, i)
+        worst = max(worst,
+                    float(np.max(np.abs(P[:, i] - P[:, 1][:, idx][:, :, idx]))),
+                    float(np.max(np.abs(S[:, i] - S[:, 1][:, idx]))))
+    return worst
 
 
 def _interp_at(path, t):

@@ -8,14 +8,15 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce)
 from lqmfg.asymptotic import (BLOCK_KEYS, SCALING_EXPONENTS, TILE_TOL,
-                              _cluster_counts, _ReducedFields, _solve_dense)
+                              _cluster_counts, _ReducedFields)
 from lqmfg.ode import BlowUpReport
 
 from helpers import (build_model, check_escape_levels, coupling_loop,
-                     decoupled_scalar, greedy_cluster_count, growing_offsets,
-                     node_l1, player_paths, riccati_closed_form,
-                     scalar_coupled, tile_view, two_dim_coupled,
-                     two_type_scalar, zero_weight)
+                     decoupled_scalar, dense_march, exchange_gap,
+                     greedy_cluster_count, growing_offsets, node_l1,
+                     representatives, riccati_closed_form, scalar_coupled,
+                     tile_view, two_dim_coupled, two_type_scalar,
+                     zero_weight)
 
 
 def test_minor_selector_row_for_two_players():
@@ -105,15 +106,11 @@ def test_single_minor_decoupled_matches_closed_form():
 
 def test_dense_and_reduced_modes_agree(scalar_model):
     grid = TimeGrid(M=100, T=1.0)
-    dense = solve_finite_n(scalar_model, 3, grid, dense=True)
+    P, S = dense_march(scalar_model, 3, grid)
+    assert exchange_gap(P, S) <= 1e-8
     reduced = solve_finite_n(scalar_model, 3, grid)
-    assert dense.mode == "dense"
-    assert reduced.mode == "symmetric"
-    for a, b in ((dense.P0_big, reduced.P0_big),
-                 (dense.P1_big, reduced.P1_big),
-                 (dense.S0_big, reduced.S0_big),
-                 (dense.S1_big, reduced.S1_big)):
-        assert np.abs(a.values - b.values).max() < 1e-12
+    for name, want in representatives(P, S).items():
+        assert np.abs(want - getattr(reduced, name).values).max() < 1e-12
 
 
 def test_cluster_counts_on_coupled_model(scalar_model):
@@ -292,15 +289,14 @@ def test_marginal_escape_reduced_mode():
 
 
 def test_marginal_escape_dense_mode():
-    # Called below solve_finite_n, whose dense mode also requires the
-    # reduced mode (a smaller state) to escape at the same threshold.
+    # the dense march, the oracle of the reduced mode, reports its kernel
+    # and offset levels as the reduced mode does
     model = growing_offsets()
     grid = TimeGrid(M=100, T=1.0)
-    sys = assemble_finite_n(model, 3)
-    P, S = player_paths(_solve_dense(sys, grid, 1e12))
-    kernels = node_l1(*P)
-    joint = kernels + node_l1(*S)
-    check_escape_levels(lambda thr: _solve_dense(sys, grid, thr),
+    P, S = dense_march(model, 3, grid)
+    kernels = node_l1(P)
+    joint = kernels + node_l1(S)
+    check_escape_levels(lambda thr: dense_march(model, 3, grid, thr),
                         [kernels, joint])
 
 

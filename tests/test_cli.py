@@ -186,6 +186,19 @@ def test_wrongly_typed_model_values_exit_one(tmp_path, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+def test_drifts_of_different_shapes_exit_one(tmp_path, capsys):
+    """The first per-type drift whose shape differs from A1's is named."""
+    text = (MODELS / "twotype.model").read_text()
+    path = tmp_path / "bad.model"
+    path.write_text(text.replace("A2 = [[-0.2]]",
+                                 "A2 = [[1.0, 2.0], [3.0, 4.0]]"))
+    with mock.patch("lqmfg.nce.solve_nce", side_effect=AssertionError):
+        code = main(["solve", "nce", "--model", str(path), "--out",
+                     str(tmp_path / "out")])
+    assert code == 1
+    assert "'A2'" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_one(tmp_path, capsys):
     assert main(["solve", "warp", "--model", SCALAR]) == 1
     assert main(["solve", "nce", "--model", SCALAR, "--grid", "xx"]) == 1
@@ -564,7 +577,7 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
 
 def test_options_belong_to_their_subcommands(tmp_path, capsys, monkeypatch):
     """Each subcommand takes only the options it reads: --tol on compare,
-    --seed and --dt on simulate, --dense on solve and compare."""
+    --seed and --dt on simulate; --dense is on none of them."""
     def refuse(*args, **kwargs):
         raise AssertionError("solved")
 
@@ -583,6 +596,8 @@ def test_options_belong_to_their_subcommands(tmp_path, capsys, monkeypatch):
         ["simulate", "--N", "4", "--dense"],
         ["simulate", "--N", "4", "--tol", "0"],
         ["simulate", "--dense", "--tol", "0"],
+        ["solve", "finite-n", "--N", "4", "--dense"],
+        ["compare", "finite-structure", "--N", "4", "--dense"],
     ]
     for i, argv in enumerate(misuse):
         out = tmp_path / str(i)
@@ -591,9 +606,8 @@ def test_options_belong_to_their_subcommands(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
     parser = cli.build_parser()
-    for argv in (["solve", "finite-n", "--N", "4", "--dense"],
-                 ["compare", "finite-structure", "--N", "4", "--dense",
-                  "--tol", "1e-8"],
+    for argv in (["solve", "finite-n", "--N", "4"],
+                 ["compare", "finite-structure", "--N", "4", "--tol", "1e-8"],
                  ["check-solvability", "--N", "4,8"],
                  ["simulate", "--N", "4", "--seed", "1,2", "--dt", "0.01"]):
         args = parser.parse_args([*argv, "--model", SCALAR, "--grid", "10",
@@ -621,9 +635,6 @@ def test_simulate_rejects_bad_seeds_before_solving(tmp_path, capsys,
     ["solve", "lambda", "--grid", "100000000000"],
     # (N+1)n = 501: 2001 nodes of 2 * 501^2 + 2 * 501 floats, 8.05 GB
     ["solve", "finite-n", "--N", "500"],
-    # 201 kernels and offsets of side 201 on 2001 nodes: 131 GB, refused
-    # before the per-minor weights are assembled
-    ["solve", "finite-n", "--N", "200", "--dense"],
 ])
 def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,
                                                           argv):

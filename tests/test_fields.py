@@ -13,8 +13,9 @@ from lqmfg import (TimeGrid, assemble_finite_n, lift_pi, solve_finite_n,
 from lqmfg import asymptotic, master, nce
 from lqmfg.ode import BlowUpReport
 
+import helpers
 from helpers import (MasterBlocksRef, NCEWorkspaceRef, ReducedFieldsRef,
-                     _random_params, build_model, dense_sym_ref,
+                     _random_params, build_model, dense_march, dense_sym_ref,
                      finite_sym_ref, growing_offsets, lambda_field_ref,
                      lambda_sym_ref, master_field_ref, nce_field_ref, node_l1,
                      random_n3k3, reference_solve, scalar_coupled,
@@ -246,25 +247,42 @@ def test_solves_are_bitwise_the_reference_marches(name):
             assert np.array_equal(_flat(*blocks), ref.values)
 
 
+def _reduced_flat(model, N, grid, threshold=1e12):
+    """solve_finite_n's state path as the reference march lays it out."""
+    sol = solve_finite_n(model, N, grid, threshold=threshold)
+    if isinstance(sol, BlowUpReport):
+        return sol
+    return _flat(sol.P0_big, sol.P1_big, sol.S0_big, sol.S1_big)
+
+
+def _dense_flat(model, N, grid, threshold=1e12):
+    """Players 0 and 1 of the dense march, laid out as `_reduced_flat`."""
+    res = dense_march(model, N, grid, threshold)
+    if isinstance(res, BlowUpReport):
+        return res
+    P, S = res
+    Mn = P.shape[0]
+    return np.concatenate([P[:, :2].reshape(Mn, -1),
+                           S[:, :2].reshape(Mn, -1)], axis=1)
+
+
 FINITE_MODELS = {"scalar": scalar_coupled, "twodim": two_dim_coupled,
                  "offsets": growing_offsets}
 
 
 @pytest.mark.parametrize("name", sorted(FINITE_MODELS))
 def test_finite_n_solves_are_bitwise_the_reference_march(name):
-    """The reduced mode at N = 4, and the dense mode at N = 1 (where its
+    """The reduced mode at N = 4, and the dense march at N = 1 (where its
     products are the reduced ones; at larger N it sums the exchanged
     players in another order), are bitwise the reference march, and so
     are their escape reports at the kernel and the offset level."""
     model = FINITE_MODELS[name]()
     grid = TimeGrid(M=100, T=1.0)
-    for N, modes in ((4, (False,)), (1, (False, True))):
+    for N, solvers in ((4, (_reduced_flat,)),
+                       (1, (_reduced_flat, _dense_flat))):
         ref, _ = reference_solve("finite-n", model, grid, N=N)
-        for dense in modes:
-            sol = solve_finite_n(model, N, grid, dense=dense)
-            assert np.array_equal(
-                _flat(sol.P0_big, sol.P1_big, sol.S0_big, sol.S1_big),
-                ref.values)
+        for solve in solvers:
+            assert np.array_equal(solve(model, N, grid), ref.values)
 
         sq = assemble_finite_n(model, N).dim ** 2
         kernels = node_l1(ref.values[:, :2 * sq])
@@ -274,9 +292,8 @@ def test_finite_n_solves_are_bitwise_the_reference_march(name):
             want, _ = reference_solve("finite-n", model, grid, N=N,
                                       threshold=threshold)
             assert isinstance(want, BlowUpReport)
-            for dense in modes:
-                assert solve_finite_n(model, N, grid, dense=dense,
-                                      threshold=threshold) == want
+            for solve in solvers:
+                assert solve(model, N, grid, threshold=threshold) == want
 
 
 def solve_sym(route, model, N):
@@ -290,7 +307,8 @@ def solve_sym(route, model, N):
                             threshold=threshold)
 
     grid = TimeGrid(M=4, T=1.0)
-    module = {"nce": nce, "master": master}.get(route, asymptotic)
+    module = {"nce": nce, "master": master,
+              "dense": helpers}.get(route, asymptotic)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "integrate_backward", capture)
         if route == "nce":
@@ -302,7 +320,7 @@ def solve_sym(route, model, N):
         elif route == "finite-n":
             solve_finite_n(model, N, grid)
         else:
-            asymptotic._solve_dense(assemble_finite_n(model, N), grid, 1e12)
+            dense_march(model, N, grid)
     return seen[-1]
 
 
