@@ -8,10 +8,11 @@ against finite populations.
 """
 
 from .asymptotic import (FiniteNSolution, LambdaSolution, PhiSolution,
-                         SolvabilityReport, StructureReport,
+                         SolvabilityReport, StructureReport, TileSolution,
                          assemble_finite_n, check_asymptotic_solvability,
                          compare_lambda_phi, extract_block_structure,
-                         phi_from_nce, solve_finite_n, solve_lambda)
+                         phi_from_nce, solve_finite_n, solve_lambda,
+                         solve_tiles)
 from .errors import (AsymmetryDrift, BadPi, DimensionMismatch, EmptyBatch,
                      EmptyType, GridMismatch, IndexOutOfRange, KNotOne,
                      LQMFGError, ModelFileError, NonFiniteField,
@@ -36,7 +37,8 @@ __all__ = [
     "ModelFileError", "ModelParams", "NCESolution", "NTooLargeForMemory",
     "NonFiniteField", "NonFiniteState", "NotPD", "NotPSD",
     "PhiSolution", "PiLifted", "SolvabilityReport",
-    "StructureReport", "TimeGrid", "TimeOutOfRange", "Trajectory",
+    "StructureReport", "TileSolution", "TimeGrid", "TimeOutOfRange",
+    "Trajectory",
     "ValidatedModel", "assemble_finite_n", "block_selector",
     "check_asymptotic_solvability", "compare_lambda_phi",
     "compare_nce_master", "default_steps", "default_type_counts",
@@ -44,7 +46,7 @@ __all__ = [
     "integrate_backward", "lift_pi", "load_model", "master_feedback",
     "master_residual", "nce_feedback", "parse_model_file", "phi_from_nce",
     "simulate", "solve_finite_n", "solve_lambda", "solve_master",
-    "solve_nce", "validate_model", "write_model_file",
+    "solve_nce", "solve_tiles", "validate_model", "write_model_file",
 ]
 
 __version__ = "0.1.0"

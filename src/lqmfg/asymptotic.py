@@ -2,12 +2,16 @@
 
 For K = 1 the N+1-player game has an exact feedback Nash solution through
 one large coupled Riccati system. Exchangeability of the minor players
-collapses that system to two representative matrices, and as N grows their
-n-by-n tiles converge (after re-scaling) to a closed system of nine small
-ODEs. This module builds the large system and solves it reduced to the
-two representative players, solves the nine-block system, extracts the
-matching blocks from the consistency-route solution, and runs the
-structural and boundedness checks tying the three together.
+collapses that system to two representative matrices, and those to nine
+distinct n-by-n tiles (and five offset blocks) whose closed ODE has N
+only in scalar coefficients; re-scaled by powers of N it is the
+nine-block limit system plus terms in 1/N. This module builds the large
+system and solves it reduced to the two representative players (the
+matrices whose tiles the structure check clusters), solves the tile
+system (cost independent of N; the boundedness check runs on it), solves
+the nine-block system, extracts the matching blocks from the
+consistency-route solution, and runs the structural and boundedness
+checks tying them together.
 """
 
 from dataclasses import dataclass
@@ -32,8 +36,9 @@ BLOCK_KEYS = ("1_0", "2_0", "3_0", "0", "1", "2", "3", "a", "b")
 _SYMMETRIC_KEYS = {"1_0", "3_0", "0", "1", "3"}
 
 # N-scaling exponent per block: tile * N**e approaches the small-system
-# block. Determined numerically (log-error regression); the convergence
-# test pins the ~1/N rate.
+# block. With them the scaled tile field at 1/N = 0 is the nine-block
+# field (tests/test_asymptotic.py::test_tile_field_at_zero_is_the_lambda_field);
+# criterion 6 and the tile tests pin the ~1/N rate.
 SCALING_EXPONENTS = {"1_0": 0, "2_0": 1, "3_0": 2,
                      "0": 0, "1": 0, "a": 0, "2": 1, "b": 1, "3": 2}
 
@@ -43,10 +48,18 @@ def _require_k1(model: ValidatedModel):
         raise KNotOne(f"finite-population route needs K=1, got K={model.K}")
 
 
+# Largest population size: up to 2**53 every integer, N - 1 included, is
+# a float, so the coefficients N, 1/N and (N - 1)/N stay distinct.
+MAX_POPULATION = 2 ** 53
+
+
 def _require_population(model: ValidatedModel, N: int):
     _require_k1(model)
     if N < 1:
         raise ValueError(f"need at least one minor player, got N={N}")
+    if N > MAX_POPULATION:
+        raise ValueError(f"population size N={N} exceeds 2**53, the "
+                         f"largest N that float arithmetic tells from N - 1")
 
 
 @dataclass(frozen=True)
@@ -96,15 +109,6 @@ class FiniteNSystem:
         return -self.K_minor(i, final=True).T @ (self.model.Qf @ self.model.etaf)
 
 
-def _check_path_budget(N: int, n: int, grid: TimeGrid):
-    """Size the stored path of solve_finite_n before anything is
-    assembled: the kernel and offset of side (N+1)n of the two
-    representative players."""
-    d = (N + 1) * n
-    check_budget(f"the symmetric path of N={N} minor players on "
-                 f"{grid.M + 1} nodes", 8 * (grid.M + 1) * 2 * (d * d + d))
-
-
 def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
     """Stack the N+1 individual dynamics and costs into one state space;
     NTooLargeForMemory, before any allocation, if its peak of seven
@@ -132,14 +136,14 @@ def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
 
     Q0_big = K0.T @ model.Q0 @ K0
     Q0f_big = K0f.T @ model.Q0f @ K0f
+    M0, M = _input_weights(model)
 
     return FiniteNSystem(
         model=model, N=N,
         Ahat=Ahat,
         Ahat_rho2=Ahat - (model.rho / 2.0) * np.eye(d),
         Ahat_rho=Ahat - model.rho * np.eye(d),
-        M0=model.B0 @ np.linalg.solve(model.R0, model.B0.T),
-        M=model.B @ np.linalg.solve(model.R, model.B.T),
+        M0=M0, M=M,
         K0=K0, K0f=K0f,
         Q0_big=(Q0_big + Q0_big.T) / 2.0,
         Q0f_big=(Q0f_big + Q0f_big.T) / 2.0,
@@ -263,10 +267,13 @@ def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
     """Solve the N+1-player Riccati/offset system, integrating only the
     two representative players via exchangeability. A stored path above
     the memory budget raises NTooLargeForMemory before anything is
-    assembled.
+    assembled: the kernel and offset of side (N+1)n of the two
+    representative players.
     """
     _require_population(model, N)
-    _check_path_budget(N, model.n, grid)
+    d = (N + 1) * model.n
+    check_budget(f"the symmetric path of N={N} minor players on "
+                 f"{grid.M + 1} nodes", 8 * (grid.M + 1) * 2 * (d * d + d))
     return _solve_reduced(assemble_finite_n(model, N), grid, threshold)
 
 
@@ -285,9 +292,12 @@ class LambdaSolution:
 # order. Python's grammar fixes the association: @ before + and -, each
 # to the left (L1_0 @ M0 @ L1_0 is (L1_0 @ M0) @ L1_0); X.T is X's
 # transpose and the names below stand for their subtrees.
+#
+# e1 is the other minors' share of a sum over minors: 1 in the limit,
+# (N - 1) / N at N minors (the tile field below).
 _LAMBDA_NAMES = {
-    "mean_cl": "M @ (L1 + L2) - A - F",     # drives every *-mean block
-    "cross": "La @ M - G.T",                # recurring major/minor mix
+    "mean_cl": "M @ (L1 + e1 * L2) - A - F",  # drives every *-mean block
+    "cross": "La @ M - G.T",                  # recurring major/minor mix
 }
 _LAMBDA_EQUATIONS = (
     "rho * L1_0 + L1_0 @ M0 @ L1_0 - (L1_0 @ A0 + A0.T @ L1_0)"
@@ -296,9 +306,10 @@ _LAMBDA_EQUATIONS = (
     " - L1_0 @ F0 + cross @ L3_0 + Q0 @ G0",
     "rho * L3_0 + L2_0.T @ M0 @ L2_0 - L2_0.T @ F0 - F0.T @ L2_0"
     " + L3_0 @ mean_cl + mean_cl.T @ L3_0 - G0.T @ Q0 @ G0",
-    "rho * L0 + La @ M @ La.T - Lb @ G - G.T @ Lb.T"
+    "rho * L0 + La @ M @ La.T - e1 * (Lb @ G) - e1 * (G.T @ Lb.T)"
     " + L0 @ (M0 @ L1_0 - A0) + (L1_0 @ M0 - A0.T) @ L0"
-    " - La @ (G - M @ Lb.T) - (G.T - Lb @ M) @ La.T - G1.T @ Q @ G1",
+    " - La @ (G - e1 * (M @ Lb.T)) - (G.T - e1 * (Lb @ M)) @ La.T"
+    " - G1.T @ Q @ G1",
     "rho * L1 + L1 @ M @ L1 - L1 @ A - A.T @ L1 - Q",
     "rho * L2 + La.T @ (M0 @ L2_0 - F0) - L1 @ F"
     " + (L1 @ M - A.T) @ L2 + L2 @ mean_cl + Q @ G2",
@@ -306,8 +317,8 @@ _LAMBDA_EQUATIONS = (
     " + L2.T @ M @ L2 - Lb.T @ F0 - F0.T @ Lb - L2.T @ F - F.T @ L2"
     " + L3 @ mean_cl + mean_cl.T @ L3 - G2.T @ Q @ G2",
     "rho * La + (L1_0 @ M0 - A0.T) @ La + La @ (M @ L1 - A)"
-    " - G.T @ L1 + cross @ L2.T + G1.T @ Q",
-    "rho * Lb + L0 @ M0 @ L2_0 + cross @ (L2 + L3)"
+    " - G.T @ L1 + e1 * (cross @ L2.T) + G1.T @ Q",
+    "rho * Lb + L0 @ M0 @ L2_0 + cross @ (L2 + e1 * L3)"
     " - L0 @ F0 - La @ F + Lb @ mean_cl"
     " + (L1_0 @ M0 - A0.T) @ Lb - G1.T @ Q @ G2",
 )
@@ -319,12 +330,23 @@ def _lambda_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
     written, compiled by `equations.compile_equations`; every slot is
     n-by-n."""
     n = model.n
-    consts = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
-              "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
-              "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
-              "G2": model.Gamma2, "rho": model.rho}
     return compile_field(tuple(("L" + key, (n, n)) for key in BLOCK_KEYS),
-                         consts, _LAMBDA_NAMES, _LAMBDA_EQUATIONS)
+                         _limit_consts(model, M0, M), _LAMBDA_NAMES,
+                         _LAMBDA_EQUATIONS)
+
+
+def _limit_consts(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
+    """The model constants of the nine-block and tile fields, by slot."""
+    return {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
+            "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
+            "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
+            "G2": model.Gamma2, "rho": model.rho, "e1": 1.0}
+
+
+def _input_weights(model: ValidatedModel):
+    """(M0, M) = (B0 R0^-1 B0^T, B R^-1 B^T)."""
+    return (model.B0 @ np.linalg.solve(model.R0, model.B0.T),
+            model.B @ np.linalg.solve(model.R, model.B.T))
 
 
 def solve_lambda(model: ValidatedModel, grid: TimeGrid,
@@ -336,8 +358,7 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     """
     _require_k1(model)
     n = model.n
-    M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
-    M = model.B @ np.linalg.solve(model.R, model.B.T)
+    M0, M = _input_weights(model)
     layout = StateLayout([(n, n)] * len(BLOCK_KEYS),
                          symmetric=[k in _SYMMETRIC_KEYS for k in BLOCK_KEYS])
 
@@ -356,6 +377,160 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     blocks = {key: MatrixPath(grid, L.copy())
               for key, L in zip(BLOCK_KEYS, layout.split(path.values))}
     return LambdaSolution(model=model, grid=grid, blocks=blocks, M0=M0, M=M)
+
+
+# The tile system. At N minors, exchangeability leaves the kernels P0, P1
+# of players 0 and 1 nine distinct n-by-n tiles, one per BLOCK_KEYS entry
+# at the positions of _rep_positions ("3_0" stands for every minor pair
+# of P0 and "3" for every pair of other minors, diagonal included), and
+# the offsets S0, S1 five n-blocks: S0's major block s0 and minor block
+# sm, S1's major block t0, own block t1 and other-minor block to. Each is
+# carried scaled, tile * N**exponent, so its field is the limit field in
+# e = 1/N: _LAMBDA_EQUATIONS with the other minors' share e1 = 1 - e,
+# plus the e-terms below, derived from _ReducedFields by summing over the
+# minors' blocks. At e = 0 it is the nine-block field.
+OFFSET_KEYS = ("s0", "sm", "t0", "t1", "to")
+_TILE_EXPONENTS = {**SCALING_EXPONENTS, "s0": 0, "sm": 1, "t0": 0, "t1": 0,
+                   "to": 1}
+_TILE_E_TERMS = {
+    "1": "La.T @ (M0 @ L2_0 - F0) + (L2_0.T @ M0 - F0.T) @ La"
+         " - (L1 + e1 * L2) @ F - F.T @ (L1 + e1 * L2).T"
+         " + e1 * (L2 @ M @ L2) + e1 * (L2.T @ M @ L2.T) + G2.T @ Q + Q @ G2"
+         " - e * (G2.T @ Q @ G2)",
+    "2": "L2 @ F - F0.T @ Lb - F.T @ (L2 + e1 * L3) + L2_0.T @ M0 @ Lb"
+         " - L2 @ M @ L2 + e1 * (L2.T @ M @ L3) - G2.T @ Q @ G2",
+    "3": "L3 @ (F - M @ L2) + (F.T - L2.T @ M) @ L3",
+    "a": "L0 @ (M0 @ L2_0 - F0) - (La + e1 * Lb) @ F + e1 * (Lb @ M @ L2)"
+         " - G1.T @ Q @ G2",
+    "b": "Lb @ (F - M @ L2)",
+}
+_OFFSET_EQUATIONS = (
+    "rho * s0 + (L1_0 @ M0 - A0.T) @ s0 + cross @ sm + L2_0 @ M @ t1"
+    " + Q0 @ eta0",
+    "rho * sm + (L2_0.T @ M0 - F0.T) @ s0 + mean_cl.T @ sm"
+    " + L3_0 @ M @ t1 - G0.T @ Q0 @ eta0",
+    "rho * t0 + (L1_0 @ M0 - A0.T) @ t0 + L0 @ M0 @ s0"
+    " + cross @ (t1 + e1 * to) + e1 * (Lb @ M @ t1) - G1.T @ Q @ eta",
+    "rho * t1 - A.T @ t1 + La.T @ M0 @ s0 + (L1 + e1 * L2) @ M @ t1"
+    " + Q @ eta + e * ((L2_0.T @ M0 - F0.T) @ t0 - F.T @ (t1 + e1 * to)"
+    " + e1 * (L2.T @ M @ to) - G2.T @ Q @ eta)",
+    "rho * to + mean_cl.T @ to - F.T @ t1 + (L2_0.T @ M0 - F0.T) @ t0"
+    " + Lb.T @ M0 @ s0 + (L2.T + e1 * L3) @ M @ t1 - G2.T @ Q @ eta"
+    " + e * ((F.T - L2.T @ M) @ to)",
+)
+_TILE_EQUATIONS = tuple(
+    f"{text} + e * ({_TILE_E_TERMS[key]})" if key in _TILE_E_TERMS else text
+    for key, text in zip(BLOCK_KEYS + OFFSET_KEYS,
+                         _LAMBDA_EQUATIONS + _OFFSET_EQUATIONS))
+
+
+def _tile_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray,
+                e: float):
+    """The field of the scaled tiles at e = 1/N (e = 0 is the limit),
+    state in BLOCK_KEYS then OFFSET_KEYS order; compiled once per n, as N
+    only sets the scalar slots e and e1. At N = 1 (e1 = 0) the tiles of
+    the other minors, which do not exist, feed no other tile."""
+    n = model.n
+    consts = _limit_consts(model, M0, M)
+    consts.update(eta0=model.eta0.reshape(n, 1), eta=model.eta.reshape(n, 1),
+                  e=e, e1=1.0 - e)
+    state = (tuple(("L" + key, (n, n)) for key in BLOCK_KEYS)
+             + tuple((key, (n, 1)) for key in OFFSET_KEYS))
+    return compile_field(state, consts, _LAMBDA_NAMES, _TILE_EQUATIONS)
+
+
+def _tile_terminal(model: ValidatedModel, e: float) -> tuple:
+    """Scaled tiles of Q0f_big, Q_minor(1, final=True), lin0_f and
+    lin_minor_f(1), in state order."""
+    Q0f, Qf = model.Q0f, model.Qf
+    G0f, G1f, G2f = model.Gamma0f, model.Gamma1f, model.Gamma2f
+    K = np.eye(model.n) - e * G2f          # own block of minor 1's selector
+    eta0f, etaf = model.eta0f.reshape(-1, 1), model.etaf.reshape(-1, 1)
+    return (Q0f, -Q0f @ G0f, G0f.T @ Q0f @ G0f,
+            G1f.T @ Qf @ G1f, K.T @ Qf @ K, -K.T @ Qf @ G2f,
+            G2f.T @ Qf @ G2f, -G1f.T @ Qf @ K, G1f.T @ Qf @ G2f,
+            -Q0f @ eta0f, G0f.T @ Q0f @ eta0f, G1f.T @ Qf @ etaf,
+            -K.T @ Qf @ etaf, G2f.T @ Qf @ etaf)
+
+
+def _tile_weights(N: int) -> list:
+    """Per tile, its l1 weight in the (N+1)n-square P0, P1 and (N+1)n
+    S0, S1 it stands for: the tile's multiplicity there over its scale."""
+    o = N - 1
+    copies = {"1_0": 1, "2_0": 2 * N, "3_0": N * N, "0": 1, "1": 1,
+              "2": 2 * o, "3": o * o, "a": 2, "b": 2 * o,
+              "s0": 1, "sm": N, "t0": 1, "t1": 1, "to": o}
+    return [copies[key] / N ** _TILE_EXPONENTS[key]
+            for key in BLOCK_KEYS + OFFSET_KEYS]
+
+
+def _masked(field, keep):
+    def masked(t, flat):
+        return field(t, flat) * keep
+    return masked
+
+
+@dataclass(frozen=True)
+class TileSolution:
+    """Scaled tiles of the N+1-player Riccati/offset paths.
+
+    `blocks[key]` is the tile of BLOCK_KEYS `key` times
+    N**SCALING_EXPONENTS[key], `offsets[key]` the offset block of
+    OFFSET_KEYS `key` (n-vectors) times N for sm and to; `kernel_norms`
+    is, per node, |P0|_l1 + |P1|_l1 of the (N+1)n-square kernels the tiles
+    stand for.
+    """
+
+    model: ValidatedModel
+    N: int
+    grid: TimeGrid
+    blocks: dict
+    offsets: dict
+    kernel_norms: np.ndarray
+
+
+def solve_tiles(model: ValidatedModel, N: int, grid: TimeGrid,
+                threshold: float = 1e12):
+    """Solve the N+1-player Riccati/offset system on its distinct tiles:
+    9n^2 + 5n floats and O(n^3) work per step for every N.
+
+    Escape is decided, as by solve_finite_n, on the l1 norms of the
+    (N+1)n-square kernels, then of kernels and offsets, that the tiles
+    stand for.
+    """
+    _require_population(model, N)
+    n = model.n
+    e = 1.0 / N
+    layout = StateLayout(
+        [(n, n)] * len(BLOCK_KEYS) + [(n, 1)] * len(OFFSET_KEYS),
+        symmetric=[key in _SYMMETRIC_KEYS for key in BLOCK_KEYS]
+        + [False] * len(OFFSET_KEYS),
+        levels=(len(BLOCK_KEYS),))
+    weights = np.repeat(_tile_weights(N), [n * n] * len(BLOCK_KEYS)
+                        + [n] * len(OFFSET_KEYS))
+    field = _tile_field(model, *_input_weights(model), e)
+    terminal = layout.sym(layout.pack(*_tile_terminal(model, e)))
+    if N == 1:
+        # tiles of weight 0 stand for no entry (the other minors' ones):
+        # held at zero, so that their own field cannot escape
+        held = weights > 0
+        terminal = terminal * held
+        field = _masked(field, held)
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
+                              symmetrize=layout.sym, prefixes=layout.prefixes,
+                              weights=weights)
+    if isinstance(path, BlowUpReport):
+        return path
+    kernel = layout.prefixes[0]
+    norms = (np.abs(path.values[:, :kernel]) * weights[:kernel]).sum(axis=1)
+    parts = layout.split(path.values)
+    return TileSolution(
+        model=model, N=N, grid=grid,
+        blocks={key: MatrixPath(grid, part.copy())
+                for key, part in zip(BLOCK_KEYS, parts)},
+        offsets={key: MatrixPath(grid, part[..., 0].copy())
+                 for key, part in zip(OFFSET_KEYS, parts[len(BLOCK_KEYS):])},
+        kernel_norms=norms)
 
 
 @dataclass(frozen=True)
@@ -549,31 +724,27 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     """Solve the finite system across N and test boundedness of the norms.
 
     N_list is sorted and de-duplicated first, so the verdict does not
-    depend on the caller's order; an N below 1 raises ValueError, and a
-    largest N whose path exceeds the memory budget NTooLargeForMemory,
-    before any solve. Records, per N, sup over nodes of |P0|_l1 +
-    |P1|_l1, or the escape report, solving one N after another; compares
-    the bounded-tail heuristic (on the three largest N) with the
+    depend on the caller's order; an N below 1 or above MAX_POPULATION
+    raises ValueError before any solve. Records, per N, sup over nodes of
+    |P0|_l1 + |P1|_l1, or the escape report, solving the tile system
+    (solve_tiles, whose cost does not depend on N) one N after another;
+    compares the bounded-tail heuristic (on the three largest N) with the
     nine-block system's solvability verdict.
     """
     _require_k1(model)
     N_list = tuple(sorted({int(N) for N in N_list}))
-    if N_list and N_list[0] < 1:
-        raise ValueError(f"population sizes must be at least 1, got N={N_list[0]}")
-    if N_list:
-        _check_path_budget(N_list[-1], model.n, grid)
+    for N in N_list[:1] + N_list[-1:]:
+        _require_population(model, N)
 
     norms = []
     escapes = {}
     for N in N_list:
-        res = solve_finite_n(model, N, grid, threshold=threshold)
+        res = solve_tiles(model, N, grid, threshold=threshold)
         if isinstance(res, BlowUpReport):
             norms.append(None)
             escapes[N] = res
         else:
-            per_node = (np.abs(res.P0_big.values).reshape(grid.M + 1, -1).sum(axis=1)
-                        + np.abs(res.P1_big.values).reshape(grid.M + 1, -1).sum(axis=1))
-            norms.append(float(per_node.max()))
+            norms.append(float(res.kernel_norms.max()))
 
     bounded = False
     if not escapes and len(norms) >= 3:

@@ -119,6 +119,8 @@ def parse_model_file(path: str) -> ModelParams:
     for key in _FLOAT_KEYS:
         fields[key] = real(key)
     K = fields["K"]
+    if K < 1:
+        raise ModelFileError(f"{path}: 'K' must be at least 1, got {K}")
     A_list = [np.atleast_2d(array(f"A{k}")) for k in range(1, K + 1)]
     for k, a in enumerate(A_list[1:], start=2):
         if a.shape != A_list[0].shape:

@@ -221,6 +221,7 @@ def integrate_backward(
     threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     symmetrize: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     prefixes: Sequence[int] = (),
+    weights: Optional[np.ndarray] = None,
 ) -> Union[MatrixPath, BlowUpReport]:
     """March the terminal value problem from t = T down to t = 0.
 
@@ -251,6 +252,11 @@ def integrate_backward(
     The entries inside the marched level are bitwise those of a run on
     that level alone. Asymmetry drift is measured against the magnitude of
     the innermost prefix, so an outer segment cannot dilute it.
+
+    `weights`, if given, has one non-negative factor per state entry, and
+    the escape norms sum |entry| * weight: a state that stands for a
+    larger one (one tile for each of its copies, say) is judged by the l1
+    norm of the state it stands for.
     """
     terminal = np.asarray(terminal, dtype=np.float64)
     levels = tuple(int(p) for p in prefixes) + (terminal.size,)
@@ -258,6 +264,9 @@ def integrate_backward(
                      or any(a >= b for a, b in zip(levels, levels[1:]))):
         raise ValueError(f"prefixes {tuple(prefixes)} must increase strictly "
                          f"inside a flat state of size {terminal.size}")
+    if weights is not None and np.shape(weights) != terminal.shape:
+        raise ValueError(f"weights of shape {np.shape(weights)} for a state "
+                         f"of shape {terminal.shape}")
     inner = levels[0]
     out = _path_storage(grid, terminal.shape)
     nodes = grid.nodes
@@ -281,6 +290,8 @@ def integrate_backward(
                     )
                 w = proj
         a = np.abs(w)
+        if weights is not None:
+            a *= weights
         for lvl in range(top + 1):
             # a[:size] is the whole state, whatever its shape
             norm = float(a[:levels[lvl]].sum())

@@ -12,7 +12,7 @@ import numpy as np
 from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
                    NonFiniteField, NonFiniteState, TimeGrid, validate_model,
                    solve_nce)
-from lqmfg.asymptotic import assemble_finite_n
+from lqmfg.asymptotic import SCALING_EXPONENTS, assemble_finite_n
 from lqmfg.master import _Blocks, _fd_derivative
 from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
 from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
@@ -336,6 +336,68 @@ def exchange_gap(P, S):
                     float(np.max(np.abs(P[:, i] - P[:, 1][:, idx][:, :, idx]))),
                     float(np.max(np.abs(S[:, i] - S[:, 1][:, idx]))))
     return worst
+
+
+# N-scaling exponent of each tile and offset block the tile solver carries
+TILE_EXPONENTS = {**SCALING_EXPONENTS, "s0": 0, "sm": 1, "t0": 0, "t1": 0,
+                  "to": 1}
+
+
+def finite_tiles(P0, P1, S0, S1, N):
+    """The distinct tiles of players 0 and 1 (paths of (N+1)n-square
+    kernels and (N+1)n offsets), scaled as the tile solver carries them:
+    BLOCK_KEYS tiles times N**SCALING_EXPONENTS, offset blocks s0, sm,
+    t0, t1, to times N for sm and to. The other-minor tiles exist only
+    for N >= 2; "3_0" and "3" are read off the diagonal when no second
+    minor (other minor) is there."""
+    n = P0.shape[-1] // (N + 1)
+
+    def tile(P, i, j):
+        return P[..., i * n:(i + 1) * n, j * n:(j + 1) * n]
+
+    def block(S, i):
+        return S[..., i * n:(i + 1) * n]
+
+    raw = {"1_0": tile(P0, 0, 0), "2_0": tile(P0, 0, 1),
+           "3_0": tile(P0, 1, min(2, N)), "0": tile(P1, 0, 0),
+           "1": tile(P1, 1, 1), "a": tile(P1, 0, 1),
+           "s0": block(S0, 0), "sm": block(S0, 1), "t0": block(S1, 0),
+           "t1": block(S1, 1)}
+    if N >= 2:
+        raw.update({"2": tile(P1, 1, 2), "b": tile(P1, 0, 2),
+                    "3": tile(P1, 2, min(3, N)), "to": block(S1, 2)})
+    return {key: tile * float(N) ** TILE_EXPONENTS[key]
+            for key, tile in raw.items()}
+
+
+def expand_tiles(tiles, N):
+    """(P0, P1, S0, S1) of the (N+1)n-square exchangeable kernels and the
+    offsets whose scaled tiles are `tiles` (keyed as finite_tiles gives
+    them, offsets as n-vectors); the inverse of finite_tiles."""
+    raw = {key: tile / float(N) ** TILE_EXPONENTS[key]
+           for key, tile in tiles.items()}
+
+    def assemble(tile, kinds):
+        # block (i, j) holds the tile of its block kinds, or the transpose
+        # of the tile of the kinds exchanged
+        rows = [[tile[a, b] if (a, b) in tile else tile[b, a].T
+                 for b in kinds] for a in kinds]
+        return np.block(rows)
+
+    P0 = assemble({(0, 0): raw["1_0"], (0, 1): raw["2_0"],
+                   (1, 1): raw["3_0"]}, [0] + [1] * N)
+    P1 = assemble({(0, 0): raw["0"], (0, 1): raw["a"], (1, 1): raw["1"],
+                   (0, 2): raw.get("b"), (1, 2): raw.get("2"),
+                   (2, 2): raw.get("3")}, [0, 1] + [2] * (N - 1))
+    S0 = np.concatenate([raw["s0"]] + [raw["sm"]] * N)
+    S1 = np.concatenate([raw["t0"], raw["t1"]] + [raw.get("to")] * (N - 1))
+    return P0, P1, S0, S1
+
+
+def tile_solution_tiles(sol):
+    """Every tile and offset block of a TileSolution, by key."""
+    return {key: path.values
+            for key, path in (*sol.blocks.items(), *sol.offsets.items())}
 
 
 def _interp_at(path, t):

@@ -6,15 +6,19 @@ import pytest
 from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    assemble_finite_n, check_asymptotic_solvability,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
-                   solve_finite_n, solve_lambda, solve_nce)
-from lqmfg.asymptotic import (BLOCK_KEYS, SCALING_EXPONENTS, TILE_TOL,
-                              _cluster_counts, _ReducedFields)
+                   solve_finite_n, solve_lambda, solve_nce, solve_tiles,
+                   validate_model)
+from lqmfg.asymptotic import (BLOCK_KEYS, OFFSET_KEYS, SCALING_EXPONENTS,
+                              TILE_TOL, _cluster_counts, _input_weights,
+                              _lambda_field, _ReducedFields, _tile_field)
 from lqmfg.ode import BlowUpReport
 
-from helpers import (build_model, check_escape_levels, coupling_loop,
-                     decoupled_scalar, dense_march, exchange_gap,
+from helpers import (_random_params, build_model, check_escape_levels,
+                     coupling_loop, decoupled_scalar, dense_march,
+                     exchange_gap, expand_tiles, finite_tiles,
                      greedy_cluster_count, growing_offsets, node_l1,
                      representatives, riccati_closed_form, scalar_coupled,
+                     suite_k1_indices, tile_solution_tiles,
                      tile_view, two_dim_coupled, two_type_scalar,
                      zero_weight)
 
@@ -317,8 +321,177 @@ def test_solvability_rejects_small_n_before_solving(scalar_model,
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating N")
 
-    monkeypatch.setattr(asym, "solve_finite_n", no_solve)
+    monkeypatch.setattr(asym, "solve_tiles", no_solve)
     monkeypatch.setattr(asym, "solve_lambda", no_solve)
     with pytest.raises(ValueError):
         check_asymptotic_solvability(scalar_model, [8, 0, 4],
                                      TimeGrid(M=20, T=1.0))
+
+
+# -- tile solver ------------------------------------------------------------
+
+OTHER_KEYS = ("2", "3", "b", "to")
+
+
+def _random_tiles(rng, n, N):
+    """Scaled tiles of a random exchangeable state, keyed as finite_tiles
+    gives them (no other-minor tiles at N = 1)."""
+    tiles = {}
+    for key in BLOCK_KEYS:
+        X = rng.normal(size=(n, n))
+        tiles[key] = X + X.T if key in ("1_0", "3_0", "0", "1", "3") else X
+    tiles.update({key: rng.normal(size=n) for key in OFFSET_KEYS})
+    if N == 1:
+        for key in OTHER_KEYS:
+            del tiles[key]
+    return tiles
+
+
+def _flat(tiles, n):
+    """The tile solver's flat state: BLOCK_KEYS then OFFSET_KEYS, absent
+    tiles zero."""
+    return np.concatenate([tiles.get(key, np.zeros((n, n))).ravel()
+                           for key in BLOCK_KEYS]
+                          + [tiles.get(key, np.zeros(n))
+                             for key in OFFSET_KEYS])
+
+
+def _unflat(flat, n):
+    sizes = [n * n] * len(BLOCK_KEYS) + [n] * len(OFFSET_KEYS)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {key: part.reshape((n, n) if key in BLOCK_KEYS else (n,))
+            for key, part in zip(BLOCK_KEYS + OFFSET_KEYS, parts)}
+
+
+def _random_k1(seed, n):
+    return validate_model(_random_params(np.random.default_rng(seed), 1,
+                                         dims=(n, n, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tile_field_is_the_reduced_field_on_exchangeable_states(n):
+    """The tile equations are derived by hand from _ReducedFields: on a
+    random exchangeable state, the scaled tiles of the reduced derivatives
+    are the tile field."""
+    rng = np.random.default_rng(20 + n)
+    model = _random_k1(40 + n, n)
+    M0, M = _input_weights(model)
+    for N in (1, 2, 3, 5):
+        tiles = _random_tiles(rng, n, N)
+        derivs = _ReducedFields(assemble_finite_n(model, N)).derivatives(
+            *expand_tiles(tiles, N))
+        want = finite_tiles(*derivs, N)
+        got = _unflat(_tile_field(model, M0, M, 1.0 / N)(0.0, _flat(tiles, n)),
+                      n)
+        for key, w in want.items():
+            assert (np.abs(got[key] - w).max()
+                    <= 1e-12 * max(1.0, np.abs(w).max())), (N, key)
+
+
+def test_other_minor_tiles_feed_nothing_at_one_minor():
+    """At N = 1 there is no other minor: whatever its tiles hold, the
+    derivatives of the others are bitwise unchanged, and the solve holds
+    them at zero."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2):
+        model = _random_k1(50 + n, n)
+        field = _tile_field(model, *_input_weights(model), 1.0)
+        tiles = _random_tiles(rng, n, 1)
+        base = _unflat(field(0.0, _flat(tiles, n)), n)
+        noisy = dict(tiles, **{key: 1e3 * value for key, value in
+                               _random_tiles(rng, n, 2).items()
+                               if key in OTHER_KEYS})
+        got = _unflat(field(0.0, _flat(noisy, n)), n)
+        for key in tiles:
+            assert np.array_equal(got[key], base[key]), key
+        sol = solve_tiles(model, 1, TimeGrid(M=20, T=1.0))
+        paths = tile_solution_tiles(sol)
+        assert not any(paths[key].any() for key in OTHER_KEYS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tile_field_at_zero_is_the_lambda_field(n):
+    """Scaled by SCALING_EXPONENTS, the tile field at e = 1/N = 0 is the
+    nine-block field: the exponents are this identity, not a fit."""
+    rng = np.random.default_rng(60 + n)
+    model = _random_k1(70 + n, n)
+    M0, M = _input_weights(model)
+    tiles = _random_tiles(rng, n, 2)
+    L = _flat(tiles, n)[:len(BLOCK_KEYS) * n * n]
+    got = _tile_field(model, M0, M, 0.0)(0.0, _flat(tiles, n))[:L.size]
+    want = _lambda_field(model, M0, M)(0.0, L)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _tile_gap(sol, want):
+    got = tile_solution_tiles(sol)
+    return max(float(np.abs(got[key] - w).max()) for key, w in want.items())
+
+
+def test_tiles_match_the_reduced_solve(suite_models):
+    grid = TimeGrid(M=10, T=1.0)
+    models = [scalar_coupled(), two_dim_coupled()] + [
+        suite_models[i] for i in suite_k1_indices()]
+    for model in models:
+        for N in (1, 2, 3, 5, 10, 32, 100):
+            fin = solve_finite_n(model, N, grid)
+            tiles = solve_tiles(model, N, grid)
+            want = finite_tiles(fin.P0_big.values, fin.P1_big.values,
+                                fin.S0_big.values, fin.S1_big.values, N)
+            assert _tile_gap(tiles, want) <= 1e-10, (model.n, N)
+            norms = node_l1(fin.P0_big.values, fin.P1_big.values)
+            assert np.allclose(tiles.kernel_norms, norms, rtol=1e-12,
+                               atol=0.0)
+
+
+def test_tiles_match_the_dense_march():
+    grid = TimeGrid(M=40, T=1.0)
+    for model in (scalar_coupled(), two_dim_coupled()):
+        for N in (1, 2, 5, 20):
+            P, S = dense_march(model, N, grid)
+            want = finite_tiles(P[:, 0], P[:, 1], S[:, 0], S[:, 1], N)
+            assert _tile_gap(solve_tiles(model, N, grid), want) <= 1e-10
+
+
+def test_tile_escape_levels_match_the_reduced_norms():
+    """The tile solver escapes where the (N+1)n-square kernels, then the
+    kernels with offsets, that its tiles stand for cross the threshold."""
+    model = growing_offsets()
+    grid = TimeGrid(M=100, T=1.0)
+    fin = solve_finite_n(model, 3, grid)
+    kernels = node_l1(fin.P0_big.values, fin.P1_big.values)
+    joint = kernels + node_l1(fin.S0_big.values, fin.S1_big.values)
+    check_escape_levels(lambda thr: solve_tiles(model, 3, grid, threshold=thr),
+                        [kernels, joint])
+
+
+def test_tile_rate_holds_out_to_ten_thousand(scalar_model):
+    grid = TimeGrid(M=200, T=1.0)
+    lam = solve_lambda(scalar_model, grid)
+    Ns = (10, 100, 1000, 10000)
+    devs = []
+    for N in Ns:
+        tiles = solve_tiles(scalar_model, N, grid)
+        devs.append(max(float(np.abs(tiles.blocks[key].values
+                                     - lam.blocks[key].values).max())
+                        for key in BLOCK_KEYS))
+    slope = float(np.polyfit(np.log(Ns), np.log(devs), 1)[0])
+    assert -1.3 <= slope <= -0.7, devs
+
+
+def test_tile_verdict_at_a_million_is_the_lambda_verdict(blowup_models,
+                                                         scalar_grid):
+    for name, model in blowup_models.items():
+        tiles = solve_tiles(model, 10 ** 6, scalar_grid)
+        lam = solve_lambda(model, scalar_grid)
+        assert isinstance(tiles, BlowUpReport), name
+        assert tiles.escape_node == lam.escape_node, name
+
+
+def test_solvability_accepts_the_largest_float_population(scalar_model):
+    grid = TimeGrid(M=20, T=1.0)
+    rep = check_asymptotic_solvability(scalar_model, [2 ** 51, 2 ** 52,
+                                                      2 ** 53], grid)
+    assert rep.consistent and rep.bounded
+    with pytest.raises(ValueError, match=r"N=9007199254740993 exceeds 2\*\*53"):
+        check_asymptotic_solvability(scalar_model, [4, 2 ** 53 + 1], grid)

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import tracemalloc
 from unittest import mock
 from pathlib import Path
@@ -199,6 +200,23 @@ def test_drifts_of_different_shapes_exit_one(tmp_path, capsys):
     assert "'A2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("K", [0, -2])
+def test_type_count_below_one_exits_one(tmp_path, capsys, K):
+    """K is checked before the drifts A1..AK are read and stacked."""
+    lines = (MODELS / "scalar.model").read_text().splitlines()
+    lines = [f"K = {K}" if line.startswith("K =") else line
+             for line in lines if not line.startswith("A1 =")]
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch("lqmfg.nce.solve_nce", side_effect=AssertionError):
+        code = main(["solve", "nce", "--model", str(path), "--out",
+                     str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'K' must be at least 1" in err
+    assert "stack" not in err
+
+
 def test_bad_arguments_exit_one(tmp_path, capsys):
     assert main(["solve", "warp", "--model", SCALAR]) == 1
     assert main(["solve", "nce", "--model", SCALAR, "--grid", "xx"]) == 1
@@ -382,16 +400,59 @@ def test_check_solvability_caps_dimension_before_solving(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("finite system solved")
 
-    monkeypatch.setattr("lqmfg.asymptotic.solve_finite_n", refuse)
+    monkeypatch.setattr("lqmfg.asymptotic.solve_lambda", refuse)
+    monkeypatch.setattr("lqmfg.ode._rk4_step", refuse)
     out = tmp_path / "cap"
-    # N = 500 at the default 2000 steps: 2001 nodes of 2 * 501^2 + 2 * 501
-    # floats, 8.05 GB
-    code = main(["check-solvability", "--model", SCALAR,
+    # the tile path has one size for every N: 9 + 5 floats per node for
+    # the scalar model, so 40000001 nodes take 4.48 GB
+    code = main(["check-solvability", "--model", SCALAR, "--grid", "40000000",
                  "--N", "8,16,500", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "needs 8052088032 bytes, over the budget" in err
+    assert "needs 4480000112 bytes, over the budget" in err
     assert not (out / "solvability.csv").exists()
+
+
+@pytest.mark.parametrize("N", [str(2 ** 53 + 1), "9" * 400])
+def test_population_past_float_range_exits_one(tmp_path, capsys, monkeypatch,
+                                               N):
+    """Above 2**53, N - 1 rounds to N (and 400 digits overflow float):
+    refused naming N before anything is solved or allocated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved past the float range")
+
+    for name in ("solve_tiles", "solve_lambda", "_solve_reduced"):
+        monkeypatch.setattr(f"lqmfg.asymptotic.{name}", refuse)
+    tracemalloc.start()
+    try:
+        for argv in (["check-solvability", "--N", f"8,16,{N}"],
+                     ["solve", "finite-n", "--N", N]):
+            code = main(argv + ["--model", SCALAR, "--grid", "20",
+                                "--out", str(tmp_path / "big")])
+            assert code == 1
+            assert f"N={N} exceeds 2**53" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert not (tmp_path / "big" / "solvability.csv").exists()
+
+
+def test_check_solvability_cost_does_not_grow_with_n(tmp_path, capsys):
+    """The tile system has one size for every N: a million minor players
+    take what eight do."""
+    out = tmp_path / "large"
+    argv = ["check-solvability", "--model", SCALAR, "--grid", "100",
+            "--N", "1000,10000,1000000", "--out", str(out)]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "verdicts consistent: True" in capsys.readouterr().out
+    rows = (out / "solvability.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["1000", "10000",
+                                                       "1000000"]
+    assert elapsed < 1.0
 
 
 def test_check_solvability_rejects_small_n(tmp_path, capsys):
