@@ -7,11 +7,11 @@ distinct n-by-n tiles (and five offset blocks) whose closed ODE has N
 only in scalar coefficients; re-scaled by powers of N it is the
 nine-block limit system plus terms in 1/N. This module builds the large
 system and solves it reduced to the two representative players (the
-matrices whose tiles the structure check clusters), solves the tile
-system (cost independent of N; the boundedness check runs on it), solves
-the nine-block system, extracts the matching blocks from the
-consistency-route solution, and runs the structural and boundedness
-checks tying them together.
+matrices whose tiles the structure check clusters and counts), solves the
+tile system (cost independent of N; the one source of scaled tiles, and
+the boundedness check runs on it), solves the nine-block system, extracts
+the matching blocks from the consistency-route solution, and runs the
+structural and boundedness checks tying them together.
 """
 
 from dataclasses import dataclass
@@ -284,8 +284,6 @@ class LambdaSolution:
     model: ValidatedModel
     grid: TimeGrid
     blocks: dict
-    M0: np.ndarray
-    M: np.ndarray
 
 
 # d(L)/dt of the nine-block system, one equation per block in BLOCK_KEYS
@@ -376,14 +374,16 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
         return path
     blocks = {key: MatrixPath(grid, L.copy())
               for key, L in zip(BLOCK_KEYS, layout.split(path.values))}
-    return LambdaSolution(model=model, grid=grid, blocks=blocks, M0=M0, M=M)
+    return LambdaSolution(model=model, grid=grid, blocks=blocks)
 
 
 # The tile system. At N minors, exchangeability leaves the kernels P0, P1
-# of players 0 and 1 nine distinct n-by-n tiles, one per BLOCK_KEYS entry
-# at the positions of _rep_positions ("3_0" stands for every minor pair
-# of P0 and "3" for every pair of other minors, diagonal included), and
-# the offsets S0, S1 five n-blocks: S0's major block s0 and minor block
+# of players 0 and 1 nine distinct n-by-n tiles, one per BLOCK_KEYS entry:
+# P0's (major, major) "1_0", (major, minor) "2_0" and (minor, minor)
+# "3_0"; P1's (major, major) "0", (own, own) "1", (major, own) "a",
+# (own, other) "2", (major, other) "b" and (other, other) "3". "3_0" and
+# "3" stand for every such pair, diagonal included. The offsets S0, S1
+# are five n-blocks: S0's major block s0 and minor block
 # sm, S1's major block t0, own block t1 and other-minor block to. Each is
 # carried scaled, tile * N**exponent, so its field is the limit field in
 # e = 1/N: _LAMBDA_EQUATIONS with the other minors' share e1 = 1 - e,
@@ -606,15 +606,12 @@ def _cluster_counts(tiles: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Tile-cluster counts and scaled representative tiles of (P0, P1)."""
+    """Per-node tile-cluster counts of (P0, P1)."""
 
     N: int
     grid: TimeGrid
     tol: float
     cluster_counts: dict
-    tiles: dict
-    scaled_tiles: dict
-    exponents: dict
 
     def counts_everywhere(self, name: str) -> tuple:
         c = self.cluster_counts[name]
@@ -626,29 +623,14 @@ class StructureReport:
             lo, hi = self.counts_everywhere(name)
             span = f"{lo}" if lo == hi else f"{lo}..{hi}"
             lines.append(f"{name}: {span} tile clusters across nodes")
-        exps = ", ".join(f"{k}:N^{self.exponents[k]}" for k in BLOCK_KEYS)
+        exps = ", ".join(f"{k}:N^{SCALING_EXPONENTS[k]}" for k in BLOCK_KEYS)
         lines.append(f"tile scalings: {exps}")
         return "\n".join(lines)
 
 
-# Representative tile positions (block row, block col) inside P0 / P1.
-# Off-diagonal minor slots are used where N permits so the uniformity
-# claim is exercised, falling back to the diagonal for tiny N.
-def _rep_positions(N: int) -> dict:
-    minor_pair = (1, 2) if N >= 2 else (1, 1)
-    other = 2 if N >= 2 else 1
-    other_pair = (2, 3) if N >= 3 else (other, other)
-    return {
-        "1_0": ("P0", (0, 0)), "2_0": ("P0", (0, 1)), "3_0": ("P0", minor_pair),
-        "1": ("P1", (1, 1)), "0": ("P1", (0, 0)), "a": ("P1", (0, 1)),
-        "2": ("P1", (1, other)), "b": ("P1", (0, other)),
-        "3": ("P1", other_pair),
-    }
-
-
 def extract_block_structure(fin: FiniteNSolution,
                             tol: float = TILE_TOL) -> StructureReport:
-    """Cluster the n-by-n tiles of P0(t), P1(t) and pull scaled limits.
+    """Count the clusters of the n-by-n tiles of P0(t), P1(t).
 
     At every node the (N+1)^2 tiles, taken in row-major block order, are
     clustered greedily: a tile joins the first representative within
@@ -658,29 +640,15 @@ def extract_block_structure(fin: FiniteNSolution,
     counts are kept as a diagnostic.
     """
     n = fin.model.n
-    N = fin.N
     Mn = fin.grid.M + 1
-    B = N + 1
+    B = fin.N + 1
     counts = {}
     for name, path in (("P0", fin.P0_big), ("P1", fin.P1_big)):
         tiles = (path.values.reshape(Mn, B, n, B, n).transpose(0, 1, 3, 2, 4)
                  .reshape(Mn, B * B, n, n))
         counts[name] = _cluster_counts(tiles, tol)
-
-    tiles = {}
-    scaled = {}
-    positions = _rep_positions(N)
-    for key in BLOCK_KEYS:
-        which, (bi, bj) = positions[key]
-        path = fin.P0_big if which == "P0" else fin.P1_big
-        tile = path.values[:, bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
-        tiles[key] = MatrixPath(fin.grid, tile.copy())
-        scaled[key] = MatrixPath(
-            fin.grid, tile * float(N) ** SCALING_EXPONENTS[key])
-    return StructureReport(N=N, grid=fin.grid, tol=tol,
-                           cluster_counts=counts, tiles=tiles,
-                           scaled_tiles=scaled,
-                           exponents=dict(SCALING_EXPONENTS))
+    return StructureReport(N=fin.N, grid=fin.grid, tol=tol,
+                           cluster_counts=counts)
 
 
 @dataclass(frozen=True)
@@ -724,8 +692,8 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     """Solve the finite system across N and test boundedness of the norms.
 
     N_list is sorted and de-duplicated first, so the verdict does not
-    depend on the caller's order; an N below 1 or above MAX_POPULATION
-    raises ValueError before any solve. Records, per N, sup over nodes of
+    depend on the caller's order; an N below 1 or above MAX_POPULATION,
+    or fewer than three distinct N, raises ValueError before any solve. Records, per N, sup over nodes of
     |P0|_l1 + |P1|_l1, or the escape report, solving the tile system
     (solve_tiles, whose cost does not depend on N) one N after another;
     compares the bounded-tail heuristic (on the three largest N) with the
@@ -735,6 +703,10 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     N_list = tuple(sorted({int(N) for N in N_list}))
     for N in N_list[:1] + N_list[-1:]:
         _require_population(model, N)
+    if len(N_list) < 3:
+        raise ValueError(f"the bounded-tail heuristic reads the norms of the "
+                         f"three largest N: need at least three distinct N, "
+                         f"got {len(N_list)}")
 
     norms = []
     escapes = {}
@@ -747,7 +719,7 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
             norms.append(float(res.kernel_norms.max()))
 
     bounded = False
-    if not escapes and len(norms) >= 3:
+    if not escapes:
         tail = norms[-3:]
         lo, hi = min(tail), max(tail)
         bounded = hi <= 1.1 * lo + 1e-300

@@ -7,8 +7,8 @@ summary per run. Every all-float table goes through _write_table, which
 formats each distinct value once per block of rows with the bytes of
 formatting every entry alone; the mixed tables are formatted entry by
 entry with _fmt. Exit codes: 0 success/PASS, 1 usage or configuration
-error, 2 mathematical failure (finite escape, equivalence FAIL,
-non-finite simulation).
+error, 2 mathematical failure (finite escape, equivalence FAIL, a solved
+kernel that is not positive semidefinite, non-finite simulation).
 """
 
 import argparse
@@ -19,18 +19,10 @@ import sys
 import numpy as np
 
 from . import asymptotic, master, nce, sim
-from .errors import (AsymmetryDrift, BadPi, DimensionMismatch, EmptyBatch,
-                     EmptyType, GridMismatch, IndexOutOfRange, KNotOne,
-                     ModelFileError, NonFiniteField, NonFiniteState, NotPD,
-                     NotPSD, NTooLargeForMemory, TimeOutOfRange)
+from .errors import EmptyType, LQMFGError
 from .modelfile import load_model
 from .model import TimeGrid, default_steps
 from .ode import BlowUpReport, MatrixPath
-
-_USAGE_ERRORS = (ModelFileError, DimensionMismatch, NotPSD, NotPD, BadPi,
-                 GridMismatch, KNotOne, NTooLargeForMemory, IndexOutOfRange,
-                 TimeOutOfRange, EmptyType, EmptyBatch, ValueError, OSError)
-_MATH_ERRORS = (NonFiniteState, NonFiniteField, AsymmetryDrift)
 
 
 # cells per block of _write_table: a block holds _BLOCK_CELLS // width rows
@@ -166,6 +158,14 @@ def _write_path_csv(path: str, mp: MatrixPath, prefix: str):
                  mp.grid.nodes, mp.values.reshape(mp.values.shape[0], -1))
 
 
+# A solve's kernels fail as not positive semidefinite when an eigenvalue
+# lies below -_PSD_REL_TOL x max(1, their largest |eigenvalue|): the
+# relative form of ode.ASYMMETRY_TOL, scaled like it by the whole kernel
+# state. Coarse grids on stiff models leave the cone by RK4 step error;
+# honest paths sit at rounding.
+_PSD_REL_TOL = 1e-8
+
+
 def _psd_minimum(values: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(values).min())
 
@@ -206,19 +206,29 @@ def _minor_paths(stem: str, K: int, P: MatrixPath, s: MatrixPath):
 
 
 def _route_lines(res, P0: MatrixPath, P: MatrixPath):
-    """Terminal pins and PSD minima of the nce and master kernels."""
+    """Terminal pins and PSD minima of the nce and master kernels, and
+    the exit code: 2 if the kernels are not positive semidefinite."""
     pin0 = np.abs(P0.at(res.grid.M) - res.lifted.Q0f_pi).max()
     pink = np.abs(P.at(res.grid.M) - res.lifted.Qf_pi).max()
-    return [
+    eig0 = np.linalg.eigvalsh(P0.values)
+    eig = np.linalg.eigvalsh(P.values)
+    lines = [
         f"terminal pin max deviation (major): {_fmt(pin0)}",
         f"terminal pin max deviation (minor): {_fmt(pink)}",
-        f"min eigenvalue of P0 path: {_fmt(_psd_minimum(P0.values))}",
-        f"min eigenvalue of minor P paths: {_fmt(_psd_minimum(P.values))}",
+        f"min eigenvalue of P0 path: {_fmt(eig0.min())}",
+        f"min eigenvalue of minor P paths: {_fmt(eig.min())}",
     ]
+    scale = max(1.0, float(np.abs(eig0).max()), float(np.abs(eig).max()))
+    if min(eig0.min(), eig.min()) < -_PSD_REL_TOL * scale:
+        lines.append(f"kernels not positive semidefinite: min eigenvalue "
+                     f"below -{_PSD_REL_TOL:g} x max(1, largest |eigenvalue|)")
+        return lines, 2
+    return lines, 0
 
 
 # system -> (solve(model, grid, args), named paths of the solution as
-# (file name, path, column prefix), summary lines after "verdict: solved")
+# (file name, path, column prefix), (summary lines after "verdict: solved",
+# exit code))
 _SYSTEMS = {
     "nce": (
         lambda model, grid, args: nce.solve_nce(model, grid),
@@ -240,7 +250,7 @@ _SYSTEMS = {
         lambda model, grid, args: asymptotic.solve_lambda(model, grid),
         lambda r: [(f"lambda_{key}.csv", r.blocks[key], f"L{key}")
                    for key in asymptotic.BLOCK_KEYS],
-        lambda r: []),
+        lambda r: ([], 0)),
     "finite-n": (
         lambda model, grid, args: asymptotic.solve_finite_n(
             model, _one_n(args, "solve finite-n"), grid),
@@ -248,9 +258,9 @@ _SYSTEMS = {
                    ("finite_P1.csv", r.P1_big, "P1"),
                    ("finite_S0.csv", r.S0_big, "S0"),
                    ("finite_S1.csv", r.S1_big, "S1")],
-        lambda r: [f"N: {r.N}", "mode: symmetric",
-                   f"min eigenvalue of P0 path: "
-                   f"{_fmt(_psd_minimum(r.P0_big.values))}"]),
+        lambda r: ([f"N: {r.N}", "mode: symmetric",
+                    f"min eigenvalue of P0 path: "
+                    f"{_fmt(_psd_minimum(r.P0_big.values))}"], 0)),
 }
 
 
@@ -265,7 +275,8 @@ def cmd_solve(args) -> int:
         return _report(out, summary + _blow_lines(grid, res), 2)
     for name, path, prefix in named_paths(res):
         _write_path_csv(os.path.join(out, name), path, prefix)
-    return _report(out, summary + ["verdict: solved"] + solved_lines(res), 0)
+    lines, code = solved_lines(res)
+    return _report(out, summary + ["verdict: solved"] + lines, code)
 
 
 def _write_diff_csv(path: str, report) -> None:
@@ -326,7 +337,7 @@ def cmd_check_solvability(args) -> int:
     model = load_model(args.model)
     grid = _make_grid(args, model)
     out = _outdir(args)
-    N_list = args.N if args.N else [4, 8, 16]
+    N_list = [4, 8, 16] if args.N is None else args.N
     report = asymptotic.check_asymptotic_solvability(model, N_list, grid)
     lines = ["N,sup_node_norm,escape_node"]
     for N, norm in zip(report.N_list, report.norms):
@@ -445,10 +456,10 @@ def main(argv=None) -> int:
         if args.command == "check-solvability":
             return cmd_check_solvability(args)
         return cmd_simulate(args)
-    except _MATH_ERRORS as exc:
+    except LQMFGError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _USAGE_ERRORS as exc:
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,13 +1,16 @@
 """Exception types shared across the package.
 
 Every failure mode the library can report deliberately has its own class so
-callers (and the CLI exit-code mapping) can dispatch on type instead of
-parsing messages.
+callers can dispatch on type instead of parsing messages. Each class carries
+the CLI exit code of its failure: 1 for a usage or configuration error, 2
+for a mathematical failure.
 """
 
 
 class LQMFGError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class DimensionMismatch(LQMFGError):
@@ -43,9 +46,13 @@ class IndexOutOfRange(LQMFGError):
 class NonFiniteField(LQMFGError):
     """The ODE field returned NaN/Inf at a finite state (an assembly bug)."""
 
+    exit_code = 2
+
 
 class AsymmetryDrift(LQMFGError):
     """A state integrated as symmetric drifted beyond tolerance (a field bug)."""
+
+    exit_code = 2
 
 
 class TimeOutOfRange(LQMFGError):
@@ -75,6 +82,8 @@ class EmptyBatch(LQMFGError):
 
 class NonFiniteState(LQMFGError):
     """A simulated state exploded; the message carries the step index."""
+
+    exit_code = 2
 
 
 class ModelFileError(LQMFGError):

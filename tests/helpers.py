@@ -610,6 +610,20 @@ def _random_params(rng, K, dims=None):
     )
 
 
+def route_draw(K, n, n1, seed, heavy):
+    """Random model parameters of the route-agreement properties; `heavy`
+    tracks the mean deviation strongly at cheap control, and about a
+    quarter of those models escape on [0, T]."""
+    params = _random_params(np.random.default_rng(seed), K, dims=(n, n1, 1))
+    if heavy:
+        params.Gamma2 = 8.0 * params.Gamma2
+        params.Gamma2f = 8.0 * params.Gamma2f
+        params.R, params.R0 = 0.2 * params.R, 0.2 * params.R0
+        params.Q0, params.Q, params.Qf = (8.0 * params.Q0, 8.0 * params.Q,
+                                          8.0 * params.Qf)
+    return params
+
+
 def suite_model(idx):
     """Random stable model #idx: coefficient magnitudes <= 0.5, T=1.
     Draws are rejected (seed bumped) until the kernels solve on [0,T]."""

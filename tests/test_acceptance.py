@@ -14,8 +14,10 @@ from lqmfg import (BlowUpReport, MatrixPath, TimeGrid, compare_lambda_phi,
                    master_residual, phi_from_nce, simulate, solve_finite_n,
                    solve_lambda, solve_nce)
 
-from helpers import (dense_march, exchange_gap, representatives,
-                     riccati_closed_form, suite_k1_indices)
+from lqmfg.asymptotic import BLOCK_KEYS
+
+from helpers import (dense_march, exchange_gap, finite_tiles,
+                     representatives, riccati_closed_form, suite_k1_indices)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str):
@@ -130,10 +132,10 @@ def test_criterion_6_tile_convergence_rate(scalar_model):
     devs = []
     for N in Ns:
         fin = solve_finite_n(scalar_model, N, grid)
-        report = extract_block_structure(fin)
-        dev = max(np.abs(report.scaled_tiles[key].values
-                         - lam.blocks[key].values).max()
-                  for key in report.scaled_tiles)
+        scaled = finite_tiles(fin.P0_big.values, fin.P1_big.values,
+                              fin.S0_big.values, fin.S1_big.values, N)
+        dev = max(np.abs(scaled[key] - lam.blocks[key].values).max()
+                  for key in BLOCK_KEYS)
         devs.append(dev)
     slope = float(np.polyfit(np.log(Ns), np.log(devs), 1)[0])
     ok = -1.3 <= slope <= -0.7

@@ -8,8 +8,7 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce, solve_tiles,
                    validate_model)
-from lqmfg.asymptotic import (BLOCK_KEYS, OFFSET_KEYS, SCALING_EXPONENTS,
-                              TILE_TOL, _cluster_counts, _input_weights,
+from lqmfg.asymptotic import (BLOCK_KEYS, OFFSET_KEYS, TILE_TOL, _cluster_counts, _input_weights,
                               _lambda_field, _ReducedFields, _tile_field)
 from lqmfg.ode import BlowUpReport
 
@@ -123,8 +122,6 @@ def test_cluster_counts_on_coupled_model(scalar_model):
     rep = extract_block_structure(fin)
     assert rep.counts_everywhere("P0") == (3, 3)
     assert rep.counts_everywhere("P1") == (6, 6)
-    assert rep.exponents == SCALING_EXPONENTS
-    assert set(rep.tiles) == set(BLOCK_KEYS)
 
 
 def test_cluster_counts_degenerate_model():
@@ -325,6 +322,25 @@ def test_solvability_rejects_small_n_before_solving(scalar_model,
     monkeypatch.setattr(asym, "solve_lambda", no_solve)
     with pytest.raises(ValueError):
         check_asymptotic_solvability(scalar_model, [8, 0, 4],
+                                     TimeGrid(M=20, T=1.0))
+
+
+@pytest.mark.parametrize("N_list", [[5], [], [8, 8, 16], [16, 4, 16, 4]])
+def test_solvability_needs_three_distinct_n(scalar_model, monkeypatch,
+                                            N_list):
+    """The bounded-tail heuristic reads the three largest N: fewer
+    distinct N raise ValueError naming the rule and the count before any
+    solve."""
+    import lqmfg.asymptotic as asym
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before counting N")
+
+    monkeypatch.setattr(asym, "solve_tiles", no_solve)
+    monkeypatch.setattr(asym, "solve_lambda", no_solve)
+    with pytest.raises(ValueError, match=f"need at least three distinct N, "
+                                         f"got {len(set(N_list))}$"):
+        check_asymptotic_solvability(scalar_model, N_list,
                                      TimeGrid(M=20, T=1.0))
 
 

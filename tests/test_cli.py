@@ -12,12 +12,12 @@ from hypothesis.extra.numpy import arrays
 
 from lqmfg import (TimeGrid, empirical_mean_error, load_model, simulate,
                    solve_master, solve_nce, write_model_file)
-from lqmfg import cli
+from lqmfg import cli, errors
 from lqmfg.cli import (_BLOCK_CELLS, _downsample, _entry_names, _fmt,
                        _psd_minimum, _write_path_csv, _write_table, main)
 from lqmfg.ode import MatrixPath
 
-from helpers import build_model, random_n3k3, zero_weight
+from helpers import build_model, random_n3k3, route_draw, zero_weight
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 SCALAR = str(MODELS / "scalar.model")
@@ -373,6 +373,21 @@ def test_compare_finite_structure(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 61
 
 
+def test_compare_finite_structure_summary_is_pinned(tmp_path, capsys):
+    out = tmp_path / "fs8"
+    code = main(["compare", "finite-structure", "--model", SCALAR,
+                 "--grid", "60", "--N", "8", "--out", str(out)])
+    assert code == 0
+    lines = ["N=8, tile tolerance 1.0e-08",
+             "P0: 3 tile clusters across nodes",
+             "P1: 6 tile clusters across nodes",
+             "tile scalings: 1_0:N^0, 2_0:N^1, 3_0:N^2, 0:N^0, 1:N^0, "
+             "2:N^1, 3:N^2, a:N^0, b:N^1"]
+    assert (out / "summary.txt").read_text() == "\n".join(lines) + "\n"
+    assert capsys.readouterr().out.splitlines() == lines + [
+        "structure bound (<=3 / <=6 clusters): PASS"]
+
+
 def test_compare_finite_structure_needs_one_n(tmp_path, capsys):
     for N in ("4,8", None):
         argv = ["compare", "finite-structure", "--model", SCALAR,
@@ -460,6 +475,20 @@ def test_check_solvability_rejects_small_n(tmp_path, capsys):
                  "--N", "8,0,4", "--out", str(tmp_path / "bad")])
     assert code == 1
     assert "N=0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N,count", [("5", 1), (",", 0), ("8,16,8", 2)])
+def test_check_solvability_needs_three_distinct_n(tmp_path, capsys, N,
+                                                  count):
+    """The bounded-tail heuristic reads the three largest N, and an
+    explicit empty list is not the default 4,8,16."""
+    out = tmp_path / "few"
+    code = main(["check-solvability", "--model", SCALAR, "--grid", "20",
+                 "--N", N, "--out", str(out)])
+    assert code == 1
+    assert (f"need at least three distinct N, got {count}\n"
+            in capsys.readouterr().err)
+    assert not (out / "solvability.csv").exists()
 
 
 def test_escaping_model_exits_two(tmp_path, blowup_models, capsys):
@@ -711,3 +740,57 @@ def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,
             in capsys.readouterr().err)
     assert os.listdir(out) == []
     assert peak < 64 * 2 ** 20
+
+
+def test_solve_exits_two_when_kernels_leave_the_semidefinite_cone(tmp_path,
+                                                                   capsys):
+    """RK4 step error on a coarse grid takes a stiff model's kernels out
+    of the cone (min eigenvalue -1.1 against 3.45e5 at M = 200); at
+    M = 2000 they are semidefinite to rounding."""
+    path = str(tmp_path / "heavy.model")
+    write_model_file(path, route_draw(2, 2, 1, 1, True))
+    for system in ("nce", "master"):
+        out = tmp_path / f"{system}200"
+        code = main(["solve", system, "--model", path, "--grid", "200",
+                     "--out", str(out)])
+        assert code == 2
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert capsys.readouterr().out.splitlines() == lines
+        assert lines[2] == "verdict: solved"
+        assert float(lines[-2].rsplit(" ", 1)[1]) < -1.0
+        assert lines[-1] == ("kernels not positive semidefinite: min "
+                             "eigenvalue below -1e-08 x max(1, largest "
+                             "|eigenvalue|)")
+
+    out = tmp_path / "nce2000"
+    code = main(["solve", "nce", "--model", path, "--grid", "2000",
+                 "--out", str(out)])
+    assert code == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[-1].startswith("min eigenvalue of minor P paths: ")
+    capsys.readouterr()
+
+
+def test_every_error_class_maps_to_its_exit_code(tmp_path, capsys,
+                                                 monkeypatch):
+    """Through main, each class in lqmfg.errors exits with its own code
+    and its message on stderr, with no registration in the CLI."""
+    math = {errors.NonFiniteState, errors.NonFiniteField,
+            errors.AsymmetryDrift}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.LQMFGError)]
+    assert errors.LQMFGError in classes and math < set(classes)
+    for cls in classes:
+        try:
+            exc = cls("boom")
+        except TypeError:
+            exc = cls("boom", -1.0)
+
+        def fail(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("lqmfg.nce.solve_nce", fail)
+        code = main(["solve", "nce", "--model", SCALAR, "--grid", "10",
+                     "--out", str(tmp_path / cls.__name__)])
+        assert code == (2 if cls in math else 1), cls.__name__
+        assert capsys.readouterr().err == f"error: {exc}\n"

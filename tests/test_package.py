@@ -1,18 +1,23 @@
 import lqmfg
-from lqmfg import asymptotic, errors, master, nce, ode
+from lqmfg import asymptotic, cli, errors, master, nce, ode
 
 # Library surface deleted because no CLI path or acceptance criterion used
-# it; the size rule it held is ode.MEMORY_BUDGET alone.
+# it; the size rule it held is ode.MEMORY_BUDGET alone, the scaled tiles
+# come from asymptotic.solve_tiles alone, and each error class carries its
+# own exit code.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "ResidualSample",
             "integrate_forward", "propagate_mean_field", "residual_sample"),
     asymptotic: ("DENSE_DIM_CAP", "EXCHANGE_TOL", "_capped_dim",
-                 "_solve_dense", "_swap_block_index"),
+                 "_rep_positions", "_solve_dense", "_swap_block_index"),
+    cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
     errors: ("BlowUp", "PermutationMismatch"),
     master: ("ResidualSample", "residual_sample"),
     nce: ("propagate_mean_field",),
     ode: ("integrate_forward",),
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
+    asymptotic.LambdaSolution: ("M", "M0"),
+    asymptotic.StructureReport: ("exponents", "scaled_tiles", "tiles"),
 }
 
 

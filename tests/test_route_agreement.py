@@ -20,30 +20,18 @@ from lqmfg import (TimeGrid, compare_lambda_phi, compare_nce_master,
                    solve_nce, solve_tiles, validate_model)
 from lqmfg.ode import BlowUpReport
 
-from helpers import _random_params, finite_tiles, tile_solution_tiles
+from helpers import (_random_params, finite_tiles, route_draw,
+                     tile_solution_tiles)
 
 GRID = TimeGrid(M=50, T=1.0)
 TOL = 1e-9
-
-
-def _draw(K, n, n1, seed, heavy):
-    params = _random_params(np.random.default_rng(seed), K, dims=(n, n1, 1))
-    if heavy:
-        # strong mean-deviation tracking at cheap control: about a
-        # quarter of these models escape on [0, T]
-        params.Gamma2 = 8.0 * params.Gamma2
-        params.Gamma2f = 8.0 * params.Gamma2f
-        params.R, params.R0 = 0.2 * params.R, 0.2 * params.R0
-        params.Q0, params.Q, params.Qf = (8.0 * params.Q0, 8.0 * params.Q,
-                                          8.0 * params.Qf)
-    return params
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(K=st.integers(1, 3), n=st.integers(1, 2), n1=st.integers(1, 2),
        seed=st.integers(0, 2 ** 32 - 1), heavy=st.booleans())
 def test_routes_agree_on_random_models(K, n, n1, seed, heavy):
-    model = validate_model(_draw(K, n, n1, seed, heavy))
+    model = validate_model(route_draw(K, n, n1, seed, heavy))
 
     nce_sol = solve_nce(model, GRID)
     master_sol = solve_master(model, GRID)
@@ -69,7 +57,7 @@ def test_solved_kernels_are_positive_semidefinite(K, n, n1, seed, heavy):
     -5.9e-8 at M = 50 (K = 1, n = 2, seed 34985), and -1.1 at M = 200
     against kernels of 1.4e5 (K = 2, n = 2, seed 1), which escapes at
     M = 50 and 100 and is semidefinite to 5e-16 at M = 2000."""
-    sol = solve_nce(validate_model(_draw(K, n, n1, seed, heavy)),
+    sol = solve_nce(validate_model(route_draw(K, n, n1, seed, heavy)),
                     TimeGrid(M=2000, T=1.0))
     if isinstance(sol, BlowUpReport):
         return
@@ -81,7 +69,7 @@ def test_solved_kernels_are_positive_semidefinite(K, n, n1, seed, heavy):
 @given(n=st.integers(1, 2), n1=st.integers(1, 2),
        seed=st.integers(0, 2 ** 32 - 1), heavy=st.booleans())
 def test_tile_solver_agrees_with_the_reduced_solve(n, n1, seed, heavy):
-    model = validate_model(_draw(1, n, n1, seed, heavy))
+    model = validate_model(route_draw(1, n, n1, seed, heavy))
     for N in (1, 3, 8):
         fin = solve_finite_n(model, N, GRID)
         tiles = solve_tiles(model, N, GRID)
