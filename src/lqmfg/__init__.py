@@ -7,23 +7,22 @@ plus closed-loop Monte Carlo simulation to check mean-field consistency
 against finite populations.
 """
 
-from .asymptotic import (FiniteNSolution, LambdaSolution, PhiSolution,
-                         SolvabilityReport, StructureReport, TileSolution,
-                         assemble_finite_n, check_asymptotic_solvability,
-                         compare_lambda_phi, extract_block_structure,
-                         phi_from_nce, solve_finite_n, solve_lambda,
-                         solve_tiles)
+from .asymptotic import (FiniteNSolution, LambdaSolution, SolvabilityReport,
+                         StructureReport, TileSolution, assemble_finite_n,
+                         check_asymptotic_solvability, compare_lambda_phi,
+                         extract_block_structure, phi_from_nce,
+                         solve_finite_n, solve_lambda, solve_tiles)
 from .errors import (AsymmetryDrift, BadPi, DimensionMismatch, EmptyBatch,
                      EmptyType, GridMismatch, IndexOutOfRange, KNotOne,
                      LQMFGError, ModelFileError, NonFiniteField,
                      NonFiniteState, NotPD, NotPSD, NTooLargeForMemory,
                      TimeOutOfRange)
 from .master import (DiffReport, MasterSolution, compare_nce_master,
-                     master_feedback, master_residual, solve_master)
+                     solve_master)
 from .model import (ModelParams, PiLifted, TimeGrid, ValidatedModel,
                     block_selector, default_steps, lift_pi, validate_model)
 from .modelfile import load_model, parse_model_file, write_model_file
-from .nce import NCESolution, nce_feedback, solve_nce
+from .nce import NCESolution, solve_nce
 from .ode import BlowUpReport, MatrixPath, integrate_backward
 from .sim import (CostEstimate, MeanFieldError, Trajectory,
                   default_type_counts, empirical_mean_error, evaluate_cost,
@@ -35,18 +34,17 @@ __all__ = [
     "GridMismatch", "IndexOutOfRange", "KNotOne", "LQMFGError",
     "LambdaSolution", "MasterSolution", "MatrixPath", "MeanFieldError",
     "ModelFileError", "ModelParams", "NCESolution", "NTooLargeForMemory",
-    "NonFiniteField", "NonFiniteState", "NotPD", "NotPSD",
-    "PhiSolution", "PiLifted", "SolvabilityReport",
-    "StructureReport", "TileSolution", "TimeGrid", "TimeOutOfRange",
-    "Trajectory",
-    "ValidatedModel", "assemble_finite_n", "block_selector",
+    "NonFiniteField", "NonFiniteState", "NotPD", "NotPSD", "PiLifted",
+    "SolvabilityReport", "StructureReport", "TileSolution", "TimeGrid",
+    "TimeOutOfRange", "Trajectory", "ValidatedModel", "assemble_finite_n",
+    "block_selector",
     "check_asymptotic_solvability", "compare_lambda_phi",
     "compare_nce_master", "default_steps", "default_type_counts",
     "empirical_mean_error", "evaluate_cost", "extract_block_structure",
-    "integrate_backward", "lift_pi", "load_model", "master_feedback",
-    "master_residual", "nce_feedback", "parse_model_file", "phi_from_nce",
-    "simulate", "solve_finite_n", "solve_lambda", "solve_master",
-    "solve_nce", "solve_tiles", "validate_model", "write_model_file",
+    "integrate_backward", "lift_pi", "load_model", "parse_model_file",
+    "phi_from_nce", "simulate", "solve_finite_n", "solve_lambda",
+    "solve_master", "solve_nce", "solve_tiles", "validate_model",
+    "write_model_file",
 ]
 
 __version__ = "0.1.0"

@@ -3,15 +3,22 @@
 For K = 1 the N+1-player game has an exact feedback Nash solution through
 one large coupled Riccati system. Exchangeability of the minor players
 collapses that system to two representative matrices, and those to nine
-distinct n-by-n tiles (and five offset blocks) whose closed ODE has N
-only in scalar coefficients; re-scaled by powers of N it is the
-nine-block limit system plus terms in 1/N. This module builds the large
-system and solves it reduced to the two representative players (the
-matrices whose tiles the structure check clusters and counts), solves the
-tile system (cost independent of N; the one source of scaled tiles, and
-the boundedness check runs on it), solves the nine-block system, extracts
-the matching blocks from the consistency-route solution, and runs the
-structural and boundedness checks tying them together.
+distinct n-by-n kernel tiles and five offset n-blocks whose closed ODE
+has N only in scalar coefficients; re-scaled by powers of N it is the
+limit system (nine kernel blocks, five offsets) plus terms in e = 1/N.
+The limit system is written once, as _LIMIT_EQUATIONS; the tile text
+appends the e-terms. One solve (_solve_system) marches either: the tile
+system at e = 1/N (solve_tiles; cost independent of N, the one source of
+scaled tiles, and the boundedness check runs on it) and the limit system
+at e = 0 (solve_lambda), both with the kernels as the inner escape level
+and kernels plus offsets as the outer one.
+
+This module also builds the large system and solves it reduced to the
+two representative players (the matrices whose tiles the structure check
+clusters and counts), reads the limit system's blocks off the
+consistency-route solution (phi_from_nce: kernels by block, offsets by
+s0 -> (s0, sm), s -> (t1, t0, to)), and runs the structural and
+boundedness checks tying them together.
 """
 
 from dataclasses import dataclass
@@ -36,8 +43,8 @@ BLOCK_KEYS = ("1_0", "2_0", "3_0", "0", "1", "2", "3", "a", "b")
 _SYMMETRIC_KEYS = {"1_0", "3_0", "0", "1", "3"}
 
 # N-scaling exponent per block: tile * N**e approaches the small-system
-# block. With them the scaled tile field at 1/N = 0 is the nine-block
-# field (tests/test_asymptotic.py::test_tile_field_at_zero_is_the_lambda_field);
+# block. With them the scaled tile field at 1/N = 0 is the limit field
+# (tests/test_asymptotic.py::test_tile_field_at_zero_is_the_lambda_field);
 # criterion 6 and the tile tests pin the ~1/N rate.
 SCALING_EXPONENTS = {"1_0": 0, "2_0": 1, "3_0": 2,
                      "0": 0, "1": 0, "a": 0, "2": 1, "b": 1, "3": 2}
@@ -277,22 +284,30 @@ def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
     return _solve_reduced(assemble_finite_n(model, N), grid, threshold)
 
 
-@dataclass(frozen=True)
-class LambdaSolution:
-    """The nine-block limit system's solution paths."""
+# The limit system and the tile system. At N minors, exchangeability
+# leaves the kernels P0, P1 of players 0 and 1 nine distinct n-by-n tiles,
+# one per BLOCK_KEYS entry: P0's (major, major) "1_0", (major, minor)
+# "2_0" and (minor, minor) "3_0"; P1's (major, major) "0", (own, own) "1",
+# (major, own) "a", (own, other) "2", (major, other) "b" and (other, other)
+# "3". "3_0" and "3" stand for every such pair, diagonal included. The
+# offsets S0, S1 are five n-blocks: S0's major block s0 and minor block
+# sm, S1's major block t0, own block t1 and other-minor block to. Each is
+# carried scaled, tile * N**exponent, so its field is the limit field in
+# e = 1/N: _LIMIT_EQUATIONS with the other minors' share e1 = 1 - e, plus
+# the e-terms of _TILE_E_TERMS, derived from _ReducedFields by summing
+# over the minors' blocks. The limit system (e = 0) is the nine kernel
+# blocks and the five offset blocks of _LIMIT_EQUATIONS.
+OFFSET_KEYS = ("s0", "sm", "t0", "t1", "to")
+_TILE_EXPONENTS = {**SCALING_EXPONENTS, "s0": 0, "sm": 1, "t0": 0, "t1": 0,
+                   "to": 1}
 
-    model: ValidatedModel
-    grid: TimeGrid
-    blocks: dict
-
-
-# d(L)/dt of the nine-block system, one equation per block in BLOCK_KEYS
+# d(L)/dt of the nine kernel blocks, one equation per block in BLOCK_KEYS
 # order. Python's grammar fixes the association: @ before + and -, each
 # to the left (L1_0 @ M0 @ L1_0 is (L1_0 @ M0) @ L1_0); X.T is X's
 # transpose and the names below stand for their subtrees.
 #
 # e1 is the other minors' share of a sum over minors: 1 in the limit,
-# (N - 1) / N at N minors (the tile field below).
+# (N - 1) / N at N minors.
 _LAMBDA_NAMES = {
     "mean_cl": "M @ (L1 + e1 * L2) - A - F",  # drives every *-mean block
     "cross": "La @ M - G.T",                  # recurring major/minor mix
@@ -320,78 +335,21 @@ _LAMBDA_EQUATIONS = (
     " - L0 @ F0 - La @ F + Lb @ mean_cl"
     " + (L1_0 @ M0 - A0.T) @ Lb - G1.T @ Q @ G2",
 )
-
-
-def _lambda_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
-    """The nine-block limit field d(L)/dt of a K = 1 model, L flat:
-    _LAMBDA_EQUATIONS, associated to the left and summed left to right as
-    written, compiled by `equations.compile_equations`; every slot is
-    n-by-n."""
-    n = model.n
-    return compile_field(tuple(("L" + key, (n, n)) for key in BLOCK_KEYS),
-                         _limit_consts(model, M0, M), _LAMBDA_NAMES,
-                         _LAMBDA_EQUATIONS)
-
-
-def _limit_consts(model: ValidatedModel, M0: np.ndarray, M: np.ndarray):
-    """The model constants of the nine-block and tile fields, by slot."""
-    return {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
-            "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
-            "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
-            "G2": model.Gamma2, "rho": model.rho, "e1": 1.0}
-
-
-def _input_weights(model: ValidatedModel):
-    """(M0, M) = (B0 R0^-1 B0^T, B R^-1 B^T)."""
-    return (model.B0 @ np.linalg.solve(model.R0, model.B0.T),
-            model.B @ np.linalg.solve(model.R, model.B.T))
-
-
-def solve_lambda(model: ValidatedModel, grid: TimeGrid,
-                 threshold: float = 1e12):
-    """Integrate the nine coupled n-by-n limit ODEs backward from T.
-
-    Finite escape here is the verdict that the game family has no
-    uniformly solvable large-population limit on this horizon.
-    """
-    _require_k1(model)
-    n = model.n
-    M0, M = _input_weights(model)
-    layout = StateLayout([(n, n)] * len(BLOCK_KEYS),
-                         symmetric=[k in _SYMMETRIC_KEYS for k in BLOCK_KEYS])
-
-    Q0f, Qf = model.Q0f, model.Qf
-    G0f, G1f, G2f = model.Gamma0f, model.Gamma1f, model.Gamma2f
-    terminal = layout.pack(
-        Q0f, -Q0f @ G0f, G0f.T @ Q0f @ G0f,
-        G1f.T @ Qf @ G1f, Qf, -Qf @ G2f, G2f.T @ Qf @ G2f,
-        -G1f.T @ Qf, G1f.T @ Qf @ G2f,
-    )
-    path = integrate_backward(_lambda_field(model, M0, M), terminal, grid,
-                              threshold=threshold, symmetrize=layout.sym,
-                              prefixes=layout.prefixes)
-    if isinstance(path, BlowUpReport):
-        return path
-    blocks = {key: MatrixPath(grid, L.copy())
-              for key, L in zip(BLOCK_KEYS, layout.split(path.values))}
-    return LambdaSolution(model=model, grid=grid, blocks=blocks)
-
-
-# The tile system. At N minors, exchangeability leaves the kernels P0, P1
-# of players 0 and 1 nine distinct n-by-n tiles, one per BLOCK_KEYS entry:
-# P0's (major, major) "1_0", (major, minor) "2_0" and (minor, minor)
-# "3_0"; P1's (major, major) "0", (own, own) "1", (major, own) "a",
-# (own, other) "2", (major, other) "b" and (other, other) "3". "3_0" and
-# "3" stand for every such pair, diagonal included. The offsets S0, S1
-# are five n-blocks: S0's major block s0 and minor block
-# sm, S1's major block t0, own block t1 and other-minor block to. Each is
-# carried scaled, tile * N**exponent, so its field is the limit field in
-# e = 1/N: _LAMBDA_EQUATIONS with the other minors' share e1 = 1 - e,
-# plus the e-terms below, derived from _ReducedFields by summing over the
-# minors' blocks. At e = 0 it is the nine-block field.
-OFFSET_KEYS = ("s0", "sm", "t0", "t1", "to")
-_TILE_EXPONENTS = {**SCALING_EXPONENTS, "s0": 0, "sm": 1, "t0": 0, "t1": 0,
-                   "to": 1}
+# d/dt of the five offset blocks, in OFFSET_KEYS order; they read the
+# kernels, the kernels never read them.
+_OFFSET_EQUATIONS = (
+    "rho * s0 + (L1_0 @ M0 - A0.T) @ s0 + cross @ sm + L2_0 @ M @ t1"
+    " + Q0 @ eta0",
+    "rho * sm + (L2_0.T @ M0 - F0.T) @ s0 + mean_cl.T @ sm"
+    " + L3_0 @ M @ t1 - G0.T @ Q0 @ eta0",
+    "rho * t0 + (L1_0 @ M0 - A0.T) @ t0 + L0 @ M0 @ s0"
+    " + cross @ (t1 + e1 * to) + e1 * (Lb @ M @ t1) - G1.T @ Q @ eta",
+    "rho * t1 - A.T @ t1 + La.T @ M0 @ s0 + (L1 + e1 * L2) @ M @ t1"
+    " + Q @ eta",
+    "rho * to + mean_cl.T @ to - F.T @ t1 + (L2_0.T @ M0 - F0.T) @ t0"
+    " + Lb.T @ M0 @ s0 + (L2.T + e1 * L3) @ M @ t1 - G2.T @ Q @ eta",
+)
+_LIMIT_EQUATIONS = _LAMBDA_EQUATIONS + _OFFSET_EQUATIONS
 _TILE_E_TERMS = {
     "1": "La.T @ (M0 @ L2_0 - F0) + (L2_0.T @ M0 - F0.T) @ La"
          " - (L1 + e1 * L2) @ F - F.T @ (L1 + e1 * L2).T"
@@ -403,45 +361,44 @@ _TILE_E_TERMS = {
     "a": "L0 @ (M0 @ L2_0 - F0) - (La + e1 * Lb) @ F + e1 * (Lb @ M @ L2)"
          " - G1.T @ Q @ G2",
     "b": "Lb @ (F - M @ L2)",
+    "t1": "(L2_0.T @ M0 - F0.T) @ t0 - F.T @ (t1 + e1 * to)"
+          " + e1 * (L2.T @ M @ to) - G2.T @ Q @ eta",
+    "to": "(F.T - L2.T @ M) @ to",
 }
-_OFFSET_EQUATIONS = (
-    "rho * s0 + (L1_0 @ M0 - A0.T) @ s0 + cross @ sm + L2_0 @ M @ t1"
-    " + Q0 @ eta0",
-    "rho * sm + (L2_0.T @ M0 - F0.T) @ s0 + mean_cl.T @ sm"
-    " + L3_0 @ M @ t1 - G0.T @ Q0 @ eta0",
-    "rho * t0 + (L1_0 @ M0 - A0.T) @ t0 + L0 @ M0 @ s0"
-    " + cross @ (t1 + e1 * to) + e1 * (Lb @ M @ t1) - G1.T @ Q @ eta",
-    "rho * t1 - A.T @ t1 + La.T @ M0 @ s0 + (L1 + e1 * L2) @ M @ t1"
-    " + Q @ eta + e * ((L2_0.T @ M0 - F0.T) @ t0 - F.T @ (t1 + e1 * to)"
-    " + e1 * (L2.T @ M @ to) - G2.T @ Q @ eta)",
-    "rho * to + mean_cl.T @ to - F.T @ t1 + (L2_0.T @ M0 - F0.T) @ t0"
-    " + Lb.T @ M0 @ s0 + (L2.T + e1 * L3) @ M @ t1 - G2.T @ Q @ eta"
-    " + e * ((F.T - L2.T @ M) @ to)",
-)
 _TILE_EQUATIONS = tuple(
     f"{text} + e * ({_TILE_E_TERMS[key]})" if key in _TILE_E_TERMS else text
-    for key, text in zip(BLOCK_KEYS + OFFSET_KEYS,
-                         _LAMBDA_EQUATIONS + _OFFSET_EQUATIONS))
+    for key, text in zip(BLOCK_KEYS + OFFSET_KEYS, _LIMIT_EQUATIONS))
 
 
-def _tile_field(model: ValidatedModel, M0: np.ndarray, M: np.ndarray,
-                e: float):
-    """The field of the scaled tiles at e = 1/N (e = 0 is the limit),
-    state in BLOCK_KEYS then OFFSET_KEYS order; compiled once per n, as N
-    only sets the scalar slots e and e1. At N = 1 (e1 = 0) the tiles of
-    the other minors, which do not exist, feed no other tile."""
+def _input_weights(model: ValidatedModel):
+    """(M0, M) = (B0 R0^-1 B0^T, B R^-1 B^T)."""
+    return (model.B0 @ np.linalg.solve(model.R0, model.B0.T),
+            model.B @ np.linalg.solve(model.R, model.B.T))
+
+
+def _field(model: ValidatedModel, equations: tuple, e: float):
+    """The field of `equations` (_LIMIT_EQUATIONS or _TILE_EQUATIONS) at
+    e = 1/N (e = 0 is the limit), state in BLOCK_KEYS then OFFSET_KEYS
+    order; compiled once per text and n, as N only sets the scalar slots
+    e and e1. At N = 1 (e1 = 0) the tiles of the other minors, which do
+    not exist, feed no other tile."""
     n = model.n
-    consts = _limit_consts(model, M0, M)
-    consts.update(eta0=model.eta0.reshape(n, 1), eta=model.eta.reshape(n, 1),
-                  e=e, e1=1.0 - e)
+    M0, M = _input_weights(model)
+    consts = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
+              "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
+              "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
+              "G2": model.Gamma2, "rho": model.rho,
+              "eta0": model.eta0.reshape(n, 1), "eta": model.eta.reshape(n, 1),
+              "e": e, "e1": 1.0 - e}
     state = (tuple(("L" + key, (n, n)) for key in BLOCK_KEYS)
              + tuple((key, (n, 1)) for key in OFFSET_KEYS))
-    return compile_field(state, consts, _LAMBDA_NAMES, _TILE_EQUATIONS)
+    return compile_field(state, consts, _LAMBDA_NAMES, equations)
 
 
 def _tile_terminal(model: ValidatedModel, e: float) -> tuple:
     """Scaled tiles of Q0f_big, Q_minor(1, final=True), lin0_f and
-    lin_minor_f(1), in state order."""
+    lin_minor_f(1), in state order; at e = 0 the limit system's
+    terminal."""
     Q0f, Qf = model.Q0f, model.Qf
     G0f, G1f, G2f = model.Gamma0f, model.Gamma1f, model.Gamma2f
     K = np.eye(model.n) - e * G2f          # own block of minor 1's selector
@@ -468,6 +425,74 @@ def _masked(field, keep):
     def masked(t, flat):
         return field(t, flat) * keep
     return masked
+
+
+def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
+                  equations: tuple, e: float, weights=None):
+    """March `equations` at e = 1/N from _tile_terminal(model, e): the
+    kernels are the inner escape level, kernels and offsets the outer one.
+    `weights` (one l1 factor per state entry, as integrate_backward takes
+    them) may hold zeros: such an entry stands for no entry (the other
+    minors' tiles at N = 1) and is held at zero, so that its own field
+    cannot escape.
+
+    Returns (flat path values, kernel blocks, offsets), or the
+    BlowUpReport.
+    """
+    n = model.n
+    layout = StateLayout(
+        [(n, n)] * len(BLOCK_KEYS) + [(n, 1)] * len(OFFSET_KEYS),
+        symmetric=[key in _SYMMETRIC_KEYS for key in BLOCK_KEYS]
+        + [False] * len(OFFSET_KEYS),
+        levels=(len(BLOCK_KEYS),))
+    field = _field(model, equations, e)
+    terminal = layout.pack(*_tile_terminal(model, e))
+    if weights is not None and not weights.all():
+        held = weights > 0
+        terminal = terminal * held
+        field = _masked(field, held)
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
+                              symmetrize=layout.sym, prefixes=layout.prefixes,
+                              weights=weights)
+    if isinstance(path, BlowUpReport):
+        return path
+    parts = layout.split(path.values)
+    blocks = {key: MatrixPath(grid, part.copy())
+              for key, part in zip(BLOCK_KEYS, parts)}
+    offsets = {key: MatrixPath(grid, part[..., 0].copy())
+               for key, part in zip(OFFSET_KEYS, parts[len(BLOCK_KEYS):])}
+    return path.values, blocks, offsets
+
+
+@dataclass(frozen=True)
+class LambdaSolution:
+    """The limit system's paths: `blocks[key]` the n-by-n kernel block of
+    BLOCK_KEYS `key`, `offsets[key]` the offset n-vector of OFFSET_KEYS
+    `key`."""
+
+    model: ValidatedModel
+    grid: TimeGrid
+    blocks: dict
+    offsets: dict
+
+
+def solve_lambda(model: ValidatedModel, grid: TimeGrid,
+                 threshold: float = 1e12):
+    """Integrate the limit system, nine n-by-n kernel blocks and five
+    offset n-vectors, backward from T.
+
+    Finite escape of the kernels is the verdict that the game family has
+    no uniformly solvable large-population limit on this horizon; an
+    escape of kernels plus offsets alone is still no solution, reported
+    where the joint norm crossed.
+    """
+    _require_k1(model)
+    res = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, 0.0)
+    if isinstance(res, BlowUpReport):
+        return res
+    _, blocks, offsets = res
+    return LambdaSolution(model=model, grid=grid, blocks=blocks,
+                          offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -500,70 +525,49 @@ def solve_tiles(model: ValidatedModel, N: int, grid: TimeGrid,
     """
     _require_population(model, N)
     n = model.n
-    e = 1.0 / N
-    layout = StateLayout(
-        [(n, n)] * len(BLOCK_KEYS) + [(n, 1)] * len(OFFSET_KEYS),
-        symmetric=[key in _SYMMETRIC_KEYS for key in BLOCK_KEYS]
-        + [False] * len(OFFSET_KEYS),
-        levels=(len(BLOCK_KEYS),))
     weights = np.repeat(_tile_weights(N), [n * n] * len(BLOCK_KEYS)
                         + [n] * len(OFFSET_KEYS))
-    field = _tile_field(model, *_input_weights(model), e)
-    terminal = layout.sym(layout.pack(*_tile_terminal(model, e)))
-    if N == 1:
-        # tiles of weight 0 stand for no entry (the other minors' ones):
-        # held at zero, so that their own field cannot escape
-        held = weights > 0
-        terminal = terminal * held
-        field = _masked(field, held)
-    path = integrate_backward(field, terminal, grid, threshold=threshold,
-                              symmetrize=layout.sym, prefixes=layout.prefixes,
-                              weights=weights)
-    if isinstance(path, BlowUpReport):
-        return path
-    kernel = layout.prefixes[0]
-    norms = (np.abs(path.values[:, :kernel]) * weights[:kernel]).sum(axis=1)
-    parts = layout.split(path.values)
-    return TileSolution(
-        model=model, N=N, grid=grid,
-        blocks={key: MatrixPath(grid, part.copy())
-                for key, part in zip(BLOCK_KEYS, parts)},
-        offsets={key: MatrixPath(grid, part[..., 0].copy())
-                 for key, part in zip(OFFSET_KEYS, parts[len(BLOCK_KEYS):])},
-        kernel_norms=norms)
+    res = _solve_system(model, grid, threshold, _TILE_EQUATIONS, 1.0 / N,
+                        weights)
+    if isinstance(res, BlowUpReport):
+        return res
+    values, blocks, offsets = res
+    kernel = len(BLOCK_KEYS) * n * n
+    norms = (np.abs(values[:, :kernel]) * weights[:kernel]).sum(axis=1)
+    return TileSolution(model=model, N=N, grid=grid, blocks=blocks,
+                        offsets=offsets, kernel_norms=norms)
 
 
-@dataclass(frozen=True)
-class PhiSolution:
-    """Nine-block re-partition of a K=1 consistency-route solution."""
-
-    model: ValidatedModel
-    grid: TimeGrid
-    blocks: dict
-
-
-def phi_from_nce(nce: NCESolution) -> PhiSolution:
-    """Slice the K=1 kernels into the nine named blocks (pure views)."""
+def phi_from_nce(nce: NCESolution) -> LambdaSolution:
+    """The K=1 consistency-route solution in the limit system's blocks
+    (pure views): the kernels sliced into the nine blocks, the offsets
+    by s0 -> (s0, sm) and s -> (t1, t0, to)."""
     model = nce.model
     if model.K != 1:
         raise KNotOne(f"block extraction needs K=1, got K={model.K}")
     n = model.n
     P0 = nce.P0.values
     P1 = nce.P.values[:, 0]
+    s0 = nce.s0.values
+    s1 = nce.s.values[:, 0]
     grid = nce.grid
     pieces = {
         "1_0": P0[:, :n, :n], "2_0": P0[:, :n, n:], "3_0": P0[:, n:, n:],
         "1": P1[:, :n, :n], "a": P1[:, n:2 * n, :n], "2": P1[:, :n, 2 * n:],
         "0": P1[:, n:2 * n, n:2 * n], "b": P1[:, n:2 * n, 2 * n:],
         "3": P1[:, 2 * n:, 2 * n:],
+        "s0": s0[:, :n], "sm": s0[:, n:], "t1": s1[:, :n],
+        "t0": s1[:, n:2 * n], "to": s1[:, 2 * n:],
     }
-    blocks = {key: MatrixPath(grid, pieces[key]) for key in BLOCK_KEYS}
-    return PhiSolution(model=model, grid=grid, blocks=blocks)
+    return LambdaSolution(
+        model=model, grid=grid,
+        blocks={key: MatrixPath(grid, pieces[key]) for key in BLOCK_KEYS},
+        offsets={key: MatrixPath(grid, pieces[key]) for key in OFFSET_KEYS})
 
 
-def compare_lambda_phi(lam: LambdaSolution, phi: PhiSolution,
+def compare_lambda_phi(lam: LambdaSolution, phi: LambdaSolution,
                        tol: float = 1e-9) -> DiffReport:
-    """Max-over-nodes l1 differences of the nine block pairs."""
+    """Max-over-nodes l1 differences of the nine kernel block pairs."""
     if not lam.grid.same_as(phi.grid):
         raise GridMismatch("solutions live on different grids")
     diffs = {}
@@ -693,11 +697,11 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
 
     N_list is sorted and de-duplicated first, so the verdict does not
     depend on the caller's order; an N below 1 or above MAX_POPULATION,
-    or fewer than three distinct N, raises ValueError before any solve. Records, per N, sup over nodes of
-    |P0|_l1 + |P1|_l1, or the escape report, solving the tile system
-    (solve_tiles, whose cost does not depend on N) one N after another;
-    compares the bounded-tail heuristic (on the three largest N) with the
-    nine-block system's solvability verdict.
+    or fewer than three distinct N, raises ValueError before any solve.
+    Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the escape
+    report, solving the tile system (solve_tiles, whose cost does not
+    depend on N) one N after another; compares the bounded-tail heuristic
+    (on the three largest N) with the limit system's solvability verdict.
     """
     _require_k1(model)
     N_list = tuple(sorted({int(N) for N in N_list}))

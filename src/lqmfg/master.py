@@ -1,4 +1,4 @@
-"""Quadratic value-function route and its residual certificate.
+"""Quadratic value-function route.
 
 The value functions of the limiting game are sought as quadratic forms
 V0 = xi0' Pd0 xi0 + 2 sd0' xi0 + rd0 in xi0 = (x0, zbar) and
@@ -8,9 +8,10 @@ reduces them to backward matrix ODEs for the kernels, linear ODEs for the
 offsets, and scalar quadratures for the constants.
 
 This module assembles those ODE fields independently of the nce module
-(different block construction and quadratic-term evaluation), solves them
-with the shared integrator, and evaluates the pointwise residual of the
-original equations as a correctness certificate. The residual's time
+(different block construction and quadratic-term evaluation) and solves
+them with the shared integrator. The pointwise residual of the original
+equations, the correctness certificate of acceptance criterion 3, is
+kept with the tests (tests/helpers.py::master_residual): its time
 derivative comes from finite differences of the solved paths, never from
 the ODE right-hand side, so coefficient corruption is actually detectable.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import compile_field
-from .errors import GridMismatch, IndexOutOfRange, TimeOutOfRange
+from .errors import GridMismatch
 from .model import PiLifted, TimeGrid, ValidatedModel, block_selector, lift_pi
 from .nce import NCESolution
 from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
@@ -223,124 +224,6 @@ def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12)
     )
 
 
-# 4th-order finite-difference weights: interior central stencil plus
-# one-sided stencils for the first/last two nodes.
-_FD_CENTER = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_FD_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_FD_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-
-def _fd_derivative(values: np.ndarray, h: float, j: int) -> np.ndarray:
-    """Time derivative of a sampled path at node j, O(h^4)."""
-    M = values.shape[0] - 1
-    if M < 4:
-        raise ValueError("need at least 5 nodes for the derivative stencil")
-    if 2 <= j <= M - 2:
-        window, weights = values[j - 2:j + 3], _FD_CENTER
-    elif j == 0:
-        window, weights = values[0:5], _FD_EDGE0
-    elif j == 1:
-        window, weights = values[0:5], _FD_EDGE1
-    elif j == M - 1:
-        window, weights = values[M - 4:M + 1], -_FD_EDGE1[::-1]
-    else:
-        window, weights = values[M - 4:M + 1], -_FD_EDGE0[::-1]
-    return np.tensordot(weights, window, axes=(0, 0)) / h
-
-
-def master_residual(model: ValidatedModel, sol: MasterSolution, sample) -> float:
-    """Pointwise residual of the value-function equation at one sample.
-
-    sample = (t, x0, zk, zbar, kappa) with kappa = 0 selecting the major
-    player's equation. The evaluation snaps t to the nearest grid node,
-    takes d/dt of the quadratic coefficients by finite differences of the
-    solved paths, and subtracts the closed-form right-hand side assembled
-    term by term (measure derivatives enter only through zbar; their
-    second-order terms vanish for quadratic V). Returns the signed
-    residual scaled by 1/(1 + |V|).
-    """
-    t, x0, zk, zbar, kappa = sample
-    if not (0.0 < t < model.T):
-        raise TimeOutOfRange(f"residual samples need t strictly inside (0, {model.T})")
-    if not (0 <= kappa <= model.K):
-        raise IndexOutOfRange(f"kappa={kappa} outside 0..{model.K}")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    zk = np.asarray(zk, dtype=np.float64).reshape(-1)
-    zbar = np.asarray(zbar, dtype=np.float64).reshape(-1)
-
-    grid = sol.grid
-    h = grid.h
-    j = int(round(t / h))
-    j = min(max(j, 1), grid.M - 1)
-    n = model.n
-    rho = model.rho
-    # the gains of _Blocks, by the same expressions
-    M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
-    M = model.B @ np.linalg.solve(model.R, model.B.T)
-    D0D0T = model.D0 @ model.D0.T
-    DDT = model.D @ model.D.T
-
-    Abar = sol.Abar_dag.at(j)
-    Gbar = sol.Gbar_dag.at(j)
-    mbar = sol.mbar_dag.at(j)
-    xi0 = np.concatenate([x0, zbar])
-
-    if kappa == 0:
-        P = sol.Pd0.at(j)
-        s = sol.sd0.at(j)
-        r = float(sol.rd0.at(j))
-        dP = _fd_derivative(sol.Pd0.values, h, j)
-        ds = _fd_derivative(sol.sd0.values, h, j)
-        dr = float(_fd_derivative(sol.rd0.values, h, j))
-
-        V = xi0 @ P @ xi0 + 2.0 * (s @ xi0) + r
-        dV = xi0 @ dP @ xi0 + 2.0 * (ds @ xi0) + dr
-
-        grad_x0 = P[:n, :] @ xi0 + s[:n]           # half of d V/d x0
-        drift0 = model.A0 @ x0 + sol.lifted.F0_pi @ zbar
-        chi_1 = 2.0 * grad_x0 @ drift0
-        chi_2 = grad_x0 @ M0 @ grad_x0
-        dev = x0 - sol.lifted.Gamma0_pi @ zbar - model.eta0
-        chi_3 = dev @ model.Q0 @ dev
-        chi_4 = float(np.trace(P[:n, :n] @ D0D0T))
-        mean_drift = Gbar @ x0 + Abar @ zbar + mbar
-        chi_56 = 2.0 * (P[n:, :] @ xi0 + s[n:]) @ mean_drift
-        chi = chi_1 - chi_2 + chi_3 + chi_4 + chi_56
-    else:
-        P = sol.Pd.at(j)[kappa - 1]
-        s = sol.sd.at(j)[kappa - 1]
-        r = float(sol.rd.at(j)[kappa - 1])
-        dP = _fd_derivative(sol.Pd.values, h, j)[kappa - 1]
-        ds = _fd_derivative(sol.sd.values, h, j)[kappa - 1]
-        dr = float(_fd_derivative(sol.rd.values, h, j)[kappa - 1])
-
-        xik = np.concatenate([zk, x0, zbar])
-        V = xik @ P @ xik + 2.0 * (s @ xik) + r
-        dV = xik @ dP @ xik + 2.0 * (ds @ xik) + dr
-
-        P0 = sol.Pd0.at(j)
-        s0 = sol.sd0.at(j)
-        grad_row2 = P[n:2 * n, :] @ xik + s[n:2 * n]
-        closed0 = ((model.A0 - M0 @ P0[:n, :n]) @ x0
-                   + (sol.lifted.F0_pi - M0 @ P0[:n, n:]) @ zbar
-                   - M0 @ s0[:n])
-        chi_12 = 2.0 * grad_row2 @ closed0
-        chi_37 = float(np.trace(P[n:2 * n, n:2 * n] @ D0D0T)
-                       + np.trace(P[:n, :n] @ DDT))
-        grad_zk = P[:n, :] @ xik + s[:n]
-        drift_k = model.A[kappa - 1] @ zk + model.G @ x0 + sol.lifted.F_pi @ zbar
-        chi_4 = 2.0 * grad_zk @ drift_k
-        chi_5 = grad_zk @ M @ grad_zk
-        dev = zk - model.Gamma1 @ x0 - sol.lifted.Gamma2_pi @ zbar - model.eta
-        chi_6 = dev @ model.Q @ dev
-        mean_drift = Gbar @ x0 + Abar @ zbar + mbar
-        chi_89 = 2.0 * (P[2 * n:, :] @ xik + s[2 * n:]) @ mean_drift
-        chi = chi_12 + chi_37 + chi_4 - chi_5 + chi_6 + chi_89
-
-    lhs = rho * V - dV
-    return float((lhs - chi) / (1.0 + abs(V)))
-
-
 def master_gains(sol: MasterSolution, times: np.ndarray):
     """Same as `nce.nce_gains`, read from the quadratic-solution
     coefficients: the gains act on (x0, z) and (zk, x0, z)."""
@@ -355,24 +238,6 @@ def master_gains(sol: MasterSolution, times: np.ndarray):
     return G0, g0, G, g, (sol.Abar_dag.interp(times),
                           sol.Gbar_dag.interp(times),
                           sol.mbar_dag.interp(times))
-
-
-def master_feedback(sol: MasterSolution, model: ValidatedModel, t: float,
-                    x0, zk, zbar, kappa: int):
-    """Feedback controls read off the value-function gradients, with the
-    gains of `master_gains` at t."""
-    if not (0.0 <= t <= model.T):
-        raise TimeOutOfRange(f"t={t} outside [0, {model.T}]")
-    if not (1 <= kappa <= model.K):
-        raise IndexOutOfRange(f"kappa={kappa} outside 1..{model.K}")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    zk = np.asarray(zk, dtype=np.float64).reshape(-1)
-    zbar = np.asarray(zbar, dtype=np.float64).reshape(-1)
-
-    G0, g0, G, g, _ = master_gains(sol, np.array([t]))
-    u0 = -(G0[0] @ np.concatenate([x0, zbar]) + g0[0])
-    uk = -(G[0, kappa - 1] @ np.concatenate([zk, x0, zbar]) + g[0, kappa - 1])
-    return u0, uk
 
 
 def _max_node_l1(a: np.ndarray, b: np.ndarray) -> float:

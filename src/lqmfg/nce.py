@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import compile_field
-from .errors import IndexOutOfRange, TimeOutOfRange
 from .model import PiLifted, TimeGrid, ValidatedModel, lift_pi
 from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
 
@@ -191,11 +190,6 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     )
 
 
-def _check_time(model: ValidatedModel, t: float) -> None:
-    if not (0.0 <= t <= model.T):
-        raise TimeOutOfRange(f"t={t} outside [0, {model.T}]")
-
-
 def nce_gains(sol: NCESolution, times: np.ndarray):
     """Feedback gains and reference-path coefficients of an NCE solution,
     stacked along a leading axis over `times`.
@@ -216,23 +210,3 @@ def nce_gains(sol: NCESolution, times: np.ndarray):
     return G0, g0, G, g, (sol.Abar.interp(times), sol.Gbar.interp(times),
                           sol.mbar.interp(times))
 
-
-def nce_feedback(sol: NCESolution, model: ValidatedModel, t: float,
-                 x0: np.ndarray, xi: np.ndarray, zbar: np.ndarray, kappa: int):
-    """Equilibrium feedback controls (u0, ui) at time t.
-
-    The major player's control reads the stacked state (x0, zbar); a
-    type-kappa minor player's control reads (xi, x0, zbar). The gains are
-    those of `nce_gains` at t, interpolated linearly between grid nodes.
-    """
-    _check_time(model, t)
-    if not (1 <= kappa <= model.K):
-        raise IndexOutOfRange(f"kappa={kappa} outside 1..{model.K}")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    xi = np.asarray(xi, dtype=np.float64).reshape(-1)
-    zbar = np.asarray(zbar, dtype=np.float64).reshape(-1)
-
-    G0, g0, G, g, _ = nce_gains(sol, np.array([t]))
-    u0 = -(G0[0] @ np.concatenate([x0, zbar]) + g0[0])
-    ui = -(G[0, kappa - 1] @ np.concatenate([xi, x0, zbar]) + g[0, kappa - 1])
-    return u0, ui

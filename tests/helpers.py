@@ -13,7 +13,7 @@ from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
                    NonFiniteField, NonFiniteState, TimeGrid, validate_model,
                    solve_nce)
 from lqmfg.asymptotic import SCALING_EXPONENTS, assemble_finite_n
-from lqmfg.master import _Blocks, _fd_derivative
+from lqmfg.master import _Blocks
 from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
 from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
                        StateLayout, integrate_backward)
@@ -994,9 +994,45 @@ class MasterBlocksRef:
         return [dPd0, dPd, dsd0, dsd, drd0, drd]
 
 
-def master_residual_ref(model, sol, sample):
-    """master.master_residual as it was with the whole _Blocks built per
-    sample: the oracle of its bitwise result."""
+# 4th-order finite-difference weights: interior central stencil plus
+# one-sided stencils for the first/last two nodes.
+_FD_CENTER = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_FD_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+_FD_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+
+
+def _fd_derivative(values, h, j):
+    """Time derivative of a sampled path at node j, O(h^4)."""
+    M = values.shape[0] - 1
+    if M < 4:
+        raise ValueError("need at least 5 nodes for the derivative stencil")
+    if 2 <= j <= M - 2:
+        window, weights = values[j - 2:j + 3], _FD_CENTER
+    elif j == 0:
+        window, weights = values[0:5], _FD_EDGE0
+    elif j == 1:
+        window, weights = values[0:5], _FD_EDGE1
+    elif j == M - 1:
+        window, weights = values[M - 4:M + 1], -_FD_EDGE1[::-1]
+    else:
+        window, weights = values[M - 4:M + 1], -_FD_EDGE0[::-1]
+    return np.tensordot(weights, window, axes=(0, 0)) / h
+
+
+def master_residual(model, sol, sample):
+    """Pointwise residual of the value-function equation at one sample:
+    the correctness certificate of a MasterSolution (criterion 3).
+
+    sample = (t, x0, zk, zbar, kappa), t inside (0, T), with kappa = 0
+    selecting the major player's equation and 1..K a minor type's. The
+    evaluation snaps t to the nearest interior grid node, takes d/dt of
+    the quadratic coefficients by finite differences of the solved paths
+    (never from the ODE right-hand side, so coefficient corruption shows),
+    and subtracts the closed-form right-hand side assembled term by term
+    (measure derivatives enter only through zbar; their second-order terms
+    vanish for quadratic V). Returns the signed residual scaled by
+    1/(1 + |V|).
+    """
     t, x0, zk, zbar, kappa = sample
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     zk = np.asarray(zk, dtype=np.float64).reshape(-1)
@@ -1128,13 +1164,14 @@ def lambda_field_ref(model):
 
 
 def lambda_sym_ref(n):
-    """The nine-block system's symmetrization: blocks 1_0, 3_0, 0, 1, 3."""
+    """The limit system's symmetrization: kernel blocks 1_0, 3_0, 0, 1, 3;
+    the five offset n-vectors after the nine blocks pass through."""
     sym_idx = [0, 2, 3, 4, 6]
 
     def sym(flat):
-        L = flat.reshape(9, n, n).copy()
+        L = flat[:9 * n * n].reshape(9, n, n).copy()
         L[sym_idx] = (L[sym_idx] + L[sym_idx].transpose(0, 2, 1)) / 2.0
-        return L.ravel()
+        return np.concatenate([L.ravel(), flat[9 * n * n:]])
 
     return sym
 

@@ -10,14 +10,14 @@ import numpy as np
 
 from lqmfg import (BlowUpReport, MatrixPath, TimeGrid, compare_lambda_phi,
                    compare_nce_master, empirical_mean_error,
-                   extract_block_structure, integrate_backward,
-                   master_residual, phi_from_nce, simulate, solve_finite_n,
-                   solve_lambda, solve_nce)
+                   extract_block_structure, integrate_backward, phi_from_nce,
+                   simulate, solve_finite_n, solve_lambda, solve_nce)
 
-from lqmfg.asymptotic import BLOCK_KEYS
+from lqmfg.asymptotic import BLOCK_KEYS, OFFSET_KEYS
 
 from helpers import (dense_march, exchange_gap, finite_tiles,
-                     representatives, riccati_closed_form, suite_k1_indices)
+                     master_residual, max_node_l1, representatives,
+                     riccati_closed_form, suite_k1_indices)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str):
@@ -40,13 +40,16 @@ def test_criterion_1_kernel_and_offset_equivalence(suite_nce, suite_master):
 def test_criterion_2_lambda_phi_equivalence(suite_models, suite_nce,
                                             suite_grid, blowup_models,
                                             scalar_grid):
-    worst = 0.0
+    worst = worst_offset = 0.0
     for i in suite_k1_indices():
         lam = solve_lambda(suite_models[i], suite_grid)
         assert not isinstance(lam, BlowUpReport)
-        report = compare_lambda_phi(lam, phi_from_nce(suite_nce[i]),
-                                    tol=1e-9)
+        phi = phi_from_nce(suite_nce[i])
+        report = compare_lambda_phi(lam, phi, tol=1e-9)
         worst = max(worst, max(report.diffs.values()))
+        for key in OFFSET_KEYS:
+            worst_offset = max(worst_offset, max_node_l1(
+                lam.offsets[key].values, phi.offsets[key].values))
 
     node_gap = 0
     for name, model in blowup_models.items():
@@ -56,9 +59,10 @@ def test_criterion_2_lambda_phi_equivalence(suite_models, suite_nce,
         assert isinstance(b, BlowUpReport), name
         node_gap = max(node_gap, abs(a.escape_node - b.escape_node))
 
-    ok = worst <= 1e-9 and node_gap <= 2
+    ok = worst <= 1e-9 and worst_offset <= 1e-9 and node_gap <= 2
     _verdict(2, "block-system equivalence and shared escape",
-             ok, f"worst block diff {worst:.3e}, escape node gap {node_gap}")
+             ok, f"worst block diff {worst:.3e}, worst offset diff "
+             f"{worst_offset:.3e}, escape node gap {node_gap}")
 
 
 def test_criterion_3_residual_certificate(suite_models, suite_master):

@@ -8,16 +8,17 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce, solve_tiles,
                    validate_model)
-from lqmfg.asymptotic import (BLOCK_KEYS, OFFSET_KEYS, TILE_TOL, _cluster_counts, _input_weights,
-                              _lambda_field, _ReducedFields, _tile_field)
+from lqmfg.asymptotic import (_LIMIT_EQUATIONS, _TILE_EQUATIONS, BLOCK_KEYS,
+                              OFFSET_KEYS, TILE_TOL, _cluster_counts, _field,
+                              _ReducedFields)
 from lqmfg.ode import BlowUpReport
 
 from helpers import (_random_params, build_model, check_escape_levels,
                      coupling_loop, decoupled_scalar, dense_march,
                      exchange_gap, expand_tiles, finite_tiles,
-                     greedy_cluster_count, growing_offsets, node_l1,
-                     representatives, riccati_closed_form, scalar_coupled,
-                     suite_k1_indices, tile_solution_tiles,
+                     greedy_cluster_count, growing_offsets, max_node_l1,
+                     node_l1, representatives, riccati_closed_form,
+                     scalar_coupled, suite_k1_indices, tile_solution_tiles,
                      tile_view, two_dim_coupled, two_type_scalar,
                      zero_weight)
 
@@ -213,8 +214,16 @@ def test_lambda_terminal_pins(scalar_model):
         "2": -m.Qf @ m.Gamma2f, "3": m.Gamma2f.T @ m.Qf @ m.Gamma2f,
         "a": -m.Gamma1f.T @ m.Qf, "b": m.Gamma1f.T @ m.Qf @ m.Gamma2f,
     }
+    eta0f, etaf = m.eta0f, m.etaf
+    want.update({
+        "s0": -m.Q0f @ eta0f, "sm": m.Gamma0f.T @ m.Q0f @ eta0f,
+        "t0": m.Gamma1f.T @ m.Qf @ etaf, "t1": -m.Qf @ etaf,
+        "to": m.Gamma2f.T @ m.Qf @ etaf,
+    })
     for key in BLOCK_KEYS:
         assert np.allclose(lam.blocks[key].at(grid.M), want[key], atol=1e-15)
+    for key in OFFSET_KEYS:
+        assert np.allclose(lam.offsets[key].at(grid.M), want[key], atol=1e-15)
 
 
 def test_lambda_equals_limit_kernel_blocks(scalar_model, scalar_nce,
@@ -230,6 +239,32 @@ def test_lambda_equals_limit_kernel_blocks_2d(twodim_model, twodim_nce,
     lam = solve_lambda(twodim_model, scalar_grid)
     report = compare_lambda_phi(lam, phi_from_nce(twodim_nce), tol=1e-9)
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("name", ["scalar", "twodim"])
+def test_lambda_offsets_are_the_nce_offsets(name, request, scalar_grid):
+    """The limit system's offsets are nce's under s0 -> (s0, sm) and
+    s -> (t1, t0, to), at criterion 2's bound."""
+    model = request.getfixturevalue(f"{name}_model")
+    phi = phi_from_nce(request.getfixturevalue(f"{name}_nce"))
+    lam = solve_lambda(model, scalar_grid)
+    for key in OFFSET_KEYS:
+        assert phi.offsets[key].state_shape == (model.n,)
+        gap = max_node_l1(lam.offsets[key].values, phi.offsets[key].values)
+        assert gap <= 1e-9, (key, gap)
+
+
+def test_lambda_escape_levels_are_kernels_then_offsets():
+    """solve_lambda escapes where its kernels, then its kernels with
+    offsets, cross the threshold."""
+    model = growing_offsets()
+    grid = TimeGrid(M=100, T=1.0)
+    lam = solve_lambda(model, grid)
+    kernels = node_l1(*(lam.blocks[key].values for key in BLOCK_KEYS))
+    joint = kernels + node_l1(*(lam.offsets[key].values
+                                for key in OFFSET_KEYS))
+    check_escape_levels(lambda thr: solve_lambda(model, grid, threshold=thr),
+                        [kernels, joint])
 
 
 def test_limit_blocks_terminal_ties_lift(twodim_nce, twodim_model,
@@ -391,14 +426,13 @@ def test_tile_field_is_the_reduced_field_on_exchangeable_states(n):
     are the tile field."""
     rng = np.random.default_rng(20 + n)
     model = _random_k1(40 + n, n)
-    M0, M = _input_weights(model)
     for N in (1, 2, 3, 5):
         tiles = _random_tiles(rng, n, N)
         derivs = _ReducedFields(assemble_finite_n(model, N)).derivatives(
             *expand_tiles(tiles, N))
         want = finite_tiles(*derivs, N)
-        got = _unflat(_tile_field(model, M0, M, 1.0 / N)(0.0, _flat(tiles, n)),
-                      n)
+        got = _unflat(_field(model, _TILE_EQUATIONS, 1.0 / N)(
+            0.0, _flat(tiles, n)), n)
         for key, w in want.items():
             assert (np.abs(got[key] - w).max()
                     <= 1e-12 * max(1.0, np.abs(w).max())), (N, key)
@@ -411,7 +445,7 @@ def test_other_minor_tiles_feed_nothing_at_one_minor():
     rng = np.random.default_rng(5)
     for n in (1, 2):
         model = _random_k1(50 + n, n)
-        field = _tile_field(model, *_input_weights(model), 1.0)
+        field = _field(model, _TILE_EQUATIONS, 1.0)
         tiles = _random_tiles(rng, n, 1)
         base = _unflat(field(0.0, _flat(tiles, n)), n)
         noisy = dict(tiles, **{key: 1e3 * value for key, value in
@@ -428,14 +462,13 @@ def test_other_minor_tiles_feed_nothing_at_one_minor():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tile_field_at_zero_is_the_lambda_field(n):
     """Scaled by SCALING_EXPONENTS, the tile field at e = 1/N = 0 is the
-    nine-block field: the exponents are this identity, not a fit."""
+    limit field, kernels and offsets: the exponents are this identity, not
+    a fit."""
     rng = np.random.default_rng(60 + n)
     model = _random_k1(70 + n, n)
-    M0, M = _input_weights(model)
-    tiles = _random_tiles(rng, n, 2)
-    L = _flat(tiles, n)[:len(BLOCK_KEYS) * n * n]
-    got = _tile_field(model, M0, M, 0.0)(0.0, _flat(tiles, n))[:L.size]
-    want = _lambda_field(model, M0, M)(0.0, L)
+    state = _flat(_random_tiles(rng, n, 2), n)
+    got = _field(model, _TILE_EQUATIONS, 0.0)(0.0, state)
+    want = _field(model, _LIMIT_EQUATIONS, 0.0)(0.0, state)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -491,6 +524,21 @@ def test_tile_rate_holds_out_to_ten_thousand(scalar_model):
         devs.append(max(float(np.abs(tiles.blocks[key].values
                                      - lam.blocks[key].values).max())
                         for key in BLOCK_KEYS))
+    slope = float(np.polyfit(np.log(Ns), np.log(devs), 1)[0])
+    assert -1.3 <= slope <= -0.7, devs
+
+
+def test_tile_offsets_approach_the_lambda_offsets_at_rate_one_over_n(
+        scalar_model):
+    grid = TimeGrid(M=200, T=1.0)
+    lam = solve_lambda(scalar_model, grid)
+    Ns = (10, 100, 1000, 10000)
+    devs = []
+    for N in Ns:
+        tiles = solve_tiles(scalar_model, N, grid)
+        devs.append(max(float(np.abs(tiles.offsets[key].values
+                                     - lam.offsets[key].values).max())
+                        for key in OFFSET_KEYS))
     slope = float(np.polyfit(np.log(Ns), np.log(devs), 1)[0])
     assert -1.3 <= slope <= -0.7, devs
 

@@ -66,10 +66,12 @@ def route_field(route, model):
     if route == "master":
         field = master._Blocks(model, lift_pi(model)).field
         return field, master_field_ref(model), kernels, d0 + K * d1 + 1 + K
-    M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
-    M = model.B @ np.linalg.solve(model.R, model.B.T)
-    field = asymptotic._lambda_field(model, M0, M)
-    return field, lambda_field_ref(model), [], 9 * n * n
+    # the kernel slice of the limit field, over a state with offsets
+    kernels = 9 * n * n
+    limit = asymptotic._field(model, asymptotic._LIMIT_EQUATIONS, 0.0)
+    ref = lambda_field_ref(model)
+    return (lambda t, w: limit(t, w)[:kernels],
+            lambda t, w: ref(t, w[:kernels]), [], kernels + 5 * n)
 
 
 STATES = dict(
@@ -301,7 +303,8 @@ def solve_sym(route, model, N):
     captured without marching."""
     seen = []
 
-    def capture(field, terminal, grid, threshold, symmetrize, prefixes=()):
+    def capture(field, terminal, grid, threshold, symmetrize, prefixes=(),
+                weights=None):
         seen.append(symmetrize)
         return BlowUpReport(escape_node=0, norm_at_escape=np.inf,
                             threshold=threshold)
@@ -340,7 +343,7 @@ def state_size(route, model, N):
     d0, d1, d = n * (K + 1), n * (K + 2), (N + 1) * n
     return {"nce": d0 * d0 + K * d1 * d1 + d0 + K * d1,
             "master": d0 * d0 + K * d1 * d1 + d0 + K * d1 + 1 + K,
-            "lambda": 9 * n * n,
+            "lambda": 9 * n * n + 5 * n,
             "finite-n": 2 * d * d + 2 * d,
             "dense": (N + 1) * (d * d + d)}[route]
 

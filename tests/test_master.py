@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from lqmfg import (GridMismatch, IndexOutOfRange, TimeGrid, TimeOutOfRange,
-                   compare_nce_master, lift_pi, master_feedback,
-                   master_residual, nce_feedback, solve_master, solve_nce)
+from lqmfg import (GridMismatch, TimeGrid, compare_nce_master, lift_pi,
+                   solve_master, solve_nce)
+from lqmfg.master import master_gains
+from lqmfg.nce import nce_gains
 from lqmfg.ode import BlowUpReport, MatrixPath
 
 from helpers import (check_escape_levels, decoupled_scalar, growing_offsets,
-                     master_residual_ref, node_l1, random_n3k3, scalar_coupled,
-                     two_type_scalar, zero_weight)
+                     master_residual, node_l1, zero_weight)
 
 
 def test_terminal_pins(scalar_master, scalar_model, scalar_grid):
@@ -76,42 +76,24 @@ def test_residual_detects_corrupted_kernel(scalar_model, scalar_master):
     assert worst(corrupted) >= 100.0 * max(clean, 1e-12)
 
 
-@pytest.mark.parametrize("make", [scalar_coupled, two_type_scalar,
-                                  random_n3k3])
-def test_residual_is_bitwise_the_whole_blocks_residual(make):
-    model = make()
-    sol = solve_master(model, TimeGrid(M=100, T=1.0))
-    rng = np.random.default_rng(11)
-    n, K = model.n, model.K
-    for t in (0.003, 0.25, 0.5, 0.777, 0.999):
-        for kappa in range(K + 1):
-            sample = (t, rng.normal(size=n), rng.normal(size=n),
-                      rng.normal(size=n * K), kappa)
-            assert (master_residual(model, sol, sample)
-                    == master_residual_ref(model, sol, sample))
+def _controls(gains, x0, zk, zbar):
+    """Major and type-1 minor controls from `nce_gains`/`master_gains`
+    output, one state per time."""
+    G0, g0, G, g, _ = gains
+    xi0 = np.concatenate([x0, zbar], axis=1)[:, :, None]
+    xik = np.concatenate([zk, x0, zbar], axis=1)[:, :, None]
+    return (-((G0 @ xi0)[:, :, 0] + g0),
+            -((G[:, 0] @ xik)[:, :, 0] + g[:, 0]))
 
 
-def test_residual_argument_validation(scalar_model, scalar_master):
-    x = np.array([0.1])
-    with pytest.raises(TimeOutOfRange):
-        master_residual(scalar_model, scalar_master, (0.0, x, x, x, 0))
-    with pytest.raises(TimeOutOfRange):
-        master_residual(scalar_model, scalar_master, (1.0, x, x, x, 0))
-    with pytest.raises(IndexOutOfRange):
-        master_residual(scalar_model, scalar_master, (0.5, x, x, x, 2))
-
-
-def test_feedback_agrees_with_nce_route(scalar_model, scalar_nce,
-                                        scalar_master):
+def test_feedback_agrees_with_nce_route(scalar_nce, scalar_master):
+    """The gains `simulate` reads give the same controls by either route."""
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        t = float(rng.uniform(0.0, 1.0))
-        x0, zk, zbar = rng.normal(size=(3, 1))
-        a0, a1 = nce_feedback(scalar_nce, scalar_model, t, x0, zk, zbar, 1)
-        b0, b1 = master_feedback(scalar_master, scalar_model, t, x0, zk,
-                                 zbar, 1)
-        assert np.abs(a0 - b0).max() < 1e-10
-        assert np.abs(a1 - b1).max() < 1e-10
+    times = rng.uniform(0.0, 1.0, size=25)
+    states = rng.normal(size=(3, 25, 1))
+    for a, b in zip(_controls(nce_gains(scalar_nce, times), *states),
+                    _controls(master_gains(scalar_master, times), *states)):
+        assert np.abs(a - b).max() < 1e-10
 
 
 def test_zero_weight_constant_term_vanishes():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lqmfg import (IndexOutOfRange, TimeGrid, TimeOutOfRange, lift_pi,
-                   nce_feedback, solve_nce)
+from lqmfg import TimeGrid, lift_pi, solve_nce
+from lqmfg.nce import nce_gains
 from lqmfg.ode import BlowUpReport
 
 from helpers import (check_escape_levels, decoupled_scalar, growing_offsets,
@@ -100,25 +100,14 @@ def test_mean_field_propagation_with_zero_weights():
 
 
 def test_feedback_zero_for_zero_weights():
+    """With no weights the gains and offsets `simulate` reads are zero,
+    so every control is."""
     model = zero_weight()
     grid = TimeGrid(M=50, T=1.0)
     sol = solve_nce(model, grid)
-    u0, ui = nce_feedback(sol, model, 0.3, np.array([1.0]), np.array([2.0]),
-                          np.array([0.5]), 1)
-    assert np.abs(u0).max() == 0.0
-    assert np.abs(ui).max() == 0.0
-
-
-def test_feedback_argument_validation(scalar_nce, scalar_model):
-    x = np.array([0.1])
-    with pytest.raises(TimeOutOfRange):
-        nce_feedback(scalar_nce, scalar_model, -0.1, x, x, x, 1)
-    with pytest.raises(TimeOutOfRange):
-        nce_feedback(scalar_nce, scalar_model, 1.5, x, x, x, 1)
-    with pytest.raises(IndexOutOfRange):
-        nce_feedback(scalar_nce, scalar_model, 0.5, x, x, x, 0)
-    with pytest.raises(IndexOutOfRange):
-        nce_feedback(scalar_nce, scalar_model, 0.5, x, x, x, 2)
+    G0, g0, G, g, _ = nce_gains(sol, np.array([0.3]))
+    for part in (G0, g0, G, g):
+        assert np.abs(part).max() == 0.0
 
 
 def test_blowup_model_returns_report(blowup_models, scalar_grid):

@@ -3,17 +3,23 @@ from lqmfg import asymptotic, cli, errors, master, nce, ode
 
 # Library surface deleted because no CLI path or acceptance criterion used
 # it; the size rule it held is ode.MEMORY_BUDGET alone, the scaled tiles
-# come from asymptotic.solve_tiles alone, and each error class carries its
-# own exit code.
+# come from asymptotic.solve_tiles alone, the limit system is the tile
+# system's solve at e = 0, the master residual lives in tests/helpers.py,
+# the feedback gains come from nce_gains/master_gains alone, and each
+# error class carries its own exit code.
 DELETED = {
-    lqmfg: ("BlowUp", "PermutationMismatch", "ResidualSample",
-            "integrate_forward", "propagate_mean_field", "residual_sample"),
-    asymptotic: ("DENSE_DIM_CAP", "EXCHANGE_TOL", "_capped_dim",
-                 "_rep_positions", "_solve_dense", "_swap_block_index"),
+    lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
+            "integrate_forward", "master_feedback", "master_residual",
+            "nce_feedback", "propagate_mean_field", "residual_sample"),
+    asymptotic: ("DENSE_DIM_CAP", "EXCHANGE_TOL", "PhiSolution",
+                 "_capped_dim", "_lambda_field", "_limit_consts",
+                 "_rep_positions", "_solve_dense", "_swap_block_index",
+                 "_tile_field"),
     cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
     errors: ("BlowUp", "PermutationMismatch"),
-    master: ("ResidualSample", "residual_sample"),
-    nce: ("propagate_mean_field",),
+    master: ("ResidualSample", "_fd_derivative", "master_feedback",
+             "master_residual", "residual_sample"),
+    nce: ("nce_feedback", "propagate_mean_field"),
     ode: ("integrate_forward",),
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
     asymptotic.LambdaSolution: ("M", "M0"),
