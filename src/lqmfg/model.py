@@ -6,13 +6,18 @@ matrices for both tiers, quadratic tracking costs with deviation matrices and
 offsets, control weights, a discount rate, a horizon, and the limiting type
 frequencies pi.
 
+The ValidatedModel declaration is the one schema of a model: it lists the
+fields in model-file key order, each array field with its shape (in the
+counts n, n1, n2, K) and its weight check. ModelParams, validate_model and
+the model-file reader and writer are all derived from it.
+
 Every solver consumes a ValidatedModel plus its PiLifted companion, which
 holds the pi-weighted horizontal liftings (row-Kronecker products with pi)
 and the congruence-transformed cost blocks acting on the stacked states
 (x0, zbar) and (z_kappa, x0, zbar).
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
 
@@ -54,16 +59,26 @@ def default_steps(T: float) -> int:
     """Default step count: 2000 covers horizons up to 5 at order-4 accuracy."""
     if T <= 5.0:
         return 2000
-    return int(np.ceil(400.0 * T))
+    steps = np.ceil(400.0 * T)
+    if not np.isfinite(steps):
+        raise ValueError(f"T = {T!r} is too long for the default grid of 400 "
+                         f"steps per unit time; pass --grid")
+    return int(steps)
 
 
-@dataclass
-class ModelParams:
-    """Raw model data as supplied by the user; nothing is checked here.
+def _array(*shape, weight=None):
+    """An array field of ValidatedModel: its shape as names of the count
+    fields, and "psd" or "pd" for a weight that must be semidefinite or
+    definite."""
+    return field(metadata={"shape": shape, "weight": weight})
 
-    Matrix arguments may be any array-like (nested lists straight from a
-    model file are fine); `A` holds the K minor drift matrices stacked along
-    the first axis.
+
+@dataclass(frozen=True)
+class ValidatedModel:
+    """A model that passed validate_model; arrays are float64 and read-only.
+
+    Fields are declared in model-file key order (`A` as A1..AK); each
+    array field's metadata holds its shape and weight check (see `_array`).
     """
 
     n: int
@@ -72,78 +87,49 @@ class ModelParams:
     K: int
     T: float
     rho: float
-    pi: object
-    A0: object
-    B0: object
-    F0: object
-    D0: object
-    A: object
-    B: object
-    F: object
-    G: object
-    D: object
-    Q0: object
-    Q0f: object
-    Q: object
-    Qf: object
-    Gamma0: object
-    Gamma0f: object
-    Gamma1: object
-    Gamma1f: object
-    Gamma2: object
-    Gamma2f: object
-    eta0: object
-    eta0f: object
-    eta: object
-    etaf: object
-    R0: object
-    R: object
-    alpha0: object
-    x0_mean: object
-    x0_cov: object
-    xi_cov: object
+    A: np.ndarray = _array("K", "n", "n")
+    pi: np.ndarray = _array("K")
+    A0: np.ndarray = _array("n", "n")
+    B0: np.ndarray = _array("n", "n1")
+    F0: np.ndarray = _array("n", "n")
+    D0: np.ndarray = _array("n", "n2")
+    B: np.ndarray = _array("n", "n1")
+    F: np.ndarray = _array("n", "n")
+    G: np.ndarray = _array("n", "n")
+    D: np.ndarray = _array("n", "n2")
+    Q0: np.ndarray = _array("n", "n", weight="psd")
+    Q0f: np.ndarray = _array("n", "n", weight="psd")
+    Q: np.ndarray = _array("n", "n", weight="psd")
+    Qf: np.ndarray = _array("n", "n", weight="psd")
+    R0: np.ndarray = _array("n1", "n1", weight="pd")
+    R: np.ndarray = _array("n1", "n1", weight="pd")
+    Gamma0: np.ndarray = _array("n", "n")
+    Gamma0f: np.ndarray = _array("n", "n")
+    Gamma1: np.ndarray = _array("n", "n")
+    Gamma1f: np.ndarray = _array("n", "n")
+    Gamma2: np.ndarray = _array("n", "n")
+    Gamma2f: np.ndarray = _array("n", "n")
+    eta0: np.ndarray = _array("n")
+    eta0f: np.ndarray = _array("n")
+    eta: np.ndarray = _array("n")
+    etaf: np.ndarray = _array("n")
+    alpha0: np.ndarray = _array("n")
+    x0_mean: np.ndarray = _array("n")
+    x0_cov: np.ndarray = _array("n", "n", weight="psd")
+    xi_cov: np.ndarray = _array("n", "n", weight="psd")
 
 
-@dataclass(frozen=True)
-class ValidatedModel:
-    """A model that passed validate_model; arrays are float64 and read-only."""
+ModelParams = make_dataclass(
+    "ModelParams",
+    [(f.name, object if f.metadata else f.type)
+     for f in fields(ValidatedModel)])
+ModelParams.__doc__ = """Raw model data as supplied by the user; nothing is checked here.
 
-    n: int
-    n1: int
-    n2: int
-    K: int
-    T: float
-    rho: float
-    pi: np.ndarray
-    A0: np.ndarray
-    B0: np.ndarray
-    F0: np.ndarray
-    D0: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    D: np.ndarray
-    Q0: np.ndarray
-    Q0f: np.ndarray
-    Q: np.ndarray
-    Qf: np.ndarray
-    Gamma0: np.ndarray
-    Gamma0f: np.ndarray
-    Gamma1: np.ndarray
-    Gamma1f: np.ndarray
-    Gamma2: np.ndarray
-    Gamma2f: np.ndarray
-    eta0: np.ndarray
-    eta0f: np.ndarray
-    eta: np.ndarray
-    etaf: np.ndarray
-    R0: np.ndarray
-    R: np.ndarray
-    alpha0: np.ndarray
-    x0_mean: np.ndarray
-    x0_cov: np.ndarray
-    xi_cov: np.ndarray
+    The fields are ValidatedModel's. Array fields may be any array-like
+    (nested lists straight from a model file are fine); `A` holds the K
+    minor drift matrices stacked along the first axis.
+    """
+ModelParams.__module__ = __name__
 
 
 @dataclass(frozen=True)
@@ -159,10 +145,8 @@ class PiLifted:
 
     F0_pi: np.ndarray
     Gamma0_pi: np.ndarray
-    Gamma0f_pi: np.ndarray
     F_pi: np.ndarray
     Gamma2_pi: np.ndarray
-    Gamma2f_pi: np.ndarray
     Q0_pi: np.ndarray
     Q0f_pi: np.ndarray
     eta0_pi: np.ndarray
@@ -181,139 +165,78 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_matrix(name: str, value, rows: int, cols: int) -> np.ndarray:
+def _as_array(name: str, value, shape: tuple) -> np.ndarray:
+    """The value as a finite float64 array of the declared shape.
+
+    Accepted shorthand: a scalar for an all-ones shape, a one-row or
+    one-column matrix for a vector, and a single n x n drift for A at K = 1.
+    """
     a = np.asarray(value, dtype=np.float64)
-    if a.ndim == 0 and rows == 1 and cols == 1:
-        a = a.reshape(1, 1)
-    if a.shape != (rows, cols):
-        raise DimensionMismatch(f"{name}: expected shape ({rows}, {cols}), got {a.shape}")
+    if a.ndim == 0 and all(d == 1 for d in shape):
+        a = a.reshape(shape)
+    elif len(shape) == 1 and a.ndim == 2 and 1 in a.shape:
+        a = a.reshape(-1)
+    elif len(shape) == 3 and a.ndim == 2 and shape[0] == 1:
+        a = a.reshape(1, *a.shape)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{name}: expected shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimensionMismatch(f"{name}: contains non-finite entries")
     return a
 
 
-def _as_vector(name: str, value, length: int) -> np.ndarray:
-    a = np.asarray(value, dtype=np.float64)
-    if a.ndim == 0 and length == 1:
-        a = a.reshape(1)
-    a = a.reshape(-1) if a.ndim == 2 and 1 in a.shape else a
-    if a.shape != (length,):
-        raise DimensionMismatch(f"{name}: expected length {length}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DimensionMismatch(f"{name}: contains non-finite entries")
-    return a
-
-
-def _symmetrize_weight(name: str, a: np.ndarray) -> np.ndarray:
-    drift = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+def _check_weight(name: str, a: np.ndarray, weight: str) -> np.ndarray:
+    """Repair a tiny asymmetry, then check the weight is PSD or PD."""
+    drift = float(np.max(np.abs(a - a.T)))
     if drift > SYMMETRY_REPAIR_TOL:
         raise DimensionMismatch(f"{name}: asymmetry {drift:.3e} exceeds repair tolerance")
-    return (a + a.T) / 2.0
-
-
-def _check_psd(name: str, a: np.ndarray) -> None:
-    w = np.linalg.eigvalsh(a)
-    if w[0] < PSD_EIG_FLOOR:
-        raise NotPSD(name, float(w[0]))
-
-
-def _check_pd(name: str, a: np.ndarray) -> None:
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0.0:
-        raise NotPD(name, float(w[0]))
+    a = (a + a.T) / 2.0
+    low = float(np.linalg.eigvalsh(a)[0])
+    if weight == "psd" and low < PSD_EIG_FLOOR:
+        raise NotPSD(name, low)
+    if weight == "pd" and low <= 0.0:
+        raise NotPD(name, low)
+    return a
 
 
 def validate_model(raw: ModelParams) -> ValidatedModel:
     """Check every model invariant and return an immutable canonical form.
 
-    Dimensions must be mutually consistent, the cost weights symmetric PSD
-    (tiny asymmetry from file round-trips is repaired), the control weights
-    symmetric PD, and pi a strictly positive probability vector.
+    Dimensions must be mutually consistent, T positive and rho nonnegative
+    (both finite), the cost weights symmetric PSD (tiny asymmetry from file
+    round-trips is repaired), the control weights symmetric PD, and pi a
+    strictly positive probability vector. Fields are checked in declaration
+    order, so the first faulty field is the one reported.
     """
-    n, n1, n2, K = int(raw.n), int(raw.n1), int(raw.n2), int(raw.K)
+    dims = {d: int(getattr(raw, d)) for d in ("n", "n1", "n2", "K")}
+    n, n1, n2, K = dims.values()
     if n < 1 or n1 < 1 or n2 < 1:
         raise DimensionMismatch(f"dimensions must be positive: n={n}, n1={n1}, n2={n2}")
     if K < 1:
         raise DimensionMismatch(f"K must be at least 1, got {K}")
     T = float(raw.T)
     rho = float(raw.rho)
-    if not (T > 0.0):
-        raise DimensionMismatch(f"T must be positive, got {T}")
-    if rho < 0.0:
-        raise DimensionMismatch(f"rho must be nonnegative, got {rho}")
+    if not (0.0 < T < np.inf):
+        raise DimensionMismatch(f"T must be positive and finite, got {T}")
+    if not (0.0 <= rho < np.inf):
+        raise DimensionMismatch(f"rho must be nonnegative and finite, got {rho}")
 
-    pi = _as_vector("pi", raw.pi, K)
+    arrays = {}
+    for f in fields(ValidatedModel):
+        if not f.metadata:
+            continue
+        shape = tuple(dims[d] for d in f.metadata["shape"])
+        a = _as_array(f.name, getattr(raw, f.name), shape)
+        if f.metadata["weight"]:
+            a = _check_weight(f.name, a, f.metadata["weight"])
+        arrays[f.name] = _freeze(a)
+
+    pi = arrays["pi"]
     if np.any(pi <= 0.0):
         raise BadPi(f"pi entries must be strictly positive, got {pi.tolist()}")
     if abs(float(pi.sum()) - 1.0) > 1e-12:
         raise BadPi(f"pi must sum to 1 within 1e-12, got sum {pi.sum()!r}")
-
-    A_raw = np.asarray(raw.A, dtype=np.float64)
-    if A_raw.ndim == 2 and K == 1:
-        A_raw = A_raw.reshape(1, *A_raw.shape)
-    if A_raw.ndim == 0 and K == 1 and n == 1:
-        A_raw = A_raw.reshape(1, 1, 1)
-    if A_raw.shape != (K, n, n):
-        raise DimensionMismatch(f"A: expected shape ({K}, {n}, {n}), got {A_raw.shape}")
-    if not np.all(np.isfinite(A_raw)):
-        raise DimensionMismatch("A: contains non-finite entries")
-
-    mats = {
-        "A0": _as_matrix("A0", raw.A0, n, n),
-        "B0": _as_matrix("B0", raw.B0, n, n1),
-        "F0": _as_matrix("F0", raw.F0, n, n),
-        "D0": _as_matrix("D0", raw.D0, n, n2),
-        "B": _as_matrix("B", raw.B, n, n1),
-        "F": _as_matrix("F", raw.F, n, n),
-        "G": _as_matrix("G", raw.G, n, n),
-        "D": _as_matrix("D", raw.D, n, n2),
-        "Gamma0": _as_matrix("Gamma0", raw.Gamma0, n, n),
-        "Gamma0f": _as_matrix("Gamma0f", raw.Gamma0f, n, n),
-        "Gamma1": _as_matrix("Gamma1", raw.Gamma1, n, n),
-        "Gamma1f": _as_matrix("Gamma1f", raw.Gamma1f, n, n),
-        "Gamma2": _as_matrix("Gamma2", raw.Gamma2, n, n),
-        "Gamma2f": _as_matrix("Gamma2f", raw.Gamma2f, n, n),
-    }
-    vecs = {
-        "eta0": _as_vector("eta0", raw.eta0, n),
-        "eta0f": _as_vector("eta0f", raw.eta0f, n),
-        "eta": _as_vector("eta", raw.eta, n),
-        "etaf": _as_vector("etaf", raw.etaf, n),
-        "alpha0": _as_vector("alpha0", raw.alpha0, n),
-        "x0_mean": _as_vector("x0_mean", raw.x0_mean, n),
-    }
-
-    psd_weights = {}
-    for name, rows in (("Q0", n), ("Q0f", n), ("Q", n), ("Qf", n),
-                       ("x0_cov", n), ("xi_cov", n)):
-        w = _symmetrize_weight(name, _as_matrix(name, getattr(raw, name), rows, rows))
-        _check_psd(name, w)
-        psd_weights[name] = w
-
-    pd_weights = {}
-    for name in ("R0", "R"):
-        w = _symmetrize_weight(name, _as_matrix(name, getattr(raw, name), n1, n1))
-        _check_pd(name, w)
-        pd_weights[name] = w
-
-    return ValidatedModel(
-        n=n, n1=n1, n2=n2, K=K, T=T, rho=rho,
-        pi=_freeze(pi),
-        A0=_freeze(mats["A0"]), B0=_freeze(mats["B0"]),
-        F0=_freeze(mats["F0"]), D0=_freeze(mats["D0"]),
-        A=_freeze(A_raw), B=_freeze(mats["B"]), F=_freeze(mats["F"]),
-        G=_freeze(mats["G"]), D=_freeze(mats["D"]),
-        Q0=_freeze(psd_weights["Q0"]), Q0f=_freeze(psd_weights["Q0f"]),
-        Q=_freeze(psd_weights["Q"]), Qf=_freeze(psd_weights["Qf"]),
-        Gamma0=_freeze(mats["Gamma0"]), Gamma0f=_freeze(mats["Gamma0f"]),
-        Gamma1=_freeze(mats["Gamma1"]), Gamma1f=_freeze(mats["Gamma1f"]),
-        Gamma2=_freeze(mats["Gamma2"]), Gamma2f=_freeze(mats["Gamma2f"]),
-        eta0=_freeze(vecs["eta0"]), eta0f=_freeze(vecs["eta0f"]),
-        eta=_freeze(vecs["eta"]), etaf=_freeze(vecs["etaf"]),
-        R0=_freeze(pd_weights["R0"]), R=_freeze(pd_weights["R"]),
-        alpha0=_freeze(vecs["alpha0"]), x0_mean=_freeze(vecs["x0_mean"]),
-        x0_cov=_freeze(psd_weights["x0_cov"]), xi_cov=_freeze(psd_weights["xi_cov"]),
-    )
+    return ValidatedModel(**dims, T=T, rho=rho, **arrays)
 
 
 def _row_kron(pi: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -353,10 +276,8 @@ def lift_pi(model: ValidatedModel) -> PiLifted:
     return PiLifted(
         F0_pi=_freeze(F0_pi),
         Gamma0_pi=_freeze(Gamma0_pi),
-        Gamma0f_pi=_freeze(Gamma0f_pi),
         F_pi=_freeze(F_pi),
         Gamma2_pi=_freeze(Gamma2_pi),
-        Gamma2f_pi=_freeze(Gamma2f_pi),
         Q0_pi=_freeze(_congruence(S0, model.Q0)),
         Q0f_pi=_freeze(_congruence(S0f, model.Q0f)),
         eta0_pi=_freeze(S0.T @ (model.Q0 @ model.eta0)),

@@ -2,34 +2,29 @@
 
 One assignment per key; `#` starts a comment; matrix values are bracketed
 row-major literals and may continue across lines until the brackets
-balance. Hand-editable by design. The full key set:
+balance. Hand-editable by design. The keys are the fields of
+`model.ValidatedModel`, in its declaration order, with the K minor drifts
+`A` written one per type as A1..AK:
 
-    n n1 n2 K T rho pi
-    A0 B0 F0 D0  A1..AK B F G D
+    n n1 n2 K T rho A1..AK pi
+    A0 B0 F0 D0 B F G D
     Q0 Q0f Q Qf R0 R
     Gamma0 Gamma0f Gamma1 Gamma1f Gamma2 Gamma2f
     eta0 eta0f eta etaf
     alpha0 x0_mean x0_cov xi_cov
+
+That declaration also picks how each key is read: its count fields as
+integers, T and rho as reals, and every other key as a numeric array.
 """
 
 import ast
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import ModelFileError
 from .model import ModelParams, ValidatedModel, validate_model
-
-_INT_KEYS = ("n", "n1", "n2", "K")
-_FLOAT_KEYS = ("T", "rho")
-# every remaining ModelParams field except the per-type A1..AK family
-_ARRAY_KEYS = (
-    "pi", "A0", "B0", "F0", "D0", "B", "F", "G", "D",
-    "Q0", "Q0f", "Q", "Qf", "R0", "R",
-    "Gamma0", "Gamma0f", "Gamma1", "Gamma1f", "Gamma2", "Gamma2f",
-    "eta0", "eta0f", "eta", "etaf",
-    "alpha0", "x0_mean", "x0_cov", "xi_cov",
-)
 
 
 def _strip_comment(line: str) -> str:
@@ -113,27 +108,26 @@ def parse_model_file(path: str) -> ModelParams:
             raise ModelFileError(
                 f"{path}: {key!r} must be a numeric array: {exc}") from exc
 
-    fields = {}
-    for key in _INT_KEYS:
-        fields[key] = integer(key)
-    for key in _FLOAT_KEYS:
-        fields[key] = real(key)
-    K = fields["K"]
-    if K < 1:
-        raise ModelFileError(f"{path}: 'K' must be at least 1, got {K}")
-    A_list = [np.atleast_2d(array(f"A{k}")) for k in range(1, K + 1)]
-    for k, a in enumerate(A_list[1:], start=2):
-        if a.shape != A_list[0].shape:
-            raise ModelFileError(
-                f"{path}: 'A{k}' has shape {a.shape}, but 'A1' has shape "
-                f"{A_list[0].shape}")
-    fields["A"] = np.stack(A_list)
-    for key in _ARRAY_KEYS:
-        fields[key] = array(key)
+    def drifts(K):
+        if K < 1:
+            raise ModelFileError(f"{path}: 'K' must be at least 1, got {K}")
+        A_list = [np.atleast_2d(array(f"A{k}")) for k in range(1, K + 1)]
+        for k, a in enumerate(A_list[1:], start=2):
+            if a.shape != A_list[0].shape:
+                raise ModelFileError(
+                    f"{path}: 'A{k}' has shape {a.shape}, but 'A1' has shape "
+                    f"{A_list[0].shape}")
+        return np.stack(A_list)
+
+    read = {int: integer, float: real, np.ndarray: array}
+    values = {}
+    for f in fields(ValidatedModel):
+        values[f.name] = (drifts(values["K"]) if f.name == "A"
+                          else read[f.type](f.name))
     if entries:
         stray = ", ".join(sorted(entries))
         raise ModelFileError(f"{path}: unknown keys: {stray}")
-    return ModelParams(**fields)
+    return ModelParams(**values)
 
 
 def load_model(path: str) -> ValidatedModel:
@@ -148,18 +142,19 @@ def _render(value) -> str:
 
 
 def write_model_file(path: str, params: ModelParams, header: str = ""):
-    """Emit a model file that parse_model_file reads back exactly."""
+    """Emit a model file that parse_model_file reads back exactly; `params`
+    is a ModelParams or a ValidatedModel."""
     lines = []
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
-    for key in _INT_KEYS:
-        lines.append(f"{key} = {int(getattr(params, key))}")
-    for key in _FLOAT_KEYS:
-        lines.append(f"{key} = {_render(getattr(params, key))}")
-    A = np.asarray(params.A, dtype=np.float64)
-    for k in range(A.shape[0]):
-        lines.append(f"A{k + 1} = {_render(A[k])}")
-    for key in _ARRAY_KEYS:
-        lines.append(f"{key} = {_render(getattr(params, key))}")
+    for f in fields(ValidatedModel):
+        value = getattr(params, f.name)
+        if f.name == "A":
+            lines.extend(f"A{k} = {_render(a)}" for k, a in
+                         enumerate(np.asarray(value, dtype=np.float64), start=1))
+        elif f.type is int:
+            lines.append(f"{f.name} = {int(value)}")
+        else:
+            lines.append(f"{f.name} = {_render(value)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -168,6 +168,15 @@ def test_missing_model_file(tmp_path, capsys):
     assert "nope.model" in capsys.readouterr().err
 
 
+def _scalar_with(tmp_path, key, value):
+    """The shipped scalar model with one key's value replaced."""
+    lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
+             for line in Path(SCALAR).read_text().splitlines()]
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("key,value", [
     ("n", "[1]"), ("T", "[1.0]"), ("A0", "{1: 2}"), ("K", "1e400"),
     ("n", "1.7"), ("n1", "True"), ("rho", "'0.1'"), ("pi", "[[1.0], [2.0, 3.0]]"),
@@ -175,16 +184,34 @@ def test_missing_model_file(tmp_path, capsys):
 def test_wrongly_typed_model_values_exit_one(tmp_path, capsys, key, value):
     """A value of the wrong type names its key and exits 1 before any
     solve; a non-integral or bool count is refused, not truncated."""
-    lines = Path(SCALAR).read_text().splitlines()
-    lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line
-             for line in lines]
-    path = tmp_path / "bad.model"
-    path.write_text("\n".join(lines) + "\n")
+    path = _scalar_with(tmp_path, key, value)
     with mock.patch("lqmfg.nce.solve_nce", side_effect=AssertionError):
-        code = main(["solve", "nce", "--model", str(path), "--out",
+        code = main(["solve", "nce", "--model", path, "--out",
                      str(tmp_path / "out")])
     assert code == 1
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["T", "rho"])
+def test_non_finite_horizon_or_discount_exits_one(tmp_path, capsys, key):
+    """1e400 reads as inf; it is refused with its key before any solve."""
+    path = _scalar_with(tmp_path, key, "1e400")
+    with mock.patch("lqmfg.nce.solve_nce", side_effect=AssertionError):
+        code = main(["solve", "nce", "--model", path, "--out",
+                     str(tmp_path / "out")])
+    assert code == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
+def test_horizon_past_the_default_grid_exits_one(tmp_path, capsys):
+    """A finite T whose default step count overflows names T and --grid."""
+    path = _scalar_with(tmp_path, "T", "1e308")
+    code = main(["solve", "nce", "--model", path, "--out",
+                 str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: T = 1e+308")
+    assert "--grid" in err and "Traceback" not in err
 
 
 def test_drifts_of_different_shapes_exit_one(tmp_path, capsys):

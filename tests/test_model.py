@@ -1,11 +1,14 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lqmfg import (BadPi, DimensionMismatch, NotPD, NotPSD, TimeGrid,
-                   block_selector, default_steps, lift_pi, validate_model)
+                   ValidatedModel, block_selector, default_steps, lift_pi,
+                   validate_model)
 
-from helpers import build_model, scalar_coupled
+from helpers import _random_params, build_model, scalar_coupled
 
 SMALL = st.integers(min_value=1, max_value=3)
 
@@ -31,6 +34,13 @@ def test_default_steps_scales_with_horizon():
     assert default_steps(10.0) >= 4000
 
 
+def test_default_steps_refuses_a_horizon_past_float_range():
+    """400 steps per unit time overflow to inf here; the error names T and
+    points to an explicit grid instead of an OverflowError."""
+    with pytest.raises(ValueError, match=r"T = 1e\+308 .*--grid"):
+        default_steps(1e308)
+
+
 def test_validated_model_shapes():
     model = scalar_coupled()
     assert model.A.shape == (1, 1, 1)
@@ -48,6 +58,118 @@ def test_weight_psd_enforced():
         build_model(Q0=np.array([[-0.5]]))
     with pytest.raises(NotPD, match="R"):
         build_model(R=np.array([[0.0]]))
+
+
+# n, n1, n2 and K all differ from 1 and, but for n1 = K, from each other, so
+# a shape can only pass with the right counts and every weight has an
+# off-diagonal entry.
+DIMS, TYPES = (2, 3, 4), 3
+ARRAYS = [f for f in fields(ValidatedModel) if f.metadata]
+WEIGHTS = [f for f in ARRAYS if f.metadata["weight"]]
+VECTORS = [f for f in ARRAYS if len(f.metadata["shape"]) == 1]
+
+
+def _params():
+    return _random_params(np.random.default_rng(4), TYPES, dims=DIMS)
+
+
+def _with(name, value):
+    return validate_model(replace(_params(), **{name: value}))
+
+
+def test_the_declaration_names_every_count():
+    dims = dict(zip(("n", "n1", "n2", "K"), (*DIMS, TYPES)))
+    model = validate_model(_params())
+    for f in ARRAYS:
+        shape = tuple(dims[d] for d in f.metadata["shape"])
+        assert getattr(model, f.name).shape == shape, f.name
+
+
+@pytest.mark.parametrize("f", ARRAYS, ids=lambda f: f.name)
+def test_wrong_shape_or_non_finite_entry_names_the_field(f):
+    a = np.asarray(getattr(_params(), f.name), dtype=np.float64)
+    with pytest.raises(DimensionMismatch, match=rf"^{f.name}: expected shape"):
+        _with(f.name, np.concatenate([a, a[..., :1]], axis=-1))
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b.flat[-1] = bad
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^{f.name}: contains non-finite"):
+            _with(f.name, b)
+
+
+@pytest.mark.parametrize("f", WEIGHTS, ids=lambda f: f.name)
+def test_weights_are_checked_for_symmetry_and_sign(f):
+    a = np.asarray(getattr(_params(), f.name), dtype=np.float64)
+    d = a.shape[0]
+    error = NotPD if f.metadata["weight"] == "pd" else NotPSD
+    with pytest.raises(error) as info:
+        _with(f.name, a - (np.linalg.eigvalsh(a)[-1] + 1.0) * np.eye(d))
+    assert info.value.name == f.name
+    assert info.value.min_eigenvalue < 0.0
+    skew = a.copy()
+    skew[0, 1] += 2e-12
+    with pytest.raises(DimensionMismatch, match=rf"^{f.name}: asymmetry"):
+        _with(f.name, skew)
+    skew[0, 1] -= 1.5e-12
+    repaired = getattr(_with(f.name, skew), f.name)
+    assert np.array_equal(repaired, repaired.T)
+
+
+def test_control_weights_must_be_definite():
+    for name in ("R0", "R"):
+        with pytest.raises(NotPD) as info:
+            _with(name, np.zeros((DIMS[1], DIMS[1])))
+        assert info.value.name == name
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n", 0), ("n1", 0), ("n2", -1), ("K", 0),
+    ("T", 0.0), ("T", -1.0), ("T", np.inf), ("T", np.nan),
+    ("rho", -0.1), ("rho", np.inf), ("rho", np.nan),
+])
+def test_bad_counts_horizon_or_discount_name_the_field(name, value):
+    with pytest.raises(DimensionMismatch, match=rf"\b{name}\b"):
+        _with(name, value)
+
+
+@pytest.mark.parametrize("f", ARRAYS, ids=lambda f: f.name)
+def test_a_scalar_stands_for_an_all_ones_shape(f):
+    base = build_model()
+    value = getattr(base, f.name).reshape(-1)[0]
+    model = build_model(**{f.name: float(value)})
+    assert getattr(model, f.name).shape == (1,) * len(f.metadata["shape"])
+    assert np.array_equal(getattr(model, f.name), getattr(base, f.name))
+    with pytest.raises(DimensionMismatch, match=rf"^{f.name}: expected shape"):
+        _with(f.name, float(value))
+
+
+@pytest.mark.parametrize("f", VECTORS, ids=lambda f: f.name)
+def test_a_one_row_or_one_column_matrix_stands_for_a_vector(f):
+    a = np.asarray(getattr(_params(), f.name), dtype=np.float64)
+    model = validate_model(_params())
+    for form in (a[None, :], a[:, None]):
+        assert np.array_equal(getattr(_with(f.name, form), f.name),
+                              getattr(model, f.name))
+
+
+def test_a_single_drift_stands_for_a_at_one_type():
+    a = np.array([[-0.5, 0.1], [0.2, -0.4]])
+    params = _random_params(np.random.default_rng(4), 1, dims=(2, 1, 1))
+    model = validate_model(replace(params, A=a))
+    assert model.A.shape == (1, 2, 2)
+    assert np.array_equal(model.A[0], a)
+    with pytest.raises(DimensionMismatch, match=r"^A: expected shape"):
+        _with("A", a)
+
+
+def test_a_vector_does_not_stand_for_a_one_column_matrix():
+    params = _random_params(np.random.default_rng(4), 1, dims=(2, 1, 1))
+    for name in ("B0", "D0", "B", "D"):
+        column = np.asarray(getattr(params, name))
+        assert column.shape == (2, 1)
+        with pytest.raises(DimensionMismatch, match=rf"^{name}: expected"):
+            validate_model(replace(params, **{name: column[:, 0]}))
 
 
 def test_pi_must_be_probability_vector():

@@ -1,0 +1,50 @@
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from lqmfg import (ValidatedModel, load_model, parse_model_file,
+                   validate_model, write_model_file)
+
+from helpers import _random_params
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+SMALL = st.integers(min_value=1, max_value=3)
+
+
+def assert_bitwise(a, b):
+    for f in fields(ValidatedModel):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("name", ["scalar", "twotype"])
+@pytest.mark.parametrize("read", [parse_model_file, load_model])
+def test_shipped_models_are_written_back_byte_for_byte(tmp_path, name, read):
+    path = MODELS / f"{name}.model"
+    text = path.read_text()
+    header = text.splitlines()[0].removeprefix("# ")
+    out = tmp_path / "out.model"
+    write_model_file(str(out), read(str(path)), header=header)
+    assert out.read_text() == text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=SMALL, n1=SMALL, n2=SMALL, K=SMALL, seed=st.integers(0, 2**31))
+def test_write_parse_validate_returns_every_field(tmp_path, n, n1, n2, K,
+                                                  seed):
+    """Raw parameters and validated models both survive a model file bit
+    for bit."""
+    params = _random_params(np.random.default_rng(seed), K, dims=(n, n1, n2))
+    model = validate_model(params)
+    path = str(tmp_path / "m.model")
+    for source in (params, model):
+        write_model_file(path, source)
+        assert_bitwise(load_model(path), model)

@@ -1,12 +1,13 @@
 import lqmfg
-from lqmfg import asymptotic, cli, errors, master, nce, ode
+from lqmfg import asymptotic, cli, errors, master, model, modelfile, nce, ode
 
 # Library surface deleted because no CLI path or acceptance criterion used
 # it; the size rule it held is ode.MEMORY_BUDGET alone, the scaled tiles
 # come from asymptotic.solve_tiles alone, the limit system is the tile
 # system's solve at e = 0, the master residual lives in tests/helpers.py,
-# the feedback gains come from nce_gains/master_gains alone, and each
-# error class carries its own exit code.
+# the feedback gains come from nce_gains/master_gains alone, each error
+# class carries its own exit code, and the ValidatedModel declaration alone
+# lists the model's fields, shapes and weight checks.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -17,6 +18,9 @@ DELETED = {
                  "_tile_field"),
     cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
     errors: ("BlowUp", "PermutationMismatch"),
+    model: ("_as_matrix", "_as_vector", "_check_pd", "_check_psd",
+            "_symmetrize_weight"),
+    modelfile: ("_ARRAY_KEYS", "_FLOAT_KEYS", "_INT_KEYS"),
     master: ("ResidualSample", "_fd_derivative", "master_feedback",
              "master_residual", "residual_sample"),
     nce: ("nce_feedback", "propagate_mean_field"),
@@ -24,6 +28,7 @@ DELETED = {
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
     asymptotic.LambdaSolution: ("M", "M0"),
     asymptotic.StructureReport: ("exponents", "scaled_tiles", "tiles"),
+    model.PiLifted: ("Gamma0f_pi", "Gamma2f_pi"),
 }
 
 
