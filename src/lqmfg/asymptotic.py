@@ -27,11 +27,11 @@ import numpy as np
 
 from .equations import compile_field
 from .errors import GridMismatch, KNotOne
-from .master import DiffReport
+from .master import DiffReport, _max_node_l1
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
-from .ode import (BlowUpReport, MatrixPath, StateLayout, check_budget,
-                  integrate_backward)
+from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
+                  StateLayout, check_budget, integrate_backward)
 
 # Tiles closer than this (l1, up to transpose) belong to one cluster.
 TILE_TOL = 1e-8
@@ -247,8 +247,9 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
     the Riccati prefix comes first, then that of Riccati plus offsets."""
     red = _ReducedFields(sys)
     d = sys.dim
-    layout = StateLayout([(d, d), (d, d), (d,), (d,)],
-                         symmetric=(True, True, False, False), levels=(2,))
+    layout = StateLayout([("P0_big", (d, d), "kernel"),
+                          ("P1_big", (d, d), "kernel"),
+                          ("S0_big", (d,), "vector"), ("S1_big", (d,), "vector")])
 
     def field(t, flat):
         return layout.pack(*red.derivatives(*layout.split(flat)))
@@ -259,18 +260,12 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
     if isinstance(path, BlowUpReport):
         return path
 
-    P0, P1, S0, S1 = layout.split(path.values)
-    return FiniteNSolution(
-        model=sys.model, N=sys.N, grid=grid,
-        P0_big=MatrixPath(grid, P0),
-        P1_big=MatrixPath(grid, P1),
-        S0_big=MatrixPath(grid, S0.copy()),
-        S1_big=MatrixPath(grid, S1.copy()),
-    )
+    return FiniteNSolution(model=sys.model, N=sys.N, grid=grid,
+                           **layout.paths(path))
 
 
 def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
-                   threshold: float = 1e12):
+                   threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the N+1-player Riccati/offset system, integrating only the
     two representative players via exchangeability. A stored path above
     the memory budget raises NTooLargeForMemory before anything is
@@ -376,6 +371,14 @@ def _input_weights(model: ValidatedModel):
             model.B @ np.linalg.solve(model.R, model.B.T))
 
 
+def _layout(n: int) -> StateLayout:
+    """The limit and tile state: the nine kernel blocks L + key in
+    BLOCK_KEYS order, then the five offsets in OFFSET_KEYS order."""
+    return StateLayout(
+        [("L" + key, (n, n), "kernel" if key in _SYMMETRIC_KEYS else "matrix")
+         for key in BLOCK_KEYS] + [(key, (n,), "vector") for key in OFFSET_KEYS])
+
+
 def _field(model: ValidatedModel, equations: tuple, e: float):
     """The field of `equations` (_LIMIT_EQUATIONS or _TILE_EQUATIONS) at
     e = 1/N (e = 0 is the limit), state in BLOCK_KEYS then OFFSET_KEYS
@@ -390,9 +393,7 @@ def _field(model: ValidatedModel, equations: tuple, e: float):
               "G2": model.Gamma2, "rho": model.rho,
               "eta0": model.eta0.reshape(n, 1), "eta": model.eta.reshape(n, 1),
               "e": e, "e1": 1.0 - e}
-    state = (tuple(("L" + key, (n, n)) for key in BLOCK_KEYS)
-             + tuple((key, (n, 1)) for key in OFFSET_KEYS))
-    return compile_field(state, consts, _LAMBDA_NAMES, equations)
+    return compile_field(_layout(n).slots, consts, _LAMBDA_NAMES, equations)
 
 
 def _tile_terminal(model: ValidatedModel, e: float) -> tuple:
@@ -439,12 +440,7 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
     Returns (flat path values, kernel blocks, offsets), or the
     BlowUpReport.
     """
-    n = model.n
-    layout = StateLayout(
-        [(n, n)] * len(BLOCK_KEYS) + [(n, 1)] * len(OFFSET_KEYS),
-        symmetric=[key in _SYMMETRIC_KEYS for key in BLOCK_KEYS]
-        + [False] * len(OFFSET_KEYS),
-        levels=(len(BLOCK_KEYS),))
+    layout = _layout(model.n)
     field = _field(model, equations, e)
     terminal = layout.pack(*_tile_terminal(model, e))
     if weights is not None and not weights.all():
@@ -456,12 +452,9 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
                               weights=weights)
     if isinstance(path, BlowUpReport):
         return path
-    parts = layout.split(path.values)
-    blocks = {key: MatrixPath(grid, part.copy())
-              for key, part in zip(BLOCK_KEYS, parts)}
-    offsets = {key: MatrixPath(grid, part[..., 0].copy())
-               for key, part in zip(OFFSET_KEYS, parts[len(BLOCK_KEYS):])}
-    return path.values, blocks, offsets
+    paths = layout.paths(path)
+    return (path.values, {key: paths["L" + key] for key in BLOCK_KEYS},
+            {key: paths[key] for key in OFFSET_KEYS})
 
 
 @dataclass(frozen=True)
@@ -477,7 +470,7 @@ class LambdaSolution:
 
 
 def solve_lambda(model: ValidatedModel, grid: TimeGrid,
-                 threshold: float = 1e12):
+                 threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Integrate the limit system, nine n-by-n kernel blocks and five
     offset n-vectors, backward from T.
 
@@ -515,7 +508,7 @@ class TileSolution:
 
 
 def solve_tiles(model: ValidatedModel, N: int, grid: TimeGrid,
-                threshold: float = 1e12):
+                threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the N+1-player Riccati/offset system on its distinct tiles:
     9n^2 + 5n floats and O(n^3) work per step for every N.
 
@@ -570,10 +563,8 @@ def compare_lambda_phi(lam: LambdaSolution, phi: LambdaSolution,
     """Max-over-nodes l1 differences of the nine kernel block pairs."""
     if not lam.grid.same_as(phi.grid):
         raise GridMismatch("solutions live on different grids")
-    diffs = {}
-    for key in BLOCK_KEYS:
-        d = np.abs(lam.blocks[key].values - phi.blocks[key].values)
-        diffs[key] = float(d.reshape(d.shape[0], -1).sum(axis=1).max())
+    diffs = {key: _max_node_l1(lam.blocks[key].values, phi.blocks[key].values)
+             for key in BLOCK_KEYS}
     return DiffReport(diffs=diffs, tol=tol)
 
 
@@ -692,7 +683,8 @@ class SolvabilityReport:
 
 def check_asymptotic_solvability(model: ValidatedModel, N_list,
                                  grid: TimeGrid,
-                                 threshold: float = 1e12) -> SolvabilityReport:
+                                 threshold: float = DEFAULT_BLOWUP_THRESHOLD
+                                 ) -> SolvabilityReport:
     """Solve the finite system across N and test boundedness of the norms.
 
     N_list is sorted and de-duplicated first, so the verdict does not

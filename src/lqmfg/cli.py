@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import asymptotic, master, nce, sim
-from .errors import EmptyType, LQMFGError
+from .errors import LQMFGError
 from .modelfile import load_model
 from .model import TimeGrid, default_steps
 from .ode import BlowUpReport, MatrixPath
@@ -358,6 +358,36 @@ def _downsample(k: int, total: int) -> np.ndarray:
     return idx
 
 
+def _simulate_seed(args, model, sol, N: int, seed: int, out: str):
+    """Simulate one seed and write its path and error tables; return its
+    sup-node empirical-mean error and the costs of players 0 and 1."""
+    traj = sim.simulate(model, N, sol, dt=args.dt, seed=seed,
+                        type_counts=args.type_counts,
+                        use_empirical=args.use_empirical)
+    err = sim.empirical_mean_error(traj)
+
+    idx = _downsample(200, traj.times.shape[0])
+    show = min(N, 3)
+    names = (["t"] + _entry_names("X0", (model.n,))
+             + _entry_names("Zbar", (model.n * model.K,))
+             + _entry_names("U0", (model.n1,)))
+    for i in range(show):
+        names += _entry_names(f"X{i + 1}", (model.n,))
+    players = traj.X[:show, idx].transpose(1, 0, 2).reshape(idx.size, -1)
+    _write_table(os.path.join(out, f"sim_traj_N{N}_seed{seed}.csv"),
+                 names, traj.times[idx],
+                 np.hstack([traj.X0[idx], traj.Zbar[idx], traj.U0[idx],
+                            players]))
+
+    # the type column as floats: "%.17g" prints 2.0 as "2"
+    types = np.repeat(np.arange(1.0, model.K + 1.0), idx.size)
+    _write_table(os.path.join(out, f"sim_error_N{N}_seed{seed}.csv"),
+                 ["t", "type", "error"], np.tile(err.times[idx], model.K),
+                 np.column_stack([types, err.per_type[:, idx].ravel()]))
+    return err.sup, [sim.evaluate_cost(model, [traj], player).mean
+                     for player in (0, 1)]
+
+
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     grid = _make_grid(args, model)
@@ -369,18 +399,13 @@ def cmd_simulate(args) -> int:
                          f"{','.join(str(N) for N in args.N)}")
     if args.type_counts is not None and len(args.N) != 1:
         raise ValueError("--type-counts only applies to a single --N")
-    # seeds, size, step and memory first, then the per-type empirical-mean
-    # error needs players of every type: all before the feedback solve
+    # seeds, size, step, memory and type counts, all before the feedback
+    # solve; the per-type empirical-mean error needs players of every type
     for seed in args.seed:
         sim.check_seed(seed)
     for N in args.N:
         sim.simulation_steps(model, grid, N, args.dt)
-        counts = (sim.default_type_counts(model, N) if args.type_counts is None
-                  else args.type_counts)
-        empty = [k + 1 for k, c in enumerate(counts) if c == 0]
-        if empty:
-            raise EmptyType(f"no players of type {empty[0]} at N={N} "
-                            f"(type counts {','.join(str(int(c)) for c in counts)})")
+        sim.check_every_type(sim.check_type_counts(model, N, args.type_counts))
 
     if args.feedback == "master":
         sol = master.solve_master(model, grid)
@@ -392,40 +417,15 @@ def cmd_simulate(args) -> int:
     sup_by_N = []
     cost_lines = ["N,player,mean,std_error,samples"]
     for N in args.N:
-        batch = []
-        sups = []
-        for seed in args.seed:
-            traj = sim.simulate(model, N, sol, dt=args.dt, seed=seed,
-                                type_counts=args.type_counts,
-                                use_empirical=args.use_empirical)
-            batch.append(traj)
-            err = sim.empirical_mean_error(traj)
-            sups.append(err.sup)
-
-            idx = _downsample(200, traj.times.shape[0])
-            show = min(N, 3)
-            names = (["t"] + _entry_names("X0", (model.n,))
-                     + _entry_names("Zbar", (model.n * model.K,))
-                     + _entry_names("U0", (model.n1,)))
-            for i in range(show):
-                names += _entry_names(f"X{i + 1}", (model.n,))
-            players = traj.X[:show, idx].transpose(1, 0, 2).reshape(idx.size, -1)
-            _write_table(os.path.join(out, f"sim_traj_N{N}_seed{seed}.csv"),
-                         names, traj.times[idx],
-                         np.hstack([traj.X0[idx], traj.Zbar[idx], traj.U0[idx],
-                                    players]))
-
-            # the type column as floats: "%.17g" prints 2.0 as "2"
-            types = np.repeat(np.arange(1.0, model.K + 1.0), idx.size)
-            _write_table(os.path.join(out, f"sim_error_N{N}_seed{seed}.csv"),
-                         ["t", "type", "error"], np.tile(err.times[idx], model.K),
-                         np.column_stack([types, err.per_type[:, idx].ravel()]))
-
+        # (sup error, (cost 0, cost 1)) per seed: each trajectory is gone
+        # before the next is simulated, so many seeds need the memory of one
+        runs = [_simulate_seed(args, model, sol, N, seed, out)
+                for seed in args.seed]
         for player in (0, 1):
-            est = sim.evaluate_cost(model, batch, player)
+            est = sim.cost_estimate(player, [run[1][player] for run in runs])
             cost_lines.append(f"{N},{player},{_fmt(est.mean)},"
                               f"{_fmt(est.std_error)},{est.samples}")
-        sup_by_N.append(math.fsum(sups) / len(sups))
+        sup_by_N.append(math.fsum(run[0] for run in runs) / len(runs))
 
     _write_lines(os.path.join(out, "sim_costs.csv"), cost_lines)
 

@@ -30,7 +30,8 @@ from .equations import compile_field
 from .errors import GridMismatch
 from .model import PiLifted, TimeGrid, ValidatedModel, block_selector, lift_pi
 from .nce import NCESolution
-from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
+from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
+                  StateLayout, integrate_backward)
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,11 @@ class _Blocks:
         self.DDT = model.D @ model.D.T
         self.eta0_q = float(model.eta0 @ model.Q0 @ model.eta0)
         self.eta_q = float(model.eta @ model.Q @ model.eta)
-        # (Pd0, Pd, sd0, sd, rd0, rd), rd0 as a length-1 vector; kernels,
-        # then kernels plus offsets, are the inner escape levels
-        self.layout = StateLayout(
-            [(self.d0, self.d0), (K, self.d1, self.d1), (self.d0,), (K, self.d1),
-             (1,), (K,)],
-            symmetric=(True, True, False, False, False, False), levels=(2, 4))
+        self.layout = StateLayout([
+            ("Pd0", (self.d0, self.d0), "kernel"),
+            ("Pd", (K, self.d1, self.d1), "kernel"),
+            ("sd0", (self.d0,), "vector"), ("sd", (K, self.d1), "vector"),
+            ("rd0", (), "scalar"), ("rd", (K,), "scalar")])
 
         consts = {
             "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
@@ -148,11 +148,8 @@ class _Blocks:
             "rho": model.rho,
         }
         # d(state)/dt of the flat state, as a new flat array
-        self.field = compile_field(
-            (("Pd0", (self.d0, self.d0)), ("Pd", (K, self.d1, self.d1)),
-             ("sd0", (self.d0, 1)), ("sd", (K, self.d1, 1)),
-             ("rd0", (1, 1)), ("rd", (K, 1, 1))),
-            consts, _MASTER_NAMES, _MASTER_EQUATIONS, {"n": n, "K": K})
+        self.field = compile_field(self.layout.slots, consts, _MASTER_NAMES,
+                                   _MASTER_EQUATIONS, {"n": n, "K": K})
 
     def mean_field_rows(self, Pd):
         """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.
@@ -179,7 +176,8 @@ class _Blocks:
         return (-(sd[..., :n] @ self.M.T)).reshape(sd.shape[:-2] + (self.K * n,))
 
 
-def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
+def solve_master(model: ValidatedModel, grid: TimeGrid,
+                 threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the quadratic-coefficient ODE system, or report finite escape.
 
     Kernels, offsets and constants are integrated in one pass. Escape is
@@ -205,19 +203,12 @@ def solve_master(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12)
     if isinstance(path, BlowUpReport):
         return path
 
-    Pd0_path, Pd_path, sd0_path, sd_path, rd0_path, rd_path = layout.split(
-        path.values)
-    Abar_path, Gbar_path = blocks.mean_field_rows(Pd_path)
-    mbar_path = blocks.mbar_vec(sd_path)
+    paths = layout.paths(path)
+    Abar_path, Gbar_path = blocks.mean_field_rows(paths["Pd"].values)
+    mbar_path = blocks.mbar_vec(paths["sd"].values)
 
     return MasterSolution(
-        model=model, lifted=lifted, grid=grid,
-        Pd0=MatrixPath(grid, Pd0_path),
-        Pd=MatrixPath(grid, Pd_path),
-        sd0=MatrixPath(grid, sd0_path),
-        sd=MatrixPath(grid, sd_path),
-        rd0=MatrixPath(grid, rd0_path[:, 0].copy()),
-        rd=MatrixPath(grid, rd_path.copy()),
+        model=model, lifted=lifted, grid=grid, **paths,
         Abar_dag=MatrixPath(grid, Abar_path),
         Gbar_dag=MatrixPath(grid, Gbar_path),
         mbar_dag=MatrixPath(grid, mbar_path),

@@ -170,8 +170,9 @@ def _as_array(name: str, value, shape: tuple) -> np.ndarray:
 
     Accepted shorthand: a scalar for an all-ones shape, a one-row or
     one-column matrix for a vector, and a single n x n drift for A at K = 1.
+    The array is a copy: the model never shares (or freezes) the caller's.
     """
-    a = np.asarray(value, dtype=np.float64)
+    a = np.array(value, dtype=np.float64)
     if a.ndim == 0 and all(d == 1 for d in shape):
         a = a.reshape(shape)
     elif len(shape) == 1 and a.ndim == 2 and 1 in a.shape:

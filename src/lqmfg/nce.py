@@ -28,7 +28,8 @@ import numpy as np
 
 from .equations import compile_field
 from .model import PiLifted, TimeGrid, ValidatedModel, lift_pi
-from .ode import BlowUpReport, MatrixPath, StateLayout, integrate_backward
+from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
+                  StateLayout, integrate_backward)
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ class _Workspace:
         # Small-space pieces for the algebraic constraints.
         self.BRB = model.B @ np.linalg.solve(model.R, model.B.T)
 
-        # (P0, P, s0, s); the kernels are the inner escape level
-        self.layout = StateLayout(
-            [(self.d0, self.d0), (K, self.d1, self.d1), (self.d0,), (K, self.d1)],
-            symmetric=(True, True, False, False), levels=(2,))
+        self.layout = StateLayout([
+            ("P0", (self.d0, self.d0), "kernel"),
+            ("P", (K, self.d1, self.d1), "kernel"),
+            ("s0", (self.d0,), "vector"), ("s", (K, self.d1), "vector")])
         # flat positions of type k's own block column in row block k of
         # a (K, n, nK) stack, in (k, i, j) order
         k, i, j = np.ogrid[:K, :n, :n]
@@ -121,11 +122,9 @@ class _Workspace:
             "rho": model.rho,
         }
         # d(state)/dt of the flat (P0, P, s0, s) state, as a new flat array
-        self.field = compile_field(
-            (("P0", (self.d0, self.d0)), ("P", (K, self.d1, self.d1)),
-             ("s0", (self.d0, 1)), ("s", (K, self.d1, 1))),
-            consts, _NCE_NAMES, _NCE_EQUATIONS,
-            {"n": n, "K": K, "d1": self.d1})
+        self.field = compile_field(self.layout.slots, consts, _NCE_NAMES,
+                                   _NCE_EQUATIONS,
+                                   {"n": n, "K": K, "d1": self.d1})
 
     def consistency_blocks(self, P):
         """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks;
@@ -151,7 +150,8 @@ class _Workspace:
         return -(w.swapaxes(-1, -2) @ self.model.B.T)
 
 
-def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
+def solve_nce(model: ValidatedModel, grid: TimeGrid,
+              threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the consistency DAE; a BlowUpReport means no solution on [0,T].
 
     The kernels and offsets are integrated in one pass. An escape of the
@@ -172,18 +172,12 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid, threshold: float = 1e12):
     if isinstance(path, BlowUpReport):
         return path
 
-    P0_path, P_path, s0_path, s_path = layout.split(path.values)
-    Mn = grid.M + 1
-    n = ws.n
-    Abar_path, Gbar_path = ws.consistency_blocks(P_path)
-    mbar_path = ws.mbar_from_s(s_path).reshape(Mn, K * n)
+    paths = layout.paths(path)
+    Abar_path, Gbar_path = ws.consistency_blocks(paths["P"].values)
+    mbar_path = ws.mbar_from_s(paths["s"].values).reshape(grid.M + 1, K * ws.n)
 
     return NCESolution(
-        model=model, lifted=ws.lifted, grid=grid,
-        P0=MatrixPath(grid, P0_path),
-        P=MatrixPath(grid, P_path),
-        s0=MatrixPath(grid, s0_path),
-        s=MatrixPath(grid, s_path),
+        model=model, lifted=ws.lifted, grid=grid, **paths,
         Abar=MatrixPath(grid, Abar_path),
         Gbar=MatrixPath(grid, Gbar_path),
         mbar=MatrixPath(grid, mbar_path),

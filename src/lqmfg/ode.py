@@ -20,11 +20,10 @@ NonFiniteField bug, not as escape.
 A stacked state whose leading segments never depend on the trailing ones
 (Riccati kernels, then offsets, then constants) is marched in one pass
 with nested escape levels; see integrate_backward's `prefixes`. Each
-system declares its flat state once, as a StateLayout: the ordered
-segment shapes, which segments are symmetric kernels, and the segment
-counts that close each escape level. The layout packs the terminal state,
-splits a state (or a whole solved path) into segment views, projects the
-kernels onto symmetric matrices and names the escape prefixes.
+system declares its flat state once, as a StateLayout of named segments
+of four kinds (kernel, matrix, vector, scalar); its escape prefixes, the
+symmetric projection of its kernels, its compiler slots and the segment
+views of a solved path all follow from that one list.
 """
 
 import math
@@ -111,35 +110,52 @@ class BlowUpReport:
             raise ValueError("escape norm does not exceed the threshold")
 
 
-class StateLayout:
-    """Ordered segments of a flat stacked state.
+# Per segment kind: its escape level (the LQ hierarchy's kernels and the
+# non-symmetric matrix blocks beside them, then offsets, then constants)
+# and the unit axes that make it a matrix slot of the equation compiler.
+_KINDS = {"kernel": (0, ()), "matrix": (0, ()), "vector": (1, (1,)),
+          "scalar": (2, (1, 1))}
 
-    `shapes` gives each segment's shape, `symmetric` flags the segments
-    whose trailing two axes hold symmetric kernels, and `levels` the
-    increasing segment counts that close each inner escape level (the
-    whole state is the outermost one).
+
+class StateLayout:
+    """Named segments of a flat stacked state, declared once.
+
+    `segments` lists (name, shape, kind) in flat order, kind "kernel"
+    (symmetric on the trailing two axes), "matrix", "vector" or "scalar",
+    in level order: kernels and matrices, then vectors, then scalars, else
+    ValueError. `prefixes` are the flat lengths closing each inner level
+    (integrate_backward's escape levels) and `slots` the (name, shape)
+    state of equations.compile_field, a vector as a (..., d, 1) column
+    and a scalar as a (..., 1, 1) matrix.
     """
 
-    def __init__(self, shapes, symmetric, levels=()):
-        shapes = [tuple(s) for s in shapes]
+    def __init__(self, segments):
+        names, shapes, kinds = zip(*segments)
+        levels = [_KINDS[kind][0] for kind in kinds]
+        if levels != sorted(levels):
+            raise ValueError(f"segment kinds {kinds} are out of level order")
         bounds = [0]
         for shape in shapes:
             bounds.append(bounds[-1] + math.prod(shape))
+        self.size = bounds[-1]
+        self.names = names
         self._segments = [(slice(lo, hi), shape)
                           for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-        # adjacent symmetric segments of one kernel size are projected as
-        # one stack of kernels: one numpy call per run, not per segment
+        self.prefixes = tuple(bounds[k] for k in range(1, len(levels))
+                              if levels[k - 1] < levels[k])
+        self.slots = tuple((name, shape + _KINDS[kind][1])
+                           for name, shape, kind in zip(names, shapes, kinds))
+        # adjacent kernels of one size are projected as one stack of
+        # kernels: one numpy call per run, not per segment
         self._kernels = []
-        for (seg, shape), flag in zip(self._segments, symmetric):
-            if not flag:
+        for (seg, shape), kind in zip(self._segments, kinds):
+            if kind != "kernel":
                 continue
             stack = (-1,) + shape[-2:]
             if (self._kernels and self._kernels[-1][1] == stack
                     and self._kernels[-1][0].stop == seg.start):
                 seg = slice(self._kernels.pop()[0].start, seg.stop)
             self._kernels.append((seg, stack))
-        self.size = bounds[-1]
-        self.prefixes = tuple(bounds[k] for k in levels)
 
     def pack(self, *parts) -> np.ndarray:
         """The flat state holding `parts`, one per segment, in order."""
@@ -155,8 +171,13 @@ class StateLayout:
         return [a[..., seg].reshape(lead + shape)
                 for seg, shape in self._segments]
 
+    def paths(self, path: MatrixPath) -> dict:
+        """{name: MatrixPath}, read-only views of a solved path's segments."""
+        return {name: MatrixPath(path.grid, part)
+                for name, part in zip(self.names, self.split(path.values))}
+
     def sym(self, flat: np.ndarray) -> np.ndarray:
-        """Copy of `flat` with (P + P^T) / 2 on every symmetric segment."""
+        """Copy of `flat` with (P + P^T) / 2 on every kernel segment."""
         out = flat.copy()
         for seg, stack in self._kernels:
             P = flat[seg].reshape(stack)

@@ -122,6 +122,27 @@ def default_type_counts(model: ValidatedModel, N: int) -> np.ndarray:
     return counts
 
 
+def check_type_counts(model: ValidatedModel, N: int, counts=None) -> np.ndarray:
+    """The minors' per-type counts as int64, default_type_counts(model, N)
+    when None; ValueError unless they are K non-negative counts summing
+    to N."""
+    counts = (default_type_counts(model, N) if counts is None
+              else np.asarray(counts, dtype=np.int64))
+    if counts.shape != (model.K,) or counts.sum() != N or np.any(counts < 0):
+        raise ValueError(f"type counts {counts} do not partition N={N}")
+    return counts
+
+
+def check_every_type(counts: np.ndarray) -> None:
+    """EmptyType unless every type has a player, as the per-type
+    empirical-mean error needs."""
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptyType(f"no players of type {empty[0] + 1} at "
+                        f"N={int(counts.sum())} (type counts "
+                        f"{','.join(str(int(c)) for c in counts)})")
+
+
 def check_seed(seed) -> int:
     """`seed` as an int; ValueError unless it is an integer in [0, 2**64),
     the range of a Philox key word."""
@@ -277,6 +298,7 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     use_empirical makes the feedback read the per-type empirical means
     instead of the reference path (off by default: the limit strategies
     are decentralized). The seed (check_seed), N and dt (simulation_steps)
+    and the type counts (check_type_counts; a type may have no players)
     are checked before anything is allocated; a state that stops being
     finite raises NonFiniteState naming the first non-finite step (states
     are checked once per chunk).
@@ -297,11 +319,7 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     seed = check_seed(seed)
     dt, S = simulation_steps(model, grid, N, dt)
 
-    if type_counts is None:
-        type_counts = default_type_counts(model, N)
-    type_counts = np.asarray(type_counts, dtype=np.int64)
-    if type_counts.shape != (model.K,) or type_counts.sum() != N or np.any(type_counts < 0):
-        raise ValueError(f"type counts {type_counts} do not partition N={N}")
+    type_counts = check_type_counts(model, N, type_counts)
     types = np.repeat(np.arange(1, model.K + 1), type_counts)
 
     n, n2, K = model.n, model.n2, model.K
@@ -367,12 +385,10 @@ def empirical_mean_error(traj: Trajectory) -> MeanFieldError:
     reference component."""
     model = traj.model
     n, K = model.n, model.K
-    S1 = traj.times.shape[0]
-    errors = np.empty((K, S1))
+    check_every_type(np.bincount(traj.types, minlength=K + 1)[1:])
+    errors = np.empty((K, traj.times.shape[0]))
     for k in range(1, K + 1):
         members = traj.type_members(k)
-        if members.size == 0:
-            raise EmptyType(f"no players of type {k} in the trajectory")
         # a type's players are consecutive rows: a slice reads them
         # without copying their paths
         mean_path = traj.X[members[0]:members[-1] + 1].mean(axis=0)  # (S+1, n)
@@ -415,10 +431,15 @@ def evaluate_cost(model: ValidatedModel, trajectories, player: int) -> CostEstim
     the discounted terminal term; batch statistics use compensated
     summation so the result is independent of accumulation order.
     """
-    trajectories = list(trajectories)
-    if not trajectories:
+    return cost_estimate(player, [_single_cost(model, traj, player)
+                                  for traj in trajectories])
+
+
+def cost_estimate(player: int, costs) -> CostEstimate:
+    """Mean and standard error of one player's per-trajectory costs, by
+    compensated summation: independent of the order of accumulation."""
+    if not costs:
         raise EmptyBatch("cost estimation needs at least one trajectory")
-    costs = [_single_cost(model, traj, player) for traj in trajectories]
     m = len(costs)
     mean = math.fsum(costs) / m
     if m > 1:

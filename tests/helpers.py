@@ -301,8 +301,8 @@ def dense_march(model, N, grid, threshold=DEFAULT_BLOWUP_THRESHOLD):
                      + W.T @ S[i] + P[i] @ vS + lin[i])
         return dS
 
-    layout = StateLayout([(N + 1, d, d), (N + 1, d)],
-                         symmetric=(True, False), levels=(1,))
+    layout = StateLayout([("P", (N + 1, d, d), "kernel"),
+                          ("S", (N + 1, d), "vector")])
 
     def field(t, flat):
         P, S = layout.split(flat)

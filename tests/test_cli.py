@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lqmfg import (TimeGrid, empirical_mean_error, load_model, simulate,
-                   solve_master, solve_nce, write_model_file)
+from lqmfg import (TimeGrid, empirical_mean_error, evaluate_cost, load_model,
+                   simulate, solve_master, solve_nce, write_model_file)
 from lqmfg import cli, errors
 from lqmfg.cli import (_BLOCK_CELLS, _downsample, _entry_names, _fmt,
                        _psd_minimum, _write_path_csv, _write_table, main)
@@ -558,6 +558,32 @@ def test_simulate_outputs(tmp_path):
     assert len(costs) == 3
 
 
+def test_simulate_many_seeds_need_the_memory_of_one(tmp_path):
+    """Each seed's trajectory is reduced to its two costs before the next
+    seed is simulated: the traced peak of three seeds stays near that of
+    one, and the costs are evaluate_cost's over the whole batch."""
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--model", SCALAR, "--grid", "50",
+                         "--N", "200", "--dt", "0.001", "--seed", seeds,
+                         "--out", str(tmp_path / seeds)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("0,1,2") < 1.5 * peak("0")
+    model = load_model(SCALAR)
+    sol = solve_nce(model, TimeGrid(M=50, T=model.T))
+    batch = [simulate(model, 200, sol, dt=0.001, seed=seed)
+             for seed in (0, 1, 2)]
+    want = ["N,player,mean,std_error,samples"]
+    for player in (0, 1):
+        est = evaluate_cost(model, batch, player)
+        want.append(f"200,{player},{_fmt(est.mean)},{_fmt(est.std_error)},3")
+    assert (tmp_path / "0,1,2" / "sim_costs.csv").read_text().splitlines() == want
+
+
 def _sim_csvs_entrywise(model, sol, N, seed, use_empirical):
     """sim_traj and sim_error bytes as written row by row with _fmt."""
     traj = simulate(model, N, sol, seed=seed, use_empirical=use_empirical)
@@ -655,6 +681,15 @@ def test_simulate_rejects_empty_types_before_solving(tmp_path, capsys,
     assert ("error: no players of type 2 at N=6 (type counts 6,0)"
             in capsys.readouterr().err)
     assert os.listdir(out) == []
+
+    # counts that do not partition N into the K types
+    for counts in ("7,-1", "3,2", "6"):
+        out = tmp_path / f"partition{counts}"
+        assert main(["simulate", "--model", str(MODELS / "twotype.model"),
+                     "--N", "6", "--type-counts", counts,
+                     "--out", str(out)]) == 1
+        assert "do not partition N=6" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     # default counts of a three-type model leave a type empty at N = 2
     path = str(tmp_path / "n3k3.model")

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lqmfg import (TimeGrid, assemble_finite_n, lift_pi, solve_finite_n,
-                   solve_lambda, solve_master, solve_nce, validate_model)
+                   solve_lambda, solve_master, solve_nce, solve_tiles,
+                   validate_model)
 from lqmfg import asymptotic, master, nce
 from lqmfg.ode import BlowUpReport
 
@@ -298,16 +299,15 @@ def test_finite_n_solves_are_bitwise_the_reference_march(name):
                 assert solve(model, N, grid, threshold=threshold) == want
 
 
-def solve_sym(route, model, N):
-    """The `symmetrize` that `route`'s solve hands to integrate_backward,
-    captured without marching."""
+def solve_keywords(route, model, N):
+    """The keywords (`symmetrize`, `prefixes`, ...) that `route`'s solve
+    hands to integrate_backward, captured without marching."""
     seen = []
 
-    def capture(field, terminal, grid, threshold, symmetrize, prefixes=(),
-                weights=None):
-        seen.append(symmetrize)
+    def capture(field, terminal, grid, **keywords):
+        seen.append(keywords)
         return BlowUpReport(escape_node=0, norm_at_escape=np.inf,
-                            threshold=threshold)
+                            threshold=keywords["threshold"])
 
     grid = TimeGrid(M=4, T=1.0)
     module = {"nce": nce, "master": master,
@@ -320,6 +320,8 @@ def solve_sym(route, model, N):
             solve_master(model, grid)
         elif route == "lambda":
             solve_lambda(model, grid)
+        elif route == "tiles":
+            solve_tiles(model, N, grid)
         elif route == "finite-n":
             solve_finite_n(model, N, grid)
         else:
@@ -380,8 +382,26 @@ def test_layout_sym_is_bytewise_the_reference_sym(route, K, n, N, model_seed,
     hit = rng.random(w.size) < special
     w[hit] = rng.choice([np.inf, -np.inf, *nan_signs], hit.sum())
     with np.errstate(invalid="ignore"):            # inf + -inf
-        got = solve_sym(route, model, N)(w)
+        got = solve_keywords(route, model, N)["symmetrize"](w)
         want = reference_sym(route, model, N)(w)
     if len(nan_signs) > 1:
         got, want = canonical_nan(got), canonical_nan(want)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("route", ["nce", "master", "lambda", "tiles",
+                                   "finite-n", "dense"])
+@pytest.mark.parametrize("K,n,N", [(1, 1, 1), (3, 2, 4)])
+def test_derived_prefixes_are_the_hand_set_levels(route, K, n, N):
+    """The escape prefixes each solve derives from its segment kinds are
+    the levels once set by hand: the kernels, and for master the kernels,
+    then kernels and offsets."""
+    if route not in ("nce", "master"):
+        K = 1
+    d0, d1, d = n * (K + 1), n * (K + 2), (N + 1) * n
+    kernels = d0 * d0 + K * d1 * d1
+    want = {"nce": (kernels,), "master": (kernels, kernels + d0 + K * d1),
+            "lambda": (9 * n * n,), "tiles": (9 * n * n,),
+            "finite-n": (2 * d * d,), "dense": ((N + 1) * d * d,)}[route]
+    keywords = solve_keywords(route, random_model(K, n, 3), N)
+    assert tuple(keywords["prefixes"]) == want

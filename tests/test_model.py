@@ -98,6 +98,21 @@ def test_wrong_shape_or_non_finite_entry_names_the_field(f):
             _with(f.name, b)
 
 
+@pytest.mark.parametrize("f", ARRAYS, ids=lambda f: f.name)
+def test_the_model_copies_the_callers_arrays(f):
+    """The caller's array stays writeable and its own: writing to it
+    leaves the validated model unchanged."""
+    params = _params()
+    given = getattr(params, f.name)
+    model = validate_model(params)
+    held = getattr(model, f.name)
+    before = held.copy()
+    assert given.flags.writeable
+    assert held is not given and not np.shares_memory(held, given)
+    given += 1.0
+    assert np.array_equal(held, before)
+
+
 @pytest.mark.parametrize("f", WEIGHTS, ids=lambda f: f.name)
 def test_weights_are_checked_for_symmetry_and_sign(f):
     a = np.asarray(getattr(_params(), f.name), dtype=np.float64)

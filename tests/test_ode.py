@@ -395,24 +395,59 @@ def test_prefixes_are_validated():
 
 
 def test_state_layout_packs_splits_and_symmetrizes():
-    layout = ode.StateLayout([(2, 2), (3,), (1,)],
-                             symmetric=(True, False, False), levels=(1, 2))
+    layout = ode.StateLayout([("P", (2, 2), "kernel"), ("s", (3,), "vector"),
+                              ("r", (), "scalar")])
     assert layout.prefixes == (4, 7)
     P = np.array([[1.0, 2.0], [4.0, 3.0]])
     flat = layout.pack(P, [5.0, 6.0, 7.0], 8.0)
     assert np.array_equal(flat, [1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 7.0, 8.0])
     parts = layout.split(flat)
     assert np.array_equal(parts[0], P)
+    assert parts[2].shape == () and parts[2] == 8.0
     assert all(np.shares_memory(part, flat) for part in parts)
     # a path splits into segment paths over its leading node axis
     Ps, s, r = layout.split(np.stack([flat, 2.0 * flat]))
-    assert (Ps.shape, s.shape, r.shape) == ((2, 2, 2), (2, 3), (2, 1))
+    assert (Ps.shape, s.shape, r.shape) == ((2, 2, 2), (2, 3), (2,))
     assert np.array_equal(Ps[1], 2.0 * P)
     assert np.array_equal(layout.sym(flat),
                           [1.0, 3.0, 3.0, 3.0, 5.0, 6.0, 7.0, 8.0])
     assert flat[1] == 2.0
     with pytest.raises(ValueError):
         layout.pack(P, [5.0, 6.0], 8.0)
+
+
+@pytest.mark.parametrize("kinds", [("vector", "kernel"), ("scalar", "matrix"),
+                                   ("scalar", "vector")])
+def test_state_layout_refuses_segments_out_of_level_order(kinds):
+    with pytest.raises(ValueError, match="out of level order"):
+        ode.StateLayout([(f"x{i}", (2, 2), kind)
+                         for i, kind in enumerate(kinds)])
+
+
+def test_state_layout_slots_are_columns_and_one_by_one_matrices():
+    """The compiler's state: matrices as declared, a vector as a column, a
+    scalar as a 1 x 1 matrix, each over the segment's stack axes."""
+    layout = ode.StateLayout([
+        ("P", (3, 2, 2), "kernel"), ("G", (2, 4), "matrix"),
+        ("s0", (2,), "vector"), ("s", (3, 2), "vector"),
+        ("r0", (), "scalar"), ("r", (3,), "scalar")])
+    assert layout.slots == (("P", (3, 2, 2)), ("G", (2, 4)), ("s0", (2, 1)),
+                            ("s", (3, 2, 1)), ("r0", (1, 1)), ("r", (3, 1, 1)))
+    assert layout.prefixes == (20, 28)
+
+
+def test_state_layout_paths_are_read_only_views_of_the_split():
+    layout = ode.StateLayout([("P", (2, 2), "kernel"), ("G", (2, 2), "matrix"),
+                              ("s", (2,), "vector"), ("r", (), "scalar")])
+    grid = TimeGrid(M=3, T=1.0)
+    path = ode.MatrixPath(grid, np.arange(4.0 * layout.size).reshape(4, -1))
+    paths = layout.paths(path)
+    assert list(paths) == ["P", "G", "s", "r"]
+    for (name, got), want in zip(paths.items(), layout.split(path.values)):
+        assert got.grid is grid
+        assert np.array_equal(got.values, want) and got.values.shape == want.shape
+        assert np.shares_memory(got.values, path.values)
+        assert not got.values.flags.writeable, name
 
 
 def test_path_storage_is_sized_before_allocating():
