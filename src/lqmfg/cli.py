@@ -30,6 +30,8 @@ from .ode import BlowUpReport, MatrixPath
 # count nor the width, and narrow tables do not pay one np.unique per few
 # rows
 _BLOCK_CELLS = 8192
+# minors whose paths `simulate` writes to sim_traj_*.csv (and stores)
+_SHOWN_MINORS = 3
 
 
 def _fmt(x) -> str:
@@ -360,20 +362,22 @@ def _downsample(k: int, total: int) -> np.ndarray:
 
 def _simulate_seed(args, model, sol, N: int, seed: int, out: str):
     """Simulate one seed and write its path and error tables; return its
-    sup-node empirical-mean error and the costs of players 0 and 1."""
+    sup-node empirical-mean error and the costs of players 0 and 1. Only
+    the paths of the minors the table shows are stored; player 1 is one
+    of them."""
+    show = min(N, _SHOWN_MINORS)
     traj = sim.simulate(model, N, sol, dt=args.dt, seed=seed,
                         type_counts=args.type_counts,
-                        use_empirical=args.use_empirical)
+                        use_empirical=args.use_empirical, keep=show)
     err = sim.empirical_mean_error(traj)
 
     idx = _downsample(200, traj.times.shape[0])
-    show = min(N, 3)
     names = (["t"] + _entry_names("X0", (model.n,))
              + _entry_names("Zbar", (model.n * model.K,))
              + _entry_names("U0", (model.n1,)))
     for i in range(show):
         names += _entry_names(f"X{i + 1}", (model.n,))
-    players = traj.X[:show, idx].transpose(1, 0, 2).reshape(idx.size, -1)
+    players = traj.X[:, idx].transpose(1, 0, 2).reshape(idx.size, -1)
     _write_table(os.path.join(out, f"sim_traj_N{N}_seed{seed}.csv"),
                  names, traj.times[idx],
                  np.hstack([traj.X0[idx], traj.Zbar[idx], traj.U0[idx],
@@ -404,7 +408,8 @@ def cmd_simulate(args) -> int:
     for seed in args.seed:
         sim.check_seed(seed)
     for N in args.N:
-        sim.simulation_steps(model, grid, N, args.dt)
+        sim.simulation_steps(model, grid, N, args.dt,
+                             keep=min(N, _SHOWN_MINORS))
         sim.check_every_type(sim.check_type_counts(model, N, args.type_counts))
 
     if args.feedback == "master":

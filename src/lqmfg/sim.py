@@ -20,10 +20,16 @@ on the chunk length. The increments are transformed by the noise
 matrices for the whole chunk in one product each, and the states are
 checked for finiteness once per chunk. Every float operation of a step
 is the one a step-by-step loop would do, so paths are bit for bit those
-of such a loop. Memory is O(N S (n + n1)) for the stored paths plus
-O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers; a run whose
-estimate (simulation_bytes) exceeds MEMORY_BUDGET is refused before
-anything is allocated.
+of such a loop.
+
+The estimators read per-node sums of the minors' states, per type and
+over all minors, added up chunk by chunk in the order numpy adds the
+rows of a whole (N, S+1, n) path, so they need no stored minor path.
+A caller chooses how many leading minors' paths are stored (all by
+default). Memory is O(keep S (n + n1) + K S n) for the stored paths and
+sums plus O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers; a run
+whose estimate (simulation_bytes) exceeds MEMORY_BUDGET is refused
+before anything is allocated.
 """
 
 import math
@@ -39,7 +45,7 @@ from .ode import MEMORY_BUDGET, TIME_SLACK, check_budget
 
 DEFAULT_STEPS = 4000
 # Steps marched per chunk of the simulation loop; the chunk buffers hold
-# N * CHUNK_STEPS * (n + n1 + n2) floats.
+# about N * CHUNK_STEPS * (2 n + n1 + n2) floats.
 CHUNK_STEPS = 256
 # The measured size of one player's noise stream; a simulation's bytes
 # (simulation_bytes) are held to ode.MEMORY_BUDGET.
@@ -48,9 +54,15 @@ STREAM_BYTES = 1024
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One realization of all N+1 states, controls, and the reference path.
+    """One realization of the N+1-player closed loop and the reference path.
 
-    Minor players are listed type by type: `types` is non-decreasing.
+    Minor players are listed type by type: `types` is non-decreasing and
+    holds all N of them. `X` and `U` hold the paths of the leading
+    minors that were kept (all N by default). `type_sums[k]` and
+    `minor_sum` are the per-node sums of the states of type k+1's minors
+    and of all minors, bit for bit `np.add.reduce` of their rows of the
+    full (N, S+1, n) path: divided by the count, they are those minors'
+    `X.mean(axis=0)`.
     """
 
     model: ValidatedModel
@@ -64,11 +76,13 @@ class Trajectory:
     Zbar: np.ndarray
     U0: np.ndarray
     U: np.ndarray
+    type_sums: np.ndarray
+    minor_sum: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.types) < 0):
             raise ValueError("minor players are not listed type by type")
-        for name in ("X0", "X", "Zbar", "U0", "U"):
+        for name in ("X0", "X", "Zbar", "U0", "U", "type_sums", "minor_sum"):
             arr = getattr(self, name)
             # one player's path at a time: a boolean copy of a whole
             # (N, S+1, n) path would set the simulation's memory peak
@@ -79,7 +93,7 @@ class Trajectory:
 
     @property
     def N(self) -> int:
-        return self.X.shape[0]
+        return self.types.shape[0]
 
     @property
     def steps(self) -> int:
@@ -122,12 +136,25 @@ def default_type_counts(model: ValidatedModel, N: int) -> np.ndarray:
     return counts
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is neither."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_type_counts(model: ValidatedModel, N: int, counts=None) -> np.ndarray:
     """The minors' per-type counts as int64, default_type_counts(model, N)
-    when None; ValueError unless they are K non-negative counts summing
-    to N."""
-    counts = (default_type_counts(model, N) if counts is None
-              else np.asarray(counts, dtype=np.int64))
+    when None; ValueError unless they are K non-negative integers (ints or
+    numpy integers, not bools) summing to N."""
+    if counts is None:
+        counts = default_type_counts(model, N)
+    else:
+        values = np.asarray(counts, dtype=object)
+        for value in values.flat:
+            if not _is_integer(value):
+                if isinstance(value, np.generic):
+                    value = value.item()
+                raise ValueError(f"type count {value!r} is not an integer")
+        counts = values.astype(np.int64)
     if counts.shape != (model.K,) or counts.sum() != N or np.any(counts < 0):
         raise ValueError(f"type counts {counts} do not partition N={N}")
     return counts
@@ -144,9 +171,9 @@ def check_every_type(counts: np.ndarray) -> None:
 
 
 def check_seed(seed) -> int:
-    """`seed` as an int; ValueError unless it is an integer in [0, 2**64),
-    the range of a Philox key word."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+    """`seed` as an int; ValueError unless it is an integer (not a bool)
+    in [0, 2**64), the range of a Philox key word."""
+    if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
     return int(seed)
 
@@ -161,28 +188,36 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def simulation_bytes(model: ValidatedModel, N: int, S: int) -> int:
-    """Bytes `simulate` allocates for N minors over S steps: the stored
-    paths, the chunk buffers and the per-player noise streams."""
-    n, n1, n2 = model.n, model.n1, model.n2
-    steps = min(CHUNK_STEPS, S)
-    paths = (S + 1) * (1 + 2 * n + n * model.K + n1 + N * (n + n1))
-    chunk = N * (steps * n2 + (steps + 1) * n + min(CHUNK_STEPS, S + 1) * n1)
+def simulation_bytes(model: ValidatedModel, N: int, S: int,
+                     keep: int = None) -> int:
+    """Bytes `simulate` allocates for N minors over S steps when it stores
+    the paths of `keep` of them (all when None): the stored paths and
+    per-node sums, the chunk buffers and the per-player noise streams."""
+    n, n1, n2, K = model.n, model.n1, model.n2, model.K
+    keep = N if keep is None else keep
+    steps, nodes = min(CHUNK_STEPS, S), min(CHUNK_STEPS, S + 1)
+    paths = (S + 1) * (1 + 3 * n + 2 * n * K + n1 + keep * (n + n1))
+    chunk = N * (steps * n2 + (steps + 1) * n + nodes * (n + n1))
     return 8 * (paths + chunk) + N * STREAM_BYTES
 
 
 def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
-                     dt: float = None):
+                     dt: float = None, keep: int = None):
     """Check a simulation's size and step before anything is allocated;
     return (dt, S), the step (model.T / DEFAULT_STEPS when None) and the
     number of steps over the grid.
 
-    N < 1 and a non-finite or non-positive dt raise ValueError, a dt that
-    does not divide the grid spacing raises GridMismatch, and a run whose
-    simulation_bytes exceed MEMORY_BUDGET raises NTooLargeForMemory.
+    N < 1, a count `keep` of stored paths (N when None) that is not an
+    integer in [0, N], and a non-finite or non-positive dt raise
+    ValueError, a dt that does not divide the grid spacing raises
+    GridMismatch, and a run whose simulation_bytes exceed MEMORY_BUDGET
+    raises NTooLargeForMemory.
     """
     if N < 1:
         raise ValueError(f"population size must be at least 1, got N={N}")
+    if keep is not None and not (_is_integer(keep) and 0 <= keep <= N):
+        raise ValueError(f"the number of stored paths must be an integer "
+                         f"in [0, N={N}], got {keep!r}")
     if dt is None:
         dt = model.T / DEFAULT_STEPS
     if not (math.isfinite(dt) and dt > 0):
@@ -192,7 +227,7 @@ def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
         raise GridMismatch(f"dt={dt} does not divide the grid spacing {grid.h}")
     S = grid.M * int(round(ratio))
     check_budget(f"simulating N={N} players over {S} steps",
-                 simulation_bytes(model, N, S))
+                 simulation_bytes(model, N, S, keep))
     return dt, S
 
 
@@ -206,6 +241,16 @@ def _product(a, b, out=None):
     if b.shape[0] == 1:
         return np.multiply(a, b[0], out=out)
     return np.matmul(a, b, out=out)
+
+
+def _player_sum(paths: np.ndarray) -> np.ndarray:
+    """np.add.reduce(paths, 0) of a player-major (m, nodes, n) block, adding
+    one player after another as numpy does over a whole (N, S+1, n) path.
+    A block of one number per player is reduced pairwise by numpy, so it
+    is accumulated instead."""
+    if paths.shape[0] and paths[0].size == 1:
+        return np.add.accumulate(paths, 0)[-1]
+    return np.add.reduce(paths, 0)
 
 
 def _march_chunk(model, coefficients, drift, buffers, c0, S, dt, times,
@@ -287,8 +332,8 @@ def _march_chunk(model, coefficients, drift, buffers, c0, S, dt, times,
 
 
 def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
-             seed: int = 0, type_counts=None,
-             use_empirical: bool = False) -> Trajectory:
+             seed: int = 0, type_counts=None, use_empirical: bool = False,
+             keep: int = None) -> Trajectory:
     """Euler-Maruyama closed-loop run of the major player and N minors.
 
     sol is a solved NCESolution or MasterSolution on this model; its grid
@@ -297,17 +342,20 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     per player (initial draw first, then the Brownian increments).
     use_empirical makes the feedback read the per-type empirical means
     instead of the reference path (off by default: the limit strategies
-    are decentralized). The seed (check_seed), N and dt (simulation_steps)
-    and the type counts (check_type_counts; a type may have no players)
-    are checked before anything is allocated; a state that stops being
-    finite raises NonFiniteState naming the first non-finite step (states
-    are checked once per chunk).
+    are decentralized). `keep` is the number of leading minors whose
+    paths the Trajectory stores (all N when None); the per-node sums the
+    estimators read cover every minor, whatever `keep` is. The seed
+    (check_seed), N, keep and dt (simulation_steps) and the type counts
+    (check_type_counts; a type may have no players) are checked before
+    anything is allocated; a state that stops being finite raises
+    NonFiniteState naming the first non-finite step (states are checked
+    once per chunk).
 
     Noise is drawn per chunk of CHUNK_STEPS steps from the same streams,
-    so paths do not depend on the chunk length. Memory is O(N S (n + n1))
-    for the stored paths plus O(N CHUNK_STEPS (n + n1 + n2)) for the
-    chunk's noise and path buffers, and must stay within MEMORY_BUDGET
-    bytes (simulation_bytes).
+    so paths do not depend on the chunk length. Memory is
+    O(keep S (n + n1) + K S n) for the stored paths and sums plus
+    O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers, and must stay
+    within MEMORY_BUDGET bytes (simulation_bytes).
     """
     if isinstance(sol, NCESolution):
         gains = nce_gains
@@ -317,7 +365,8 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
     grid = sol.grid
     seed = check_seed(seed)
-    dt, S = simulation_steps(model, grid, N, dt)
+    dt, S = simulation_steps(model, grid, N, dt, keep)
+    keep = N if keep is None else int(keep)
 
     type_counts = check_type_counts(model, N, type_counts)
     types = np.repeat(np.arange(1, model.K + 1), type_counts)
@@ -327,10 +376,12 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     steps = min(CHUNK_STEPS, S)
     times = np.arange(S + 1) * dt
     X0_path = np.empty((S + 1, n))
-    X_path = np.empty((N, S + 1, n))
+    X_path = np.empty((keep, S + 1, n))
     Z_path = np.empty((S + 1, n * K))
     U0_path = np.empty((S + 1, model.n1))
-    U_path = np.empty((N, S + 1, model.n1))
+    U_path = np.empty((keep, S + 1, model.n1))
+    type_sums = np.empty((K, S + 1, n))
+    minor_sum = np.empty((S + 1, n))
     noise = np.empty((steps, N, n2))
     X_chunk = np.empty((steps + 1, N, n))
     U_chunk = np.empty((min(CHUNK_STEPS, S + 1), N, model.n1))
@@ -371,37 +422,46 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         _march_chunk(model, coefficients, drift,
                      (X0_path, Z_path, U0_path, X_chunk, U_chunk),
                      c0, S, dt, times, type_slices, A_by_type, use_empirical)
-        X_path[:, c0:c0 + nodes] = X_chunk[:nodes].transpose(1, 0, 2)
-        U_path[:, c0:c0 + nodes] = U_chunk[:nodes].transpose(1, 0, 2)
+        # player-major, as the (N, S+1, n) path is laid out
+        players = np.ascontiguousarray(X_chunk[:nodes].transpose(1, 0, 2))
+        minor_sum[c0:c0 + nodes] = _player_sum(players)
+        for k, sl in enumerate(type_slices):
+            type_sums[k, c0:c0 + nodes] = _player_sum(players[sl])
+        X_path[:, c0:c0 + nodes] = players[:keep]
+        U_path[:, c0:c0 + nodes] = U_chunk[:nodes, :keep].transpose(1, 0, 2)
         X_chunk[0] = X_chunk[increments]
 
     return Trajectory(model=model, grid=grid, dt=dt, seed=seed, types=types,
                       times=times, X0=X0_path, X=X_path, Zbar=Z_path,
-                      U0=U0_path, U=U_path)
+                      U0=U0_path, U=U_path, type_sums=type_sums,
+                      minor_sum=minor_sum)
 
 
 def empirical_mean_error(traj: Trajectory) -> MeanFieldError:
-    """Per-node distance between each type's empirical mean and its
-    reference component."""
+    """Per-node distance between each type's empirical mean (its per-node
+    sum over its count) and its reference component."""
     model = traj.model
     n, K = model.n, model.K
-    check_every_type(np.bincount(traj.types, minlength=K + 1)[1:])
+    counts = np.bincount(traj.types, minlength=K + 1)[1:]
+    check_every_type(counts)
     errors = np.empty((K, traj.times.shape[0]))
-    for k in range(1, K + 1):
-        members = traj.type_members(k)
-        # a type's players are consecutive rows: a slice reads them
-        # without copying their paths
-        mean_path = traj.X[members[0]:members[-1] + 1].mean(axis=0)  # (S+1, n)
-        ref = traj.Zbar[:, (k - 1) * n:k * n]
-        errors[k - 1] = np.linalg.norm(mean_path - ref, axis=1)
+    for k in range(K):
+        mean_path = traj.type_sums[k] / counts[k]               # (S+1, n)
+        ref = traj.Zbar[:, k * n:(k + 1) * n]
+        errors[k] = np.linalg.norm(mean_path - ref, axis=1)
     return MeanFieldError(per_type=errors, times=traj.times)
 
 
 def _single_cost(model: ValidatedModel, traj: Trajectory, player: int) -> float:
+    stored = traj.X.shape[0]
+    if not (_is_integer(player) and 0 <= player <= stored):
+        raise ValueError(f"player must be 0 (the major) or one of the "
+                         f"{stored} minors whose paths are stored, "
+                         f"got {player!r}")
     dt = traj.dt
     times = traj.times
     disc = np.exp(-model.rho * times)
-    xbarN = traj.X.mean(axis=0)                           # (S+1, n)
+    xbarN = traj.minor_sum / traj.N                       # (S+1, n)
 
     if player == 0:
         dev = traj.X0 - xbarN @ model.Gamma0.T - model.eta0
@@ -427,9 +487,11 @@ def _single_cost(model: ValidatedModel, traj: Trajectory, player: int) -> float:
 def evaluate_cost(model: ValidatedModel, trajectories, player: int) -> CostEstimate:
     """Discounted cost of one player averaged over a trajectory batch.
 
-    Running cost by trapezoidal quadrature on the simulation step, plus
-    the discounted terminal term; batch statistics use compensated
-    summation so the result is independent of accumulation order.
+    Player 0 is the major and player i >= 1 the i-th minor, whose path
+    must be stored; any other player (a bool too) raises ValueError. Running cost by trapezoidal
+    quadrature on the simulation step, plus the discounted terminal term;
+    batch statistics use compensated summation so the result is
+    independent of accumulation order.
     """
     return cost_estimate(player, [_single_cost(model, traj, player)
                                   for traj in trajectories])

@@ -558,6 +558,20 @@ def test_simulate_outputs(tmp_path):
     assert len(costs) == 3
 
 
+def test_simulate_stores_only_the_paths_it_writes(tmp_path):
+    """The estimators read per-node sums, so a run keeps the three paths
+    sim_traj shows: N = 2000 players over 4000 steps peak below one
+    (N, S+1, n) path."""
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--model", SCALAR, "--grid", "50",
+                     "--N", "2000", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 4001 * 8
+
+
 def test_simulate_many_seeds_need_the_memory_of_one(tmp_path):
     """Each seed's trajectory is reduced to its two costs before the next
     seed is simulated: the traced peak of three seeds stays near that of
@@ -715,7 +729,8 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
         (["--N", "4", "--dt", "0"], "time step must be finite and positive"),
         (["--N", "4", "--dt", "0.0003"],
          "dt=0.0003 does not divide the grid spacing 0.0005"),
-        # 10^6 players over 4000 steps would store 64 GB of paths
+        # 10^6 players over 4000 steps need 9.2 GB of chunk buffers and
+        # noise streams, though only three paths are stored
         (["--N", "1000000"], "simulating N=1000000 players over 4000 steps "
                              "needs"),
     ]

@@ -364,6 +364,123 @@ def test_simulation_size_is_checked_before_allocating(monkeypatch):
     assert simulation_bytes(model, 1000, 4000) * 50 < MEMORY_BUDGET
 
 
+def test_size_check_counts_only_the_stored_paths():
+    # 10^5 players over 4000 steps: 6.4 GB with every path stored, under
+    # 1 GB with the three a CLI run stores; computed, never allocated
+    model = build_model()
+    grid = TimeGrid(M=50, T=1.0)
+    tracemalloc.start()
+    try:
+        assert simulation_steps(model, grid, 10 ** 5, 1.0 / 4000,
+                                keep=3) == (1.0 / 4000, 4000)
+        with pytest.raises(NTooLargeForMemory, match="over the budget"):
+            simulation_steps(model, grid, 10 ** 5, 1.0 / 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert (simulation_bytes(model, 10 ** 5, 4000)
+            - simulation_bytes(model, 10 ** 5, 4000, keep=3)
+            == (10 ** 5 - 3) * 4001 * 2 * 8)
+
+
+def assert_sums_are_the_means(traj):
+    """The per-node sums over their counts are bitwise the means of the
+    stored paths, which must be all of them."""
+    assert traj.X.shape[0] == traj.N
+    assert (traj.minor_sum / traj.N).tobytes() == traj.X.mean(axis=0).tobytes()
+    for k in range(traj.model.K):
+        members = traj.type_members(k + 1)
+        if members.size:
+            mean = traj.type_sums[k] / members.size
+            assert mean.tobytes() == traj.X[members].mean(axis=0).tobytes(), k
+        else:
+            assert not traj.type_sums[k].any()
+
+
+def test_sums_are_the_means_when_a_chunk_holds_one_node():
+    # S = 2 CHUNK_STEPS: the last chunk is node S alone, one number per
+    # player, which numpy would sum pairwise
+    model = build_model()
+    S = 2 * CHUNK_STEPS
+    sol = solve_nce(model, TimeGrid(M=64, T=1.0))
+    assert_sums_are_the_means(simulate(model, 100, sol, dt=1.0 / S, seed=4))
+
+
+@pytest.mark.parametrize("keep", [0, 1, 3])
+def test_kept_paths_and_sums_are_those_of_the_full_run(keep):
+    model = two_type_scalar()
+    sol = solve_master(model, TimeGrid(M=50, T=1.0))
+    full = simulate(model, 12, sol, dt=1.0 / 300, seed=7, use_empirical=True)
+    part = simulate(model, 12, sol, dt=1.0 / 300, seed=7, use_empirical=True,
+                    keep=keep)
+    assert part.N == 12 and part.X.shape[0] == part.U.shape[0] == keep
+    for name in ("X", "U"):
+        assert (getattr(part, name).tobytes()
+                == getattr(full, name)[:keep].tobytes()), name
+    for name in ("X0", "Zbar", "U0", "type_sums", "minor_sum"):
+        assert (getattr(part, name).tobytes()
+                == getattr(full, name).tobytes()), name
+    assert np.array_equal(empirical_mean_error(part).per_type,
+                          empirical_mean_error(full).per_type)
+    for player in range(keep + 1):
+        assert (evaluate_cost(model, [part], player)
+                == evaluate_cost(model, [full], player))
+
+
+@pytest.mark.parametrize("keep", [-1, 5, 1.0, True])
+def test_simulate_rejects_a_bad_count_of_stored_paths(scalar_model,
+                                                      scalar_nce, monkeypatch,
+                                                      keep):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stream created")
+
+    monkeypatch.setattr(sim, "_player_rng", refuse)
+    with pytest.raises(ValueError, match=r"stored paths must be an integer "
+                                         r"in \[0, N=4\]"):
+        simulate(scalar_model, 4, scalar_nce, keep=keep)
+
+
+def test_trajectory_rejects_non_finite_sums(scalar_model, scalar_nce):
+    traj = simulate(scalar_model, 8, scalar_nce, seed=5)
+    for name in ("type_sums", "minor_sum"):
+        bad = getattr(traj, name).copy()
+        bad[..., 17, 0] = np.inf
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite"):
+            dataclasses.replace(traj, **{name: bad})
+
+
+def test_cost_player_must_have_a_stored_path(scalar_model, scalar_nce):
+    full = simulate(scalar_model, 4, scalar_nce, seed=1)
+    part = simulate(scalar_model, 4, scalar_nce, seed=1, keep=2)
+    evaluate_cost(scalar_model, [full], 4)
+    evaluate_cost(scalar_model, [part], 2)
+    for traj, player in ((full, -1), (full, 5), (part, 3), (full, 1.0),
+                         (full, True)):
+        with pytest.raises(ValueError, match=f"got {player}$"):
+            evaluate_cost(scalar_model, [traj], player)
+
+
+@pytest.mark.parametrize("counts,bad", [([2.9, 1.1], "2.9"),
+                                        ([True, 2], "True"),
+                                        (["2", "1"], "'2'"),
+                                        (np.array([2.0, 1.0]), "2.0"),
+                                        (np.array([True, True]), "True")])
+def test_type_counts_must_be_integers(counts, bad):
+    model = two_type_scalar()
+    with pytest.raises(ValueError, match=f"^type count {bad} is not an "
+                                         f"integer$"):
+        sim.check_type_counts(model, 3, counts)
+
+
+@pytest.mark.parametrize("counts", [[2, 1], [np.int32(2), 1], (np.uint8(1), 2),
+                                    np.array([2, 1], dtype=np.uint16)])
+def test_integer_type_counts_are_accepted(counts):
+    got = sim.check_type_counts(two_type_scalar(), 3, counts)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(c) for c in counts]
+
+
 # -- property tests: the chunk loop against the per-step reference loop -----
 
 SIM_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -448,6 +565,23 @@ def test_simulate_is_bitwise_the_reference_loop(dims, K, model_seed, counts,
 
 
 @SIM_SETTINGS
+@given(**CASES)
+def test_streamed_sums_are_the_means_of_the_paths(dims, K, model_seed, counts,
+                                                  steps, use_empirical,
+                                                  feedback, seed):
+    counts = counts[:K]
+    assume(sum(counts) >= 1)
+    model = validate_model(_random_params(np.random.default_rng(model_seed),
+                                          K, dims))
+    grid, dt = grid_and_step(steps)
+    sol = SOLVERS[feedback](model, grid)
+    assume(not isinstance(sol, BlowUpReport))
+    assert_sums_are_the_means(simulate(model, sum(counts), sol, dt=dt,
+                                       seed=seed, type_counts=counts,
+                                       use_empirical=use_empirical))
+
+
+@SIM_SETTINGS
 @given(A=st.sampled_from([-1e5, -2e4, -3e3]),
        unstable=st.sampled_from(["major", "every type", "last type",
                                  "deviations"]),
@@ -486,7 +620,7 @@ def test_exploding_simulation_is_the_reference_loop(dims, K, model_seed,
     assert got_warned <= want_warned
 
 
-@pytest.mark.parametrize("seed", [2 ** 64, -1, 1.5])
+@pytest.mark.parametrize("seed", [2 ** 64, -1, 1.5, True])
 def test_simulate_rejects_seeds_outside_the_key_range(scalar_model,
                                                       scalar_nce, monkeypatch,
                                                       seed):
