@@ -32,6 +32,7 @@ from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
 from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
                   StateLayout, check_budget, integrate_backward)
+from .sim import check_population
 
 # Tiles closer than this (l1, up to transpose) belong to one cluster.
 TILE_TOL = 1e-8
@@ -62,8 +63,7 @@ MAX_POPULATION = 2 ** 53
 
 def _require_population(model: ValidatedModel, N: int):
     _require_k1(model)
-    if N < 1:
-        raise ValueError(f"need at least one minor player, got N={N}")
+    check_population(N)
     if N > MAX_POPULATION:
         raise ValueError(f"population size N={N} exceeds 2**53, the "
                          f"largest N that float arithmetic tells from N - 1")
@@ -688,15 +688,15 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     """Solve the finite system across N and test boundedness of the norms.
 
     N_list is sorted and de-duplicated first, so the verdict does not
-    depend on the caller's order; an N below 1 or above MAX_POPULATION,
-    or fewer than three distinct N, raises ValueError before any solve.
+    depend on the caller's order; before any solve, ValueError refuses
+    N not integers in [1, MAX_POPULATION] and fewer than three distinct N.
     Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the escape
     report, solving the tile system (solve_tiles, whose cost does not
     depend on N) one N after another; compares the bounded-tail heuristic
     (on the three largest N) with the limit system's solvability verdict.
     """
     _require_k1(model)
-    N_list = tuple(sorted({int(N) for N in N_list}))
+    N_list = tuple(sorted({check_population(N) for N in N_list}))
     for N in N_list[:1] + N_list[-1:]:
         _require_population(model, N)
     if len(N_list) < 3:

@@ -396,11 +396,13 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     grid = _make_grid(args, model)
     out = _outdir(args)
-    if not args.N:
-        raise ValueError("simulate needs --N")
-    if len(set(args.N)) != len(args.N):
-        raise ValueError("--N lists a population size twice: "
-                         f"{','.join(str(N) for N in args.N)}")
+    for option, what, values in (("--N", "population size", args.N),
+                                 ("--seed", "seed", args.seed)):
+        if not values:
+            raise ValueError(f"simulate needs {option}")
+        if len(set(values)) != len(values):
+            raise ValueError(f"{option} lists a {what} twice: "
+                             f"{','.join(str(v) for v in values)}")
     if args.type_counts is not None and len(args.N) != 1:
         raise ValueError("--type-counts only applies to a single --N")
     # seeds, size, step, memory and type counts, all before the feedback

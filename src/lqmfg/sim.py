@@ -23,8 +23,8 @@ is the one a step-by-step loop would do, so paths are bit for bit those
 of such a loop.
 
 The estimators read per-node sums of the minors' states, per type and
-over all minors, added up chunk by chunk in the order numpy adds the
-rows of a whole (N, S+1, n) path, so they need no stored minor path.
+over all minors, reduced from each node's (N, n) block as the step
+loop reduces it for the empirical mean, so they need no stored path.
 A caller chooses how many leading minors' paths are stored (all by
 default). Memory is O(keep S (n + n1) + K S n) for the stored paths and
 sums plus O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers; a run
@@ -45,7 +45,7 @@ from .ode import MEMORY_BUDGET, TIME_SLACK, check_budget
 
 DEFAULT_STEPS = 4000
 # Steps marched per chunk of the simulation loop; the chunk buffers hold
-# about N * CHUNK_STEPS * (2 n + n1 + n2) floats.
+# about N * CHUNK_STEPS * (n + n1 + n2) floats.
 CHUNK_STEPS = 256
 # The measured size of one player's noise stream; a simulation's bytes
 # (simulation_bytes) are held to ode.MEMORY_BUDGET.
@@ -58,11 +58,10 @@ class Trajectory:
 
     Minor players are listed type by type: `types` is non-decreasing and
     holds all N of them. `X` and `U` hold the paths of the leading
-    minors that were kept (all N by default). `type_sums[k]` and
-    `minor_sum` are the per-node sums of the states of type k+1's minors
-    and of all minors, bit for bit `np.add.reduce` of their rows of the
-    full (N, S+1, n) path: divided by the count, they are those minors'
-    `X.mean(axis=0)`.
+    minors that were kept (all N by default). `minor_sum[j]` is bit for
+    bit `np.add.reduce(B, 0)` of node j's minors as one C-contiguous
+    (N, n) block B, and `type_sums[k, j]` that of B's rows of type k+1:
+    over their counts, the empirical means the closed loop read at j.
     """
 
     model: ValidatedModel
@@ -141,6 +140,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_population(N) -> int:
+    """N as an int; ValueError unless _is_integer(N) and N >= 1."""
+    if not _is_integer(N):
+        raise ValueError(f"population size must be an integer, got N={N}")
+    if N < 1:
+        raise ValueError(f"population size must be at least 1, got N={N}")
+    return int(N)
+
+
 def check_type_counts(model: ValidatedModel, N: int, counts=None) -> np.ndarray:
     """The minors' per-type counts as int64, default_type_counts(model, N)
     when None; ValueError unless they are K non-negative integers (ints or
@@ -197,7 +205,7 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
     keep = N if keep is None else keep
     steps, nodes = min(CHUNK_STEPS, S), min(CHUNK_STEPS, S + 1)
     paths = (S + 1) * (1 + 3 * n + 2 * n * K + n1 + keep * (n + n1))
-    chunk = N * (steps * n2 + (steps + 1) * n + nodes * (n + n1))
+    chunk = N * (steps * n2 + (steps + 1) * n + nodes * n1)
     return 8 * (paths + chunk) + N * STREAM_BYTES
 
 
@@ -207,14 +215,13 @@ def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
     return (dt, S), the step (model.T / DEFAULT_STEPS when None) and the
     number of steps over the grid.
 
-    N < 1, a count `keep` of stored paths (N when None) that is not an
-    integer in [0, N], and a non-finite or non-positive dt raise
-    ValueError, a dt that does not divide the grid spacing raises
-    GridMismatch, and a run whose simulation_bytes exceed MEMORY_BUDGET
-    raises NTooLargeForMemory.
+    An N that check_population refuses, a count `keep` of stored paths
+    (N when None) that is not an integer in [0, N], and a non-finite or
+    non-positive dt raise ValueError, a dt that does not divide the grid
+    spacing raises GridMismatch, and a run whose simulation_bytes exceed
+    MEMORY_BUDGET raises NTooLargeForMemory.
     """
-    if N < 1:
-        raise ValueError(f"population size must be at least 1, got N={N}")
+    check_population(N)
     if keep is not None and not (_is_integer(keep) and 0 <= keep <= N):
         raise ValueError(f"the number of stored paths must be an integer "
                          f"in [0, N={N}], got {keep!r}")
@@ -241,16 +248,6 @@ def _product(a, b, out=None):
     if b.shape[0] == 1:
         return np.multiply(a, b[0], out=out)
     return np.matmul(a, b, out=out)
-
-
-def _player_sum(paths: np.ndarray) -> np.ndarray:
-    """np.add.reduce(paths, 0) of a player-major (m, nodes, n) block, adding
-    one player after another as numpy does over a whole (N, S+1, n) path.
-    A block of one number per player is reduced pairwise by numpy, so it
-    is accumulated instead."""
-    if paths.shape[0] and paths[0].size == 1:
-        return np.add.accumulate(paths, 0)[-1]
-    return np.add.reduce(paths, 0)
 
 
 def _march_chunk(model, coefficients, drift, buffers, c0, S, dt, times,
@@ -422,12 +419,12 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         _march_chunk(model, coefficients, drift,
                      (X0_path, Z_path, U0_path, X_chunk, U_chunk),
                      c0, S, dt, times, type_slices, A_by_type, use_empirical)
-        # player-major, as the (N, S+1, n) path is laid out
-        players = np.ascontiguousarray(X_chunk[:nodes].transpose(1, 0, 2))
-        minor_sum[c0:c0 + nodes] = _player_sum(players)
+        # the sums of each node's (N, n) block, as the loop takes them
+        np.add.reduce(X_chunk[:nodes], 1, out=minor_sum[c0:c0 + nodes])
         for k, sl in enumerate(type_slices):
-            type_sums[k, c0:c0 + nodes] = _player_sum(players[sl])
-        X_path[:, c0:c0 + nodes] = players[:keep]
+            np.add.reduce(X_chunk[:nodes, sl], 1,
+                          out=type_sums[k, c0:c0 + nodes])
+        X_path[:, c0:c0 + nodes] = X_chunk[:nodes, :keep].transpose(1, 0, 2)
         U_path[:, c0:c0 + nodes] = U_chunk[:nodes, :keep].transpose(1, 0, 2)
         X_chunk[0] = X_chunk[increments]
 

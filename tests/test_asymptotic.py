@@ -559,3 +559,36 @@ def test_solvability_accepts_the_largest_float_population(scalar_model):
     assert rep.consistent and rep.bounded
     with pytest.raises(ValueError, match=r"N=9007199254740993 exceeds 2\*\*53"):
         check_asymptotic_solvability(scalar_model, [4, 2 ** 53 + 1], grid)
+
+
+@pytest.mark.parametrize("N", [2.5, 3.0, True, np.float64(4.0)])
+def test_population_sizes_must_be_integers(scalar_model, monkeypatch, N):
+    """An N that is not an int or a numpy integer (a bool included) raises
+    ValueError naming it before any solve, where the sweep would truncate
+    it and the solves would carry it."""
+    import lqmfg.asymptotic as asym
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating N")
+
+    monkeypatch.setattr(asym, "_solve_system", no_solve)
+    monkeypatch.setattr(asym, "_solve_reduced", no_solve)
+    grid = TimeGrid(M=20, T=1.0)
+    calls = (lambda: assemble_finite_n(scalar_model, N),
+             lambda: solve_finite_n(scalar_model, N, grid),
+             lambda: solve_tiles(scalar_model, N, grid),
+             lambda: check_asymptotic_solvability(scalar_model, [N, 8, 16],
+                                                  grid))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^population size must be an "
+                                             f"integer, got N={N}$"):
+            call()
+
+
+def test_numpy_integer_population_sizes_are_accepted(scalar_model):
+    grid = TimeGrid(M=20, T=1.0)
+    rep = check_asymptotic_solvability(
+        scalar_model, [np.int64(4), np.uint16(8), 16], grid)
+    assert rep.N_list == (4, 8, 16)
+    assert all(type(N) is int for N in rep.N_list)
+    assert solve_tiles(scalar_model, np.int32(4), grid).N == 4

@@ -729,7 +729,7 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
         (["--N", "4", "--dt", "0"], "time step must be finite and positive"),
         (["--N", "4", "--dt", "0.0003"],
          "dt=0.0003 does not divide the grid spacing 0.0005"),
-        # 10^6 players over 4000 steps need 9.2 GB of chunk buffers and
+        # 10^6 players over 4000 steps need 7.2 GB of chunk buffers and
         # noise streams, though only three paths are stored
         (["--N", "1000000"], "simulating N=1000000 players over 4000 steps "
                              "needs"),
@@ -794,6 +794,26 @@ def test_simulate_rejects_bad_seeds_before_solving(tmp_path, capsys,
                  "--seed", f"0,{seed}", "--out", str(out)]) == 1
     assert (f"error: seed must be an integer in [0, 2**64), got {seed}"
             in capsys.readouterr().err)
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("seeds,message", [
+    (",", "simulate needs --seed"),
+    ("0,0", "--seed lists a seed twice: 0,0"),
+    ("3,1,3", "--seed lists a seed twice: 3,1,3"),
+], ids=["none", "repeated", "repeated-apart"])
+def test_simulate_rejects_empty_or_repeated_seeds_before_solving(
+        tmp_path, capsys, monkeypatch, seeds, message):
+    """No seed leaves no cost to estimate, and a repeated seed would count
+    one draw twice."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("feedback solved")
+
+    monkeypatch.setattr("lqmfg.nce.solve_nce", refuse)
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", SCALAR, "--N", "4",
+                 "--seed", seeds, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert os.listdir(out) == []
 
 

@@ -1,13 +1,15 @@
 import lqmfg
-from lqmfg import asymptotic, cli, errors, master, model, modelfile, nce, ode
+from lqmfg import (asymptotic, cli, errors, master, model, modelfile, nce,
+                   ode, sim)
 
 # Library surface deleted because no CLI path or acceptance criterion used
 # it; the size rule it held is ode.MEMORY_BUDGET alone, the scaled tiles
 # come from asymptotic.solve_tiles alone, the limit system is the tile
 # system's solve at e = 0, the master residual lives in tests/helpers.py,
 # the feedback gains come from nce_gains/master_gains alone, each error
-# class carries its own exit code, and the ValidatedModel declaration alone
-# lists the model's fields, shapes and weight checks.
+# class carries its own exit code, the ValidatedModel declaration alone
+# lists the model's fields, shapes and weight checks, and the simulation's
+# per-node sums are the step loop's own reduce of each node's block.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -25,6 +27,7 @@ DELETED = {
              "master_residual", "residual_sample"),
     nce: ("nce_feedback", "propagate_mean_field"),
     ode: ("integrate_forward",),
+    sim: ("_player_sum",),
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
     asymptotic.LambdaSolution: ("M", "M0"),
     asymptotic.StructureReport: ("exponents", "scaled_tiles", "tiles"),

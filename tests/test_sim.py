@@ -147,7 +147,7 @@ def test_grid_mismatch_rejected(scalar_model, scalar_nce):
 
 
 def test_population_and_step_validated(scalar_model, scalar_nce):
-    for N in (0, -3):
+    for N in (0, -3, 2.5, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="population size"):
             simulate(scalar_model, N, scalar_nce, dt=0.0025)
     for dt in (0.0, -0.0025, float("nan"), float("inf")):
@@ -385,26 +385,55 @@ def test_size_check_counts_only_the_stored_paths():
 
 
 def assert_sums_are_the_means(traj):
-    """The per-node sums over their counts are bitwise the means of the
-    stored paths, which must be all of them."""
+    """Each node's sums are bitwise np.add.reduce of its minors as one
+    C-contiguous (N, n) block, and of that block's rows of each type, as
+    the closed loop reduces them for the empirical means. The paths must
+    all be stored."""
     assert traj.X.shape[0] == traj.N
-    assert (traj.minor_sum / traj.N).tobytes() == traj.X.mean(axis=0).tobytes()
-    for k in range(traj.model.K):
-        members = traj.type_members(k + 1)
-        if members.size:
-            mean = traj.type_sums[k] / members.size
-            assert mean.tobytes() == traj.X[members].mean(axis=0).tobytes(), k
-        else:
-            assert not traj.type_sums[k].any()
+    bounds = np.searchsorted(traj.types, np.arange(1, traj.model.K + 2))
+    for j in range(traj.times.shape[0]):
+        block = np.ascontiguousarray(traj.X[:, j])
+        assert (traj.minor_sum[j].tobytes()
+                == np.add.reduce(block, 0).tobytes()), j
+        for k in range(traj.model.K):
+            # a slice, as the loop takes it: a gather of the members would
+            # be summed in another order
+            rows = block[bounds[k]:bounds[k + 1]]
+            assert (traj.type_sums[k, j].tobytes()
+                    == np.add.reduce(rows, 0).tobytes()), (j, k)
 
 
 def test_sums_are_the_means_when_a_chunk_holds_one_node():
-    # S = 2 CHUNK_STEPS: the last chunk is node S alone, one number per
-    # player, which numpy would sum pairwise
+    # S = 2 CHUNK_STEPS: the last chunk is node S alone; at n = 1 numpy
+    # sums each node's 100 players pairwise, not one after another
     model = build_model()
     S = 2 * CHUNK_STEPS
     sol = solve_nce(model, TimeGrid(M=64, T=1.0))
     assert_sums_are_the_means(simulate(model, 100, sol, dt=1.0 / S, seed=4))
+
+
+@pytest.mark.parametrize("name", ["scalar", "n3k3"])
+def test_traced_memory_per_player_is_within_the_estimate(name):
+    # the slope between two N cancels what does not grow with N; at these
+    # N the chunk buffers set the peak, and over two chunks a buffer one
+    # chunk leaves bound would show
+    model = MODELS[name]()
+    S = 2 * CHUNK_STEPS
+    sol = solve_nce(model, steps_grid(S))
+
+    def peak(N):
+        tracemalloc.start()
+        try:
+            simulate(model, N, sol, dt=1.0 / S, keep=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lo, hi = 1000, 3000
+    traced = (peak(hi) - peak(lo)) / (hi - lo)
+    estimate = (simulation_bytes(model, hi, S, 3)
+                - simulation_bytes(model, lo, S, 3)) / (hi - lo)
+    assert traced <= estimate
 
 
 @pytest.mark.parametrize("keep", [0, 1, 3])
@@ -493,7 +522,8 @@ STEP_CHOICES = ([("steps", S) for m in (1, 2)
 DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 CASES = dict(dims=DIMS, K=st.integers(1, 3),
              model_seed=st.integers(0, 2 ** 32 - 1),
-             counts=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+             # 9 or more players of a type: numpy sums them pairwise at n = 1
+             counts=st.lists(st.integers(0, 12), min_size=3, max_size=3),
              steps=st.sampled_from(STEP_CHOICES), use_empirical=st.booleans(),
              feedback=st.sampled_from(sorted(SOLVERS)),
              seed=st.integers(0, 2 ** 16))
