@@ -14,22 +14,25 @@ makes the across-N convergence measurements clean.
 The step loop runs in chunks of CHUNK_STEPS steps. At the start of a
 chunk the feedback gains and reference-path coefficients are
 interpolated at all of its step times at once, and each player's
-Brownian increments for the chunk are drawn from that player's stream,
-in the same order as one draw of the whole horizon: paths do not depend
-on the chunk length. The increments are transformed by the noise
-matrices for the whole chunk in one product each, and the states are
-checked for finiteness once per chunk. Every float operation of a step
-is the one a step-by-step loop would do, so paths are bit for bit those
-of such a loop.
+Brownian increments for the chunk are drawn from that player's stream
+as one contiguous row of a player-major buffer, in the same order as one
+draw of the whole horizon: paths do not depend on the chunk length. The
+increments are then transformed by the noise matrices for the whole
+chunk in one product each, written node-major into the next nodes'
+state slots, and the states are checked for finiteness once per chunk.
+Every float operation of a step is the one a step-by-step loop would
+do, so paths are bit for bit those of such a loop.
 
 The estimators read per-node sums of the minors' states, per type and
-over all minors, reduced from each node's (N, n) block as the step
-loop reduces it for the empirical mean, so they need no stored path.
-A caller chooses how many leading minors' paths are stored (all by
-default). Memory is O(keep S (n + n1) + K S n) for the stored paths and
-sums plus O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers; a run
-whose estimate (simulation_bytes) exceeds MEMORY_BUDGET is refused
-before anything is allocated.
+over all minors, so they need no stored path. The sum over all minors
+is the one the step loop takes for the empirical mean, written where
+the loop makes it; the per-type sums are reduced after each chunk from
+the node-major block, as the loop reduces it. A caller chooses how many
+leading minors' paths are stored (all by default). Memory is
+O(keep S (n + n1) + K S n) for the stored paths and sums plus
+O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers; a run whose
+estimate (simulation_bytes) exceeds MEMORY_BUDGET is refused before
+anything is allocated.
 """
 
 import math
@@ -200,13 +203,16 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
                      keep: int = None) -> int:
     """Bytes `simulate` allocates for N minors over S steps when it stores
     the paths of `keep` of them (all when None): the stored paths and
-    per-node sums, the chunk buffers and the per-player noise streams."""
+    per-node sums; per player, the chunk buffers, its rows of the gathered
+    type matrices A (n^2 floats) and of the step loop's two (N, n) scratch
+    arrays, the finiteness mask of a chunk's states (one byte per float)
+    and the noise stream."""
     n, n1, n2, K = model.n, model.n1, model.n2, model.K
     keep = N if keep is None else keep
     steps, nodes = min(CHUNK_STEPS, S), min(CHUNK_STEPS, S + 1)
     paths = (S + 1) * (1 + 3 * n + 2 * n * K + n1 + keep * (n + n1))
-    chunk = N * (steps * n2 + (steps + 1) * n + nodes * n1)
-    return 8 * (paths + chunk) + N * STREAM_BYTES
+    chunk = N * (steps * n2 + (steps + 1) * n + nodes * n1 + n * n + 2 * n)
+    return 8 * (paths + chunk) + N * (steps * n + STREAM_BYTES)
 
 
 def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
@@ -242,40 +248,60 @@ def _product(a, b, out=None):
     """a @ b for a 2-d b. When b has one row (an inner dimension of 1)
     the product has no sum and is taken as a broadcast multiply, without
     a BLAS call. numpy's matmul adds that single product to +0.0, so the
-    two differ only where it gives +0.0 for -0.0; both callers add the
-    result to an einsum or matmul sum, which is never -0.0, so their sums
-    agree bit for bit."""
+    two differ only where it gives -0.0 for +0.0, and -0.0 + y is y for
+    every y but -0.0. The three callers add the result to a value that
+    is never -0.0: the minors' controls and U B^T to an einsum or matmul
+    sum, and the noise increments dW D^T to x + dt * drift, which is -0.0
+    only if the state x is, and no state is (the first is a mean plus a
+    matmul sum, each later one an increment plus such an x + dt * drift).
+    So their sums agree bit for bit."""
     if b.shape[0] == 1:
         return np.multiply(a, b[0], out=out)
     return np.matmul(a, b, out=out)
 
 
-def _march_chunk(model, coefficients, drift, buffers, c0, S, dt, times,
+def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
                  type_slices, A_by_type, use_empirical):
     """Euler-Maruyama steps over the nodes of one chunk starting at step c0.
 
     The state at node c0 is in X0_path[c0], Z_path[c0] and X_chunk[0],
     and the later nodes' slots of X0_path and X_chunk hold their step's
-    noise increment. The loop records each node's controls and adds the
-    rest of the step into the next node's slots; `drift` is an (N, n)
-    scratch array. States are checked once, after the loop: the first
-    non-finite node raises NonFiniteState naming its step (a non-finite
-    state stays non-finite, so that is the step a per-step check would
-    name). Kept apart from `simulate` so that the hot loop is a short
-    function: tracemalloc's per-allocation line lookup grows with the
-    offset into the function.
+    noise increment. The loop records each node's controls and the sum
+    of its minors' states (into minor_sum), and adds the rest of the step
+    into the next node's slots; `drift` and `scratch` are (N, n) scratch
+    arrays. States are checked once, after the loop: the first non-finite
+    node raises NonFiniteState naming its step (a non-finite state stays
+    non-finite, so that is the step a per-step check would name). Kept
+    apart from `simulate` so that the hot loop is a short function:
+    tracemalloc's per-allocation line lookup grows with the offset into
+    the function.
+
+    A 2-d by 1-d product added to a partial sum that is never -0.0 is
+    np.dot, which is cheaper to call than `@` and bitwise the same there.
+    Every operand has a unit stride in one axis (it is C- or
+    F-contiguous, or a column slice of a C-contiguous array); np.dot
+    copies an operand strided in both axes, and may then round
+    differently. For a 1 x 1 matrix it returns the bare product, which
+    can be -0.0 where `@` adds it to +0.0, so the first product of each
+    sum stays `@`.
     """
     G0, g0, G, g, (Abar, Gbar, mbar) = coefficients
-    X0_path, Z_path, U0_path, X_chunk, U_chunk = buffers
+    (X0_path, Z_path, U0_path, minor_sum, X_chunk, U_chunk, drift,
+     scratch) = buffers
     n, N = model.n, X_chunk.shape[1]
     Gx0, Gz = G0[:, :, :n], G0[:, :, n:]
     HownT = np.swapaxes(G[..., :n], -1, -2)
     Hx0, Hz = G[..., n:2 * n], G[..., 2 * n:]
     A0, B0, F0 = model.A0, model.B0, model.F0
     F, Gx, BT = model.F, model.G, model.B.T
+    # the types that have players: (type index, its rows, its own gains)
+    present = [(k, sl, HownT[:, k]) for k, sl in enumerate(type_slices)
+               if sl.stop > sl.start]
     steps = min(G0.shape[0], S - c0)
+    # each node's rows of the chunk's coefficients and controls
+    rows = zip(Gx0, Gz, g0, Hx0, Hz, g, Abar, Gbar, mbar, U_chunk)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(G0.shape[0]):
+        for j, (gx0, gz, h0, hx0, hz, h, abar, gbar, mb, U) in enumerate(rows):
             s = c0 + j
             x0cur, Xcur, zbar = X0_path[s], X_chunk[j], Z_path[s]
             if use_empirical:
@@ -286,29 +312,27 @@ def _march_chunk(model, coefficients, drift, buffers, c0, S, dt, times,
             else:
                 zfeed = zbar
 
-            u0 = np.negative(Gx0[j] @ x0cur + Gz[j] @ zfeed + g0[j],
+            u0 = np.negative(gx0 @ x0cur + np.dot(gz, zfeed) + h0,
                              out=U0_path[s])
             # stacked over the types: each type's product is the same
             # BLAS call as alone
-            fixed = Hx0[j] @ x0cur + Hz[j] @ zfeed + g[j]
-            U = U_chunk[j]
-            for k, sl in enumerate(type_slices):
-                if sl.stop == sl.start:
-                    continue
-                Uk = _product(Xcur[sl], HownT[j, k], out=U[sl])
+            fixed = hx0 @ x0cur + hz @ zfeed + h
+            for k, sl, Hk in present:
+                Uk = _product(Xcur[sl], Hk[j], out=U[sl])
                 Uk += fixed[k]
                 np.negative(Uk, out=Uk)
+            xsum = np.add.reduce(Xcur, 0, out=minor_sum[s])
 
             if s == S:
                 break
 
-            xbarN = np.add.reduce(Xcur, 0) / N
-            drift0 = A0 @ x0cur + B0 @ u0 + F0 @ xbarN
+            xbarN = xsum / N
+            drift0 = A0 @ x0cur + np.dot(B0, u0) + np.dot(F0, xbarN)
             np.einsum("nij,nj->ni", A_by_type, Xcur, out=drift)
-            drift += _product(U, BT)
-            drift += F @ xbarN
-            drift += Gx @ x0cur
-            zdrift = Abar[j] @ zbar + Gbar[j] @ x0cur + mbar[j]
+            drift += _product(U, BT, out=scratch)
+            drift += np.dot(F, xbarN)
+            drift += np.dot(Gx, x0cur)
+            zdrift = abar @ zbar + np.dot(gbar, x0cur) + mb
 
             # the next slots hold the noise: noise + (x + dt * drift) is
             # the per-step (x + dt * drift) + noise, bit for bit
@@ -379,7 +403,9 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     U_path = np.empty((keep, S + 1, model.n1))
     type_sums = np.empty((K, S + 1, n))
     minor_sum = np.empty((S + 1, n))
-    noise = np.empty((steps, N, n2))
+    # player-major: each player's increments for a chunk are one
+    # contiguous draw from its stream
+    noise = np.empty((N, steps, n2))
     X_chunk = np.empty((steps + 1, N, n))
     U_chunk = np.empty((min(CHUNK_STEPS, S + 1), N, model.n1))
 
@@ -401,26 +427,27 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         type_slices.append(slice(start, start + int(c)))
         start += int(c)
 
-    drift = np.empty((N, n))
+    drift, scratch = np.empty((N, n)), np.empty((N, n))
     D0, DT = model.D0, model.D.T
     for c0 in range(0, S + 1, CHUNK_STEPS):
         coefficients = gains(sol, times[c0:c0 + CHUNK_STEPS])
         increments = min(c0 + CHUNK_STEPS, S) - c0
         dW0 = sqdt * rng0.standard_normal((increments, n2))
-        dW = noise[:increments]
-        for i, rng in enumerate(rngs):
-            dW[:, i] = rng.standard_normal((increments, n2))
+        dW = noise[:, :increments]
+        for rng, row in zip(rngs, dW):
+            rng.standard_normal(out=row)
         dW *= sqdt
         # each step's increments, transformed by the same per-step
-        # products as one call: D0 @ dW0[j] and dW[j] @ D.T
+        # products as one call: D0 @ dW0[j] and dW[:, j] @ D.T
         X0_path[c0 + 1:c0 + increments + 1] = (D0 @ dW0[:, :, None])[:, :, 0]
-        np.matmul(dW, DT, out=X_chunk[1:increments + 1])
+        _product(dW.transpose(1, 0, 2), DT, out=X_chunk[1:increments + 1])
         nodes = min(CHUNK_STEPS, S + 1 - c0)
-        _march_chunk(model, coefficients, drift,
-                     (X0_path, Z_path, U0_path, X_chunk, U_chunk),
+        _march_chunk(model, coefficients,
+                     (X0_path, Z_path, U0_path, minor_sum, X_chunk, U_chunk,
+                      drift, scratch),
                      c0, S, dt, times, type_slices, A_by_type, use_empirical)
-        # the sums of each node's (N, n) block, as the loop takes them
-        np.add.reduce(X_chunk[:nodes], 1, out=minor_sum[c0:c0 + nodes])
+        # each type's rows of each node's (N, n) block, reduced as the
+        # loop reduces the whole block
         for k, sl in enumerate(type_slices):
             np.add.reduce(X_chunk[:nodes, sl], 1,
                           out=type_sums[k, c0:c0 + nodes])

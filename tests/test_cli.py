@@ -729,7 +729,7 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
         (["--N", "4", "--dt", "0"], "time step must be finite and positive"),
         (["--N", "4", "--dt", "0.0003"],
          "dt=0.0003 does not divide the grid spacing 0.0005"),
-        # 10^6 players over 4000 steps need 7.2 GB of chunk buffers and
+        # 10^6 players over 4000 steps need 7.5 GB of chunk buffers and
         # noise streams, though only three paths are stored
         (["--N", "1000000"], "simulating N=1000000 players over 4000 steps "
                              "needs"),

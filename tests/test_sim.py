@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lqmfg import (BlowUpReport, EmptyBatch, EmptyType, GridMismatch,
                    NonFiniteState, NTooLargeForMemory, TimeGrid,
@@ -22,6 +22,12 @@ PATHS = ("X0", "X", "Zbar", "U0", "U")
 MODELS = {"scalar": build_model, "twotype": two_type_scalar,
           "n3k3": random_n3k3}
 SOLVERS = {"nce": solve_nce, "master": solve_master}
+
+
+def random_dims(dims, K=1, seed=3):
+    """A random model of the given (n, n1, n2)."""
+    return validate_model(_random_params(np.random.default_rng(seed), K,
+                                         dims))
 
 
 def steps_grid(S):
@@ -267,6 +273,22 @@ def test_chunked_loop_matches_reference_loop(name, feedback):
     assert traj.steps == S
 
 
+@pytest.mark.parametrize("feedback", sorted(SOLVERS))
+@pytest.mark.parametrize("use_empirical", [False, True])
+def test_ten_dimensional_states_match_reference_loop(feedback, use_empirical):
+    # the property tests stop at n <= 3; here every BLAS product of a step
+    # (gemv for the 2-d by 1-d ones, gemm over a strided noise view) is
+    # 10 wide, over a chunk boundary
+    model = random_dims((10, 10, 10), K=2)
+    S = CHUNK_STEPS + 4
+    sol = SOLVERS[feedback](model, steps_grid(S))
+    assert not isinstance(sol, BlowUpReport)
+    traj = check_against_reference(model, 7, sol, dt=1.0 / S, seed=5,
+                                   type_counts=[4, 3],
+                                   use_empirical=use_empirical)
+    assert traj.steps == S
+
+
 @pytest.mark.parametrize("S", [CHUNK_STEPS // 3, CHUNK_STEPS - 1, CHUNK_STEPS,
                                CHUNK_STEPS + 1, 2 * CHUNK_STEPS,
                                2 * CHUNK_STEPS + CHUNK_STEPS // 2])
@@ -412,12 +434,22 @@ def test_sums_are_the_means_when_a_chunk_holds_one_node():
     assert_sums_are_the_means(simulate(model, 100, sol, dt=1.0 / S, seed=4))
 
 
-@pytest.mark.parametrize("name", ["scalar", "n3k3"])
+MEMORY_MODELS = {"scalar": (build_model, 1000, 3000),
+                 "n3k3": (random_n3k3, 1000, 3000),
+                 # at n = 10 the gathered type matrices and the (N, n)
+                 # scratch arrays show past the stream allowance
+                 "dims-10-1-1": (lambda: random_dims((10, 1, 1)), 300, 900),
+                 "dims-10-10-10": (lambda: random_dims((10, 10, 10)), 300,
+                                   900)}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_MODELS))
 def test_traced_memory_per_player_is_within_the_estimate(name):
-    # the slope between two N cancels what does not grow with N; at these
-    # N the chunk buffers set the peak, and over two chunks a buffer one
+    # the slope between two N cancels what does not grow with N (such as
+    # the chunk's interpolated gains), and over two chunks a buffer one
     # chunk leaves bound would show
-    model = MODELS[name]()
+    make, lo, hi = MEMORY_MODELS[name]
+    model = make()
     S = 2 * CHUNK_STEPS
     sol = solve_nce(model, steps_grid(S))
 
@@ -429,7 +461,6 @@ def test_traced_memory_per_player_is_within_the_estimate(name):
         finally:
             tracemalloc.stop()
 
-    lo, hi = 1000, 3000
     traced = (peak(hi) - peak(lo)) / (hi - lo)
     estimate = (simulation_bytes(model, hi, S, 3)
                 - simulation_bytes(model, lo, S, 3)) / (hi - lo)
@@ -577,17 +608,35 @@ def assert_same_outcome(got, want):
 
 
 @SIM_SETTINGS
-@given(zero_weight_costs=st.booleans(), **CASES)
+@given(zero_weight_costs=st.booleans(),
+       zero_noise=st.sampled_from(["off", "diffusion", "diffusion and start"]),
+       **CASES)
+# a reference path that starts at -0.0 with zero coefficients: every 1 x 1
+# product of its drift is a signed zero
+@example(zero_weight_costs=True, zero_noise="diffusion and start",
+         dims=(1, 1, 2), K=1, model_seed=4_265_240_605, counts=[1, 0, 0],
+         steps=("steps", 255), use_empirical=False, feedback="master", seed=0)
 def test_simulate_is_bitwise_the_reference_loop(dims, K, model_seed, counts,
                                                 steps, use_empirical,
                                                 feedback, seed,
-                                                zero_weight_costs):
-    # zero weights give zero gains, so zero products of both signs meet
+                                                zero_weight_costs, zero_noise):
+    # zero weights give zero gains, so zero products of both signs meet;
+    # zero diffusion makes every noise product a signed zero (simulate
+    # multiplies where the reference loop takes a matmul sum), and with
+    # zero covariances and -0.0 means the states start at zero
     counts = counts[:K]
     assume(sum(counts) >= 1)
+    n, _, n2 = dims
     params = _random_params(np.random.default_rng(model_seed), K, dims)
     if zero_weight_costs:
-        params = dataclasses.replace(params, **zero_weights(dims[0]))
+        params = dataclasses.replace(params, **zero_weights(n))
+    if zero_noise != "off":
+        params = dataclasses.replace(params, D0=np.zeros((n, n2)),
+                                     D=np.zeros((n, n2)))
+    if zero_noise == "diffusion and start":
+        params = dataclasses.replace(
+            params, x0_cov=np.zeros((n, n)), xi_cov=np.zeros((n, n)),
+            x0_mean=np.full(n, -0.0), alpha0=np.full(n, -0.0))
     (got, want), _ = run_both(validate_model(params), counts, steps, feedback,
                               seed=seed, use_empirical=use_empirical)
     assert not isinstance(want, str), want
