@@ -19,6 +19,17 @@ clusters and counts), reads the limit system's blocks off the
 consistency-route solution (phi_from_nce: kernels by block, offsets by
 s0 -> (s0, sm), s -> (t1, t0, to)), and runs the structural and
 boundedness checks tying them together.
+
+The reduced field (_ReducedFields) is hand-written, not compiled: the
+compiler's index tables would hold d^2 addresses per operand at side
+d = (N+1)n. It evaluates the two players as one stack. Their kernels,
+and their offsets, are adjacent in the flat state, so a product that
+both take with one shared operand is one stacked matmul: a gemm (a gemv
+for a column) per member, bitwise that member's own product. Sums are
+added in the one-player text's left-to-right order into views of one
+fresh output array. The offsets' coupling terms stay W.T @ s, as s @ W
+is another BLAS call and rounds differently. solve_finite_n sizes the
+whole solve (finite_n_bytes) before anything is assembled.
 """
 
 from dataclasses import dataclass
@@ -30,8 +41,8 @@ from .errors import GridMismatch, KNotOne
 from .master import DiffReport, _max_node_l1
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
-from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
-                  StateLayout, check_budget, integrate_backward)
+from .ode import (DEFAULT_BLOWUP_THRESHOLD, ESTIMATE_SLACK, BlowUpReport,
+                  MatrixPath, StateLayout, check_budget, integrate_backward)
 from .sim import check_population
 
 # Tiles closer than this (l1, up to transpose) belong to one cluster.
@@ -179,67 +190,102 @@ class FiniteNSolution:
 
 
 class _ReducedFields:
-    """Symmetry-reduced fields: only players 0 and 1 are carried."""
+    """Symmetry-reduced field of players 0 and 1: field(t, flat) is the
+    derivative of the flat state P0, P1, S0, S1 (two kernels, then two
+    offsets, of side d = (N+1)n), evaluated on the (2, d, d) and (2, d)
+    views PP = (P0, P1) and SS = (S0, S1) by the stacking rules of the
+    module docstring, bitwise tests/helpers.py::ReducedFieldsRef.
+
+    The operands of the sums land in one (2, d, d) scratch array, and
+    the coupling matrix W and the padded own-input vector in buffers of
+    their own, all set up once per solve. The output array is new at
+    each call (RK4 holds four stages at once) and shares no memory with
+    them.
+    """
 
     def __init__(self, sys: FiniteNSystem):
         self.sys = sys
-        self.n = sys.model.n
-        self.N = sys.N
-        self.d = sys.dim
+        n, N, d = sys.model.n, sys.N, sys.dim
+        self.n, self.N, self.d = n, N, d
+        self.negArT = -sys.Ahat_rho.T
+        self.lins = np.stack([sys.lin0, sys.lin_minor(1)])
         self.Q1_big = sys.Q_minor(1)
-        self.Q1f_big = sys.Q_minor(1, final=True)
-        self.lin1 = sys.lin_minor(1)
-        self.lin1_f = sys.lin_minor_f(1)
+        # row block 0 of W and block 0 of vS stay +0.0
+        self._W = np.zeros((d, d))
+        self._vS = np.zeros(d)
+        self._scratch = np.empty((2, d, d))
+        # W's minor rows as (row block j - 1, row in block, column block,
+        # column in block), their column block 1, and their blocks
+        # (j - 1, j): block j of row block j - 1 starts j (n d + n) floats
+        # into W, and block N ends on W's last float
+        rows = self._W[n:].reshape(N, n, N + 1, n)
+        item = self._W.itemsize
+        self._rows, self._col1 = rows, rows[:, :, 1]
+        self._diag = np.lib.stride_tricks.as_strided(
+            rows[0, 0, 1], shape=(N, n, n),
+            strides=((n * d + n) * item, d * item, item))
 
     def coupling(self, MP1: np.ndarray) -> np.ndarray:
         """Sum over minors of (own-input gain) x (own Riccati matrix),
-        from MP1 = M @ (row block 1 of P1).
+        from MP1 = M @ (row block 1 of P1), in a buffer that the next
+        call overwrites.
 
         Row-block j of minor j's matrix is row-block 1 of P1 with column
         blocks 1 and j exchanged; nothing beyond exchangeability is
         assumed.
         """
-        n, N, d = self.n, self.N, self.d
-        base = MP1.reshape(n, N + 1, n)
-        W = np.zeros((d, d))
-        # (row block j - 1, row in block, column block, column in block)
-        rows = W[n:].reshape(N, n, N + 1, n)
-        rows[:] = base
-        rows[:, :, 1] = base[:, 1:].transpose(1, 0, 2)
-        j = np.arange(1, N + 1)
-        rows[j - 1, :, j] = base[:, 1]
-        return W
+        base = MP1.reshape(self.n, self.N + 1, self.n)
+        self._rows[:] = base
+        self._col1[:] = base[:, 1:].transpose(1, 0, 2)
+        self._diag[:] = base[:, 1]
+        return self._W
 
-    def derivatives(self, P0, P1, S0, S1):
-        """dP0, dP1, dS0, dS1; each subproduct shared by two terms is
-        taken once, in the association order of both."""
-        sys, n, N = self.sys, self.n, self.N
-        MP1 = sys.M @ P1[n:2 * n, :]
-        M0P0 = sys.M0 @ P0[:n, :]
-        M0S0 = sys.M0 @ S0[:n]
-        own = sys.M @ S1[n:2 * n]
+    def field(self, t, flat: np.ndarray) -> np.ndarray:
+        sys, n, d = self.sys, self.n, self.d
+        sq = d * d
+        PP = flat[:2 * sq].reshape(2, d, d)
+        SS = flat[2 * sq:].reshape(2, d)
+        P0n, P1n, P1m = PP[0, :, :n], PP[1, :, :n], PP[1, :, n:2 * n]
+        M0PP = sys.M0 @ PP[:, :n, :]
+        MP1 = sys.M @ PP[1, n:2 * n, :]
         W = self.coupling(MP1)
-
         Ar2 = sys.Ahat_rho2
-        dP0 = (-(P0 @ Ar2 + Ar2.T @ P0)
-               + P0[:, :n] @ M0P0
-               + P0 @ W + W.T @ P0 - sys.Q0_big)
-        dP1 = (-(P1 @ Ar2 + Ar2.T @ P1)
-               - P1[:, n:2 * n] @ MP1
-               + P1[:, :n] @ M0P0
-               + P0[:, :n] @ (sys.M0 @ P1[:n, :])
-               + P1 @ W + W.T @ P1 - self.Q1_big)
+        out = np.empty(2 * sq + 2 * d)
+        dPP = out[:2 * sq].reshape(2, d, d)
+        dSS = out[2 * sq:].reshape(2, d)
+        scr = self._scratch
 
-        ArT = sys.Ahat_rho.T
-        vS = np.zeros(self.d)
-        vS[n:].reshape(N, n)[:] = own
-        dS0 = (-ArT @ S0 + P0[:, :n] @ M0S0
-               + W.T @ S0 + P0 @ vS + sys.lin0)
-        dS1 = (-ArT @ S1 + P0[:, :n] @ (sys.M0 @ S1[:n])
-               + P1[:, :n] @ M0S0
-               - P1[:, n:2 * n] @ own
-               + W.T @ S1 + P1 @ vS + self.lin1)
-        return dP0, dP1, dS0, dS1
+        # dP0 = -(P0 Ar2 + Ar2' P0) + P0n M0P0 + P0 W + W' P0 - Q0
+        # dP1 = -(P1 Ar2 + Ar2' P1) - P1m MP1 + P1n M0P0 + P0n M0P1
+        #       + P1 W + W' P1 - Q1
+        np.matmul(PP, Ar2, out=dPP)
+        dPP += np.matmul(Ar2.T, PP, out=scr)
+        np.negative(dPP, out=dPP)
+        dPP[1] -= np.matmul(P1m, MP1, out=scr[0])
+        dPP += np.matmul(PP[:, :, :n], M0PP[0], out=scr)
+        dPP[1] += np.matmul(P0n, M0PP[1], out=scr[0])
+        dPP += np.matmul(PP, W, out=scr)
+        dPP += np.matmul(W.T, PP, out=scr)
+        dPP[0] -= sys.Q0_big
+        dPP[1] -= self.Q1_big
+
+        # dS0 = -Ar' S0 + P0n M0S0 + W' S0 + P0 vS + lin0
+        # dS1 = -Ar' S1 + P0n M0S1 + P1n M0S0 - P1m own + W' S1 + P1 vS
+        #       + lin1
+        cols = SS[:, :, None]
+        dcols = dSS[:, :, None]
+        M0SS = sys.M0 @ SS[:, :n, None]
+        own = sys.M @ SS[1, n:2 * n]
+        vS = self._vS
+        vS[n:].reshape(self.N, n)[:] = own
+        np.matmul(self.negArT, cols, out=dcols)
+        dcols += P0n @ M0SS
+        dSS[1] += P1n @ M0SS[0, :, 0]
+        dSS[1] -= P1m @ own
+        dcols += W.T @ cols
+        dSS += PP @ vS
+        dSS += self.lins
+        return out
 
 
 def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
@@ -250,12 +296,9 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
     layout = StateLayout([("P0_big", (d, d), "kernel"),
                           ("P1_big", (d, d), "kernel"),
                           ("S0_big", (d,), "vector"), ("S1_big", (d,), "vector")])
-
-    def field(t, flat):
-        return layout.pack(*red.derivatives(*layout.split(flat)))
-
-    terminal = layout.pack(sys.Q0f_big, red.Q1f_big, sys.lin0_f, red.lin1_f)
-    path = integrate_backward(field, terminal, grid, threshold=threshold,
+    terminal = layout.pack(sys.Q0f_big, sys.Q_minor(1, final=True),
+                           sys.lin0_f, sys.lin_minor_f(1))
+    path = integrate_backward(red.field, terminal, grid, threshold=threshold,
                               symmetrize=layout.sym, prefixes=layout.prefixes)
     if isinstance(path, BlowUpReport):
         return path
@@ -264,18 +307,33 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
                            **layout.paths(path))
 
 
+def finite_n_bytes(n: int, N: int, M: int) -> int:
+    """Peak bytes of solve_finite_n for N minors of state dimension n on
+    M + 1 nodes, d = (N+1)n: the path, 2(d^2 + d) floats per node; ten
+    d-square matrices held through the march (Ahat, Ahat_rho2, Ahat_rho,
+    Q0_big and Q0f_big of the assembled system, and the field's Q1,
+    -Ahat_rho^T, W and two-matrix scratch); ten flat states of
+    2(d^2 + d) floats at the peak of an RK4 step (the terminal, the
+    state, its absolute values, four stages and three temporaries of
+    their weighted sum, which numpy reuses only above 256 KiB); (5 + 5n)
+    d floats of vectors and n-row matrices; and ode.ESTIMATE_SLACK. The
+    assembly peaks (seven d-square matrices) before the path exists."""
+    d = (N + 1) * n
+    state = 2 * (d * d + d)
+    return (8 * ((M + 1) * state + 10 * d * d + 10 * state + (5 + 5 * n) * d)
+            + ESTIMATE_SLACK)
+
+
 def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
                    threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the N+1-player Riccati/offset system, integrating only the
-    two representative players via exchangeability. A stored path above
-    the memory budget raises NTooLargeForMemory before anything is
-    assembled: the kernel and offset of side (N+1)n of the two
-    representative players.
+    two representative players via exchangeability. A solve above the
+    memory budget (finite_n_bytes) raises NTooLargeForMemory before
+    anything is assembled.
     """
     _require_population(model, N)
-    d = (N + 1) * model.n
-    check_budget(f"the symmetric path of N={N} minor players on "
-                 f"{grid.M + 1} nodes", 8 * (grid.M + 1) * 2 * (d * d + d))
+    check_budget(f"solving N={N} minor players on {grid.M + 1} nodes",
+                 finite_n_bytes(model.n, N, grid.M))
     return _solve_reduced(assemble_finite_n(model, N), grid, threshold)
 
 

@@ -41,6 +41,10 @@ DEFAULT_BLOWUP_THRESHOLD = 1e12
 # allocate; larger runs are refused by check_budget before anything is
 # allocated.
 MEMORY_BUDGET = 4 * 2 ** 30
+# Bytes of Python objects and small arrays that a size estimate
+# (sim.simulation_bytes, asymptotic.finite_n_bytes) allows beyond the
+# arrays it counts; about 8 and 16 kB are traced.
+ESTIMATE_SLACK = 2 ** 15
 # Relative asymmetry beyond this after a step signals a mis-assembled
 # field; measured relative to the state's magnitude so that legitimate
 # near-escape growth (entries ~1e11) is still classified as blow-up.

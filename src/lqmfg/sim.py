@@ -44,15 +44,18 @@ from .errors import EmptyBatch, EmptyType, GridMismatch, NonFiniteState
 from .master import MasterSolution, master_gains
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution, nce_gains
-from .ode import MEMORY_BUDGET, TIME_SLACK, check_budget
+from .ode import ESTIMATE_SLACK, MEMORY_BUDGET, TIME_SLACK, check_budget
 
 DEFAULT_STEPS = 4000
 # Steps marched per chunk of the simulation loop; the chunk buffers hold
 # about N * CHUNK_STEPS * (n + n1 + n2) floats.
 CHUNK_STEPS = 256
-# The measured size of one player's noise stream; a simulation's bytes
-# (simulation_bytes) are held to ode.MEMORY_BUDGET.
-STREAM_BYTES = 1024
+# One player's noise stream, a Philox generator and its list slot: 609
+# bytes by the tracemalloc slope of 300 -> 900 generators, 630 by the RSS
+# growth of 10^5 used generators in a fresh process (numpy 2.4.6, Python
+# 3.11); rounded up. A simulation's bytes (simulation_bytes) are held to
+# ode.MEMORY_BUDGET.
+STREAM_BYTES = 640
 
 
 @dataclass(frozen=True)
@@ -203,16 +206,25 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
                      keep: int = None) -> int:
     """Bytes `simulate` allocates for N minors over S steps when it stores
     the paths of `keep` of them (all when None): the stored paths and
-    per-node sums; per player, the chunk buffers, its rows of the gathered
-    type matrices A (n^2 floats) and of the step loop's two (N, n) scratch
-    arrays, the finiteness mask of a chunk's states (one byte per float)
-    and the noise stream."""
+    per-node sums; the chunk's interpolated gains and reference-path
+    coefficients, and the interpolation's temporaries: three copies of
+    the largest state it reads (the K kernels of side d1 = n(K+2)) and
+    eight floats per node of times, indices and weights; per player, the
+    chunk buffers, its rows of the gathered type matrices A (n^2 floats)
+    and of the step loop's two (N, n) scratch arrays, the finiteness mask
+    of a chunk's states (one byte per float) and the noise stream; and
+    ode.ESTIMATE_SLACK."""
     n, n1, n2, K = model.n, model.n1, model.n2, model.K
     keep = N if keep is None else keep
     steps, nodes = min(CHUNK_STEPS, S), min(CHUNK_STEPS, S + 1)
+    d0, d1, nK = n * (K + 1), n * (K + 2), n * K
     paths = (S + 1) * (1 + 3 * n + 2 * n * K + n1 + keep * (n + n1))
+    # G0, g0, G, g, Abar, Gbar, mbar at each of the chunk's nodes
+    coeffs = nodes * (n1 * (d0 + 1) + K * n1 * (d1 + 1) + nK * (nK + n + 1)
+                      + 3 * K * d1 * d1 + 8)
     chunk = N * (steps * n2 + (steps + 1) * n + nodes * n1 + n * n + 2 * n)
-    return 8 * (paths + chunk) + N * (steps * n + STREAM_BYTES)
+    return (8 * (paths + coeffs + chunk) + N * (steps * n + STREAM_BYTES)
+            + ESTIMATE_SLACK)
 
 
 def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
@@ -430,7 +442,6 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     drift, scratch = np.empty((N, n)), np.empty((N, n))
     D0, DT = model.D0, model.D.T
     for c0 in range(0, S + 1, CHUNK_STEPS):
-        coefficients = gains(sol, times[c0:c0 + CHUNK_STEPS])
         increments = min(c0 + CHUNK_STEPS, S) - c0
         dW0 = sqdt * rng0.standard_normal((increments, n2))
         dW = noise[:, :increments]
@@ -442,7 +453,9 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         X0_path[c0 + 1:c0 + increments + 1] = (D0 @ dW0[:, :, None])[:, :, 0]
         _product(dW.transpose(1, 0, 2), DT, out=X_chunk[1:increments + 1])
         nodes = min(CHUNK_STEPS, S + 1 - c0)
-        _march_chunk(model, coefficients,
+        # the chunk's gains live only through its march, so the next
+        # chunk's are interpolated without them
+        _march_chunk(model, gains(sol, times[c0:c0 + CHUNK_STEPS]),
                      (X0_path, Z_path, U0_path, minor_sum, X_chunk, U_chunk,
                       drift, scratch),
                      c0, S, dt, times, type_slices, A_by_type, use_empirical)

@@ -8,10 +8,11 @@ from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce, solve_tiles,
                    validate_model)
+from lqmfg import asymptotic as asym
 from lqmfg.asymptotic import (_LIMIT_EQUATIONS, _TILE_EQUATIONS, BLOCK_KEYS,
                               OFFSET_KEYS, TILE_TOL, _cluster_counts, _field,
-                              _ReducedFields)
-from lqmfg.ode import BlowUpReport
+                              _ReducedFields, finite_n_bytes)
+from lqmfg.ode import MEMORY_BUDGET, BlowUpReport
 
 from helpers import (_random_params, build_model, check_escape_levels,
                      coupling_loop, decoupled_scalar, dense_march,
@@ -77,6 +78,50 @@ def test_assembly_guards():
         with pytest.raises(NTooLargeForMemory,
                            match="needs 560011200056 bytes, over the budget"):
             assemble_finite_n(scalar_coupled(), 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("N", [100, 200])
+def test_traced_solve_peak_is_within_the_estimate(N):
+    """The one estimate of a finite-N solve bounds its traced peak, and
+    not by much: path, assembled system, field buffers and RK4 stages.
+    At N = 100 numpy makes a new array for every temporary of the RK4
+    sum; at N = 200 the states pass 256 KiB and it reuses them."""
+    model = build_model()
+    grid = TimeGrid(M=4, T=1.0)
+    tracemalloc.start()
+    try:
+        solve_finite_n(model, N, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = finite_n_bytes(model.n, N, grid.M)
+    assert peak <= estimate < 1.1 * peak
+
+
+def test_solve_size_counts_the_march_before_assembling(monkeypatch):
+    """N = 5000 on two nodes: the path alone (0.8 GB) and the assembly
+    alone (1.4 GB) fit the budget, the march's working set does not; the
+    solve is refused before anything is assembled."""
+    model = build_model()
+    d = 5001
+    assert 8 * 2 * 2 * (d * d + d) < MEMORY_BUDGET
+    assert 8 * 7 * d * d < MEMORY_BUDGET
+    need = finite_n_bytes(1, 5000, 1)
+    assert need > MEMORY_BUDGET
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(asym, "assemble_finite_n", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NTooLargeForMemory,
+                           match=f"needs {need} bytes, over the budget"):
+            solve_finite_n(model, 5000, TimeGrid(M=1, T=1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,11 +241,16 @@ def test_cluster_counts_match_greedy_scan_on_solved_paths(make, N):
 @pytest.mark.parametrize("N", [1, 2, 3, 8, 33])
 @pytest.mark.parametrize("make", [scalar_coupled, two_dim_coupled])
 def test_coupling_matches_row_block_loop(make, N):
+    """W is rebuilt in one buffer per solve: each fill, the first and a
+    later one, is the loop's matrix, zero row block included."""
     sys = assemble_finite_n(make(), N)
-    P1 = np.random.default_rng(N).standard_normal((sys.dim, sys.dim))
+    rng = np.random.default_rng(N)
     n = sys.model.n
-    assert np.array_equal(_ReducedFields(sys).coupling(sys.M @ P1[n:2 * n, :]),
-                          coupling_loop(sys, P1))
+    red = _ReducedFields(sys)
+    for _ in range(2):
+        P1 = rng.standard_normal((sys.dim, sys.dim))
+        W = red.coupling(sys.M @ P1[n:2 * n, :])
+        assert W.tobytes() == coupling_loop(sys, P1).tobytes()
 
 
 def test_lambda_terminal_pins(scalar_model):
@@ -348,7 +398,6 @@ def test_solvability_verdict_ignores_list_order(scalar_model):
 
 def test_solvability_rejects_small_n_before_solving(scalar_model,
                                                     monkeypatch):
-    import lqmfg.asymptotic as asym
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating N")
@@ -366,7 +415,6 @@ def test_solvability_needs_three_distinct_n(scalar_model, monkeypatch,
     """The bounded-tail heuristic reads the three largest N: fewer
     distinct N raise ValueError naming the rule and the count before any
     solve."""
-    import lqmfg.asymptotic as asym
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before counting N")
@@ -428,9 +476,13 @@ def test_tile_field_is_the_reduced_field_on_exchangeable_states(n):
     model = _random_k1(40 + n, n)
     for N in (1, 2, 3, 5):
         tiles = _random_tiles(rng, n, N)
-        derivs = _ReducedFields(assemble_finite_n(model, N)).derivatives(
-            *expand_tiles(tiles, N))
-        want = finite_tiles(*derivs, N)
+        sys = assemble_finite_n(model, N)
+        d = sys.dim
+        flat = np.concatenate([part.ravel()
+                               for part in expand_tiles(tiles, N)])
+        deriv = _ReducedFields(sys).field(0.0, flat)
+        want = finite_tiles(*deriv[:2 * d * d].reshape(2, d, d),
+                            *deriv[2 * d * d:].reshape(2, d), N)
         got = _unflat(_field(model, _TILE_EQUATIONS, 1.0 / N)(
             0.0, _flat(tiles, n)), n)
         for key, w in want.items():
@@ -566,7 +618,6 @@ def test_population_sizes_must_be_integers(scalar_model, monkeypatch, N):
     """An N that is not an int or a numpy integer (a bool included) raises
     ValueError naming it before any solve, where the sweep would truncate
     it and the solves would carry it."""
-    import lqmfg.asymptotic as asym
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating N")

@@ -729,7 +729,7 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
         (["--N", "4", "--dt", "0"], "time step must be finite and positive"),
         (["--N", "4", "--dt", "0.0003"],
          "dt=0.0003 does not divide the grid spacing 0.0005"),
-        # 10^6 players over 4000 steps need 7.5 GB of chunk buffers and
+        # 10^6 players over 4000 steps need 7.1 GB of chunk buffers and
         # noise streams, though only three paths are stored
         (["--N", "1000000"], "simulating N=1000000 players over 4000 steps "
                              "needs"),
@@ -820,7 +820,8 @@ def test_simulate_rejects_empty_or_repeated_seeds_before_solving(
 @pytest.mark.parametrize("argv", [
     # 10^11 + 1 nodes of the nine-block state: 7.2 TB
     ["solve", "lambda", "--grid", "100000000000"],
-    # (N+1)n = 501: 2001 nodes of 2 * 501^2 + 2 * 501 floats, 8.05 GB
+    # (N+1)n = 501: 2001 nodes of 2 * 501^2 + 2 * 501 floats and the
+    # march's working set, 8.11 GB
     ["solve", "finite-n", "--N", "500"],
 ])
 def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,

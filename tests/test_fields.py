@@ -184,14 +184,42 @@ def test_finite_field_is_bitwise_the_reference_field(n, N, model_seed,
     sys = assemble_finite_n(random_model(1, n, model_seed), N)
     d = sys.dim
     w = random_state(state_seed, [(2, d, d)], 2 * d, zeros, scale)
+    got = asymptotic._ReducedFields(sys).field(t, w)
+    assert got.tobytes() == reference_finite_field(sys, w).tobytes()
+
+
+def reference_finite_field(sys, w):
+    """ReducedFieldsRef's derivatives at the flat state w, concatenated
+    in state order."""
+    d = sys.dim
     P0, P1 = w[:2 * d * d].reshape(2, d, d)
     S0, S1 = w[2 * d * d:].reshape(2, d)
-    got = asymptotic._ReducedFields(sys).derivatives(P0, P1, S0, S1)
     ref = ReducedFieldsRef(sys)
     W = ref.coupling(P1)
-    want = ref.dP(P0, P1, W) + ref.dS(P0, P1, W, S0, S1)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    return np.concatenate([part.ravel() for part in
+                           ref.dP(P0, P1, W) + ref.dS(P0, P1, W, S0, S1)])
+
+
+@pytest.mark.parametrize("n,N", [(1, 1), (2, 3), (3, 8)])
+def test_finite_field_returns_a_fresh_array_each_call(n, N):
+    """RK4 holds all four stages at once: a later call must leave an
+    earlier result as it was, and no result may share memory with the
+    buffers the field keeps between calls. Each result is still the
+    reference field of its own state, so nothing a call leaves in those
+    buffers leaks into the next."""
+    sys = assemble_finite_n(random_model(1, n, 11 + n), N)
+    d = sys.dim
+    red = asymptotic._ReducedFields(sys)
+    states = [random_state(seed, [(2, d, d)], 2 * d, zeros, 1.0)
+              for seed, zeros in ((1, 0.0), (2, 0.3), (3, 0.0))]
+    results = [red.field(0.0, w) for w in states]
+    kept = [a for a in vars(red).values() if isinstance(a, np.ndarray)]
+    for i, (w, got) in enumerate(zip(states, results)):
+        assert got.tobytes() == reference_finite_field(sys, w).tobytes()
+        assert not np.shares_memory(got, w)
+        assert not any(np.shares_memory(got, a) for a in kept)
+        assert not any(np.shares_memory(got, other)
+                       for other in results[i + 1:])
 
 
 def _flat(*paths):

@@ -467,6 +467,24 @@ def test_traced_memory_per_player_is_within_the_estimate(name):
     assert traced <= estimate
 
 
+@pytest.mark.parametrize("name,N", [("dims-10-1-1", 2000), ("scalar", 1)])
+def test_traced_memory_is_within_the_estimate(name, N):
+    # what does not grow with N counts too: at n = 10 the chunk's
+    # interpolated gains and the interpolation's temporaries are several
+    # MB, and at one player the chunk's small arrays are most of a run
+    model = MEMORY_MODELS[name][0]()
+    S = 2 * CHUNK_STEPS
+    keep = min(N, 3)
+    sol = solve_nce(model, steps_grid(S))
+    tracemalloc.start()
+    try:
+        simulate(model, N, sol, dt=1.0 / S, keep=keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulation_bytes(model, N, S, keep)
+
+
 @pytest.mark.parametrize("keep", [0, 1, 3])
 def test_kept_paths_and_sums_are_those_of_the_full_run(keep):
     model = two_type_scalar()
