@@ -196,17 +196,18 @@ class _ReducedFields:
     views PP = (P0, P1) and SS = (S0, S1) by the stacking rules of the
     module docstring, bitwise tests/helpers.py::ReducedFieldsRef.
 
-    The operands of the sums land in one (2, d, d) scratch array, and
-    the coupling matrix W and the padded own-input vector in buffers of
-    their own, all set up once per solve. The output array is new at
-    each call (RK4 holds four stages at once) and shares no memory with
-    them.
+    Of the system it keeps only the arrays it reads. The operands of the
+    sums land in one (2, d, d) scratch array, and the coupling matrix W
+    and the padded own-input vector in buffers of their own, all set up
+    once per solve. The output array is new at each call (RK4 holds four
+    stages at once) and shares no memory with them.
     """
 
     def __init__(self, sys: FiniteNSystem):
-        self.sys = sys
         n, N, d = sys.model.n, sys.N, sys.dim
         self.n, self.N, self.d = n, N, d
+        self.M0, self.M = sys.M0, sys.M
+        self.Ar2, self.Q0_big = sys.Ahat_rho2, sys.Q0_big
         self.negArT = -sys.Ahat_rho.T
         self.lins = np.stack([sys.lin0, sys.lin_minor(1)])
         self.Q1_big = sys.Q_minor(1)
@@ -241,15 +242,15 @@ class _ReducedFields:
         return self._W
 
     def field(self, t, flat: np.ndarray) -> np.ndarray:
-        sys, n, d = self.sys, self.n, self.d
+        n, d = self.n, self.d
         sq = d * d
         PP = flat[:2 * sq].reshape(2, d, d)
         SS = flat[2 * sq:].reshape(2, d)
         P0n, P1n, P1m = PP[0, :, :n], PP[1, :, :n], PP[1, :, n:2 * n]
-        M0PP = sys.M0 @ PP[:, :n, :]
-        MP1 = sys.M @ PP[1, n:2 * n, :]
+        M0PP = self.M0 @ PP[:, :n, :]
+        MP1 = self.M @ PP[1, n:2 * n, :]
         W = self.coupling(MP1)
-        Ar2 = sys.Ahat_rho2
+        Ar2 = self.Ar2
         out = np.empty(2 * sq + 2 * d)
         dPP = out[:2 * sq].reshape(2, d, d)
         dSS = out[2 * sq:].reshape(2, d)
@@ -266,7 +267,7 @@ class _ReducedFields:
         dPP[1] += np.matmul(P0n, M0PP[1], out=scr[0])
         dPP += np.matmul(PP, W, out=scr)
         dPP += np.matmul(W.T, PP, out=scr)
-        dPP[0] -= sys.Q0_big
+        dPP[0] -= self.Q0_big
         dPP[1] -= self.Q1_big
 
         # dS0 = -Ar' S0 + P0n M0S0 + W' S0 + P0 vS + lin0
@@ -274,8 +275,8 @@ class _ReducedFields:
         #       + lin1
         cols = SS[:, :, None]
         dcols = dSS[:, :, None]
-        M0SS = sys.M0 @ SS[:, :n, None]
-        own = sys.M @ SS[1, n:2 * n]
+        M0SS = self.M0 @ SS[:, :n, None]
+        own = self.M @ SS[1, n:2 * n]
         vS = self._vS
         vS[n:].reshape(self.N, n)[:] = own
         np.matmul(self.negArT, cols, out=dcols)
@@ -290,37 +291,38 @@ class _ReducedFields:
 
 def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
     """Players 0 and 1 only, Riccati and offsets in one pass; escape of
-    the Riccati prefix comes first, then that of Riccati plus offsets."""
-    red = _ReducedFields(sys)
-    d = sys.dim
+    the Riccati prefix comes first, then that of Riccati plus offsets.
+    The march holds neither `sys` (the field keeps the arrays it reads)
+    nor the packed terminal, popped into the call."""
+    model, N, d = sys.model, sys.N, sys.dim
+    field = _ReducedFields(sys).field
     layout = StateLayout([("P0_big", (d, d), "kernel"),
                           ("P1_big", (d, d), "kernel"),
                           ("S0_big", (d,), "vector"), ("S1_big", (d,), "vector")])
-    terminal = layout.pack(sys.Q0f_big, sys.Q_minor(1, final=True),
-                           sys.lin0_f, sys.lin_minor_f(1))
-    path = integrate_backward(red.field, terminal, grid, threshold=threshold,
+    terminal = [layout.pack(sys.Q0f_big, sys.Q_minor(1, final=True),
+                            sys.lin0_f, sys.lin_minor_f(1))]
+    del sys
+    path = integrate_backward(field, terminal.pop(), grid, threshold=threshold,
                               symmetrize=layout.sym, prefixes=layout.prefixes)
     if isinstance(path, BlowUpReport):
         return path
 
-    return FiniteNSolution(model=sys.model, N=sys.N, grid=grid,
-                           **layout.paths(path))
+    return FiniteNSolution(model=model, N=N, grid=grid, **layout.paths(path))
 
 
 def finite_n_bytes(n: int, N: int, M: int) -> int:
     """Peak bytes of solve_finite_n for N minors of state dimension n on
-    M + 1 nodes, d = (N+1)n: the path, 2(d^2 + d) floats per node; ten
-    d-square matrices held through the march (Ahat, Ahat_rho2, Ahat_rho,
-    Q0_big and Q0f_big of the assembled system, and the field's Q1,
-    -Ahat_rho^T, W and two-matrix scratch); ten flat states of
-    2(d^2 + d) floats at the peak of an RK4 step (the terminal, the
-    state, its absolute values, four stages and three temporaries of
-    their weighted sum, which numpy reuses only above 256 KiB); (5 + 5n)
-    d floats of vectors and n-row matrices; and ode.ESTIMATE_SLACK. The
+    M + 1 nodes, d = (N+1)n: the path, 2(d^2 + d) floats per node; seven
+    d-square matrices the field holds through the march (Ahat_rho2 and
+    Q0_big of the assembled system, Q1, -Ahat_rho^T, W and two-matrix
+    scratch); eight flat states of 2(d^2 + d) floats at the peak of an
+    RK4 step (the state, four stages and three temporaries of their
+    weighted sum, which numpy reuses only above 256 KiB); (5 + 5n) d
+    floats of vectors and n-row matrices; and ode.ESTIMATE_SLACK. The
     assembly peaks (seven d-square matrices) before the path exists."""
     d = (N + 1) * n
     state = 2 * (d * d + d)
-    return (8 * ((M + 1) * state + 10 * d * d + 10 * state + (5 + 5 * n) * d)
+    return (8 * ((M + 1) * state + 7 * d * d + 8 * state + (5 + 5 * n) * d)
             + ESTIMATE_SLACK)
 
 
@@ -480,20 +482,14 @@ def _tile_weights(N: int) -> list:
             for key in BLOCK_KEYS + OFFSET_KEYS]
 
 
-def _masked(field, keep):
-    def masked(t, flat):
-        return field(t, flat) * keep
-    return masked
-
-
 def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
                   equations: tuple, e: float, weights=None):
     """March `equations` at e = 1/N from _tile_terminal(model, e): the
     kernels are the inner escape level, kernels and offsets the outer one.
     `weights` (one l1 factor per state entry, as integrate_backward takes
     them) may hold zeros: such an entry stands for no entry (the other
-    minors' tiles at N = 1) and is held at zero, so that its own field
-    cannot escape.
+    minors' tiles at N = 1), and integrate_backward holds it at +0.0, so
+    that its own field cannot escape.
 
     Returns (flat path values, kernel blocks, offsets), or the
     BlowUpReport.
@@ -501,10 +497,6 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
     layout = _layout(model.n)
     field = _field(model, equations, e)
     terminal = layout.pack(*_tile_terminal(model, e))
-    if weights is not None and not weights.all():
-        held = weights > 0
-        terminal = terminal * held
-        field = _masked(field, held)
     path = integrate_backward(field, terminal, grid, threshold=threshold,
                               symmetrize=layout.sym, prefixes=layout.prefixes,
                               weights=weights)

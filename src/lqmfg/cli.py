@@ -313,6 +313,8 @@ def cmd_compare(args) -> int:
         print(f"structure bound (<=3 / <=6 clusters): {'PASS' if ok else 'FAIL'}")
         return code
 
+    if args.pair == "lambda-phi":   # refuse K != 1 before the nce solve
+        asymptotic._require_k1(model)
     tol = args.tol if args.tol is not None else 1e-8
     a = nce.solve_nce(model, grid)
     if args.pair == "nce-master":

@@ -19,7 +19,9 @@ NonFiniteField bug, not as escape.
 
 A stacked state whose leading segments never depend on the trailing ones
 (Riccati kernels, then offsets, then constants) is marched in one pass
-with nested escape levels; see integrate_backward's `prefixes`. Each
+with nested escape levels; see integrate_backward's `prefixes`. Entries
+of escape weight 0 and entries past an escaped level are held at +0.0 by
+one mask there, the package's one hold rule. Each
 system declares its flat state once, as a StateLayout of named segments
 of four kinds (kernel, matrix, vector, scalar); its escape prefixes, the
 symmetric projection of its kernels, its compiler slots and the segment
@@ -225,18 +227,9 @@ def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
     return step
 
 
-def _hold(w: np.ndarray, active: int) -> np.ndarray:
-    """Copy of the flat state `w` with every entry past `active` zeroed."""
-    out = np.zeros_like(w)
-    out[:active] = w[:active]
-    return out
-
-
-def _held_field(field, active: int):
-    """`field` with every derivative entry past `active` zeroed."""
-    def held(t, w):
-        return _hold(field(t, w), active)
-    return held
+def _hold(w: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Copy of `w` with every entry outside the mask `live` +0.0."""
+    return np.where(live, w, 0.0)
 
 
 def integrate_backward(
@@ -281,7 +274,11 @@ def integrate_backward(
     `weights`, if given, has one non-negative factor per state entry, and
     the escape norms sum |entry| * weight: a state that stands for a
     larger one (one tile for each of its copies, say) is judged by the l1
-    norm of the state it stands for.
+    norm of the state it stands for; an entry of weight 0 stands for none.
+    One mask of live entries, weights > 0 (all without weights), narrowed
+    to the marched prefix when an outer level crosses, holds the state
+    and every stage derivative at +0.0 outside it. Neither |state| nor
+    the terminal outlives the step that reads it.
     """
     terminal = np.asarray(terminal, dtype=np.float64)
     levels = tuple(int(p) for p in prefixes) + (terminal.size,)
@@ -300,8 +297,14 @@ def integrate_backward(
 
     top = len(levels) - 1       # outermost level still marched
     remembered = None           # report of the innermost outer level crossed
-    step_field = field
-    w = terminal
+    live = True if weights is None else np.greater(weights, 0)
+
+    def held(t, w):
+        return _hold(field(t, w), live)     # `live` as last narrowed
+
+    step_field = field if np.all(live) else held
+    w = _hold(terminal, live)
+    del terminal
     for j in range(M, -1, -1):
         if j < M:
             w = _rk4_step(step_field, nodes[j + 1], w, -h)
@@ -326,9 +329,11 @@ def integrate_backward(
                 if lvl == 0:
                     return report
                 remembered, top = report, lvl - 1
-                w = _hold(w, levels[top])
-                step_field = _held_field(field, levels[top])
+                live = live & (np.arange(w.size) < levels[top])
+                w = _hold(w, live)
+                step_field = held
                 break
+        del a
         out[j] = w
 
     if remembered is not None:

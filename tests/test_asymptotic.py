@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lqmfg import asymptotic as asym
 from lqmfg.asymptotic import (_LIMIT_EQUATIONS, _TILE_EQUATIONS, BLOCK_KEYS,
                               OFFSET_KEYS, TILE_TOL, _cluster_counts, _field,
                               _ReducedFields, finite_n_bytes)
-from lqmfg.ode import MEMORY_BUDGET, BlowUpReport
+from lqmfg.ode import MEMORY_BUDGET, BlowUpReport, integrate_backward
 
 from helpers import (_random_params, build_model, check_escape_levels,
                      coupling_loop, decoupled_scalar, dense_march,
@@ -84,14 +85,17 @@ def test_assembly_guards():
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("N", [100, 200])
-def test_traced_solve_peak_is_within_the_estimate(N):
+@pytest.mark.parametrize("N,M", [
+    pytest.param(100, 4, id="100"), pytest.param(200, 4, id="200"),
+    (200, 20), (300, 1), (300, 4)])
+def test_traced_solve_peak_is_within_the_estimate(N, M):
     """The one estimate of a finite-N solve bounds its traced peak, and
-    not by much: path, assembled system, field buffers and RK4 stages.
-    At N = 100 numpy makes a new array for every temporary of the RK4
-    sum; at N = 200 the states pass 256 KiB and it reuses them."""
+    not by much: path, the field's held matrices and RK4 stages. At
+    N = 100 numpy makes a new array for every temporary of the RK4 sum;
+    from N = 200 the states pass 256 KiB and it reuses them. At N = 300
+    and M = 1 the path is smallest next to what the march holds."""
     model = build_model()
-    grid = TimeGrid(M=4, T=1.0)
+    grid = TimeGrid(M=M, T=1.0)
     tracemalloc.start()
     try:
         solve_finite_n(model, N, grid)
@@ -100,6 +104,26 @@ def test_traced_solve_peak_is_within_the_estimate(N):
         tracemalloc.stop()
     estimate = finite_n_bytes(model.n, N, grid.M)
     assert peak <= estimate < 1.1 * peak
+
+
+def test_finite_n_march_holds_no_assembled_system(monkeypatch):
+    """The march reads only the arrays the field copied: the assembled
+    system is released before integrate_backward runs."""
+    refs = []
+
+    def assemble(model, N):
+        sys = assemble_finite_n(model, N)
+        refs.append(weakref.ref(sys))
+        return sys
+
+    def march(*args, **kwargs):
+        refs.append(refs[0]())
+        return integrate_backward(*args, **kwargs)
+
+    monkeypatch.setattr(asym, "assemble_finite_n", assemble)
+    monkeypatch.setattr(asym, "integrate_backward", march)
+    solve_finite_n(scalar_coupled(), 3, TimeGrid(M=20, T=1.0))
+    assert refs[1:] == [None]
 
 
 def test_solve_size_counts_the_march_before_assembling(monkeypatch):
@@ -493,7 +517,7 @@ def test_tile_field_is_the_reduced_field_on_exchangeable_states(n):
 def test_other_minor_tiles_feed_nothing_at_one_minor():
     """At N = 1 there is no other minor: whatever its tiles hold, the
     derivatives of the others are bitwise unchanged, and the solve holds
-    them at zero."""
+    them at +0.0 at every node, whatever the sign of their terminal."""
     rng = np.random.default_rng(5)
     for n in (1, 2):
         model = _random_k1(50 + n, n)
@@ -509,6 +533,7 @@ def test_other_minor_tiles_feed_nothing_at_one_minor():
         sol = solve_tiles(model, 1, TimeGrid(M=20, T=1.0))
         paths = tile_solution_tiles(sol)
         assert not any(paths[key].any() for key in OTHER_KEYS)
+        assert not any(np.signbit(paths[key]).any() for key in OTHER_KEYS)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

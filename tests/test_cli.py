@@ -389,6 +389,24 @@ def test_compare_lambda_phi(tmp_path):
     assert "PASS" in (out / "summary.txt").read_text()
 
 
+def test_compare_lambda_phi_refuses_k_not_one_before_solving(tmp_path,
+                                                             capsys,
+                                                             monkeypatch):
+    """K = 2 exits 1 with the limit route's refusal, before the nce
+    solve (a full solve on the default grid) runs, and writes nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("nce solved before K was checked")
+
+    monkeypatch.setattr(cli.nce, "solve_nce", refuse)
+    out = tmp_path / "lp"
+    code = main(["compare", "lambda-phi", "--model",
+                 str(MODELS / "twotype.model"), "--out", str(out)])
+    assert code == 1
+    assert ("error: finite-population route needs K=1, got K=2"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
+
+
 def test_compare_finite_structure(tmp_path, capsys):
     out = tmp_path / "fs"
     code = main(["compare", "finite-structure", "--model", SCALAR,
@@ -821,7 +839,7 @@ def test_simulate_rejects_empty_or_repeated_seeds_before_solving(
     # 10^11 + 1 nodes of the nine-block state: 7.2 TB
     ["solve", "lambda", "--grid", "100000000000"],
     # (N+1)n = 501: 2001 nodes of 2 * 501^2 + 2 * 501 floats and the
-    # march's working set, 8.11 GB
+    # march's working set, 8.10 GB
     ["solve", "finite-n", "--N", "500"],
 ])
 def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,

@@ -7,7 +7,7 @@ import pytest
 from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField,
                    NTooLargeForMemory, TimeGrid, TimeOutOfRange,
                    integrate_backward, ode, sim)
-from lqmfg.ode import TIME_SLACK, BlowUpReport
+from lqmfg.ode import DEFAULT_BLOWUP_THRESHOLD, TIME_SLACK, BlowUpReport
 
 from helpers import (check_escape_levels, first_crossing,
                      integrate_forward_ref, riccati_closed_form, rk4_step_ref)
@@ -381,6 +381,54 @@ def test_held_offsets_cannot_overflow():
     assert isinstance(rep, BlowUpReport)
     assert abs(grid.nodes[rep.escape_node] - 0.5) <= 2 * grid.h
     assert len(calls) == 4 * grid.M
+
+
+def _decay(t, w):
+    return -0.5 * w * w
+
+
+def _unbounded(t, w):
+    """A kernel entry x and an offset s (both -w^2 / 2, the offset from a
+    larger terminal), then an entry y whose derivative is -1e300 and
+    squares from there: marched, y overflows within two steps."""
+    x, s, y = w
+    return np.array([-0.5 * x * x, -0.5 * s * s, -1e300 * (1.0 + y * y)])
+
+
+def test_zero_weight_entry_is_held_at_positive_zero():
+    """An entry of weight 0 stands for nothing: it is +0.0 at every node,
+    from a negative terminal on, never counts toward escape, and leaves
+    the live entries bitwise those of a run without it."""
+    grid = TimeGrid(M=40, T=1.0)
+    path = integrate_backward(_unbounded, np.array([1.0, 0.5, -3.0]), grid,
+                              weights=np.array([1.0, 1.0, 0.0]))
+    assert isinstance(path, MatrixPath)
+    held = path.values[:, 2]
+    assert not held.any() and not np.signbit(held).any()
+    alone = integrate_backward(_decay, np.array([1.0, 0.5]), grid)
+    assert path.values[:, :2].tobytes() == alone.values.tobytes()
+
+
+def test_outer_crossing_narrows_the_mask_of_held_entries():
+    """With prefixes (1,) and y of weight 0, an offset crossing narrows
+    the one mask to x while y stays held; the verdict is the one without
+    y: the offset's crossing near its pole at t = 0.5 at the default
+    threshold, and x's own report at 1.5, below x(0) = 2, though x + s
+    crosses at T."""
+    grid = TimeGrid(M=200, T=1.0)
+    reps = []
+    for threshold in (DEFAULT_BLOWUP_THRESHOLD, 1.5):
+        rep = integrate_backward(_unbounded, np.array([1.0, 4.0, -3.0]), grid,
+                                 threshold=threshold, prefixes=(1,),
+                                 weights=np.array([1.0, 1.0, 0.0]))
+        without = integrate_backward(_decay, np.array([1.0, 4.0]), grid,
+                                     threshold=threshold, prefixes=(1,))
+        assert isinstance(rep, BlowUpReport)
+        assert rep == without
+        reps.append(rep)
+    assert abs(grid.nodes[reps[0].escape_node] - 0.5) <= 2 * grid.h
+    assert reps[1] == integrate_backward(_decay, np.array([1.0]), grid,
+                                         threshold=1.5)
 
 
 def test_prefixes_are_validated():

@@ -15,7 +15,7 @@ DELETED = {
             "integrate_forward", "master_feedback", "master_residual",
             "nce_feedback", "propagate_mean_field", "residual_sample"),
     asymptotic: ("DENSE_DIM_CAP", "EXCHANGE_TOL", "PhiSolution",
-                 "_capped_dim", "_lambda_field", "_limit_consts",
+                 "_capped_dim", "_lambda_field", "_limit_consts", "_masked",
                  "_rep_positions", "_solve_dense", "_swap_block_index",
                  "_tile_field"),
     cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
