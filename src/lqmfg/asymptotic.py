@@ -11,7 +11,11 @@ appends the e-terms. One solve (_solve_system) marches either: the tile
 system at e = 1/N (solve_tiles; cost independent of N, the one source of
 scaled tiles, and the boundedness check runs on it) and the limit system
 at e = 0 (solve_lambda), both with the kernels as the inner escape level
-and kernels plus offsets as the outer one.
+and kernels plus offsets as the outer one. It marches one member per e
+given, as one batch: check_asymptotic_solvability solves the tile
+systems of all its N in one march (_solve_tiles), each member bitwise
+its solve alone, while solve_lambda, the independent cross-check, stays
+a solve of its own.
 
 This module also builds the large system and solves it reduced to the
 two representative players (the matrices whose tiles the structure check
@@ -42,7 +46,8 @@ from .master import DiffReport, _max_node_l1
 from .model import TimeGrid, ValidatedModel
 from .nce import NCESolution
 from .ode import (DEFAULT_BLOWUP_THRESHOLD, ESTIMATE_SLACK, BlowUpReport,
-                  MatrixPath, StateLayout, check_budget, integrate_backward)
+                  MatrixPath, StateLayout, check_budget, integrate_backward,
+                  integrate_members)
 from .sim import check_population
 
 # Tiles closer than this (l1, up to transpose) belong to one cluster.
@@ -439,21 +444,22 @@ def _layout(n: int) -> StateLayout:
          for key in BLOCK_KEYS] + [(key, (n,), "vector") for key in OFFSET_KEYS])
 
 
-def _field(model: ValidatedModel, equations: tuple, e: float):
-    """The field of `equations` (_LIMIT_EQUATIONS or _TILE_EQUATIONS) at
-    e = 1/N (e = 0 is the limit), state in BLOCK_KEYS then OFFSET_KEYS
-    order; compiled once per text and n, as N only sets the scalar slots
-    e and e1. At N = 1 (e1 = 0) the tiles of the other minors, which do
-    not exist, feed no other tile."""
+def _field(model: ValidatedModel, equations: tuple, *es: float):
+    """The field of `equations` (_LIMIT_EQUATIONS or _TILE_EQUATIONS) with
+    one member per e = 1/N of `es` (e = 0 is the limit), state in
+    BLOCK_KEYS then OFFSET_KEYS order; compiled once per text and n, as N
+    only sets the scalar slots e and e1. At N = 1 (e1 = 0) the tiles of
+    the other minors, which do not exist, feed no other tile."""
     n = model.n
     M0, M = _input_weights(model)
     consts = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
               "F0": model.F0, "F": model.F, "G": model.G, "Q0": model.Q0,
               "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
               "G2": model.Gamma2, "rho": model.rho,
-              "eta0": model.eta0.reshape(n, 1), "eta": model.eta.reshape(n, 1),
-              "e": e, "e1": 1.0 - e}
-    return compile_field(_layout(n).slots, consts, _LAMBDA_NAMES, equations)
+              "eta0": model.eta0.reshape(n, 1), "eta": model.eta.reshape(n, 1)}
+    return compile_field(_layout(n).slots,
+                         [{**consts, "e": e, "e1": 1.0 - e} for e in es],
+                         _LAMBDA_NAMES, equations)
 
 
 def _tile_terminal(model: ValidatedModel, e: float) -> tuple:
@@ -483,28 +489,41 @@ def _tile_weights(N: int) -> list:
 
 
 def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
-                  equations: tuple, e: float, weights=None):
-    """March `equations` at e = 1/N from _tile_terminal(model, e): the
-    kernels are the inner escape level, kernels and offsets the outer one.
-    `weights` (one l1 factor per state entry, as integrate_backward takes
-    them) may hold zeros: such an entry stands for no entry (the other
-    minors' tiles at N = 1), and integrate_backward holds it at +0.0, so
-    that its own field cannot escape.
+                  equations: tuple, es: list, weights=None) -> list:
+    """March `equations` at every e = 1/N of `es`, one member of one batch
+    per e, each from _tile_terminal(model, e): the kernels are the inner
+    escape level, kernels and offsets the outer one. `weights` (one row
+    of l1 factors per member, as integrate_members takes them) may hold
+    zeros: such an entry stands for no entry (the other minors' tiles at
+    N = 1), and the march holds it at +0.0, so that its own field cannot
+    escape. A single member marches through integrate_backward, as every
+    other solo route does.
 
-    Returns (flat path values, kernel blocks, offsets), or the
+    Returns, per member, (flat path values, kernel blocks, offsets) or the
     BlowUpReport.
     """
     layout = _layout(model.n)
-    field = _field(model, equations, e)
-    terminal = layout.pack(*_tile_terminal(model, e))
-    path = integrate_backward(field, terminal, grid, threshold=threshold,
-                              symmetrize=layout.sym, prefixes=layout.prefixes,
-                              weights=weights)
-    if isinstance(path, BlowUpReport):
-        return path
-    paths = layout.paths(path)
-    return (path.values, {key: paths["L" + key] for key in BLOCK_KEYS},
-            {key: paths[key] for key in OFFSET_KEYS})
+    field = _field(model, equations, *es)
+    terminals = np.stack([layout.pack(*_tile_terminal(model, e)) for e in es])
+    keywords = dict(threshold=threshold, symmetrize=layout.sym,
+                    prefixes=layout.prefixes)
+    if len(es) == 1:
+        paths = [integrate_backward(
+            field, terminals[0], grid,
+            weights=None if weights is None else weights[0], **keywords)]
+    else:
+        paths = integrate_members(field, terminals, grid, weights=weights,
+                                  **keywords)
+    results = []
+    for path in paths:
+        if isinstance(path, BlowUpReport):
+            results.append(path)
+            continue
+        parts = layout.paths(path)
+        results.append((path.values,
+                        {key: parts["L" + key] for key in BLOCK_KEYS},
+                        {key: parts[key] for key in OFFSET_KEYS}))
+    return results
 
 
 @dataclass(frozen=True)
@@ -530,7 +549,7 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     where the joint norm crossed.
     """
     _require_k1(model)
-    res = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, 0.0)
+    res, = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, [0.0])
     if isinstance(res, BlowUpReport):
         return res
     _, blocks, offsets = res
@@ -566,19 +585,31 @@ def solve_tiles(model: ValidatedModel, N: int, grid: TimeGrid,
     (N+1)n-square kernels, then of kernels and offsets, that the tiles
     stand for.
     """
-    _require_population(model, N)
+    return _solve_tiles(model, [N], grid, threshold)[0]
+
+
+def _solve_tiles(model: ValidatedModel, N_list, grid: TimeGrid,
+                 threshold: float) -> list:
+    """solve_tiles at every N of `N_list`, the tile systems marched as one
+    batch: one result per N, in order, each bitwise its solve alone (an
+    exception is the one the first N raising it alone raises)."""
+    for N in N_list:
+        _require_population(model, N)
     n = model.n
-    weights = np.repeat(_tile_weights(N), [n * n] * len(BLOCK_KEYS)
-                        + [n] * len(OFFSET_KEYS))
-    res = _solve_system(model, grid, threshold, _TILE_EQUATIONS, 1.0 / N,
-                        weights)
-    if isinstance(res, BlowUpReport):
-        return res
-    values, blocks, offsets = res
+    weights = np.stack([np.repeat(_tile_weights(N), [n * n] * len(BLOCK_KEYS)
+                                  + [n] * len(OFFSET_KEYS)) for N in N_list])
+    results = _solve_system(model, grid, threshold, _TILE_EQUATIONS,
+                            [1.0 / N for N in N_list], weights)
     kernel = len(BLOCK_KEYS) * n * n
-    norms = (np.abs(values[:, :kernel]) * weights[:kernel]).sum(axis=1)
-    return TileSolution(model=model, N=N, grid=grid, blocks=blocks,
-                        offsets=offsets, kernel_norms=norms)
+    solutions = []
+    for N, w, res in zip(N_list, weights, results):
+        if not isinstance(res, BlowUpReport):
+            values, blocks, offsets = res
+            norms = (np.abs(values[:, :kernel]) * w[:kernel]).sum(axis=1)
+            res = TileSolution(model=model, N=N, grid=grid, blocks=blocks,
+                               offsets=offsets, kernel_norms=norms)
+        solutions.append(res)
+    return solutions
 
 
 def phi_from_nce(nce: NCESolution) -> LambdaSolution:
@@ -741,9 +772,11 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
     depend on the caller's order; before any solve, ValueError refuses
     N not integers in [1, MAX_POPULATION] and fewer than three distinct N.
     Records, per N, sup over nodes of |P0|_l1 + |P1|_l1, or the escape
-    report, solving the tile system (solve_tiles, whose cost does not
-    depend on N) one N after another; compares the bounded-tail heuristic
-    (on the three largest N) with the limit system's solvability verdict.
+    report, solving the tile systems (whose cost does not depend on N) of
+    all N as one batch (_solve_tiles), each member bitwise its solve_tiles
+    alone; compares the bounded-tail heuristic (on the three largest N)
+    with the limit system's solvability verdict, which solve_lambda
+    solves on its own as the independent cross-check.
     """
     _require_k1(model)
     N_list = tuple(sorted({check_population(N) for N in N_list}))
@@ -756,8 +789,7 @@ def check_asymptotic_solvability(model: ValidatedModel, N_list,
 
     norms = []
     escapes = {}
-    for N in N_list:
-        res = solve_tiles(model, N, grid, threshold=threshold)
+    for N, res in zip(N_list, _solve_tiles(model, N_list, grid, threshold)):
         if isinstance(res, BlowUpReport):
             norms.append(None)
             escapes[N] = res

@@ -12,6 +12,7 @@ kernel that is not positive semidefinite, non-finite simulation).
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -61,7 +62,10 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing
+    leaves it as it was, each call filling a new namespace."""
     p = _Parser(prog="lqmfg",
                 description="Solvers and checks for linear-quadratic mean "
                             "field games with a major player.")

@@ -7,8 +7,9 @@ A slot is a matrix of shape (r, c) or a stack of them, (K, r, c); vectors
 are (d, 1) columns. `compile_equations` turns the text into index tables
 that depend only on the text and the shapes, and keeps them in a cache,
 so a second solve of the same shape parses nothing. `Equations.field`
-writes one model's constants into a pool of its own and returns the
-field over that pool; `compile_field` does both.
+writes the constants of one or more members (models, or one model at
+several values of its scalars, of one set of shapes) into a pool of its
+own and returns the field over that pool; `compile_field` does both.
 
 The text is numpy's expression language, read as written:
 - `@`, `+`, `-` and `*` associate and bind as in Python; `X.T` swaps the
@@ -63,6 +64,22 @@ The floats are those of the written expressions evaluated by numpy
   to right.
 The pool is the field's own: the field is not reentrant, and its result
 never aliases the pool.
+
+A field of B > 1 members evaluates them all with the calls of one: its
+pool is (B, pool_size), one row per member holding that member's
+constants and coefficients, and its state (B, state_size). A gather is
+one take from the flat pool with the address table offset by each row,
+a product signature is one np.matmul over (B, members, m, k) stacks, a
+strided-view operand gains the row stride as a leading one, and a sum
+group reduces axis 1 of a (B, terms, cells) table. Each member's floats
+are its floats alone: the stacked np.matmul still makes one gemm or gemv
+per matrix, on the layout of that member's operand; the reduce adds each
+cell's terms left to right, as over axis 0 of one member's table (one
+cell's terms are a row, summed as that member's one-cell table is); and
+the coefficients multiply entry by entry. An opaque call runs once per
+member, on that member's own C-contiguous operands, as the rounding of a
+stacked np.linalg.solve has not been checked. A field of one member has
+no member axis at all, so its calls are those of a field of its own.
 """
 
 import ast
@@ -419,7 +436,7 @@ class Equations:
                 for i in (0, 2))
         ta, tb = group[0].args[1], group[0].args[3]
         if (b == b[0]).all():          # one right operand for all: broadcast
-            b = b[0]
+            b = b[:1]
         m, p = group[0].shape[-2:]
         # a gemm operand may be read transposed; a matrix meeting a vector
         # is read in the layout it is stored in (see the module docstring)
@@ -429,31 +446,40 @@ class Equations:
             sb = _frozen(b)            # no A @ A.T on one buffer (syrk)
         return ("mm", sa, ta, sb, tb, lo, hi, (a.shape[0], m, p))
 
-    def field(self, values):
-        """The field d(state)/dt over a new pool holding `values` (every
-        constant by name, scalars included): f(t, flat) -> flat."""
-        pool = np.empty(self.pool_size)
-        for name, lo, shape in self.consts:
-            pool[lo:lo + math.prod(shape)] = np.broadcast_to(
-                values[name], shape).ravel()
-        pool[self.pad] = -0.0
-        coefs = np.array([sign * (1.0 if lit is None else lit)
-                          * (1.0 if name is None else values[name])
-                          for sign, lit, name in self.coefs])
+    def field(self, members):
+        """The field d(state)/dt over a new pool holding one row of
+        constants per member, row b holding `members[b]` (every constant
+        by name, scalars included): f(t, state) -> derivative, of shape
+        (B, state_size), or (state_size,) for one member. One member's
+        pool has no member axis, so its field makes the calls of a field
+        of its own."""
+        lead = (len(members),) if len(members) > 1 else ()
+        pool = np.empty(lead + (self.pool_size,))
+        for row, values in zip(pool.reshape(-1, self.pool_size), members):
+            for name, lo, shape in self.consts:
+                row[lo:lo + math.prod(shape)] = np.broadcast_to(
+                    values[name], shape).ravel()
+        pool[..., self.pad] = -0.0
+        coefs = np.array([[sign * (1.0 if lit is None else lit)
+                           * (1.0 if name is None else values[name])
+                           for sign, lit, name in self.coefs]
+                          for values in members]).reshape(lead + (-1,))
         for table in self.prologue:
             _step(pool, coefs, table)()
         steps = [_step(pool, coefs, table) for table in self.waves]
         _, idx, code, _, _ = self.final
+        idx = _members(idx, pool)
         final_coefs = _coefficients(coefs, code)
+        flat = pool.reshape(-1)
         size = self.state_size
 
-        def fieldfn(t, flat):
-            pool[:size] = flat
+        def fieldfn(t, state):
+            pool[..., :size] = state
             for step in steps:
                 step()
-            stack = pool[idx]
+            stack = flat[idx]
             stack *= final_coefs
-            return np.add.reduce(stack, axis=0)
+            return np.add.reduce(stack, axis=-2)
 
         return fieldfn
 
@@ -494,52 +520,76 @@ def _source(table, layouts):
     return _frozen(table) if spec is None else spec + (table.shape,)
 
 
+def _members(table, pool):
+    """An address table of one member, offset to every member of `pool`
+    (B, pool_size), or as it is for a pool of one member (pool_size,):
+    addresses into the flat pool, the member axis first."""
+    lead, size = pool.shape[:-1], pool.shape[-1]
+    if not lead:
+        return table
+    rows = size * np.arange(lead[0]).reshape(lead + (1,) * table.ndim)
+    return _frozen(rows + table)
+
+
 def _reader(pool, source):
-    """(view, table): a read-only view of `pool` for a view source, or
-    (None, the address table) for a gathered one."""
+    """(view, table): a read-only view of every member's operand for a
+    view source (the member stride first), or (None, the members'
+    address table) for a gathered one."""
     if isinstance(source, np.ndarray):
-        return None, source
+        return None, _members(source, pool)
     base, strides, shape = source
+    if pool.ndim > 1:
+        shape = pool.shape[:1] + shape
+        strides = [pool.shape[1]] + strides
     return np.lib.stride_tricks.as_strided(
-        pool[base:], shape, [pool.itemsize * s for s in strides],
+        pool.reshape(-1)[base:], shape, [pool.itemsize * s for s in strides],
         writeable=False), None
 
 
 def _coefficients(coefs, code):
-    """The (terms, cells) coefficient table of a sum table's codes."""
+    """The (..., terms, cells) coefficient table of a sum table's codes,
+    from the members' (..., codes) coefficients."""
     rows, cells = code
-    return np.repeat(coefs[rows], cells, axis=1)
+    return np.repeat(coefs[..., rows], cells, axis=-1)
 
 
 def _step(pool, coefs, table):
-    """One call of a group over `pool`, as a closure. An operand that is a
-    strided view of the pool is read in place instead of gathered."""
+    """One call of a group over every member of `pool`, as a closure. An
+    operand that is a strided view of the pool is read in place instead
+    of gathered; an opaque call runs once per member."""
+    flat = pool.reshape(-1)
+    lead = pool.shape[:-1]
     if table[0] == "sum":
         _, idx, code, lo, hi = table
-        out = pool[lo:hi]
+        idx = _members(idx, pool)
+        out = pool[..., lo:hi]
         c = _coefficients(coefs, code)
 
         def step():
-            stack = pool[idx]
+            stack = flat[idx]
             stack *= c
-            np.add.reduce(stack, axis=0, out=out)
+            np.add.reduce(stack, axis=-2, out=out)
     elif table[0] == "op":
         _, name, literals, operands, lo, hi, shape = table
-        out = pool[lo:hi].reshape(shape)
+        out = pool[..., lo:hi].reshape(lead + shape)
         fn = _OPS[name][0]
         reads = [_reader(pool, x) for x in operands]
 
         def step():
-            out[...] = fn(*literals, *(pool[x] if v is None else v
-                                       for v, x in reads))
+            args = [flat[x] if v is None else v for v, x in reads]
+            if not lead:
+                out[...] = fn(*literals, *args)
+                return
+            for b in range(lead[0]):
+                out[b] = fn(*literals, *(x[b] for x in args))
     else:
         _, a, ta, b, tb, lo, hi, shape = table
-        out = pool[lo:hi].reshape(shape)
+        out = pool[..., lo:hi].reshape(lead + shape)
         (va, a), (vb, b) = _reader(pool, a), _reader(pool, b)
 
         def step():
-            x = pool[a] if va is None else va
-            y = pool[b] if vb is None else vb
+            x = flat[a] if va is None else va
+            y = flat[b] if vb is None else vb
             np.matmul(x.swapaxes(-1, -2) if ta else x,
                       y.swapaxes(-1, -2) if tb else y, out=out)
     return step
@@ -555,13 +605,15 @@ def compile_equations(state, consts, names, equations, dims) -> Equations:
     return Equations(state, consts, names, equations, dims)
 
 
-def compile_field(state, values, names, equations, dims=None):
+def compile_field(state, members, names, equations, dims=None):
     """The field of `equations` over the state segments `state` ((name,
-    shape) pairs, in flat order) with constants `values` (name -> array,
-    or a float for a scalar), shared subexpressions `names` (name -> text)
-    and integer `dims` for index bounds: compiled once per shapes, its
-    pool holding these values."""
-    consts = tuple((name, np.shape(value)) for name, value in values.items())
+    shape) pairs, in flat order) with constants `members` (one mapping
+    name -> array, or a float for a scalar, per member, all of one set of
+    shapes), shared subexpressions `names` (name -> text) and integer
+    `dims` for index bounds: compiled once per shapes, its pool holding
+    one row of these values per member."""
+    consts = tuple((name, np.shape(value))
+                   for name, value in members[0].items())
     tables = compile_equations(tuple(state), consts, tuple(names.items()),
                                tuple(equations), tuple((dims or {}).items()))
-    return tables.field(values)
+    return tables.field(members)

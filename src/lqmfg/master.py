@@ -148,7 +148,7 @@ class _Blocks:
             "rho": model.rho,
         }
         # d(state)/dt of the flat state, as a new flat array
-        self.field = compile_field(self.layout.slots, consts, _MASTER_NAMES,
+        self.field = compile_field(self.layout.slots, [consts], _MASTER_NAMES,
                                    _MASTER_EQUATIONS, {"n": n, "K": K})
 
     def mean_field_rows(self, Pd):

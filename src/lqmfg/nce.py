@@ -122,7 +122,7 @@ class _Workspace:
             "rho": model.rho,
         }
         # d(state)/dt of the flat (P0, P, s0, s) state, as a new flat array
-        self.field = compile_field(self.layout.slots, consts, _NCE_NAMES,
+        self.field = compile_field(self.layout.slots, [consts], _NCE_NAMES,
                                    _NCE_EQUATIONS,
                                    {"n": n, "K": K, "d1": self.d1})
 

@@ -21,8 +21,17 @@ A stacked state whose leading segments never depend on the trailing ones
 (Riccati kernels, then offsets, then constants) is marched in one pass
 with nested escape levels; see integrate_backward's `prefixes`. Entries
 of escape weight 0 and entries past an escaped level are held at +0.0 by
-one mask there, the package's one hold rule. Each
-system declares its flat state once, as a StateLayout of named segments
+one mask there, the package's one hold rule.
+
+integrate_members marches B systems of one shape as one batch, their
+states stacked on a leading member axis, through the one march loop;
+integrate_backward is its one-member case, without the axis. Each member
+has its own row of the mask. A member whose kernels escape, whose field
+goes non-finite or whose projection drifts is frozen by clearing its row,
+and the exceptions are raised after the march in member order, so each
+member's path, report or exception is bitwise the one it gets alone.
+
+Each system declares its flat state once, as a StateLayout of named segments
 of four kinds (kernel, matrix, vector, scalar); its escape prefixes, the
 symmetric projection of its kernels, its compiler slots and the segment
 views of a solved path all follow from that one list.
@@ -183,11 +192,15 @@ class StateLayout:
                 for name, part in zip(self.names, self.split(path.values))}
 
     def sym(self, flat: np.ndarray) -> np.ndarray:
-        """Copy of `flat` with (P + P^T) / 2 on every kernel segment."""
+        """Copy of `flat` with (P + P^T) / 2 on every kernel segment; the
+        flat state is the last axis, and leading axes (members, say) are
+        kept."""
         out = flat.copy()
+        lead = flat.shape[:-1]
         for seg, stack in self._kernels:
-            P = flat[seg].reshape(stack)
-            out[seg] = ((P + P.swapaxes(1, 2)) / 2.0).ravel()
+            P = flat[..., seg].reshape(lead + stack)
+            out[..., seg] = ((P + P.swapaxes(-1, -2)) / 2.0).reshape(
+                lead + (-1,))
         return out
 
 
@@ -201,16 +214,20 @@ def check_budget(what: str, need: int) -> None:
             f"{MEMORY_BUDGET} bytes")
 
 
-def _path_storage(grid: TimeGrid, shape: tuple) -> np.ndarray:
-    """Uninitialized storage for a state of `shape` on every node of
-    `grid`, sized by check_budget first."""
+def _path_storage(grid: TimeGrid, members: int, shape: tuple) -> np.ndarray:
+    """Uninitialized storage, (members, M+1) + shape, for the states of
+    `shape` of every member on every node of `grid`, sized by
+    check_budget first."""
     size = math.prod(shape)
-    check_budget(f"a path of {grid.M + 1} states of {size} floats",
-                 8 * (grid.M + 1) * size)
-    return np.empty((grid.M + 1,) + shape, dtype=np.float64)
+    paths = "a path" if members == 1 else f"{members} paths"
+    check_budget(f"{paths} of {grid.M + 1} states of {size} floats",
+                 8 * members * (grid.M + 1) * size)
+    return np.empty((members, grid.M + 1) + shape, dtype=np.float64)
 
 
-def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(field, t: float, w: np.ndarray, dt: float):
+    """One RK4 step, and None if it is finite, else the mask of the
+    entries where a stage is non-finite (None if no stage is)."""
     k1 = field(t, w)
     k2 = field(t + dt / 2.0, w + (dt / 2.0) * k1)
     k3 = field(t + dt / 2.0, w + (dt / 2.0) * k2)
@@ -220,14 +237,16 @@ def _rk4_step(field, t: float, w: np.ndarray, dt: float) -> np.ndarray:
     # suffices, and the stages are looked at only when it fails.
     with np.errstate(over="ignore", invalid="ignore"):
         step = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(step).all() and not all(
-            np.isfinite(k).all() for k in (k1, k2, k3, k4)):
-        raise NonFiniteField(
-            f"field returned non-finite derivative near t={float(t)}")
-    return step
+    if np.isfinite(step).all():
+        return step, None
+    finite = (np.isfinite(k1) & np.isfinite(k2) & np.isfinite(k3)
+              & np.isfinite(k4))
+    if finite.all():
+        return step, None
+    return step, np.broadcast_to(~finite, step.shape)
 
 
-def _hold(w: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _hold(w: np.ndarray, live) -> np.ndarray:
     """Copy of `w` with every entry outside the mask `live` +0.0."""
     return np.where(live, w, 0.0)
 
@@ -279,63 +298,165 @@ def integrate_backward(
     to the marched prefix when an outer level crosses, holds the state
     and every stage derivative at +0.0 outside it. Neither |state| nor
     the terminal outlives the step that reads it.
+
+    This is the one-member case of the march of integrate_members.
     """
-    terminal = np.asarray(terminal, dtype=np.float64)
-    levels = tuple(int(p) for p in prefixes) + (terminal.size,)
-    if prefixes and (terminal.ndim != 1 or levels[0] < 1
+    # popped into the march, so that no frame here holds the terminal
+    terminal = [np.asarray(terminal, dtype=np.float64)]
+    return _march(field, terminal.pop(), (), grid, threshold, symmetrize,
+                  prefixes, weights)[0]
+
+
+def integrate_members(
+    field: Callable[[float, np.ndarray], np.ndarray],
+    terminals: np.ndarray,
+    grid: TimeGrid,
+    threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+    symmetrize: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    prefixes: Sequence[int] = (),
+    weights: Optional[np.ndarray] = None,
+) -> list:
+    """March B terminal value problems of one shape as one batch, and
+    return one result per member: what integrate_backward returns for
+    that member alone, bitwise.
+
+    `terminals` stacks the members' states on a first axis of length B,
+    and so do `weights` (if given) and the states that `field(t, states)`
+    and `symmetrize(states)` take and return; row b of their results
+    must depend on row b of the states alone. `prefixes`, `threshold`
+    and `weights` mean what they mean for integrate_backward, per member.
+    The path storage of the whole batch, B (M+1) state.size * 8 bytes, is
+    checked against MEMORY_BUDGET before anything is allocated.
+
+    Each member has its own row of the one mask of live entries, which
+    starts as weights > 0 and narrows to the marched prefix when that
+    member's outer level crosses. A member whose inner level crosses is
+    frozen: its whole row of the mask goes False, so the state and every
+    stage derivative are +0.0 there, and its report is kept. So are a
+    member's NonFiniteField (a non-finite stage at its step) and its
+    AsymmetryDrift (drift against the magnitude of its own innermost
+    prefix): they freeze that member alone, and after the march the first
+    one in member order is raised, the exception a loop over the members
+    in order would raise. The march ends once every member is frozen.
+    """
+    terminals = np.asarray(terminals, dtype=np.float64)
+    return _march(field, terminals, terminals.shape[:1], grid, threshold,
+                  symmetrize, prefixes, weights)
+
+
+# A norm is finite and not over a threshold t iff it is at most
+# fmin(t, _LARGEST): t = inf or NaN leaves the finiteness test alone.
+_LARGEST = np.finfo(np.float64).max
+
+
+def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
+           weights) -> list:
+    """The march of integrate_members over states of shape lead + the
+    member shape: lead = (B,) for B members, or () for one member, whose
+    field and projection then see its states as they are."""
+    members = math.prod(lead)
+    shape = terminals.shape[len(lead):]
+    size = math.prod(shape)
+    levels = tuple(int(p) for p in prefixes) + (size,)
+    if prefixes and (len(shape) != 1 or levels[0] < 1
                      or any(a >= b for a, b in zip(levels, levels[1:]))):
         raise ValueError(f"prefixes {tuple(prefixes)} must increase strictly "
-                         f"inside a flat state of size {terminal.size}")
-    if weights is not None and np.shape(weights) != terminal.shape:
-        raise ValueError(f"weights of shape {np.shape(weights)} for a state "
-                         f"of shape {terminal.shape}")
+                         f"inside a flat state of size {size}")
+    if weights is not None:
+        if np.shape(weights) != terminals.shape:
+            raise ValueError(f"weights of shape {np.shape(weights)} for "
+                             f"states of shape {terminals.shape}")
+        weights = np.reshape(weights, (members, size))
     inner = levels[0]
-    out = _path_storage(grid, terminal.shape)
+    bound = float(np.fmin(threshold, _LARGEST))
+    out = _path_storage(grid, members, shape)
     nodes = grid.nodes
     M = grid.M
     h = grid.h
 
-    top = len(levels) - 1       # outermost level still marched
-    remembered = None           # report of the innermost outer level crossed
-    live = True if weights is None else np.greater(weights, 0)
+    top = [len(levels) - 1] * members   # outermost level still marched
+    outer = len(levels) - 1             # the largest top of a live member
+    remembered = [None] * members   # innermost outer level's report
+    final = [None] * members        # a frozen member's report or exception
+    live = True if weights is None else np.greater(weights, 0).reshape(
+        terminals.shape)
 
     def held(t, w):
         return _hold(field(t, w), live)     # `live` as last narrowed
 
+    def narrow(b, length):
+        """Member b's row of the mask keeps its first `length` entries."""
+        nonlocal live, step_field, outer
+        if live is True:
+            live = np.ones(lead + shape, dtype=bool)
+        live.reshape(members, size)[b, length:] = False
+        step_field = held
+        outer = max((top[b] for b in range(members) if final[b] is None),
+                    default=-1)
+
+    def freeze(b, outcome):
+        final[b] = outcome
+        narrow(b, 0)
+
     step_field = field if np.all(live) else held
-    w = _hold(terminal, live)
-    del terminal
+    w = _hold(terminals, live)
+    del terminals
     for j in range(M, -1, -1):
         if j < M:
-            w = _rk4_step(step_field, nodes[j + 1], w, -h)
+            w, bad = _rk4_step(step_field, nodes[j + 1], w, -h)
+            if bad is not None:
+                for b in np.flatnonzero(bad.reshape(members, -1).any(axis=1)):
+                    freeze(b, NonFiniteField(
+                        "field returned non-finite derivative near "
+                        f"t={float(nodes[j + 1])}"))
+                w = _hold(w, live)
             if symmetrize is not None:
                 proj = symmetrize(w)
-                scale = max(1.0, float(np.abs(w[:inner]).max()))
-                drift = float(np.abs(w - proj).max()) / scale
-                if drift > ASYMMETRY_TOL:
-                    raise AsymmetryDrift(
-                        f"relative asymmetry {drift:.3e} after step to node {j}"
-                    )
+                peaks = np.abs(w.reshape(members, -1)[:, :inner]).max(axis=1)
+                gaps = np.abs(w - proj).reshape(members, -1).max(axis=1)
                 w = proj
-        a = np.abs(w)
+                drifted = False
+                for b, (gap, peak) in enumerate(zip(gaps.tolist(),
+                                                    peaks.tolist())):
+                    drift = gap / max(1.0, peak)
+                    if drift > ASYMMETRY_TOL:
+                        drifted = True
+                        freeze(b, AsymmetryDrift(
+                            f"relative asymmetry {drift:.3e} after step to "
+                            f"node {j}"))
+                if drifted:
+                    w = _hold(w, live)
+            if outer < 0:
+                break
+        a = np.abs(w).reshape(members, -1)
         if weights is not None:
             a *= weights
-        for lvl in range(top + 1):
-            # a[:size] is the whole state, whatever its shape
-            norm = float(a[:levels[lvl]].sum())
-            if not np.isfinite(norm) or norm > threshold:
+        narrowed = False
+        for lvl in range(outer + 1):
+            # a[:, :size] is each whole state, whatever its shape
+            norms = a[:, :levels[lvl]].sum(axis=1).tolist()
+            for b, norm in enumerate(norms):
+                # a member crossing at an inner level this node is frozen,
+                # or marches below this level from now on
+                if norm <= bound or final[b] is not None or lvl > top[b]:
+                    continue
+                narrowed = True
                 report = BlowUpReport(escape_node=j, norm_at_escape=norm,
                                       threshold=threshold)
                 if lvl == 0:
-                    return report
-                remembered, top = report, lvl - 1
-                live = live & (np.arange(w.size) < levels[top])
-                w = _hold(w, live)
-                step_field = held
-                break
+                    freeze(b, report)
+                else:
+                    remembered[b], top[b] = report, lvl - 1
+                    narrow(b, levels[top[b]])
         del a
-        out[j] = w
+        if narrowed:
+            if outer < 0:
+                break
+            w = _hold(w, live)
+        out[:, j] = w
 
-    if remembered is not None:
-        return remembered
-    return MatrixPath(grid=grid, values=out)
+    for outcome in final:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [final[b] or remembered[b] or MatrixPath(grid=grid, values=out[b])
+            for b in range(members)]

@@ -4,12 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from lqmfg import (GridMismatch, KNotOne, NTooLargeForMemory, TimeGrid,
+from lqmfg import (AsymmetryDrift, GridMismatch, KNotOne, NonFiniteField,
+                   NTooLargeForMemory, TileSolution, TimeGrid,
                    assemble_finite_n, check_asymptotic_solvability,
                    compare_lambda_phi, extract_block_structure, phi_from_nce,
                    solve_finite_n, solve_lambda, solve_nce, solve_tiles,
                    validate_model)
 from lqmfg import asymptotic as asym
+from lqmfg import ode
 from lqmfg.asymptotic import (_LIMIT_EQUATIONS, _TILE_EQUATIONS, BLOCK_KEYS,
                               OFFSET_KEYS, TILE_TOL, _cluster_counts, _field,
                               _ReducedFields, finite_n_bytes)
@@ -427,6 +429,7 @@ def test_solvability_rejects_small_n_before_solving(scalar_model,
         raise AssertionError("solved before validating N")
 
     monkeypatch.setattr(asym, "solve_tiles", no_solve)
+    monkeypatch.setattr(asym, "_solve_tiles", no_solve)
     monkeypatch.setattr(asym, "solve_lambda", no_solve)
     with pytest.raises(ValueError):
         check_asymptotic_solvability(scalar_model, [8, 0, 4],
@@ -444,6 +447,7 @@ def test_solvability_needs_three_distinct_n(scalar_model, monkeypatch,
         raise AssertionError("solved before counting N")
 
     monkeypatch.setattr(asym, "solve_tiles", no_solve)
+    monkeypatch.setattr(asym, "_solve_tiles", no_solve)
     monkeypatch.setattr(asym, "solve_lambda", no_solve)
     with pytest.raises(ValueError, match=f"need at least three distinct N, "
                                          f"got {len(set(N_list))}$"):
@@ -589,6 +593,142 @@ def test_tile_escape_levels_match_the_reduced_norms():
     joint = kernels + node_l1(fin.S0_big.values, fin.S1_big.values)
     check_escape_levels(lambda thr: solve_tiles(model, 3, grid, threshold=thr),
                         [kernels, joint])
+
+
+def same_tiles(got, want):
+    """Whether two tile solves (or escape reports) are bitwise one."""
+    if isinstance(want, BlowUpReport):
+        return got == want
+    return (isinstance(got, TileSolution) and got.N == want.N
+            and got.grid.same_as(want.grid)
+            and got.kernel_norms.tobytes() == want.kernel_norms.tobytes()
+            and all(a.tobytes() == b.tobytes() for a, b in zip(
+                tile_solution_tiles(got).values(),
+                tile_solution_tiles(want).values())))
+
+
+def batch_of_solo_solves(model, Ns, grid, threshold=1e12):
+    """The tile batch of `Ns`, each member checked bitwise its solo solve."""
+    batch = asym._solve_tiles(model, Ns, grid, threshold)
+    for N, got in zip(Ns, batch):
+        want = solve_tiles(model, N, grid, threshold=threshold)
+        assert same_tiles(got, want)
+    return batch
+
+
+def test_tile_batch_members_are_their_solo_solves():
+    """N = 1, whose absent tiles stay +0.0, marches in one batch with
+    N >= 2; a threshold between the members' suprema (4.2 on kernels and
+    offsets) lets some escape, at different nodes, while the others
+    solve; lower ones make every member escape, at its own node and
+    level. Every member is bitwise its solve_tiles alone."""
+    grid = TimeGrid(M=100, T=1.0)
+    model = growing_offsets()
+    Ns = [1, 2, 8, 64]
+    batch = batch_of_solo_solves(model, Ns, grid)
+    held = tile_solution_tiles(batch[0])
+    assert not any(held[key].any() or np.signbit(held[key]).any()
+                   for key in OTHER_KEYS)
+    mixed = batch_of_solo_solves(model, Ns, grid, 4.2)
+    assert [isinstance(res, BlowUpReport) for res in mixed] == [
+        False, False, True, True]
+    assert mixed[2].escape_node != mixed[3].escape_node
+    for threshold in (1.5, 2.2, 2.8):
+        reports = batch_of_solo_solves(model, Ns, grid, threshold)
+        assert len({rep.escape_node for rep in reports}) == len(Ns)
+
+
+def test_tile_batch_keeps_an_offsets_only_crossing_per_member():
+    """A member whose offsets alone cross marches on at the kernel level
+    in the batch, as alone, while the other members march on whole."""
+    model = growing_offsets()
+    grid = TimeGrid(M=100, T=1.0)
+    fin = solve_finite_n(model, 3, grid)
+    kernels = node_l1(fin.P0_big.values, fin.P1_big.values)
+    joint = kernels + node_l1(fin.S0_big.values, fin.S1_big.values)
+    check_escape_levels(
+        lambda thr: batch_of_solo_solves(model, [1, 3, 8], grid, thr)[1],
+        [kernels, joint])
+
+
+def _faulty_tile_fields(monkeypatch, faults):
+    """Make the tile fields fault: member e = 1/N of `faults` gets, at
+    every t <= faults[N][1], NaN in its first derivative entry ("nan")
+    or +1 on entry (0, 1) alone of its first kernel block ("skew")."""
+    compiled = asym._field
+
+    def field_of(model, equations, *es):
+        field = compiled(model, equations, *es)
+
+        def faulty(t, w):
+            out = field(t, w)
+            rows = out.reshape(len(es), -1)
+            for b, e in enumerate(es):
+                kind, until = faults.get(round(1.0 / e), (None, -1.0))
+                if kind == "nan" and t <= until:
+                    rows[b, 0] = np.nan
+                elif t <= until:
+                    rows[b, 1] += 1.0
+            return out
+        return faulty
+
+    monkeypatch.setattr(asym, "_field", field_of)
+
+
+@pytest.mark.parametrize("faults", [
+    {4: ("skew", 0.5), 16: ("nan", 0.9)},
+    {4: ("nan", 0.5), 16: ("skew", 0.9)},
+    {16: ("nan", 0.7)},
+    {8: ("skew", 0.3)},
+], ids=["drift-first-in-N", "fault-first-in-N", "last-member",
+        "middle-member"])
+def test_tile_batch_raises_what_the_first_faulty_n_raises_alone(monkeypatch,
+                                                                faults):
+    """A member's NonFiniteField or AsymmetryDrift freezes it alone; after
+    the march the first such member in N order raises, the exception it
+    raises alone, even where a later member faulted earlier in time."""
+    model = two_dim_coupled()
+    grid = TimeGrid(M=100, T=1.0)
+    Ns = [2, 4, 8, 16]
+    _faulty_tile_fields(monkeypatch, faults)
+    first = min(faults)
+    kind = {"nan": NonFiniteField, "skew": AsymmetryDrift}[faults[first][0]]
+    with pytest.raises(kind) as alone:
+        solve_tiles(model, first, grid)
+    with pytest.raises(kind) as batch:
+        check_asymptotic_solvability(model, Ns, grid)
+    assert str(batch.value) == str(alone.value)
+    for N in Ns:
+        if N not in faults:
+            assert isinstance(solve_tiles(model, N, grid), TileSolution)
+
+
+def test_tile_batch_path_storage_counts_every_member(monkeypatch,
+                                                     scalar_model):
+    """A batch whose paths together exceed MEMORY_BUDGET is refused before
+    its paths are allocated or a step is taken, though each member alone
+    fits (and reaches the march)."""
+    grid = TimeGrid(M=10 ** 6, T=1.0)
+    one = 8 * (grid.M + 1) * 14            # 9 + 5 floats per node
+    monkeypatch.setattr(ode, "MEMORY_BUDGET", 2 * one)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(ode, "_rk4_step", refuse)
+    for N in (4, 8, 16):
+        with pytest.raises(AssertionError, match="marched"):
+            solve_tiles(scalar_model, N, grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NTooLargeForMemory,
+                           match=f"3 paths of {grid.M + 1} states of 14 "
+                                 f"floats needs {3 * one} bytes"):
+            check_asymptotic_solvability(scalar_model, [4, 8, 16], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one
 
 
 def test_tile_rate_holds_out_to_ten_thousand(scalar_model):

@@ -464,12 +464,14 @@ def test_check_solvability_caps_dimension_before_solving(tmp_path, capsys,
     monkeypatch.setattr("lqmfg.ode._rk4_step", refuse)
     out = tmp_path / "cap"
     # the tile path has one size for every N: 9 + 5 floats per node for
-    # the scalar model, so 40000001 nodes take 4.48 GB
+    # the scalar model, so 40000001 nodes take 4.48 GB, and the one batch
+    # of the three N's tile paths 13.44 GB
     code = main(["check-solvability", "--model", SCALAR, "--grid", "40000000",
                  "--N", "8,16,500", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "needs 4480000112 bytes, over the budget" in err
+    assert ("3 paths of 40000001 states of 14 floats needs 13440000336 "
+            "bytes, over the budget") in err
     assert not (out / "solvability.csv").exists()
 
 
@@ -481,7 +483,8 @@ def test_population_past_float_range_exits_one(tmp_path, capsys, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("solved past the float range")
 
-    for name in ("solve_tiles", "solve_lambda", "_solve_reduced"):
+    for name in ("solve_tiles", "_solve_tiles", "solve_lambda",
+                 "_solve_reduced"):
         monkeypatch.setattr(f"lqmfg.asymptotic.{name}", refuse)
     tracemalloc.start()
     try:
@@ -574,6 +577,21 @@ def test_simulate_outputs(tmp_path):
     costs = (out / "sim_costs.csv").read_text().strip().splitlines()
     assert costs[0] == "N,player,mean,std_error,samples"
     assert len(costs) == 3
+
+
+def test_runs_in_one_process_parse_apart(tmp_path):
+    """main builds the parser once per process; each run parses its own
+    arguments, so one run's --seed does not reach the next, and the
+    --seed default stays [0]."""
+    assert cli.build_parser() is cli.build_parser()
+    for seeds, argv in (("3,5", ["--seed", "3,5"]), ("0", [])):
+        out = tmp_path / seeds
+        assert main(["simulate", "--model", SCALAR, "--grid", "50",
+                     "--N", "4", "--dt", "0.02", "--out", str(out)]
+                    + argv) == 0
+        assert f"seeds: {seeds}\n" in (out / "summary.txt").read_text()
+    args = cli.build_parser().parse_args(["simulate", "--model", SCALAR])
+    assert args.seed == [0]
 
 
 def test_simulate_stores_only_the_paths_it_writes(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lqmfg import (TimeGrid, assemble_finite_n, lift_pi, solve_finite_n,
                    solve_lambda, solve_master, solve_nce, solve_tiles,
                    validate_model)
-from lqmfg import asymptotic, master, nce
+from lqmfg import asymptotic, equations, master, nce
 from lqmfg.ode import BlowUpReport
 
 import helpers
@@ -149,6 +149,76 @@ def test_lambda_field_is_bitwise_the_inline_field_near_escape(
     w = random_state(state_seed, kernels, tail, zeros, 1.0)
     w = w / max(np.abs(w).max(), 1e-300) * scale
     assert field(0.0, w).tobytes() == ref(0.0, w).tobytes()
+
+
+def compile_arguments(module, build):
+    """The arguments that build() hands to `module.compile_field`."""
+    seen = []
+
+    def capture(*args):
+        seen.append(args)
+        return equations.compile_field(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "compile_field", capture)
+        build()
+    return seen[-1]
+
+
+def member_fields(route, models, es):
+    """Per member (model, e), the compile_field arguments and the field
+    of its solo route; e is the tile system's 1/N, None for the others."""
+    out = []
+    for model, e in zip(models, es):
+        if route == "nce":
+            def build():
+                return nce._Workspace(model, lift_pi(model)).field
+            module = nce
+        elif route == "master":
+            def build():
+                return master._Blocks(model, lift_pi(model)).field
+            module = master
+        else:
+            text = (asymptotic._LIMIT_EQUATIONS if route == "limit"
+                    else asymptotic._TILE_EQUATIONS)
+
+            def build():
+                return asymptotic._field(model, text, e)
+            module = asymptotic
+        out.append((compile_arguments(module, build), build()))
+    return out
+
+
+@pytest.mark.parametrize("route", ["nce", "master", "limit", "tile"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(K=st.integers(1, 3), n=st.integers(1, 3), n1=st.integers(1, 2),
+       B=st.integers(2, 4), model_seed=st.integers(0, 10 ** 6), **STATES)
+def test_member_field_is_bitwise_each_solo_field(route, K, n, n1, B,
+                                                 model_seed, state_seed,
+                                                 zeros, scale, t):
+    """One field over B members, different models of one shape (and, for
+    the tile text, different e = 1/N, N = 1 included), gives each member
+    bitwise the derivative its solo field gives, from a (B, S) stack of
+    states; the members' rows of the pool do not mix."""
+    if route in ("limit", "tile"):
+        K = 1
+    models = [validate_model(_random_params(
+        np.random.default_rng(model_seed + b), K, dims=(n, n1, 1)))
+        for b in range(B)]
+    es = [1.0 / N for N in (1, 2, 7, 2 ** 40)[:B]] if route == "tile" \
+        else [0.0] * B
+    members = member_fields(route, models, es)
+    (state, _, *rest), _ = members[0]
+    field = equations.compile_field(
+        state, [args[1][0] for args, _ in members], *rest)
+    size = sum(np.prod(shape) for _, shape in state)
+    rng = np.random.default_rng(state_seed)
+    w = np.stack([random_state(int(rng.integers(2 ** 32)), [], size, zeros,
+                               scale) for _ in range(B)])
+    got = field(t, w)
+    assert got.shape == (B, size)
+    for b, (_, solo) in enumerate(members):
+        assert got[b].tobytes() == solo(t, w[b]).tobytes()
 
 
 @pytest.mark.parametrize("route", ["lambda", "nce", "master"])

@@ -119,9 +119,11 @@ def _staged_field(bad):
 
 
 def _with_reference_step(monkeypatch, run):
-    """run() once with the step that checks each stage, once as is."""
+    """run() once with the step that checks each stage (and raises, so it
+    reports no faulty member), once as is."""
     with monkeypatch.context() as m:
-        m.setattr(ode, "_rk4_step", rk4_step_ref)
+        m.setattr(ode, "_rk4_step",
+                  lambda *args: (rk4_step_ref(*args), None))
         want = run()
     return want, run()
 
@@ -340,6 +342,19 @@ def test_terminal_escape_of_outer_level_keeps_marching():
     assert len(calls) == 4 * grid.M
     # the caller's terminal is not touched by holding the tail at zero
     assert np.array_equal(term, [1.0, 10.0])
+
+
+def test_levels_first_crossing_at_one_node_report_the_innermost():
+    """When two outer levels first cross at one node, the inner one's
+    report is the verdict, as when each level is marched alone; the
+    offset s jumps past the threshold in one step."""
+    grid = TimeGrid(M=10, T=1.0)
+    rep = integrate_backward(lambda t, w: np.array([0.0, -100.0, 0.0]),
+                             np.array([0.1, 0.0, 1.0]), grid, threshold=5.0,
+                             prefixes=(1, 2))
+    assert isinstance(rep, BlowUpReport)
+    assert rep.escape_node == grid.M - 1
+    assert math.isclose(rep.norm_at_escape, 10.1, rel_tol=1e-12)
 
 
 def test_offset_segment_does_not_dilute_asymmetry_check():
