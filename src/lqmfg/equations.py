@@ -38,8 +38,24 @@ one np.matmul with out= into the members' regions), one call for all of
 its sums, whatever their shapes (the terms gathered into a
 (terms, cells) table, padded with -0.0, multiplied by the coefficients
 and reduced over the first axis with out= into the regions), and each
-opaque call. A stage writes the state into the pool, runs the waves and
-returns the output sums, reduced the same way into a fresh array.
+opaque call, which writes into its region with out= as well. A stage
+writes the state into the pool, runs the waves and returns the output
+sums, reduced the same way into a fresh array.
+
+The evaluation is straight-line code. `Equations` writes it once from its
+tables, one line per call and nothing read from a model, and compiles it
+once: a factory that takes one pool's operands as arguments (the
+transposed strided views of the pool, the address tables, the
+coefficient tables and the result regions, bound once per pool by
+`Equations.field`), runs the calls built from constants, and returns the
+field as a closure over those operands. A stage is then one Python call
+per numpy call, with no table to dispatch on. The compile cache holds,
+per equation text and shapes, the index tables and this code, never a
+pool. Generating the code changes no call and no operand, so the floats
+are those argued below; writing an opaque call's result with out= stores
+the floats it would return; and `solve` is np.linalg.solve without its
+Python wrapper: the LAPACK gufunc that function calls, under the
+errstate it sets (a singular matrix still raises LinAlgError).
 
 The floats are those of the written expressions evaluated by numpy
 (tests/helpers.py keeps them as reference fields) bit for bit, because:
@@ -78,8 +94,10 @@ cell's terms left to right, as over axis 0 of one member's table (one
 cell's terms are a row, summed as that member's one-cell table is); and
 the coefficients multiply entry by entry. An opaque call runs once per
 member, on that member's own C-contiguous operands, as the rounding of a
-stacked np.linalg.solve has not been checked. A field of one member has
-no member axis at all, so its calls are those of a field of its own.
+stacked np.linalg.solve has not been checked; the generated code holds a
+second factory for such pools, whose opaque calls loop over the members.
+A field of one member has no member axis at all, so its calls are those
+of a field of its own.
 """
 
 import ast
@@ -87,17 +105,36 @@ import functools
 import math
 
 import numpy as np
+# The LAPACK gufunc behind np.linalg.solve: numpy's one private name used
+# here, pinned to np.linalg.solve by tests/test_fields.py.
+from numpy.linalg import _umath_linalg
 
-# The opaque calls: the numpy function and the result shape it gives for
-# operand shapes (literal arguments first).
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# np.linalg.solve without its Python wrapper: the gufunc it calls, under
+# the errstate it sets, so the same bits and a LinAlgError for a singular
+# matrix.
+_solve = np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore")(_umath_linalg.solve)
+
+# The opaque calls: the result shape for operand shapes (literal arguments
+# first), the call as source writing into `out`, and how many trailing
+# unit axes of the result region that call leaves out.
 _OPS = {
-    "solve": (np.linalg.solve, lambda a, b: b),
-    "einsum": (np.einsum,
-               lambda sub, *shapes: np.einsum(
-                   sub, *(np.zeros(s) for s in shapes)).shape),
-    "trace": (lambda x: x.trace(0, -2, -1)[..., None, None],
-              lambda x: x[:-2] + (1, 1)),
+    "solve": (lambda a, b: b,
+              "solve({}, {}, signature='dd->d', out={out})", 0),
+    "einsum": (lambda sub, *shapes: np.einsum(
+                   sub, *(np.zeros(s) for s in shapes)).shape,
+               "einsum({}, {}, {}, out={out})", 0),
+    "trace": (lambda x: x[:-2] + (1, 1),
+              "{}.trace(0, -2, -1, None, {out})", 2),
 }
+# The names the evaluator's source reads besides its bound operands.
+_GLOBALS = {"matmul": np.matmul, "reduce": np.add.reduce,
+            "einsum": np.einsum, "solve": _solve}
 # Opaque calls that act on each matrix of a stack alone: calls of one of
 # these on operands of one matrix shape run as one stacked call.
 _STACKED_OPS = {"trace"}
@@ -244,7 +281,7 @@ class _Parser:
             out = np.full((K, r, K, c), self.pad)
             out[np.arange(K), :, np.arange(K), :] = x
             return _Ref(out.reshape(K, r, K * c))
-        fn, shape_of = _OPS[f.id]
+        shape_of = _OPS[f.id][0]
         literals = tuple(a.value for a in e.args if isinstance(a, ast.Constant))
         operands = tuple(self.expr(a).fold() for a in e.args
                          if not isinstance(a, ast.Constant))
@@ -372,8 +409,11 @@ class Equations:
         prologue, waves = _schedule(p.nodes, p.state_size)
         self.state_size = p.state_size
         self.pad = p.pad
-        self.consts = [(name, int(p.slots[name].flat[0]), shape)
-                       for name, shape in consts if shape != ()]
+        self.consts = []               # (name, lo, hi, shape) regions
+        for name, shape in consts:
+            if shape != ():
+                lo = int(p.slots[name].flat[0])
+                self.consts.append((name, lo, lo + math.prod(shape), shape))
         # real addresses: state, constants and pad stay, the nodes follow
         # in run order, so each group's results are one slab
         remap = np.arange(p.size)
@@ -390,6 +430,8 @@ class Equations:
         self.prologue = tables[:len(prologue)]
         self.waves = tables[len(prologue):]
         self.final = self._sums(remap, outputs, None, None)
+        self.solo, self.batch = _evaluator(self.prologue + self.waves,
+                                           len(self.prologue))
 
     def _code(self, coef):
         if coef not in self.coefs:
@@ -456,32 +498,16 @@ class Equations:
         lead = (len(members),) if len(members) > 1 else ()
         pool = np.empty(lead + (self.pool_size,))
         for row, values in zip(pool.reshape(-1, self.pool_size), members):
-            for name, lo, shape in self.consts:
-                row[lo:lo + math.prod(shape)] = np.broadcast_to(
-                    values[name], shape).ravel()
+            for name, lo, hi, shape in self.consts:
+                row[lo:hi].reshape(shape)[...] = values[name]
         pool[..., self.pad] = -0.0
         coefs = np.array([[sign * (1.0 if lit is None else lit)
                            * (1.0 if name is None else values[name])
                            for sign, lit, name in self.coefs]
                           for values in members]).reshape(lead + (-1,))
-        for table in self.prologue:
-            _step(pool, coefs, table)()
-        steps = [_step(pool, coefs, table) for table in self.waves]
-        _, idx, code, _, _ = self.final
-        idx = _members(idx, pool)
-        final_coefs = _coefficients(coefs, code)
-        flat = pool.reshape(-1)
-        size = self.state_size
-
-        def fieldfn(t, state):
-            pool[..., :size] = state
-            for step in steps:
-                step()
-            stack = flat[idx]
-            stack *= final_coefs
-            return np.add.reduce(stack, axis=-2)
-
-        return fieldfn
+        make = self.batch if lead else self.solo
+        return make(**_operands(pool, coefs, self.state_size,
+                                self.prologue + self.waves, self.final))
 
 
 def _stack(tables):
@@ -531,19 +557,21 @@ def _members(table, pool):
     return _frozen(rows + table)
 
 
-def _reader(pool, source):
-    """(view, table): a read-only view of every member's operand for a
-    view source (the member stride first), or (None, the members'
-    address table) for a gathered one."""
+def _read(pool, source, t):
+    """What the evaluator reads an operand from: the members' address
+    table of a gathered source, else a read-only view of the pool, the
+    member stride first and the last two axes swapped if `t`."""
     if isinstance(source, np.ndarray):
-        return None, _members(source, pool)
+        return _members(source, pool)
     base, strides, shape = source
-    if pool.ndim > 1:
-        shape = pool.shape[:1] + shape
-        strides = [pool.shape[1]] + strides
-    return np.lib.stride_tricks.as_strided(
-        pool.reshape(-1)[base:], shape, [pool.itemsize * s for s in strides],
-        writeable=False), None
+    strides = [pool.itemsize * s for s in strides]
+    if t:
+        shape = shape[:-2] + shape[:-3:-1]
+        strides = strides[:-2] + strides[:-3:-1]
+    view = np.ndarray(pool.shape[:-1] + shape, pool.dtype, pool,
+                      pool.itemsize * base, pool.strides[:-1] + tuple(strides))
+    view.flags.writeable = False
+    return view
 
 
 def _coefficients(coefs, code):
@@ -553,46 +581,102 @@ def _coefficients(coefs, code):
     return np.repeat(coefs[..., rows], cells, axis=-1)
 
 
-def _step(pool, coefs, table):
-    """One call of a group over every member of `pool`, as a closure. An
-    operand that is a strided view of the pool is read in place instead
-    of gathered; an opaque call runs once per member."""
-    flat = pool.reshape(-1)
-    lead = pool.shape[:-1]
+def _names(k, table):
+    """The names the source of table k reads: its operands (address
+    tables or views, and a sum's coefficients), then its result region."""
     if table[0] == "sum":
-        _, idx, code, lo, hi = table
-        idx = _members(idx, pool)
-        out = pool[..., lo:hi]
-        c = _coefficients(coefs, code)
+        return [f"i{k}", f"c{k}", f"o{k}"]
+    if table[0] == "mm":
+        return [f"a{k}", f"b{k}", f"o{k}"]
+    return [f"x{k}_{j}" for j in range(len(table[3]))] + [f"o{k}"]
 
-        def step():
-            stack = flat[idx]
-            stack *= c
-            np.add.reduce(stack, axis=-2, out=out)
-    elif table[0] == "op":
-        _, name, literals, operands, lo, hi, shape = table
-        out = pool[..., lo:hi].reshape(lead + shape)
-        fn = _OPS[name][0]
-        reads = [_reader(pool, x) for x in operands]
 
-        def step():
-            args = [flat[x] if v is None else v for v, x in reads]
-            if not lead:
-                out[...] = fn(*literals, *args)
-                return
-            for b in range(lead[0]):
-                out[b] = fn(*literals, *(x[b] for x in args))
-    else:
-        _, a, ta, b, tb, lo, hi, shape = table
-        out = pool[..., lo:hi].reshape(lead + shape)
-        (va, a), (vb, b) = _reader(pool, a), _reader(pool, b)
+def _operands(pool, coefs, size, tables, final):
+    """What the evaluator of `tables` (see _evaluator) takes for `pool`,
+    by name: the flat pool, the state's region, the members, the output
+    sums' address and coefficient tables, and each table's names."""
+    lead = pool.shape[:-1]
+    names = {"flat": pool.reshape(-1), "head": pool[..., :size],
+             "members": range(lead[0]) if lead else None,
+             "fi": _members(final[1], pool),
+             "fc": _coefficients(coefs, final[2])}
+    for k, table in enumerate(tables):
+        if table[0] == "sum":
+            _, idx, code, lo, hi = table
+            values = [_members(idx, pool), _coefficients(coefs, code),
+                      pool[..., lo:hi]]
+        elif table[0] == "mm":
+            _, a, ta, b, tb, lo, hi, shape = table
+            values = [_read(pool, a, ta), _read(pool, b, tb),
+                      pool[..., lo:hi].reshape(lead + shape)]
+        else:
+            _, name, _, operands, lo, hi, shape = table
+            kept = len(shape) - _OPS[name][2]
+            values = [_read(pool, x, False) for x in operands]
+            values.append(pool[..., lo:hi].reshape(lead + shape[:kept]))
+        names.update(zip(_names(k, table), values))
+    return names
 
-        def step():
-            x = flat[a] if va is None else va
-            y = flat[b] if vb is None else vb
-            np.matmul(x.swapaxes(-1, -2) if ta else x,
-                      y.swapaxes(-1, -2) if tb else y, out=out)
-    return step
+
+def _statements(k, table, batch):
+    """The source lines of table k: a gathered operand is read as
+    flat[addresses] (then transposed as a view if it is used transposed),
+    a view as bound; `batch` runs an opaque call once per member."""
+    def read(name, source, t=False):
+        if isinstance(source, np.ndarray):
+            return f"flat[{name}]" + (".swapaxes(-1, -2)" if t else "")
+        return name
+
+    *args, out = _names(k, table)
+    if table[0] == "sum":
+        idx, c = args
+        return [f"s = flat[{idx}]", f"s *= {c}",
+                f"reduce(s, -2, None, {out})"]
+    if table[0] == "mm":
+        _, a, ta, b, tb = table[:5]
+        return [f"matmul({read(args[0], a, ta)}, {read(args[1], b, tb)}, "
+                f"{out})"]
+    _, name, literals, operands = table[:4]
+    args = [read(x, source) for x, source in zip(args, operands)]
+    call = _OPS[name][1]
+    if not batch:
+        return [call.format(*map(repr, literals), *args, out=out)]
+    return ([f"y{j} = {x}" for j, x in enumerate(args)]
+            + ["for m in members:",
+               "    " + call.format(*map(repr, literals),
+                                    *(f"y{j}[m]" for j in range(len(args))),
+                                    out=f"{out}[m]")])
+
+
+def _evaluator(tables, prologue):
+    """(solo, batch): the evaluation of `tables`, the first `prologue` of
+    them built from constants alone, as straight-line code compiled once.
+    Each is a factory taking the names _operands binds for one pool: it
+    runs the prologue once and returns the field, f(t, state), which
+    writes the state into the pool, runs the other tables in order and
+    returns the output sums reduced into a fresh array. `batch` is the
+    factory of a pool of B > 1 members."""
+    params = ["flat", "head", "members", "fi", "fc"] + [
+        x for k, table in enumerate(tables) for x in _names(k, table)]
+
+    def lines(batch, ks, indent):
+        return [indent + x for k in ks
+                for x in _statements(k, tables[k], batch)]
+
+    source = []
+    for factory, batch in (("solo", False), ("batch", True)):
+        source += [f"def {factory}({', '.join(params)}):",
+                   *lines(batch, range(prologue), "    "),
+                   "    def field(t, state):",
+                   "        head[...] = state",
+                   *lines(batch, range(prologue, len(tables)), "        "),
+                   "        s = flat[fi]",
+                   "        s *= fc",
+                   "        return reduce(s, -2)",
+                   "    return field"]
+    namespace = dict(_GLOBALS)
+    exec(compile("\n".join(source), "<equations>", "exec"), namespace)
+    return namespace["solo"], namespace["batch"]
 
 
 @functools.lru_cache(maxsize=64)

@@ -34,7 +34,11 @@ member's path, report or exception is bitwise the one it gets alone.
 Each system declares its flat state once, as a StateLayout of named segments
 of four kinds (kernel, matrix, vector, scalar); its escape prefixes, the
 symmetric projection of its kernels, its compiler slots and the segment
-views of a solved path all follow from that one list.
+views of a solved path all follow from that one list. The projection
+(StateLayout.sym) is one gather for all kernels: each kernel entry and
+the entry of its transpose, found by a permutation fixed with the
+layout, are added in that order and halved, which is (P + P^T) / 2.0 of
+every kernel bit for bit; every other entry is copied as it is.
 """
 
 import math
@@ -154,23 +158,36 @@ class StateLayout:
             bounds.append(bounds[-1] + math.prod(shape))
         self.size = bounds[-1]
         self.names = names
+        self.kinds = kinds
         self._segments = [(slice(lo, hi), shape)
                           for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
         self.prefixes = tuple(bounds[k] for k in range(1, len(levels))
                               if levels[k - 1] < levels[k])
         self.slots = tuple((name, shape + _KINDS[kind][1])
                            for name, shape, kind in zip(names, shapes, kinds))
-        # adjacent kernels of one size are projected as one stack of
-        # kernels: one numpy call per run, not per segment
-        self._kernels = []
+        # adjacent kernels of one size are one run, a stack of kernels
+        runs = []
         for (seg, shape), kind in zip(self._segments, kinds):
             if kind != "kernel":
                 continue
             stack = (-1,) + shape[-2:]
-            if (self._kernels and self._kernels[-1][1] == stack
-                    and self._kernels[-1][0].stop == seg.start):
-                seg = slice(self._kernels.pop()[0].start, seg.stop)
-            self._kernels.append((seg, stack))
+            if runs and runs[-1][1] == stack and runs[-1][0].stop == seg.start:
+                seg = slice(runs.pop()[0].start, seg.stop)
+            runs.append((seg, stack))
+        self._transposed = None
+        if len(runs) == 1:
+            self._kernels = runs[0]
+        else:
+            # every kernel entry in flat order (a slice if they fill one
+            # range), and the entry of the transpose each is averaged with
+            flat = np.arange(self.size)
+            blocks = [flat[seg].reshape(stack) for seg, stack in runs]
+            entries = np.concatenate([flat[:0]] + [P.ravel() for P in blocks])
+            self._transposed = np.concatenate(
+                [flat[:0]] + [P.swapaxes(-1, -2).ravel() for P in blocks])
+            self._kernels = entries
+            if entries.size and entries[-1] - entries[0] + 1 == entries.size:
+                self._kernels = slice(int(entries[0]), int(entries[-1]) + 1)
 
     def pack(self, *parts) -> np.ndarray:
         """The flat state holding `parts`, one per segment, in order."""
@@ -194,13 +211,28 @@ class StateLayout:
     def sym(self, flat: np.ndarray) -> np.ndarray:
         """Copy of `flat` with (P + P^T) / 2 on every kernel segment; the
         flat state is the last axis, and leading axes (members, say) are
-        kept."""
+        kept. The other entries are left as copied.
+
+        Each kernel entry is added to the entry of its transpose, in that
+        order, and halved: the written (P + P.swapaxes(-1, -2)) / 2.0
+        entry by entry. Kernels that form one run (adjacent, of one size)
+        are added to their transposed view in place. Kernels of several
+        runs are projected together: the entries of their transposes are
+        one gather by a permutation fixed with the layout, which would be
+        as large as the kernels and held as long as the layout is, so one
+        run is not gathered."""
         out = flat.copy()
         lead = flat.shape[:-1]
-        for seg, stack in self._kernels:
+        if self._transposed is None:
+            seg, stack = self._kernels
             P = flat[..., seg].reshape(lead + stack)
-            out[..., seg] = ((P + P.swapaxes(-1, -2)) / 2.0).reshape(
-                lead + (-1,))
+            # a view: splitting the last axis copies nothing
+            kernels = out[..., seg].reshape(lead + stack)
+            np.add(P, P.swapaxes(-1, -2), out=kernels)
+            np.divide(kernels, 2.0, out=kernels)
+        else:
+            at = (slice(None),) * len(lead) + (self._kernels,)
+            out[at] = (flat[at] + flat[at[:-1] + (self._transposed,)]) / 2.0
         return out
 
 
@@ -225,19 +257,27 @@ def _path_storage(grid: TimeGrid, members: int, shape: tuple) -> np.ndarray:
     return np.empty((members, grid.M + 1) + shape, dtype=np.float64)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _combine(w, dt, k1, k2, k3, k4):
+    """The RK4 step from the stages, and the sum of its entries: finite
+    only if every entry is (its overflow is not a fault, so no warning)."""
+    step = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return step, np.add.reduce(step, None)
+
+
 def _rk4_step(field, t: float, w: np.ndarray, dt: float):
     """One RK4 step, and None if it is finite, else the mask of the
     entries where a stage is non-finite (None if no stage is)."""
+    half = dt / 2.0
     k1 = field(t, w)
-    k2 = field(t + dt / 2.0, w + (dt / 2.0) * k1)
-    k3 = field(t + dt / 2.0, w + (dt / 2.0) * k2)
+    k2 = field(t + half, w + half * k1)
+    k3 = field(t + half, w + half * k2)
     k4 = field(t + dt, w + dt * k3)
     # Every stage enters the step with a nonzero weight, so a non-finite
     # stage always makes the step non-finite: one check on the step
     # suffices, and the stages are looked at only when it fails.
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if np.isfinite(step).all():
+    step, total = _combine(w, dt, k1, k2, k3, k4)
+    if math.isfinite(total) or np.isfinite(step).all():
         return step, None
     finite = (np.isfinite(k1) & np.isfinite(k2) & np.isfinite(k3)
               & np.isfinite(k4))
@@ -347,6 +387,9 @@ def integrate_members(
 # A norm is finite and not over a threshold t iff it is at most
 # fmin(t, _LARGEST): t = inf or NaN leaves the finiteness test alone.
 _LARGEST = np.finfo(np.float64).max
+# The reductions of ndarray.max and ndarray.sum, without their wrappers.
+_max = np.maximum.reduce
+_sum = np.add.reduce
 
 
 def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
@@ -370,9 +413,9 @@ def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
     inner = levels[0]
     bound = float(np.fmin(threshold, _LARGEST))
     out = _path_storage(grid, members, shape)
-    nodes = grid.nodes
+    nodes = grid.nodes.tolist()         # Python floats
     M = grid.M
-    h = grid.h
+    dt = -grid.h
 
     top = [len(levels) - 1] * members   # outermost level still marched
     outer = len(levels) - 1             # the largest top of a live member
@@ -403,17 +446,17 @@ def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
     del terminals
     for j in range(M, -1, -1):
         if j < M:
-            w, bad = _rk4_step(step_field, nodes[j + 1], w, -h)
+            w, bad = _rk4_step(step_field, nodes[j + 1], w, dt)
             if bad is not None:
                 for b in np.flatnonzero(bad.reshape(members, -1).any(axis=1)):
                     freeze(b, NonFiniteField(
                         "field returned non-finite derivative near "
-                        f"t={float(nodes[j + 1])}"))
+                        f"t={nodes[j + 1]}"))
                 w = _hold(w, live)
             if symmetrize is not None:
                 proj = symmetrize(w)
-                peaks = np.abs(w.reshape(members, -1)[:, :inner]).max(axis=1)
-                gaps = np.abs(w - proj).reshape(members, -1).max(axis=1)
+                peaks = _max(np.abs(w.reshape(members, size)[:, :inner]), 1)
+                gaps = _max(np.abs(w - proj).reshape(members, size), 1)
                 w = proj
                 drifted = False
                 for b, (gap, peak) in enumerate(zip(gaps.tolist(),
@@ -428,13 +471,13 @@ def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
                     w = _hold(w, live)
             if outer < 0:
                 break
-        a = np.abs(w).reshape(members, -1)
+        a = np.abs(w.reshape(members, size))
         if weights is not None:
             a *= weights
         narrowed = False
         for lvl in range(outer + 1):
             # a[:, :size] is each whole state, whatever its shape
-            norms = a[:, :levels[lvl]].sum(axis=1).tolist()
+            norms = _sum(a[:, :levels[lvl]], 1).tolist()
             for b, norm in enumerate(norms):
                 # a member crossing at an inner level this node is frozen,
                 # or marches below this level from now on

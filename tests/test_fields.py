@@ -3,6 +3,7 @@ are bitwise the per-type reference fields kept in helpers, and so are the
 solves built on them and the symmetrization of each solve's state."""
 
 import ast
+import inspect
 
 import numpy as np
 import pytest
@@ -503,3 +504,167 @@ def test_derived_prefixes_are_the_hand_set_levels(route, K, n, N):
             "finite-n": (2 * d * d,), "dense": ((N + 1) * d * d,)}[route]
     keywords = solve_keywords(route, random_model(K, n, 3), N)
     assert tuple(keywords["prefixes"]) == want
+
+
+def written_sym(layout, flat):
+    """The projection as written, one kernel segment at a time:
+    (P + P.swapaxes(-1, -2)) / 2.0, every other segment as given."""
+    lead = flat.shape[:-1]
+    return np.concatenate(
+        [((P + P.swapaxes(-1, -2)) / 2.0 if kind == "kernel" else P)
+         .reshape(lead + (-1,))
+         for P, kind in zip(layout.split(flat), layout.kinds)], axis=-1)
+
+
+@pytest.mark.parametrize("route",
+                         ["nce", "master", "tiles", "finite-n", "dense"])
+@pytest.mark.parametrize("K,n,N", [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+@pytest.mark.parametrize("B", [None, 3])
+@pytest.mark.parametrize("nan", [np.nan, -np.nan], ids=["nan", "neg-nan"])
+def test_layout_sym_is_bitwise_the_written_projection(route, K, n, N, B,
+                                                      nan):
+    """Every layout a solve builds projects as the written per-segment
+    rule, bit for bit, with and without a member axis, on states holding
+    -0.0, +-inf and NaN (of one sign; the sum of NaNs of both signs may
+    take either's, see test_layout_sym_is_bytewise_the_reference_sym);
+    matrix, vector and scalar segments come back exactly as given."""
+    if route not in ("nce", "master"):
+        K = 1
+    model = random_model(K, n, 11)
+    layout = solve_keywords(route, model, N)["symmetrize"].__self__
+    if route == "tiles":
+        assert "matrix" in layout.kinds
+    rng = np.random.default_rng([K, n, N])
+    w = rng.standard_normal((B or 1, layout.size))
+    for value, share in ((-0.0, 0.1), (np.inf, 0.05), (-np.inf, 0.05),
+                         (nan, 0.05)):
+        w[rng.random(w.shape) < share] = value
+    w = w if B else w[0]
+    with np.errstate(invalid="ignore"):            # inf + -inf
+        got = layout.sym(w)
+        want = written_sym(layout, w)
+        rows = [layout.sym(x) for x in w] if B else []
+    assert got.shape == w.shape
+    assert got.tobytes() == want.tobytes()
+    for b, row in enumerate(rows):
+        assert row.tobytes() == got[b].tobytes()
+    for given, kept, kind in zip(layout.split(w), layout.split(got),
+                                 layout.kinds):
+        if kind != "kernel":
+            assert kept.tobytes() == given.tobytes()
+    assert not np.shares_memory(got, w)
+
+
+def table_arguments(route, seeds):
+    """(compile_equations arguments, constants per model) of `route`'s
+    text for the models of `seeds`, all of one shape (the tile text at
+    e = 1/2, 1/3, ...)."""
+    args = []
+    for i, seed in enumerate(seeds):
+        model = validate_model(_random_params(
+            np.random.default_rng(seed), 1 if route == "tile" else 2,
+            dims=(2, 1, 1)))
+        if route == "nce":
+            args.append(compile_arguments(
+                nce, lambda: nce._Workspace(model, lift_pi(model))))
+        elif route == "master":
+            args.append(compile_arguments(
+                master, lambda: master._Blocks(model, lift_pi(model))))
+        else:
+            args.append(compile_arguments(
+                asymptotic, lambda: asymptotic._field(
+                    model, asymptotic._TILE_EQUATIONS, 1.0 / (i + 2))))
+    state, members, names, texts, *dims = args[0]
+    consts = tuple((name, np.shape(value))
+                   for name, value in members[0].items())
+    key = (tuple(state), consts, tuple(names.items()), tuple(texts),
+           tuple(dims[0].items()) if dims else ())
+    return key, [a[1][0] for a in args]
+
+
+@pytest.mark.parametrize("route", ["nce", "master", "tile"])
+def test_fields_of_one_table_keep_their_bits_apart(route):
+    """Fields built from one table, two models of one shape alone
+    and three models as one B = 3 field, called in alternation, each give
+    the derivative a field of their own gives; a result aliases neither
+    the field's pool nor an earlier result, and stays as it was. The
+    table generates its code once, when it is built; building fields of
+    one or three members generates none."""
+    key, consts = table_arguments(route, [21, 22, 23])
+    made = []
+    generate = equations._evaluator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equations, "_evaluator",
+                   lambda *args: made.append("code") or generate(*args))
+        tables = equations.Equations(*key)      # the cached one is shared
+        assert made == ["code"]
+        mp.setattr(equations, "compile", made.append, raising=False)
+        mp.setattr(equations, "exec", made.append, raising=False)
+        f, g = tables.field(consts[:1]), tables.field(consts[1:2])
+        stack = tables.field(consts)
+    assert made == ["code"]
+    assert f.__code__ is g.__code__ is tables.field(consts[2:]).__code__
+    assert stack.__code__ is tables.field(consts[1:]).__code__
+    rng = np.random.default_rng(5)
+    states = [rng.standard_normal(tables.state_size) for _ in range(3)]
+    W = np.stack(states)
+    # each expected value from a field used for that one call
+    want = {(i, s): tables.field(consts[i:i + 1])(0.0, states[s]).tobytes()
+            for i in range(3) for s in range(3)}
+    kept = []
+    for s in (0, 1, 2, 1, 0):
+        for i, field in ((0, f), (1, g)):
+            got = field(0.0, states[s])
+            assert got.tobytes() == want[i, s]
+            kept.append((got, want[i, s]))
+        got = stack(0.0, W[[s, (s + 1) % 3, (s + 2) % 3]])
+        assert got.shape == W.shape
+        for b in range(3):
+            assert got[b].tobytes() == want[b, (s + b) % 3]
+        kept.append((got, b"".join(want[b, (s + b) % 3] for b in range(3))))
+    for field in (f, g, stack):
+        bound = [x for x in inspect.getclosurevars(field).nonlocals.values()
+                 if isinstance(x, np.ndarray)]
+        assert bound
+        for got, _ in kept:
+            assert not any(np.shares_memory(got, x) for x in bound)
+    for (a, _), (b, _) in zip(kept, kept[1:]):
+        assert not np.shares_memory(a, b)
+    assert all(got.tobytes() == bits for got, bits in kept)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
+@pytest.mark.parametrize("k", [1, 3])
+def test_solve_op_is_bitwise_np_linalg_solve(m, cond, k):
+    """The evaluator's solve, on random SPD matrices up to condition
+    number 1e12, is np.linalg.solve bit for bit; it calls the LAPACK
+    gufunc np.linalg.solve calls, a private numpy name pinned here."""
+    gufunc = equations._umath_linalg.solve
+    assert isinstance(gufunc, np.ufunc)
+    assert gufunc.signature == "(m,m),(m,n)->(m,n)"
+    rng = np.random.default_rng([m, k, int(np.log10(cond))])
+    for _ in range(20):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        R = (Q * np.geomspace(1.0, 1.0 / cond, m)) @ Q.T
+        R = (R + R.T) / 2.0
+        field = equations.compile_field([("X", (m, k))], [{"R": R}], {},
+                                        ["solve(R, X)"])
+        for _ in range(5):
+            x = rng.standard_normal(m * k)
+            want = np.linalg.solve(R, x.reshape(m, k)).ravel()
+            assert field(0.0, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("R", [np.zeros((1, 1)), np.ones((2, 2)),
+                               np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
+                                         [0.0, 1.0, 1.0]])])
+def test_solve_op_raises_on_a_singular_matrix(R):
+    m = len(R)
+    field = equations.compile_field([("X", (m, 2))], [{"R": R}], {},
+                                    ["solve(R, X)"])
+    x = np.arange(1.0, 2 * m + 1)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.solve(R, x.reshape(m, 2))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        field(0.0, x)

@@ -1,6 +1,6 @@
 import lqmfg
-from lqmfg import (asymptotic, cli, errors, master, model, modelfile, nce,
-                   ode, sim)
+from lqmfg import (asymptotic, cli, equations, errors, master, model,
+                   modelfile, nce, ode, sim)
 
 # Library surface deleted because no CLI path or acceptance criterion used
 # it; the size rule it held is ode.MEMORY_BUDGET alone, the scaled tiles
@@ -9,7 +9,9 @@ from lqmfg import (asymptotic, cli, errors, master, model, modelfile, nce,
 # the feedback gains come from nce_gains/master_gains alone, each error
 # class carries its own exit code, the ValidatedModel declaration alone
 # lists the model's fields, shapes and weight checks, and the simulation's
-# per-node sums are the step loop's own reduce of each node's block.
+# per-node sums are the step loop's own reduce of each node's block. The
+# compiled fields run generated straight-line code, not a closure per
+# table.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -19,6 +21,7 @@ DELETED = {
                  "_rep_positions", "_solve_dense", "_swap_block_index",
                  "_tile_field"),
     cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
+    equations: ("_reader", "_step"),
     errors: ("BlowUp", "PermutationMismatch"),
     model: ("_as_matrix", "_as_vector", "_check_pd", "_check_psd",
             "_symmetrize_weight"),
