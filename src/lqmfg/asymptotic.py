@@ -36,6 +36,7 @@ is another BLAS call and rounds differently. solve_finite_n sizes the
 whole solve (finite_n_bytes) before anything is assembled.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,9 +437,12 @@ def _input_weights(model: ValidatedModel):
             model.B @ np.linalg.solve(model.R, model.B.T))
 
 
+@functools.lru_cache(maxsize=64)
 def _layout(n: int) -> StateLayout:
     """The limit and tile state: the nine kernel blocks L + key in
-    BLOCK_KEYS order, then the five offsets in OFFSET_KEYS order."""
+    BLOCK_KEYS order, then the five offsets in OFFSET_KEYS order. Built
+    once per n: a layout is read-only once built, so every solve, and
+    its field's slots, share it."""
     return StateLayout(
         [("L" + key, (n, n), "kernel" if key in _SYMMETRIC_KEYS else "matrix")
          for key in BLOCK_KEYS] + [(key, (n,), "vector") for key in OFFSET_KEYS])

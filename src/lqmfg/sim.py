@@ -20,8 +20,13 @@ draw of the whole horizon: paths do not depend on the chunk length. The
 increments are then transformed by the noise matrices for the whole
 chunk in one product each, written node-major into the next nodes'
 state slots, and the states are checked for finiteness once per chunk.
-Every float operation of a step is the one a step-by-step loop would
-do, so paths are bit for bit those of such a loop.
+Within a step, products of one shape are batched: the major's and every
+type's gains on x0, on z and their offsets are (K+1)-member stacks built
+once per chunk, so one matmul gives all their terms, and the drift's
+products with x0 and with the minors' mean are two-member stacks. Each
+member of a batched matmul is the BLAS call it would be alone, so every
+float operation of a step is the one a step-by-step loop would do, and
+paths are bit for bit those of such a loop.
 
 The estimators read per-node sums of the minors' states, per type and
 over all minors, so they need no stored path. The sum over all minors
@@ -35,6 +40,7 @@ estimate (simulation_bytes) exceeds MEMORY_BUDGET is refused before
 anything is allocated.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -207,21 +213,23 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
     """Bytes `simulate` allocates for N minors over S steps when it stores
     the paths of `keep` of them (all when None): the stored paths and
     per-node sums; the chunk's interpolated gains and reference-path
-    coefficients, and the interpolation's temporaries: three copies of
-    the largest state it reads (the K kernels of side d1 = n(K+2)) and
-    eight floats per node of times, indices and weights; per player, the
-    chunk buffers, its rows of the gathered type matrices A (n^2 floats)
-    and of the step loop's two (N, n) scratch arrays, the finiteness mask
-    of a chunk's states (one byte per float) and the noise stream; and
-    ode.ESTIMATE_SLACK."""
+    coefficients, their copies as the march's (K+1)-member stacks of the
+    gains on x0 and on z and the offsets, and the interpolation's
+    temporaries: three copies of the largest state it reads (the K
+    kernels of side d1 = n(K+2)) and eight floats per node of times,
+    indices and weights; per player, the chunk buffers, its rows of the
+    gathered type matrices A (n^2 floats) and of the step loop's two
+    (N, n) scratch arrays, the finiteness mask of a chunk's states (one
+    byte per float) and the noise stream; and ode.ESTIMATE_SLACK."""
     n, n1, n2, K = model.n, model.n1, model.n2, model.K
     keep = N if keep is None else keep
     steps, nodes = min(CHUNK_STEPS, S), min(CHUNK_STEPS, S + 1)
     d0, d1, nK = n * (K + 1), n * (K + 2), n * K
     paths = (S + 1) * (1 + 3 * n + 2 * n * K + n1 + keep * (n + n1))
-    # G0, g0, G, g, Abar, Gbar, mbar at each of the chunk's nodes
+    # G0, g0, G, g, Abar, Gbar, mbar and the stacks of G0, G and g0, g
+    # at each of the chunk's nodes
     coeffs = nodes * (n1 * (d0 + 1) + K * n1 * (d1 + 1) + nK * (nK + n + 1)
-                      + 3 * K * d1 * d1 + 8)
+                      + (K + 1) * n1 * (n + nK + 1) + 3 * K * d1 * d1 + 8)
     chunk = N * (steps * n2 + (steps + 1) * n + nodes * n1 + n * n + 2 * n)
     return (8 * (paths + coeffs + chunk) + N * (steps * n + STREAM_BYTES)
             + ESTIMATE_SLACK)
@@ -256,20 +264,20 @@ def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
     return dt, S
 
 
-def _product(a, b, out=None):
-    """a @ b for a 2-d b. When b has one row (an inner dimension of 1)
-    the product has no sum and is taken as a broadcast multiply, without
-    a BLAS call. numpy's matmul adds that single product to +0.0, so the
-    two differ only where it gives -0.0 for +0.0, and -0.0 + y is y for
-    every y but -0.0. The three callers add the result to a value that
-    is never -0.0: the minors' controls and U B^T to an einsum or matmul
-    sum, and the noise increments dW D^T to x + dt * drift, which is -0.0
-    only if the state x is, and no state is (the first is a mean plus a
-    matmul sum, each later one an increment plus such an x + dt * drift).
-    So their sums agree bit for bit."""
-    if b.shape[0] == 1:
-        return np.multiply(a, b[0], out=out)
-    return np.matmul(a, b, out=out)
+def _right_factor(b):
+    """(op, c) with op(a, c, out=out) the product a @ b, b with its inner
+    dimension on axis -2. When that dimension is 1 the product has no sum
+    and op is a broadcast multiply by b's one row, without a BLAS call;
+    else op is np.matmul and c is b. numpy's matmul adds that single
+    product to +0.0, so the two differ only where it gives -0.0 for +0.0,
+    and -0.0 + y is y for every y but -0.0. Every caller adds the result
+    to a value that is never -0.0, or reaches the state only through
+    x + dt * drift, which is -0.0 only if the state x is, and no state is
+    (the first is a mean plus a matmul sum, each later one an increment
+    plus such an x + dt * drift). So their sums agree bit for bit."""
+    if b.shape[-2] == 1:
+        return np.multiply, b[..., 0, :]
+    return np.matmul, b
 
 
 def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
@@ -288,6 +296,19 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
     tracemalloc's per-allocation line lookup grows with the offset into
     the function.
 
+    A step makes few numpy calls: products of one shape are the members
+    of one batched matmul, and a matmul loops over its members with the
+    BLAS call (or the plain loop) each would get alone, so every member
+    is bitwise that product. At the start of the chunk the gains on x0,
+    on z and the offsets become (K+1)-member stacks, member 0 the major's
+    and member k + 1 type k's, so that one matmul each gives the major's
+    and every type's terms. A0 and G (on x0) and F0 and F (on the minors'
+    mean) are stacks of two. Products with an inner dimension of 1 are
+    multiplies (_right_factor), the own drift too when n = 1, chosen once
+    per chunk. Rows of different products are never stacked into one 2-d
+    product: that would change which BLAS call makes each row, and with
+    it the rounding.
+
     A 2-d by 1-d product added to a partial sum that is never -0.0 is
     np.dot, which is cheaper to call than `@` and bitwise the same there.
     Every operand has a unit stride in one axis (it is C- or
@@ -295,27 +316,46 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
     copies an operand strided in both axes, and may then round
     differently. For a 1 x 1 matrix it returns the bare product, which
     can be -0.0 where `@` adds it to +0.0, so the first product of each
-    sum stays `@`.
+    sum stays a matmul.
     """
     G0, g0, G, g, (Abar, Gbar, mbar) = coefficients
     (X0_path, Z_path, U0_path, minor_sum, X_chunk, U_chunk, drift,
      scratch) = buffers
     n, N = model.n, X_chunk.shape[1]
-    Gx0, Gz = G0[:, :, :n], G0[:, :, n:]
-    HownT = np.swapaxes(G[..., :n], -1, -2)
-    Hx0, Hz = G[..., n:2 * n], G[..., 2 * n:]
-    A0, B0, F0 = model.A0, model.B0, model.F0
-    F, Gx, BT = model.F, model.G, model.B.T
-    # the types that have players: (type index, its rows, its own gains)
-    present = [(k, sl, HownT[:, k]) for k, sl in enumerate(type_slices)
-               if sl.stop > sl.start]
+    gains_x0 = np.concatenate([G0[:, None, :, :n], G[..., n:2 * n]], axis=1)
+    gains_z = np.concatenate([G0[:, None, :, n:], G[..., 2 * n:]], axis=1)
+    offsets = np.concatenate([g0[:, None], g], axis=1)
+    on_x0 = np.stack([model.A0, model.G])
+    on_mean = np.stack([model.F0, model.F])
+    B0 = model.B0
+    # a step's products with the stacks, and their members, bound once
+    terms = np.empty(offsets.shape[1:])
+    major = terms[0]
+    by_x0, by_mean = np.empty((2, n)), np.empty((2, n))
+    A0x0, Gx0 = by_x0
+    F0xbar, Fxbar = by_mean
+    # a 0-d array is cheaper to broadcast than a Python number, to the
+    # same float64 product
+    dt_a, N_a = np.array(dt), np.array(float(N))
+    input_op, BT = _right_factor(model.B.T)
+    if n == 1:
+        own_op, A_own = np.multiply, A_by_type[:, 0]
+    else:
+        own_op, A_own = functools.partial(np.einsum, "nij,nj->ni"), A_by_type
+    # the types that have players: (their member's terms, rows, own-gain
+    # product)
+    present = [(terms[k + 1], sl)
+               + _right_factor(np.swapaxes(G[:, k, :, :n], -1, -2))
+               for k, sl in enumerate(type_slices) if sl.stop > sl.start]
     steps = min(G0.shape[0], S - c0)
-    # each node's rows of the chunk's coefficients and controls
-    rows = zip(Gx0, Gz, g0, Hx0, Hz, g, Abar, Gbar, mbar, U_chunk)
+    last = S - c0
+    # each node's rows of the chunk's coefficients, states and outputs
+    rows = zip(gains_x0, gains_z, offsets, Abar, Gbar, mbar, X_chunk,
+               X0_path[c0:], Z_path[c0:], U_chunk, U0_path[c0:],
+               minor_sum[c0:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (gx0, gz, h0, hx0, hz, h, abar, gbar, mb, U) in enumerate(rows):
-            s = c0 + j
-            x0cur, Xcur, zbar = X0_path[s], X_chunk[j], Z_path[s]
+        for j, (gx, gz, go, abar, gbar, mb, Xcur, x0cur, zbar, U, u0,
+                xsum) in enumerate(rows):
             if use_empirical:
                 zfeed = np.concatenate(
                     [np.add.reduce(Xcur[sl], 0) / (sl.stop - sl.start)
@@ -324,36 +364,41 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
             else:
                 zfeed = zbar
 
-            u0 = np.negative(gx0 @ x0cur + np.dot(gz, zfeed) + h0,
-                             out=U0_path[s])
-            # stacked over the types: each type's product is the same
-            # BLAS call as alone
-            fixed = hx0 @ x0cur + hz @ zfeed + h
-            for k, sl, Hk in present:
-                Uk = _product(Xcur[sl], Hk[j], out=U[sl])
-                Uk += fixed[k]
-                np.negative(Uk, out=Uk)
-            xsum = np.add.reduce(Xcur, 0, out=minor_sum[s])
+            # the major's and every type's terms on x0 and z, one member
+            # each
+            np.matmul(gx, x0cur, out=terms)
+            terms += gz @ zfeed
+            terms += go
+            np.negative(major, out=u0)
+            for fixed, sl, op, H in present:
+                Uk = op(Xcur[sl], H[j], out=U[sl])
+                Uk += fixed
+            np.negative(U, out=U)
+            np.add.reduce(Xcur, 0, out=xsum)
 
-            if s == S:
+            if j == last:
                 break
 
-            xbarN = xsum / N
-            drift0 = A0 @ x0cur + np.dot(B0, u0) + np.dot(F0, xbarN)
-            np.einsum("nij,nj->ni", A_by_type, Xcur, out=drift)
-            drift += _product(U, BT, out=scratch)
-            drift += np.dot(F, xbarN)
-            drift += np.dot(Gx, x0cur)
+            xbarN = xsum / N_a
+            np.matmul(on_x0, x0cur, out=by_x0)
+            np.matmul(on_mean, xbarN, out=by_mean)
+            drift0 = A0x0 + np.dot(B0, u0)
+            drift0 += F0xbar
+            own_op(A_own, Xcur, out=drift)
+            drift += input_op(U, BT, out=scratch)
+            drift += Fxbar
+            drift += Gx0
             zdrift = abar @ zbar + np.dot(gbar, x0cur) + mb
 
             # the next slots hold the noise: noise + (x + dt * drift) is
             # the per-step (x + dt * drift) + noise, bit for bit
+            s = c0 + j
             x0next, Xnext = X0_path[s + 1], X_chunk[j + 1]
-            x0next += x0cur + dt * drift0
-            drift *= dt
+            x0next += x0cur + dt_a * drift0
+            drift *= dt_a
             drift += Xcur
             Xnext += drift
-            np.add(zbar, dt * zdrift, out=Z_path[s + 1])
+            np.add(zbar, dt_a * zdrift, out=Z_path[s + 1])
 
         finite = (np.isfinite(X0_path[c0 + 1:c0 + steps + 1]).all(axis=1)
                   & np.isfinite(X_chunk[1:steps + 1]).all(axis=(1, 2))
@@ -440,7 +485,8 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         start += int(c)
 
     drift, scratch = np.empty((N, n)), np.empty((N, n))
-    D0, DT = model.D0, model.D.T
+    D0 = model.D0
+    noise_op, DT = _right_factor(model.D.T)
     for c0 in range(0, S + 1, CHUNK_STEPS):
         increments = min(c0 + CHUNK_STEPS, S) - c0
         dW0 = sqdt * rng0.standard_normal((increments, n2))
@@ -451,7 +497,7 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         # each step's increments, transformed by the same per-step
         # products as one call: D0 @ dW0[j] and dW[:, j] @ D.T
         X0_path[c0 + 1:c0 + increments + 1] = (D0 @ dW0[:, :, None])[:, :, 0]
-        _product(dW.transpose(1, 0, 2), DT, out=X_chunk[1:increments + 1])
+        noise_op(dW.transpose(1, 0, 2), DT, out=X_chunk[1:increments + 1])
         nodes = min(CHUNK_STEPS, S + 1 - c0)
         # the chunk's gains live only through its march, so the next
         # chunk's are interpolated without them

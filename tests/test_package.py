@@ -11,7 +11,8 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # lists the model's fields, shapes and weight checks, and the simulation's
 # per-node sums are the step loop's own reduce of each node's block. The
 # compiled fields run generated straight-line code, not a closure per
-# table.
+# table. The simulation step picks its multiply-or-matmul products once
+# per chunk (sim._right_factor), not per call.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -30,7 +31,7 @@ DELETED = {
              "master_residual", "residual_sample"),
     nce: ("nce_feedback", "propagate_mean_field"),
     ode: ("integrate_forward",),
-    sim: ("_player_sum",),
+    sim: ("_player_sum", "_product"),
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
     asymptotic.LambdaSolution: ("M", "M0"),
     asymptotic.StructureReport: ("exponents", "scaled_tiles", "tiles"),

@@ -289,6 +289,23 @@ def test_ten_dimensional_states_match_reference_loop(feedback, use_empirical):
     assert traj.steps == S
 
 
+@pytest.mark.parametrize("feedback", sorted(SOLVERS))
+@pytest.mark.parametrize("use_empirical", [False, True])
+def test_empty_middle_type_matches_reference_loop(feedback, use_empirical):
+    # the step reads type k's gains as member k + 1 of the (K+1)-member
+    # stacks: with type 2 empty, type 3 reads member 3, not the member at
+    # its place among the types that have players
+    model = random_dims((10, 10, 10), K=3)
+    S = CHUNK_STEPS + 4
+    sol = SOLVERS[feedback](model, steps_grid(S))
+    assert not isinstance(sol, BlowUpReport)
+    kwargs = dict(dt=1.0 / S, seed=6, type_counts=[4, 0, 3],
+                  use_empirical=use_empirical)
+    traj = simulate(model, 7, sol, **kwargs)
+    for name, want in zip(PATHS, simulate_reference(model, 7, sol, **kwargs)):
+        assert getattr(traj, name).tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("S", [CHUNK_STEPS // 3, CHUNK_STEPS - 1, CHUNK_STEPS,
                                CHUNK_STEPS + 1, 2 * CHUNK_STEPS,
                                2 * CHUNK_STEPS + CHUNK_STEPS // 2])
