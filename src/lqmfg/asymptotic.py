@@ -36,7 +36,6 @@ is another BLAS call and rounds differently. solve_finite_n sizes the
 whole solve (finite_n_bytes) before anything is assembled.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,23 +436,14 @@ def _input_weights(model: ValidatedModel):
             model.B @ np.linalg.solve(model.R, model.B.T))
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(n: int) -> StateLayout:
-    """The limit and tile state: the nine kernel blocks L + key in
-    BLOCK_KEYS order, then the five offsets in OFFSET_KEYS order. Built
-    once per n: a layout is read-only once built, so every solve, and
-    its field's slots, share it."""
-    return StateLayout(
-        [("L" + key, (n, n), "kernel" if key in _SYMMETRIC_KEYS else "matrix")
-         for key in BLOCK_KEYS] + [(key, (n,), "vector") for key in OFFSET_KEYS])
-
-
 def _field(model: ValidatedModel, equations: tuple, *es: float):
-    """The field of `equations` (_LIMIT_EQUATIONS or _TILE_EQUATIONS) with
-    one member per e = 1/N of `es` (e = 0 is the limit), state in
-    BLOCK_KEYS then OFFSET_KEYS order; compiled once per text and n, as N
-    only sets the scalar slots e and e1. At N = 1 (e1 = 0) the tiles of
-    the other minors, which do not exist, feed no other tile."""
+    """(layout, field): the field of `equations` (_LIMIT_EQUATIONS or
+    _TILE_EQUATIONS) with one member per e = 1/N of `es` (e = 0 is the
+    limit), over the nine kernel blocks L + key in BLOCK_KEYS order, then
+    the five offsets in OFFSET_KEYS order; compiled, with its layout, once
+    per text and n, as N only sets the scalar slots e and e1. At N = 1
+    (e1 = 0) the tiles of the other minors, which do not exist, feed no
+    other tile."""
     n = model.n
     M0, M = _input_weights(model)
     consts = {"M0": M0, "M": M, "A0": model.A0, "A": model.A[0],
@@ -461,9 +451,11 @@ def _field(model: ValidatedModel, equations: tuple, *es: float):
               "Q": model.Q, "G0": model.Gamma0, "G1": model.Gamma1,
               "G2": model.Gamma2, "rho": model.rho,
               "eta0": model.eta0.reshape(n, 1), "eta": model.eta.reshape(n, 1)}
-    return compile_field(_layout(n).slots,
-                         [{**consts, "e": e, "e1": 1.0 - e} for e in es],
-                         _LAMBDA_NAMES, equations)
+    return compile_field(
+        [("L" + key, (n, n), "kernel" if key in _SYMMETRIC_KEYS else "matrix")
+         for key in BLOCK_KEYS] + [(key, (n,), "vector") for key in OFFSET_KEYS],
+        [{**consts, "e": e, "e1": 1.0 - e} for e in es], _LAMBDA_NAMES,
+        equations)
 
 
 def _tile_terminal(model: ValidatedModel, e: float) -> tuple:
@@ -506,8 +498,7 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
     Returns, per member, (flat path values, kernel blocks, offsets) or the
     BlowUpReport.
     """
-    layout = _layout(model.n)
-    field = _field(model, equations, *es)
+    layout, field = _field(model, equations, *es)
     terminals = np.stack([layout.pack(*_tile_terminal(model, e)) for e in es])
     keywords = dict(threshold=threshold, symmetrize=layout.sym,
                     prefixes=layout.prefixes)

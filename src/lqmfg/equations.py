@@ -3,13 +3,16 @@
 Each route writes its ODE field as text, one Python expression per state
 segment (`equations`) plus shared subexpressions (`names`), over named
 slots: the state segments in their flat order and the model constants.
-A slot is a matrix of shape (r, c) or a stack of them, (K, r, c); vectors
-are (d, 1) columns. `compile_equations` turns the text into index tables
-that depend only on the text and the shapes, and keeps them in a cache,
-so a second solve of the same shape parses nothing. `Equations.field`
-writes the constants of one or more members (models, or one model at
-several values of its scalars, of one set of shapes) into a pool of its
-own and returns the field over that pool; `compile_field` does both.
+A slot is a matrix of shape (r, c) or a stack of them, (K, r, c); the
+state comes as StateLayout segments, a vector slot a (d, 1) column and a
+scalar one a (1, 1) matrix. `compile_equations` turns the text into
+index tables that depend only on the text and the shapes, and caches
+them with the state's StateLayout, so a second solve of the same shape
+parses nothing and builds no layout. `Equations.field` writes the
+constants of one or more members (models, or one model at several values
+of its scalars, of one set of shapes) into a pool of its own and returns
+the field over that pool; `compile_field` does both and returns (layout,
+field).
 
 The text is numpy's expression language, read as written:
 - `@`, `+`, `-` and `*` associate and bind as in Python; `X.T` swaps the
@@ -92,12 +95,13 @@ are its floats alone: the stacked np.matmul still makes one gemm or gemv
 per matrix, on the layout of that member's operand; the reduce adds each
 cell's terms left to right, as over axis 0 of one member's table (one
 cell's terms are a row, summed as that member's one-cell table is); and
-the coefficients multiply entry by entry. An opaque call runs once per
-member, on that member's own C-contiguous operands, as the rounding of a
-stacked np.linalg.solve has not been checked; the generated code holds a
-second factory for such pools, whose opaque calls loop over the members.
-A field of one member has no member axis at all, so its calls are those
-of a field of its own.
+the coefficients multiply entry by entry. Every opaque call takes the
+member axis as a leading stack, each member's operands C-contiguous as
+alone: `solve` is the stacked LAPACK gufunc (one LAPACK call per
+matrix), `trace` reduces the last two axes, and the parser gives each
+einsum subscript term a leading `...`. So one factory serves every pool,
+and a field of one member, without a member axis, makes the calls of a
+field of its own.
 """
 
 import ast
@@ -108,6 +112,8 @@ import numpy as np
 # The LAPACK gufunc behind np.linalg.solve: numpy's one private name used
 # here, pinned to np.linalg.solve by tests/test_fields.py.
 from numpy.linalg import _umath_linalg
+
+from .ode import StateLayout
 
 
 def _singular(err, flag):
@@ -135,6 +141,8 @@ _OPS = {
 # The names the evaluator's source reads besides its bound operands.
 _GLOBALS = {"matmul": np.matmul, "reduce": np.add.reduce,
             "einsum": np.einsum, "solve": _solve}
+# Per segment kind, the unit axes that make the segment a matrix slot.
+_UNIT_AXES = {"kernel": (), "matrix": (), "vector": (1,), "scalar": (1, 1)}
 # Opaque calls that act on each matrix of a stack alone: calls of one of
 # these on operands of one matrix shape run as one stacked call.
 _STACKED_OPS = {"trace"}
@@ -283,6 +291,10 @@ class _Parser:
             return _Ref(out.reshape(K, r, K * c))
         shape_of = _OPS[f.id][0]
         literals = tuple(a.value for a in e.args if isinstance(a, ast.Constant))
+        if f.id == "einsum":           # a leading stack: the member axis
+            inputs, output = literals[0].split("->")
+            literals = (",".join("..." + x for x in inputs.split(","))
+                        + "->..." + output,)
         operands = tuple(self.expr(a).fold() for a in e.args
                          if not isinstance(a, ast.Constant))
         key = ("op", f.id, literals) + tuple(
@@ -397,13 +409,17 @@ def _frozen(a):
 
 
 class Equations:
-    """The compiled tables of one equation text at one set of shapes.
+    """The compiled tables of one equation text at one set of shapes, and
+    the StateLayout of its state `segments`.
 
     Built by `compile_equations`, which caches them; they hold pool
     addresses and coefficient names only, no model values.
     """
 
-    def __init__(self, state, consts, names, equations, dims):
+    def __init__(self, segments, consts, names, equations, dims):
+        self.layout = StateLayout(segments)
+        state = [(name, shape + _UNIT_AXES[kind])
+                 for name, shape, kind in segments]
         p = _Parser(state, consts, names, dims)
         outputs = p.outputs(equations, [shape for _, shape in state])
         prologue, waves = _schedule(p.nodes, p.state_size)
@@ -430,8 +446,8 @@ class Equations:
         self.prologue = tables[:len(prologue)]
         self.waves = tables[len(prologue):]
         self.final = self._sums(remap, outputs, None, None)
-        self.solo, self.batch = _evaluator(self.prologue + self.waves,
-                                           len(self.prologue))
+        self.evaluator = _evaluator(self.prologue + self.waves,
+                                    len(self.prologue))
 
     def _code(self, coef):
         if coef not in self.coefs:
@@ -505,9 +521,9 @@ class Equations:
                            * (1.0 if name is None else values[name])
                            for sign, lit, name in self.coefs]
                           for values in members]).reshape(lead + (-1,))
-        make = self.batch if lead else self.solo
-        return make(**_operands(pool, coefs, self.state_size,
-                                self.prologue + self.waves, self.final))
+        return self.evaluator(**_operands(pool, coefs, self.state_size,
+                                          self.prologue + self.waves,
+                                          self.final))
 
 
 def _stack(tables):
@@ -593,11 +609,10 @@ def _names(k, table):
 
 def _operands(pool, coefs, size, tables, final):
     """What the evaluator of `tables` (see _evaluator) takes for `pool`,
-    by name: the flat pool, the state's region, the members, the output
-    sums' address and coefficient tables, and each table's names."""
+    by name: the flat pool, the state's region, the output sums' address
+    and coefficient tables, and each table's names."""
     lead = pool.shape[:-1]
     names = {"flat": pool.reshape(-1), "head": pool[..., :size],
-             "members": range(lead[0]) if lead else None,
              "fi": _members(final[1], pool),
              "fc": _coefficients(coefs, final[2])}
     for k, table in enumerate(tables):
@@ -618,10 +633,10 @@ def _operands(pool, coefs, size, tables, final):
     return names
 
 
-def _statements(k, table, batch):
+def _statements(k, table):
     """The source lines of table k: a gathered operand is read as
     flat[addresses] (then transposed as a view if it is used transposed),
-    a view as bound; `batch` runs an opaque call once per member."""
+    a view as bound."""
     def read(name, source, t=False):
         if isinstance(source, np.ndarray):
             return f"flat[{name}]" + (".swapaxes(-1, -2)" if t else "")
@@ -638,66 +653,57 @@ def _statements(k, table, batch):
                 f"{out})"]
     _, name, literals, operands = table[:4]
     args = [read(x, source) for x, source in zip(args, operands)]
-    call = _OPS[name][1]
-    if not batch:
-        return [call.format(*map(repr, literals), *args, out=out)]
-    return ([f"y{j} = {x}" for j, x in enumerate(args)]
-            + ["for m in members:",
-               "    " + call.format(*map(repr, literals),
-                                    *(f"y{j}[m]" for j in range(len(args))),
-                                    out=f"{out}[m]")])
+    return [_OPS[name][1].format(*map(repr, literals), *args, out=out)]
 
 
 def _evaluator(tables, prologue):
-    """(solo, batch): the evaluation of `tables`, the first `prologue` of
-    them built from constants alone, as straight-line code compiled once.
-    Each is a factory taking the names _operands binds for one pool: it
-    runs the prologue once and returns the field, f(t, state), which
-    writes the state into the pool, runs the other tables in order and
-    returns the output sums reduced into a fresh array. `batch` is the
-    factory of a pool of B > 1 members."""
-    params = ["flat", "head", "members", "fi", "fc"] + [
+    """The evaluation of `tables`, the first `prologue` of them built from
+    constants alone, as straight-line code compiled once: a factory taking
+    the names _operands binds for one pool, of one member or of B. It runs
+    the prologue once and returns the field, f(t, state), which writes the
+    state into the pool, runs the other tables in order and returns the
+    output sums reduced into a fresh array."""
+    params = ["flat", "head", "fi", "fc"] + [
         x for k, table in enumerate(tables) for x in _names(k, table)]
 
-    def lines(batch, ks, indent):
-        return [indent + x for k in ks
-                for x in _statements(k, tables[k], batch)]
+    def lines(ks, indent):
+        return [indent + x for k in ks for x in _statements(k, tables[k])]
 
-    source = []
-    for factory, batch in (("solo", False), ("batch", True)):
-        source += [f"def {factory}({', '.join(params)}):",
-                   *lines(batch, range(prologue), "    "),
-                   "    def field(t, state):",
-                   "        head[...] = state",
-                   *lines(batch, range(prologue, len(tables)), "        "),
-                   "        s = flat[fi]",
-                   "        s *= fc",
-                   "        return reduce(s, -2)",
-                   "    return field"]
+    source = [f"def factory({', '.join(params)}):",
+              *lines(range(prologue), "    "),
+              "    def field(t, state):",
+              "        head[...] = state",
+              *lines(range(prologue, len(tables)), "        "),
+              "        s = flat[fi]",
+              "        s *= fc",
+              "        return reduce(s, -2)",
+              "    return field"]
     namespace = dict(_GLOBALS)
     exec(compile("\n".join(source), "<equations>", "exec"), namespace)
-    return namespace["solo"], namespace["batch"]
+    return namespace["factory"]
 
 
 @functools.lru_cache(maxsize=64)
-def compile_equations(state, consts, names, equations, dims) -> Equations:
+def compile_equations(segments, consts, names, equations, dims) -> Equations:
     """The tables of `equations` (one text per state segment, in order)
-    with shared subexpressions `names`, over state segments and constants
-    given as (name, shape) pairs in order and integer `dims` for index
-    bounds; all arguments are tuples, and the tables of one argument set
-    are built once per process."""
-    return Equations(state, consts, names, equations, dims)
+    with shared subexpressions `names`, over the state `segments` ((name,
+    shape, kind) triples of a StateLayout, in flat order), constants given
+    as (name, shape) pairs in order and integer `dims` for index bounds;
+    all arguments are tuples, and the tables and layout of one argument
+    set are built once per process."""
+    return Equations(segments, consts, names, equations, dims)
 
 
-def compile_field(state, members, names, equations, dims=None):
-    """The field of `equations` over the state segments `state` ((name,
-    shape) pairs, in flat order) with constants `members` (one mapping
-    name -> array, or a float for a scalar, per member, all of one set of
-    shapes), shared subexpressions `names` (name -> text) and integer
-    `dims` for index bounds: compiled once per shapes, its pool holding
-    one row of these values per member."""
+def compile_field(segments, members, names, equations, dims=None):
+    """(layout, field): the StateLayout of the state `segments` ((name,
+    shape, kind) triples, in flat order) and the field of `equations`
+    over it, with constants `members` (one mapping name -> array, or a
+    float for a scalar, per member, all of one set of shapes), shared
+    subexpressions `names` (name -> text) and integer `dims` for index
+    bounds. Both are built once per shapes; the field's pool holds one
+    row of these values per member."""
     consts = tuple((name, np.shape(value))
                    for name, value in members[0].items())
-    tables = compile_equations(tuple(state), consts, tuple(names.items()),
+    tables = compile_equations(tuple(segments), consts, tuple(names.items()),
                                tuple(equations), tuple((dims or {}).items()))
-    return tables.field(members)
+    return tables.layout, tables.field(members)

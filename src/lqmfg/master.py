@@ -31,7 +31,7 @@ from .errors import GridMismatch
 from .model import PiLifted, TimeGrid, ValidatedModel, block_selector, lift_pi
 from .nce import NCESolution
 from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
-                  StateLayout, integrate_backward)
+                  integrate_backward)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,8 @@ _MASTER_EQUATIONS = (
 
 class _Blocks:
     """Constants, state layout and compiled field of the
-    quadratic-solution ODEs."""
+    quadratic-solution ODEs (the layout cached with the field's
+    tables)."""
 
     def __init__(self, model: ValidatedModel, lifted: PiLifted):
         self.model = model
@@ -130,12 +131,6 @@ class _Blocks:
         self.DDT = model.D @ model.D.T
         self.eta0_q = float(model.eta0 @ model.Q0 @ model.eta0)
         self.eta_q = float(model.eta @ model.Q @ model.eta)
-        self.layout = StateLayout([
-            ("Pd0", (self.d0, self.d0), "kernel"),
-            ("Pd", (K, self.d1, self.d1), "kernel"),
-            ("sd0", (self.d0,), "vector"), ("sd", (K, self.d1), "vector"),
-            ("rd0", (), "scalar"), ("rd", (K,), "scalar")])
-
         consts = {
             "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
             "G": model.G, "F_pi": lifted.F_pi, "M0": self.M0, "M": self.M,
@@ -148,8 +143,12 @@ class _Blocks:
             "rho": model.rho,
         }
         # d(state)/dt of the flat state, as a new flat array
-        self.field = compile_field(self.layout.slots, [consts], _MASTER_NAMES,
-                                   _MASTER_EQUATIONS, {"n": n, "K": K})
+        self.layout, self.field = compile_field(
+            [("Pd0", (self.d0, self.d0), "kernel"),
+             ("Pd", (K, self.d1, self.d1), "kernel"),
+             ("sd0", (self.d0,), "vector"), ("sd", (K, self.d1), "vector"),
+             ("rd0", (), "scalar"), ("rd", (K,), "scalar")],
+            [consts], _MASTER_NAMES, _MASTER_EQUATIONS, {"n": n, "K": K})
 
     def mean_field_rows(self, Pd):
         """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.

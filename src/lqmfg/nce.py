@@ -29,7 +29,7 @@ import numpy as np
 from .equations import compile_field
 from .model import PiLifted, TimeGrid, ValidatedModel, lift_pi
 from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
-                  StateLayout, integrate_backward)
+                  integrate_backward)
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ _NCE_EQUATIONS = (
 
 
 class _Workspace:
-    """Precomputed constants, state layout and compiled field for one
-    solve."""
+    """Precomputed constants for one solve, with the state layout and
+    compiled field (the layout cached with the field's tables)."""
 
     def __init__(self, model: ValidatedModel, lifted: PiLifted):
         self.model = model
@@ -102,10 +102,6 @@ class _Workspace:
         # Small-space pieces for the algebraic constraints.
         self.BRB = model.B @ np.linalg.solve(model.R, model.B.T)
 
-        self.layout = StateLayout([
-            ("P0", (self.d0, self.d0), "kernel"),
-            ("P", (K, self.d1, self.d1), "kernel"),
-            ("s0", (self.d0,), "vector"), ("s", (K, self.d1), "vector")])
         # flat positions of type k's own block column in row block k of
         # a (K, n, nK) stack, in (k, i, j) order
         k, i, j = np.ogrid[:K, :n, :n]
@@ -122,9 +118,12 @@ class _Workspace:
             "rho": model.rho,
         }
         # d(state)/dt of the flat (P0, P, s0, s) state, as a new flat array
-        self.field = compile_field(self.layout.slots, [consts], _NCE_NAMES,
-                                   _NCE_EQUATIONS,
-                                   {"n": n, "K": K, "d1": self.d1})
+        self.layout, self.field = compile_field(
+            [("P0", (self.d0, self.d0), "kernel"),
+             ("P", (K, self.d1, self.d1), "kernel"),
+             ("s0", (self.d0,), "vector"), ("s", (K, self.d1), "vector")],
+            [consts], _NCE_NAMES, _NCE_EQUATIONS,
+            {"n": n, "K": K, "d1": self.d1})
 
     def consistency_blocks(self, P):
         """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks;

@@ -33,12 +33,13 @@ member's path, report or exception is bitwise the one it gets alone.
 
 Each system declares its flat state once, as a StateLayout of named segments
 of four kinds (kernel, matrix, vector, scalar); its escape prefixes, the
-symmetric projection of its kernels, its compiler slots and the segment
-views of a solved path all follow from that one list. The projection
-(StateLayout.sym) is one gather for all kernels: each kernel entry and
-the entry of its transpose, found by a permutation fixed with the
-layout, are added in that order and halved, which is (P + P^T) / 2.0 of
-every kernel bit for bit; every other entry is copied as it is.
+symmetric projection of its kernels and the segment views of a solved
+path all follow from that one list. The projection (StateLayout.sym) is
+one gather for all kernels: each kernel entry and the entry of its
+transpose, found by a permutation fixed with the layout, are added in
+that order and halved, which is (P + P^T) / 2.0 of every kernel bit for
+bit; every other entry is copied as it is. The compiled routes' layouts
+are built by equations.compile_field and cached with its tables.
 """
 
 import math
@@ -129,11 +130,9 @@ class BlowUpReport:
             raise ValueError("escape norm does not exceed the threshold")
 
 
-# Per segment kind: its escape level (the LQ hierarchy's kernels and the
-# non-symmetric matrix blocks beside them, then offsets, then constants)
-# and the unit axes that make it a matrix slot of the equation compiler.
-_KINDS = {"kernel": (0, ()), "matrix": (0, ()), "vector": (1, (1,)),
-          "scalar": (2, (1, 1))}
+# Per segment kind, its escape level: the LQ hierarchy's kernels and the
+# non-symmetric matrix blocks beside them, then offsets, then constants.
+_KINDS = {"kernel": 0, "matrix": 0, "vector": 1, "scalar": 2}
 
 
 class StateLayout:
@@ -143,14 +142,12 @@ class StateLayout:
     (symmetric on the trailing two axes), "matrix", "vector" or "scalar",
     in level order: kernels and matrices, then vectors, then scalars, else
     ValueError. `prefixes` are the flat lengths closing each inner level
-    (integrate_backward's escape levels) and `slots` the (name, shape)
-    state of equations.compile_field, a vector as a (..., d, 1) column
-    and a scalar as a (..., 1, 1) matrix.
+    (integrate_backward's escape levels).
     """
 
     def __init__(self, segments):
         names, shapes, kinds = zip(*segments)
-        levels = [_KINDS[kind][0] for kind in kinds]
+        levels = [_KINDS[kind] for kind in kinds]
         if levels != sorted(levels):
             raise ValueError(f"segment kinds {kinds} are out of level order")
         bounds = [0]
@@ -163,8 +160,6 @@ class StateLayout:
                           for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
         self.prefixes = tuple(bounds[k] for k in range(1, len(levels))
                               if levels[k - 1] < levels[k])
-        self.slots = tuple((name, shape + _KINDS[kind][1])
-                           for name, shape, kind in zip(names, shapes, kinds))
         # adjacent kernels of one size are one run, a stack of kernels
         runs = []
         for (seg, shape), kind in zip(self._segments, kinds):

@@ -244,8 +244,9 @@ def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
     An N that check_population refuses, a count `keep` of stored paths
     (N when None) that is not an integer in [0, N], and a non-finite or
     non-positive dt raise ValueError, a dt that does not divide the grid
-    spacing raises GridMismatch, and a run whose simulation_bytes exceed
-    MEMORY_BUDGET raises NTooLargeForMemory.
+    spacing, or is so small that the spacing over it overflows, raises
+    GridMismatch, and a run whose simulation_bytes exceed MEMORY_BUDGET
+    raises NTooLargeForMemory.
     """
     check_population(N)
     if keep is not None and not (_is_integer(keep) and 0 <= keep <= N):
@@ -256,6 +257,9 @@ def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be finite and positive, got dt={dt}")
     ratio = grid.h / dt
+    if not math.isfinite(ratio):
+        raise GridMismatch(f"dt={dt} is too small for the grid spacing "
+                           f"{grid.h}: their ratio overflows")
     if abs(ratio - round(ratio)) > TIME_SLACK * max(1.0, ratio) or round(ratio) < 1:
         raise GridMismatch(f"dt={dt} does not divide the grid spacing {grid.h}")
     S = grid.M * int(round(ratio))

@@ -511,7 +511,7 @@ def test_tile_field_is_the_reduced_field_on_exchangeable_states(n):
         deriv = _ReducedFields(sys).field(0.0, flat)
         want = finite_tiles(*deriv[:2 * d * d].reshape(2, d, d),
                             *deriv[2 * d * d:].reshape(2, d), N)
-        got = _unflat(_field(model, _TILE_EQUATIONS, 1.0 / N)(
+        got = _unflat(_field(model, _TILE_EQUATIONS, 1.0 / N)[1](
             0.0, _flat(tiles, n)), n)
         for key, w in want.items():
             assert (np.abs(got[key] - w).max()
@@ -525,7 +525,7 @@ def test_other_minor_tiles_feed_nothing_at_one_minor():
     rng = np.random.default_rng(5)
     for n in (1, 2):
         model = _random_k1(50 + n, n)
-        field = _field(model, _TILE_EQUATIONS, 1.0)
+        _, field = _field(model, _TILE_EQUATIONS, 1.0)
         tiles = _random_tiles(rng, n, 1)
         base = _unflat(field(0.0, _flat(tiles, n)), n)
         noisy = dict(tiles, **{key: 1e3 * value for key, value in
@@ -548,8 +548,8 @@ def test_tile_field_at_zero_is_the_lambda_field(n):
     rng = np.random.default_rng(60 + n)
     model = _random_k1(70 + n, n)
     state = _flat(_random_tiles(rng, n, 2), n)
-    got = _field(model, _TILE_EQUATIONS, 0.0)(0.0, state)
-    want = _field(model, _LIMIT_EQUATIONS, 0.0)(0.0, state)
+    got = _field(model, _TILE_EQUATIONS, 0.0)[1](0.0, state)
+    want = _field(model, _LIMIT_EQUATIONS, 0.0)[1](0.0, state)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -658,7 +658,7 @@ def _faulty_tile_fields(monkeypatch, faults):
     compiled = asym._field
 
     def field_of(model, equations, *es):
-        field = compiled(model, equations, *es)
+        layout, field = compiled(model, equations, *es)
 
         def faulty(t, w):
             out = field(t, w)
@@ -670,7 +670,7 @@ def _faulty_tile_fields(monkeypatch, faults):
                 elif t <= until:
                     rows[b, 1] += 1.0
             return out
-        return faulty
+        return layout, faulty
 
     monkeypatch.setattr(asym, "_field", field_of)
 

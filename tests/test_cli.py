@@ -765,6 +765,9 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
         (["--N", "4", "--dt", "0"], "time step must be finite and positive"),
         (["--N", "4", "--dt", "0.0003"],
          "dt=0.0003 does not divide the grid spacing 0.0005"),
+        # a subnormal dt: the grid spacing over it overflows to inf
+        (["--N", "10", "--dt", "1e-320"],
+         "dt=1e-320 is too small for the grid spacing 0.0005"),
         # 10^6 players over 4000 steps need 7.1 GB of chunk buffers and
         # noise streams, though only three paths are stored
         (["--N", "1000000"], "simulating N=1000000 players over 4000 steps "

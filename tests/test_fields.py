@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lqmfg import (TimeGrid, assemble_finite_n, lift_pi, solve_finite_n,
-                   solve_lambda, solve_master, solve_nce, solve_tiles,
-                   validate_model)
-from lqmfg import asymptotic, equations, master, nce
+from lqmfg import (TimeGrid, assemble_finite_n, check_asymptotic_solvability,
+                   lift_pi, solve_finite_n, solve_lambda, solve_master,
+                   solve_nce, solve_tiles, validate_model)
+from lqmfg import asymptotic, equations, master, nce, ode
 from lqmfg.ode import BlowUpReport
 
 import helpers
@@ -70,7 +70,7 @@ def route_field(route, model):
         return field, master_field_ref(model), kernels, d0 + K * d1 + 1 + K
     # the kernel slice of the limit field, over a state with offsets
     kernels = 9 * n * n
-    limit = asymptotic._field(model, asymptotic._LIMIT_EQUATIONS, 0.0)
+    _, limit = asymptotic._field(model, asymptotic._LIMIT_EQUATIONS, 0.0)
     ref = lambda_field_ref(model)
     return (lambda t, w: limit(t, w)[:kernels],
             lambda t, w: ref(t, w[:kernels]), [], kernels + 5 * n)
@@ -184,7 +184,7 @@ def member_fields(route, models, es):
                     else asymptotic._TILE_EQUATIONS)
 
             def build():
-                return asymptotic._field(model, text, e)
+                return asymptotic._field(model, text, e)[1]
             module = asymptotic
         out.append((compile_arguments(module, build), build()))
     return out
@@ -209,10 +209,10 @@ def test_member_field_is_bitwise_each_solo_field(route, K, n, n1, B,
     es = [1.0 / N for N in (1, 2, 7, 2 ** 40)[:B]] if route == "tile" \
         else [0.0] * B
     members = member_fields(route, models, es)
-    (state, _, *rest), _ = members[0]
-    field = equations.compile_field(
-        state, [args[1][0] for args, _ in members], *rest)
-    size = sum(np.prod(shape) for _, shape in state)
+    (segments, _, *rest), _ = members[0]
+    layout, field = equations.compile_field(
+        segments, [args[1][0] for args, _ in members], *rest)
+    size = layout.size
     rng = np.random.default_rng(state_seed)
     w = np.stack([random_state(int(rng.integers(2 ** 32)), [], size, zeros,
                                scale) for _ in range(B)])
@@ -244,6 +244,36 @@ def test_a_second_solve_of_one_shape_compiles_nothing(route):
         field, ref, kernels, tail = route_field(route, second)
     w = random_state(7, kernels, tail, 0.0, 1.0)
     assert field(0.0, w).tobytes() == ref(0.0, w).tobytes()
+
+
+def test_a_second_solve_of_one_shape_builds_nothing_shape_only(monkeypatch):
+    """The state layouts and generated code are cached with the compiled
+    tables: after the nce, master and limit solves and a three-N tile
+    batch of one model, the same solves of another model of the same
+    shape build no StateLayout and generate no code."""
+    built = []
+    init, generate = ode.StateLayout.__init__, equations._evaluator
+
+    def layout(self, *args):
+        built.append("layout")
+        init(self, *args)
+
+    monkeypatch.setattr(ode.StateLayout, "__init__", layout)
+    monkeypatch.setattr(equations, "_evaluator",
+                        lambda *args: built.append("code") or generate(*args))
+    equations.compile_equations.cache_clear()
+    grid = TimeGrid(M=20, T=1.0)
+    for seed in (5, 6):
+        model = validate_model(_random_params(
+            np.random.default_rng(seed), 1, dims=(2, 2, 1)))
+        solve_nce(model, grid)
+        solve_master(model, grid)
+        solve_lambda(model, grid)
+        check_asymptotic_solvability(model, [2, 4, 8], grid)
+        if seed == 5:
+            assert built.count("code") == 4 and "layout" in built
+            built.clear()
+    assert built == []
 
 
 @FIELD_SETTINGS
@@ -588,8 +618,8 @@ def test_fields_of_one_table_keep_their_bits_apart(route):
     and three models as one B = 3 field, called in alternation, each give
     the derivative a field of their own gives; a result aliases neither
     the field's pool nor an earlier result, and stays as it was. The
-    table generates its code once, when it is built; building fields of
-    one or three members generates none."""
+    table generates its code once, when it is built, and fields of one
+    or three members share it; building them generates none."""
     key, consts = table_arguments(route, [21, 22, 23])
     made = []
     generate = equations._evaluator
@@ -605,6 +635,7 @@ def test_fields_of_one_table_keep_their_bits_apart(route):
     assert made == ["code"]
     assert f.__code__ is g.__code__ is tables.field(consts[2:]).__code__
     assert stack.__code__ is tables.field(consts[1:]).__code__
+    assert stack.__code__ is f.__code__        # one factory for every pool
     rng = np.random.default_rng(5)
     states = [rng.standard_normal(tables.state_size) for _ in range(3)]
     W = np.stack(states)
@@ -633,38 +664,92 @@ def test_fields_of_one_table_keep_their_bits_apart(route):
     assert all(got.tobytes() == bits for got, bits in kept)
 
 
+def test_state_layout_slots_are_columns_and_one_by_one_matrices(monkeypatch):
+    """The compiler's state: matrices as declared, a vector as a column, a
+    scalar as a 1 x 1 matrix, each over the segment's stack axes; the
+    layout the tables keep is the one of the declared segments."""
+    seen = []
+    parse = equations._Parser.__init__
+
+    def capture(self, state, *args):
+        seen.append(tuple(state))
+        parse(self, state, *args)
+
+    monkeypatch.setattr(equations._Parser, "__init__", capture)
+    segments = (("P", (3, 2, 2), "kernel"), ("G", (2, 4), "matrix"),
+                ("s0", (2,), "vector"), ("s", (3, 2), "vector"),
+                ("r0", (), "scalar"), ("r", (3,), "scalar"))
+    tables = equations.Equations(segments, (), (), tuple(
+        name for name, _, _ in segments), ())
+    assert seen == [(("P", (3, 2, 2)), ("G", (2, 4)), ("s0", (2, 1)),
+                     ("s", (3, 2, 1)), ("r0", (1, 1)), ("r", (3, 1, 1)))]
+    assert tables.layout.names == ("P", "G", "s0", "s", "r0", "r")
+    assert tables.layout.prefixes == (20, 28)
+    w = np.arange(1.0, tables.layout.size + 1)
+    assert tables.field([{}])(0.0, w).tobytes() == w.tobytes()
+
+
+def random_spd(rng, m, cond):
+    """A random symmetric positive definite m x m matrix of condition
+    number `cond`."""
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    R = (Q * np.geomspace(1.0, 1.0 / cond, m)) @ Q.T
+    return (R + R.T) / 2.0
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
 @pytest.mark.parametrize("k", [1, 3])
 def test_solve_op_is_bitwise_np_linalg_solve(m, cond, k):
     """The evaluator's solve, on random SPD matrices up to condition
     number 1e12, is np.linalg.solve bit for bit; it calls the LAPACK
-    gufunc np.linalg.solve calls, a private numpy name pinned here."""
+    gufunc np.linalg.solve calls, a private numpy name pinned here. In a
+    field of three members (condition numbers 1, 1e6 and 1e12), one
+    stacked call, each member is bitwise its own np.linalg.solve."""
     gufunc = equations._umath_linalg.solve
     assert isinstance(gufunc, np.ufunc)
     assert gufunc.signature == "(m,m),(m,n)->(m,n)"
     rng = np.random.default_rng([m, k, int(np.log10(cond))])
     for _ in range(20):
-        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        R = (Q * np.geomspace(1.0, 1.0 / cond, m)) @ Q.T
-        R = (R + R.T) / 2.0
-        field = equations.compile_field([("X", (m, k))], [{"R": R}], {},
-                                        ["solve(R, X)"])
+        R = random_spd(rng, m, cond)
+        _, field = equations.compile_field([("X", (m, k), "matrix")],
+                                           [{"R": R}], {}, ["solve(R, X)"])
         for _ in range(5):
             x = rng.standard_normal(m * k)
             want = np.linalg.solve(R, x.reshape(m, k)).ravel()
             assert field(0.0, x).tobytes() == want.tobytes()
+    for _ in range(5):
+        Rs = [random_spd(rng, m, c) for c in (1.0, 1e6, 1e12)]
+        _, field = equations.compile_field(
+            [("X", (m, k), "matrix")], [{"R": R} for R in Rs], {},
+            ["solve(R, X)"])
+        x = rng.standard_normal((3, m * k))
+        got = field(0.0, x)
+        assert got.shape == x.shape
+        for R, row, xb in zip(Rs, got, x):
+            want = np.linalg.solve(R, xb.reshape(m, k)).ravel()
+            assert row.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("R", [np.zeros((1, 1)), np.ones((2, 2)),
                                np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
                                          [0.0, 1.0, 1.0]])])
 def test_solve_op_raises_on_a_singular_matrix(R):
+    """Alone, and as the one singular member among three of a stacked
+    solve."""
     m = len(R)
-    field = equations.compile_field([("X", (m, 2))], [{"R": R}], {},
-                                    ["solve(R, X)"])
+    _, field = equations.compile_field([("X", (m, 2), "matrix")],
+                                       [{"R": R}], {}, ["solve(R, X)"])
     x = np.arange(1.0, 2 * m + 1)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         np.linalg.solve(R, x.reshape(m, 2))
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         field(0.0, x)
+    eye = np.eye(m)
+    for members in ([R, eye, 2.0 * eye], [eye, R, 2.0 * eye],
+                    [eye, 2.0 * eye, R]):
+        _, field = equations.compile_field(
+            [("X", (m, 2), "matrix")], [{"R": M} for M in members], {},
+            ["solve(R, X)"])
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            field(0.0, np.stack([x, x, x]))

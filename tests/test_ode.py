@@ -487,18 +487,6 @@ def test_state_layout_refuses_segments_out_of_level_order(kinds):
                          for i, kind in enumerate(kinds)])
 
 
-def test_state_layout_slots_are_columns_and_one_by_one_matrices():
-    """The compiler's state: matrices as declared, a vector as a column, a
-    scalar as a 1 x 1 matrix, each over the segment's stack axes."""
-    layout = ode.StateLayout([
-        ("P", (3, 2, 2), "kernel"), ("G", (2, 4), "matrix"),
-        ("s0", (2,), "vector"), ("s", (3, 2), "vector"),
-        ("r0", (), "scalar"), ("r", (3,), "scalar")])
-    assert layout.slots == (("P", (3, 2, 2)), ("G", (2, 4)), ("s0", (2, 1)),
-                            ("s", (3, 2, 1)), ("r0", (1, 1)), ("r", (3, 1, 1)))
-    assert layout.prefixes == (20, 28)
-
-
 def test_state_layout_paths_are_read_only_views_of_the_split():
     layout = ode.StateLayout([("P", (2, 2), "kernel"), ("G", (2, 2), "matrix"),
                               ("s", (2,), "vector"), ("r", (), "scalar")])

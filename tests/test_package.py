@@ -11,16 +11,17 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # lists the model's fields, shapes and weight checks, and the simulation's
 # per-node sums are the step loop's own reduce of each node's block. The
 # compiled fields run generated straight-line code, not a closure per
-# table. The simulation step picks its multiply-or-matmul products once
-# per chunk (sim._right_factor), not per call.
+# table, and the limit layout is cached with the compiled tables. The
+# simulation step picks its multiply-or-matmul products once per chunk
+# (sim._right_factor), not per call.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
             "nce_feedback", "propagate_mean_field", "residual_sample"),
     asymptotic: ("DENSE_DIM_CAP", "EXCHANGE_TOL", "PhiSolution",
-                 "_capped_dim", "_lambda_field", "_limit_consts", "_masked",
-                 "_rep_positions", "_solve_dense", "_swap_block_index",
-                 "_tile_field"),
+                 "_capped_dim", "_lambda_field", "_layout", "_limit_consts",
+                 "_masked", "_rep_positions", "_solve_dense",
+                 "_swap_block_index", "_tile_field"),
     cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
     equations: ("_reader", "_step"),
     errors: ("BlowUp", "PermutationMismatch"),

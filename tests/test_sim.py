@@ -403,6 +403,16 @@ def test_simulation_size_is_checked_before_allocating(monkeypatch):
     assert simulation_bytes(model, 1000, 4000) * 50 < MEMORY_BUDGET
 
 
+@pytest.mark.parametrize("dt", [1e-310, 1e-320, 5e-324])
+def test_simulation_steps_refuses_a_step_whose_ratio_overflows(dt):
+    """A subnormal dt is finite and positive, but the grid spacing over it
+    overflows to inf: a GridMismatch naming dt, not an OverflowError from
+    rounding the ratio."""
+    grid = TimeGrid(M=50, T=1.0)
+    with pytest.raises(GridMismatch, match=f"dt={dt!r} is too small"):
+        simulation_steps(build_model(), grid, 10, dt)
+
+
 def test_size_check_counts_only_the_stored_paths():
     # 10^5 players over 4000 steps: 6.4 GB with every path stored, under
     # 1 GB with the three a CLI run stores; computed, never allocated
