@@ -339,6 +339,7 @@ def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
     anything is assembled.
     """
     _require_population(model, N)
+    grid.require_horizon(model.T)
     check_budget(f"solving N={N} minor players on {grid.M + 1} nodes",
                  finite_n_bytes(model.n, N, grid.M))
     return _solve_reduced(assemble_finite_n(model, N), grid, threshold)
@@ -498,6 +499,7 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
     Returns, per member, (flat path values, kernel blocks, offsets) or the
     BlowUpReport.
     """
+    grid.require_horizon(model.T)
     layout, field = _field(model, equations, *es)
     terminals = np.stack([layout.pack(*_tile_terminal(model, e)) for e in es])
     keywords = dict(threshold=threshold, symmetrize=layout.sym,

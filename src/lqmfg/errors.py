@@ -14,7 +14,7 @@ class LQMFGError(Exception):
 
 
 class DimensionMismatch(LQMFGError):
-    """A model field has the wrong shape; the message names the field."""
+    """A model field has the wrong shape or type; the message names it."""
 
 
 class NotPSD(LQMFGError):

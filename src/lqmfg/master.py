@@ -185,6 +185,7 @@ def solve_master(model: ValidatedModel, grid: TimeGrid,
     the one of kernels plus offsets if those cross, else that of the full
     stack (both marginal escapes, still no solution).
     """
+    grid.require_horizon(model.T)
     blocks = _Blocks(model, lift_pi(model))
     K, d1, layout = blocks.K, blocks.d1, blocks.layout
     lifted = blocks.lifted

@@ -8,8 +8,8 @@ frequencies pi.
 
 The ValidatedModel declaration is the one schema of a model: it lists the
 fields in model-file key order, each array field with its shape (in the
-counts n, n1, n2, K) and its weight check. ModelParams, validate_model and
-the model-file reader and writer are all derived from it.
+counts n, n1, n2, K) and its weight check, and its type picks its type
+rule. ModelParams, validate_model and the file reader and writer follow it.
 
 Every solver consumes a ValidatedModel plus its PiLifted companion, which
 holds the pi-weighted horizontal liftings (row-Kronecker products with pi)
@@ -17,11 +17,12 @@ and the congruence-transformed cost blocks acting on the stacked states
 (x0, zbar) and (z_kappa, x0, zbar).
 """
 
+import numbers
 from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
 
-from .errors import BadPi, DimensionMismatch, IndexOutOfRange, NotPD, NotPSD
+from .errors import BadPi, DimensionMismatch, GridMismatch, IndexOutOfRange, NotPD, NotPSD
 
 # Weights are symmetrized silently below this asymmetry; rejected above it.
 SYMMETRY_REPAIR_TOL = 1e-12
@@ -37,10 +38,10 @@ class TimeGrid:
     T: float
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("TimeGrid needs at least one step")
-        if not (self.T > 0.0):
-            raise ValueError("TimeGrid horizon must be positive")
+        if not (_is_integer(self.M) and self.M >= 1):
+            raise ValueError(f"TimeGrid needs an integer M >= 1, got {self.M!r}")
+        if not (_is_real(self.T) and 0.0 < self.T < np.inf):
+            raise ValueError(f"TimeGrid needs a positive finite T, got {self.T!r}")
 
     @property
     def h(self) -> float:
@@ -53,6 +54,10 @@ class TimeGrid:
 
     def same_as(self, other: "TimeGrid") -> bool:
         return self.M == other.M and self.T == other.T
+
+    def require_horizon(self, T: float):
+        if self.T != T:
+            raise GridMismatch(f"grid horizon T={self.T!r} is not the model's T={T!r}")
 
 
 def default_steps(T: float) -> int:
@@ -123,7 +128,7 @@ ModelParams = make_dataclass(
     "ModelParams",
     [(f.name, object if f.metadata else f.type)
      for f in fields(ValidatedModel)])
-ModelParams.__doc__ = """Raw model data as supplied by the user; nothing is checked here.
+ModelParams.__doc__ = """Raw model data as supplied by the user; validate_model checks it.
 
     The fields are ValidatedModel's. Array fields may be any array-like
     (nested lists straight from a model file are fine); `A` holds the K
@@ -165,6 +170,43 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is neither."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number (int, float or a numpy one); a bool is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(name: str, value) -> int:
+    """A count field as an int: an integral number of at least 1."""
+    if not (_is_integer(value) or _is_real(value) and float(value).is_integer()):
+        raise DimensionMismatch(f"{name!r} must be an integer, got {value!r}")
+    if value < 1:
+        raise DimensionMismatch(f"{name!r} must be at least 1, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """A real field as a float: a real number in float range."""
+    if _is_real(value):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DimensionMismatch(f"{name!r} must be a real number, got {value!r}")
+
+
+def _numeric(name: str, value) -> np.ndarray:
+    """An array field's value as a new float64 array."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{name!r} must be a numeric array: {exc}") from exc
+
+
 def _as_array(name: str, value, shape: tuple) -> np.ndarray:
     """The value as a finite float64 array of the declared shape.
 
@@ -172,7 +214,7 @@ def _as_array(name: str, value, shape: tuple) -> np.ndarray:
     one-column matrix for a vector, and a single n x n drift for A at K = 1.
     The array is a copy: the model never shares (or freezes) the caller's.
     """
-    a = np.array(value, dtype=np.float64)
+    a = _numeric(name, value)
     if a.ndim == 0 and all(d == 1 for d in shape):
         a = a.reshape(shape)
     elif len(shape) == 1 and a.ndim == 2 and 1 in a.shape:
@@ -203,20 +245,18 @@ def _check_weight(name: str, a: np.ndarray, weight: str) -> np.ndarray:
 def validate_model(raw: ModelParams) -> ValidatedModel:
     """Check every model invariant and return an immutable canonical form.
 
-    Dimensions must be mutually consistent, T positive and rho nonnegative
-    (both finite), the cost weights symmetric PSD (tiny asymmetry from file
-    round-trips is repaired), the control weights symmetric PD, and pi a
-    strictly positive probability vector. Fields are checked in declaration
-    order, so the first faulty field is the one reported.
+    The counts must be positive integral numbers, T positive and rho
+    nonnegative finite real numbers, every array field numeric and of the
+    shape the counts give it, the cost weights symmetric PSD (tiny asymmetry
+    from file round-trips is repaired), the control weights symmetric PD,
+    and pi a strictly positive probability vector. Fields are checked in
+    declaration order, so the first faulty one is reported; a wrong type or
+    shape raises DimensionMismatch naming it.
     """
-    dims = {d: int(getattr(raw, d)) for d in ("n", "n1", "n2", "K")}
-    n, n1, n2, K = dims.values()
-    if n < 1 or n1 < 1 or n2 < 1:
-        raise DimensionMismatch(f"dimensions must be positive: n={n}, n1={n1}, n2={n2}")
-    if K < 1:
-        raise DimensionMismatch(f"K must be at least 1, got {K}")
-    T = float(raw.T)
-    rho = float(raw.rho)
+    scalars = {f.name: (_count if f.type is int else _real)(
+        f.name, getattr(raw, f.name)) for f in fields(ValidatedModel)
+        if not f.metadata}
+    T, rho = scalars["T"], scalars["rho"]
     if not (0.0 < T < np.inf):
         raise DimensionMismatch(f"T must be positive and finite, got {T}")
     if not (0.0 <= rho < np.inf):
@@ -226,7 +266,7 @@ def validate_model(raw: ModelParams) -> ValidatedModel:
     for f in fields(ValidatedModel):
         if not f.metadata:
             continue
-        shape = tuple(dims[d] for d in f.metadata["shape"])
+        shape = tuple(scalars[d] for d in f.metadata["shape"])
         a = _as_array(f.name, getattr(raw, f.name), shape)
         if f.metadata["weight"]:
             a = _check_weight(f.name, a, f.metadata["weight"])
@@ -237,7 +277,7 @@ def validate_model(raw: ModelParams) -> ValidatedModel:
         raise BadPi(f"pi entries must be strictly positive, got {pi.tolist()}")
     if abs(float(pi.sum()) - 1.0) > 1e-12:
         raise BadPi(f"pi must sum to 1 within 1e-12, got sum {pi.sum()!r}")
-    return ValidatedModel(**dims, T=T, rho=rho, **arrays)
+    return ValidatedModel(**scalars, **arrays)
 
 
 def _row_kron(pi: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Flat key=value model files.
+"""Model files: Python literals, one `key = literal` assignment per line.
 
-One assignment per key; `#` starts a comment; matrix values are bracketed
-row-major literals and may continue across lines until the brackets
-balance. Hand-editable by design. The keys are the fields of
-`model.ValidatedModel`, in its declaration order, with the K minor drifts
-`A` written one per type as A1..AK:
+Python's own parser reads them, so `#` starts a comment, a bracketed value
+may continue across lines and a line may be indented. Hand-editable by
+design. The keys are the fields of `model.ValidatedModel`, in its
+declaration order, with the K minor drifts `A` written one per type as
+A1..AK:
 
     n n1 n2 K T rho A1..AK pi
     A0 B0 F0 D0 B F G D
@@ -13,8 +13,8 @@ balance. Hand-editable by design. The keys are the fields of
     eta0 eta0f eta etaf
     alpha0 x0_mean x0_cov xi_cov
 
-That declaration also picks how each key is read: its count fields as
-integers, T and rho as reals, and every other key as a numeric array.
+Each value is typed by its field's rule in validate_model; the reader uses
+the count and array rules to stack A1..AK, and names file and line on error.
 """
 
 import ast
@@ -23,110 +23,69 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import ModelFileError
-from .model import ModelParams, ValidatedModel, validate_model
+from .errors import DimensionMismatch, ModelFileError
+from .model import ModelParams, ValidatedModel, _count, _numeric, validate_model
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
-def _raw_entries(path: str) -> dict:
-    entries = {}
-    pending_key = None
-    pending_chunks = []
-    depth = 0
+def _entries(path: str) -> dict:
+    """Each key's (line, literal value), in file order."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _strip_comment(raw).strip()
-            if not line and pending_key is None:
-                continue
-            if pending_key is None:
-                if "=" not in line:
-                    raise ModelFileError(
-                        f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key in entries:
-                    raise ModelFileError(f"{path}:{lineno}: duplicate key {key!r}")
-                pending_key = key
-                pending_chunks = [value]
-                depth = value.count("[") - value.count("]")
-            else:
-                pending_chunks.append(line)
-                depth += line.count("[") - line.count("]")
-            if depth < 0:
-                raise ModelFileError(
-                    f"{path}:{lineno}: unbalanced brackets in {pending_key!r}")
-            if depth == 0:
-                entries[pending_key] = " ".join(pending_chunks).strip()
-                pending_key = None
-    if pending_key is not None:
-        raise ModelFileError(f"{path}: unterminated value for key {pending_key!r}")
+        source = "".join(line.lstrip(" \t\f") for line in fh)
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        where = path if exc.lineno is None else f"{path}:{exc.lineno}"
+        raise ModelFileError(f"{where}: {exc.msg}") from exc
+    entries, last = {}, 0
+    for node in tree.body:
+        line = node.lineno
+        if (not isinstance(node, ast.Assign) or len(node.targets) != 1
+                or not isinstance(node.targets[0], ast.Name) or line == last):
+            raise ModelFileError(f"{path}:{line}: expected one 'key = literal' per line")
+        last = node.end_lineno
+        key = node.targets[0].id
+        if key in entries:
+            raise ModelFileError(f"{path}:{line}: duplicate key {key!r}")
+        try:
+            entries[key] = line, ast.literal_eval(node.value)
+        except (ValueError, TypeError) as exc:
+            raise ModelFileError(f"{path}:{line}: {key!r} is not a literal") from exc
     return entries
 
 
-def _literal(path: str, key: str, text: str):
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise ModelFileError(f"{path}: bad literal for {key!r}: {exc}") from exc
-
-
 def parse_model_file(path: str) -> ModelParams:
-    """Read a model file into raw parameters (not yet validated)."""
+    """Read a model file into raw parameters (not yet validated): each
+    value as its literal, K as a count and A1..AK stacked as A."""
     if not os.path.exists(path):
         raise ModelFileError(f"model file not found: {path}")
-    entries = _raw_entries(path)
+    entries = _entries(path)
 
-    def take(key):
+    def read(key, rule=lambda key, value: value):
         if key not in entries:
             raise ModelFileError(f"{path}: missing key {key!r}")
-        return _literal(path, key, entries.pop(key))
-
-    def integer(key):
-        value = take(key)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or isinstance(value, float) and not value.is_integer()):
-            raise ModelFileError(
-                f"{path}: {key!r} must be an integer, got {value!r}")
-        return int(value)
-
-    def real(key):
-        value = take(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelFileError(
-                f"{path}: {key!r} must be a number, got {value!r}")
-        return float(value)
-
-    def array(key):
-        value = take(key)
+        line, value = entries.pop(key)
         try:
-            return np.array(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelFileError(
-                f"{path}: {key!r} must be a numeric array: {exc}") from exc
+            return rule(key, value)
+        except DimensionMismatch as exc:
+            raise ModelFileError(f"{path}:{line}: {exc}") from exc
 
-    def drifts(K):
-        if K < 1:
-            raise ModelFileError(f"{path}: 'K' must be at least 1, got {K}")
-        A_list = [np.atleast_2d(array(f"A{k}")) for k in range(1, K + 1)]
-        for k, a in enumerate(A_list[1:], start=2):
-            if a.shape != A_list[0].shape:
-                raise ModelFileError(
-                    f"{path}: 'A{k}' has shape {a.shape}, but 'A1' has shape "
-                    f"{A_list[0].shape}")
-        return np.stack(A_list)
+    def drift(key, value):
+        a = np.atleast_2d(_numeric(key, value))
+        if drifts and a.shape != drifts[0].shape:
+            raise DimensionMismatch(f"{key!r} has shape {a.shape}, 'A1' {drifts[0].shape}")
+        return a
 
-    read = {int: integer, float: real, np.ndarray: array}
-    values = {}
+    values, drifts = {}, []
     for f in fields(ValidatedModel):
-        values[f.name] = (drifts(values["K"]) if f.name == "A"
-                          else read[f.type](f.name))
+        if f.name == "A":
+            for k in range(1, values["K"] + 1):
+                drifts.append(read(f"A{k}", drift))
+            values["A"] = np.stack(drifts)
+        else:
+            values[f.name] = read(f.name, _count) if f.name == "K" else read(f.name)
     if entries:
-        stray = ", ".join(sorted(entries))
-        raise ModelFileError(f"{path}: unknown keys: {stray}")
+        key, (line, _) = next(iter(entries.items()))
+        raise ModelFileError(f"{path}:{line}: unknown key {key!r}")
     return ModelParams(**values)
 
 
@@ -143,7 +102,7 @@ def _render(value) -> str:
 
 def write_model_file(path: str, params: ModelParams, header: str = ""):
     """Emit a model file that parse_model_file reads back exactly; `params`
-    is a ModelParams or a ValidatedModel."""
+    is a ModelParams or a ValidatedModel, each value written as given."""
     lines = []
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
@@ -152,8 +111,6 @@ def write_model_file(path: str, params: ModelParams, header: str = ""):
         if f.name == "A":
             lines.extend(f"A{k} = {_render(a)}" for k, a in
                          enumerate(np.asarray(value, dtype=np.float64), start=1))
-        elif f.type is int:
-            lines.append(f"{f.name} = {int(value)}")
         else:
             lines.append(f"{f.name} = {_render(value)}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -159,6 +159,7 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid,
     reported where the joint norm crossed. The algebraic variables are
     then materialized at every node.
     """
+    grid.require_horizon(model.T)
     ws = _Workspace(model, lift_pi(model))
     K, d1, layout = ws.K, ws.d1, ws.layout
 

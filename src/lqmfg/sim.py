@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import EmptyBatch, EmptyType, GridMismatch, NonFiniteState
 from .master import MasterSolution, master_gains
-from .model import TimeGrid, ValidatedModel
+from .model import TimeGrid, ValidatedModel, _is_integer
 from .nce import NCESolution, nce_gains
 from .ode import ESTIMATE_SLACK, MEMORY_BUDGET, TIME_SLACK, check_budget
 
@@ -147,11 +147,6 @@ def default_type_counts(model: ValidatedModel, N: int) -> np.ndarray:
     return counts
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is neither."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_population(N) -> int:
     """N as an int; ValueError unless _is_integer(N) and N >= 1."""
     if not _is_integer(N):
@@ -243,12 +238,13 @@ def simulation_steps(model: ValidatedModel, grid: TimeGrid, N: int,
 
     An N that check_population refuses, a count `keep` of stored paths
     (N when None) that is not an integer in [0, N], and a non-finite or
-    non-positive dt raise ValueError, a dt that does not divide the grid
-    spacing, or is so small that the spacing over it overflows, raises
-    GridMismatch, and a run whose simulation_bytes exceed MEMORY_BUDGET
-    raises NTooLargeForMemory.
+    non-positive dt raise ValueError, a grid whose horizon is not model.T,
+    or a dt that does not divide the grid spacing or is so small that the
+    spacing over it overflows, raises GridMismatch, and a run whose
+    simulation_bytes exceed MEMORY_BUDGET raises NTooLargeForMemory.
     """
     check_population(N)
+    grid.require_horizon(model.T)
     if keep is not None and not (_is_integer(keep) and 0 <= keep <= N):
         raise ValueError(f"the number of stored paths must be an integer "
                          f"in [0, N={N}], got {keep!r}")

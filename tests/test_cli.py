@@ -227,6 +227,42 @@ def test_drifts_of_different_shapes_exit_one(tmp_path, capsys):
     assert "'A2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,old,new,line,words", [
+    ("scalar", "pi = [1.0]\n", "pi = [1.0]\nrho = 0.2\n", 10,
+     "duplicate key 'rho'"),
+    ("scalar", "pi = [1.0]\n", "pi = [1.0\n", 9, "'[' was never closed"),
+    ("scalar", "T = 1.0\nrho = 0.1\n", "T = 1.0; rho = 0.1\n", 6,
+     "expected one 'key = literal' per line"),
+    ("scalar", "pi = [1.0]\n", "pi = [1.0]\noops\n", 10,
+     "expected one 'key = literal' per line"),
+    ("scalar", "rho = 0.1\n", "rho = 0.05 * 2\n", 7, "'rho' is not a literal"),
+    ("scalar", "xi_cov = [[0.04]]\n", "", None, "missing key 'xi_cov'"),
+    ("scalar", "pi = [1.0]\n", "pi = [1.0]\nzeta = 1.0\n", 10,
+     "unknown key 'zeta'"),
+    ("scalar", "K = 1\n", "K = 0\n", 5, "'K' must be at least 1"),
+    ("twotype", "A2 = [[-0.2]]", "A2 = [[1.0, 2.0], [3.0, 4.0]]", 9,
+     "'A2' has shape (2, 2)"),
+], ids=["duplicate key", "unclosed bracket", "two on a line",
+        "not an assignment", "expression", "missing key", "unknown key",
+        "no types", "drift shapes differ"])
+def test_malformed_model_file_exits_one_naming_file_and_line(
+        tmp_path, capsys, name, old, new, line, words):
+    """A structural fault of the file is one error line that names the file
+    (and the line, where the reader knows it), before any solve."""
+    text = (MODELS / f"{name}.model").read_text()
+    assert old in text
+    path = tmp_path / "bad.model"
+    path.write_text(text.replace(old, new))
+    with mock.patch("lqmfg.nce.solve_nce", side_effect=AssertionError):
+        code = main(["solve", "nce", "--model", str(path), "--out",
+                     str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    where = str(path) if line is None else f"{path}:{line}"
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+    assert words in err
+
+
 @pytest.mark.parametrize("K", [0, -2])
 def test_type_count_below_one_exits_one(tmp_path, capsys, K):
     """K is checked before the drifts A1..AK are read and stacked."""

@@ -1,12 +1,16 @@
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lqmfg import (BadPi, DimensionMismatch, NotPD, NotPSD, TimeGrid,
-                   ValidatedModel, block_selector, default_steps, lift_pi,
-                   validate_model)
+from lqmfg import (BadPi, DimensionMismatch, GridMismatch, NotPD, NotPSD,
+                   TimeGrid, ValidatedModel, block_selector,
+                   check_asymptotic_solvability, default_steps, lift_pi,
+                   solve_finite_n, solve_lambda, solve_master, solve_nce,
+                   solve_tiles, validate_model)
+from lqmfg.sim import simulation_steps
 
 from helpers import _random_params, build_model, scalar_coupled
 
@@ -26,6 +30,37 @@ def test_grid_rejects_bad_steps():
         TimeGrid(M=0, T=1.0)
     with pytest.raises(ValueError):
         TimeGrid(M=10, T=-1.0)
+    for M in (2.5, 10.0, True, "10"):
+        with pytest.raises(ValueError, match="integer M"):
+            TimeGrid(M=M, T=1.0)
+    for T in (np.inf, np.nan, True, "1.0"):
+        with pytest.raises(ValueError, match="positive finite T"):
+            TimeGrid(M=10, T=T)
+
+
+ROUTES = {
+    "nce": solve_nce,
+    "master": solve_master,
+    "lambda": solve_lambda,
+    "finite_n": lambda model, grid: solve_finite_n(model, 3, grid),
+    "tiles": lambda model, grid: solve_tiles(model, 3, grid),
+    "solvability": lambda model, grid: check_asymptotic_solvability(
+        model, [2, 4, 8], grid),
+    "simulate": lambda model, grid: simulation_steps(model, grid, 10),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+def test_a_grid_of_another_horizon_is_refused(route):
+    """A grid must span the model's horizon; the mismatch names both and is
+    raised before any field is lifted, assembled or compiled."""
+    with mock.patch("lqmfg.nce.lift_pi", side_effect=AssertionError), \
+            mock.patch("lqmfg.master.lift_pi", side_effect=AssertionError), \
+            mock.patch("lqmfg.asymptotic.assemble_finite_n",
+                       side_effect=AssertionError), \
+            mock.patch("lqmfg.asymptotic._field", side_effect=AssertionError):
+        with pytest.raises(GridMismatch, match=r"T=2\.0 is not the model's T=1\.0"):
+            route(scalar_coupled(), TimeGrid(M=10, T=2.0))
 
 
 def test_default_steps_scales_with_horizon():
@@ -96,6 +131,9 @@ def test_wrong_shape_or_non_finite_entry_names_the_field(f):
         with pytest.raises(DimensionMismatch,
                            match=rf"^{f.name}: contains non-finite"):
             _with(f.name, b)
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^'{f.name}' must be a numeric array"):
+        _with(f.name, {1: 2})
 
 
 @pytest.mark.parametrize("f", ARRAYS, ids=lambda f: f.name)
@@ -142,6 +180,8 @@ def test_control_weights_must_be_definite():
     ("n", 0), ("n1", 0), ("n2", -1), ("K", 0),
     ("T", 0.0), ("T", -1.0), ("T", np.inf), ("T", np.nan),
     ("rho", -0.1), ("rho", np.inf), ("rho", np.nan),
+    ("n", 1.7), ("K", True), ("n1", "1"), ("T", "1.0"), ("rho", True),
+    ("T", [1.0]), pytest.param("T", 10 ** 400, id="T-past-float-range"),
 ])
 def test_bad_counts_horizon_or_discount_name_the_field(name, value):
     with pytest.raises(DimensionMismatch, match=rf"\b{name}\b"):

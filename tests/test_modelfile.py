@@ -1,12 +1,12 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lqmfg import (ValidatedModel, load_model, parse_model_file,
-                   validate_model, write_model_file)
+from lqmfg import (DimensionMismatch, ValidatedModel, load_model,
+                   parse_model_file, validate_model, write_model_file)
 
 from helpers import _random_params
 
@@ -33,6 +33,32 @@ def test_shipped_models_are_written_back_byte_for_byte(tmp_path, name, read):
     out = tmp_path / "out.model"
     write_model_file(str(out), read(str(path)), header=header)
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("old,new", [
+    ("rho = 0.1", "    rho = 0.1"),
+    ("A0 = [[-0.3]]", "A0 = [  # the major's drift\n    [-0.3],  # one row\n]"),
+    ("n1 = 1\n", "n1 = 1.0\n"),
+], ids=["indented key", "comment in a matrix", "integral float count"])
+def test_hand_edits_load_the_same_model(tmp_path, old, new):
+    """Edits a reader of the file may make by hand are still read, and
+    to the same model."""
+    text = (MODELS / "scalar.model").read_text()
+    assert old in text
+    path = tmp_path / "edited.model"
+    path.write_text(text.replace(old, new))
+    assert_bitwise(load_model(str(path)),
+                   load_model(str(MODELS / "scalar.model")))
+
+
+def test_a_wrongly_typed_count_is_written_as_given(tmp_path):
+    """The writer does not truncate a count the validator refuses, so the
+    file it writes is refused too."""
+    params = replace(_random_params(np.random.default_rng(0), 1), n1=1.7)
+    path = str(tmp_path / "m.model")
+    write_model_file(path, params)
+    with pytest.raises(DimensionMismatch, match="'n1' must be an integer"):
+        load_model(path)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,

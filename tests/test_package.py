@@ -13,7 +13,8 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # compiled fields run generated straight-line code, not a closure per
 # table, and the limit layout is cached with the compiled tables. The
 # simulation step picks its multiply-or-matmul products once per chunk
-# (sim._right_factor), not per call.
+# (sim._right_factor), not per call. The model file is read by Python's own
+# parser, and its values are typed by validate_model alone.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -27,7 +28,8 @@ DELETED = {
     errors: ("BlowUp", "PermutationMismatch"),
     model: ("_as_matrix", "_as_vector", "_check_pd", "_check_psd",
             "_symmetrize_weight"),
-    modelfile: ("_ARRAY_KEYS", "_FLOAT_KEYS", "_INT_KEYS"),
+    modelfile: ("_ARRAY_KEYS", "_FLOAT_KEYS", "_INT_KEYS", "_raw_entries",
+                "_strip_comment", "_literal"),
     master: ("ResidualSample", "_fd_derivative", "master_feedback",
              "master_residual", "residual_sample"),
     nce: ("nce_feedback", "propagate_mean_field"),
