@@ -48,10 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str):
+    # "," is the explicit empty list; an empty item among integers is refused
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(p) for p in text.split(",")] if text.strip(", ") else []
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}")
 
 
 def _tolerance(text: str) -> float:

@@ -207,20 +207,22 @@ def _numeric(name: str, value) -> np.ndarray:
         raise DimensionMismatch(f"{name!r} must be a numeric array: {exc}") from exc
 
 
-def _as_array(name: str, value, shape: tuple) -> np.ndarray:
-    """The value as a finite float64 array of the declared shape.
-
-    Accepted shorthand: a scalar for an all-ones shape, a one-row or
-    one-column matrix for a vector, and a single n x n drift for A at K = 1.
-    The array is a copy: the model never shares (or freezes) the caller's.
-    """
-    a = _numeric(name, value)
+def _shorthand(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """`a` reshaped where it is a shorthand of `shape`: a scalar for all
+    ones, a row or column for a vector, one n x n drift for A at K = 1."""
     if a.ndim == 0 and all(d == 1 for d in shape):
-        a = a.reshape(shape)
-    elif len(shape) == 1 and a.ndim == 2 and 1 in a.shape:
-        a = a.reshape(-1)
-    elif len(shape) == 3 and a.ndim == 2 and shape[0] == 1:
-        a = a.reshape(1, *a.shape)
+        return a.reshape((1,) * len(shape))
+    if len(shape) == 1 and a.ndim == 2 and 1 in a.shape:
+        return a.reshape(-1)
+    if len(shape) == 3 and a.ndim == 2 and shape[0] == 1:
+        return a.reshape(1, *a.shape)
+    return a
+
+
+def _as_array(name: str, value, shape: tuple) -> np.ndarray:
+    """The value, or its _shorthand, as a finite float64 array of the
+    declared shape; a copy: the model never shares (or freezes) the caller's."""
+    a = _shorthand(_numeric(name, value), shape)
     if a.shape != shape:
         raise DimensionMismatch(f"{name}: expected shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -24,7 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import DimensionMismatch, ModelFileError
-from .model import ModelParams, ValidatedModel, _count, _numeric, validate_model
+from .model import ModelParams, ValidatedModel, _count, _numeric, _shorthand, validate_model
 
 
 def _entries(path: str) -> dict:
@@ -94,23 +94,21 @@ def load_model(path: str) -> ValidatedModel:
 
 
 def _render(value) -> str:
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        return repr(arr.item())
-    return repr(arr.tolist())
+    return repr(np.asarray(value).tolist())
 
 
 def write_model_file(path: str, params: ModelParams, header: str = ""):
     """Emit a model file that parse_model_file reads back exactly; `params`
-    is a ModelParams or a ValidatedModel, each value written as given."""
+    is a ModelParams or a ValidatedModel, each value written as given but
+    A, written as the stack of K drifts its _shorthand makes."""
     lines = []
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
     for f in fields(ValidatedModel):
         value = getattr(params, f.name)
         if f.name == "A":
-            lines.extend(f"A{k} = {_render(a)}" for k, a in
-                         enumerate(np.asarray(value, dtype=np.float64), start=1))
+            value = _shorthand(_numeric("A", value), (params.K, params.n, params.n))
+            lines.extend(f"A{k} = {_render(a)}" for k, a in enumerate(value, 1))
         else:
             lines.append(f"{f.name} = {_render(value)}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -35,9 +35,9 @@ the loop makes it; the per-type sums are reduced after each chunk from
 the node-major block, as the loop reduces it. A caller chooses how many
 leading minors' paths are stored (all by default). Memory is
 O(keep S (n + n1) + K S n) for the stored paths and sums plus
-O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers; a run whose
-estimate (simulation_bytes) exceeds MEMORY_BUDGET is refused before
-anything is allocated.
+O(N CHUNK_STEPS (n + n2)) for the chunk buffers and O(N n1) for the one
+control row the steps reuse; a run whose estimate (simulation_bytes)
+exceeds MEMORY_BUDGET is refused before anything is allocated.
 """
 
 import functools
@@ -54,7 +54,7 @@ from .ode import ESTIMATE_SLACK, MEMORY_BUDGET, TIME_SLACK, check_budget
 
 DEFAULT_STEPS = 4000
 # Steps marched per chunk of the simulation loop; the chunk buffers hold
-# about N * CHUNK_STEPS * (n + n1 + n2) floats.
+# about N * CHUNK_STEPS * (n + n2) floats.
 CHUNK_STEPS = 256
 # One player's noise stream, a Philox generator and its list slot: 609
 # bytes by the tracemalloc slope of 300 -> 900 generators, 630 by the RSS
@@ -193,7 +193,7 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def _player_rng(seed: int, player: int) -> np.random.Generator:
+def _player_rng(seed: int, player: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=[seed, player]))
 
 
@@ -212,10 +212,10 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
     gains on x0 and on z and the offsets, and the interpolation's
     temporaries: three copies of the largest state it reads (the K
     kernels of side d1 = n(K+2)) and eight floats per node of times,
-    indices and weights; per player, the chunk buffers, its rows of the
-    gathered type matrices A (n^2 floats) and of the step loop's two
-    (N, n) scratch arrays, the finiteness mask of a chunk's states (one
-    byte per float) and the noise stream; and ode.ESTIMATE_SLACK."""
+    indices and weights; per player, the chunk buffers, the control row,
+    its rows of the gathered type matrices A (n^2 floats) and of the step
+    loop's two (N, n) scratch arrays, the finiteness mask of a chunk's
+    states (one byte per float) and the noise stream; and ode.ESTIMATE_SLACK."""
     n, n1, n2, K = model.n, model.n1, model.n2, model.K
     keep = N if keep is None else keep
     steps, nodes = min(CHUNK_STEPS, S), min(CHUNK_STEPS, S + 1)
@@ -225,7 +225,7 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
     # at each of the chunk's nodes
     coeffs = nodes * (n1 * (d0 + 1) + K * n1 * (d1 + 1) + nK * (nK + n + 1)
                       + (K + 1) * n1 * (n + nK + 1) + 3 * K * d1 * d1 + 8)
-    chunk = N * (steps * n2 + (steps + 1) * n + nodes * n1 + n * n + 2 * n)
+    chunk = N * (steps * n2 + (steps + 1) * n + n1 + n * n + 2 * n)
     return (8 * (paths + coeffs + chunk) + N * (steps * n + STREAM_BYTES)
             + ESTIMATE_SLACK)
 
@@ -286,15 +286,15 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
 
     The state at node c0 is in X0_path[c0], Z_path[c0] and X_chunk[0],
     and the later nodes' slots of X0_path and X_chunk hold their step's
-    noise increment. The loop records each node's controls and the sum
-    of its minors' states (into minor_sum), and adds the rest of the step
-    into the next node's slots; `drift` and `scratch` are (N, n) scratch
-    arrays. States are checked once, after the loop: the first non-finite
-    node raises NonFiniteState naming its step (a non-finite state stays
-    non-finite, so that is the step a per-step check would name). Kept
-    apart from `simulate` so that the hot loop is a short function:
-    tracemalloc's per-allocation line lookup grows with the offset into
-    the function.
+    noise increment. The loop records each node's controls (the minors'
+    in the one row U, the kept ones' also in U_path) and its minors' state
+    sum (into minor_sum), and adds the rest of the step into the next
+    node's slots; `drift` and `scratch` are (N, n) scratch arrays. States
+    are checked once, after the loop: the first non-finite node raises
+    NonFiniteState naming its step (a non-finite state stays non-finite,
+    so that is the step a per-step check would name). Kept apart from
+    `simulate` so that the hot loop is a short function: tracemalloc's
+    per-allocation line lookup grows with the offset into the function.
 
     A step makes few numpy calls: products of one shape are the members
     of one batched matmul, and a matmul loops over its members with the
@@ -319,9 +319,10 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
     sum stays a matmul.
     """
     G0, g0, G, g, (Abar, Gbar, mbar) = coefficients
-    (X0_path, Z_path, U0_path, minor_sum, X_chunk, U_chunk, drift,
+    (X0_path, Z_path, U0_path, U_path, minor_sum, X_chunk, U, drift,
      scratch) = buffers
     n, N = model.n, X_chunk.shape[1]
+    U_kept = U[:U_path.shape[0]]
     gains_x0 = np.concatenate([G0[:, None, :, :n], G[..., n:2 * n]], axis=1)
     gains_z = np.concatenate([G0[:, None, :, n:], G[..., 2 * n:]], axis=1)
     offsets = np.concatenate([g0[:, None], g], axis=1)
@@ -342,19 +343,19 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
         own_op, A_own = np.multiply, A_by_type[:, 0]
     else:
         own_op, A_own = functools.partial(np.einsum, "nij,nj->ni"), A_by_type
-    # the types that have players: (their member's terms, rows, own-gain
-    # product)
-    present = [(terms[k + 1], sl)
+    # the types that have players: (their member's terms, rows, control
+    # rows, own-gain product)
+    present = [(terms[k + 1], sl, U[sl])
                + _right_factor(np.swapaxes(G[:, k, :, :n], -1, -2))
                for k, sl in enumerate(type_slices) if sl.stop > sl.start]
     steps = min(G0.shape[0], S - c0)
     last = S - c0
     # each node's rows of the chunk's coefficients, states and outputs
     rows = zip(gains_x0, gains_z, offsets, Abar, Gbar, mbar, X_chunk,
-               X0_path[c0:], Z_path[c0:], U_chunk, U0_path[c0:],
-               minor_sum[c0:])
+               X0_path[c0:], Z_path[c0:], U0_path[c0:],
+               U_path.swapaxes(0, 1)[c0:], minor_sum[c0:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (gx, gz, go, abar, gbar, mb, Xcur, x0cur, zbar, U, u0,
+        for j, (gx, gz, go, abar, gbar, mb, Xcur, x0cur, zbar, u0, ukept,
                 xsum) in enumerate(rows):
             if use_empirical:
                 zfeed = np.concatenate(
@@ -370,10 +371,11 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
             terms += gz @ zfeed
             terms += go
             np.negative(major, out=u0)
-            for fixed, sl, op, H in present:
-                Uk = op(Xcur[sl], H[j], out=U[sl])
+            for fixed, sl, Uk, op, H in present:
+                op(Xcur[sl], H[j], out=Uk)
                 Uk += fixed
             np.negative(U, out=U)
+            ukept[...] = U_kept
             np.add.reduce(Xcur, 0, out=xsum)
 
             if j == last:
@@ -432,8 +434,8 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     Noise is drawn per chunk of CHUNK_STEPS steps from the same streams,
     so paths do not depend on the chunk length. Memory is
     O(keep S (n + n1) + K S n) for the stored paths and sums plus
-    O(N CHUNK_STEPS (n + n1 + n2)) for the chunk buffers, and must stay
-    within MEMORY_BUDGET bytes (simulation_bytes).
+    O(N CHUNK_STEPS (n + n2)) for the chunk buffers and O(N n1) for the
+    control row, and must stay within MEMORY_BUDGET bytes (simulation_bytes).
     """
     if isinstance(sol, NCESolution):
         gains = nce_gains
@@ -464,7 +466,7 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     # contiguous draw from its stream
     noise = np.empty((N, steps, n2))
     X_chunk = np.empty((steps + 1, N, n))
-    U_chunk = np.empty((min(CHUNK_STEPS, S + 1), N, model.n1))
+    U = np.empty((N, model.n1))
 
     rng0 = _player_rng(seed, 0)
     L0 = _cov_factor(model.x0_cov)
@@ -478,11 +480,8 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
     Z_path[0] = np.tile(model.alpha0, K)
 
     A_by_type = model.A[types - 1]               # (N, n, n)
-    type_slices = []
-    start = 0
-    for c in type_counts:
-        type_slices.append(slice(start, start + int(c)))
-        start += int(c)
+    bounds = np.cumsum(type_counts).tolist()
+    type_slices = list(map(slice, [0] + bounds[:-1], bounds))
 
     drift, scratch = np.empty((N, n)), np.empty((N, n))
     D0 = model.D0
@@ -502,8 +501,8 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         # the chunk's gains live only through its march, so the next
         # chunk's are interpolated without them
         _march_chunk(model, gains(sol, times[c0:c0 + CHUNK_STEPS]),
-                     (X0_path, Z_path, U0_path, minor_sum, X_chunk, U_chunk,
-                      drift, scratch),
+                     (X0_path, Z_path, U0_path, U_path, minor_sum, X_chunk,
+                      U, drift, scratch),
                      c0, S, dt, times, type_slices, A_by_type, use_empirical)
         # each type's rows of each node's (N, n) block, reduced as the
         # loop reduces the whole block
@@ -511,7 +510,6 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
             np.add.reduce(X_chunk[:nodes, sl], 1,
                           out=type_sums[k, c0:c0 + nodes])
         X_path[:, c0:c0 + nodes] = X_chunk[:nodes, :keep].transpose(1, 0, 2)
-        U_path[:, c0:c0 + nodes] = U_chunk[:nodes, :keep].transpose(1, 0, 2)
         X_chunk[0] = X_chunk[increments]
 
     return Trajectory(model=model, grid=grid, dt=dt, seed=seed, types=types,

@@ -1,3 +1,6 @@
+# simulate imports numpy.random on first use; loaded before any test so
+# that no traced-memory test counts that one-time import as a run's memory
+import numpy.random  # noqa: F401
 import pytest
 
 from lqmfg import TimeGrid, solve_master, solve_nce

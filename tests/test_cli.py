@@ -731,6 +731,15 @@ def test_simulate_usage_errors(tmp_path, capsys):
                  "--N", "4", "--dt", "0",
                  "--out", str(tmp_path)]) == 1
     assert "time step must be finite and positive" in capsys.readouterr().err
+    # an empty item of a comma list is refused, not dropped
+    for option, text in (("--seed", "1,,2"), ("--N", "8,,16"),
+                         ("--type-counts", "4,,6")):
+        assert main(["simulate", "--model", SCALAR, "--grid", "50",
+                     "--N", "10", option, text,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"expected a comma-separated integer list, got '{text}'" in err
     assert not (tmp_path / "summary.txt").exists()
 
 
@@ -804,7 +813,7 @@ def test_simulate_checks_size_and_step_before_solving(tmp_path, capsys,
         # a subnormal dt: the grid spacing over it overflows to inf
         (["--N", "10", "--dt", "1e-320"],
          "dt=1e-320 is too small for the grid spacing 0.0005"),
-        # 10^6 players over 4000 steps need 7.1 GB of chunk buffers and
+        # 10^6 players over 4000 steps need 5.0 GB of chunk buffers and
         # noise streams, though only three paths are stored
         (["--N", "1000000"], "simulating N=1000000 players over 4000 steps "
                              "needs"),

@@ -61,6 +61,23 @@ def test_a_wrongly_typed_count_is_written_as_given(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("make,A", [
+    # one n x n drift at K = 1
+    (lambda: _random_params(np.random.default_rng(3), 1, dims=(2, 1, 2)),
+     [[-0.5, 0.1], [0.2, -0.4]]),
+    # a scalar drift at n = K = 1
+    (lambda: parse_model_file(str(MODELS / "scalar.model")), -0.4),
+], ids=["matrix", "scalar"])
+def test_drift_shorthands_are_written_as_their_stack(tmp_path, make, A):
+    """A drift given in a K = 1 shorthand is written as the stack of K
+    drifts the validator makes of it, so the file loads the validated
+    model."""
+    params = replace(make(), A=A)
+    path = str(tmp_path / "m.model")
+    write_model_file(path, params)
+    assert_bitwise(load_model(path), validate_model(params))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=SMALL, n1=SMALL, n2=SMALL, K=SMALL, seed=st.integers(0, 2**31))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import lqmfg
 from lqmfg import (asymptotic, cli, equations, errors, master, model,
                    modelfile, nce, ode, sim)
@@ -57,3 +61,15 @@ def test_deleted_names_are_gone():
             if hasattr(owner, name)
             or name in getattr(owner, "__dataclass_fields__", ())]
     assert left == []
+
+
+def test_importing_the_package_loads_no_random_generator():
+    """Only `simulate` draws random numbers, so importing the package and
+    its CLI (all that solve, compare and check-solvability need) leaves
+    numpy.random unloaded."""
+    src = os.path.dirname(os.path.dirname(lqmfg.__file__))
+    code = "import sys, lqmfg, lqmfg.cli; print('numpy.random' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout == "False\n"

@@ -466,6 +466,8 @@ MEMORY_MODELS = {"scalar": (build_model, 1000, 3000),
                  # at n = 10 the gathered type matrices and the (N, n)
                  # scratch arrays show past the stream allowance
                  "dims-10-1-1": (lambda: random_dims((10, 1, 1)), 300, 900),
+                 # wide controls: a chunk of them per player would show
+                 "dims-1-10-1": (lambda: random_dims((1, 10, 1)), 300, 900),
                  "dims-10-10-10": (lambda: random_dims((10, 10, 10)), 300,
                                    900)}
 
@@ -492,6 +494,9 @@ def test_traced_memory_per_player_is_within_the_estimate(name):
     estimate = (simulation_bytes(model, hi, S, 3)
                 - simulation_bytes(model, lo, S, 3)) / (hi - lo)
     assert traced <= estimate
+    if name == "dims-1-10-1":
+        # the minors' controls live in one row, not in one per chunk node
+        assert traced < 8 * CHUNK_STEPS * model.n1
 
 
 @pytest.mark.parametrize("name,N", [("dims-10-1-1", 2000), ("scalar", 1)])
