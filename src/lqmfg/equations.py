@@ -47,18 +47,22 @@ sums, reduced the same way into a fresh array.
 
 The evaluation is straight-line code. `Equations` writes it once from its
 tables, one line per call and nothing read from a model, and compiles it
-once: a factory that takes one pool's operands as arguments (the
-transposed strided views of the pool, the address tables, the
-coefficient tables and the result regions, bound once per pool by
-`Equations.field`), runs the calls built from constants, and returns the
-field as a closure over those operands. A stage is then one Python call
-per numpy call, with no table to dispatch on. The compile cache holds,
-per equation text and shapes, the index tables and this code, never a
-pool. Generating the code changes no call and no operand, so the floats
-are those argued below; writing an opaque call's result with out= stores
-the floats it would return; and `solve` is np.linalg.solve without its
-Python wrapper: the LAPACK gufunc that function calls, under the
-errstate it sets (a singular matrix still raises LinAlgError).
+once: a factory that takes a new pool and its coefficient vector,
+(pool, coefs). One function, `_lines`, writes each table's code: the
+lines that bind its operands to the pool (a strided view of the pool,
+transposed if it is used so, or the members' address table; a sum's
+coefficient table; the result region) and the lines that evaluate it.
+The address, coefficient-row and cell tables are constants of the code's
+namespace, and a view's base, strides and shape are literals in it. The
+factory binds every table, runs the calls built from constants, and
+returns the field as a closure over those operands. A stage is then one
+Python call per numpy call, with no table to dispatch on. The compile
+cache holds, per equation text and shapes, this code and its tables,
+never a pool. Generating the code changes no call and no operand, so
+the floats are those argued below; writing an opaque call's result with
+out= stores the floats it would return; and `solve` is np.linalg.solve
+without its Python wrapper: the LAPACK gufunc that function calls, under
+the errstate it sets (a singular matrix still raises LinAlgError).
 
 The floats are those of the written expressions evaluated by numpy
 (tests/helpers.py keeps them as reference fields) bit for bit, because:
@@ -138,9 +142,10 @@ _OPS = {
     "trace": (lambda x: x[:-2] + (1, 1),
               "{}.trace(0, -2, -1, None, {out})", 2),
 }
-# The names the evaluator's source reads besides its bound operands.
+# The numpy calls the evaluator's source makes; it also calls _members and
+# _view, and reads its tables' constants.
 _GLOBALS = {"matmul": np.matmul, "reduce": np.add.reduce,
-            "einsum": np.einsum, "solve": _solve}
+            "einsum": np.einsum, "solve": _solve, "repeat": np.repeat}
 # Per segment kind, the unit axes that make the segment a matrix slot.
 _UNIT_AXES = {"kernel": (), "matrix": (), "vector": (1,), "scalar": (1, 1)}
 # Opaque calls that act on each matrix of a stack alone: calls of one of
@@ -442,12 +447,10 @@ class Equations:
                 pos += node.size
         self.pool_size = pos
         self.coefs = []                # distinct coefficient keys
+        # the output sums are the last sum table, reduced into a fresh array
         tables = [self._table(remap, g) for g in groups]
-        self.prologue = tables[:len(prologue)]
-        self.waves = tables[len(prologue):]
-        self.final = self._sums(remap, outputs, None, None)
-        self.evaluator = _evaluator(self.prologue + self.waves,
-                                    len(self.prologue))
+        tables.append(self._sums(remap, outputs, None, None))
+        self.evaluator = _evaluator(tables, len(prologue), self.state_size)
 
     def _code(self, coef):
         if coef not in self.coefs:
@@ -521,9 +524,10 @@ class Equations:
                            * (1.0 if name is None else values[name])
                            for sign, lit, name in self.coefs]
                           for values in members]).reshape(lead + (-1,))
-        return self.evaluator(**_operands(pool, coefs, self.state_size,
-                                          self.prologue + self.waves,
-                                          self.final))
+        # the calls built from constants run here: a non-finite one is the
+        # march's to find, so no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.evaluator(pool, coefs)
 
 
 def _stack(tables):
@@ -573,13 +577,10 @@ def _members(table, pool):
     return _frozen(rows + table)
 
 
-def _read(pool, source, t):
-    """What the evaluator reads an operand from: the members' address
-    table of a gathered source, else a read-only view of the pool, the
-    member stride first and the last two axes swapped if `t`."""
-    if isinstance(source, np.ndarray):
-        return _members(source, pool)
-    base, strides, shape = source
+def _view(pool, base, strides, shape, t):
+    """A read-only view of `pool` at `base` with the element `strides` of
+    one member, the member stride first and the last two axes swapped if
+    `t`."""
     strides = [pool.itemsize * s for s in strides]
     if t:
         shape = shape[:-2] + shape[:-3:-1]
@@ -590,95 +591,69 @@ def _read(pool, source, t):
     return view
 
 
-def _coefficients(coefs, code):
-    """The (..., terms, cells) coefficient table of a sum table's codes,
-    from the members' (..., codes) coefficients."""
-    rows, cells = code
-    return np.repeat(coefs[..., rows], cells, axis=-1)
-
-
-def _names(k, table):
-    """The names the source of table k reads: its operands (address
-    tables or views, and a sum's coefficients), then its result region."""
-    if table[0] == "sum":
-        return [f"i{k}", f"c{k}", f"o{k}"]
-    if table[0] == "mm":
-        return [f"a{k}", f"b{k}", f"o{k}"]
-    return [f"x{k}_{j}" for j in range(len(table[3]))] + [f"o{k}"]
-
-
-def _operands(pool, coefs, size, tables, final):
-    """What the evaluator of `tables` (see _evaluator) takes for `pool`,
-    by name: the flat pool, the state's region, the output sums' address
-    and coefficient tables, and each table's names."""
-    lead = pool.shape[:-1]
-    names = {"flat": pool.reshape(-1), "head": pool[..., :size],
-             "fi": _members(final[1], pool),
-             "fc": _coefficients(coefs, final[2])}
-    for k, table in enumerate(tables):
-        if table[0] == "sum":
-            _, idx, code, lo, hi = table
-            values = [_members(idx, pool), _coefficients(coefs, code),
-                      pool[..., lo:hi]]
-        elif table[0] == "mm":
-            _, a, ta, b, tb, lo, hi, shape = table
-            values = [_read(pool, a, ta), _read(pool, b, tb),
-                      pool[..., lo:hi].reshape(lead + shape)]
-        else:
-            _, name, _, operands, lo, hi, shape = table
-            kept = len(shape) - _OPS[name][2]
-            values = [_read(pool, x, False) for x in operands]
-            values.append(pool[..., lo:hi].reshape(lead + shape[:kept]))
-        names.update(zip(_names(k, table), values))
-    return names
-
-
-def _statements(k, table):
-    """The source lines of table k: a gathered operand is read as
-    flat[addresses] (then transposed as a view if it is used transposed),
-    a view as bound."""
-    def read(name, source, t=False):
+def _lines(k, table, consts):
+    """The code of table k: (the lines that bind its operands and result
+    region to a pool, the lines that evaluate it). Its address and
+    coefficient tables go into `consts` by name. A gathered operand is
+    bound as its members' addresses and read as flat[addresses] (then
+    transposed as a view if it is used transposed), a strided one is bound
+    as a view of the pool; a table without a region (the output sums)
+    returns its result."""
+    def operand(name, source, t=False):
         if isinstance(source, np.ndarray):
-            return f"flat[{name}]" + (".swapaxes(-1, -2)" if t else "")
-        return name
+            consts[name.upper()] = source
+            return (f"{name} = members({name.upper()}, pool)",
+                    f"flat[{name}]" + (".swapaxes(-1, -2)" if t else ""))
+        base, strides, shape = source
+        return f"{name} = view(pool, {base}, {strides}, {shape}, {t})", name
 
-    *args, out = _names(k, table)
     if table[0] == "sum":
-        idx, c = args
-        return [f"s = flat[{idx}]", f"s *= {c}",
-                f"reduce(s, -2, None, {out})"]
+        _, idx, (rows, cells), lo, hi = table
+        consts[f"R{k}"], consts[f"N{k}"] = rows, cells
+        bind = [operand(f"i{k}", idx)[0],
+                f"c{k} = repeat(coefs[..., R{k}], N{k}, axis=-1)"]
+        run = [f"s = flat[i{k}]", f"s *= c{k}"]
+        if lo is None:
+            return bind, run + ["return reduce(s, -2)"]
+        return (bind + [f"o{k} = pool[..., {lo}:{hi}]"],
+                run + [f"reduce(s, -2, None, o{k})"])
     if table[0] == "mm":
-        _, a, ta, b, tb = table[:5]
-        return [f"matmul({read(args[0], a, ta)}, {read(args[1], b, tb)}, "
-                f"{out})"]
-    _, name, literals, operands = table[:4]
-    args = [read(x, source) for x, source in zip(args, operands)]
-    return [_OPS[name][1].format(*map(repr, literals), *args, out=out)]
+        _, a, ta, b, tb, lo, hi, shape = table
+        (bind_a, read_a), (bind_b, read_b) = (operand(f"a{k}", a, ta),
+                                              operand(f"b{k}", b, tb))
+        return ([bind_a, bind_b,
+                 f"o{k} = pool[..., {lo}:{hi}].reshape(lead + {shape})"],
+                [f"matmul({read_a}, {read_b}, o{k})"])
+    _, name, literals, operands, lo, hi, shape = table
+    template, dropped = _OPS[name][1:]
+    bind, reads = zip(*(operand(f"x{k}_{j}", x)
+                        for j, x in enumerate(operands)))
+    kept = shape[:len(shape) - dropped]
+    return ([*bind, f"o{k} = pool[..., {lo}:{hi}].reshape(lead + {kept})"],
+            [template.format(*map(repr, literals), *reads, out=f"o{k}")])
 
 
-def _evaluator(tables, prologue):
+def _evaluator(tables, prologue, size):
     """The evaluation of `tables`, the first `prologue` of them built from
-    constants alone, as straight-line code compiled once: a factory taking
-    the names _operands binds for one pool, of one member or of B. It runs
-    the prologue once and returns the field, f(t, state), which writes the
-    state into the pool, runs the other tables in order and returns the
-    output sums reduced into a fresh array."""
-    params = ["flat", "head", "fi", "fc"] + [
-        x for k, table in enumerate(tables) for x in _names(k, table)]
-
-    def lines(ks, indent):
-        return [indent + x for k in ks for x in _statements(k, tables[k])]
-
-    source = [f"def factory({', '.join(params)}):",
-              *lines(range(prologue), "    "),
+    constants alone and the last the output sums, as straight-line code
+    compiled once. It is a factory taking one pool, of one member or of B,
+    and its coefficients, (pool, coefs): it binds every table's operands
+    and result region to them, runs the prologue and returns the field,
+    f(t, state), which writes the state into the first `size` entries of
+    the pool, runs the other tables in order and returns the output sums
+    reduced into a fresh array."""
+    namespace = dict(_GLOBALS, members=_members, view=_view)
+    code = [_lines(k, table, namespace) for k, table in enumerate(tables)]
+    source = ["def factory(pool, coefs):",
+              "    flat = pool.reshape(-1)",
+              f"    head = pool[..., :{size}]",
+              "    lead = pool.shape[:-1]",
+              *("    " + x for bind, _ in code for x in bind),
+              *("    " + x for _, run in code[:prologue] for x in run),
               "    def field(t, state):",
               "        head[...] = state",
-              *lines(range(prologue, len(tables)), "        "),
-              "        s = flat[fi]",
-              "        s *= fc",
-              "        return reduce(s, -2)",
+              *("        " + x for _, run in code[prologue:] for x in run),
               "    return field"]
-    namespace = dict(_GLOBALS)
     exec(compile("\n".join(source), "<equations>", "exec"), namespace)
     return namespace["factory"]
 

@@ -252,14 +252,6 @@ def _path_storage(grid: TimeGrid, members: int, shape: tuple) -> np.ndarray:
     return np.empty((members, grid.M + 1) + shape, dtype=np.float64)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _combine(w, dt, k1, k2, k3, k4):
-    """The RK4 step from the stages, and the sum of its entries: finite
-    only if every entry is (its overflow is not a fault, so no warning)."""
-    step = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return step, np.add.reduce(step, None)
-
-
 def _rk4_step(field, t: float, w: np.ndarray, dt: float):
     """One RK4 step, and None if it is finite, else the mask of the
     entries where a stage is non-finite (None if no stage is)."""
@@ -270,9 +262,10 @@ def _rk4_step(field, t: float, w: np.ndarray, dt: float):
     k4 = field(t + dt, w + dt * k3)
     # Every stage enters the step with a nonzero weight, so a non-finite
     # stage always makes the step non-finite: one check on the step
-    # suffices, and the stages are looked at only when it fails.
-    step, total = _combine(w, dt, k1, k2, k3, k4)
-    if math.isfinite(total) or np.isfinite(step).all():
+    # suffices (the sum of its entries is finite only if every entry is),
+    # and the stages are looked at only when it fails.
+    step = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if math.isfinite(np.add.reduce(step, None)) or np.isfinite(step).all():
         return step, None
     finite = (np.isfinite(k1) & np.isfinite(k2) & np.isfinite(k3)
               & np.isfinite(k4))
@@ -307,7 +300,10 @@ def integrate_backward(
     Returns the full MatrixPath, or a BlowUpReport naming the first node at
     which the state's l1 norm exceeded `threshold` or went non-finite. A
     path whose (M+1) * state.size * 8 bytes exceed MEMORY_BUDGET raises
-    NTooLargeForMemory before anything is allocated.
+    NTooLargeForMemory before anything is allocated. The march runs under
+    one errstate that ignores overflow and invalid operations, so numpy
+    warns of none of them: each non-finite outcome ends as that report or
+    as NonFiniteField.
 
     `prefixes` are increasing lengths of leading segments of a flat state
     whose derivatives never read the entries past them: e.g. (nP, nP + ns)
@@ -439,59 +435,64 @@ def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
     step_field = field if np.all(live) else held
     w = _hold(terminals, live)
     del terminals
-    for j in range(M, -1, -1):
-        if j < M:
-            w, bad = _rk4_step(step_field, nodes[j + 1], w, dt)
-            if bad is not None:
-                for b in np.flatnonzero(bad.reshape(members, -1).any(axis=1)):
-                    freeze(b, NonFiniteField(
-                        "field returned non-finite derivative near "
-                        f"t={nodes[j + 1]}"))
-                w = _hold(w, live)
-            if symmetrize is not None:
-                proj = symmetrize(w)
-                peaks = _max(np.abs(w.reshape(members, size)[:, :inner]), 1)
-                gaps = _max(np.abs(w - proj).reshape(members, size), 1)
-                w = proj
-                drifted = False
-                for b, (gap, peak) in enumerate(zip(gaps.tolist(),
-                                                    peaks.tolist())):
-                    drift = gap / max(1.0, peak)
-                    if drift > ASYMMETRY_TOL:
-                        drifted = True
-                        freeze(b, AsymmetryDrift(
-                            f"relative asymmetry {drift:.3e} after step to "
-                            f"node {j}"))
-                if drifted:
+    # an overflowing field or step is not a fault: its non-finite
+    # outcome is found and typed below, so numpy warns of none
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(M, -1, -1):
+            if j < M:
+                w, bad = _rk4_step(step_field, nodes[j + 1], w, dt)
+                if bad is not None:
+                    bad = bad.reshape(members, -1).any(axis=1)
+                    for b in np.flatnonzero(bad):
+                        freeze(b, NonFiniteField(
+                            "field returned non-finite derivative near "
+                            f"t={nodes[j + 1]}"))
                     w = _hold(w, live)
-            if outer < 0:
-                break
-        a = np.abs(w.reshape(members, size))
-        if weights is not None:
-            a *= weights
-        narrowed = False
-        for lvl in range(outer + 1):
-            # a[:, :size] is each whole state, whatever its shape
-            norms = _sum(a[:, :levels[lvl]], 1).tolist()
-            for b, norm in enumerate(norms):
-                # a member crossing at an inner level this node is frozen,
-                # or marches below this level from now on
-                if norm <= bound or final[b] is not None or lvl > top[b]:
-                    continue
-                narrowed = True
-                report = BlowUpReport(escape_node=j, norm_at_escape=norm,
-                                      threshold=threshold)
-                if lvl == 0:
-                    freeze(b, report)
-                else:
-                    remembered[b], top[b] = report, lvl - 1
-                    narrow(b, levels[top[b]])
-        del a
-        if narrowed:
-            if outer < 0:
-                break
-            w = _hold(w, live)
-        out[:, j] = w
+                if symmetrize is not None:
+                    proj = symmetrize(w)
+                    peaks = _max(np.abs(w.reshape(members, size)[:, :inner]),
+                                 1)
+                    gaps = _max(np.abs(w - proj).reshape(members, size), 1)
+                    w = proj
+                    drifted = False
+                    for b, (gap, peak) in enumerate(zip(gaps.tolist(),
+                                                        peaks.tolist())):
+                        drift = gap / max(1.0, peak)
+                        if drift > ASYMMETRY_TOL:
+                            drifted = True
+                            freeze(b, AsymmetryDrift(
+                                f"relative asymmetry {drift:.3e} after step "
+                                f"to node {j}"))
+                    if drifted:
+                        w = _hold(w, live)
+                if outer < 0:
+                    break
+            a = np.abs(w.reshape(members, size))
+            if weights is not None:
+                a *= weights
+            narrowed = False
+            for lvl in range(outer + 1):
+                # a[:, :size] is each whole state, whatever its shape
+                norms = _sum(a[:, :levels[lvl]], 1).tolist()
+                for b, norm in enumerate(norms):
+                    # a member crossing at an inner level this node is
+                    # frozen, or marches below this level from now on
+                    if norm <= bound or final[b] is not None or lvl > top[b]:
+                        continue
+                    narrowed = True
+                    report = BlowUpReport(escape_node=j, norm_at_escape=norm,
+                                          threshold=threshold)
+                    if lvl == 0:
+                        freeze(b, report)
+                    else:
+                        remembered[b], top[b] = report, lvl - 1
+                        narrow(b, levels[top[b]])
+            del a
+            if narrowed:
+                if outer < 0:
+                    break
+                w = _hold(w, live)
+            out[:, j] = w
 
     for outcome in final:
         if isinstance(outcome, Exception):

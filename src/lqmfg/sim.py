@@ -194,7 +194,9 @@ def check_seed(seed) -> int:
 
 
 def _player_rng(seed: int, player: int) -> "np.random.Generator":
-    return np.random.Generator(np.random.Philox(key=[seed, player]))
+    # a uint64 key: a list would turn a seed past int64's range into a float
+    key = np.array([seed, player], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:

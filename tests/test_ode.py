@@ -6,10 +6,11 @@ import pytest
 
 from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField,
                    NTooLargeForMemory, TimeGrid, TimeOutOfRange,
-                   integrate_backward, ode, sim)
+                   check_asymptotic_solvability, integrate_backward, ode, sim,
+                   solve_finite_n, solve_lambda, solve_master, solve_nce)
 from lqmfg.ode import DEFAULT_BLOWUP_THRESHOLD, TIME_SLACK, BlowUpReport
 
-from helpers import (check_escape_levels, first_crossing,
+from helpers import (build_model, check_escape_levels, first_crossing,
                      integrate_forward_ref, riccati_closed_form, rk4_step_ref)
 
 
@@ -102,6 +103,22 @@ def test_non_finite_field_raises():
     with pytest.raises(NonFiniteField):
         integrate_backward(lambda t, w: np.full_like(w, np.nan),
                            np.array([1.0]), grid)
+
+
+@pytest.mark.parametrize("solve", [
+    solve_nce, solve_master, solve_lambda,
+    lambda model, grid: solve_finite_n(model, 4, grid),
+    lambda model, grid: check_asymptotic_solvability(model, [8, 16, 32],
+                                                     grid)],
+    ids=["nce", "master", "lambda", "finite-n", "solvability"])
+def test_an_overflowing_route_raises_without_a_warning(solve):
+    """A field whose constants overflow (rho = 1e300) ends in the typed
+    error, and numpy warns of none of the overflows on the way."""
+    model = build_model(rho=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteField):
+            solve(model, TimeGrid(M=50, T=1.0))
 
 
 def _staged_field(bad):

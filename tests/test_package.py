@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import lqmfg
 from lqmfg import (asymptotic, cli, equations, errors, master, model,
                    modelfile, nce, ode, sim)
@@ -18,7 +20,10 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # table, and the limit layout is cached with the compiled tables. The
 # simulation step picks its multiply-or-matmul products once per chunk
 # (sim._right_factor), not per call. The model file is read by Python's own
-# parser, and its values are typed by validate_model alone.
+# parser, and its values are typed by validate_model alone. The generated
+# field factory binds a pool's operands itself, from the code one function
+# (equations._lines) writes per table, and the RK4 step is combined inside
+# the march's one errstate.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -28,7 +33,8 @@ DELETED = {
                  "_masked", "_rep_positions", "_solve_dense",
                  "_swap_block_index", "_tile_field"),
     cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
-    equations: ("_reader", "_step"),
+    equations: ("_coefficients", "_names", "_operands", "_read", "_reader",
+                "_statements", "_step"),
     errors: ("BlowUp", "PermutationMismatch"),
     model: ("_as_matrix", "_as_vector", "_check_pd", "_check_psd",
             "_symmetrize_weight"),
@@ -37,7 +43,7 @@ DELETED = {
     master: ("ResidualSample", "_fd_derivative", "master_feedback",
              "master_residual", "residual_sample"),
     nce: ("nce_feedback", "propagate_mean_field"),
-    ode: ("integrate_forward",),
+    ode: ("_combine", "integrate_forward"),
     sim: ("_player_sum", "_product"),
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
     asymptotic.LambdaSolution: ("M", "M0"),
@@ -73,3 +79,15 @@ def test_importing_the_package_loads_no_random_generator():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.stdout == "False\n"
+
+
+def test_compiled_tables_store_no_table_list():
+    """The address and coefficient tables a field's code reads are
+    constants of that code, so a compiled text stores no list of them."""
+    tables = equations.Equations((("P", (2, 2), "matrix"),),
+                                 (("A", (2, 2)),), (), ("A @ P - P",), ())
+    assert not {"prologue", "waves", "final"} & set(vars(tables))
+    A, P = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5, -1.0],
+                                                        [2.0, 0.25]])
+    got = tables.field([{"A": A}])(0.0, P.ravel())
+    assert got.tobytes() == (A @ P - P).ravel().tobytes()

@@ -77,6 +77,18 @@ def test_simulation_is_deterministic(scalar_model, scalar_nce):
     assert not np.array_equal(a.X, c.X)
 
 
+@pytest.mark.parametrize("seeds", [(2 ** 63, 2 ** 63 + 1), (0, 2 ** 64 - 1)],
+                         ids=["past-int64", "ends"])
+def test_seeds_past_int64_draw_their_own_streams(scalar_model, scalar_nce,
+                                                 seeds):
+    """Every seed in [0, 2**64) keys its own stream, without a warning:
+    seeds past int64's range are not rounded, nor cast to 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = (simulate(scalar_model, 3, scalar_nce, seed=s) for s in seeds)
+    assert not np.array_equal(a.X0, b.X0)
+
+
 @pytest.mark.parametrize("name", ["X", "U"])
 def test_trajectory_rejects_a_non_finite_player_path(scalar_model, scalar_nce,
                                                      name):
