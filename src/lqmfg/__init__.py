@@ -16,7 +16,7 @@ from .errors import (AsymmetryDrift, BadPi, DimensionMismatch, EmptyBatch,
                      EmptyType, GridMismatch, IndexOutOfRange, KNotOne,
                      LQMFGError, ModelFileError, NonFiniteField,
                      NonFiniteState, NotPD, NotPSD, NTooLargeForMemory,
-                     TimeOutOfRange)
+                     SegmentOverflow, TimeOutOfRange)
 from .master import (DiffReport, MasterSolution, compare_nce_master,
                      solve_master)
 from .model import (ModelParams, PiLifted, TimeGrid, ValidatedModel,
@@ -35,9 +35,9 @@ __all__ = [
     "LambdaSolution", "MasterSolution", "MatrixPath", "MeanFieldError",
     "ModelFileError", "ModelParams", "NCESolution", "NTooLargeForMemory",
     "NonFiniteField", "NonFiniteState", "NotPD", "NotPSD", "PiLifted",
-    "SolvabilityReport", "StructureReport", "TileSolution", "TimeGrid",
-    "TimeOutOfRange", "Trajectory", "ValidatedModel", "assemble_finite_n",
-    "block_selector",
+    "SegmentOverflow", "SolvabilityReport", "StructureReport",
+    "TileSolution", "TimeGrid", "TimeOutOfRange", "Trajectory",
+    "ValidatedModel", "assemble_finite_n", "block_selector",
     "check_asymptotic_solvability", "compare_lambda_phi",
     "compare_nce_master", "default_steps", "default_type_counts",
     "empirical_mean_error", "evaluate_cost", "extract_block_structure",

@@ -10,8 +10,9 @@ The limit system is written once, as _LIMIT_EQUATIONS; the tile text
 appends the e-terms. One solve (_solve_system) marches either: the tile
 system at e = 1/N (solve_tiles; cost independent of N, the one source of
 scaled tiles, and the boundedness check runs on it) and the limit system
-at e = 0 (solve_lambda), both with the kernels as the inner escape level
-and kernels plus offsets as the outer one. It marches one member per e
+at e = 0 (solve_lambda), both with escape judged on the kernels alone
+(the offsets are linear in themselves, with coefficients built from the
+kernels, so bounded kernels bound them). It marches one member per e
 given, as one batch: check_asymptotic_solvability solves the tile
 systems of all its N in one march (_solve_tiles), each member bitwise
 its solve alone, while solve_lambda, the independent cross-check, stays
@@ -67,9 +68,9 @@ SCALING_EXPONENTS = {"1_0": 0, "2_0": 1, "3_0": 2,
                      "0": 0, "1": 0, "a": 0, "2": 1, "b": 1, "3": 2}
 
 
-def _require_k1(model: ValidatedModel):
+def _require_k1(model: ValidatedModel, route="finite-population route"):
     if model.K != 1:
-        raise KNotOne(f"finite-population route needs K=1, got K={model.K}")
+        raise KNotOne(f"{route} needs K=1, got K={model.K}")
 
 
 # Largest population size: up to 2**53 every integer, N - 1 included, is
@@ -295,10 +296,10 @@ class _ReducedFields:
 
 
 def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
-    """Players 0 and 1 only, Riccati and offsets in one pass; escape of
-    the Riccati prefix comes first, then that of Riccati plus offsets.
-    The march holds neither `sys` (the field keeps the arrays it reads)
-    nor the packed terminal, popped into the call."""
+    """Players 0 and 1 only, Riccati and offsets in one pass; escape is
+    judged on the Riccati prefix alone. The march holds neither `sys`
+    (the field keeps the arrays it reads) nor the packed terminal, popped
+    into the call."""
     model, N, d = sys.model, sys.N, sys.dim
     field = _ReducedFields(sys).field
     layout = StateLayout([("P0_big", (d, d), "kernel"),
@@ -308,7 +309,8 @@ def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
                             sys.lin0_f, sys.lin_minor_f(1))]
     del sys
     path = integrate_backward(field, terminal.pop(), grid, threshold=threshold,
-                              symmetrize=layout.sym, prefixes=layout.prefixes)
+                              symmetrize=layout.sym,
+                              escape_length=layout.escape_length)
     if isinstance(path, BlowUpReport):
         return path
 
@@ -488,8 +490,8 @@ def _tile_weights(N: int) -> list:
 def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
                   equations: tuple, es: list, weights=None) -> list:
     """March `equations` at every e = 1/N of `es`, one member of one batch
-    per e, each from _tile_terminal(model, e): the kernels are the inner
-    escape level, kernels and offsets the outer one. `weights` (one row
+    per e, each from _tile_terminal(model, e): escape is judged on the
+    kernels alone. `weights` (one row
     of l1 factors per member, as integrate_members takes them) may hold
     zeros: such an entry stands for no entry (the other minors' tiles at
     N = 1), and the march holds it at +0.0, so that its own field cannot
@@ -503,7 +505,7 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
     layout, field = _field(model, equations, *es)
     terminals = np.stack([layout.pack(*_tile_terminal(model, e)) for e in es])
     keywords = dict(threshold=threshold, symmetrize=layout.sym,
-                    prefixes=layout.prefixes)
+                    escape_length=layout.escape_length)
     if len(es) == 1:
         paths = [integrate_backward(
             field, terminals[0], grid,
@@ -541,11 +543,10 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     offset n-vectors, backward from T.
 
     Finite escape of the kernels is the verdict that the game family has
-    no uniformly solvable large-population limit on this horizon; an
-    escape of kernels plus offsets alone is still no solution, reported
-    where the joint norm crossed.
+    no uniformly solvable large-population limit on this horizon; the
+    offsets, bounded while the kernels are, are not judged.
     """
-    _require_k1(model)
+    _require_k1(model, "limit-system route")
     res, = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, [0.0])
     if isinstance(res, BlowUpReport):
         return res
@@ -578,9 +579,8 @@ def solve_tiles(model: ValidatedModel, N: int, grid: TimeGrid,
     """Solve the N+1-player Riccati/offset system on its distinct tiles:
     9n^2 + 5n floats and O(n^3) work per step for every N.
 
-    Escape is decided, as by solve_finite_n, on the l1 norms of the
-    (N+1)n-square kernels, then of kernels and offsets, that the tiles
-    stand for.
+    Escape is decided, as by solve_finite_n, on the l1 norm of the
+    (N+1)n-square kernels that the tiles stand for.
     """
     return _solve_tiles(model, [N], grid, threshold)[0]
 

@@ -320,7 +320,7 @@ def cmd_compare(args) -> int:
         return code
 
     if args.pair == "lambda-phi":   # refuse K != 1 before the nce solve
-        asymptotic._require_k1(model)
+        asymptotic._require_k1(model, "limit-system route")
     tol = args.tol if args.tol is not None else 1e-8
     a = nce.solve_nce(model, grid)
     if args.pair == "nce-master":

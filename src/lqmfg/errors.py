@@ -49,6 +49,14 @@ class NonFiniteField(LQMFGError):
     exit_code = 2
 
 
+class SegmentOverflow(LQMFGError):
+    """An offset or constant overflowed float64 while the kernels, whose
+    bound bounds it, stayed below the escape threshold (a field bug); the
+    message names the entry past the kernels."""
+
+    exit_code = 2
+
+
 class AsymmetryDrift(LQMFGError):
     """A state integrated as symmetric drifted beyond tolerance (a field bug)."""
 

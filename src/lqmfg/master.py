@@ -180,10 +180,10 @@ def solve_master(model: ValidatedModel, grid: TimeGrid,
     """Solve the quadratic-coefficient ODE system, or report finite escape.
 
     Kernels, offsets and constants are integrated in one pass. Escape is
-    judged level by level on the nested prefixes of the state: a kernel
-    escape is the no-quadratic-solution verdict; otherwise the report is
-    the one of kernels plus offsets if those cross, else that of the full
-    stack (both marginal escapes, still no solution).
+    judged on the kernels alone, the no-quadratic-solution verdict: the
+    offsets solve a linear system with coefficients built from the
+    kernels and the constants integrate bounded terms, so bounded
+    kernels bound both.
     """
     grid.require_horizon(model.T)
     blocks = _Blocks(model, lift_pi(model))
@@ -199,7 +199,8 @@ def solve_master(model: ValidatedModel, grid: TimeGrid,
         np.full(K, model.etaf @ model.Qf @ model.etaf),
     )
     path = integrate_backward(blocks.field, terminal, grid, threshold=threshold,
-                              symmetrize=layout.sym, prefixes=layout.prefixes)
+                              symmetrize=layout.sym,
+                              escape_length=layout.escape_length)
     if isinstance(path, BlowUpReport):
         return path
 

@@ -154,10 +154,10 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid,
     """Solve the consistency DAE; a BlowUpReport means no solution on [0,T].
 
     The kernels and offsets are integrated in one pass. An escape of the
-    kernels is the no-solution verdict; if only kernels plus offsets cross
-    the threshold, that marginal escape is still a no-solution verdict,
-    reported where the joint norm crossed. The algebraic variables are
-    then materialized at every node.
+    kernels is the no-solution verdict; the offsets, which solve a linear
+    system with coefficients built from the kernels, are bounded while
+    the kernels are and are not judged. The algebraic variables are then
+    materialized at every node.
     """
     grid.require_horizon(model.T)
     ws = _Workspace(model, lift_pi(model))
@@ -168,7 +168,8 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid,
                            -ws.lifted.eta0f_pi,
                            np.broadcast_to(-ws.lifted.etaf_pi, (K, d1)))
     path = integrate_backward(ws.field, terminal, grid, threshold=threshold,
-                              symmetrize=layout.sym, prefixes=layout.prefixes)
+                              symmetrize=layout.sym,
+                              escape_length=layout.escape_length)
     if isinstance(path, BlowUpReport):
         return path
 

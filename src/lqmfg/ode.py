@@ -10,29 +10,30 @@ The field callback always receives the forward-time derivative convention:
 field(t, state) = d(state)/dt. Marching toward 0 simply applies RK4 with a
 negative step.
 
-Finite escape is detected at the nodes: the first node whose state exceeds
-the l1-norm threshold (or contains a non-finite entry) yields a
-BlowUpReport instead of a path. One RK4 step starting below the threshold
-cannot overflow float64 for the polynomial fields used here, so a
-non-finite stage derivative at a sub-threshold state is reported as a
-NonFiniteField bug, not as escape.
-
-A stacked state whose leading segments never depend on the trailing ones
-(Riccati kernels, then offsets, then constants) is marched in one pass
-with nested escape levels; see integrate_backward's `prefixes`. Entries
-of escape weight 0 and entries past an escaped level are held at +0.0 by
-one mask there, the package's one hold rule.
+Finite escape is judged at the nodes on one level, the kernels: the
+first node whose kernels (the leading `escape_length` entries of a
+stacked state; the whole state by default) exceed the l1-norm threshold,
+or hold a non-finite entry, yields a BlowUpReport instead of a path. The
+offsets and constants stacked after the kernels solve linear ODEs whose
+coefficients are built from the kernels, so bounded kernels bound them
+(Gronwall) and they are never judged. One RK4 step starting below the
+threshold cannot overflow float64 for the polynomial fields used here, so
+a non-finite stage derivative of the kernels at a sub-threshold state is
+reported as a NonFiniteField bug, and an offset or constant that
+overflows float64 as a SegmentOverflow, not as escape. Entries of escape
+weight 0 are held at +0.0 by one mask, the package's one hold rule.
 
 integrate_members marches B systems of one shape as one batch, their
 states stacked on a leading member axis, through the one march loop;
 integrate_backward is its one-member case, without the axis. Each member
 has its own row of the mask. A member whose kernels escape, whose field
-goes non-finite or whose projection drifts is frozen by clearing its row,
-and the exceptions are raised after the march in member order, so each
-member's path, report or exception is bitwise the one it gets alone.
+or offsets go non-finite or whose projection drifts is frozen by
+clearing its row, and the exceptions are raised after the march in
+member order, so each member's path, report or exception is bitwise the
+one it gets alone.
 
 Each system declares its flat state once, as a StateLayout of named segments
-of four kinds (kernel, matrix, vector, scalar); its escape prefixes, the
+of four kinds (kernel, matrix, vector, scalar); its escape length, the
 symmetric projection of its kernels and the segment views of a solved
 path all follow from that one list. The projection (StateLayout.sym) is
 one gather for all kernels: each kernel entry and the entry of its
@@ -44,12 +45,12 @@ are built by equations.compile_field and cached with its tables.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import (AsymmetryDrift, NonFiniteField, NTooLargeForMemory,
-                     TimeOutOfRange)
+                     SegmentOverflow, TimeOutOfRange)
 from .model import TimeGrid
 
 DEFAULT_BLOWUP_THRESHOLD = 1e12
@@ -130,8 +131,9 @@ class BlowUpReport:
             raise ValueError("escape norm does not exceed the threshold")
 
 
-# Per segment kind, its escape level: the LQ hierarchy's kernels and the
-# non-symmetric matrix blocks beside them, then offsets, then constants.
+# Per segment kind, its level: the LQ hierarchy's kernels and the
+# non-symmetric matrix blocks beside them (level 0, judged for escape),
+# then offsets, then constants.
 _KINDS = {"kernel": 0, "matrix": 0, "vector": 1, "scalar": 2}
 
 
@@ -141,8 +143,8 @@ class StateLayout:
     `segments` lists (name, shape, kind) in flat order, kind "kernel"
     (symmetric on the trailing two axes), "matrix", "vector" or "scalar",
     in level order: kernels and matrices, then vectors, then scalars, else
-    ValueError. `prefixes` are the flat lengths closing each inner level
-    (integrate_backward's escape levels).
+    ValueError. `escape_length` is the flat length of the kernels and
+    matrices (integrate_backward's escape level).
     """
 
     def __init__(self, segments):
@@ -158,8 +160,7 @@ class StateLayout:
         self.kinds = kinds
         self._segments = [(slice(lo, hi), shape)
                           for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-        self.prefixes = tuple(bounds[k] for k in range(1, len(levels))
-                              if levels[k - 1] < levels[k])
+        self.escape_length = bounds[levels.count(0)]
         # adjacent kernels of one size are one run, a stack of kernels
         runs = []
         for (seg, shape), kind in zip(self._segments, kinds):
@@ -254,7 +255,7 @@ def _path_storage(grid: TimeGrid, members: int, shape: tuple) -> np.ndarray:
 
 def _rk4_step(field, t: float, w: np.ndarray, dt: float):
     """One RK4 step, and None if it is finite, else the mask of the
-    entries where a stage is non-finite (None if no stage is)."""
+    entries where a stage is non-finite (all False if no stage is)."""
     half = dt / 2.0
     k1 = field(t, w)
     k2 = field(t + half, w + half * k1)
@@ -269,8 +270,6 @@ def _rk4_step(field, t: float, w: np.ndarray, dt: float):
         return step, None
     finite = (np.isfinite(k1) & np.isfinite(k2) & np.isfinite(k3)
               & np.isfinite(k4))
-    if finite.all():
-        return step, None
     return step, np.broadcast_to(~finite, step.shape)
 
 
@@ -285,7 +284,7 @@ def integrate_backward(
     grid: TimeGrid,
     threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     symmetrize: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    prefixes: Sequence[int] = (),
+    escape_length: Optional[int] = None,
     weights: Optional[np.ndarray] = None,
 ) -> Union[MatrixPath, BlowUpReport]:
     """March the terminal value problem from t = T down to t = 0.
@@ -298,44 +297,34 @@ def integrate_backward(
     round-off stays orders of magnitude smaller.
 
     Returns the full MatrixPath, or a BlowUpReport naming the first node at
-    which the state's l1 norm exceeded `threshold` or went non-finite. A
-    path whose (M+1) * state.size * 8 bytes exceed MEMORY_BUDGET raises
-    NTooLargeForMemory before anything is allocated. The march runs under
-    one errstate that ignores overflow and invalid operations, so numpy
-    warns of none of them: each non-finite outcome ends as that report or
-    as NonFiniteField.
-
-    `prefixes` are increasing lengths of leading segments of a flat state
-    whose derivatives never read the entries past them: e.g. (nP, nP + ns)
-    for kernels, offsets and constants stacked in that order. Each prefix
-    and the whole state is an escape level, innermost first, and the
-    verdict is the one of marching each level on its own and taking the
-    innermost level that escapes at all:
-    - a crossing of the innermost prefix ends the run with its report;
-    - a crossing of an outer level only (the innermost one crossing, if
-      several do at one node) is remembered; from then on the entries past
-      the next inner prefix are held at zero, in the state and in every
-      stage derivative, and marching goes on at that inner level;
-    - at t = 0 the innermost remembered report is returned.
-    The entries inside the marched level are bitwise those of a run on
-    that level alone. Asymmetry drift is measured against the magnitude of
-    the innermost prefix, so an outer segment cannot dilute it.
+    which the l1 norm of the state's first `escape_length` entries (all of
+    them if None) exceeded `threshold` or went non-finite. Those entries
+    are the kernels, whose derivatives never read the entries past them:
+    offsets and constants, stacked after the kernels, are bounded while
+    the kernels are, so they are not judged. An entry past the kernels
+    that overflows float64 all the same raises SegmentOverflow naming it;
+    a non-finite stage derivative of the kernels raises NonFiniteField.
+    Asymmetry drift is measured against the magnitude of the kernels, so
+    an offset cannot dilute it. A path whose (M+1) * state.size * 8 bytes
+    exceed MEMORY_BUDGET raises NTooLargeForMemory before anything is
+    allocated. The march runs under one errstate that ignores overflow
+    and invalid operations, so numpy warns of none of them: each
+    non-finite outcome ends as that report or as one of those errors.
 
     `weights`, if given, has one non-negative factor per state entry, and
-    the escape norms sum |entry| * weight: a state that stands for a
+    the escape norm sums |entry| * weight: a state that stands for a
     larger one (one tile for each of its copies, say) is judged by the l1
     norm of the state it stands for; an entry of weight 0 stands for none.
-    One mask of live entries, weights > 0 (all without weights), narrowed
-    to the marched prefix when an outer level crosses, holds the state
-    and every stage derivative at +0.0 outside it. Neither |state| nor
-    the terminal outlives the step that reads it.
+    One mask of live entries, weights > 0 (all without weights), holds the
+    state and every stage derivative at +0.0 outside it. Neither |state|
+    nor the terminal outlives the step that reads it.
 
     This is the one-member case of the march of integrate_members.
     """
     # popped into the march, so that no frame here holds the terminal
     terminal = [np.asarray(terminal, dtype=np.float64)]
     return _march(field, terminal.pop(), (), grid, threshold, symmetrize,
-                  prefixes, weights)[0]
+                  escape_length, weights)[0]
 
 
 def integrate_members(
@@ -344,7 +333,7 @@ def integrate_members(
     grid: TimeGrid,
     threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     symmetrize: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    prefixes: Sequence[int] = (),
+    escape_length: Optional[int] = None,
     weights: Optional[np.ndarray] = None,
 ) -> list:
     """March B terminal value problems of one shape as one batch, and
@@ -354,25 +343,24 @@ def integrate_members(
     `terminals` stacks the members' states on a first axis of length B,
     and so do `weights` (if given) and the states that `field(t, states)`
     and `symmetrize(states)` take and return; row b of their results
-    must depend on row b of the states alone. `prefixes`, `threshold`
-    and `weights` mean what they mean for integrate_backward, per member.
+    must depend on row b of the states alone. `escape_length`,
+    `threshold` and `weights` mean what they mean for integrate_backward,
+    per member.
     The path storage of the whole batch, B (M+1) state.size * 8 bytes, is
     checked against MEMORY_BUDGET before anything is allocated.
 
     Each member has its own row of the one mask of live entries, which
-    starts as weights > 0 and narrows to the marched prefix when that
-    member's outer level crosses. A member whose inner level crosses is
-    frozen: its whole row of the mask goes False, so the state and every
-    stage derivative are +0.0 there, and its report is kept. So are a
-    member's NonFiniteField (a non-finite stage at its step) and its
-    AsymmetryDrift (drift against the magnitude of its own innermost
-    prefix): they freeze that member alone, and after the march the first
-    one in member order is raised, the exception a loop over the members
-    in order would raise. The march ends once every member is frozen.
+    starts as weights > 0. A member whose kernels cross is frozen: its
+    whole row of the mask goes False, so the state and every stage
+    derivative are +0.0 there, and its report is kept. So are a member's
+    NonFiniteField, SegmentOverflow and AsymmetryDrift: they freeze that
+    member alone, and after the march the first one in member order is
+    raised, the exception a loop over the members in order would raise.
+    The march ends once every member is frozen.
     """
     terminals = np.asarray(terminals, dtype=np.float64)
     return _march(field, terminals, terminals.shape[:1], grid, threshold,
-                  symmetrize, prefixes, weights)
+                  symmetrize, escape_length, weights)
 
 
 # A norm is finite and not over a threshold t iff it is at most
@@ -383,54 +371,44 @@ _max = np.maximum.reduce
 _sum = np.add.reduce
 
 
-def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
-           weights) -> list:
+def _march(field, terminals, lead, grid, threshold, symmetrize,
+           escape_length, weights) -> list:
     """The march of integrate_members over states of shape lead + the
     member shape: lead = (B,) for B members, or () for one member, whose
     field and projection then see its states as they are."""
     members = math.prod(lead)
     shape = terminals.shape[len(lead):]
     size = math.prod(shape)
-    levels = tuple(int(p) for p in prefixes) + (size,)
-    if prefixes and (len(shape) != 1 or levels[0] < 1
-                     or any(a >= b for a, b in zip(levels, levels[1:]))):
-        raise ValueError(f"prefixes {tuple(prefixes)} must increase strictly "
-                         f"inside a flat state of size {size}")
+    inner = size if escape_length is None else int(escape_length)
+    if not 0 < inner <= size:
+        raise ValueError(f"escape length {escape_length} outside a state of "
+                         f"size {size}")
+    live = True                     # the mask of live entries
     if weights is not None:
         if np.shape(weights) != terminals.shape:
             raise ValueError(f"weights of shape {np.shape(weights)} for "
                              f"states of shape {terminals.shape}")
-        weights = np.reshape(weights, (members, size))
-    inner = levels[0]
+        live = np.greater(weights, 0)
+        weights = np.reshape(weights, (members, size))[:, :inner]
     bound = float(np.fmin(threshold, _LARGEST))
     out = _path_storage(grid, members, shape)
     nodes = grid.nodes.tolist()         # Python floats
     M = grid.M
     dt = -grid.h
 
-    top = [len(levels) - 1] * members   # outermost level still marched
-    outer = len(levels) - 1             # the largest top of a live member
-    remembered = [None] * members   # innermost outer level's report
     final = [None] * members        # a frozen member's report or exception
-    live = True if weights is None else np.greater(weights, 0).reshape(
-        terminals.shape)
 
     def held(t, w):
-        return _hold(field(t, w), live)     # `live` as last narrowed
-
-    def narrow(b, length):
-        """Member b's row of the mask keeps its first `length` entries."""
-        nonlocal live, step_field, outer
-        if live is True:
-            live = np.ones(lead + shape, dtype=bool)
-        live.reshape(members, size)[b, length:] = False
-        step_field = held
-        outer = max((top[b] for b in range(members) if final[b] is None),
-                    default=-1)
+        return _hold(field(t, w), live)     # `live` as last cleared
 
     def freeze(b, outcome):
+        """Member b's row of the mask goes False; `outcome` is its result."""
+        nonlocal live, step_field
         final[b] = outcome
-        narrow(b, 0)
+        if live is True:
+            live = np.ones(lead + shape, dtype=bool)
+        live.reshape(members, size)[b] = False
+        step_field = held
 
     step_field = field if np.all(live) else held
     w = _hold(terminals, live)
@@ -442,11 +420,21 @@ def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
             if j < M:
                 w, bad = _rk4_step(step_field, nodes[j + 1], w, dt)
                 if bad is not None:
-                    bad = bad.reshape(members, -1).any(axis=1)
-                    for b in np.flatnonzero(bad):
-                        freeze(b, NonFiniteField(
-                            "field returned non-finite derivative near "
-                            f"t={nodes[j + 1]}"))
+                    bad = bad.reshape(members, size)[:, :inner].any(axis=1)
+                    over = ~np.isfinite(w.reshape(members, size)[:, inner:])
+                    for b in np.flatnonzero(bad | over.any(axis=1)):
+                        if bad[b]:
+                            freeze(b, NonFiniteField(
+                                "field returned non-finite derivative near "
+                                f"t={nodes[j + 1]}"))
+                        else:
+                            freeze(b, SegmentOverflow(
+                                f"the offsets and constants (state entries "
+                                f"{inner} to {size - 1}, past the kernels) "
+                                f"overflowed float64 at entry "
+                                f"{inner + over[b].argmax()} near "
+                                f"t={nodes[j + 1]}; the kernels stayed below "
+                                f"the escape threshold"))
                     w = _hold(w, live)
                 if symmetrize is not None:
                     proj = symmetrize(w)
@@ -465,31 +453,21 @@ def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
                                 f"to node {j}"))
                     if drifted:
                         w = _hold(w, live)
-                if outer < 0:
+                if None not in final:
                     break
-            a = np.abs(w.reshape(members, size))
+            a = np.abs(w.reshape(members, size)[:, :inner])
             if weights is not None:
                 a *= weights
-            narrowed = False
-            for lvl in range(outer + 1):
-                # a[:, :size] is each whole state, whatever its shape
-                norms = _sum(a[:, :levels[lvl]], 1).tolist()
-                for b, norm in enumerate(norms):
-                    # a member crossing at an inner level this node is
-                    # frozen, or marches below this level from now on
-                    if norm <= bound or final[b] is not None or lvl > top[b]:
-                        continue
-                    narrowed = True
-                    report = BlowUpReport(escape_node=j, norm_at_escape=norm,
-                                          threshold=threshold)
-                    if lvl == 0:
-                        freeze(b, report)
-                    else:
-                        remembered[b], top[b] = report, lvl - 1
-                        narrow(b, levels[top[b]])
+            crossed = False
+            for b, norm in enumerate(_sum(a, 1).tolist()):
+                if norm <= bound or final[b] is not None:
+                    continue
+                crossed = True
+                freeze(b, BlowUpReport(escape_node=j, norm_at_escape=norm,
+                                       threshold=threshold))
             del a
-            if narrowed:
-                if outer < 0:
+            if crossed:
+                if None not in final:
                     break
                 w = _hold(w, live)
             out[:, j] = w
@@ -497,5 +475,5 @@ def _march(field, terminals, lead, grid, threshold, symmetrize, prefixes,
     for outcome in final:
         if isinstance(outcome, Exception):
             raise outcome
-    return [final[b] or remembered[b] or MatrixPath(grid=grid, values=out[b])
+    return [final[b] or MatrixPath(grid=grid, values=out[b])
             for b in range(members)]

@@ -164,38 +164,32 @@ def first_crossing(norms, threshold):
     return int(over[-1]) if over.size else None
 
 
-def check_escape_levels(solve, levels):
-    """Check the escape verdict of `solve(threshold)` against per-node norms
-    of the nested state levels of its solved path (innermost first).
+def check_kernel_escape(solve, kernels, *outer):
+    """Check the escape verdict of `solve(threshold)` against the per-node
+    l1 norms of its solved path's kernels, and of the longer prefixes
+    `outer` of its state (kernels with offsets, say).
 
-    For every level above the innermost, a threshold between the level
-    below's supremum and this level's supremum must be reported at this
-    level's first crossing. A threshold below the innermost supremum must
-    be reported at the innermost crossing, even though every outer level
-    crossed earlier.
+    Escape is judged on the kernels alone. A threshold below the kernels'
+    supremum is reported at their first crossing, with their norm, though
+    every outer norm crossed earlier. A threshold between the kernels'
+    supremum and an outer one is crossed inside the horizon by that outer
+    norm alone, and is no escape: `solve` returns its solution.
     """
-    sups = [float(norms.max()) for norms in levels]
-    for lvl in range(1, len(levels)):
-        assert sups[lvl] > 1.1 * sups[lvl - 1]
-        threshold = 0.5 * (sups[lvl - 1] + sups[lvl])
-        node = first_crossing(levels[lvl], threshold)
-        assert 0 < node < len(levels[lvl]) - 1
-        for outer in levels[lvl + 1:]:
-            assert first_crossing(outer, threshold) > node
-        rep = solve(threshold)
-        assert isinstance(rep, BlowUpReport)
-        assert rep.escape_node == node
-        assert math.isclose(rep.norm_at_escape, levels[lvl][node],
-                            rel_tol=1e-12)
-
-    threshold = 0.9 * sups[0]
-    node = first_crossing(levels[0], threshold)
-    for outer in levels[1:]:
-        assert first_crossing(outer, threshold) > node
+    sup = float(kernels.max())
+    threshold = 0.9 * sup
+    node = first_crossing(kernels, threshold)
+    for norms in outer:
+        assert first_crossing(norms, threshold) > node
     rep = solve(threshold)
     assert isinstance(rep, BlowUpReport)
     assert rep.escape_node == node
-    assert math.isclose(rep.norm_at_escape, levels[0][node], rel_tol=1e-12)
+    assert math.isclose(rep.norm_at_escape, kernels[node], rel_tol=1e-12)
+
+    for norms in outer:
+        assert norms.max() > 1.1 * sup
+        threshold = 0.5 * (sup + float(norms.max()))
+        assert 0 < first_crossing(norms, threshold) < len(norms) - 1
+        assert not isinstance(solve(threshold), BlowUpReport)
 
 
 # -- reference loops for vectorized library code ----------------------------
@@ -311,7 +305,8 @@ def dense_march(model, N, grid, threshold=DEFAULT_BLOWUP_THRESHOLD):
 
     terminal = layout.pack(np.stack(Qf_big), np.stack(lin_f))
     path = integrate_backward(field, terminal, grid, threshold=threshold,
-                              symmetrize=layout.sym, prefixes=layout.prefixes)
+                              symmetrize=layout.sym,
+                              escape_length=layout.escape_length)
     if isinstance(path, BlowUpReport):
         return path
     return layout.split(path.values)
@@ -1285,7 +1280,7 @@ def reference_solve(route, model, grid, N=None,
         nP = ws.sizes[0] + ws.sizes[1]
         return integrate_backward(nce_field_ref(model), terminal, grid,
                                   threshold=threshold, symmetrize=ws.sym,
-                                  prefixes=(nP,)), ws
+                                  escape_length=nP), ws
     if route == "master":
         ws = MasterBlocksRef(model, lifted)
         d1 = ws.d1
@@ -1298,10 +1293,9 @@ def reference_solve(route, model, grid, N=None,
             np.full(K, model.etaf @ model.Qf @ model.etaf),
         ])
         nP = ws.layout[0] + ws.layout[1]
-        ns = ws.layout[2] + ws.layout[3]
         return integrate_backward(master_field_ref(model), terminal, grid,
                                   threshold=threshold, symmetrize=ws.sym,
-                                  prefixes=(nP, nP + ns)), ws
+                                  escape_length=nP), ws
     if route == "finite-n":
         red = ReducedFieldsRef(assemble_finite_n(model, N))
         sys = red.sys
@@ -1322,7 +1316,7 @@ def reference_solve(route, model, grid, N=None,
                                    sys.lin0_f, red.lin1_f])
         return integrate_backward(field, terminal, grid, threshold=threshold,
                                   symmetrize=finite_sym_ref(d),
-                                  prefixes=(2 * sq,)), None
+                                  escape_length=2 * sq), None
     Q0f, Qf = model.Q0f, model.Qf
     G0f, G1f, G2f = model.Gamma0f, model.Gamma1f, model.Gamma2f
     terminal = np.stack([

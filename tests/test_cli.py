@@ -438,9 +438,52 @@ def test_compare_lambda_phi_refuses_k_not_one_before_solving(tmp_path,
     code = main(["compare", "lambda-phi", "--model",
                  str(MODELS / "twotype.model"), "--out", str(out)])
     assert code == 1
-    assert ("error: finite-population route needs K=1, got K=2"
+    assert ("error: limit-system route needs K=1, got K=2"
             in capsys.readouterr().err)
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv,route", [
+    (["solve", "lambda"], "limit-system route"),
+    (["solve", "finite-n", "--N", "4"], "finite-population route"),
+], ids=["lambda", "finite-n"])
+def test_k_not_one_refusal_names_the_refusing_route(tmp_path, capsys, argv,
+                                                    route):
+    code = main(argv + ["--model", str(MODELS / "twotype.model"),
+                        "--grid", "10", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {route} needs K=1, got K=2\n"
+
+
+def test_an_overflowing_offset_exits_two_naming_the_segment(tmp_path, capsys,
+                                                            monkeypatch):
+    """A field whose first offset overflows float64 while the kernels stay
+    bounded (no route field does; this one is patched into the nce solve)
+    ends in SegmentOverflow: exit 2 and one error line naming the entries
+    past the kernels, the offsets and constants."""
+    march = cli.nce.integrate_backward
+
+    def overflowing(field, terminal, grid, **keywords):
+        first = keywords["escape_length"]
+
+        def offset_overflow(t, w):
+            out = field(t, w).copy()
+            out[first] = 1e300 * (1.0 + w[first] * w[first])
+            return out
+
+        return march(offset_overflow, terminal, grid, **keywords)
+
+    monkeypatch.setattr(cli.nce, "integrate_backward", overflowing)
+    out = tmp_path / "nce"
+    code = main(["solve", "nce", "--model", SCALAR, "--grid", "10",
+                 "--out", str(out)])
+    assert code == 2
+    # the scalar model's 13 kernel entries are followed by 5 offsets
+    assert capsys.readouterr().err == (
+        "error: the offsets and constants (state entries 13 to 17, past the "
+        "kernels) overflowed float64 at entry 13 near t=1.0; the kernels "
+        "stayed below the escape threshold\n")
+    assert not (out / "summary.txt").exists()
 
 
 def test_compare_finite_structure(tmp_path, capsys):
@@ -958,7 +1001,7 @@ def test_every_error_class_maps_to_its_exit_code(tmp_path, capsys,
     """Through main, each class in lqmfg.errors exits with its own code
     and its message on stderr, with no registration in the CLI."""
     math = {errors.NonFiniteState, errors.NonFiniteField,
-            errors.AsymmetryDrift}
+            errors.AsymmetryDrift, errors.SegmentOverflow}
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.LQMFGError)]
     assert errors.LQMFGError in classes and math < set(classes)

@@ -3,15 +3,17 @@ are bitwise the per-type reference fields kept in helpers, and so are the
 solves built on them and the symmetrization of each solve's state."""
 
 import ast
+import functools
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lqmfg import (TimeGrid, assemble_finite_n, check_asymptotic_solvability,
-                   lift_pi, solve_finite_n, solve_lambda, solve_master,
-                   solve_nce, solve_tiles, validate_model)
+                   lift_pi, load_model, solve_finite_n, solve_lambda,
+                   solve_master, solve_nce, solve_tiles, validate_model)
 from lqmfg import asymptotic, equations, master, nce, ode
 from lqmfg.ode import BlowUpReport
 
@@ -407,7 +409,8 @@ def test_finite_n_solves_are_bitwise_the_reference_march(name):
     """The reduced mode at N = 4, and the dense march at N = 1 (where its
     products are the reduced ones; at larger N it sums the exchanged
     players in another order), are bitwise the reference march, and so
-    are their escape reports at the kernel and the offset level."""
+    are their escape reports at the kernel level and their paths at a
+    threshold that only kernels with offsets cross."""
     model = FINITE_MODELS[name]()
     grid = TimeGrid(M=100, T=1.0)
     for N, solvers in ((4, (_reduced_flat,)),
@@ -419,17 +422,18 @@ def test_finite_n_solves_are_bitwise_the_reference_march(name):
         sq = assemble_finite_n(model, N).dim ** 2
         kernels = node_l1(ref.values[:, :2 * sq])
         joint = node_l1(ref.values)
-        for threshold in (0.9 * kernels.max(),
-                          0.5 * (kernels.max() + joint.max())):
-            want, _ = reference_solve("finite-n", model, grid, N=N,
-                                      threshold=threshold)
-            assert isinstance(want, BlowUpReport)
-            for solve in solvers:
-                assert solve(model, N, grid, threshold=threshold) == want
+        want, _ = reference_solve("finite-n", model, grid, N=N,
+                                  threshold=0.9 * kernels.max())
+        assert isinstance(want, BlowUpReport)
+        for solve in solvers:
+            assert solve(model, N, grid, threshold=0.9 * kernels.max()) == want
+            got = solve(model, N, grid,
+                        threshold=0.5 * (kernels.max() + joint.max()))
+            assert np.array_equal(got, ref.values)
 
 
 def solve_keywords(route, model, N):
-    """The keywords (`symmetrize`, `prefixes`, ...) that `route`'s solve
+    """The keywords (`symmetrize`, `escape_length`, ...) that `route`'s solve
     hands to integrate_backward, captured without marching."""
     seen = []
 
@@ -522,18 +526,70 @@ def test_layout_sym_is_bytewise_the_reference_sym(route, K, n, N, model_seed,
                                    "finite-n", "dense"])
 @pytest.mark.parametrize("K,n,N", [(1, 1, 1), (3, 2, 4)])
 def test_derived_prefixes_are_the_hand_set_levels(route, K, n, N):
-    """The escape prefixes each solve derives from its segment kinds are
-    the levels once set by hand: the kernels, and for master the kernels,
-    then kernels and offsets."""
+    """The escape length each solve derives from its segment kinds is the
+    kernels' prefix once set by hand."""
     if route not in ("nce", "master"):
         K = 1
     d0, d1, d = n * (K + 1), n * (K + 2), (N + 1) * n
     kernels = d0 * d0 + K * d1 * d1
-    want = {"nce": (kernels,), "master": (kernels, kernels + d0 + K * d1),
-            "lambda": (9 * n * n,), "tiles": (9 * n * n,),
-            "finite-n": (2 * d * d,), "dense": ((N + 1) * d * d,)}[route]
+    want = {"nce": kernels, "master": kernels, "lambda": 9 * n * n,
+            "tiles": 9 * n * n, "finite-n": 2 * d * d,
+            "dense": (N + 1) * d * d}[route]
     keywords = solve_keywords(route, random_model(K, n, 3), N)
-    assert tuple(keywords["prefixes"]) == want
+    assert keywords["escape_length"] == want
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "models"
+PREFIX_MODELS = {
+    "scalar": lambda: load_model(str(SHIPPED / "scalar.model")),
+    "twotype": lambda: load_model(str(SHIPPED / "twotype.model")),
+    "rand-n3k3": random_n3k3,
+    "rand-n2k1": lambda: random_model(1, 2, 3),
+}
+
+
+@functools.cache
+def prefix_field(route, name):
+    """(field, state size, escape length) of `route`'s solve of
+    PREFIX_MODELS[name]; the tile and finite-n fields at N = 3."""
+    model = PREFIX_MODELS[name]()
+    if route in ("nce", "master"):
+        built = (nce._Workspace if route == "nce" else master._Blocks)(
+            model, lift_pi(model))
+        return built.field, built.layout.size, built.layout.escape_length
+    if route == "finite-n":
+        sys = assemble_finite_n(model, 3)
+        d = sys.dim
+        return asymptotic._ReducedFields(sys).field, 2 * d * d + 2 * d, \
+            2 * d * d
+    text, e = ((asymptotic._LIMIT_EQUATIONS, 0.0) if route == "lambda"
+               else (asymptotic._TILE_EQUATIONS, 1.0 / 3.0))
+    layout, field = asymptotic._field(model, text, e)
+    return field, layout.size, layout.escape_length
+
+
+@pytest.mark.parametrize("route,name", [
+    *((route, name) for route in ("nce", "master") for name in PREFIX_MODELS),
+    *((route, name) for route in ("lambda", "tiles", "finite-n")
+      for name in ("scalar", "rand-n2k1"))])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(state_seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       tail_scale=st.sampled_from([1e-3, 1.0, 1e3, 1e9]),
+       t=st.floats(0.0, 1.0))
+def test_kernel_derivatives_never_read_past_the_escape_prefix(
+        route, name, state_seed, scale, tail_scale, t):
+    """The one escape level rests on this: perturbing every entry past
+    the kernels (the offsets, and master's constants) leaves the kernel
+    part of each route's derivative byte for byte as it was, so offsets
+    and constants cannot feed the kernels' escape."""
+    field, size, escape = prefix_field(route, name)
+    assert 0 < escape < size
+    rng = np.random.default_rng(state_seed)
+    w = rng.standard_normal(size) * scale
+    kernels = field(t, w)[:escape].copy()
+    w[escape:] += rng.standard_normal(size - escape) * tail_scale
+    assert field(t, w)[:escape].tobytes() == kernels.tobytes()
 
 
 def written_sym(layout, flat):
@@ -684,7 +740,7 @@ def test_state_layout_slots_are_columns_and_one_by_one_matrices(monkeypatch):
     assert seen == [(("P", (3, 2, 2)), ("G", (2, 4)), ("s0", (2, 1)),
                      ("s", (3, 2, 1)), ("r0", (1, 1)), ("r", (3, 1, 1)))]
     assert tables.layout.names == ("P", "G", "s0", "s", "r0", "r")
-    assert tables.layout.prefixes == (20, 28)
+    assert tables.layout.escape_length == 20
     w = np.arange(1.0, tables.layout.size + 1)
     assert tables.field([{}])(0.0, w).tobytes() == w.tobytes()
 

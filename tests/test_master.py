@@ -10,7 +10,7 @@ from lqmfg.master import master_gains
 from lqmfg.nce import nce_gains
 from lqmfg.ode import BlowUpReport, MatrixPath
 
-from helpers import (check_escape_levels, decoupled_scalar, growing_offsets,
+from helpers import (check_kernel_escape, decoupled_scalar, growing_offsets,
                      master_residual, node_l1, zero_weight)
 
 
@@ -139,12 +139,14 @@ def test_blowup_matches_nce_verdict(blowup_models, scalar_grid):
         assert abs(a.escape_node - b.escape_node) <= 2
 
 
-def test_marginal_escapes_are_reported_per_level():
+def test_marginal_crossings_are_no_escape():
+    """Escape is judged on the kernels: a threshold that only kernels
+    with offsets, or with offsets and constants, cross is no escape."""
     model = growing_offsets()
     grid = TimeGrid(M=100, T=1.0)
     sol = solve_master(model, grid)
     kernels = node_l1(sol.Pd0.values, sol.Pd.values)
     offsets = kernels + node_l1(sol.sd0.values, sol.sd.values)
     full = offsets + node_l1(sol.rd0.values, sol.rd.values)
-    check_escape_levels(lambda thr: solve_master(model, grid, threshold=thr),
-                        [kernels, offsets, full])
+    check_kernel_escape(lambda thr: solve_master(model, grid, threshold=thr),
+                        kernels, offsets, full)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from lqmfg import (AsymmetryDrift, MatrixPath, NonFiniteField,
-                   NTooLargeForMemory, TimeGrid, TimeOutOfRange,
+                   NTooLargeForMemory, SegmentOverflow, TimeGrid,
+                   TimeOutOfRange,
                    check_asymptotic_solvability, integrate_backward, ode, sim,
                    solve_finite_n, solve_lambda, solve_master, solve_nce)
 from lqmfg.ode import DEFAULT_BLOWUP_THRESHOLD, TIME_SLACK, BlowUpReport
 
-from helpers import (build_model, check_escape_levels, first_crossing,
+from helpers import (build_model, check_kernel_escape, first_crossing,
                      integrate_forward_ref, riccati_closed_form, rk4_step_ref)
 
 
@@ -288,7 +289,7 @@ def test_matrix_path_rejects_non_finite():
         MatrixPath(grid, np.array([[np.inf], [0.0]]))
 
 
-# -- nested escape levels ----------------------------------------------------
+# -- one escape level: the kernels ------------------------------------------
 
 def _stacked_field(t, w):
     """A 2x2 kernel with quadratic growth, driving two offsets, driving a
@@ -317,33 +318,42 @@ def _levels(path):
 
 
 def test_prefixes_leave_solved_path_unchanged():
+    """The escape length, the kernels' prefix, changes no solved entry."""
     grid = TimeGrid(M=200, T=1.0)
     plain = integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
                                symmetrize=_sym_kernel)
-    nested = integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
-                                symmetrize=_sym_kernel, prefixes=(4, 6))
-    assert isinstance(nested, MatrixPath)
-    assert np.array_equal(plain.values, nested.values)
+    for length in (4, 7):
+        kernels = integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
+                                     symmetrize=_sym_kernel,
+                                     escape_length=length)
+        assert isinstance(kernels, MatrixPath)
+        assert np.array_equal(plain.values, kernels.values)
 
 
 def test_prefixes_report_the_innermost_level_that_escapes():
+    """Escape is judged on the kernels' prefix alone: below the kernels'
+    supremum their first crossing is reported, and a threshold that only
+    the offsets, or the constant, push the state past is no escape."""
     grid = TimeGrid(M=200, T=1.0)
     path = integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
                               symmetrize=_sym_kernel)
 
-    def run(threshold, prefixes=(4, 6)):
+    def run(threshold, escape_length=4):
         return integrate_backward(_stacked_field, _STACKED_TERMINAL, grid,
-                                  threshold=threshold,
-                                  symmetrize=_sym_kernel, prefixes=prefixes)
+                                  threshold=threshold, symmetrize=_sym_kernel,
+                                  escape_length=escape_length)
 
     kernel, offsets, full = _levels(path)
-    check_escape_levels(run, [kernel, offsets, full])
-    # without prefixes the full state's earlier crossing is reported
+    check_kernel_escape(run, kernel, offsets, full)
+    # judged on the whole state, the full state's earlier crossing is
+    # reported
     thr = 0.5 * (kernel.max() + offsets.max())
-    assert run(thr, ()).escape_node == first_crossing(full, thr)
+    assert run(thr, None).escape_node == first_crossing(full, thr)
 
 
 def test_terminal_escape_of_outer_level_keeps_marching():
+    """Offsets past the threshold from the terminal on are no escape: the
+    march goes on to t = 0 and returns the path."""
     grid = TimeGrid(M=50, T=1.0)
     term = np.array([1.0, 10.0])
     calls = []
@@ -352,26 +362,35 @@ def test_terminal_escape_of_outer_level_keeps_marching():
         calls.append(t)
         return np.array([-w[0], 0.0])
 
-    rep = integrate_backward(field, term, grid, threshold=5.0, prefixes=(1,))
-    assert isinstance(rep, BlowUpReport)
-    assert rep.escape_node == grid.M
-    assert rep.norm_at_escape == 11.0
+    path = integrate_backward(field, term, grid, threshold=5.0,
+                              escape_length=1)
+    assert isinstance(path, MatrixPath)
+    assert np.all(path.values[:, 1] == 10.0)
     assert len(calls) == 4 * grid.M
-    # the caller's terminal is not touched by holding the tail at zero
     assert np.array_equal(term, [1.0, 10.0])
 
 
 def test_levels_first_crossing_at_one_node_report_the_innermost():
-    """When two outer levels first cross at one node, the inner one's
-    report is the verdict, as when each level is marched alone; the
-    offset s jumps past the threshold in one step."""
+    """When the escape prefix and the whole state first cross at one node,
+    the report is the prefix's norm; the offset s jumps past the threshold
+    in one step. Past the prefix, s is not judged at all."""
     grid = TimeGrid(M=10, T=1.0)
-    rep = integrate_backward(lambda t, w: np.array([0.0, -100.0, 0.0]),
-                             np.array([0.1, 0.0, 1.0]), grid, threshold=5.0,
-                             prefixes=(1, 2))
+
+    def run(escape_length):
+        return integrate_backward(
+            lambda t, w: np.array([0.0, -100.0, 0.0]),
+            np.array([0.1, 0.0, 1.0]), grid, threshold=5.0,
+            escape_length=escape_length)
+
+    rep = run(2)
     assert isinstance(rep, BlowUpReport)
     assert rep.escape_node == grid.M - 1
     assert math.isclose(rep.norm_at_escape, 10.1, rel_tol=1e-12)
+    assert run(None).escape_node == grid.M - 1
+    assert math.isclose(run(None).norm_at_escape, 11.1, rel_tol=1e-12)
+    path = run(1)
+    assert isinstance(path, MatrixPath)
+    assert path.values[0, 1] == 100.0
 
 
 def test_offset_segment_does_not_dilute_asymmetry_check():
@@ -390,29 +409,64 @@ def test_offset_segment_does_not_dilute_asymmetry_check():
     assert isinstance(path, MatrixPath)
     with pytest.raises(AsymmetryDrift):
         integrate_backward(lambda t, w: skew, term, grid, symmetrize=sym,
-                           prefixes=(4,))
+                           escape_length=4)
+
+
+def _pole_field(calls):
+    """A kernel entry decaying gently and an offset with a pole at
+    t = 0.5 from s(1) = 2, which overflows float64 a few steps past it."""
+    def field(t, w):
+        calls.append(t)
+        return np.stack([-0.1 * w[..., 0], -w[..., 1] * w[..., 1]], axis=-1)
+    return field
 
 
 def test_held_offsets_cannot_overflow():
-    # The offset has a pole near t = 0.5 and would overflow soon after;
-    # once it crosses the threshold it is held at zero and the kernel
-    # marches on to t = 0.
+    """An offset that overflows float64 under a bounded kernel ends the
+    run in SegmentOverflow, naming its entry past the kernels, not in a
+    report or a path; the same offset held at +0.0 by weight 0 cannot
+    overflow, and the kernel marches on to t = 0."""
     grid = TimeGrid(M=1000, T=1.0)
     calls = []
-
-    def field(t, w):
-        calls.append(t)
-        return np.array([-0.1 * w[0], -w[1] * w[1]])
-
     term = np.array([1.0, 2.0])
-    with pytest.raises(NonFiniteField), np.errstate(over="ignore"):
-        # without the hold, marching past the pole overflows
-        integrate_backward(field, term, grid, threshold=np.inf)
+    with pytest.raises(NonFiniteField):
+        # judged on the whole state, the overflow is a field fault
+        integrate_backward(_pole_field(calls), term, grid, threshold=np.inf)
     calls.clear()
-    rep = integrate_backward(field, term, grid, prefixes=(1,))
-    assert isinstance(rep, BlowUpReport)
-    assert abs(grid.nodes[rep.escape_node] - 0.5) <= 2 * grid.h
+    with pytest.raises(SegmentOverflow) as exc:
+        integrate_backward(_pole_field(calls), term, grid, escape_length=1)
+    message = str(exc.value)
+    assert message.startswith("the offsets and constants (state entries 1 to "
+                              "1, past the kernels) overflowed float64 at "
+                              "entry 1 near t=")
+    assert message.endswith("; the kernels stayed below the escape threshold")
+    t = float(message.split("near t=")[1].split(";")[0])
+    assert 0.5 - 5 * grid.h <= t < 0.5
+    assert exc.value.exit_code == 2
+    calls.clear()
+    path = integrate_backward(_pole_field(calls), term, grid, escape_length=1,
+                              weights=np.array([1.0, 0.0]))
+    assert isinstance(path, MatrixPath)
+    assert not path.values[:, 1].any()
     assert len(calls) == 4 * grid.M
+
+
+def test_a_batch_member_whose_offsets_overflow_is_frozen_alone():
+    """In a batch, a member whose offset overflows raises SegmentOverflow
+    after the march, as alone, and the other member's path is marched on
+    unchanged: its solo run raises nothing."""
+    grid = TimeGrid(M=1000, T=1.0)
+    terms = np.array([[1.0, 2.0], [1.0, 0.5]])
+    with pytest.raises(SegmentOverflow) as alone:
+        integrate_backward(_pole_field([]), terms[0], grid, escape_length=1)
+    calls = []
+    with pytest.raises(SegmentOverflow) as batch:
+        ode.integrate_members(_pole_field(calls), terms, grid,
+                              escape_length=1)
+    assert str(batch.value) == str(alone.value)
+    assert len(calls) == 4 * grid.M
+    assert isinstance(integrate_backward(_pole_field([]), terms[1], grid,
+                                         escape_length=1), MatrixPath)
 
 
 def _decay(t, w):
@@ -441,43 +495,50 @@ def test_zero_weight_entry_is_held_at_positive_zero():
     assert path.values[:, :2].tobytes() == alone.values.tobytes()
 
 
-def test_outer_crossing_narrows_the_mask_of_held_entries():
-    """With prefixes (1,) and y of weight 0, an offset crossing narrows
-    the one mask to x while y stays held; the verdict is the one without
-    y: the offset's crossing near its pole at t = 0.5 at the default
-    threshold, and x's own report at 1.5, below x(0) = 2, though x + s
-    crosses at T."""
+def test_offset_crossing_leaves_the_mask_of_held_entries():
+    """With escape length 1 and y of weight 0, y stays held while the
+    offset s is not judged; the verdict is the one without y: a path at
+    the default threshold, x's own report at 1.5 (below x(0) = 2), though
+    x + s is past 1.5 from the first step on; and from s(1) = 4, whose
+    pole is at t = 0.5, a SegmentOverflow at the same entry and time."""
     grid = TimeGrid(M=200, T=1.0)
-    reps = []
-    for threshold in (DEFAULT_BLOWUP_THRESHOLD, 1.5):
-        rep = integrate_backward(_unbounded, np.array([1.0, 4.0, -3.0]), grid,
-                                 threshold=threshold, prefixes=(1,),
-                                 weights=np.array([1.0, 1.0, 0.0]))
-        without = integrate_backward(_decay, np.array([1.0, 4.0]), grid,
-                                     threshold=threshold, prefixes=(1,))
-        assert isinstance(rep, BlowUpReport)
-        assert rep == without
-        reps.append(rep)
-    assert abs(grid.nodes[reps[0].escape_node] - 0.5) <= 2 * grid.h
-    assert reps[1] == integrate_backward(_decay, np.array([1.0]), grid,
-                                         threshold=1.5)
+    weights = np.array([1.0, 1.0, 0.0])
+
+    def run(field, term, threshold=DEFAULT_BLOWUP_THRESHOLD):
+        return integrate_backward(field, np.array(term), grid,
+                                  threshold=threshold, escape_length=1,
+                                  weights=weights[:len(term)])
+
+    path = run(_unbounded, [1.0, 0.5, -3.0])
+    assert (path.values[:, :2].tobytes()
+            == run(_decay, [1.0, 0.5]).values.tobytes())
+    rep = run(_unbounded, [1.0, 0.5, -3.0], 1.5)
+    assert isinstance(rep, BlowUpReport)
+    assert rep == run(_decay, [1.0, 0.5], 1.5) == run(_decay, [1.0], 1.5)
+    errors = []
+    for field, term in ((_unbounded, [1.0, 4.0, -3.0]), (_decay, [1.0, 4.0])):
+        with pytest.raises(SegmentOverflow) as exc:
+            run(field, term)
+        errors.append(str(exc.value).split("past the kernels) ")[1])
+    assert errors[0] == errors[1]
 
 
 def test_prefixes_are_validated():
     grid = TimeGrid(M=4, T=1.0)
     term = np.zeros(5)
-    for bad in ((0,), (5,), (3, 3), (3, 2)):
-        with pytest.raises(ValueError):
-            integrate_backward(lambda t, w: w, term, grid, prefixes=bad)
-    with pytest.raises(ValueError):
-        integrate_backward(lambda t, w: w, np.zeros((2, 2)), grid,
-                           prefixes=(2,))
+    for bad in (0, -1, 6):
+        with pytest.raises(ValueError, match="escape length"):
+            integrate_backward(lambda t, w: w, term, grid, escape_length=bad)
+    # a prefix of a state of any shape counts its entries in flat order
+    path = integrate_backward(lambda t, w: w, np.ones((2, 2)), grid,
+                              threshold=1.5, escape_length=1)
+    assert isinstance(path, MatrixPath)
 
 
 def test_state_layout_packs_splits_and_symmetrizes():
     layout = ode.StateLayout([("P", (2, 2), "kernel"), ("s", (3,), "vector"),
                               ("r", (), "scalar")])
-    assert layout.prefixes == (4, 7)
+    assert layout.escape_length == 4
     P = np.array([[1.0, 2.0], [4.0, 3.0]])
     flat = layout.pack(P, [5.0, 6.0, 7.0], 8.0)
     assert np.array_equal(flat, [1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 7.0, 8.0])
@@ -507,6 +568,7 @@ def test_state_layout_refuses_segments_out_of_level_order(kinds):
 def test_state_layout_paths_are_read_only_views_of_the_split():
     layout = ode.StateLayout([("P", (2, 2), "kernel"), ("G", (2, 2), "matrix"),
                               ("s", (2,), "vector"), ("r", (), "scalar")])
+    assert layout.escape_length == 8
     grid = TimeGrid(M=3, T=1.0)
     path = ode.MatrixPath(grid, np.arange(4.0 * layout.size).reshape(4, -1))
     paths = layout.paths(path)

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # parser, and its values are typed by validate_model alone. The generated
 # field factory binds a pool's operands itself, from the code one function
 # (equations._lines) writes per table, and the RK4 step is combined inside
-# the march's one errstate.
+# the march's one errstate. Escape has one level, the kernels' prefix, so
+# a layout derives one escape length, not nested prefixes.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -49,7 +51,13 @@ DELETED = {
     asymptotic.LambdaSolution: ("M", "M0"),
     asymptotic.StructureReport: ("exponents", "scaled_tiles", "tiles"),
     model.PiLifted: ("Gamma0f_pi", "Gamma2f_pi"),
+    # an attribute set in __init__ is looked up on an instance
+    ode.StateLayout([("P", (1, 1), "kernel"), ("s", (1,), "vector")]):
+        ("prefixes",),
 }
+# Parameters deleted from the integrators.
+DELETED_PARAMETERS = {ode.integrate_backward: ("prefixes",),
+                      ode.integrate_members: ("prefixes",)}
 
 
 def test_every_exported_name_resolves():
@@ -62,10 +70,12 @@ def test_deleted_names_are_gone():
     """A dataclass field without a default is no class attribute, so the
     declared fields are searched too."""
     assert not set(DELETED[lqmfg]) & set(lqmfg.__all__)
-    left = [(owner.__name__, name) for owner, names in DELETED.items()
+    left = [(owner, name) for owner, names in DELETED.items()
             for name in names
             if hasattr(owner, name)
             or name in getattr(owner, "__dataclass_fields__", ())]
+    left += [(fn, name) for fn, names in DELETED_PARAMETERS.items()
+             for name in names if name in inspect.signature(fn).parameters]
     assert left == []
 
 
