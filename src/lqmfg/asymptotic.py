@@ -614,8 +614,7 @@ def phi_from_nce(nce: NCESolution) -> LambdaSolution:
     (pure views): the kernels sliced into the nine blocks, the offsets
     by s0 -> (s0, sm) and s -> (t1, t0, to)."""
     model = nce.model
-    if model.K != 1:
-        raise KNotOne(f"block extraction needs K=1, got K={model.K}")
+    _require_k1(model, "block extraction")
     n = model.n
     P0 = nce.P0.values
     P1 = nce.P.values[:, 0]

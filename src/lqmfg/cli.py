@@ -111,16 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _make_grid(args, model) -> TimeGrid:
-    M = args.grid if args.grid is not None else default_steps(model.T)
-    return TimeGrid(M=M, T=model.T)
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _write_lines(path: str, lines):
     """Write each line with a trailing newline, streaming an iterable."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -272,10 +262,7 @@ _SYSTEMS = {
 }
 
 
-def cmd_solve(args) -> int:
-    model = load_model(args.model)
-    grid = _make_grid(args, model)
-    out = _outdir(args)
+def cmd_solve(args, model, grid, out) -> int:
     summary = [f"system: {args.system}", f"grid: M={grid.M} T={_fmt(grid.T)}"]
     solve, named_paths, solved_lines = _SYSTEMS[args.system]
     res = solve(model, grid, args)
@@ -295,11 +282,7 @@ def _write_diff_csv(path: str, report) -> None:
     _write_lines(path, lines)
 
 
-def cmd_compare(args) -> int:
-    model = load_model(args.model)
-    grid = _make_grid(args, model)
-    out = _outdir(args)
-
+def cmd_compare(args, model, grid, out) -> int:
     if args.pair == "finite-structure":
         N = _one_n(args, "compare finite-structure")
         fin = asymptotic.solve_finite_n(model, N, grid)
@@ -343,10 +326,7 @@ def cmd_compare(args) -> int:
                    0 if report.passed else 2)
 
 
-def cmd_check_solvability(args) -> int:
-    model = load_model(args.model)
-    grid = _make_grid(args, model)
-    out = _outdir(args)
+def cmd_check_solvability(args, model, grid, out) -> int:
     N_list = [4, 8, 16] if args.N is None else args.N
     report = asymptotic.check_asymptotic_solvability(model, N_list, grid)
     lines = ["N,sup_node_norm,escape_node"]
@@ -400,10 +380,7 @@ def _simulate_seed(args, model, sol, N: int, seed: int, out: str):
                      for player in (0, 1)]
 
 
-def cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    grid = _make_grid(args, model)
-    out = _outdir(args)
+def cmd_simulate(args, model, grid, out) -> int:
     for option, what, values in (("--N", "population size", args.N),
                                  ("--seed", "seed", args.seed)):
         if not values:
@@ -457,6 +434,11 @@ def cmd_simulate(args) -> int:
     return _report(out, summary, 0)
 
 
+_COMMANDS = {"solve": cmd_solve, "compare": cmd_compare,
+             "check-solvability": cmd_check_solvability,
+             "simulate": cmd_simulate}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -464,13 +446,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "check-solvability":
-            return cmd_check_solvability(args)
-        return cmd_simulate(args)
+        # a bad model file or grid fails before the output directory exists
+        model = load_model(args.model)
+        M = args.grid if args.grid is not None else default_steps(model.T)
+        grid = TimeGrid(M=M, T=model.T)
+        os.makedirs(args.out, exist_ok=True)
+        return _COMMANDS[args.command](args, model, grid, args.out)
     except LQMFGError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,7 +19,11 @@ The field is written as equation text (_MASTER_NAMES, _MASTER_EQUATIONS),
 with the per-type blocks stacked over the K types and the drift blocks
 assembled from blocks, and compiled by `equations.compile_equations`
 into index tables cached per shape; the np.trace terms of the constants'
-equations stay single numpy calls.
+equations stay single numpy calls. `_field(model, lifted)` writes the
+model's constants and returns `(layout, field)` from `compile_field`, as
+the other compiled routes do, and `_mean_field(model, lifted, Pd, sd)`
+rebuilds Abar_dag, Gbar_dag and mbar_dag at every node of the solved
+path.
 """
 
 from dataclasses import dataclass
@@ -111,68 +115,52 @@ _MASTER_EQUATIONS = (
 )
 
 
-class _Blocks:
-    """Constants, state layout and compiled field of the
-    quadratic-solution ODEs (the layout cached with the field's
-    tables)."""
+def _field(model: ValidatedModel, lifted: PiLifted):
+    """(layout, field): the compiled field of the flat (Pd0, Pd, sd0, sd,
+    rd0, rd) state, the layout cached with the field's tables per shape."""
+    n, K = model.n, model.K
+    d0, d1 = n * (K + 1), n * (K + 2)
+    consts = {
+        "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
+        "G": model.G, "F_pi": lifted.F_pi,
+        "M0": model.B0 @ np.linalg.solve(model.R0, model.B0.T),
+        "M": model.B @ np.linalg.solve(model.R, model.B.T),
+        "sel": np.stack([block_selector(l, K, n) for l in range(1, K + 1)]),
+        "D0D0T": model.D0 @ model.D0.T, "DDT": model.D @ model.D.T,
+        "eta0_q": np.full((1, 1), float(model.eta0 @ model.Q0 @ model.eta0)),
+        "eta_q": np.full((1, 1), float(model.eta @ model.Q @ model.eta)),
+        "Q0_pi": lifted.Q0_pi, "Q_pi": lifted.Q_pi,
+        "eta0_pi": lifted.eta0_pi[:, None], "eta_pi": lifted.eta_pi[:, None],
+        "Znn": np.zeros((n, n)), "ZKn": np.zeros((K * n, n)),
+        "rho": model.rho,
+    }
+    return compile_field(
+        [("Pd0", (d0, d0), "kernel"), ("Pd", (K, d1, d1), "kernel"),
+         ("sd0", (d0,), "vector"), ("sd", (K, d1), "vector"),
+         ("rd0", (), "scalar"), ("rd", (K,), "scalar")],
+        [consts], _MASTER_NAMES, _MASTER_EQUATIONS, {"n": n, "K": K})
 
-    def __init__(self, model: ValidatedModel, lifted: PiLifted):
-        self.model = model
-        self.lifted = lifted
-        n, K = model.n, model.K
-        self.n = n
-        self.K = K
-        self.d0 = n * (K + 1)
-        self.d1 = n * (K + 2)
-        self.M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
-        self.M = model.B @ np.linalg.solve(model.R, model.B.T)
-        self.selectors = np.stack([block_selector(l, K, n) for l in range(1, K + 1)])
-        self.D0D0T = model.D0 @ model.D0.T
-        self.DDT = model.D @ model.D.T
-        self.eta0_q = float(model.eta0 @ model.Q0 @ model.eta0)
-        self.eta_q = float(model.eta @ model.Q @ model.eta)
-        consts = {
-            "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
-            "G": model.G, "F_pi": lifted.F_pi, "M0": self.M0, "M": self.M,
-            "sel": self.selectors, "D0D0T": self.D0D0T, "DDT": self.DDT,
-            "eta0_q": np.full((1, 1), self.eta0_q),
-            "eta_q": np.full((1, 1), self.eta_q),
-            "Q0_pi": lifted.Q0_pi, "Q_pi": lifted.Q_pi,
-            "eta0_pi": lifted.eta0_pi[:, None], "eta_pi": lifted.eta_pi[:, None],
-            "Znn": np.zeros((n, n)), "ZKn": np.zeros((K * n, n)),
-            "rho": model.rho,
-        }
-        # d(state)/dt of the flat state, as a new flat array
-        self.layout, self.field = compile_field(
-            [("Pd0", (self.d0, self.d0), "kernel"),
-             ("Pd", (K, self.d1, self.d1), "kernel"),
-             ("sd0", (self.d0,), "vector"), ("sd", (K, self.d1), "vector"),
-             ("rd0", (), "scalar"), ("rd", (K,), "scalar")],
-            [consts], _MASTER_NAMES, _MASTER_EQUATIONS, {"n": n, "K": K})
 
-    def mean_field_rows(self, Pd):
-        """Abar_dag and Gbar_dag rebuilt from each type's kernel blocks.
+def _mean_field(model: ValidatedModel, lifted: PiLifted, Pd, sd):
+    """Abar_dag (..., nK, nK) and Gbar_dag (..., nK, n) rebuilt from each
+    type's kernel blocks Pd (..., K, d1, d1), its K row blocks stacked,
+    and mbar_dag (..., nK), block l = -M sd_l,1, from the offsets sd
+    (..., K, d1).
 
-        Pd is (..., K, d1, d1); the K row blocks are stacked into
-        (..., nK, nK) and (..., nK, n). Own-dynamics terms sit in the
-        type's own block column (the 'selector at l' reading; the
-        alternative fixed-last-block reading is incompatible with the
-        consistency route for K >= 2).
-        """
-        n, K = self.n, self.K
-        M = self.M
-        lead = Pd.shape[:-3]
-        Abar = ((self.model.A - M @ Pd[..., :n, :n]) @ self.selectors
-                + self.lifted.F_pi - M @ Pd[..., :n, 2 * n:])
-        Gbar = self.model.G - M @ Pd[..., :n, n:2 * n]
-        return (Abar.reshape(lead + (K * n, K * n)),
-                Gbar.reshape(lead + (K * n, n)))
-
-    def mbar_vec(self, sd):
-        """mbar_dag block l = -M sd_l,1 for sd of shape (..., K, d1),
-        flattened to (..., nK)."""
-        n = self.n
-        return (-(sd[..., :n] @ self.M.T)).reshape(sd.shape[:-2] + (self.K * n,))
+    Own-dynamics terms sit in the type's own block column (the 'selector
+    at l' reading; the alternative fixed-last-block reading is
+    incompatible with the consistency route for K >= 2).
+    """
+    n, K = model.n, model.K
+    M = model.B @ np.linalg.solve(model.R, model.B.T)
+    selectors = np.stack([block_selector(l, K, n) for l in range(1, K + 1)])
+    lead = Pd.shape[:-3]
+    Abar = ((model.A - M @ Pd[..., :n, :n]) @ selectors
+            + lifted.F_pi - M @ Pd[..., :n, 2 * n:])
+    Gbar = model.G - M @ Pd[..., :n, n:2 * n]
+    mbar = -(sd[..., :n] @ M.T)
+    return (Abar.reshape(lead + (K * n, K * n)),
+            Gbar.reshape(lead + (K * n, n)), mbar.reshape(lead + (K * n,)))
 
 
 def solve_master(model: ValidatedModel, grid: TimeGrid,
@@ -186,10 +174,9 @@ def solve_master(model: ValidatedModel, grid: TimeGrid,
     kernels bound both.
     """
     grid.require_horizon(model.T)
-    blocks = _Blocks(model, lift_pi(model))
-    K, d1, layout = blocks.K, blocks.d1, blocks.layout
-    lifted = blocks.lifted
-
+    lifted = lift_pi(model)
+    layout, field = _field(model, lifted)
+    K, d1 = model.K, model.n * (model.K + 2)
     terminal = layout.pack(
         lifted.Q0f_pi,
         np.broadcast_to(lifted.Qf_pi, (K, d1, d1)),
@@ -198,21 +185,19 @@ def solve_master(model: ValidatedModel, grid: TimeGrid,
         model.eta0f @ model.Q0f @ model.eta0f,
         np.full(K, model.etaf @ model.Qf @ model.etaf),
     )
-    path = integrate_backward(blocks.field, terminal, grid, threshold=threshold,
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
                               symmetrize=layout.sym,
                               escape_length=layout.escape_length)
     if isinstance(path, BlowUpReport):
         return path
 
     paths = layout.paths(path)
-    Abar_path, Gbar_path = blocks.mean_field_rows(paths["Pd"].values)
-    mbar_path = blocks.mbar_vec(paths["sd"].values)
-
+    Abar, Gbar, mbar = _mean_field(model, lifted, paths["Pd"].values,
+                                   paths["sd"].values)
     return MasterSolution(
         model=model, lifted=lifted, grid=grid, **paths,
-        Abar_dag=MatrixPath(grid, Abar_path),
-        Gbar_dag=MatrixPath(grid, Gbar_path),
-        mbar_dag=MatrixPath(grid, mbar_path),
+        Abar_dag=MatrixPath(grid, Abar), Gbar_dag=MatrixPath(grid, Gbar),
+        mbar_dag=MatrixPath(grid, mbar),
     )
 
 

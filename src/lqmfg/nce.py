@@ -20,6 +20,11 @@ share only the evaluator with it, as they share the integrator. Kernels
 and offsets are advanced together in one pass, so the offset system sees
 stage-exact kernel values; the kernels never read the offsets, so their
 escape is judged on the kernels alone.
+
+Two functions carry the route: `_field(model, lifted)` writes the
+model's constants and returns `(layout, field)` from `compile_field`, as
+the other compiled routes do, and `_mean_field(model, lifted, P, s)`
+materializes Abar, Gbar and mbar at every node of the solved path.
 """
 
 from dataclasses import dataclass
@@ -83,70 +88,54 @@ _NCE_EQUATIONS = (
 )
 
 
-class _Workspace:
-    """Precomputed constants for one solve, with the state layout and
-    compiled field (the layout cached with the field's tables)."""
+def _field(model: ValidatedModel, lifted: PiLifted):
+    """(layout, field): the compiled field of the flat (P0, P, s0, s)
+    state, the layout cached with the field's tables per shape."""
+    n, K = model.n, model.K
+    d0, d1 = n * (K + 1), n * (K + 2)
+    consts = {
+        "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
+        "G": model.G, "F_pi": lifted.F_pi,
+        # control-weighted input squares: small-space for the algebraic
+        # constraints, on the stacked spaces for the Riccati tiers
+        "BRB": model.B @ np.linalg.solve(model.R, model.B.T),
+        "K0mat": lifted.B0_lift @ np.linalg.solve(model.R0, lifted.B0_lift.T),
+        "Kmat": lifted.B_lift @ np.linalg.solve(model.R, lifted.B_lift.T),
+        "Q0_pi": lifted.Q0_pi, "Q_pi": lifted.Q_pi,
+        "eta0_pi": lifted.eta0_pi[:, None], "eta_pi": lifted.eta_pi[:, None],
+        "Z": np.zeros((d0, n)), "Zn": np.zeros((n, 1)),
+        "R": model.R, "B_lift": lifted.B_lift, "B": model.B,
+        "rho": model.rho,
+    }
+    return compile_field(
+        [("P0", (d0, d0), "kernel"), ("P", (K, d1, d1), "kernel"),
+         ("s0", (d0,), "vector"), ("s", (K, d1), "vector")],
+        [consts], _NCE_NAMES, _NCE_EQUATIONS, {"n": n, "K": K, "d1": d1})
 
-    def __init__(self, model: ValidatedModel, lifted: PiLifted):
-        self.model = model
-        self.lifted = lifted
-        n, K = model.n, model.K
-        self.n = n
-        self.K = K
-        self.d0 = n * (K + 1)
-        self.d1 = n * (K + 2)
 
-        # Control-weighted input squares on the stacked spaces.
-        self.K0mat = lifted.B0_lift @ np.linalg.solve(model.R0, lifted.B0_lift.T)
-        self.Kmat = lifted.B_lift @ np.linalg.solve(model.R, lifted.B_lift.T)
-        # Small-space pieces for the algebraic constraints.
-        self.BRB = model.B @ np.linalg.solve(model.R, model.B.T)
-
-        # flat positions of type k's own block column in row block k of
-        # a (K, n, nK) stack, in (k, i, j) order
-        k, i, j = np.ogrid[:K, :n, :n]
-        self.own = (k * (n * K * n + n) + i * (K * n) + j).ravel()
-
-        consts = {
-            "A0": model.A0, "F0_pi": lifted.F0_pi, "A": model.A,
-            "G": model.G, "F_pi": lifted.F_pi, "BRB": self.BRB,
-            "K0mat": self.K0mat, "Kmat": self.Kmat,
-            "Q0_pi": lifted.Q0_pi, "Q_pi": lifted.Q_pi,
-            "eta0_pi": lifted.eta0_pi[:, None], "eta_pi": lifted.eta_pi[:, None],
-            "Z": np.zeros((self.d0, n)), "Zn": np.zeros((n, 1)),
-            "R": model.R, "B_lift": lifted.B_lift, "B": model.B,
-            "rho": model.rho,
-        }
-        # d(state)/dt of the flat (P0, P, s0, s) state, as a new flat array
-        self.layout, self.field = compile_field(
-            [("P0", (self.d0, self.d0), "kernel"),
-             ("P", (K, self.d1, self.d1), "kernel"),
-             ("s0", (self.d0,), "vector"), ("s", (K, self.d1), "vector")],
-            [consts], _NCE_NAMES, _NCE_EQUATIONS,
-            {"n": n, "K": K, "d1": self.d1})
-
-    def consistency_blocks(self, P):
-        """Abar (nK x nK) and Gbar (nK x n) rebuilt from kernel blocks;
-        P is (..., K, d1, d1) and the results carry its leading axes."""
-        n, K = self.n, self.K
-        BRB = self.BRB
-        lead = P.shape[:-3]
-        Abar = self.lifted.F_pi - BRB @ P[..., :n, 2 * n:]   # (..., K, n, nK)
-        # type k's own dynamics sit in block column k of its row block
-        Abar.reshape(lead + (-1,))[..., self.own] += (
-            self.model.A - BRB @ P[..., :n, :n]).reshape(lead + (-1,))
-        Gbar = self.model.G - BRB @ P[..., :n, n:2 * n]
-        return (Abar.reshape(lead + (K * n, K * n)),
-                Gbar.reshape(lead + (K * n, n)))
-
-    def mbar_from_s(self, s):
-        """Constraint: mbar block kappa = -B R^{-1} B_lift^T s_kappa; s is
-        (..., K, d1) and the result (..., K, n) carries its leading axes,
-        each node's rows as the same calls give them for that node alone."""
-        # B_lift^T s_kappa only sees the leading n entries of s_kappa
-        w = np.linalg.solve(self.model.R,
-                            (s @ self.lifted.B_lift).swapaxes(-1, -2))
-        return -(w.swapaxes(-1, -2) @ self.model.B.T)
+def _mean_field(model: ValidatedModel, lifted: PiLifted, P, s):
+    """The consistency constraints at every node: Abar (..., nK, nK) and
+    Gbar (..., nK, n) rebuilt from the kernel blocks P (..., K, d1, d1),
+    and mbar (..., nK), block kappa = -B R^{-1} B_lift^T s_kappa, from the
+    offsets s (..., K, d1); each node's rows as the same calls give them
+    for that node alone."""
+    n, K = model.n, model.K
+    BRB = model.B @ np.linalg.solve(model.R, model.B.T)
+    lead = P.shape[:-3]
+    Abar = lifted.F_pi - BRB @ P[..., :n, 2 * n:]        # (..., K, n, nK)
+    # type k's own dynamics sit in block column k of its row block: the
+    # flat positions of those blocks in a (K, n, nK) stack, in (k, i, j)
+    # order
+    k, i, j = np.ogrid[:K, :n, :n]
+    own = (k * (n * K * n + n) + i * (K * n) + j).ravel()
+    Abar.reshape(lead + (-1,))[..., own] += (
+        model.A - BRB @ P[..., :n, :n]).reshape(lead + (-1,))
+    Gbar = model.G - BRB @ P[..., :n, n:2 * n]
+    # B_lift^T s_kappa only sees the leading n entries of s_kappa
+    w = np.linalg.solve(model.R, (s @ lifted.B_lift).swapaxes(-1, -2))
+    mbar = -(w.swapaxes(-1, -2) @ model.B.T)
+    return (Abar.reshape(lead + (K * n, K * n)),
+            Gbar.reshape(lead + (K * n, n)), mbar.reshape(lead + (K * n,)))
 
 
 def solve_nce(model: ValidatedModel, grid: TimeGrid,
@@ -160,28 +149,26 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid,
     materialized at every node.
     """
     grid.require_horizon(model.T)
-    ws = _Workspace(model, lift_pi(model))
-    K, d1, layout = ws.K, ws.d1, ws.layout
-
-    terminal = layout.pack(ws.lifted.Q0f_pi,
-                           np.broadcast_to(ws.lifted.Qf_pi, (K, d1, d1)),
-                           -ws.lifted.eta0f_pi,
-                           np.broadcast_to(-ws.lifted.etaf_pi, (K, d1)))
-    path = integrate_backward(ws.field, terminal, grid, threshold=threshold,
+    lifted = lift_pi(model)
+    layout, field = _field(model, lifted)
+    K, d1 = model.K, model.n * (model.K + 2)
+    terminal = layout.pack(lifted.Q0f_pi,
+                           np.broadcast_to(lifted.Qf_pi, (K, d1, d1)),
+                           -lifted.eta0f_pi,
+                           np.broadcast_to(-lifted.etaf_pi, (K, d1)))
+    path = integrate_backward(field, terminal, grid, threshold=threshold,
                               symmetrize=layout.sym,
                               escape_length=layout.escape_length)
     if isinstance(path, BlowUpReport):
         return path
 
     paths = layout.paths(path)
-    Abar_path, Gbar_path = ws.consistency_blocks(paths["P"].values)
-    mbar_path = ws.mbar_from_s(paths["s"].values).reshape(grid.M + 1, K * ws.n)
-
+    Abar, Gbar, mbar = _mean_field(model, lifted, paths["P"].values,
+                                   paths["s"].values)
     return NCESolution(
-        model=model, lifted=ws.lifted, grid=grid, **paths,
-        Abar=MatrixPath(grid, Abar_path),
-        Gbar=MatrixPath(grid, Gbar_path),
-        mbar=MatrixPath(grid, mbar_path),
+        model=model, lifted=lifted, grid=grid, **paths,
+        Abar=MatrixPath(grid, Abar), Gbar=MatrixPath(grid, Gbar),
+        mbar=MatrixPath(grid, mbar),
     )
 
 

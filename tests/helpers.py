@@ -13,7 +13,6 @@ from lqmfg import (GridMismatch, MasterSolution, ModelParams, NCESolution,
                    NonFiniteField, NonFiniteState, TimeGrid, validate_model,
                    solve_nce)
 from lqmfg.asymptotic import SCALING_EXPONENTS, assemble_finite_n
-from lqmfg.master import _Blocks
 from lqmfg.model import PiLifted, ValidatedModel, block_selector, lift_pi
 from lqmfg.ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
                        StateLayout, integrate_backward)
@@ -1039,7 +1038,9 @@ def master_residual(model, sol, sample):
     j = min(max(j, 1), grid.M - 1)
     n = model.n
     rho = model.rho
-    blocks = _Blocks(model, sol.lifted)
+    M0 = model.B0 @ np.linalg.solve(model.R0, model.B0.T)
+    M = model.B @ np.linalg.solve(model.R, model.B.T)
+    D0D0T, DDT = model.D0 @ model.D0.T, model.D @ model.D.T
 
     Abar = sol.Abar_dag.at(j)
     Gbar = sol.Gbar_dag.at(j)
@@ -1060,10 +1061,10 @@ def master_residual(model, sol, sample):
         grad_x0 = P[:n, :] @ xi0 + s[:n]           # half of d V/d x0
         drift0 = model.A0 @ x0 + sol.lifted.F0_pi @ zbar
         chi_1 = 2.0 * grad_x0 @ drift0
-        chi_2 = grad_x0 @ blocks.M0 @ grad_x0
+        chi_2 = grad_x0 @ M0 @ grad_x0
         dev = x0 - sol.lifted.Gamma0_pi @ zbar - model.eta0
         chi_3 = dev @ model.Q0 @ dev
-        chi_4 = float(np.trace(P[:n, :n] @ blocks.D0D0T))
+        chi_4 = float(np.trace(P[:n, :n] @ D0D0T))
         mean_drift = Gbar @ x0 + Abar @ zbar + mbar
         chi_56 = 2.0 * (P[n:, :] @ xi0 + s[n:]) @ mean_drift
         chi = chi_1 - chi_2 + chi_3 + chi_4 + chi_56
@@ -1082,16 +1083,16 @@ def master_residual(model, sol, sample):
         P0 = sol.Pd0.at(j)
         s0 = sol.sd0.at(j)
         grad_row2 = P[n:2 * n, :] @ xik + s[n:2 * n]
-        closed0 = ((model.A0 - blocks.M0 @ P0[:n, :n]) @ x0
-                   + (sol.lifted.F0_pi - blocks.M0 @ P0[:n, n:]) @ zbar
-                   - blocks.M0 @ s0[:n])
+        closed0 = ((model.A0 - M0 @ P0[:n, :n]) @ x0
+                   + (sol.lifted.F0_pi - M0 @ P0[:n, n:]) @ zbar
+                   - M0 @ s0[:n])
         chi_12 = 2.0 * grad_row2 @ closed0
-        chi_37 = float(np.trace(P[n:2 * n, n:2 * n] @ blocks.D0D0T)
-                       + np.trace(P[:n, :n] @ blocks.DDT))
+        chi_37 = float(np.trace(P[n:2 * n, n:2 * n] @ D0D0T)
+                       + np.trace(P[:n, :n] @ DDT))
         grad_zk = P[:n, :] @ xik + s[:n]
         drift_k = model.A[kappa - 1] @ zk + model.G @ x0 + sol.lifted.F_pi @ zbar
         chi_4 = 2.0 * grad_zk @ drift_k
-        chi_5 = grad_zk @ blocks.M @ grad_zk
+        chi_5 = grad_zk @ M @ grad_zk
         dev = zk - model.Gamma1 @ x0 - sol.lifted.Gamma2_pi @ zbar - model.eta
         chi_6 = dev @ model.Q @ dev
         mean_drift = Gbar @ x0 + Abar @ zbar + mbar

@@ -361,7 +361,8 @@ def test_compare_rejects_mismatched_grids(scalar_model, scalar_nce):
 
 def test_phi_requires_single_type():
     sol = solve_nce(two_type_scalar(), TimeGrid(M=50, T=1.0))
-    with pytest.raises(KNotOne):
+    with pytest.raises(KNotOne,
+                       match="^block extraction needs K=1, got K=2$"):
         phi_from_nce(sol)
 
 

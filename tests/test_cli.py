@@ -168,6 +168,30 @@ def test_missing_model_file(tmp_path, capsys):
     assert "nope.model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "nce"], ["compare", "nce-master"], ["check-solvability"],
+    ["simulate", "--N", "4"]], ids=["solve", "compare", "check", "simulate"])
+@pytest.mark.parametrize("bad", ["missing", "typed", "grid"])
+def test_a_bad_model_or_grid_exits_one_before_the_output_directory(
+        tmp_path, capsys, command, bad):
+    """Every command reads its model and builds its grid before it
+    creates --out: a missing or wrongly typed model file and a grid of no
+    steps exit 1 with one error line and leave no output directory."""
+    model, grid = SCALAR, "100"
+    if bad == "missing":
+        model = str(tmp_path / "nope.model")
+    elif bad == "typed":
+        model = _scalar_with(tmp_path, "n", "1.7")
+    else:
+        grid = "0"
+    out = tmp_path / "out"
+    assert main([*command, "--model", model, "--grid", grid,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _scalar_with(tmp_path, key, value):
     """The shipped scalar model with one key's value replaced."""
     lines = [f"{key} = {value}" if line.split("=")[0].strip() == key else line

@@ -65,10 +65,10 @@ def route_field(route, model):
     d0, d1 = n * (K + 1), n * (K + 2)
     kernels = [(d0, d0), (K, d1, d1)]
     if route == "nce":
-        field = nce._Workspace(model, lift_pi(model)).field
+        _, field = nce._field(model, lift_pi(model))
         return field, nce_field_ref(model), kernels, d0 + K * d1
     if route == "master":
-        field = master._Blocks(model, lift_pi(model)).field
+        _, field = master._field(model, lift_pi(model))
         return field, master_field_ref(model), kernels, d0 + K * d1 + 1 + K
     # the kernel slice of the limit field, over a state with offsets
     kernels = 9 * n * n
@@ -173,14 +173,11 @@ def member_fields(route, models, es):
     of its solo route; e is the tile system's 1/N, None for the others."""
     out = []
     for model, e in zip(models, es):
-        if route == "nce":
+        if route in ("nce", "master"):
+            module = nce if route == "nce" else master
+
             def build():
-                return nce._Workspace(model, lift_pi(model)).field
-            module = nce
-        elif route == "master":
-            def build():
-                return master._Blocks(model, lift_pi(model)).field
-            module = master
+                return module._field(model, lift_pi(model))[1]
         else:
             text = (asymptotic._LIMIT_EQUATIONS if route == "limit"
                     else asymptotic._TILE_EQUATIONS)
@@ -554,9 +551,9 @@ def prefix_field(route, name):
     PREFIX_MODELS[name]; the tile and finite-n fields at N = 3."""
     model = PREFIX_MODELS[name]()
     if route in ("nce", "master"):
-        built = (nce._Workspace if route == "nce" else master._Blocks)(
+        layout, field = (nce if route == "nce" else master)._field(
             model, lift_pi(model))
-        return built.field, built.layout.size, built.layout.escape_length
+        return field, layout.size, layout.escape_length
     if route == "finite-n":
         sys = assemble_finite_n(model, 3)
         d = sys.dim
@@ -650,12 +647,10 @@ def table_arguments(route, seeds):
         model = validate_model(_random_params(
             np.random.default_rng(seed), 1 if route == "tile" else 2,
             dims=(2, 1, 1)))
-        if route == "nce":
+        if route in ("nce", "master"):
+            module = nce if route == "nce" else master
             args.append(compile_arguments(
-                nce, lambda: nce._Workspace(model, lift_pi(model))))
-        elif route == "master":
-            args.append(compile_arguments(
-                master, lambda: master._Blocks(model, lift_pi(model))))
+                module, lambda: module._field(model, lift_pi(model))))
         else:
             args.append(compile_arguments(
                 asymptotic, lambda: asymptotic._field(

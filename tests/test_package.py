@@ -25,7 +25,9 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # field factory binds a pool's operands itself, from the code one function
 # (equations._lines) writes per table, and the RK4 step is combined inside
 # the march's one errstate. Escape has one level, the kernels' prefix, so
-# a layout derives one escape length, not nested prefixes.
+# a layout derives one escape length, not nested prefixes. The nce and
+# master routes are built by one function each, `_field`, as the limit
+# route is, and their mean-field blocks come from `_mean_field`.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -42,9 +44,9 @@ DELETED = {
             "_symmetrize_weight"),
     modelfile: ("_ARRAY_KEYS", "_FLOAT_KEYS", "_INT_KEYS", "_raw_entries",
                 "_strip_comment", "_literal"),
-    master: ("ResidualSample", "_fd_derivative", "master_feedback",
+    master: ("ResidualSample", "_Blocks", "_fd_derivative", "master_feedback",
              "master_residual", "residual_sample"),
-    nce: ("nce_feedback", "propagate_mean_field"),
+    nce: ("_Workspace", "nce_feedback", "propagate_mean_field"),
     ode: ("_combine", "integrate_forward"),
     sim: ("_player_sum", "_product"),
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
