@@ -25,16 +25,18 @@ consistency-route solution (phi_from_nce: kernels by block, offsets by
 s0 -> (s0, sm), s -> (t1, t0, to)), and runs the structural and
 boundedness checks tying them together.
 
-The reduced field (_ReducedFields) is hand-written, not compiled: the
-compiler's index tables would hold d^2 addresses per operand at side
-d = (N+1)n. It evaluates the two players as one stack. Their kernels,
-and their offsets, are adjacent in the flat state, so a product that
-both take with one shared operand is one stacked matmul: a gemm (a gemv
-for a column) per member, bitwise that member's own product. Sums are
-added in the one-player text's left-to-right order into views of one
-fresh output array. The offsets' coupling terms stay W.T @ s, as s @ W
-is another BLAS call and rounds differently. solve_finite_n sizes the
-whole solve (finite_n_bytes) before anything is assembled.
+The reduced field is hand-written, not compiled: the compiler's index
+tables would hold d^2 addresses per operand at side d = (N+1)n. Like
+every other route, it is built by one function, _finite_field, that
+returns (layout, field). It evaluates the two players as one stack.
+Their kernels, and their offsets, are adjacent in the flat state, so a
+product that both take with one shared operand is one stacked matmul: a
+gemm (a gemv for a column) per member, bitwise that member's own
+product. Sums are added in the one-player text's left-to-right order
+into views of one fresh output array. The offsets' coupling terms stay
+W.T @ s, as s @ W is another BLAS call and rounds differently.
+solve_finite_n sizes the whole solve (finite_n_bytes) before anything
+is assembled.
 """
 
 from dataclasses import dataclass
@@ -98,7 +100,6 @@ class FiniteNSystem:
     M0: np.ndarray
     M: np.ndarray
     K0: np.ndarray
-    K0f: np.ndarray
     Q0_big: np.ndarray
     Q0f_big: np.ndarray
     lin0: np.ndarray
@@ -168,7 +169,7 @@ def assemble_finite_n(model: ValidatedModel, N: int) -> FiniteNSystem:
         Ahat_rho2=Ahat - (model.rho / 2.0) * np.eye(d),
         Ahat_rho=Ahat - model.rho * np.eye(d),
         M0=M0, M=M,
-        K0=K0, K0f=K0f,
+        K0=K0,
         Q0_big=(Q0_big + Q0_big.T) / 2.0,
         Q0f_big=(Q0f_big + Q0f_big.T) / 2.0,
         lin0=K0.T @ (model.Q0 @ model.eta0),
@@ -195,72 +196,60 @@ class FiniteNSolution:
     S1_big: MatrixPath
 
 
-class _ReducedFields:
-    """Symmetry-reduced field of players 0 and 1: field(t, flat) is the
-    derivative of the flat state P0, P1, S0, S1 (two kernels, then two
-    offsets, of side d = (N+1)n), evaluated on the (2, d, d) and (2, d)
-    views PP = (P0, P1) and SS = (S0, S1) by the stacking rules of the
-    module docstring, bitwise tests/helpers.py::ReducedFieldsRef.
+def _finite_field(sys: FiniteNSystem):
+    """(layout, field): the symmetry-reduced field of players 0 and 1.
+    field(t, flat) is the derivative of the flat state P0, P1, S0, S1 (two
+    kernels, then two offsets, of side d = (N+1)n), evaluated on the
+    (2, d, d) and (2, d) views PP = (P0, P1) and SS = (S0, S1) by the
+    stacking rules of the module docstring, bitwise
+    tests/helpers.py::ReducedFieldsRef.
 
-    Of the system it keeps only the arrays it reads. The operands of the
-    sums land in one (2, d, d) scratch array, and the coupling matrix W
-    and the padded own-input vector in buffers of their own, all set up
-    once per solve. The output array is new at each call (RK4 holds four
-    stages at once) and shares no memory with them.
+    The field closes over the arrays of `sys` it reads, never over `sys`.
+    The operands of the sums land in one (2, d, d) scratch array, and the
+    coupling matrix W and the padded own-input vector in buffers of their
+    own, all set up once per solve. The output array is new at each call
+    (RK4 holds four stages at once) and shares no memory with them.
     """
+    n, N, d = sys.model.n, sys.N, sys.dim
+    sq = d * d
+    layout = StateLayout([("P0_big", (d, d), "kernel"),
+                          ("P1_big", (d, d), "kernel"),
+                          ("S0_big", (d,), "vector"),
+                          ("S1_big", (d,), "vector")])
+    M0, M = sys.M0, sys.M
+    Ar2, Q0_big, Q1_big = sys.Ahat_rho2, sys.Q0_big, sys.Q_minor(1)
+    negArT = -sys.Ahat_rho.T
+    lins = np.stack([sys.lin0, sys.lin_minor(1)])
+    # row block 0 of W and block 0 of vS stay +0.0
+    W = np.zeros((d, d))
+    vS = np.zeros(d)
+    scr = np.empty((2, d, d))
+    # W's minor rows as (row block j - 1, row in block, column block,
+    # column in block), their column block 1, and their blocks
+    # (j - 1, j): block j of row block j - 1 starts j (n d + n) floats
+    # into W, and block N ends on W's last float
+    rows = W[n:].reshape(N, n, N + 1, n)
+    col1 = rows[:, :, 1]
+    diag = np.lib.stride_tricks.as_strided(
+        rows[0, 0, 1], shape=(N, n, n),
+        strides=((n * d + n) * W.itemsize, d * W.itemsize, W.itemsize))
 
-    def __init__(self, sys: FiniteNSystem):
-        n, N, d = sys.model.n, sys.N, sys.dim
-        self.n, self.N, self.d = n, N, d
-        self.M0, self.M = sys.M0, sys.M
-        self.Ar2, self.Q0_big = sys.Ahat_rho2, sys.Q0_big
-        self.negArT = -sys.Ahat_rho.T
-        self.lins = np.stack([sys.lin0, sys.lin_minor(1)])
-        self.Q1_big = sys.Q_minor(1)
-        # row block 0 of W and block 0 of vS stay +0.0
-        self._W = np.zeros((d, d))
-        self._vS = np.zeros(d)
-        self._scratch = np.empty((2, d, d))
-        # W's minor rows as (row block j - 1, row in block, column block,
-        # column in block), their column block 1, and their blocks
-        # (j - 1, j): block j of row block j - 1 starts j (n d + n) floats
-        # into W, and block N ends on W's last float
-        rows = self._W[n:].reshape(N, n, N + 1, n)
-        item = self._W.itemsize
-        self._rows, self._col1 = rows, rows[:, :, 1]
-        self._diag = np.lib.stride_tricks.as_strided(
-            rows[0, 0, 1], shape=(N, n, n),
-            strides=((n * d + n) * item, d * item, item))
-
-    def coupling(self, MP1: np.ndarray) -> np.ndarray:
-        """Sum over minors of (own-input gain) x (own Riccati matrix),
-        from MP1 = M @ (row block 1 of P1), in a buffer that the next
-        call overwrites.
-
-        Row-block j of minor j's matrix is row-block 1 of P1 with column
-        blocks 1 and j exchanged; nothing beyond exchangeability is
-        assumed.
-        """
-        base = MP1.reshape(self.n, self.N + 1, self.n)
-        self._rows[:] = base
-        self._col1[:] = base[:, 1:].transpose(1, 0, 2)
-        self._diag[:] = base[:, 1]
-        return self._W
-
-    def field(self, t, flat: np.ndarray) -> np.ndarray:
-        n, d = self.n, self.d
-        sq = d * d
+    def field(t, flat: np.ndarray) -> np.ndarray:
         PP = flat[:2 * sq].reshape(2, d, d)
         SS = flat[2 * sq:].reshape(2, d)
         P0n, P1n, P1m = PP[0, :, :n], PP[1, :, :n], PP[1, :, n:2 * n]
-        M0PP = self.M0 @ PP[:, :n, :]
-        MP1 = self.M @ PP[1, n:2 * n, :]
-        W = self.coupling(MP1)
-        Ar2 = self.Ar2
+        M0PP = M0 @ PP[:, :n, :]
+        MP1 = M @ PP[1, n:2 * n, :]
+        # W, the sum over minors of (own-input gain) x (own Riccati
+        # matrix): row block j of minor j's matrix is row block 1 of P1
+        # with column blocks 1 and j exchanged (exchangeability alone)
+        base = MP1.reshape(n, N + 1, n)
+        rows[:] = base
+        col1[:] = base[:, 1:].transpose(1, 0, 2)
+        diag[:] = base[:, 1]
         out = np.empty(2 * sq + 2 * d)
         dPP = out[:2 * sq].reshape(2, d, d)
         dSS = out[2 * sq:].reshape(2, d)
-        scr = self._scratch
 
         # dP0 = -(P0 Ar2 + Ar2' P0) + P0n M0P0 + P0 W + W' P0 - Q0
         # dP1 = -(P1 Ar2 + Ar2' P1) - P1m MP1 + P1n M0P0 + P0n M0P1
@@ -273,48 +262,27 @@ class _ReducedFields:
         dPP[1] += np.matmul(P0n, M0PP[1], out=scr[0])
         dPP += np.matmul(PP, W, out=scr)
         dPP += np.matmul(W.T, PP, out=scr)
-        dPP[0] -= self.Q0_big
-        dPP[1] -= self.Q1_big
+        dPP[0] -= Q0_big
+        dPP[1] -= Q1_big
 
         # dS0 = -Ar' S0 + P0n M0S0 + W' S0 + P0 vS + lin0
         # dS1 = -Ar' S1 + P0n M0S1 + P1n M0S0 - P1m own + W' S1 + P1 vS
         #       + lin1
         cols = SS[:, :, None]
         dcols = dSS[:, :, None]
-        M0SS = self.M0 @ SS[:, :n, None]
-        own = self.M @ SS[1, n:2 * n]
-        vS = self._vS
-        vS[n:].reshape(self.N, n)[:] = own
-        np.matmul(self.negArT, cols, out=dcols)
+        M0SS = M0 @ SS[:, :n, None]
+        own = M @ SS[1, n:2 * n]
+        vS[n:].reshape(N, n)[:] = own
+        np.matmul(negArT, cols, out=dcols)
         dcols += P0n @ M0SS
         dSS[1] += P1n @ M0SS[0, :, 0]
         dSS[1] -= P1m @ own
         dcols += W.T @ cols
         dSS += PP @ vS
-        dSS += self.lins
+        dSS += lins
         return out
 
-
-def _solve_reduced(sys: FiniteNSystem, grid: TimeGrid, threshold: float):
-    """Players 0 and 1 only, Riccati and offsets in one pass; escape is
-    judged on the Riccati prefix alone. The march holds neither `sys`
-    (the field keeps the arrays it reads) nor the packed terminal, popped
-    into the call."""
-    model, N, d = sys.model, sys.N, sys.dim
-    field = _ReducedFields(sys).field
-    layout = StateLayout([("P0_big", (d, d), "kernel"),
-                          ("P1_big", (d, d), "kernel"),
-                          ("S0_big", (d,), "vector"), ("S1_big", (d,), "vector")])
-    terminal = [layout.pack(sys.Q0f_big, sys.Q_minor(1, final=True),
-                            sys.lin0_f, sys.lin_minor_f(1))]
-    del sys
-    path = integrate_backward(field, terminal.pop(), grid, threshold=threshold,
-                              symmetrize=layout.sym,
-                              escape_length=layout.escape_length)
-    if isinstance(path, BlowUpReport):
-        return path
-
-    return FiniteNSolution(model=model, N=N, grid=grid, **layout.paths(path))
+    return layout, field
 
 
 def finite_n_bytes(n: int, N: int, M: int) -> int:
@@ -325,26 +293,40 @@ def finite_n_bytes(n: int, N: int, M: int) -> int:
     scratch); eight flat states of 2(d^2 + d) floats at the peak of an
     RK4 step (the state, four stages and three temporaries of their
     weighted sum, which numpy reuses only above 256 KiB); (5 + 5n) d
-    floats of vectors and n-row matrices; and ode.ESTIMATE_SLACK. The
-    assembly peaks (seven d-square matrices) before the path exists."""
+    floats of vectors and n-row matrices; the M + 1 floats of the grid's
+    nodes, which the march holds; and ode.ESTIMATE_SLACK. The assembly
+    peaks (seven d-square matrices) before the path exists."""
     d = (N + 1) * n
     state = 2 * (d * d + d)
-    return (8 * ((M + 1) * state + 7 * d * d + 8 * state + (5 + 5 * n) * d)
-            + ESTIMATE_SLACK)
+    return (8 * ((M + 1) * (state + 1) + 7 * d * d + 8 * state
+                 + (5 + 5 * n) * d) + ESTIMATE_SLACK)
 
 
 def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
                    threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the N+1-player Riccati/offset system, integrating only the
-    two representative players via exchangeability. A solve above the
-    memory budget (finite_n_bytes) raises NTooLargeForMemory before
-    anything is assembled.
+    two representative players via exchangeability, Riccati and offsets
+    in one pass; escape is judged on the Riccati kernels alone. A solve
+    above the memory budget (finite_n_bytes) raises NTooLargeForMemory
+    before anything is assembled.
     """
     _require_population(model, N)
     grid.require_horizon(model.T)
     check_budget(f"solving N={N} minor players on {grid.M + 1} nodes",
                  finite_n_bytes(model.n, N, grid.M))
-    return _solve_reduced(assemble_finite_n(model, N), grid, threshold)
+    sys = assemble_finite_n(model, N)
+    layout, field = _finite_field(sys)
+    # popped into the march: it holds neither `sys` (the field keeps the
+    # arrays it reads) nor the packed terminal
+    terminal = [layout.pack(sys.Q0f_big, sys.Q_minor(1, final=True),
+                            sys.lin0_f, sys.lin_minor_f(1))]
+    del sys
+    path = integrate_backward(field, terminal.pop(), grid, threshold=threshold,
+                              symmetrize=layout.sym,
+                              escape_length=layout.escape_length)
+    if isinstance(path, BlowUpReport):
+        return path
+    return FiniteNSolution(model=model, N=N, grid=grid, **layout.paths(path))
 
 
 # The limit system and the tile system. At N minors, exchangeability
@@ -357,7 +339,7 @@ def solve_finite_n(model: ValidatedModel, N: int, grid: TimeGrid,
 # sm, S1's major block t0, own block t1 and other-minor block to. Each is
 # carried scaled, tile * N**exponent, so its field is the limit field in
 # e = 1/N: _LIMIT_EQUATIONS with the other minors' share e1 = 1 - e, plus
-# the e-terms of _TILE_E_TERMS, derived from _ReducedFields by summing
+# the e-terms of _TILE_E_TERMS, derived from _finite_field by summing
 # over the minors' blocks. The limit system (e = 0) is the nine kernel
 # blocks and the five offset blocks of _LIMIT_EQUATIONS.
 OFFSET_KEYS = ("s0", "sm", "t0", "t1", "to")

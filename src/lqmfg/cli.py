@@ -91,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      "finite-structure"])
     shared(sp)
     sp.add_argument("--tol", type=_tolerance, default=None,
-                    help="comparison tolerance override")
+                    help="comparison tolerance (default 1e-8 for every "
+                         "pair; the library's compare_lambda_phi defaults "
+                         "to 1e-9)")
 
     sp = sub.add_parser("check-solvability",
                         help="finite-N boundedness vs the limit-system verdict")

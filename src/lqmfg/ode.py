@@ -88,8 +88,14 @@ class MatrixPath:
             raise ValueError(
                 f"path has {self.values.shape[0]} states for {self.grid.M + 1} nodes"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("path contains non-finite entries")
+        # The sum of the entries is finite only if every entry is, so the
+        # mask of a byte per entry is built only when it is not. Summed
+        # over the nodes first, a strided view (a segment of a stacked
+        # path) needs no buffer of its own.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(np.add.reduce(self.values, 0), None)
+            if not (math.isfinite(total) or np.isfinite(self.values).all()):
+                raise ValueError("path contains non-finite entries")
         self.values.setflags(write=False)
 
     @property
@@ -392,7 +398,7 @@ def _march(field, terminals, lead, grid, threshold, symmetrize,
         weights = np.reshape(weights, (members, size))[:, :inner]
     bound = float(np.fmin(threshold, _LARGEST))
     out = _path_storage(grid, members, shape)
-    nodes = grid.nodes.tolist()         # Python floats
+    nodes = grid.nodes
     M = grid.M
     dt = -grid.h
 
@@ -418,7 +424,8 @@ def _march(field, terminals, lead, grid, threshold, symmetrize,
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(M, -1, -1):
             if j < M:
-                w, bad = _rk4_step(step_field, nodes[j + 1], w, dt)
+                t = float(nodes[j + 1])
+                w, bad = _rk4_step(step_field, t, w, dt)
                 if bad is not None:
                     bad = bad.reshape(members, size)[:, :inner].any(axis=1)
                     over = ~np.isfinite(w.reshape(members, size)[:, inner:])
@@ -426,14 +433,14 @@ def _march(field, terminals, lead, grid, threshold, symmetrize,
                         if bad[b]:
                             freeze(b, NonFiniteField(
                                 "field returned non-finite derivative near "
-                                f"t={nodes[j + 1]}"))
+                                f"t={t}"))
                         else:
                             freeze(b, SegmentOverflow(
                                 f"the offsets and constants (state entries "
                                 f"{inner} to {size - 1}, past the kernels) "
                                 f"overflowed float64 at entry "
                                 f"{inner + over[b].argmax()} near "
-                                f"t={nodes[j + 1]}; the kernels stayed below "
+                                f"t={t}; the kernels stayed below "
                                 f"the escape threshold"))
                     w = _hold(w, live)
                 if symmetrize is not None:

@@ -1174,7 +1174,8 @@ def lambda_sym_ref(n):
 
 class ReducedFieldsRef:
     """The symmetry-reduced finite-N fields, one product per term (players
-    0 and 1 only): the oracle of asymptotic._ReducedFields."""
+    0 and 1 only): the oracle of the field asymptotic._finite_field
+    builds."""
 
     def __init__(self, sys):
         self.sys = sys

@@ -14,7 +14,7 @@ from lqmfg import asymptotic as asym
 from lqmfg import ode
 from lqmfg.asymptotic import (_LIMIT_EQUATIONS, _TILE_EQUATIONS, BLOCK_KEYS,
                               OFFSET_KEYS, TILE_TOL, _cluster_counts, _field,
-                              _ReducedFields, finite_n_bytes)
+                              _finite_field, finite_n_bytes)
 from lqmfg.ode import MEMORY_BUDGET, BlowUpReport, integrate_backward
 
 from helpers import (_random_params, build_model, check_kernel_escape,
@@ -89,13 +89,16 @@ def test_assembly_guards():
 
 @pytest.mark.parametrize("N,M", [
     pytest.param(100, 4, id="100"), pytest.param(200, 4, id="200"),
-    (200, 20), (300, 1), (300, 4)])
+    (200, 20), (300, 1), (300, 4), (1, 2500)])
 def test_traced_solve_peak_is_within_the_estimate(N, M):
     """The one estimate of a finite-N solve bounds its traced peak, and
     not by much: path, the field's held matrices and RK4 stages. At
     N = 100 numpy makes a new array for every temporary of the RK4 sum;
     from N = 200 the states pass 256 KiB and it reuses them. At N = 300
-    and M = 1 the path is smallest next to what the march holds."""
+    and M = 1 the path is smallest next to what the march holds. At
+    N = 1 on a long grid the states are small and the nodes many, so
+    what the march holds per node beyond the path counts most: the
+    grid's nodes, one float each (and no finiteness mask of the path)."""
     model = build_model()
     grid = TimeGrid(M=M, T=1.0)
     tracemalloc.start()
@@ -106,6 +109,24 @@ def test_traced_solve_peak_is_within_the_estimate(N, M):
         tracemalloc.stop()
     estimate = finite_n_bytes(model.n, N, grid.M)
     assert peak <= estimate < 1.1 * peak
+
+
+def test_traced_lambda_peak_is_within_its_path_bytes():
+    """A stored solve allocates little beyond its path: on a long grid of
+    small states, solve_lambda's traced peak stays within 10% of its
+    path's bytes. The march holds the grid's nodes as one float64 array,
+    not a list of floats, and the path's finiteness is checked without a
+    mask of its entries."""
+    model = build_model()
+    layout = _field(model, _LIMIT_EQUATIONS, 0.0)[0]    # compiled untraced
+    grid = TimeGrid(M=20000, T=1.0)
+    tracemalloc.start()
+    try:
+        solve_lambda(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * (grid.M + 1) * layout.size
 
 
 def test_finite_n_march_holds_no_assembled_system(monkeypatch):
@@ -271,11 +292,14 @@ def test_coupling_matches_row_block_loop(make, N):
     later one, is the loop's matrix, zero row block included."""
     sys = assemble_finite_n(make(), N)
     rng = np.random.default_rng(N)
-    n = sys.model.n
-    red = _ReducedFields(sys)
+    d = sys.dim
+    field = _finite_field(sys)[1]
+    W = dict(zip(field.__code__.co_freevars,
+                 (cell.cell_contents for cell in field.__closure__)))["W"]
     for _ in range(2):
-        P1 = rng.standard_normal((sys.dim, sys.dim))
-        W = red.coupling(sys.M @ P1[n:2 * n, :])
+        P1 = rng.standard_normal((d, d))
+        field(0.0, np.concatenate([np.zeros(d * d), P1.ravel(),
+                                   np.zeros(2 * d)]))
         assert W.tobytes() == coupling_loop(sys, P1).tobytes()
 
 
@@ -498,7 +522,7 @@ def _random_k1(seed, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tile_field_is_the_reduced_field_on_exchangeable_states(n):
-    """The tile equations are derived by hand from _ReducedFields: on a
+    """The tile equations are derived by hand from _finite_field: on a
     random exchangeable state, the scaled tiles of the reduced derivatives
     are the tile field."""
     rng = np.random.default_rng(20 + n)
@@ -509,7 +533,7 @@ def test_tile_field_is_the_reduced_field_on_exchangeable_states(n):
         d = sys.dim
         flat = np.concatenate([part.ravel()
                                for part in expand_tiles(tiles, N)])
-        deriv = _ReducedFields(sys).field(0.0, flat)
+        deriv = _finite_field(sys)[1](0.0, flat)
         want = finite_tiles(*deriv[:2 * d * d].reshape(2, d, d),
                             *deriv[2 * d * d:].reshape(2, d), N)
         got = _unflat(_field(model, _TILE_EQUATIONS, 1.0 / N)[1](
@@ -793,7 +817,7 @@ def test_population_sizes_must_be_integers(scalar_model, monkeypatch, N):
         raise AssertionError("solved before validating N")
 
     monkeypatch.setattr(asym, "_solve_system", no_solve)
-    monkeypatch.setattr(asym, "_solve_reduced", no_solve)
+    monkeypatch.setattr(asym, "_finite_field", no_solve)
     grid = TimeGrid(M=20, T=1.0)
     calls = (lambda: assemble_finite_n(scalar_model, N),
              lambda: solve_finite_n(scalar_model, N, grid),

@@ -587,7 +587,7 @@ def test_population_past_float_range_exits_one(tmp_path, capsys, monkeypatch,
         raise AssertionError("solved past the float range")
 
     for name in ("solve_tiles", "_solve_tiles", "solve_lambda",
-                 "_solve_reduced"):
+                 "_finite_field"):
         monkeypatch.setattr(f"lqmfg.asymptotic.{name}", refuse)
     tracemalloc.start()
     try:

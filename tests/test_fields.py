@@ -284,7 +284,7 @@ def test_finite_field_is_bitwise_the_reference_field(n, N, model_seed,
     sys = assemble_finite_n(random_model(1, n, model_seed), N)
     d = sys.dim
     w = random_state(state_seed, [(2, d, d)], 2 * d, zeros, scale)
-    got = asymptotic._ReducedFields(sys).field(t, w)
+    got = asymptotic._finite_field(sys)[1](t, w)
     assert got.tobytes() == reference_finite_field(sys, w).tobytes()
 
 
@@ -309,11 +309,12 @@ def test_finite_field_returns_a_fresh_array_each_call(n, N):
     buffers leaks into the next."""
     sys = assemble_finite_n(random_model(1, n, 11 + n), N)
     d = sys.dim
-    red = asymptotic._ReducedFields(sys)
+    field = asymptotic._finite_field(sys)[1]
     states = [random_state(seed, [(2, d, d)], 2 * d, zeros, 1.0)
               for seed, zeros in ((1, 0.0), (2, 0.3), (3, 0.0))]
-    results = [red.field(0.0, w) for w in states]
-    kept = [a for a in vars(red).values() if isinstance(a, np.ndarray)]
+    results = [field(0.0, w) for w in states]
+    kept = [cell.cell_contents for cell in field.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
     for i, (w, got) in enumerate(zip(states, results)):
         assert got.tobytes() == reference_finite_field(sys, w).tobytes()
         assert not np.shares_memory(got, w)
@@ -553,15 +554,12 @@ def prefix_field(route, name):
     if route in ("nce", "master"):
         layout, field = (nce if route == "nce" else master)._field(
             model, lift_pi(model))
-        return field, layout.size, layout.escape_length
-    if route == "finite-n":
-        sys = assemble_finite_n(model, 3)
-        d = sys.dim
-        return asymptotic._ReducedFields(sys).field, 2 * d * d + 2 * d, \
-            2 * d * d
-    text, e = ((asymptotic._LIMIT_EQUATIONS, 0.0) if route == "lambda"
-               else (asymptotic._TILE_EQUATIONS, 1.0 / 3.0))
-    layout, field = asymptotic._field(model, text, e)
+    elif route == "finite-n":
+        layout, field = asymptotic._finite_field(assemble_finite_n(model, 3))
+    else:
+        text, e = ((asymptotic._LIMIT_EQUATIONS, 0.0) if route == "lambda"
+                   else (asymptotic._TILE_EQUATIONS, 1.0 / 3.0))
+        layout, field = asymptotic._field(model, text, e)
     return field, layout.size, layout.escape_length
 
 

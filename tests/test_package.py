@@ -27,7 +27,9 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # the march's one errstate. Escape has one level, the kernels' prefix, so
 # a layout derives one escape length, not nested prefixes. The nce and
 # master routes are built by one function each, `_field`, as the limit
-# route is, and their mean-field blocks come from `_mean_field`.
+# route is, and their mean-field blocks come from `_mean_field`. The
+# finite-population route is built the same way, by `_finite_field`, and
+# the assembled system no longer stores K0f, which no caller read.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -35,7 +37,8 @@ DELETED = {
     asymptotic: ("DENSE_DIM_CAP", "EXCHANGE_TOL", "PhiSolution",
                  "_capped_dim", "_lambda_field", "_layout", "_limit_consts",
                  "_masked", "_rep_positions", "_solve_dense",
-                 "_swap_block_index", "_tile_field"),
+                 "_swap_block_index", "_tile_field", "_ReducedFields",
+                 "_solve_reduced"),
     cli: ("_MATH_ERRORS", "_USAGE_ERRORS"),
     equations: ("_coefficients", "_names", "_operands", "_read", "_reader",
                 "_statements", "_step"),
@@ -50,6 +53,7 @@ DELETED = {
     ode: ("_combine", "integrate_forward"),
     sim: ("_player_sum", "_product"),
     asymptotic.FiniteNSolution: ("P_big", "S_big", "mode"),
+    asymptotic.FiniteNSystem: ("K0f",),
     asymptotic.LambdaSolution: ("M", "M0"),
     asymptotic.StructureReport: ("exponents", "scaled_tiles", "tiles"),
     model.PiLifted: ("Gamma0f_pi", "Gamma2f_pi"),
