@@ -46,12 +46,11 @@ import numpy as np
 from .equations import compile_field
 from .errors import GridMismatch, KNotOne
 from .master import DiffReport, _max_node_l1
-from .model import TimeGrid, ValidatedModel
+from .model import TimeGrid, ValidatedModel, check_population
 from .nce import NCESolution
 from .ode import (DEFAULT_BLOWUP_THRESHOLD, ESTIMATE_SLACK, BlowUpReport,
-                  MatrixPath, StateLayout, check_budget, integrate_backward,
-                  integrate_members)
-from .sim import check_population
+                  MatrixPath, StateLayout, check_budget, escape_norms,
+                  integrate_backward, integrate_members)
 
 # Tiles closer than this (l1, up to transpose) belong to one cluster.
 TILE_TOL = 1e-8
@@ -480,8 +479,8 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
     escape. A single member marches through integrate_backward, as every
     other solo route does.
 
-    Returns, per member, (flat path values, kernel blocks, offsets) or the
-    BlowUpReport.
+    Returns the layout, and per member (flat path values, kernel blocks,
+    offsets) or the BlowUpReport.
     """
     grid.require_horizon(model.T)
     layout, field = _field(model, equations, *es)
@@ -504,7 +503,7 @@ def _solve_system(model: ValidatedModel, grid: TimeGrid, threshold: float,
         results.append((path.values,
                         {key: parts["L" + key] for key in BLOCK_KEYS},
                         {key: parts[key] for key in OFFSET_KEYS}))
-    return results
+    return layout, results
 
 
 @dataclass(frozen=True)
@@ -529,7 +528,7 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     offsets, bounded while the kernels are, are not judged.
     """
     _require_k1(model, "limit-system route")
-    res, = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, [0.0])
+    res, = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, [0.0])[1]
     if isinstance(res, BlowUpReport):
         return res
     _, blocks, offsets = res
@@ -545,7 +544,7 @@ class TileSolution:
     N**SCALING_EXPONENTS[key], `offsets[key]` the offset block of
     OFFSET_KEYS `key` (n-vectors) times N for sm and to; `kernel_norms`
     is, per node, |P0|_l1 + |P1|_l1 of the (N+1)n-square kernels the tiles
-    stand for.
+    stand for: ode.escape_norms of the path, the norm the march judged.
     """
 
     model: ValidatedModel
@@ -577,14 +576,13 @@ def _solve_tiles(model: ValidatedModel, N_list, grid: TimeGrid,
     n = model.n
     weights = np.stack([np.repeat(_tile_weights(N), [n * n] * len(BLOCK_KEYS)
                                   + [n] * len(OFFSET_KEYS)) for N in N_list])
-    results = _solve_system(model, grid, threshold, _TILE_EQUATIONS,
-                            [1.0 / N for N in N_list], weights)
-    kernel = len(BLOCK_KEYS) * n * n
+    layout, results = _solve_system(model, grid, threshold, _TILE_EQUATIONS,
+                                    [1.0 / N for N in N_list], weights)
     solutions = []
     for N, w, res in zip(N_list, weights, results):
         if not isinstance(res, BlowUpReport):
             values, blocks, offsets = res
-            norms = (np.abs(values[:, :kernel]) * w[:kernel]).sum(axis=1)
+            norms = escape_norms(values, layout.escape_length, w)
             res = TileSolution(model=model, N=N, grid=grid, blocks=blocks,
                                offsets=offsets, kernel_norms=norms)
         solutions.append(res)
@@ -620,7 +618,7 @@ def phi_from_nce(nce: NCESolution) -> LambdaSolution:
 def compare_lambda_phi(lam: LambdaSolution, phi: LambdaSolution,
                        tol: float = 1e-9) -> DiffReport:
     """Max-over-nodes l1 differences of the nine kernel block pairs."""
-    if not lam.grid.same_as(phi.grid):
+    if lam.grid != phi.grid:
         raise GridMismatch("solutions live on different grids")
     diffs = {key: _max_node_l1(lam.blocks[key].values, phi.blocks[key].values)
              for key in BLOCK_KEYS}

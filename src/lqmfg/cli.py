@@ -356,7 +356,7 @@ def _simulate_seed(args, model, sol, N: int, seed: int, out: str):
     the paths of the minors the table shows are stored; player 1 is one
     of them."""
     show = min(N, _SHOWN_MINORS)
-    traj = sim.simulate(model, N, sol, dt=args.dt, seed=seed,
+    traj = sim.simulate(sol, N, dt=args.dt, seed=seed,
                         type_counts=args.type_counts,
                         use_empirical=args.use_empirical, keep=show)
     err = sim.empirical_mean_error(traj)
@@ -378,7 +378,7 @@ def _simulate_seed(args, model, sol, N: int, seed: int, out: str):
     _write_table(os.path.join(out, f"sim_error_N{N}_seed{seed}.csv"),
                  ["t", "type", "error"], np.tile(err.times[idx], model.K),
                  np.column_stack([types, err.per_type[:, idx].ravel()]))
-    return err.sup, [sim.evaluate_cost(model, [traj], player).mean
+    return err.sup, [sim.evaluate_cost([traj], player).mean
                      for player in (0, 1)]
 
 

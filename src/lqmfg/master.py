@@ -33,9 +33,9 @@ import numpy as np
 from .equations import compile_field
 from .errors import GridMismatch
 from .model import PiLifted, TimeGrid, ValidatedModel, block_selector, lift_pi
-from .nce import NCESolution
+from .nce import NCESolution, solve_bytes
 from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
-                  integrate_backward)
+                  check_budget, integrate_backward)
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,13 @@ def solve_master(model: ValidatedModel, grid: TimeGrid,
     judged on the kernels alone, the no-quadratic-solution verdict: the
     offsets solve a linear system with coefficients built from the
     kernels and the constants integrate bounded terms, so bounded
-    kernels bound both.
+    kernels bound both. A solve whose paths (nce.solve_bytes, with its
+    K + 1 constants) exceed the memory budget raises NTooLargeForMemory
+    before anything is lifted or compiled.
     """
     grid.require_horizon(model.T)
+    check_budget(f"a stored master solve on {grid.M + 1} nodes",
+                 solve_bytes(model, grid.M, constants=model.K + 1))
     lifted = lift_pi(model)
     layout, field = _field(model, lifted)
     K, d1 = model.K, model.n * (model.K + 2)
@@ -225,7 +229,7 @@ def _max_node_l1(a: np.ndarray, b: np.ndarray) -> float:
 def compare_nce_master(nce_sol: NCESolution, master_sol: MasterSolution,
                        tol: float = 1e-8) -> DiffReport:
     """Max-over-nodes l1 discrepancies between the two solution routes."""
-    if not nce_sol.grid.same_as(master_sol.grid):
+    if nce_sol.grid != master_sol.grid:
         raise GridMismatch("solutions live on different grids")
     K = nce_sol.model.K
     diffs = {"P0": _max_node_l1(nce_sol.P0.values, master_sol.Pd0.values),

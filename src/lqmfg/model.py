@@ -52,9 +52,6 @@ class TimeGrid:
         # linspace pins the last node to T exactly, no accumulated rounding
         return np.linspace(0.0, self.T, self.M + 1)
 
-    def same_as(self, other: "TimeGrid") -> bool:
-        return self.M == other.M and self.T == other.T
-
     def require_horizon(self, T: float):
         if self.T != T:
             raise GridMismatch(f"grid horizon T={self.T!r} is not the model's T={T!r}")
@@ -173,6 +170,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _is_integer(value) -> bool:
     """An int or a numpy integer; a bool is neither."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_population(N) -> int:
+    """N as an int; ValueError unless _is_integer(N) and N >= 1."""
+    if not _is_integer(N):
+        raise ValueError(f"population size must be an integer, got N={N}")
+    if N < 1:
+        raise ValueError(f"population size must be at least 1, got N={N}")
+    return int(N)
 
 
 def _is_real(value) -> bool:

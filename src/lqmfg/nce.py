@@ -33,8 +33,8 @@ import numpy as np
 
 from .equations import compile_field
 from .model import PiLifted, TimeGrid, ValidatedModel, lift_pi
-from .ode import (DEFAULT_BLOWUP_THRESHOLD, BlowUpReport, MatrixPath,
-                  integrate_backward)
+from .ode import (DEFAULT_BLOWUP_THRESHOLD, ESTIMATE_SLACK, BlowUpReport,
+                  MatrixPath, check_budget, integrate_backward)
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,19 @@ def _mean_field(model: ValidatedModel, lifted: PiLifted, P, s):
             Gbar.reshape(lead + (K * n, n)), mbar.reshape(lead + (K * n,)))
 
 
+def solve_bytes(model: ValidatedModel, M: int, constants: int = 0) -> int:
+    """Bytes of the paths a stored solve keeps on M + 1 nodes, counted
+    from the model's dims: per node, the march's state of kernels
+    (d0^2 + K d1^2 floats), offsets (d0 + K d1) and `constants` scalars
+    (none for solve_nce, K + 1 for solve_master), and the materialized
+    Abar, Gbar and mbar, nK (nK + n + 1) floats; and ode.ESTIMATE_SLACK."""
+    n, K = model.n, model.K
+    d0, d1 = n * (K + 1), n * (K + 2)
+    floats = (d0 * d0 + K * d1 * d1 + d0 + K * d1 + constants
+              + n * K * (n * K + n + 1))
+    return 8 * (M + 1) * floats + ESTIMATE_SLACK
+
+
 def solve_nce(model: ValidatedModel, grid: TimeGrid,
               threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the consistency DAE; a BlowUpReport means no solution on [0,T].
@@ -146,9 +159,13 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid,
     kernels is the no-solution verdict; the offsets, which solve a linear
     system with coefficients built from the kernels, are bounded while
     the kernels are and are not judged. The algebraic variables are then
-    materialized at every node.
+    materialized at every node. A solve whose paths (solve_bytes) exceed
+    the memory budget raises NTooLargeForMemory before anything is lifted
+    or compiled.
     """
     grid.require_horizon(model.T)
+    check_budget(f"a stored nce solve on {grid.M + 1} nodes",
+                 solve_bytes(model, grid.M))
     lifted = lift_pi(model)
     layout, field = _field(model, lifted)
     K, d1 = model.K, model.n * (model.K + 2)

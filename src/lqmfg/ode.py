@@ -11,9 +11,9 @@ field(t, state) = d(state)/dt. Marching toward 0 simply applies RK4 with a
 negative step.
 
 Finite escape is judged at the nodes on one level, the kernels: the
-first node whose kernels (the leading `escape_length` entries of a
-stacked state; the whole state by default) exceed the l1-norm threshold,
-or hold a non-finite entry, yields a BlowUpReport instead of a path. The
+first node whose escape norm (escape_norms, the weighted l1 norm of the
+leading `escape_length` entries of a stacked state, the kernels) exceeds
+the threshold, or is non-finite, yields a BlowUpReport instead of a path. The
 offsets and constants stacked after the kernels solve linear ODEs whose
 coefficients are built from the kernels, so bounded kernels bound them
 (Gronwall) and they are never judged. One RK4 step starting below the
@@ -59,8 +59,8 @@ DEFAULT_BLOWUP_THRESHOLD = 1e12
 # allocated.
 MEMORY_BUDGET = 4 * 2 ** 30
 # Bytes of Python objects and small arrays that a size estimate
-# (sim.simulation_bytes, asymptotic.finite_n_bytes) allows beyond the
-# arrays it counts; about 8 and 16 kB are traced.
+# (sim.simulation_bytes, asymptotic.finite_n_bytes, nce.solve_bytes)
+# allows beyond the arrays it counts; the first two trace 8 and 16 kB.
 ESTIMATE_SLACK = 2 ** 15
 # Relative asymmetry beyond this after a step signals a mis-assembled
 # field; measured relative to the state's magnitude so that legitimate
@@ -302,9 +302,9 @@ def integrate_backward(
     distances beyond ASYMMETRY_TOL raise AsymmetryDrift since honest
     round-off stays orders of magnitude smaller.
 
-    Returns the full MatrixPath, or a BlowUpReport naming the first node at
-    which the l1 norm of the state's first `escape_length` entries (all of
-    them if None) exceeded `threshold` or went non-finite. Those entries
+    Returns the full MatrixPath, or a BlowUpReport naming the first node
+    whose escape norm (escape_norms) of the first `escape_length` entries
+    (all if None) exceeded `threshold` or went non-finite. Those entries
     are the kernels, whose derivatives never read the entries past them:
     offsets and constants, stacked after the kernels, are bounded while
     the kernels are, so they are not judged. An entry past the kernels
@@ -372,9 +372,17 @@ def integrate_members(
 # A norm is finite and not over a threshold t iff it is at most
 # fmin(t, _LARGEST): t = inf or NaN leaves the finiteness test alone.
 _LARGEST = np.finfo(np.float64).max
-# The reductions of ndarray.max and ndarray.sum, without their wrappers.
+# The reduction of ndarray.max, without its wrapper.
 _max = np.maximum.reduce
-_sum = np.add.reduce
+
+
+def escape_norms(states, escape_length, weights=None) -> np.ndarray:
+    """Per flat state (last axis), the l1 norm of its first `escape_length`
+    entries, each |entry| times its weight (in place) if `weights` given."""
+    a = np.abs(states[..., :escape_length])
+    if weights is not None:
+        a *= weights[..., :escape_length]
+    return np.add.reduce(a, -1)
 
 
 def _march(field, terminals, lead, grid, threshold, symmetrize,
@@ -395,7 +403,7 @@ def _march(field, terminals, lead, grid, threshold, symmetrize,
             raise ValueError(f"weights of shape {np.shape(weights)} for "
                              f"states of shape {terminals.shape}")
         live = np.greater(weights, 0)
-        weights = np.reshape(weights, (members, size))[:, :inner]
+        weights = np.reshape(weights, (members, size))
     bound = float(np.fmin(threshold, _LARGEST))
     out = _path_storage(grid, members, shape)
     nodes = grid.nodes
@@ -462,17 +470,14 @@ def _march(field, terminals, lead, grid, threshold, symmetrize,
                         w = _hold(w, live)
                 if None not in final:
                     break
-            a = np.abs(w.reshape(members, size)[:, :inner])
-            if weights is not None:
-                a *= weights
             crossed = False
-            for b, norm in enumerate(_sum(a, 1).tolist()):
+            norms = escape_norms(w.reshape(members, size), inner, weights)
+            for b, norm in enumerate(norms.tolist()):
                 if norm <= bound or final[b] is not None:
                     continue
                 crossed = True
                 freeze(b, BlowUpReport(escape_node=j, norm_at_escape=norm,
                                        threshold=threshold))
-            del a
             if crossed:
                 if None not in final:
                     break

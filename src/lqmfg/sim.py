@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import EmptyBatch, EmptyType, GridMismatch, NonFiniteState
 from .master import MasterSolution, master_gains
-from .model import TimeGrid, ValidatedModel, _is_integer
+from .model import TimeGrid, ValidatedModel, _is_integer, check_population
 from .nce import NCESolution, nce_gains
 from .ode import ESTIMATE_SLACK, MEMORY_BUDGET, TIME_SLACK, check_budget
 
@@ -145,15 +145,6 @@ def default_type_counts(model: ValidatedModel, N: int) -> np.ndarray:
         order = np.argsort(-(raw - counts))
         counts[order[:short]] += 1
     return counts
-
-
-def check_population(N) -> int:
-    """N as an int; ValueError unless _is_integer(N) and N >= 1."""
-    if not _is_integer(N):
-        raise ValueError(f"population size must be an integer, got N={N}")
-    if N < 1:
-        raise ValueError(f"population size must be at least 1, got N={N}")
-    return int(N)
 
 
 def check_type_counts(model: ValidatedModel, N: int, counts=None) -> np.ndarray:
@@ -413,12 +404,11 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
         raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
 
 
-def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
-             seed: int = 0, type_counts=None, use_empirical: bool = False,
-             keep: int = None) -> Trajectory:
+def simulate(sol, N: int, dt: float = None, seed: int = 0, type_counts=None,
+             use_empirical: bool = False, keep: int = None) -> Trajectory:
     """Euler-Maruyama closed-loop run of the major player and N minors.
 
-    sol is a solved NCESolution or MasterSolution on this model; its grid
+    sol is a solved NCESolution or MasterSolution of sol.model; its grid
     spacing must be an integer multiple of dt. Initial states are drawn
     from the configured means and covariances, one counter-based stream
     per player (initial draw first, then the Brownian increments).
@@ -445,7 +435,7 @@ def simulate(model: ValidatedModel, N: int, sol, dt: float = None,
         gains = master_gains
     else:
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
-    grid = sol.grid
+    model, grid = sol.model, sol.grid
     seed = check_seed(seed)
     dt, S = simulation_steps(model, grid, N, dt, keep)
     keep = N if keep is None else int(keep)
@@ -535,7 +525,8 @@ def empirical_mean_error(traj: Trajectory) -> MeanFieldError:
     return MeanFieldError(per_type=errors, times=traj.times)
 
 
-def _single_cost(model: ValidatedModel, traj: Trajectory, player: int) -> float:
+def _single_cost(traj: Trajectory, player: int) -> float:
+    model = traj.model
     stored = traj.X.shape[0]
     if not (_is_integer(player) and 0 <= player <= stored):
         raise ValueError(f"player must be 0 (the major) or one of the "
@@ -567,7 +558,7 @@ def _single_cost(model: ValidatedModel, traj: Trajectory, player: int) -> float:
     return integral + float(disc[-1]) * term
 
 
-def evaluate_cost(model: ValidatedModel, trajectories, player: int) -> CostEstimate:
+def evaluate_cost(trajectories, player: int) -> CostEstimate:
     """Discounted cost of one player averaged over a trajectory batch.
 
     Player 0 is the major and player i >= 1 the i-th minor, whose path
@@ -576,7 +567,7 @@ def evaluate_cost(model: ValidatedModel, trajectories, player: int) -> CostEstim
     batch statistics use compensated summation so the result is
     independent of accumulation order.
     """
-    return cost_estimate(player, [_single_cost(model, traj, player)
+    return cost_estimate(player, [_single_cost(traj, player)
                                   for traj in trajectories])
 
 

@@ -111,6 +111,12 @@ def two_type_scalar():
                        A=np.array([[[-0.4]], [[-0.2]]]))
 
 
+def many_types(K):
+    """The scalar base model with K equally likely types."""
+    return build_model(K=K, pi=np.full(K, 1.0 / K),
+                       A=np.full((K, 1, 1), -0.4))
+
+
 def zero_weight(**overrides):
     """All cost weights and offsets zero: kernels and offsets vanish."""
     z1 = np.array([[0.0]])
@@ -457,10 +463,11 @@ class _MasterControlsRef:
         return G[:, :, :n], G[:, :, n:2 * n], G[:, :, 2 * n:], g
 
 
-def simulate_reference(model, N, sol, dt=None, seed=0, type_counts=None,
+def simulate_reference(sol, N, dt=None, seed=0, type_counts=None,
                        use_empirical=False):
     """The step-by-step closed loop: all noise drawn up front, gains
     interpolated at every step. Returns (X0, X, Zbar, U0, U)."""
+    model = sol.model
     if dt is None:
         dt = model.T / DEFAULT_STEPS
     if isinstance(sol, NCESolution):

@@ -155,7 +155,7 @@ def test_criterion_7_mean_field_consistency(scalar_model):
     means = []
     for N in Ns:
         sups = [empirical_mean_error(
-            simulate(scalar_model, N, sol, dt=0.002, seed=s)).sup
+            simulate(sol, N, dt=0.002, seed=s)).sup
             for s in range(20)]
         means.append(float(np.mean(sups)))
     slope = float(np.polyfit(np.log(Ns), np.log(means), 1)[0])
@@ -171,8 +171,8 @@ def test_criterion_8_feedback_law_equivalence(suite_models, suite_nce,
     for i in range(5):
         model = suite_models[i]
         dt = suite_nce[i].grid.h
-        a = simulate(model, 10, suite_nce[i], dt=dt, seed=77)
-        b = simulate(model, 10, suite_master[i], dt=dt, seed=77)
+        a = simulate(suite_nce[i], 10, dt=dt, seed=77)
+        b = simulate(suite_master[i], 10, dt=dt, seed=77)
         worst = max(worst, float(np.abs(a.X - b.X).max()),
                     float(np.abs(a.X0 - b.X0).max()),
                     float(np.abs(a.U - b.U).max()),

@@ -17,7 +17,8 @@ from lqmfg.cli import (_BLOCK_CELLS, _downsample, _entry_names, _fmt,
                        _psd_minimum, _write_path_csv, _write_table, main)
 from lqmfg.ode import MatrixPath
 
-from helpers import build_model, random_n3k3, route_draw, zero_weight
+from helpers import (build_model, many_types, random_n3k3, route_draw,
+                     zero_weight)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 SCALAR = str(MODELS / "scalar.model")
@@ -728,18 +729,18 @@ def test_simulate_many_seeds_need_the_memory_of_one(tmp_path):
     assert peak("0,1,2") < 1.5 * peak("0")
     model = load_model(SCALAR)
     sol = solve_nce(model, TimeGrid(M=50, T=model.T))
-    batch = [simulate(model, 200, sol, dt=0.001, seed=seed)
+    batch = [simulate(sol, 200, dt=0.001, seed=seed)
              for seed in (0, 1, 2)]
     want = ["N,player,mean,std_error,samples"]
     for player in (0, 1):
-        est = evaluate_cost(model, batch, player)
+        est = evaluate_cost(batch, player)
         want.append(f"200,{player},{_fmt(est.mean)},{_fmt(est.std_error)},3")
     assert (tmp_path / "0,1,2" / "sim_costs.csv").read_text().splitlines() == want
 
 
 def _sim_csvs_entrywise(model, sol, N, seed, use_empirical):
     """sim_traj and sim_error bytes as written row by row with _fmt."""
-    traj = simulate(model, N, sol, seed=seed, use_empirical=use_empirical)
+    traj = simulate(sol, N, seed=seed, use_empirical=use_empirical)
     err = empirical_mean_error(traj)
     idx = _downsample(200, traj.times.shape[0])
     show = min(N, 3)
@@ -989,6 +990,30 @@ def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,
             in capsys.readouterr().err)
     assert os.listdir(out) == []
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv,route", [
+    (["solve", "nce"], "nce"), (["solve", "master"], "master"),
+    (["compare", "nce-master"], "nce")])
+def test_many_type_solves_are_sized_before_compiling(tmp_path, capsys,
+                                                     monkeypatch, argv, route):
+    """K = 250 scalar types on the default grid of 2001 nodes: the stored
+    paths need about 257 GB, so the run exits 1 naming the bytes before
+    any field is compiled."""
+    path = str(tmp_path / "many.model")
+    write_model_file(path, many_types(250))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled")
+
+    for module in ("nce", "master"):
+        monkeypatch.setattr(f"lqmfg.{module}.compile_field", refuse)
+    out = tmp_path / "run"
+    assert main([*argv, "--model", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: a stored {route} solve on 2001 nodes needs " in err
+    assert "bytes, over the budget of 4294967296 bytes" in err
+    assert os.listdir(out) == []
 
 
 def test_solve_exits_two_when_kernels_leave_the_semidefinite_cone(tmp_path,

@@ -1,17 +1,23 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lqmfg import (GridMismatch, TimeGrid, compare_nce_master, lift_pi,
+from lqmfg import (GridMismatch, NTooLargeForMemory, TimeGrid,
+                   compare_nce_master, default_steps, lift_pi, master, nce,
                    solve_master, solve_nce)
 from lqmfg.master import master_gains
-from lqmfg.nce import nce_gains
-from lqmfg.ode import BlowUpReport, MatrixPath
+from lqmfg.nce import nce_gains, solve_bytes
+from lqmfg.ode import ESTIMATE_SLACK, BlowUpReport, MatrixPath
 
-from helpers import (check_kernel_escape, decoupled_scalar, growing_offsets,
-                     master_residual, node_l1, zero_weight)
+from helpers import (build_model, check_kernel_escape, decoupled_scalar,
+                     growing_offsets, many_types, master_residual, node_l1,
+                     zero_weight)
+
+# route: (module, solve, constants per player: rd0 and each rd of master)
+ROUTES = {"nce": (nce, solve_nce, 0), "master": (master, solve_master, 1)}
 
 
 def test_terminal_pins(scalar_master, scalar_model, scalar_grid):
@@ -150,3 +156,55 @@ def test_marginal_crossings_are_no_escape():
     full = offsets + node_l1(sol.rd0.values, sol.rd.values)
     check_kernel_escape(lambda thr: solve_master(model, grid, threshold=thr),
                         kernels, offsets, full)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_stored_solve_is_sized_before_compiling(monkeypatch, route):
+    """K = 250 scalar types on the default grid: the march path and the
+    Abar, Gbar and mbar paths of 2001 nodes need about 257 GB, so the
+    solve is refused naming the bytes before pi is lifted or a field
+    compiled."""
+    module, solve, per_type = ROUTES[route]
+    model = many_types(250)
+    grid = TimeGrid(M=default_steps(model.T), T=model.T)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled")
+
+    monkeypatch.setattr(module, "compile_field", refuse)
+    monkeypatch.setattr(module, "lift_pi", refuse)
+    K, d0, d1 = 250, 251, 252
+    floats = (d0 * d0 + K * d1 * d1 + d0 + K * d1 + per_type * (K + 1)
+              + K * (K + 2))
+    need = 8 * 2001 * floats + ESTIMATE_SLACK
+    assert need == solve_bytes(model, grid.M, per_type * (K + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NTooLargeForMemory,
+                           match=f"^a stored {route} solve on 2001 nodes "
+                                 f"needs {need} bytes, over the budget"):
+            solve(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_traced_solve_peak_is_within_its_size_check(route):
+    """A stored solve allocates little beyond the paths its size check
+    counts: on a long grid of small states the traced peak of solve_nce
+    and solve_master stays within 10% of solve_bytes, the march path with
+    the Abar, Gbar and mbar paths. The march path alone, the only size
+    the march checks, is 1.33x and 1.24x below these peaks."""
+    _, solve, per_type = ROUTES[route]
+    model = build_model()
+    solve(model, TimeGrid(M=20, T=1.0))                 # compiled untraced
+    grid = TimeGrid(M=2500, T=1.0)
+    tracemalloc.start()
+    try:
+        solve(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * solve_bytes(model, grid.M, per_type * (model.K + 1))

@@ -21,8 +21,8 @@ def test_grid_nodes_and_step():
     grid = TimeGrid(M=8, T=2.0)
     assert grid.h == pytest.approx(0.25)
     assert np.allclose(grid.nodes, np.linspace(0.0, 2.0, 9))
-    assert grid.same_as(TimeGrid(M=8, T=2.0))
-    assert not grid.same_as(TimeGrid(M=8, T=1.0))
+    assert grid == TimeGrid(M=8, T=2.0)
+    assert grid != TimeGrid(M=8, T=1.0)
 
 
 def test_grid_rejects_bad_steps():

@@ -29,7 +29,9 @@ from lqmfg import (asymptotic, cli, equations, errors, master, model,
 # master routes are built by one function each, `_field`, as the limit
 # route is, and their mean-field blocks come from `_mean_field`. The
 # finite-population route is built the same way, by `_finite_field`, and
-# the assembled system no longer stores K0f, which no caller read.
+# the assembled system no longer stores K0f, which no caller read. Grids
+# compare by the frozen dataclass's own ==. A simulation reads its model
+# from the solution it is handed, and a cost from the trajectory.
 DELETED = {
     lqmfg: ("BlowUp", "PermutationMismatch", "PhiSolution", "ResidualSample",
             "integrate_forward", "master_feedback", "master_residual",
@@ -57,13 +59,16 @@ DELETED = {
     asymptotic.LambdaSolution: ("M", "M0"),
     asymptotic.StructureReport: ("exponents", "scaled_tiles", "tiles"),
     model.PiLifted: ("Gamma0f_pi", "Gamma2f_pi"),
+    model.TimeGrid: ("same_as",),
     # an attribute set in __init__ is looked up on an instance
     ode.StateLayout([("P", (1, 1), "kernel"), ("s", (1,), "vector")]):
         ("prefixes",),
 }
-# Parameters deleted from the integrators.
+# Parameters deleted from the integrators and the simulation.
 DELETED_PARAMETERS = {ode.integrate_backward: ("prefixes",),
-                      ode.integrate_members: ("prefixes",)}
+                      ode.integrate_members: ("prefixes",),
+                      sim.simulate: ("model",),
+                      sim.evaluate_cost: ("model",)}
 
 
 def test_every_exported_name_resolves():
@@ -83,6 +88,13 @@ def test_deleted_names_are_gone():
     left += [(fn, name) for fn, names in DELETED_PARAMETERS.items()
              for name in names if name in inspect.signature(fn).parameters]
     assert left == []
+
+
+def test_simulate_takes_the_solution_then_the_population():
+    """bench/tracer.py reads a simulation's N as its second positional
+    argument."""
+    assert list(inspect.signature(sim.simulate).parameters)[:2] == ["sol",
+                                                                   "N"]
 
 
 def test_importing_the_package_loads_no_random_generator():

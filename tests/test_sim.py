@@ -36,8 +36,8 @@ def steps_grid(S):
 
 
 def check_against_reference(model, N, sol, **kwargs):
-    traj = simulate(model, N, sol, **kwargs)
-    for name, want in zip(PATHS, simulate_reference(model, N, sol, **kwargs)):
+    traj = simulate(sol, N, **kwargs)
+    for name, want in zip(PATHS, simulate_reference(sol, N, **kwargs)):
         assert np.array_equal(getattr(traj, name), want), name
     return traj
 
@@ -59,7 +59,7 @@ def test_frozen_model_stays_constant():
     model = frozen_model()
     grid = TimeGrid(M=20, T=1.0)
     sol = solve_nce(model, grid)
-    traj = simulate(model, 5, sol, seed=9)
+    traj = simulate(sol, 5, seed=9)
     assert np.all(traj.X0 == model.x0_mean[0])
     assert np.all(traj.X == model.alpha0[0])
     assert np.all(traj.Zbar == model.alpha0[0])
@@ -68,12 +68,12 @@ def test_frozen_model_stays_constant():
 
 
 def test_simulation_is_deterministic(scalar_model, scalar_nce):
-    a = simulate(scalar_model, 8, scalar_nce, seed=5)
-    b = simulate(scalar_model, 8, scalar_nce, seed=5)
+    a = simulate(scalar_nce, 8, seed=5)
+    b = simulate(scalar_nce, 8, seed=5)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.X0, b.X0)
     assert np.array_equal(a.U, b.U)
-    c = simulate(scalar_model, 8, scalar_nce, seed=6)
+    c = simulate(scalar_nce, 8, seed=6)
     assert not np.array_equal(a.X, c.X)
 
 
@@ -85,14 +85,14 @@ def test_seeds_past_int64_draw_their_own_streams(scalar_model, scalar_nce,
     seeds past int64's range are not rounded, nor cast to 0."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, b = (simulate(scalar_model, 3, scalar_nce, seed=s) for s in seeds)
+        a, b = (simulate(scalar_nce, 3, seed=s) for s in seeds)
     assert not np.array_equal(a.X0, b.X0)
 
 
 @pytest.mark.parametrize("name", ["X", "U"])
 def test_trajectory_rejects_a_non_finite_player_path(scalar_model, scalar_nce,
                                                      name):
-    traj = simulate(scalar_model, 8, scalar_nce, seed=5)
+    traj = simulate(scalar_nce, 8, seed=5)
     bad = getattr(traj, name).copy()
     bad[5, 17, 0] = np.nan
     with pytest.raises(ValueError, match=f"^{name} contains non-finite"):
@@ -114,7 +114,7 @@ def test_brownian_variance_oracle():
     grid = TimeGrid(M=50, T=1.0)
     sol = solve_nce(model, grid)
     N = 10000
-    traj = simulate(model, N, sol, dt=0.02, seed=12)
+    traj = simulate(sol, N, dt=0.02, seed=12)
     var = traj.X[:, -1, 0].var(ddof=1)
     want = 0.09
     # sampling error of a variance estimate: sd ~ want * sqrt(2/N)
@@ -126,14 +126,14 @@ def test_zero_noise_empirical_mean_tracks_reference():
     model = build_model(D0=z1, D=z1, x0_cov=z1, xi_cov=z1)
     grid = TimeGrid(M=200, T=1.0)
     sol = solve_nce(model, grid)
-    traj = simulate(model, 7, sol, seed=1)
+    traj = simulate(sol, 7, seed=1)
     err = empirical_mean_error(traj)
     assert err.sup < 1e-11
 
 
 def test_single_minor_error_is_distance_to_reference(scalar_nce,
                                                      scalar_model):
-    traj = simulate(scalar_model, 1, scalar_nce, seed=4)
+    traj = simulate(scalar_nce, 1, seed=4)
     err = empirical_mean_error(traj)
     want = np.abs(traj.X[0, :, 0] - traj.Zbar[:, 0])
     assert np.array_equal(err.per_type[0], want)
@@ -144,7 +144,7 @@ def test_error_shrinks_with_population(scalar_model, scalar_nce):
     sups = []
     for N in (10, 1000):
         errs = [empirical_mean_error(
-            simulate(scalar_model, N, scalar_nce, dt=0.0025, seed=s)).sup
+            simulate(scalar_nce, N, dt=0.0025, seed=s)).sup
             for s in range(3)]
         sups.append(np.mean(errs))
     assert sups[1] < sups[0] / 3.0
@@ -152,8 +152,8 @@ def test_error_shrinks_with_population(scalar_model, scalar_nce):
 
 def test_identically_seeded_nce_and_master_agree(scalar_model, scalar_nce,
                                                  scalar_master):
-    a = simulate(scalar_model, 12, scalar_nce, seed=21)
-    b = simulate(scalar_model, 12, scalar_master, seed=21)
+    a = simulate(scalar_nce, 12, seed=21)
+    b = simulate(scalar_master, 12, seed=21)
     assert np.abs(a.X - b.X).max() < 1e-8
     assert np.abs(a.X0 - b.X0).max() < 1e-8
     assert np.abs(a.U0 - b.U0).max() < 1e-8
@@ -161,23 +161,23 @@ def test_identically_seeded_nce_and_master_agree(scalar_model, scalar_nce,
 
 def test_grid_mismatch_rejected(scalar_model, scalar_nce):
     with pytest.raises(GridMismatch):
-        simulate(scalar_model, 4, scalar_nce, dt=0.0008)
+        simulate(scalar_nce, 4, dt=0.0008)
 
 
 def test_population_and_step_validated(scalar_model, scalar_nce):
     for N in (0, -3, 2.5, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="population size"):
-            simulate(scalar_model, N, scalar_nce, dt=0.0025)
+            simulate(scalar_nce, N, dt=0.0025)
     for dt in (0.0, -0.0025, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time step"):
-            simulate(scalar_model, 4, scalar_nce, dt=dt)
+            simulate(scalar_nce, 4, dt=dt)
 
 
 def test_type_counts_validated(scalar_model, scalar_nce):
     with pytest.raises(ValueError):
-        simulate(scalar_model, 4, scalar_nce, type_counts=[3])
+        simulate(scalar_nce, 4, type_counts=[3])
     with pytest.raises(ValueError):
-        simulate(scalar_model, 4, scalar_nce, type_counts=[2, 2])
+        simulate(scalar_nce, 4, type_counts=[2, 2])
 
 
 def test_default_type_counts_largest_remainder():
@@ -191,7 +191,7 @@ def test_two_type_population_assignment():
     model = two_type_scalar()
     grid = TimeGrid(M=50, T=1.0)
     sol = solve_nce(model, grid)
-    traj = simulate(model, 10, sol, seed=3)
+    traj = simulate(sol, 10, seed=3)
     assert np.array_equal(traj.type_members(1), np.arange(6))
     assert np.array_equal(traj.type_members(2), np.arange(6, 10))
     err = empirical_mean_error(traj)
@@ -201,7 +201,7 @@ def test_two_type_population_assignment():
 def test_error_per_type_is_distance_of_member_mean():
     model = two_type_scalar()
     sol = solve_nce(model, TimeGrid(M=50, T=1.0))
-    traj = simulate(model, 9, sol, dt=0.005, seed=6)
+    traj = simulate(sol, 9, dt=0.005, seed=6)
     err = empirical_mean_error(traj)
     for k in (1, 2):
         mean_path = traj.X[traj.type_members(k)].mean(axis=0)
@@ -215,14 +215,14 @@ def test_empty_type_rejected():
     model = two_type_scalar()
     grid = TimeGrid(M=50, T=1.0)
     sol = solve_nce(model, grid)
-    traj = simulate(model, 4, sol, seed=3, type_counts=[4, 0])
+    traj = simulate(sol, 4, seed=3, type_counts=[4, 0])
     with pytest.raises(EmptyType):
         empirical_mean_error(traj)
 
 
 def test_empirical_feedback_flag_changes_paths(scalar_model, scalar_nce):
-    a = simulate(scalar_model, 6, scalar_nce, seed=2)
-    b = simulate(scalar_model, 6, scalar_nce, seed=2, use_empirical=True)
+    a = simulate(scalar_nce, 6, seed=2)
+    b = simulate(scalar_nce, 6, seed=2, use_empirical=True)
     assert not np.array_equal(a.X, b.X)
     # same Brownian draws, so paths stay in the same neighborhood
     assert np.abs(a.X - b.X).max() < 1.0
@@ -232,9 +232,9 @@ def test_cost_zero_for_zero_weights():
     model = zero_weight()
     grid = TimeGrid(M=50, T=1.0)
     sol = solve_nce(model, grid)
-    batch = [simulate(model, 5, sol, seed=s) for s in (0, 1)]
+    batch = [simulate(sol, 5, seed=s) for s in (0, 1)]
     for player in (0, 1, 3):
-        est = evaluate_cost(model, batch, player)
+        est = evaluate_cost(batch, player)
         assert est.mean == 0.0
         assert est.std_error == 0.0
         assert est.samples == 2
@@ -242,7 +242,7 @@ def test_cost_zero_for_zero_weights():
 
 def test_empty_batch_rejected(scalar_model):
     with pytest.raises(EmptyBatch):
-        evaluate_cost(scalar_model, [], 0)
+        evaluate_cost([], 0)
 
 
 def test_realized_cost_matches_value_function():
@@ -262,14 +262,14 @@ def test_realized_cost_matches_value_function():
         D0=z1, D=z1, x0_cov=z1, xi_cov=z1)
     grid = TimeGrid(M=2000, T=1.0)
     sol = solve_nce(model, grid)
-    traj = simulate(model, 2, sol, seed=0)
+    traj = simulate(sol, 2, seed=0)
 
     p0 = riccati_closed_form(0.25, 1.0, 0.5, 0.8, 1.5, 0.1, 1.0)(0.0)
     p1 = riccati_closed_form(-0.15, 1.0, 0.7, 0.6, 0.9, 0.1, 1.0)(0.0)
     want_major = p0 * model.x0_mean[0] ** 2
     want_minor = p1 * model.alpha0[0] ** 2
-    est0 = evaluate_cost(model, [traj], 0)
-    est1 = evaluate_cost(model, [traj], 1)
+    est0 = evaluate_cost([traj], 0)
+    est1 = evaluate_cost([traj], 1)
     assert est0.mean == pytest.approx(want_major, abs=3e-3)
     assert est1.mean == pytest.approx(want_minor, abs=3e-3)
     assert est0.std_error == 0.0
@@ -313,8 +313,8 @@ def test_empty_middle_type_matches_reference_loop(feedback, use_empirical):
     assert not isinstance(sol, BlowUpReport)
     kwargs = dict(dt=1.0 / S, seed=6, type_counts=[4, 0, 3],
                   use_empirical=use_empirical)
-    traj = simulate(model, 7, sol, **kwargs)
-    for name, want in zip(PATHS, simulate_reference(model, 7, sol, **kwargs)):
+    traj = simulate(sol, 7, **kwargs)
+    for name, want in zip(PATHS, simulate_reference(sol, 7, **kwargs)):
         assert getattr(traj, name).tobytes() == want.tobytes(), name
 
 
@@ -361,9 +361,9 @@ def test_unstable_euler_step_raises_like_reference_loop(A, feedback):
     model = zero_weight(A=np.array([[[A]]]))
     sol = SOLVERS[feedback](model, TimeGrid(M=50, T=1.0))
     with pytest.raises(NonFiniteState) as want:
-        simulate_reference(model, 5, sol, dt=1.0 / 4000, seed=0)
+        simulate_reference(sol, 5, dt=1.0 / 4000, seed=0)
     with pytest.raises(NonFiniteState) as got:
-        simulate(model, 5, sol, dt=1.0 / 4000, seed=0)
+        simulate(sol, 5, dt=1.0 / 4000, seed=0)
     assert str(got.value) == str(want.value)
     step = int(str(got.value).split()[4])
     assert (step > CHUNK_STEPS) == (A == -2e4)
@@ -376,7 +376,7 @@ def test_simulation_memory_is_paths_plus_chunk_buffers():
     sol = solve_nce(model, TimeGrid(M=50, T=1.0))
     tracemalloc.start()
     try:
-        traj = simulate(model, 1000, sol, dt=1.0 / 4000)
+        traj = simulate(sol, 1000, dt=1.0 / 4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,7 +390,7 @@ def test_simulation_size_is_checked_before_allocating(monkeypatch):
     grid = TimeGrid(M=50, T=1.0)
     sol = solve_nce(model, grid)
     # the estimate covers what a run stores
-    traj = simulate(model, 9, sol, dt=1.0 / 300)
+    traj = simulate(sol, 9, dt=1.0 / 300)
     stored = sum(getattr(traj, name).nbytes for name in PATHS + ("times",))
     assert stored < simulation_bytes(model, 9, 300) < stored + 2 ** 20
     # 10^6 players over 4000 steps store 64 GB: computed, never allocated
@@ -406,7 +406,7 @@ def test_simulation_size_is_checked_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(NTooLargeForMemory, match="over the budget"):
-            simulate(model, 10 ** 6, sol, dt=1.0 / 4000)
+            simulate(sol, 10 ** 6, dt=1.0 / 4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,7 +470,7 @@ def test_sums_are_the_means_when_a_chunk_holds_one_node():
     model = build_model()
     S = 2 * CHUNK_STEPS
     sol = solve_nce(model, TimeGrid(M=64, T=1.0))
-    assert_sums_are_the_means(simulate(model, 100, sol, dt=1.0 / S, seed=4))
+    assert_sums_are_the_means(simulate(sol, 100, dt=1.0 / S, seed=4))
 
 
 MEMORY_MODELS = {"scalar": (build_model, 1000, 3000),
@@ -497,7 +497,7 @@ def test_traced_memory_per_player_is_within_the_estimate(name):
     def peak(N):
         tracemalloc.start()
         try:
-            simulate(model, N, sol, dt=1.0 / S, keep=3)
+            simulate(sol, N, dt=1.0 / S, keep=3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -522,7 +522,7 @@ def test_traced_memory_is_within_the_estimate(name, N):
     sol = solve_nce(model, steps_grid(S))
     tracemalloc.start()
     try:
-        simulate(model, N, sol, dt=1.0 / S, keep=keep)
+        simulate(sol, N, dt=1.0 / S, keep=keep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,8 +533,8 @@ def test_traced_memory_is_within_the_estimate(name, N):
 def test_kept_paths_and_sums_are_those_of_the_full_run(keep):
     model = two_type_scalar()
     sol = solve_master(model, TimeGrid(M=50, T=1.0))
-    full = simulate(model, 12, sol, dt=1.0 / 300, seed=7, use_empirical=True)
-    part = simulate(model, 12, sol, dt=1.0 / 300, seed=7, use_empirical=True,
+    full = simulate(sol, 12, dt=1.0 / 300, seed=7, use_empirical=True)
+    part = simulate(sol, 12, dt=1.0 / 300, seed=7, use_empirical=True,
                     keep=keep)
     assert part.N == 12 and part.X.shape[0] == part.U.shape[0] == keep
     for name in ("X", "U"):
@@ -546,8 +546,8 @@ def test_kept_paths_and_sums_are_those_of_the_full_run(keep):
     assert np.array_equal(empirical_mean_error(part).per_type,
                           empirical_mean_error(full).per_type)
     for player in range(keep + 1):
-        assert (evaluate_cost(model, [part], player)
-                == evaluate_cost(model, [full], player))
+        assert (evaluate_cost([part], player)
+                == evaluate_cost([full], player))
 
 
 @pytest.mark.parametrize("keep", [-1, 5, 1.0, True])
@@ -560,11 +560,11 @@ def test_simulate_rejects_a_bad_count_of_stored_paths(scalar_model,
     monkeypatch.setattr(sim, "_player_rng", refuse)
     with pytest.raises(ValueError, match=r"stored paths must be an integer "
                                          r"in \[0, N=4\]"):
-        simulate(scalar_model, 4, scalar_nce, keep=keep)
+        simulate(scalar_nce, 4, keep=keep)
 
 
 def test_trajectory_rejects_non_finite_sums(scalar_model, scalar_nce):
-    traj = simulate(scalar_model, 8, scalar_nce, seed=5)
+    traj = simulate(scalar_nce, 8, seed=5)
     for name in ("type_sums", "minor_sum"):
         bad = getattr(traj, name).copy()
         bad[..., 17, 0] = np.inf
@@ -573,14 +573,14 @@ def test_trajectory_rejects_non_finite_sums(scalar_model, scalar_nce):
 
 
 def test_cost_player_must_have_a_stored_path(scalar_model, scalar_nce):
-    full = simulate(scalar_model, 4, scalar_nce, seed=1)
-    part = simulate(scalar_model, 4, scalar_nce, seed=1, keep=2)
-    evaluate_cost(scalar_model, [full], 4)
-    evaluate_cost(scalar_model, [part], 2)
+    full = simulate(scalar_nce, 4, seed=1)
+    part = simulate(scalar_nce, 4, seed=1, keep=2)
+    evaluate_cost([full], 4)
+    evaluate_cost([part], 2)
     for traj, player in ((full, -1), (full, 5), (part, 3), (full, 1.0),
                          (full, True)):
         with pytest.raises(ValueError, match=f"got {player}$"):
-            evaluate_cost(scalar_model, [traj], player)
+            evaluate_cost([traj], player)
 
 
 @pytest.mark.parametrize("counts,bad", [([2.9, 1.1], "2.9"),
@@ -649,7 +649,7 @@ def run_both(model, counts, steps, feedback, **kwargs):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             try:
-                got = run(model, N, sol, dt=dt, type_counts=counts, **kwargs)
+                got = run(sol, N, dt=dt, type_counts=counts, **kwargs)
             except NonFiniteState as exc:
                 got = str(exc)
         if run is simulate and not isinstance(got, str):
@@ -717,7 +717,7 @@ def test_streamed_sums_are_the_means_of_the_paths(dims, K, model_seed, counts,
     grid, dt = grid_and_step(steps)
     sol = SOLVERS[feedback](model, grid)
     assume(not isinstance(sol, BlowUpReport))
-    assert_sums_are_the_means(simulate(model, sum(counts), sol, dt=dt,
+    assert_sums_are_the_means(simulate(sol, sum(counts), dt=dt,
                                        seed=seed, type_counts=counts,
                                        use_empirical=use_empirical))
 
@@ -773,5 +773,5 @@ def test_simulate_rejects_seeds_outside_the_key_range(scalar_model,
     monkeypatch.setattr(sim, "_player_rng", refuse)
     with pytest.raises(ValueError, match=r"seed must be an integer in "
                                          r"\[0, 2\*\*64\)"):
-        simulate(scalar_model, 4, scalar_nce, seed=seed)
+        simulate(scalar_nce, 4, seed=seed)
     assert sim.check_seed(np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
