@@ -528,7 +528,7 @@ def solve_lambda(model: ValidatedModel, grid: TimeGrid,
     offsets, bounded while the kernels are, are not judged.
     """
     _require_k1(model, "limit-system route")
-    res, = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, [0.0])[1]
+    _, (res,) = _solve_system(model, grid, threshold, _LIMIT_EQUATIONS, [0.0])
     if isinstance(res, BlowUpReport):
         return res
     _, blocks, offsets = res
