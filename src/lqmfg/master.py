@@ -163,6 +163,17 @@ def _mean_field(model: ValidatedModel, lifted: PiLifted, Pd, sd):
             Gbar.reshape(lead + (K * n, n)), mbar.reshape(lead + (K * n,)))
 
 
+def _mean_field_floats(model: ValidatedModel) -> int:
+    """Floats per node that _mean_field holds at its peak: Abar (a =
+    (nK)^2 floats), Gbar (b = K n^2) and mbar (v = nK) as they are made,
+    with the temporaries alive beside them."""
+    n, K = model.n, model.K
+    a, b, v = (n * K) ** 2, K * n * n, n * K
+    return max(3 * a,                 # (A - M Pd) sel + F_pi, M @ Pd, Abar
+               a + 2 * b,             # M @ Pd[..., n:2n] beside Gbar
+               a + b + 2 * v)         # sd @ M.T beside mbar
+
+
 def solve_master(model: ValidatedModel, grid: TimeGrid,
                  threshold: float = DEFAULT_BLOWUP_THRESHOLD):
     """Solve the quadratic-coefficient ODE system, or report finite escape.
@@ -171,13 +182,15 @@ def solve_master(model: ValidatedModel, grid: TimeGrid,
     judged on the kernels alone, the no-quadratic-solution verdict: the
     offsets solve a linear system with coefficients built from the
     kernels and the constants integrate bounded terms, so bounded
-    kernels bound both. A solve whose paths (nce.solve_bytes, with its
-    K + 1 constants) exceed the memory budget raises NTooLargeForMemory
-    before anything is lifted or compiled.
+    kernels bound both. A solve whose peak (nce.solve_bytes, with its
+    K + 1 constants and this route's _mean_field_floats) exceeds the
+    memory budget raises NTooLargeForMemory before anything is lifted or
+    compiled.
     """
     grid.require_horizon(model.T)
     check_budget(f"a stored master solve on {grid.M + 1} nodes",
-                 solve_bytes(model, grid.M, constants=model.K + 1))
+                 solve_bytes(model, grid.M, constants=model.K + 1,
+                             mean_field=_mean_field_floats(model)))
     lifted = lift_pi(model)
     layout, field = _field(model, lifted)
     K, d1 = model.K, model.n * (model.K + 2)

@@ -138,16 +138,30 @@ def _mean_field(model: ValidatedModel, lifted: PiLifted, P, s):
             Gbar.reshape(lead + (K * n, n)), mbar.reshape(lead + (K * n,)))
 
 
-def solve_bytes(model: ValidatedModel, M: int, constants: int = 0) -> int:
-    """Bytes of the paths a stored solve keeps on M + 1 nodes, counted
-    from the model's dims: per node, the march's state of kernels
+def _mean_field_floats(model: ValidatedModel) -> int:
+    """Floats per node that _mean_field holds at its peak: Abar (a =
+    (nK)^2 floats), Gbar (b = K n^2) and mbar (v = nK) as they are made,
+    with the temporaries alive beside them, w = K n1 floats for each of
+    the solve's operand and result."""
+    n, K = model.n, model.K
+    a, b, v, w = (n * K) ** 2, K * n * n, n * K, K * model.n1
+    return a + max(a,                 # BRB @ P[..., :n, 2n:] beside Abar
+                   3 * b,             # own blocks: the gather, BRB @ P, A - it
+                   b + 2 * w,         # Gbar, s @ B_lift and its solve
+                   b + w + 2 * v)     # Gbar, the solve, its product, mbar
+
+
+def solve_bytes(model: ValidatedModel, M: int, constants: int,
+                mean_field: int) -> int:
+    """Bytes a stored solve holds at its peak on M + 1 nodes, counted from
+    the model's dims: per node, the march's state of kernels
     (d0^2 + K d1^2 floats), offsets (d0 + K d1) and `constants` scalars
-    (none for solve_nce, K + 1 for solve_master), and the materialized
-    Abar, Gbar and mbar, nK (nK + n + 1) floats; and ode.ESTIMATE_SLACK."""
+    (none for solve_nce, K + 1 for solve_master), and `mean_field` floats,
+    the peak of the route's materializing of Abar, Gbar and mbar (its
+    _mean_field_floats); and ode.ESTIMATE_SLACK."""
     n, K = model.n, model.K
     d0, d1 = n * (K + 1), n * (K + 2)
-    floats = (d0 * d0 + K * d1 * d1 + d0 + K * d1 + constants
-              + n * K * (n * K + n + 1))
+    floats = d0 * d0 + K * d1 * d1 + d0 + K * d1 + constants + mean_field
     return 8 * (M + 1) * floats + ESTIMATE_SLACK
 
 
@@ -159,13 +173,14 @@ def solve_nce(model: ValidatedModel, grid: TimeGrid,
     kernels is the no-solution verdict; the offsets, which solve a linear
     system with coefficients built from the kernels, are bounded while
     the kernels are and are not judged. The algebraic variables are then
-    materialized at every node. A solve whose paths (solve_bytes) exceed
+    materialized at every node. A solve whose peak (solve_bytes) exceeds
     the memory budget raises NTooLargeForMemory before anything is lifted
     or compiled.
     """
     grid.require_horizon(model.T)
     check_budget(f"a stored nce solve on {grid.M + 1} nodes",
-                 solve_bytes(model, grid.M))
+                 solve_bytes(model, grid.M, constants=0,
+                             mean_field=_mean_field_floats(model)))
     lifted = lift_pi(model)
     layout, field = _field(model, lifted)
     K, d1 = model.K, model.n * (model.K + 2)

@@ -28,6 +28,19 @@ member of a batched matmul is the BLAS call it would be alone, so every
 float operation of a step is the one a step-by-step loop would do, and
 paths are bit for bit those of such a loop.
 
+When n = n1 = 1, for any K and n2 (the step never reads the noise
+matrices), simulate takes the scalar step (_scalar_chunk) instead of
+that matrix step (_march_chunk), chosen once per run. It makes the same
+float operations with x0, the reference path z and the major's and
+every type's control terms as Python floats, in their order: a 1 x 1
+matmul is `a * b + 0.0`, since matmul adds its one product to +0.0, and
+a 1 x 1 np.dot the bare `a * b`. The gains on z and Abar @ z stay numpy
+matmuls when K >= 2, as their K-term sums are BLAS's, whose order
+Python cannot reproduce, and the minors' N-row work stays the same
+numpy calls. A numpy call on a 1-element array costs 0.35-1.3 us and a
+Python float operation about 25 ns; the scalar step makes 14 numpy calls
+at K = 1 and 22 at K = 2 where the matrix step makes 32 and 34.
+
 The estimators read per-node sums of the minors' states, per type and
 over all minors, so they need no stored path. The sum over all minors
 is the one the step loop takes for the empirical mean, written where
@@ -202,7 +215,9 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
     the paths of `keep` of them (all when None): the stored paths and
     per-node sums; the chunk's interpolated gains and reference-path
     coefficients, their copies as the march's (K+1)-member stacks of the
-    gains on x0 and on z and the offsets, and the interpolation's
+    gains on x0 and on z and the offsets (at n = n1 = 1, the scalar
+    step's rows of floats, which add each type's own gain, Gbar and mbar,
+    and at K = 1 the gains on z and Abar), and the interpolation's
     temporaries: three copies of the largest state it reads (the K
     kernels of side d1 = n(K+2)) and eight floats per node of times,
     indices and weights; per player, the chunk buffers, the control row,
@@ -215,9 +230,11 @@ def simulation_bytes(model: ValidatedModel, N: int, S: int,
     d0, d1, nK = n * (K + 1), n * (K + 2), n * K
     paths = (S + 1) * (1 + 3 * n + 2 * n * K + n1 + keep * (n + n1))
     # G0, g0, G, g, Abar, Gbar, mbar and the stacks of G0, G and g0, g
-    # at each of the chunk's nodes
+    # (or the scalar step's rows) at each of the chunk's nodes
+    rows = 3 * K + 3 if n == n1 == 1 else 0
     coeffs = nodes * (n1 * (d0 + 1) + K * n1 * (d1 + 1) + nK * (nK + n + 1)
-                      + (K + 1) * n1 * (n + nK + 1) + 3 * K * d1 * d1 + 8)
+                      + (K + 1) * n1 * (n + nK + 1) + rows
+                      + 3 * K * d1 * d1 + 8)
     chunk = N * (steps * n2 + (steps + 1) * n + n1 + n * n + 2 * n)
     return (8 * (paths + coeffs + chunk) + N * (steps * n + STREAM_BYTES)
             + ESTIMATE_SLACK)
@@ -404,6 +421,105 @@ def _march_chunk(model, coefficients, buffers, c0, S, dt, times,
         raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
 
 
+def _scalar_chunk(model, coefficients, buffers, c0, S, dt, times,
+                  type_slices, A_by_type, use_empirical):
+    """_march_chunk's steps at n = n1 = 1, bit for bit, with x0, the
+    reference path z and the major's and every type's control terms as
+    Python floats, by the rules of the module docstring (the argument
+    for `+ 0.0` is _right_factor's). Each node's coefficients are one row
+    of floats, built once per chunk and read with one tolist; x0, z and
+    the minors' sums are read, and x0, z and u0 written, through
+    memoryviews of their paths. States are checked once per chunk, as
+    _march_chunk checks them.
+    """
+    G0, g0, G, g, (Abar, Gbar, mbar) = coefficients
+    (X0_path, Z_path, U0_path, U_path, minor_sum, X_chunk, U, drift,
+     scratch) = buffers
+    N, K = X_chunk.shape[1], model.K
+    a0, b0, f0, f, gx0 = (float(m[0, 0]) for m in (
+        model.A0, model.B0, model.F0, model.F, model.G))
+    U_kept = U[:U_path.shape[0]]
+    dt_a = np.array(dt)
+    A_own, BT = A_by_type[:, 0], model.B.T[0]
+    x0_mv, u0_mv = memoryview(X0_path[:, 0]), memoryview(U0_path[:, 0])
+    z_mv, sum_mv = memoryview(Z_path), memoryview(minor_sum[:, 0])
+    # each node's row: the K + 1 members' gains on x0, then their offsets
+    # (member 0 the major's, member k + 1 type k's), the K types' own
+    # gains, Gbar and mbar, and at K = 1 the members' gains on z and Abar
+    gains_z = np.concatenate([G0[:, None, :, 1:], G[..., 2:]], axis=1)
+    parts = [G0[:, :, 0], G[:, :, 0, 1], g0, g[:, :, 0], G[:, :, 0, 0],
+             Gbar[:, :, 0], mbar]
+    if K == 1:
+        parts += [gains_z[:, :, 0, 0], Abar[:, 0]]
+    offset, own = K + 1, 2 * K + 2
+    gbar, mb, z_gain = own + K, own + 2 * K, own + 3 * K
+    present = [(k, sl, U[sl]) for k, sl in enumerate(type_slices)
+               if sl.stop > sl.start]
+    last = S - c0
+    x0, z = x0_mv[c0], Z_path[c0].tolist()
+    rows = zip(np.concatenate(parts, axis=1), gains_z, Abar, X_chunk,
+               U_path.swapaxes(0, 1)[c0:], minor_sum[c0:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (row, gz, abar, Xcur, ukept, xsum) in enumerate(rows):
+            s = c0 + j
+            r = row.tolist()
+            if use_empirical:
+                zfeed = [np.add.reduce(Xcur[sl], 0).item()
+                         / (sl.stop - sl.start) if sl.stop > sl.start
+                         else z[k] for k, sl in enumerate(type_slices)]
+            else:
+                zfeed = z
+            if K == 1:
+                on_z = [r[z_gain] * zfeed[0] + 0.0,
+                        r[z_gain + 1] * zfeed[0] + 0.0]
+            else:
+                on_z = (gz @ np.array(zfeed))[:, 0].tolist()
+            u0 = -(r[0] * x0 + 0.0 + on_z[0] + r[offset])
+            u0_mv[s] = u0
+            for k, sl, Uk in present:
+                np.multiply(Xcur[sl], r[own + k], out=Uk)
+                Uk += r[k + 1] * x0 + 0.0 + on_z[k + 1] + r[offset + k + 1]
+            np.negative(U, out=U)
+            ukept[...] = U_kept
+            np.add.reduce(Xcur, 0, out=xsum)
+
+            if j == last:
+                break
+
+            xbar = sum_mv[s] / N
+            drift0 = a0 * x0 + 0.0 + b0 * u0 + (f0 * xbar + 0.0)
+            np.multiply(A_own, Xcur, out=drift)
+            drift += np.multiply(U, BT, out=scratch)
+            drift += f * xbar + 0.0
+            drift += gx0 * x0 + 0.0
+            # z + dt * (Abar @ z + Gbar x0 + mbar) reads this node's x0,
+            # so z steps before x0
+            if K == 1:
+                z = [z[0] + dt * (r[z_gain + 2] * z[0] + 0.0 + r[gbar] * x0
+                                  + r[mb])]
+                z_mv[s + 1, 0] = z[0]
+            else:
+                z = [zk + dt * (a + c * x0 + d) for zk, a, c, d in
+                     zip(z, (abar @ np.array(z)).tolist(), r[gbar:mb],
+                         r[mb:z_gain])]
+                for k, zk in enumerate(z):
+                    z_mv[s + 1, k] = zk
+            x0 = x0_mv[s + 1] + (x0 + dt * drift0)
+            x0_mv[s + 1] = x0
+            drift *= dt_a
+            drift += Xcur
+            X_chunk[j + 1] += drift
+
+        steps = min(G0.shape[0], last)
+        finite = (np.isfinite(X0_path[c0 + 1:c0 + steps + 1]).all(axis=1)
+                  & np.isfinite(X_chunk[1:steps + 1]).all(axis=(1, 2))
+                  & np.isfinite(Z_path[c0 + 1:c0 + steps + 1]).all(axis=1))
+    if not finite.all():
+        s = c0 + int(np.argmin(finite))
+        t = float(times[s])
+        raise NonFiniteState(f"state exploded at step {s + 1} (t={t + dt:.6g})")
+
+
 def simulate(sol, N: int, dt: float = None, seed: int = 0, type_counts=None,
              use_empirical: bool = False, keep: int = None) -> Trajectory:
     """Euler-Maruyama closed-loop run of the major player and N minors.
@@ -477,6 +593,7 @@ def simulate(sol, N: int, dt: float = None, seed: int = 0, type_counts=None,
 
     drift, scratch = np.empty((N, n)), np.empty((N, n))
     D0 = model.D0
+    march = _scalar_chunk if n == model.n1 == 1 else _march_chunk
     noise_op, DT = _right_factor(model.D.T)
     for c0 in range(0, S + 1, CHUNK_STEPS):
         increments = min(c0 + CHUNK_STEPS, S) - c0
@@ -492,10 +609,10 @@ def simulate(sol, N: int, dt: float = None, seed: int = 0, type_counts=None,
         nodes = min(CHUNK_STEPS, S + 1 - c0)
         # the chunk's gains live only through its march, so the next
         # chunk's are interpolated without them
-        _march_chunk(model, gains(sol, times[c0:c0 + CHUNK_STEPS]),
-                     (X0_path, Z_path, U0_path, U_path, minor_sum, X_chunk,
-                      U, drift, scratch),
-                     c0, S, dt, times, type_slices, A_by_type, use_empirical)
+        march(model, gains(sol, times[c0:c0 + CHUNK_STEPS]),
+              (X0_path, Z_path, U0_path, U_path, minor_sum, X_chunk, U,
+               drift, scratch),
+              c0, S, dt, times, type_slices, A_by_type, use_empirical)
         # each type's rows of each node's (N, n) block, reduced as the
         # loop reduces the whole block
         for k, sl in enumerate(type_slices):

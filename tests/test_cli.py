@@ -998,7 +998,7 @@ def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,
 def test_many_type_solves_are_sized_before_compiling(tmp_path, capsys,
                                                      monkeypatch, argv, route):
     """K = 250 scalar types on the default grid of 2001 nodes: the stored
-    paths need about 257 GB, so the run exits 1 naming the bytes before
+    paths need about 258 GB, so the run exits 1 naming the bytes before
     any field is compiled."""
     path = str(tmp_path / "many.model")
     write_model_file(path, many_types(250))

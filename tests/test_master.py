@@ -16,8 +16,9 @@ from helpers import (build_model, check_kernel_escape, decoupled_scalar,
                      growing_offsets, many_types, master_residual, node_l1,
                      zero_weight)
 
-# route: (module, solve, constants per player: rd0 and each rd of master)
-ROUTES = {"nce": (nce, solve_nce, 0), "master": (master, solve_master, 1)}
+# route: (module, solve, constants per player: rd0 and each rd of master,
+# Abar-sized arrays alive at the peak of its mean field when K >> 1)
+ROUTES = {"nce": (nce, solve_nce, 0, 2), "master": (master, solve_master, 1, 3)}
 
 
 def test_terminal_pins(scalar_master, scalar_model, scalar_grid):
@@ -161,10 +162,10 @@ def test_marginal_crossings_are_no_escape():
 @pytest.mark.parametrize("route", ROUTES)
 def test_stored_solve_is_sized_before_compiling(monkeypatch, route):
     """K = 250 scalar types on the default grid: the march path and the
-    Abar, Gbar and mbar paths of 2001 nodes need about 257 GB, so the
-    solve is refused naming the bytes before pi is lifted or a field
-    compiled."""
-    module, solve, per_type = ROUTES[route]
+    peak of the Abar, Gbar and mbar paths of 2001 nodes need about 258 GB,
+    so the solve is refused naming the bytes before pi is lifted or a
+    field compiled."""
+    module, solve, per_type, abars = ROUTES[route]
     model = many_types(250)
     grid = TimeGrid(M=default_steps(model.T), T=model.T)
 
@@ -175,9 +176,10 @@ def test_stored_solve_is_sized_before_compiling(monkeypatch, route):
     monkeypatch.setattr(module, "lift_pi", refuse)
     K, d0, d1 = 250, 251, 252
     floats = (d0 * d0 + K * d1 * d1 + d0 + K * d1 + per_type * (K + 1)
-              + K * (K + 2))
+              + abars * K * K)
     need = 8 * 2001 * floats + ESTIMATE_SLACK
-    assert need == solve_bytes(model, grid.M, per_type * (K + 1))
+    assert need == solve_bytes(model, grid.M, per_type * (K + 1),
+                               module._mean_field_floats(model))
     tracemalloc.start()
     try:
         with pytest.raises(NTooLargeForMemory,
@@ -192,12 +194,12 @@ def test_stored_solve_is_sized_before_compiling(monkeypatch, route):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_traced_solve_peak_is_within_its_size_check(route):
-    """A stored solve allocates little beyond the paths its size check
-    counts: on a long grid of small states the traced peak of solve_nce
-    and solve_master stays within 10% of solve_bytes, the march path with
-    the Abar, Gbar and mbar paths. The march path alone, the only size
-    the march checks, is 1.33x and 1.24x below these peaks."""
-    _, solve, per_type = ROUTES[route]
+    """A stored solve's size check bounds its peak, and tightly: on a long
+    grid of small states the traced peak of solve_nce and solve_master is
+    at most solve_bytes, the march path with the peak of materializing
+    Abar, Gbar and mbar, and within 10% of it. The march path alone, the
+    only size the march checks, is 1.33x and 1.24x below these peaks."""
+    module, solve, per_type, _ = ROUTES[route]
     model = build_model()
     solve(model, TimeGrid(M=20, T=1.0))                 # compiled untraced
     grid = TimeGrid(M=2500, T=1.0)
@@ -207,4 +209,6 @@ def test_traced_solve_peak_is_within_its_size_check(route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * solve_bytes(model, grid.M, per_type * (model.K + 1))
+    count = solve_bytes(model, grid.M, per_type * (model.K + 1),
+                        module._mean_field_floats(model))
+    assert peak <= count <= 1.1 * peak

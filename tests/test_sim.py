@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lqmfg import (BlowUpReport, EmptyBatch, EmptyType, GridMismatch,
                    NonFiniteState, NTooLargeForMemory, TimeGrid,
                    default_type_counts, empirical_mean_error, evaluate_cost,
-                   sim, simulate, solve_master, solve_nce, validate_model)
+                   load_model, sim, simulate, solve_master, solve_nce,
+                   validate_model)
 from lqmfg.sim import (CHUNK_STEPS, MEMORY_BUDGET, simulation_bytes,
                        simulation_steps)
 
@@ -19,6 +21,7 @@ from helpers import (_random_params, build_model, decoupled_scalar,
                      two_type_scalar, zero_weight)
 
 PATHS = ("X0", "X", "Zbar", "U0", "U")
+SHIPPED = Path(__file__).resolve().parents[1] / "models"
 MODELS = {"scalar": build_model, "twotype": two_type_scalar,
           "n3k3": random_n3k3}
 SOLVERS = {"nce": solve_nce, "master": solve_master}
@@ -65,6 +68,11 @@ def test_frozen_model_stays_constant():
     assert np.all(traj.Zbar == model.alpha0[0])
     assert not traj.U0.any()
     assert not traj.U.any()
+    # all-zero gains: the major's control is -(0 * x0 + 0.0 + ...), -0.0
+    # at every node, which the scalar step's `a * b + 0.0` must keep
+    assert np.signbit(traj.U0).all()
+    for name, want in zip(PATHS, simulate_reference(sol, 5, seed=9)):
+        assert getattr(traj, name).tobytes() == want.tobytes(), name
 
 
 def test_simulation_is_deterministic(scalar_model, scalar_nce):
@@ -316,6 +324,48 @@ def test_empty_middle_type_matches_reference_loop(feedback, use_empirical):
     traj = simulate(sol, 7, **kwargs)
     for name, want in zip(PATHS, simulate_reference(sol, 7, **kwargs)):
         assert getattr(traj, name).tobytes() == want.tobytes(), name
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the other step was taken")
+
+
+@pytest.mark.parametrize("feedback", sorted(SOLVERS))
+@pytest.mark.parametrize("use_empirical", [False, True])
+@pytest.mark.parametrize("n2", [1, 2])
+@pytest.mark.parametrize("counts", [[7], [4, 3], [4, 0, 3]],
+                         ids=["K1", "K2", "K3-empty-middle"])
+def test_scalar_step_is_bitwise_the_reference_loop(counts, n2, use_empirical,
+                                                   feedback, monkeypatch):
+    # n = n1 = 1 takes the scalar step whatever K and n2 are: its 1 x 1
+    # products are Python floats, its products on z at K >= 2 numpy
+    # matmuls; over a chunk boundary, at K = 3 with an empty middle type
+    model = random_dims((1, 1, n2), K=len(counts))
+    S = CHUNK_STEPS + 1
+    sol = SOLVERS[feedback](model, steps_grid(S))
+    assert not isinstance(sol, BlowUpReport)
+    kwargs = dict(dt=1.0 / S, seed=4, type_counts=counts,
+                  use_empirical=use_empirical)
+    monkeypatch.setattr(sim, "_march_chunk", refuse)
+    traj = simulate(sol, 7, **kwargs)
+    assert traj.steps == S
+    for name, want in zip(PATHS, simulate_reference(sol, 7, **kwargs)):
+        assert getattr(traj, name).tobytes() == want.tobytes(), name
+
+
+def test_step_is_chosen_from_the_dims(monkeypatch):
+    """Both shipped models (n = n1 = 1, K = 1 and 2) simulate without the
+    matrix step, and an n = 2 model without the scalar step."""
+    grid = TimeGrid(M=50, T=1.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(sim, "_march_chunk", refuse)
+        for name in ("scalar", "twotype"):
+            model = load_model(str(SHIPPED / f"{name}.model"))
+            for solve in SOLVERS.values():
+                assert simulate(solve(model, grid), 5).steps == 4000
+    monkeypatch.setattr(sim, "_scalar_chunk", refuse)
+    sol = solve_nce(random_dims((2, 1, 1)), grid)
+    assert simulate(sol, 5).steps == 4000
 
 
 @pytest.mark.parametrize("S", [CHUNK_STEPS // 3, CHUNK_STEPS - 1, CHUNK_STEPS,
