@@ -32,8 +32,10 @@ returns (layout, field). It evaluates the two players as one stack.
 Their kernels, and their offsets, are adjacent in the flat state, so a
 product that both take with one shared operand is one stacked matmul: a
 gemm (a gemv for a column) per member, bitwise that member's own
-product. Sums are added in the one-player text's left-to-right order
-into views of one fresh output array. The offsets' coupling terms stay
+product. Every view, product buffer and output buffer is bound once per
+solve: a call copies the state into the field's own buffer, adds the
+sums in the one-player text's left-to-right order into views of its
+output buffer and returns a copy of it. The offsets' coupling terms stay
 W.T @ s, as s @ W is another BLAS call and rounds differently.
 solve_finite_n sizes the whole solve (finite_n_bytes) before anything
 is assembled.
@@ -204,10 +206,14 @@ def _finite_field(sys: FiniteNSystem):
     tests/helpers.py::ReducedFieldsRef.
 
     The field closes over the arrays of `sys` it reads, never over `sys`.
-    The operands of the sums land in one (2, d, d) scratch array, and the
-    coupling matrix W and the padded own-input vector in buffers of their
-    own, all set up once per solve. The output array is new at each call
-    (RK4 holds four stages at once) and shares no memory with them.
+    Everything else it holds is set up once per solve, with every view
+    of it: a copy of the state (`head`, refilled at each call, so the
+    argument is read only during the call), the n-row products M0 PP,
+    M P1, M0 SS and `own`, the coupling matrix W and the padded own-input
+    vector, one (2, d, d) scratch array for the operands of the sums, and
+    the output buffer `buf` the sums are added into. Each call returns a
+    copy of `buf` (RK4 holds four stages at once), which shares no
+    memory with them.
     """
     n, N, d = sys.model.n, sys.N, sys.dim
     sq = d * d
@@ -232,54 +238,70 @@ def _finite_field(sys: FiniteNSystem):
     diag = np.lib.stride_tricks.as_strided(
         rows[0, 0, 1], shape=(N, n, n),
         strides=((n * d + n) * W.itemsize, d * W.itemsize, W.itemsize))
+    vS_minors = vS[n:].reshape(N, n)
+    WT, Ar2T, scr0 = W.T, Ar2.T, scr[0]
+
+    # each call copies the state into `head`, so its views are bound once
+    head = np.empty(2 * sq + 2 * d)
+    PP = head[:2 * sq].reshape(2, d, d)
+    SS = head[2 * sq:].reshape(2, d)
+    P0n, P1n, P1m = PP[0, :, :n], PP[1, :, :n], PP[1, :, n:2 * n]
+    PProws, P1own, PPcols = PP[:, :n, :], PP[1, n:2 * n, :], PP[:, :, :n]
+    cols, SSrows, S1own = SS[:, :, None], SS[:, :n, None], SS[1, n:2 * n]
+    M0PP = np.empty((2, n, d))
+    MP1 = np.empty((n, d))
+    M0SS = np.empty((2, n, 1))
+    own = np.empty(n)
+    M0PP0, M0PP1, M0SS0 = M0PP[0], M0PP[1], M0SS[0, :, 0]
+    # W, the sum over minors of (own-input gain) x (own Riccati matrix):
+    # row block j of minor j's matrix is row block 1 of P1 with column
+    # blocks 1 and j exchanged (exchangeability alone)
+    base = MP1.reshape(n, N + 1, n)
+    base_minors = base[:, 1:].transpose(1, 0, 2)
+    base1 = base[:, 1]
+    buf = np.empty(2 * sq + 2 * d)
+    dPP = buf[:2 * sq].reshape(2, d, d)
+    dSS = buf[2 * sq:].reshape(2, d)
+    dPP0, dPP1, dSS1, dcols = dPP[0], dPP[1], dSS[1], dSS[:, :, None]
 
     def field(t, flat: np.ndarray) -> np.ndarray:
-        PP = flat[:2 * sq].reshape(2, d, d)
-        SS = flat[2 * sq:].reshape(2, d)
-        P0n, P1n, P1m = PP[0, :, :n], PP[1, :, :n], PP[1, :, n:2 * n]
-        M0PP = M0 @ PP[:, :n, :]
-        MP1 = M @ PP[1, n:2 * n, :]
-        # W, the sum over minors of (own-input gain) x (own Riccati
-        # matrix): row block j of minor j's matrix is row block 1 of P1
-        # with column blocks 1 and j exchanged (exchangeability alone)
-        base = MP1.reshape(n, N + 1, n)
+        # in-place `+=` rebinds its name (to the same array)
+        nonlocal dPP, dPP0, dPP1, dSS, dSS1, dcols
+        head[...] = flat
+        np.matmul(M0, PProws, out=M0PP)
+        np.matmul(M, P1own, out=MP1)
         rows[:] = base
-        col1[:] = base[:, 1:].transpose(1, 0, 2)
-        diag[:] = base[:, 1]
-        out = np.empty(2 * sq + 2 * d)
-        dPP = out[:2 * sq].reshape(2, d, d)
-        dSS = out[2 * sq:].reshape(2, d)
+        col1[:] = base_minors
+        diag[:] = base1
 
         # dP0 = -(P0 Ar2 + Ar2' P0) + P0n M0P0 + P0 W + W' P0 - Q0
         # dP1 = -(P1 Ar2 + Ar2' P1) - P1m MP1 + P1n M0P0 + P0n M0P1
         #       + P1 W + W' P1 - Q1
         np.matmul(PP, Ar2, out=dPP)
-        dPP += np.matmul(Ar2.T, PP, out=scr)
+        dPP += np.matmul(Ar2T, PP, out=scr)
         np.negative(dPP, out=dPP)
-        dPP[1] -= np.matmul(P1m, MP1, out=scr[0])
-        dPP += np.matmul(PP[:, :, :n], M0PP[0], out=scr)
-        dPP[1] += np.matmul(P0n, M0PP[1], out=scr[0])
+        dPP1 -= np.matmul(P1m, MP1, out=scr0)
+        dPP += np.matmul(PPcols, M0PP0, out=scr)
+        dPP1 += np.matmul(P0n, M0PP1, out=scr0)
         dPP += np.matmul(PP, W, out=scr)
-        dPP += np.matmul(W.T, PP, out=scr)
-        dPP[0] -= Q0_big
-        dPP[1] -= Q1_big
+        dPP += np.matmul(WT, PP, out=scr)
+        dPP0 -= Q0_big
+        dPP1 -= Q1_big
 
         # dS0 = -Ar' S0 + P0n M0S0 + W' S0 + P0 vS + lin0
         # dS1 = -Ar' S1 + P0n M0S1 + P1n M0S0 - P1m own + W' S1 + P1 vS
         #       + lin1
-        cols = SS[:, :, None]
-        dcols = dSS[:, :, None]
-        M0SS = M0 @ SS[:, :n, None]
-        own = M @ SS[1, n:2 * n]
-        vS[n:].reshape(N, n)[:] = own
+        np.matmul(M0, SSrows, out=M0SS)
+        np.matmul(M, S1own, out=own)
+        vS_minors[:] = own
         np.matmul(negArT, cols, out=dcols)
         dcols += P0n @ M0SS
-        dSS[1] += P1n @ M0SS[0, :, 0]
-        dSS[1] -= P1m @ own
-        dcols += W.T @ cols
+        dSS1 += P1n @ M0SS0
+        dSS1 -= P1m @ own
+        dcols += WT @ cols
         dSS += PP @ vS
         dSS += lins
-        return out
+        return buf.copy()
 
     return layout, field
 
@@ -289,15 +311,17 @@ def finite_n_bytes(n: int, N: int, M: int) -> int:
     M + 1 nodes, d = (N+1)n: the path, 2(d^2 + d) floats per node; seven
     d-square matrices the field holds through the march (Ahat_rho2 and
     Q0_big of the assembled system, Q1, -Ahat_rho^T, W and two-matrix
-    scratch); eight flat states of 2(d^2 + d) floats at the peak of an
-    RK4 step (the state, four stages and three temporaries of their
-    weighted sum, which numpy reuses only above 256 KiB); (5 + 5n) d
-    floats of vectors and n-row matrices; the M + 1 floats of the grid's
-    nodes, which the march holds; and ode.ESTIMATE_SLACK. The assembly
-    peaks (seven d-square matrices) before the path exists."""
+    scratch); the field's two held flat states of 2(d^2 + d) floats (its
+    copy of the state it is given and its output buffer); eight flat
+    states at the peak of an RK4 step (the state, four stages and three
+    temporaries of their weighted sum, which numpy reuses only above
+    256 KiB); (5 + 5n) d floats of vectors and n-row matrices; the M + 1
+    floats of the grid's nodes, which the march holds; and
+    ode.ESTIMATE_SLACK. The assembly peaks (seven d-square matrices)
+    before the path exists."""
     d = (N + 1) * n
     state = 2 * (d * d + d)
-    return (8 * ((M + 1) * (state + 1) + 7 * d * d + 8 * state
+    return (8 * ((M + 1) * (state + 1) + 7 * d * d + (2 + 8) * state
                  + (5 + 5 * n) * d) + ESTIMATE_SLACK)
 
 

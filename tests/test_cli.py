@@ -973,7 +973,7 @@ def test_simulate_rejects_empty_or_repeated_seeds_before_solving(
     # 10^11 + 1 nodes of the nine-block state: 7.2 TB
     ["solve", "lambda", "--grid", "100000000000"],
     # (N+1)n = 501: 2001 nodes of 2 * 501^2 + 2 * 501 floats and the
-    # march's working set, 8.10 GB
+    # march's working set, 8.11 GB
     ["solve", "finite-n", "--N", "500"],
 ])
 def test_backward_solve_paths_are_sized_before_allocating(tmp_path, capsys,

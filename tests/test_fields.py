@@ -300,7 +300,7 @@ def reference_finite_field(sys, w):
                            ref.dP(P0, P1, W) + ref.dS(P0, P1, W, S0, S1)])
 
 
-@pytest.mark.parametrize("n,N", [(1, 1), (2, 3), (3, 8)])
+@pytest.mark.parametrize("n,N", [(1, 1), (2, 3), (3, 8), (2, 32)])
 def test_finite_field_returns_a_fresh_array_each_call(n, N):
     """RK4 holds all four stages at once: a later call must leave an
     earlier result as it was, and no result may share memory with the
@@ -321,6 +321,25 @@ def test_finite_field_returns_a_fresh_array_each_call(n, N):
         assert not any(np.shares_memory(got, a) for a in kept)
         assert not any(np.shares_memory(got, other)
                        for other in results[i + 1:])
+
+
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 3)])
+def test_finite_field_reads_its_argument_only_during_the_call(n, N):
+    """The field copies the state it is given into a buffer of its own:
+    writing into the argument after a call leaves that call's result as
+    it was, and the same array object refilled with another state gives
+    that state's reference field."""
+    sys = assemble_finite_n(random_model(1, n, 5 + n), N)
+    d = sys.dim
+    field = asymptotic._finite_field(sys)[1]
+    first, second = (random_state(seed, [(2, d, d)], 2 * d, 0.2, 1.0)
+                     for seed in (4, 5))
+    w = first.copy()
+    got = field(0.0, w)
+    w[:] = second
+    assert got.tobytes() == reference_finite_field(sys, first).tobytes()
+    again = field(0.0, w)
+    assert again.tobytes() == reference_finite_field(sys, second).tobytes()
 
 
 def _flat(*paths):
